@@ -313,16 +313,21 @@ def cmd_deform(args):
             for c in np.ndindex(*[int(x) for x in cells])
         ]
     )
+    try:
+        budget = int(cfg["budget"])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"budget must be an integer: {exc}") from exc
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
     cx = cubical_complex(fam)
     if args.replay:
         plan = DeformationPlan.from_json(Path(args.replay).read_text())
-        g1 = plan.g_map() or SmoothMap.identity(n)
         f1 = plan.f_map() or SmoothMap.identity(n)
     else:
         try:
-            plan, g1, f1 = deform_onto_skeleton(
+            plan, _, f1 = deform_onto_skeleton(
                 fam, cx, [v] if len(v) else [], int(cfg["m"]), float(cfg["eps"]),
-                seed=args.seed, budget=int(cfg["budget"]),
+                seed=args.seed, budget=budget,
                 coverage_threshold=float(cfg["coverage_threshold"]),
             )
         except StageError as exc:
@@ -556,8 +561,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="gmtkit_out")
     parser.add_argument("--config", default=None)
-    parser.add_argument("--format", choices=("csv", "json", "obj"), default="csv",
-                        help="preferred artifact format (commands always write their native set)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rotate", help="rotation bounds on plane pairs")

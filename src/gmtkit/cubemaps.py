@@ -9,11 +9,14 @@ measure of sampled unrectifiable sets under rank-deficient maps.
 
 All maps evaluate in batch: ``value`` accepts (N, n) arrays and ``jacobian``
 returns (N, n_out, n_in).  Displacements are assembled so that maps are
-bit-exact identities outside their supports.
+bit-exact identities outside their supports, and ``SmoothMap`` applies that
+rule once: ``value``, ``jacobian`` and ``compose`` evaluate a map only on the
+rows inside its support (``varifold.pushforward`` does the same for samples).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,7 +36,6 @@ __all__ = [
     "Region",
     "Ball",
     "Box",
-    "WholeSpace",
     "UnionRegion",
     "ConvexBody",
     "BallBody",
@@ -143,19 +145,6 @@ class Region:
     def contains(self, x):
         raise NotImplementedError
 
-    def sample_outside(self, count, rng, margin=1.0):
-        """Points outside the region, for identity checks."""
-        raise NotImplementedError
-
-
-class WholeSpace(Region):
-    def __init__(self, n):
-        self.n = n
-
-    def contains(self, x):
-        x = np.atleast_2d(x)
-        return np.ones(len(x), dtype=bool)
-
 
 class Ball(Region):
     def __init__(self, center, radius):
@@ -168,12 +157,6 @@ class Ball(Region):
 
     def contains_ball(self, center, r):
         return np.linalg.norm(np.asarray(center) - self.center) + r <= self.radius
-
-    def sample_outside(self, count, rng, margin=1.0):
-        d = rng.standard_normal((count, len(self.center)))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        radii = self.radius + margin * (0.1 + rng.random(count))
-        return self.center + d * radii[:, None]
 
 
 class Box(Region):
@@ -188,18 +171,6 @@ class Box(Region):
     def contains_ball(self, center, r):
         c = np.asarray(center, dtype=float)
         return bool(np.all(c - r >= self.lo) and np.all(c + r <= self.hi))
-
-    def sample_outside(self, count, rng, margin=1.0):
-        n = len(self.lo)
-        span = self.hi - self.lo
-        pts = self.lo - margin * span + rng.random((count, n)) * (1 + 2 * margin) * span
-        bad = self.contains(pts)
-        while np.any(bad):
-            pts[bad] = self.lo - margin * span + rng.random((int(bad.sum()), n)) * (
-                1 + 2 * margin
-            ) * span
-            bad = self.contains(pts)
-        return pts
 
 
 class UnionRegion(Region):
@@ -217,8 +188,11 @@ class UnionRegion(Region):
 class SmoothMap:
     """A map R^n -> R^k with exact value and Jacobian evaluation.
 
-    ``support`` is a region outside which the map is the identity (None when
-    the map moves points everywhere, e.g. a retraction onto the cube).
+    ``support`` is a region outside which ``_value`` is the exact identity
+    (None when the map moves points everywhere, e.g. a retraction onto the
+    cube).  ``value``, ``jacobian``, ``compose`` and ``varifold.pushforward``
+    rely on that contract: they call ``_value``/``_jac`` only on the rows
+    inside the support and return the rows outside it as x and I unchanged.
     """
 
     def __init__(self, n_in, n_out, value_fn, jac_fn, support=None, smoothness=2, name="", meta=None):
@@ -231,13 +205,25 @@ class SmoothMap:
         self.name = name
         self.meta = dict(meta) if meta else {}
 
+    def inside_support(self, pts):
+        """Mask of the rows of pts (N, n) inside ``support`` (all rows without one)."""
+        if self.support is None:
+            return np.ones(len(pts), dtype=bool)
+        return self.support.contains(pts)
+
     def value(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
         if pts.shape[1] != self.n_in:
             raise ValueError(f"expected points in R^{self.n_in}")
-        out = self._value(pts)
+        inside = self.inside_support(pts)
+        if inside.all():
+            out = self._value(pts)
+        else:
+            out = pts.copy()
+            if inside.any():
+                out[inside] = self._value(pts[inside])
         return out[0] if single else out
 
     __call__ = value
@@ -246,7 +232,13 @@ class SmoothMap:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
-        out = self._jac(pts)
+        inside = self.inside_support(pts)
+        if inside.all():
+            out = self._jac(pts)
+        else:
+            out = np.broadcast_to(np.eye(self.n_in), (len(pts), self.n_in, self.n_in)).copy()
+            if inside.any():
+                out[inside] = self._jac(pts[inside])
         return out[0] if single else out
 
     def jacobian_fd(self, x, step=1e-6):
@@ -303,16 +295,16 @@ class SmoothMap:
         def value(x):
             cur = x
             for m in reversed(maps):
-                cur = m._value(cur)
+                cur = m.value(cur)
             return cur
 
         def jac(x):
+            inner_first = maps[::-1]
             cur = x
-            jtotal = None
-            for m in reversed(maps):
-                jm = m._jac(cur)
-                jtotal = jm if jtotal is None else np.einsum("nij,njk->nik", jm, jtotal)
-                cur = m._value(cur)
+            jtotal = inner_first[0].jacobian(cur)
+            for inner, outer in zip(inner_first, inner_first[1:]):
+                cur = inner.value(cur)
+                jtotal = np.einsum("nij,njk->nik", outer.jacobian(cur), jtotal)
             return jtotal
 
         return SmoothMap(
@@ -324,10 +316,6 @@ class SmoothMap:
             smoothness=min(m.smoothness_class for m in maps),
             name="o".join(m.name or "?" for m in maps),
         )
-
-    def then(self, other):
-        """other after self."""
-        return SmoothMap.compose(other, self)
 
     def __repr__(self):
         return f"SmoothMap({self.name or 'anon'}: R^{self.n_in} -> R^{self.n_out})"
@@ -774,6 +762,17 @@ def recentering_map(a):
 # punctured-cube projection
 
 
+@functools.lru_cache(maxsize=None)
+def _punctured_factors(n, eps):
+    """The centre-independent factors (l, q) of the punctured-cube projection
+    and the exponent of q's enclosing body; every centre shares them."""
+    eps_l = eps / 2.0
+    iota_l = eps_l / (2.0 * (1.0 + math.sqrt(n)))
+    iota_q = iota_l / 8.0
+    body = cube_enclosure(n, iota_q / 4.0, iota_q)
+    return retraction_with_collar(n, eps_l), collared_projection(body, iota_q / 8.0), body.power
+
+
 def punctured_cube_projection(a, eps):
     """The smooth map of Q minus {a} onto the boundary of Q.
 
@@ -789,21 +788,15 @@ def punctured_cube_projection(a, eps):
         raise ValueError("eps must be in (0, 1/4)")
     if np.any(np.abs(a) >= 1.0):
         raise ValueError("centre must lie in the open cube")
-    eps_l = eps / 2.0
-    iota_l = eps_l / (2.0 * (1.0 + math.sqrt(n)))
-    iota_q = iota_l / 8.0
-    body = cube_enclosure(n, iota_q / 4.0, iota_q)
-    f_a = recentering_map(a)
-    q = collared_projection(body, iota_q / 8.0)
-    l = retraction_with_collar(n, eps_l)
-    phi = SmoothMap.compose(l, q, f_a)
+    l, q, body_power = _punctured_factors(n, eps)
+    phi = SmoothMap.compose(l, q, recentering_map(a))
     phi.name = "punctured_proj"
     phi.support = Box(-np.ones(n) * (1 + eps), np.ones(n) * (1 + eps))
     phi.meta = {
         "center": a.tolist(),
         "eps": eps,
         "dist_to_boundary": float(1.0 - np.max(np.abs(a))),
-        "body_power": body.power,
+        "body_power": body_power,
     }
     return phi
 

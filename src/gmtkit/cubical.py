@@ -562,23 +562,12 @@ def cubical_complex(family: CubeFamily) -> CubicalComplex:
             if f.dim == 0:
                 f = f.canonical()
             faces_by_dim.setdefault(f.dim, set()).add(f)
-    by_dim = {}
-    for k, faces in faces_by_dim.items():
-        if k == 0:
-            by_dim[k] = set(faces)
-            continue
-        # bucket by affine span rounded to the finest level for fast overlap
-        kept = set()
-        faces = sorted(faces)
-        for f in faces:
-            finer_exists = False
-            for g in faces:
-                if g.level == f.level + 1 and f.interiors_overlap(g):
-                    finer_exists = True
-                    break
-            if not finer_exists:
-                kept.add(f)
-        by_dim[k] = kept
+    # a finer face overlapping the relative interior of f shares f's affine
+    # span, so it is one of f's children
+    by_dim = {
+        k: faces if k == 0 else {f for f in faces if not any(c in faces for c in f.children())}
+        for k, faces in faces_by_dim.items()
+    }
     return CubicalComplex(family, by_dim)
 
 

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._profiles import plateau_step, smoothstep, smoothstep_d
-from .cubemaps import (
-    Box,
-    SmoothMap,
-    collared_projection,
-    recentering_map,
-    retraction_with_collar,
-    unrect_perturbation,
-)
+from .cubemaps import Box, SmoothMap, punctured_cube_projection, unrect_perturbation
 from .cubical import CubeFamily, CubicalComplex, DyadicCube, cubical_complex, whitney_family, BoxUnion
 from .varifold import DiscreteVarifold, covering_measure, pushforward, sample_spacing
 
@@ -53,6 +46,12 @@ class CenterSearchError(RuntimeError):
 
 
 class StageError(RuntimeError):
+    """A plan stage whose centre search failed.
+
+    ``stage`` is the index the failed stage would have had in
+    ``DeformationPlan.stages``, for descent and cleanup stages alike.
+    """
+
     def __init__(self, message, cube=None, stage=None):
         super().__init__(message)
         self.cube = cube
@@ -74,35 +73,6 @@ def center_bound_constant(k, m):
 
 # ---------------------------------------------------------------------------
 # per-cube machinery
-
-_PUNCTURED_PARTS_CACHE = {}
-
-
-def _punctured_parts(k, eps_r):
-    """The a-independent factors (l, q) of the punctured-cube projection."""
-    from .cubemaps import cube_enclosure
-
-    key = (k, round(eps_r, 15))
-    if key not in _PUNCTURED_PARTS_CACHE:
-        eps_l = eps_r / 2.0
-        iota_l = eps_l / (2.0 * (1.0 + math.sqrt(k)))
-        iota_q = iota_l / 8.0
-        body = cube_enclosure(k, iota_q / 4.0, iota_q)
-        q = collared_projection(body, iota_q / 8.0)
-        l = retraction_with_collar(k, eps_l)
-        _PUNCTURED_PARTS_CACHE[key] = (l, q)
-    return _PUNCTURED_PARTS_CACHE[key]
-
-
-def _punctured_map(a_r, eps_r):
-    """punctured_cube_projection with shared l, q factors (a varies)."""
-    k = len(a_r)
-    l, q = _punctured_parts(k, eps_r)
-    f_a = recentering_map(a_r)
-    phi = SmoothMap.compose(l, q, f_a)
-    phi.name = "punctured_proj"
-    return phi
-
 
 def _inplane_coordinates(cube: DyadicCube, points):
     """(u, z): scaled in-plane coordinates in [-1,1]^k and normal offsets."""
@@ -132,8 +102,11 @@ def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack
     first candidate whose sampled derivative integrals obey the averaged
     bound l * Gamma(k, m_i) * mu_i(K) * (1 + slack).  For dimensions equal
     to dim(cube): any candidate point clear of the support.  Deterministic
-    given the generator state.
+    given the generator state.  ``budget`` (at least 1) is the number of
+    candidates drawn.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     rng = np.random.default_rng(0) if rng is None else rng
     k = cube.dim
     if normal_tol is None:
@@ -159,13 +132,13 @@ def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack
         best_pass = None
         best_any = None
         for i in range(budget):
-            phi = _punctured_map(cand_r[i], min(eps_r, 0.2499))
+            phi = punctured_cube_projection(cand_r[i], min(eps_r, 0.2499))
             ok = True
             growth = 0.0
             ratios = []
             for v, mask in active:
                 u, _, _, _ = _inplane_coordinates(cube, v.points[mask])
-                sv = np.linalg.svd(phi._jac(u), compute_uv=False)
+                sv = np.linalg.svd(phi.jacobian(u), compute_uv=False)
                 w = v.weights[mask]
                 wsum = np.sum(w)
                 ratio = float(np.sum(w * sv[:, 0] ** v.dim) / wsum)
@@ -246,7 +219,7 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
     others = [j for j in range(n) if j not in cube.axes]
     c = cube.center()
     a_r = (center[axes] - c[axes]) * (2.0 / cube.side)
-    phi_r = _punctured_map(a_r, eps_r)
+    phi_r = punctured_cube_projection(a_r, eps_r)
     a_plane = center[axes]
     blend_val, blend_der = plateau_step(0.25, 0.875, max_slope=2.0)
 
@@ -268,7 +241,7 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
         u, z, ry, a3, rz, cut = _components(x)
         live = (a3 > 0.0) & (cut > 0.0)
         if np.any(live):
-            disp = (phi_r._value(u[live]) - u[live]) * (cube.side / 2.0)
+            disp = (phi_r.value(u[live]) - u[live]) * (cube.side / 2.0)
             out[np.ix_(live, axes)] += (a3[live] * cut[live])[:, None] * disp
         return out
 
@@ -280,8 +253,8 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
         if not np.any(live):
             return out
         ul = u[live]
-        disp = (phi_r._value(ul) - ul) * (cube.side / 2.0)  # (L, k)
-        dphi = phi_r._jac(ul) - np.eye(k)  # (L, k, k): derivative of disp wrt y
+        disp = (phi_r.value(ul) - ul) * (cube.side / 2.0)  # (L, k)
+        dphi = phi_r.jacobian(ul) - np.eye(k)  # (L, k, k): derivative of disp wrt y
         a3l = a3[live]
         cutl = cut[live]
         # in-plane block
@@ -475,14 +448,31 @@ def _max_touching(complex_: CubicalComplex):
     return worst
 
 
-def _transport_in_support(stage_map: SmoothMap, v: DiscreteVarifold, near: Box):
-    """Push forward only the samples inside the stage support (the map is
-    the exact identity elsewhere)."""
-    mask = near.contains(v.points)
-    if not np.any(mask):
-        return v
-    moved = pushforward(stage_map, v.restrict(mask))
-    return DiscreteVarifold.concat([v.restrict(~mask), moved])
+def _add_stage(plan, cube, kind, current, eps_stage, **search):
+    """Append the stage deforming ``cube`` to the plan; return the transported sets.
+
+    The samples within eps_stage of the cube choose its centre.  Returns None,
+    and adds nothing, when there are none.
+    """
+    lo, hi = cube.bounds()
+    near = Box(lo - eps_stage, hi + eps_stage)
+    touched = [v.restrict(near.contains(v.points)) for v in current]
+    touched = [v for v in touched if len(v)]
+    if not touched:
+        return None
+    try:
+        stage_map = deform_one_cube(cube, touched, eps_stage, **search)
+    except CenterSearchError as exc:
+        raise StageError(str(exc), cube=cube, stage=len(plan.stages)) from exc
+    plan.stages.append(PlanStage(
+        cube=cube,
+        center=np.array(stage_map.meta["center"]),
+        eps=eps_stage,
+        freeze_radius=stage_map.meta["freeze_radius"],
+        kind=kind,
+        map=stage_map,
+    ))
+    return [pushforward(stage_map, v) for v in current]
 
 
 def _coverage_fraction(cube: DyadicCube, points, grid=5, tol=None):
@@ -532,39 +522,20 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
     plan = DeformationPlan(m=m, eps=eps, seed=seed)
     plan.constants["delta_touching"] = delta_touch
     plan.constants["eps_stage"] = eps_stage
-    current = [v for v in sets]
+    search = {"rng": rng, "budget": budget, "slack": slack}
+    current = list(sets)
     skipped = 0
-    for idx, cube in enumerate(stage_cubes):
-        lo, hi = cube.bounds()
-        near = Box(lo - eps_stage, hi + eps_stage)
-        touched = [v.restrict(near.contains(v.points)) for v in current]
-        touched = [v for v in touched if len(v)]
-        if not touched:
-            skipped += 1
-            continue
-        try:
-            stage_map = deform_one_cube(
-                cube, touched, eps_stage, rng=rng, budget=budget, slack=slack
-            )
-        except CenterSearchError as exc:
-            raise StageError(str(exc), cube=cube, stage=idx) from exc
-        stage = PlanStage(
-            cube=cube,
-            center=np.array(stage_map.meta["center"]),
-            eps=eps_stage,
-            freeze_radius=stage_map.meta["freeze_radius"],
-            kind="descent",
-            map=stage_map,
-        )
-        plan.stages.append(stage)
-        current = [_transport_in_support(stage_map, v, near) for v in current]
+    for cube in stage_cubes:
+        moved = _add_stage(plan, cube, "descent", current, eps_stage, **search)
+        skipped += moved is None
+        current = moved or current
     plan.descent_count = len(plan.stages)
     plan.constants["descent_skipped_empty"] = skipped
     g1 = plan.g_map() or SmoothMap.identity(complex_.ambient_dim)
 
     # cleanup: empty the partially covered m-cubes (only for equal dimensions)
     if sets and all(v.dim == m for v in sets):
-        support = np.vstack([v.points for v in current]) if current else np.zeros((0, complex_.ambient_dim))
+        support = np.vstack([v.points for v in current])
         cleanup = []
         m_cubes = sorted(complex_.skeleton(m), key=lambda q: (q.level, q.corner, q.axes))
         m_touch = family.interior_contains(np.array([c.center() for c in m_cubes])) if m_cubes else []
@@ -582,29 +553,7 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
                 continue
             cleanup.append(cube)
         for cube in cleanup:
-            lo, hi = cube.bounds()
-            near = Box(lo - eps_stage, hi + eps_stage)
-            touched = [v.restrict(near.contains(v.points)) for v in current]
-            touched = [v for v in touched if len(v)]
-            if not touched:
-                continue
-            try:
-                stage_map = deform_one_cube(
-                    cube, touched, eps_stage, rng=rng, budget=budget, slack=slack
-                )
-            except CenterSearchError as exc:
-                raise StageError(str(exc), cube=cube, stage=len(plan.stages)) from exc
-            stage = PlanStage(
-                cube=cube,
-                center=np.array(stage_map.meta["center"]),
-                eps=eps_stage,
-                freeze_radius=stage_map.meta["freeze_radius"],
-                kind="cleanup",
-                map=stage_map,
-            )
-            plan.stages.append(stage)
-            current = [_transport_in_support(stage_map, v, near) for v in current]
-            support = np.vstack([v.points for v in current])
+            current = _add_stage(plan, cube, "cleanup", current, eps_stage, **search) or current
     f1 = plan.f_map() or SmoothMap.identity(complex_.ambient_dim)
     plan.constants["stage_count"] = len(plan.stages)
     logger.info(

@@ -81,10 +81,6 @@ def gf2_solve(a, b):
     return x
 
 
-def gf2_solvable(a, b):
-    return gf2_solve(a, b) is not None
-
-
 def gf2_nullspace(a):
     """Basis of the kernel of a over GF(2), as columns of the result."""
     a = np.asarray(a, dtype=np.uint8)
@@ -258,7 +254,7 @@ def spans(chain: Chain2, problem: SpanningProblem) -> bool:
     cols = np.nonzero(chain.bits)[0]
     sub = mat[:, cols] if len(cols) else np.zeros((mat.shape[0], 0), dtype=np.uint8)
     for z in problem.generators:
-        if not gf2_solvable(sub, np.asarray(z, dtype=np.uint8)):
+        if gf2_solve(sub, np.asarray(z, dtype=np.uint8)) is None:
             return False
     return True
 
@@ -295,7 +291,7 @@ def _chain_key(bits):
 
 
 def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000, t0=None,
-             cooling=0.995, check_every_accept=True):
+             cooling=0.995):
     """Simulated-annealing descent over spanning chains.
 
     Moves add the boundary of a single (m+1)-cell; every would-be acceptance
@@ -343,7 +339,7 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000, t0=None,
             if accept:
                 cand_bits = bits.copy()
                 cand_bits[col] ^= True
-                if check_every_accept and not spans(Chain2(problem.complex, problem.m, cand_bits), problem):
+                if not spans(Chain2(problem.complex, problem.m, cand_bits), problem):
                     temp *= cooling
                     continue
                 bits = cand_bits
@@ -364,8 +360,6 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000, t0=None,
                         value += delta
                         trace.append({"restart": r, "step": "greedy", "cell": j, "delta": delta, "value": value})
                         improved = True
-            if improved:
-                continue
         chain = Chain2(problem.complex, problem.m, bits)
         key = (value, chain.count(), _chain_key(bits))
         if best is None or key < best[0]:
@@ -475,7 +469,7 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
     best_bits, best_val = bits.copy(), value
     nodes = 0
 
-    def frozen_bound(assigned_mask, cur_bits, depth):
+    def frozen_bound(cur_bits, depth):
         val = 0.0
         for c in np.nonzero(cur_bits)[0]:
             if all(j < depth for j in touching[c]):
@@ -495,7 +489,7 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
                 if single or spans(chain, problem):
                     best_bits, best_val = cur_bits.copy(), cur_val
             return
-        if frozen_bound(None, cur_bits, depth) >= best_val - 1e-12:
+        if frozen_bound(cur_bits, depth) >= best_val - 1e-12:
             return
         col = moves[depth]
         delta = float(np.sum(weights[col] * (1.0 - 2.0 * cur_bits[col])))

@@ -436,7 +436,18 @@ def pushforward(phi: SmoothMap, v: DiscreteVarifold, haar_draws=16, seed=0):
 
     Isotropic samples are routed through per-sample Haar draws; samples whose
     image plane degenerates keep zero weight and are dropped.
+
+    Samples outside ``phi.support`` (where phi is the exact identity) pass
+    through untouched: points, frames, weights and the isotropic flag.  The
+    result is then [outside samples, transported samples], in that order, and
+    a varifold lying wholly outside the support is returned as it is.
     """
+    inside = phi.inside_support(v.points)
+    if not inside.all():
+        if not inside.any():
+            return v
+        moved = pushforward(phi, v.restrict(inside), haar_draws, seed)
+        return DiscreteVarifold.concat([v.restrict(~inside), moved])
     parts = []
     tang = v.tangent_part()
     if len(tang):

@@ -149,6 +149,14 @@ class TestDeform:
             tmp_path / "b" / "deformed_set.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("budget", ["0", '"many"'])
+    def test_bad_budget_exit_2(self, tmp_path, monkeypatch, capsys, budget):
+        set_csv = tmp_path / "disc.csv"
+        self.make_set(set_csv)
+        monkeypatch.setenv("GMTKIT_BUDGET", budget)
+        assert run_cli(["--out", tmp_path / "out", "deform", set_csv]) == 2
+        assert "budget" in capsys.readouterr().err
+
     def test_empty_set_identity_plan(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("# gmtkit varifold n=3 m=2\n")

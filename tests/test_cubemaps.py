@@ -23,7 +23,11 @@ from gmtkit.cubemaps import (
     smooth_retraction,
     unrect_perturbation,
 )
-from gmtkit.sampling import four_corner_cantor
+from gmtkit.cubical import DyadicCube
+from gmtkit.deform import deform_one_cube
+from gmtkit.grassmann import Plane
+from gmtkit.sampling import four_corner_cantor, sample_disc
+from gmtkit.varifold import DiscreteVarifold
 
 
 def fd_check(smooth_map, probes, tol=1e-5, step=1e-6):
@@ -445,3 +449,75 @@ class TestUnrectPerturbation:
         pts = np.column_stack([t, np.full_like(t, 0.4)])
         with pytest.raises(DirectionSearchError):
             unrect_perturbation(pts, rank_one_map(), self.region, 0.5, 1, cluster_gap=0.3)
+
+
+def _cube_deform_case():
+    cube = DyadicCube(0, (0, 0, 0), (0, 1, 2), 3)
+    pts, w = sample_disc(0.4, 300, seed=1, center=[0.5, 0.5, 0.5])
+    v = DiscreteVarifold.flat(pts, Plane.axis(3, (0, 1)), w)
+    return deform_one_cube(cube, [v], 0.2, rng=np.random.default_rng(0)), [-0.2] * 3, [1.2] * 3
+
+
+def _unrect_case():
+    pts, _ = four_corner_cantor(4, angle=0.01)
+    rho = unrect_perturbation(pts, rank_one_map(), Box([-0.8, -0.8], [1.8, 1.8]), 0.8, 1,
+                              cluster_gap=0.2)
+    balls = rho.support.regions
+    lo = np.min([b.center - b.radius for b in balls], axis=0)
+    hi = np.max([b.center + b.radius for b in balls], axis=0)
+    return rho, lo, hi
+
+
+def _composite_case():
+    f_a = recentering_map(np.array([0.3, -0.2]))
+    q = collared_projection(cube_enclosure(2, 0.05, 0.1), 0.02)
+    l = retraction_with_collar(2, 0.2)
+    return SmoothMap.compose(l, q, f_a), [-1.2] * 2, [1.2] * 2
+
+
+SUPPORTED_MAPS = {
+    "retraction_with_collar": lambda: (retraction_with_collar(3, 0.2), [-1.2] * 3, [1.2] * 3),
+    "collared_projection": lambda: (
+        collared_projection(BallBody(2, 1.5), 0.2), [-1.5] * 2, [1.5] * 2),
+    "recentering_map": lambda: (recentering_map(np.array([0.3, -0.4, 0.1])), [-1] * 3, [1] * 3),
+    "punctured_cube_projection": lambda: (
+        punctured_cube_projection(np.array([0.3, -0.45]), 0.1), [-1.1] * 2, [1.1] * 2),
+    "deform_one_cube": _cube_deform_case,
+    "unrect_perturbation": _unrect_case,
+    "compose": _composite_case,
+}
+
+
+class TestSupportContract:
+    """value/jacobian skip the rows outside a declared support; the raw
+    functions must agree there bit for bit (the map is the exact identity)."""
+
+    @pytest.mark.parametrize("name", sorted(SUPPORTED_MAPS))
+    def test_masked_evaluation_matches_raw(self, name, rng):
+        phi, lo, hi = SUPPORTED_MAPS[name]()
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        pts = rng.uniform(mid - 3 * half, mid + 3 * half, (3000, len(lo)))
+        inside = phi.support.contains(pts)
+        assert inside.any() and not inside.all()
+        assert phi.value(pts).tobytes() == phi._value(pts).tobytes()
+        assert phi.jacobian(pts).tobytes() == phi._jac(pts).tobytes()
+        outside = pts[~inside]
+        assert phi.value(outside).tobytes() == outside.tobytes()
+        eye = np.broadcast_to(np.eye(len(lo)), (len(outside), len(lo), len(lo)))
+        assert phi.jacobian(outside).tobytes() == eye.tobytes()
+
+    def test_compose_evaluates_each_map_inside_its_support(self):
+        seen = []
+
+        def recording(lo, hi):
+            def value(x):
+                seen.append(len(x))
+                return x + 0.0
+
+            return SmoothMap(1, 1, value, None, support=Box([lo], [hi]))
+
+        phi = SmoothMap.compose(recording(2.0, 3.0), recording(0.0, 1.0))
+        x = np.array([[0.5], [2.5], [5.0]])
+        assert np.array_equal(phi.value(x), x)
+        assert seen == [1, 1]

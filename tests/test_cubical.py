@@ -157,6 +157,21 @@ class TestCubicalComplex:
             cx = cubical_complex(fam)
             assert set(cx.all_cubes()) == brute_force_complex(fam)
 
+    @pytest.mark.parametrize(
+        "open_set, bbox, min_level, top_level",
+        [
+            (BoxUnion([([0.0, 0.0], [4.0, 2.0]), ([0.0, 0.0], [2.0, 4.0])]), ([1, 0], [3, 3]), 3, 1),
+            (BoxUnion([([0.0, 0.0, 0.0], [4.0, 4.0, 4.0])]), ([1, 1, 0], [1.5, 1.5, 1]), 3, 1),
+            (PuncturedPlane([0.0, 0.0]), ([-1, -1], [1, 1]), 3, 1),
+        ],
+        ids=["box-union-2d", "box-union-3d", "punctured-plane"],
+    )
+    def test_matches_brute_force_oracle_on_whitney_families(self, open_set, bbox, min_level,
+                                                            top_level):
+        fam = whitney_family(open_set, bbox, min_level=min_level, top_level=top_level)
+        assert len({c.level for c in fam}) > 1  # finer faces really compete
+        assert set(cubical_complex(fam).all_cubes()) == brute_force_complex(fam)
+
     def test_rejects_non_admissible_with_pair(self):
         a = DyadicCube(0, (0, 0), (0, 1), 2)
         b = DyadicCube(2, (4, 0), (0, 1), 2)

@@ -61,6 +61,13 @@ class TestSelectCenter:
         assert info["clearance"] > 0.01
         assert np.min(np.linalg.norm(pts - a, axis=1)) == pytest.approx(info["clearance"])
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, budget):
+        pts, w = sample_disc(0.5, 200, seed=2, center=[0.5, 0.5, 0.5])
+        v = DiscreteVarifold.flat(pts, H, w)
+        with pytest.raises(ValueError, match="budget"):
+            select_center(CUBE3, [v], 0.2, budget=budget)
+
     def test_deterministic_given_seed(self):
         pts, w = sample_disc(0.5, 500, seed=2, center=[0.5, 0.5, 0.5])
         v = DiscreteVarifold.flat(pts, H, w)
@@ -241,6 +248,20 @@ class TestDeformOntoSkeleton:
         plan, g1, f1 = deform_onto_skeleton(self.family, self.complex, [v], 2, 0.05, seed=1)
         replay = DeformationPlan.from_json(plan.to_json())
         assert np.array_equal(replay.apply_stages(v.points), plan.apply_stages(v.points))
+
+    def test_stage_error_reports_plan_index(self, monkeypatch):
+        # the disc touches none of the first candidate cubes, so the failing
+        # stage's plan index (0) differs from its index among the candidates
+        import gmtkit.deform as deform
+
+        def fail(cube, *args, **kwargs):
+            raise deform.CenterSearchError(f"no centre in {cube}")
+
+        monkeypatch.setattr(deform, "deform_one_cube", fail)
+        with pytest.raises(deform.StageError) as info:
+            deform_onto_skeleton(self.family, self.complex, [disc_in_grid(count=500)], 2, 0.05)
+        assert info.value.stage == 0
+        assert info.value.cube != DyadicCube(0, (0, 0, 0), (0, 1, 2), 3)
 
     def test_eps_range_checked(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import norm_map
-from gmtkit.cubemaps import SmoothMap
+from gmtkit.cubemaps import Ball, SmoothMap
 from gmtkit.grassmann import Plane, haar_sample
 from gmtkit.sampling import ring_sampled_disc, sample_disc, sample_segment
 from gmtkit.varifold import (
@@ -175,6 +175,48 @@ class TestPullbackPushforward:
         w = pushforward(SmoothMap.identity(3), iso, haar_draws=8, seed=0)
         assert w.mass() == pytest.approx(2.0)
         assert len(w) == 16
+
+
+class TestPushforwardSupport:
+    """pushforward passes samples outside phi.support through untouched."""
+
+    def setup_method(self):
+        # x -> 2x on the unit ball, as a map declaring the ball as its support
+        self.phi = SmoothMap(
+            3, 3, lambda x: 2.0 * x, lambda x: np.broadcast_to(2.0 * np.eye(3), (len(x), 3, 3)).copy(),
+            support=Ball(np.zeros(3), 1.0),
+        )
+        pts, w = sample_disc(2.0, 400, seed=4)
+        tangent = DiscreteVarifold.flat(pts, H, w)
+        iso = DiscreteVarifold.isotropic_set(pts[::4] + [0.0, 0.0, 0.5], w[::4], 2)
+        self.v = DiscreteVarifold.concat([tangent, iso])
+
+    def test_outside_first_and_bit_identical(self):
+        inside = self.phi.support.contains(self.v.points)
+        assert inside.any() and not inside.all()
+        out = self.v.restrict(~inside)
+        w = pushforward(self.phi, self.v)
+        k = len(out)
+        assert w.points[:k].tobytes() == out.points.tobytes()
+        assert w.frames[:k].tobytes() == out.frames.tobytes()
+        assert w.weights[:k].tobytes() == out.weights.tobytes()
+        assert np.array_equal(w.isotropic[:k], out.isotropic)
+        moved = pushforward(self.phi, self.v.restrict(inside))
+        assert w.points[k:].tobytes() == moved.points.tobytes()
+        assert w.weights[k:].tobytes() == moved.weights.tobytes()
+
+    def test_isotropic_outside_stays_isotropic(self):
+        w = pushforward(self.phi, self.v)
+        iso_out = self.v.isotropic & ~self.phi.support.contains(self.v.points)
+        assert iso_out.any()
+        assert w.isotropic.sum() == iso_out.sum()
+
+    def test_all_outside_unchanged(self):
+        far = self.v.restrict(np.linalg.norm(self.v.points, axis=1) > 1.0)
+        w = pushforward(self.phi, far)
+        for a, b in [(w.points, far.points), (w.frames, far.frames), (w.weights, far.weights),
+                     (w.isotropic, far.isotropic)]:
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSlicing:
