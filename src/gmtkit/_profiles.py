@@ -32,6 +32,91 @@ def smoothstep_i(u):
     return np.where(u > 1.0, u - 0.5, np.where(u > 0.0, val, 0.0))
 
 
+def profile_rows(knots, slopes, anchor_t, anchor_v, deltas=None):
+    """Parameters of smooth piecewise-linear profiles, one profile per row.
+
+    ``knots`` is (C, K), ``slopes`` (C, K+1), ``anchor_t``/``anchor_v`` (C,)
+    and ``deltas`` (C, K) or None for the default blend half-widths (an
+    eighth of the smaller neighbouring gap).  Returns (knots, slopes, deltas,
+    knot_vals), knot_vals being the values of the un-rounded piecewise-linear
+    function at the knots, walked out from the anchor.
+    """
+    knots = np.asarray(knots, dtype=float)
+    slopes = np.asarray(slopes, dtype=float)
+    anchor_t = np.asarray(anchor_t, dtype=float)
+    anchor_v = np.asarray(anchor_v, dtype=float)
+    count, nknots = knots.shape
+    if slopes.shape[1] != nknots + 1:
+        raise ValueError("need one more slope than knots")
+    if np.any(np.diff(knots, axis=1) <= 0):
+        raise ValueError("knots must be strictly increasing")
+    if deltas is None:
+        gaps = np.diff(knots, axis=1)
+        edge = np.full((count, 1), np.inf)
+        deltas = np.minimum(np.hstack([edge, gaps]), np.hstack([gaps, edge])) / 8.0
+        deltas = np.where(np.isfinite(deltas), deltas, 1.0 / 8.0)
+    else:
+        deltas = np.asarray(deltas, dtype=float)
+    vals = np.empty((count, nknots))
+    # the anchor sits in interval index ia (the searchsorted index of anchor_t)
+    ia = np.sum(knots < anchor_t[:, None], axis=1)
+    for start in np.unique(ia):
+        rows = ia == start
+        kn, sl = knots[rows], slopes[rows]
+        v, t = anchor_v[rows], anchor_t[rows]
+        for j in range(start, nknots):
+            v = v + sl[:, j] * (kn[:, j] - t)
+            t = kn[:, j]
+            vals[rows, j] = v
+        v, t = anchor_v[rows], anchor_t[rows]
+        for j in range(start - 1, -1, -1):
+            v = v - sl[:, j + 1] * (t - kn[:, j])
+            t = kn[:, j]
+            vals[rows, j] = v
+    # blend windows must not overlap the anchor
+    if np.any(np.abs(anchor_t[:, None] - knots) < deltas):
+        raise ValueError("anchor inside a corner blend window")
+    return knots, slopes, deltas, vals
+
+
+def profile_eval(t, knots, slopes, deltas, knot_vals, value=True, derivative=True):
+    """Values and derivatives of smooth piecewise-linear profiles, row by row.
+
+    ``t`` is (C, S) and the parameters are those of :func:`profile_rows`:
+    row c of ``t`` is evaluated with profile c.  Returns (value, derivative),
+    each None unless asked for.  A corner correction is computed only on the
+    points inside that corner's blend window; everywhere else every point goes
+    through the same float operations, whatever C and S are.
+    """
+    idx = np.sum(~(t[..., None] <= knots[:, None, :]), axis=-1)  # searchsorted
+    slope = np.take_along_axis(slopes, idx, axis=1)
+    out = der = None
+    if value:
+        below = np.maximum(idx - 1, 0)
+        ref_t = np.take_along_axis(knots, below, axis=1)
+        ref_v = np.take_along_axis(knot_vals, below, axis=1)
+        out = ref_v + slope * (t - ref_t)
+    if derivative:
+        der = slope
+    ds = slopes[:, 1:] - slopes[:, :-1]
+    for j in range(knots.shape[1]):
+        u = (t - knots[:, j, None]) / deltas[:, j, None]
+        win = (np.abs(u) < 1.0) & (ds[:, j, None] != 0.0)
+        if not win.any():
+            continue
+        u = u[win]
+        dsj = np.broadcast_to(ds[:, j, None], t.shape)[win]
+        if value:
+            dj = np.broadcast_to(deltas[:, j, None], t.shape)[win]
+            out[win] += dsj * dj * (2.0 * smoothstep_i((u + 1.0) / 2.0) - np.maximum(u, 0.0))
+        if derivative:
+            der[win] += dsj * (smoothstep((u + 1.0) / 2.0) - np.where(u > 0.0, 1.0, 0.0))
+    # off its windows a corner adds 0.0, which turns -0.0 into +0.0 (adding
+    # -0.0 changes nothing)
+    zero = np.where(np.any(ds != 0.0, axis=1), 0.0, -0.0)[:, None]
+    return (None if out is None else out + zero), (None if der is None else der + zero)
+
+
 class SmoothPiecewiseLinear:
     """A piecewise-linear function with C^2 rounded corners.
 
@@ -43,80 +128,22 @@ class SmoothPiecewiseLinear:
     """
 
     def __init__(self, knots, slopes, anchor_t, anchor_v, deltas=None):
-        knots = np.asarray(knots, dtype=float)
-        slopes = np.asarray(slopes, dtype=float)
-        if len(slopes) != len(knots) + 1:
-            raise ValueError("need one more slope than knots")
-        if np.any(np.diff(knots) <= 0):
-            raise ValueError("knots must be strictly increasing")
-        if deltas is None:
-            gaps = np.diff(knots)
-            deltas = np.empty(len(knots))
-            for j in range(len(knots)):
-                left = gaps[j - 1] if j > 0 else np.inf
-                right = gaps[j] if j < len(gaps) else np.inf
-                deltas[j] = min(left, right) / 8.0
-            deltas = np.where(np.isfinite(deltas), deltas, 1.0 / 8.0)
-        else:
-            deltas = np.asarray(deltas, dtype=float)
-        self.knots = knots
-        self.slopes = slopes
-        self.deltas = deltas
-        # values of the un-rounded PL function at the knots
-        vals = np.empty(len(knots))
-        # anchor sits in interval index ia
-        ia = int(np.searchsorted(knots, anchor_t))
-        # walk right from the anchor
-        v = anchor_v
-        t = anchor_t
-        for j in range(ia, len(knots)):
-            v = v + slopes[j] * (knots[j] - t)
-            t = knots[j]
-            vals[j] = v
-        v = anchor_v
-        t = anchor_t
-        for j in range(ia - 1, -1, -1):
-            v = v - slopes[j + 1] * (t - knots[j])
-            t = knots[j]
-            vals[j] = v
-        self.knot_vals = vals
-        # blend windows must not overlap the anchor or each other
-        if np.any(np.abs(anchor_t - knots) < deltas):
-            raise ValueError("anchor inside a corner blend window")
+        self._rows = profile_rows(
+            np.atleast_2d(knots), np.atleast_2d(slopes), [anchor_t], [anchor_v],
+            None if deltas is None else np.atleast_2d(deltas),
+        )
+        self.knots, self.slopes, self.deltas, self.knot_vals = (p[0] for p in self._rows)
 
-    def _pl(self, t):
-        idx = np.searchsorted(self.knots, t)
-        ref_t = np.where(idx > 0, self.knots[np.maximum(idx - 1, 0)], self.knots[0])
-        ref_v = np.where(idx > 0, self.knot_vals[np.maximum(idx - 1, 0)], self.knot_vals[0])
-        return ref_v + self.slopes[idx] * (t - ref_t)
+    def _eval(self, t, value, derivative):
+        t = np.asarray(t, dtype=float)
+        res = profile_eval(t.reshape(1, -1), *self._rows, value=value, derivative=derivative)
+        return [None if r is None else r.reshape(t.shape) for r in res]
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self._pl(t)
-        for j in range(len(self.knots)):
-            dj = self.deltas[j]
-            ds = self.slopes[j + 1] - self.slopes[j]
-            if ds == 0.0:
-                continue
-            u = (t - self.knots[j]) / dj
-            corr = ds * dj * (2.0 * smoothstep_i((u + 1.0) / 2.0) - np.maximum(u, 0.0))
-            out = out + np.where(np.abs(u) < 1.0, corr, 0.0)
-        return out
+        return self._eval(t, True, False)[0]
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.knots, t)
-        out = self.slopes[idx].astype(float).copy()
-        for j in range(len(self.knots)):
-            dj = self.deltas[j]
-            ds = self.slopes[j + 1] - self.slopes[j]
-            if ds == 0.0:
-                continue
-            u = (t - self.knots[j]) / dj
-            inside = np.abs(u) < 1.0
-            corr = ds * (smoothstep((u + 1.0) / 2.0) - np.where(u > 0.0, 1.0, 0.0))
-            out = out + np.where(inside, corr, 0.0)
-        return out
+        return self._eval(t, False, True)[1]
 
 
 def plateau_step(a, b, max_slope=None):

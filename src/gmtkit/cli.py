@@ -77,6 +77,15 @@ def _load_config(path, defaults, allowed):
     return cfg
 
 
+def _config_number(cfg, key, kind):
+    """cfg[key] converted by ``kind`` (int or float); InputError if it does not convert."""
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"{key} must be {what}: {exc}") from exc
+
+
 def _write_json(path, payload):
     def _convert(obj):
         if isinstance(obj, np.ndarray):
@@ -303,32 +312,45 @@ def cmd_deform(args):
     except (OSError, ValueError, IndexError) as exc:
         raise InputError(f"cannot read set {args.set}: {exc}") from exc
     n = v.ambient_dim
-    level = int(cfg["grid_level"])
-    origin = cfg["grid_origin"]
-    cells = cfg["grid_cells"]
+    level = _config_number(cfg, "grid_level", int)
+    try:
+        origin = [int(o) for o in cfg["grid_origin"]]
+        cells = [int(x) for x in cfg["grid_cells"]]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"grid_origin and grid_cells must be lists of integers: {exc}") from exc
     axes = tuple(range(n))
     fam = CubeFamily(
         [
-            DyadicCube(level, tuple(int(o) + int(v) for o, v in zip(origin, c)), axes, n)
-            for c in np.ndindex(*[int(x) for x in cells])
+            DyadicCube(level, tuple(o + c_i for o, c_i in zip(origin, c)), axes, n)
+            for c in np.ndindex(*cells)
         ]
     )
-    try:
-        budget = int(cfg["budget"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"budget must be an integer: {exc}") from exc
+    m = _config_number(cfg, "m", int)
+    eps = _config_number(cfg, "eps", float)
+    coverage = _config_number(cfg, "coverage_threshold", float)
+    budget = _config_number(cfg, "budget", int)
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
     cx = cubical_complex(fam)
     if args.replay:
-        plan = DeformationPlan.from_json(Path(args.replay).read_text())
+        try:
+            text = Path(args.replay).read_text()
+        except OSError as exc:
+            raise InputError(f"cannot read plan {args.replay}: {exc}") from exc
+        try:
+            plan = DeformationPlan.from_json(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"cannot parse plan {args.replay}: {exc}") from exc
+        except KeyError as exc:
+            raise InputError(f"plan {args.replay} lacks the key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"invalid plan {args.replay}: {exc}") from exc
         f1 = plan.f_map() or SmoothMap.identity(n)
     else:
         try:
             plan, _, f1 = deform_onto_skeleton(
-                fam, cx, [v] if len(v) else [], int(cfg["m"]), float(cfg["eps"]),
-                seed=args.seed, budget=budget,
-                coverage_threshold=float(cfg["coverage_threshold"]),
+                fam, cx, [v] if len(v) else [], m, eps,
+                seed=args.seed, budget=budget, coverage_threshold=coverage,
             )
         except StageError as exc:
             sys.stderr.write(f"stage failure at cube {exc.cube}: {exc}\n")
@@ -343,12 +365,12 @@ def cmd_deform(args):
                rows)
     constants = dict(plan.constants)
     if len(v):
-        skeleton = cx.skeleton(int(cfg["m"]))
+        skeleton = cx.skeleton(m)
         best = np.full(len(img), np.inf)
         for c in skeleton:
             lo_b, hi_b = c.bounds()
             best = np.minimum(best, np.linalg.norm(img - np.clip(img, lo_b, hi_b), axis=1))
-        tol = float(cfg["eps"]) / 4.0
+        tol = eps / 4.0
         constants["skeleton_membership"] = {
             "tolerance": tol,
             "max_distance": float(best.max()),
@@ -490,17 +512,24 @@ def cmd_minimize(args):
         fh.write(_chain_to_obj(res.chain))
     if res.chain.count():
         report = audit_minimizer(res.chain, problem.integrand)
-        _write_json(out / "audit_report.json", report)
-        _write_csv(
-            out / "audit_ratios.csv",
-            "px,py,pz,radius,ratio,flag",
-            [
-                tuple(e["point"]) + (r[0], r[1], r[2])
-                for e in report["entries"]
-                for r in e["ratios"]
-            ],
-        )
+        _write_audit(out, report, problem.complex.n)
     return EXIT_OK
+
+
+def _write_audit(out, report, n):
+    """audit_report.json, and audit_ratios.csv with one column per coordinate
+    (px, py, pz up to three dimensions, p0, p1, ... beyond)."""
+    _write_json(out / "audit_report.json", report)
+    coords = ["px", "py", "pz"][:n] if n <= 3 else [f"p{j}" for j in range(n)]
+    _write_csv(
+        out / "audit_ratios.csv",
+        ",".join(coords + ["radius", "ratio", "flag"]),
+        [
+            tuple(e["point"]) + (r[0], r[1], r[2])
+            for e in report["entries"]
+            for r in e["ratios"]
+        ],
+    )
 
 
 def cmd_audit(args):
@@ -513,22 +542,22 @@ def cmd_audit(args):
                                      "integrand": {"kind": "area"}, "subdivision": 8},
                        ("n", "cells", "level", "origin", "integrand", "subdivision"))
     cx = GridComplex(int(cfg["n"]), cfg["cells"], int(cfg["level"]), cfg.get("origin"))
-    bits = np.zeros(cx.count(int(data["m"])), dtype=bool)
-    for d in data["cells"]:
-        bits[cx.index[DyadicCube.from_dict(d)][1]] = True
-    chain = Chain2(cx, int(data["m"]), bits)
+    try:
+        m = int(data["m"])
+        bits = np.zeros(cx.count(m), dtype=bool)
+        for d in data["cells"]:
+            cube = DyadicCube.from_dict(d)
+            if cx.index.get(cube, (None,))[0] != m:
+                raise InputError(f"chain cell {cube} is not a cell of dimension {m} in the grid")
+            bits[cx.index[cube][1]] = True
+    except KeyError as exc:
+        raise InputError(f"chain {args.chain} lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid chain {args.chain}: {exc}") from exc
+    chain = Chain2(cx, m, bits)
     integrand = integrand_from_config(cfg["integrand"], n=int(cfg["n"]))
     report = audit_minimizer(chain, integrand, subdivision=int(cfg["subdivision"]))
-    _write_json(out / "audit_report.json", report)
-    _write_csv(
-        out / "audit_ratios.csv",
-        "px,py,pz,radius,ratio,flag",
-        [
-            tuple(e["point"]) + (r[0], r[1], r[2])
-            for e in report["entries"]
-            for r in e["ratios"]
-        ],
-    )
+    _write_audit(out, report, cx.n)
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ measure of sampled unrectifiable sets under rank-deficient maps.
 All maps evaluate in batch: ``value`` accepts (N, n) arrays and ``jacobian``
 returns (N, n_out, n_in).  Displacements are assembled so that maps are
 bit-exact identities outside their supports, and ``SmoothMap`` applies that
-rule once: ``value``, ``jacobian`` and ``compose`` evaluate a map only on the
-rows inside its support (``varifold.pushforward`` does the same for samples).
+rule once: ``value``, ``jacobian``, ``value_and_jacobian`` and ``compose``
+evaluate a map only on the rows inside its support (``varifold.pushforward``
+does the same for samples).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import math
 import numpy as np
 
 from ._profiles import (
-    SmoothPiecewiseLinear,
     plateau_step,
+    profile_eval,
+    profile_rows,
     retraction_profile,
     smoothstep,
     smoothstep_d,
@@ -190,16 +192,20 @@ class SmoothMap:
 
     ``support`` is a region outside which ``_value`` is the exact identity
     (None when the map moves points everywhere, e.g. a retraction onto the
-    cube).  ``value``, ``jacobian``, ``compose`` and ``varifold.pushforward``
-    rely on that contract: they call ``_value``/``_jac`` only on the rows
-    inside the support and return the rows outside it as x and I unchanged.
+    cube).  ``value``, ``jacobian``, ``value_and_jacobian``, ``compose`` and
+    ``varifold.pushforward`` rely on that contract: they evaluate the map only
+    on the rows inside the support and return the rows outside it as x and I
+    unchanged.  ``value_jac_fn``, when given, returns value and Jacobian from
+    one pass and must agree with ``value_fn``/``jac_fn`` bit for bit.
     """
 
-    def __init__(self, n_in, n_out, value_fn, jac_fn, support=None, smoothness=2, name="", meta=None):
+    def __init__(self, n_in, n_out, value_fn, jac_fn, support=None, smoothness=2, name="", meta=None,
+                 value_jac_fn=None):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         self._value = value_fn
         self._jac = jac_fn
+        self._value_jac = value_jac_fn
         self.support = support
         self.smoothness_class = smoothness
         self.name = name
@@ -240,6 +246,21 @@ class SmoothMap:
             if inside.any():
                 out[inside] = self._jac(pts[inside])
         return out[0] if single else out
+
+    def value_and_jacobian(self, pts):
+        """(value, jacobian) at the rows of pts (N, n), as ``value`` and ``jacobian`` give them."""
+        if self._value_jac is None:
+            return self.value(pts), self.jacobian(pts)
+        if pts.shape[1] != self.n_in:
+            raise ValueError(f"expected points in R^{self.n_in}")
+        inside = self.inside_support(pts)
+        if inside.all():
+            return self._value_jac(pts)
+        val = pts.copy()
+        jac = np.broadcast_to(np.eye(self.n_in), (len(pts), self.n_in, self.n_in)).copy()
+        if inside.any():
+            val[inside], jac[inside] = self._value_jac(pts[inside])
+        return val, jac
 
     def jacobian_fd(self, x, step=1e-6):
         """Central finite-difference Jacobian, the generic test oracle."""
@@ -299,13 +320,12 @@ class SmoothMap:
             return cur
 
         def jac(x):
-            inner_first = maps[::-1]
-            cur = x
-            jtotal = inner_first[0].jacobian(cur)
-            for inner, outer in zip(inner_first, inner_first[1:]):
-                cur = inner.value(cur)
-                jtotal = np.einsum("nij,njk->nik", outer.jacobian(cur), jtotal)
-            return jtotal
+            cur, jtotal = x, None
+            for inner in maps[:0:-1]:
+                cur, j = inner.value_and_jacobian(cur)
+                jtotal = j if jtotal is None else np.einsum("nij,njk->nik", j, jtotal)
+            j = maps[0].jacobian(cur)
+            return j if jtotal is None else np.einsum("nij,njk->nik", j, jtotal)
 
         return SmoothMap(
             maps[-1].n_in,
@@ -337,6 +357,10 @@ class ConvexBody:
 
     def gauge_grad(self, x):
         raise NotImplementedError
+
+    def gauge_and_grad(self, x):
+        """(gauge, gauge_grad) at the rows of x."""
+        return self.gauge(x), self.gauge_grad(x)
 
     @property
     def inradius(self):
@@ -424,11 +448,15 @@ class SuperellipsoidBody(ConvexBody):
         return self._pnorm(x) / self.radius
 
     def gauge_grad(self, x):
+        return self.gauge_and_grad(x)[1]
+
+    def gauge_and_grad(self, x):
+        # one p-norm pass serves both
         norm = self._pnorm(x)
         safe = np.where(norm > 0, norm, 1.0)
         ratios = np.abs(x) / safe[:, None]  # all <= 1
         grad = (ratios ** (self.power - 1)) * np.sign(x) / self.radius
-        return np.where(norm[:, None] > 0, grad, 0.0)
+        return norm / self.radius, np.where(norm[:, None] > 0, grad, 0.0)
 
     @property
     def inradius(self):
@@ -534,14 +562,13 @@ def retraction_with_collar(n, eps):
         return x + (1.0 - a)[:, None] * (g._value(x) - x)
 
     def jac(x):
-        gamma = body.gauge(x)
+        gamma, grad = body.gauge_and_grad(x)
         a = blend(gamma)
         ad = smoothstep_d((gamma - 1.0) / du) / du
         gx = g._value(x)
         jg = g._jac(x)
         eye = np.eye(n)
         out = eye + (1.0 - a)[:, None, None] * (jg - eye)
-        grad = body.gauge_grad(x)
         out -= ad[:, None, None] * np.einsum("ni,nj->nij", gx - x, grad)
         return out
 
@@ -650,22 +677,21 @@ def collared_projection(body: ConvexBody, eps):
         t = 1.0 / body.gauge(x)
         return alpha(t)[:, None] * x
 
-    def jac(x):
+    def value_jac(x):
         _guard_nonzero(x)
-        gamma = body.gauge(x)
+        gamma, grad = body.gauge_and_grad(x)
         t = 1.0 / gamma
         a = alpha(t)
         ad = alpha_d(t)
-        grad = body.gauge_grad(x)
         eye = np.eye(n)
         out = a[:, None, None] * eye
         out -= (ad / gamma**2)[:, None, None] * np.einsum("ni,nj->nij", x, grad)
-        return out
+        return a[:, None] * x, out
 
     support = Box(-np.ones(n) * big_r, np.ones(n) * big_r)
     return SmoothMap(
-        n, n, value, jac, support=support, smoothness=2, name="collared_proj",
-        meta={"eps": eps, "delta": delta},
+        n, n, value, lambda x: value_jac(x)[1], support=support, smoothness=2,
+        name="collared_proj", meta={"eps": eps, "delta": delta}, value_jac_fn=value_jac,
     )
 
 
@@ -673,16 +699,108 @@ def collared_projection(body: ConvexBody, eps):
 # interior recentering: a diffeomorphism of Q moving a to 0
 
 
-def _coordinate_profile(a_i, rho):
-    """Monotone C^2 profile with f(a_i) = 0, f(t) = t for |t| >= 1 - 5 rho/8
-    (up to the corner blends), slope 1 on |t - a_i| <= rho/8."""
-    l0, l1 = -1.0 + 5 * rho / 8.0, a_i - rho / 8.0
-    r1, r0 = a_i + rho / 8.0, 1.0 - 5 * rho / 8.0
-    k_left = (-rho / 8.0 - l0) / (l1 - l0)
-    k_right = (r0 - rho / 8.0) / (r0 - r1)
-    return SmoothPiecewiseLinear(
-        [l0, l1, r1, r0], [1.0, k_left, 1.0, k_right, 1.0], a_i, 0.0
-    )
+def _recentering_rho(a):
+    """rho_i = min(1/2, 1 - |a_i|): the scale of coordinate i's profile and cutoff."""
+    return np.minimum(0.5, 1.0 - np.abs(a))
+
+
+def _recentering_profiles(a):
+    """The 1-d profiles of the recentering maps with centres a (C, n).
+
+    Entry i is None when no centre moves coordinate i.  Otherwise it is
+    (live, knots, slopes, deltas, knot_vals): ``live`` marks the centres with
+    a_i != 0, and each of them has the monotone C^2 profile f with
+    f(a_i) = 0, f(t) = t for |t| >= 1 - 5 rho/8 (up to the corner blends) and
+    slope 1 on |t - a_i| <= rho/8, one row per live centre.
+    """
+    rho = _recentering_rho(a)
+    profiles = []
+    for i in range(a.shape[1]):
+        live = a[:, i] != 0.0
+        if not live.any():
+            profiles.append(None)
+            continue
+        a_i, r = a[live, i], rho[live, i]
+        l0, l1 = -1.0 + 5 * r / 8.0, a_i - r / 8.0
+        r1, r0 = a_i + r / 8.0, 1.0 - 5 * r / 8.0
+        k_left = (-r / 8.0 - l0) / (l1 - l0)
+        k_right = (r0 - r / 8.0) / (r0 - r1)
+        one = np.ones_like(a_i)
+        profiles.append((live, *profile_rows(
+            np.stack([l0, l1, r1, r0], axis=1),
+            np.stack([one, k_left, one, k_right, one], axis=1),
+            a_i, np.zeros_like(a_i),
+        )))
+    return profiles
+
+
+def _recenter(a, profiles, x, jac=True):
+    """The recentering maps with centres a (C, n) at the points x (S, n).
+
+    Returns the values (C, S, n) and, with ``jac``, the Jacobians
+    (C, S, n, n); ``profiles`` is ``_recentering_profiles(a)``.  Each row goes
+    through the same float operations whatever C and S are, so
+    ``recentering_map`` (C = 1) and a stack of candidate centres agree bit for
+    bit.  No support rule is applied here: ``SmoothMap`` applies it for
+    ``recentering_map``, and stacked callers keep their points in Q.
+    """
+    count, n = a.shape
+    # lateral cutoffs eta_j: 1 on |t| <= 1 - rho_j/2, 0 on |t| >= 1 - rho_j/4
+    width = _recentering_rho(a)[:, :, None] / 4.0
+    cur = np.repeat(x[None], count, axis=0)
+    total = None
+    if jac:
+        total = np.zeros(cur.shape + (n,))
+        total[..., range(n), range(n)] = 1.0
+    for i, prof in enumerate(profiles):
+        if prof is None:
+            continue
+        live, params = prof[0], prof[1:]
+        if live.all():
+            _recenter_stage(i, width, params, cur, total)
+        else:
+            sub_cur = cur[live]
+            sub_total = None if total is None else total[live]
+            _recenter_stage(i, width[live], params, sub_cur, sub_total)
+            cur[live] = sub_cur
+            if total is not None:
+                total[live] = sub_total
+    return cur, total
+
+
+def _recenter_stage(i, width, params, cur, total):
+    """Stage i of ``_recenter``: move coordinate i by its profile, laterally
+    localized; updates cur (C, S, n) and, unless None, total in place."""
+    n = cur.shape[-1]
+    arg = [None if j == i else ((1.0 - width[:, j]) - np.abs(cur[..., j])) / width[:, j]
+           for j in range(n)]
+    etas = [None if j == i else smoothstep(arg[j]) for j in range(n)]
+    lam = 1.0
+    for j in range(n):
+        if j != i:
+            lam = lam * etas[j]
+    t = cur[..., i]
+    fval, fder = profile_eval(t, *params, derivative=total is not None)
+    disp = fval - t
+    if total is not None:
+        row = []  # row i of the stage Jacobian; the other rows are those of I
+        for j in range(n):
+            if j == i:
+                row.append(1.0 + lam * (fder - 1.0))
+                continue
+            others = 1.0
+            for m in range(n):
+                if m != i and m != j:
+                    others = others * etas[m]
+            eta_d = -np.sign(cur[..., j]) * smoothstep_d(arg[j]) / width[:, j]
+            row.append(disp * eta_d * others)
+        # stage Jacobian times total: only row i changes, summed from 0.0 in
+        # the order of einsum("nij,njk->nik")
+        acc = 0.0
+        for j in range(n):
+            acc = acc + row[j][..., None] * total[..., j, :]
+        total[..., i, :] = acc
+    cur[..., i] = t + lam * disp
 
 
 def recentering_map(a):
@@ -699,62 +817,19 @@ def recentering_map(a):
     n = len(a)
     if np.any(np.abs(a) >= 1.0):
         raise ValueError("centre must lie in the open cube")
-    rho = np.minimum(0.5, 1.0 - np.abs(a))
-    profiles = [None if a[i] == 0.0 else _coordinate_profile(a[i], rho[i]) for i in range(n)]
+    centre = a[None]
+    profiles = _recentering_profiles(centre)
 
-    def eta(j, t):
-        # lateral cutoff: 1 on |t| <= 1 - rho_j/2, 0 on |t| >= 1 - rho_j/4
-        hi = 1.0 - rho[j] / 4.0
-        return smoothstep((hi - np.abs(t)) / (rho[j] / 4.0))
-
-    def eta_d(j, t):
-        hi = 1.0 - rho[j] / 4.0
-        return -np.sign(t) * smoothstep_d((hi - np.abs(t)) / (rho[j] / 4.0)) / (rho[j] / 4.0)
-
-    stages = [i for i in range(n) if profiles[i] is not None]
-
-    def value(x):
-        cur = np.array(x, dtype=float, copy=True)
-        for i in stages:
-            lam = np.ones(len(cur))
-            for j in range(n):
-                if j != i:
-                    lam = lam * eta(j, cur[:, j])
-            disp = profiles[i].value(cur[:, i]) - cur[:, i]
-            cur[:, i] = cur[:, i] + lam * disp
-        return cur
-
-    def jac(x):
-        cur = np.array(x, dtype=float, copy=True)
-        npts = len(cur)
-        total = np.broadcast_to(np.eye(n), (npts, n, n)).copy()
-        for i in stages:
-            etas = np.ones((npts, n))
-            for j in range(n):
-                if j != i:
-                    etas[:, j] = eta(j, cur[:, j])
-            lam = np.prod(np.delete(etas, i, axis=1), axis=1)
-            fval = profiles[i].value(cur[:, i])
-            fder = profiles[i].derivative(cur[:, i])
-            disp = fval - cur[:, i]
-            stage_jac = np.broadcast_to(np.eye(n), (npts, n, n)).copy()
-            stage_jac[:, i, i] = 1.0 + lam * (fder - 1.0)
-            for j in range(n):
-                if j == i:
-                    continue
-                others = np.ones(npts)
-                for l in range(n):
-                    if l != i and l != j:
-                        others = others * etas[:, l]
-                stage_jac[:, i, j] = disp * eta_d(j, cur[:, j]) * others
-            total = np.einsum("nij,njk->nik", stage_jac, total)
-            cur[:, i] = cur[:, i] + lam * disp
-        return total
+    def value_jac(x):
+        val, jac = _recenter(centre, profiles, x)
+        return val[0], jac[0]
 
     support = Box(-np.ones(n), np.ones(n))
     return SmoothMap(
-        n, n, value, jac, support=support, smoothness=2, name="recenter",
-        meta={"center": a.tolist(), "rho": rho.tolist()},
+        n, n, lambda x: _recenter(centre, profiles, x, jac=False)[0][0],
+        lambda x: value_jac(x)[1], support=support, smoothness=2, name="recenter",
+        meta={"center": a.tolist(), "rho": _recentering_rho(a).tolist()},
+        value_jac_fn=value_jac,
     )
 
 
@@ -773,6 +848,35 @@ def _punctured_factors(n, eps):
     return retraction_with_collar(n, eps_l), collared_projection(body, iota_q / 8.0), body.power
 
 
+def _check_punctured(a, eps):
+    if not 0.0 < eps < 0.25:
+        raise ValueError("eps must be in (0, 1/4)")
+    if np.any(np.abs(a) >= 1.0):
+        raise ValueError("centre must lie in the open cube")
+
+
+def _punctured_jacobians(centres, x, eps):
+    """Jacobians of punctured_cube_projection(centres[c], eps) at the points x.
+
+    ``centres`` is (C, n) and x (S, n) with every point in the closed cube Q;
+    returns (C, S, n, n).  The factors l and q, the chain products and the
+    recentering run once over all C * S rows, with the float operations of
+    the single-centre map, so each (c, s) entry equals that map's Jacobian at
+    x[s] bit for bit.
+    """
+    _check_punctured(centres, eps)
+    if np.any(np.abs(x) > 1.0):
+        raise ValueError("points must lie in the closed cube")
+    count, n = centres.shape
+    l, q, _ = _punctured_factors(n, eps)
+    cur, jac = _recenter(centres, _recentering_profiles(centres), x)
+    cur, jq = q.value_and_jacobian(cur.reshape(-1, n))
+    jac = np.einsum("nij,njk->nik", jq, jac.reshape(-1, n, n))
+    del jq  # freed before l.jacobian allocates its own temporaries
+    jac = np.einsum("nij,njk->nik", l.jacobian(cur), jac)
+    return jac.reshape(count, len(x), n, n)
+
+
 def punctured_cube_projection(a, eps):
     """The smooth map of Q minus {a} onto the boundary of Q.
 
@@ -784,10 +888,7 @@ def punctured_cube_projection(a, eps):
     """
     a = np.asarray(a, dtype=float)
     n = len(a)
-    if not 0.0 < eps < 0.25:
-        raise ValueError("eps must be in (0, 1/4)")
-    if np.any(np.abs(a) >= 1.0):
-        raise ValueError("centre must lie in the open cube")
+    _check_punctured(a, eps)
     l, q, body_power = _punctured_factors(n, eps)
     phi = SmoothMap.compose(l, q, recentering_map(a))
     phi.name = "punctured_proj"

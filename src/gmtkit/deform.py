@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._profiles import plateau_step, smoothstep, smoothstep_d
-from .cubemaps import Box, SmoothMap, punctured_cube_projection, unrect_perturbation
+from .cubemaps import (
+    Box,
+    SmoothMap,
+    _punctured_jacobians,
+    punctured_cube_projection,
+    unrect_perturbation,
+)
 from .cubical import CubeFamily, CubicalComplex, DyadicCube, cubical_complex, whitney_family, BoxUnion
 from .varifold import DiscreteVarifold, covering_measure, pushforward, sample_spacing
 
@@ -35,6 +41,10 @@ __all__ = [
     "PHI_DERIV_CONST",
     "center_bound_constant",
 ]
+
+# rows (candidates x samples) select_center evaluates together: each
+# (rows, k, k) temporary stays near 0.6 MB, and the whole chain near 4 MB
+CANDIDATE_ROWS = 8192
 
 # empirical bound for sup 2 |x-a| dist(a, dQ) ||D phi_{a,eps}|| with a in the
 # middle half of the cube, measured per in-plane dimension and padded
@@ -94,6 +104,15 @@ def _restrict_near_cube(v: DiscreteVarifold, cube: DyadicCube, normal_tol, pad=0
     return mask
 
 
+def _candidate_singular_values(cand_r, u, eps):
+    """Per candidate centre, the singular values of its punctured projection's
+    Jacobian at the points u; candidates are evaluated in chunks of about
+    CANDIDATE_ROWS rows (candidates x points)."""
+    step = max(1, CANDIDATE_ROWS // len(u))
+    for c in range(0, len(cand_r), step):
+        yield from np.linalg.svd(_punctured_jacobians(cand_r[c:c + step], u, eps), compute_uv=False)
+
+
 def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack=0.5,
                   normal_tol=None):
     """A good projection centre in the middle half of the cube.
@@ -129,16 +148,16 @@ def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack
         # factor; any passing candidate is legitimate, the best one tightens
         # and stabilizes the empirical transport constants
         cand_r = rng.uniform(-0.5, 0.5, (budget, k))
+        u = np.vstack([_inplane_coordinates(cube, v.points[mask])[0] for v, mask in active])
+        rows = np.cumsum([0] + [np.count_nonzero(mask) for _, mask in active])
         best_pass = None
         best_any = None
-        for i in range(budget):
-            phi = punctured_cube_projection(cand_r[i], min(eps_r, 0.2499))
+        for i, sv_i in enumerate(_candidate_singular_values(cand_r, u, min(eps_r, 0.2499))):
             ok = True
             growth = 0.0
             ratios = []
-            for v, mask in active:
-                u, _, _, _ = _inplane_coordinates(cube, v.points[mask])
-                sv = np.linalg.svd(phi.jacobian(u), compute_uv=False)
+            for (v, mask), lo, hi in zip(active, rows[:-1], rows[1:]):
+                sv = sv_i[lo:hi]
                 w = v.weights[mask]
                 wsum = np.sum(w)
                 ratio = float(np.sum(w * sv[:, 0] ** v.dim) / wsum)
@@ -171,17 +190,18 @@ def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack
         raise CenterSearchError("mixed measure dimensions at one cube are unsupported")
     # all dimensions equal dim(cube): pick a candidate far from the support
     support = np.vstack([v.points[mask] for v, mask in active])
-    best_a, best_d = None, -1.0
-    for attempt in range(budget):
-        a_r = rng.uniform(-0.5, 0.5, k)
-        a = cube.center()
-        a[list(cube.axes)] += a_r * cube.side / 2.0
-        d = float(np.min(np.linalg.norm(support - a, axis=1)))
-        if d > best_d:
-            best_a, best_d = a, d
-    if best_d <= cube.side * 1e-6:
+    centres = np.repeat(cube.center()[None], budget, axis=0)
+    centres[:, list(cube.axes)] += rng.uniform(-0.5, 0.5, (budget, k)) * cube.side / 2.0
+    step = max(1, CANDIDATE_ROWS // len(support))
+    clearance = np.concatenate([
+        np.min(np.linalg.norm(support - centres[c:c + step, None], axis=2), axis=1)
+        for c in range(0, budget, step)
+    ])
+    best = int(np.argmax(clearance))  # the first of the farthest, as drawn
+    best_d = float(clearance[best])
+    if not best_d > cube.side * 1e-6:  # NaN clearances fail too
         raise CenterSearchError(f"no candidate clear of the support in {cube}")
-    return best_a, {"branch": "off-support", "clearance": best_d, "candidates_tried": budget}
+    return centres[best], {"branch": "off-support", "clearance": best_d, "candidates_tried": budget}
 
 
 def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,

@@ -1,0 +1,286 @@
+"""Reference implementations the vectorised library code is checked against.
+
+Each is the straightforward per-profile, per-centre or per-candidate
+version of a library routine, kept as written before the routine was
+batched: ``SmoothPiecewiseLinearOracle`` loops over the corners of one
+profile, ``recentering_map_oracle`` builds one centre's map with a
+profile object per coordinate, and ``select_center_oracle`` builds and
+evaluates one punctured projection per candidate centre.  The tests
+assert that the library returns the same bytes.
+"""
+
+import math
+
+import numpy as np
+
+from gmtkit._profiles import smoothstep, smoothstep_d, smoothstep_i
+from gmtkit.cubemaps import Box, SmoothMap, _punctured_factors
+from gmtkit.deform import (
+    CenterSearchError,
+    _inplane_coordinates,
+    _restrict_near_cube,
+    center_bound_constant,
+)
+
+
+class SmoothPiecewiseLinearOracle:
+    """A piecewise-linear function with C^2 rounded corners.
+
+    The function has slope ``slopes[i]`` on the interval between knot i-1 and
+    knot i, is anchored by ``f(anchor_t) = anchor_v``, and each corner at
+    ``knots[j]`` is replaced by a quintic blend on ``[t_j - delta_j, t_j + delta_j]``.
+    Outside every blend window the function agrees exactly with the
+    underlying piecewise-linear one.  Monotone whenever all slopes are > 0.
+    """
+
+    def __init__(self, knots, slopes, anchor_t, anchor_v, deltas=None):
+        knots = np.asarray(knots, dtype=float)
+        slopes = np.asarray(slopes, dtype=float)
+        if len(slopes) != len(knots) + 1:
+            raise ValueError("need one more slope than knots")
+        if np.any(np.diff(knots) <= 0):
+            raise ValueError("knots must be strictly increasing")
+        if deltas is None:
+            gaps = np.diff(knots)
+            deltas = np.empty(len(knots))
+            for j in range(len(knots)):
+                left = gaps[j - 1] if j > 0 else np.inf
+                right = gaps[j] if j < len(gaps) else np.inf
+                deltas[j] = min(left, right) / 8.0
+            deltas = np.where(np.isfinite(deltas), deltas, 1.0 / 8.0)
+        else:
+            deltas = np.asarray(deltas, dtype=float)
+        self.knots = knots
+        self.slopes = slopes
+        self.deltas = deltas
+        # values of the un-rounded PL function at the knots
+        vals = np.empty(len(knots))
+        # anchor sits in interval index ia
+        ia = int(np.searchsorted(knots, anchor_t))
+        # walk right from the anchor
+        v = anchor_v
+        t = anchor_t
+        for j in range(ia, len(knots)):
+            v = v + slopes[j] * (knots[j] - t)
+            t = knots[j]
+            vals[j] = v
+        v = anchor_v
+        t = anchor_t
+        for j in range(ia - 1, -1, -1):
+            v = v - slopes[j + 1] * (t - knots[j])
+            t = knots[j]
+            vals[j] = v
+        self.knot_vals = vals
+        # blend windows must not overlap the anchor or each other
+        if np.any(np.abs(anchor_t - knots) < deltas):
+            raise ValueError("anchor inside a corner blend window")
+
+    def _pl(self, t):
+        idx = np.searchsorted(self.knots, t)
+        ref_t = np.where(idx > 0, self.knots[np.maximum(idx - 1, 0)], self.knots[0])
+        ref_v = np.where(idx > 0, self.knot_vals[np.maximum(idx - 1, 0)], self.knot_vals[0])
+        return ref_v + self.slopes[idx] * (t - ref_t)
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        out = self._pl(t)
+        for j in range(len(self.knots)):
+            dj = self.deltas[j]
+            ds = self.slopes[j + 1] - self.slopes[j]
+            if ds == 0.0:
+                continue
+            u = (t - self.knots[j]) / dj
+            corr = ds * dj * (2.0 * smoothstep_i((u + 1.0) / 2.0) - np.maximum(u, 0.0))
+            out = out + np.where(np.abs(u) < 1.0, corr, 0.0)
+        return out
+
+    def derivative(self, t):
+        t = np.asarray(t, dtype=float)
+        idx = np.searchsorted(self.knots, t)
+        out = self.slopes[idx].astype(float).copy()
+        for j in range(len(self.knots)):
+            dj = self.deltas[j]
+            ds = self.slopes[j + 1] - self.slopes[j]
+            if ds == 0.0:
+                continue
+            u = (t - self.knots[j]) / dj
+            inside = np.abs(u) < 1.0
+            corr = ds * (smoothstep((u + 1.0) / 2.0) - np.where(u > 0.0, 1.0, 0.0))
+            out = out + np.where(inside, corr, 0.0)
+        return out
+
+
+def coordinate_profile_oracle(a_i, rho):
+    """Monotone C^2 profile with f(a_i) = 0, f(t) = t for |t| >= 1 - 5 rho/8
+    (up to the corner blends), slope 1 on |t - a_i| <= rho/8."""
+    l0, l1 = -1.0 + 5 * rho / 8.0, a_i - rho / 8.0
+    r1, r0 = a_i + rho / 8.0, 1.0 - 5 * rho / 8.0
+    k_left = (-rho / 8.0 - l0) / (l1 - l0)
+    k_right = (r0 - rho / 8.0) / (r0 - r1)
+    return SmoothPiecewiseLinearOracle(
+        [l0, l1, r1, r0], [1.0, k_left, 1.0, k_right, 1.0], a_i, 0.0
+    )
+
+
+def recentering_map_oracle(a):
+    """Diffeomorphism of R^n fixing everything outside Int Q and moving a to 0.
+
+    Coordinates are recentred one at a time; each stage is laterally
+    localized so the map is the exact identity as soon as any coordinate is
+    within rho_j/4 of the boundary (in particular outside Q and near dQ).
+    On the core box where all lateral cutoffs equal 1 the map acts as the
+    plain product of the 1-d profiles, so f(a) = 0 exactly and
+    |f(x)| >= c |x - a| with a dimension constant c.
+    """
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    if np.any(np.abs(a) >= 1.0):
+        raise ValueError("centre must lie in the open cube")
+    rho = np.minimum(0.5, 1.0 - np.abs(a))
+    profiles = [None if a[i] == 0.0 else coordinate_profile_oracle(a[i], rho[i]) for i in range(n)]
+
+    def eta(j, t):
+        # lateral cutoff: 1 on |t| <= 1 - rho_j/2, 0 on |t| >= 1 - rho_j/4
+        hi = 1.0 - rho[j] / 4.0
+        return smoothstep((hi - np.abs(t)) / (rho[j] / 4.0))
+
+    def eta_d(j, t):
+        hi = 1.0 - rho[j] / 4.0
+        return -np.sign(t) * smoothstep_d((hi - np.abs(t)) / (rho[j] / 4.0)) / (rho[j] / 4.0)
+
+    stages = [i for i in range(n) if profiles[i] is not None]
+
+    def value(x):
+        cur = np.array(x, dtype=float, copy=True)
+        for i in stages:
+            lam = np.ones(len(cur))
+            for j in range(n):
+                if j != i:
+                    lam = lam * eta(j, cur[:, j])
+            disp = profiles[i].value(cur[:, i]) - cur[:, i]
+            cur[:, i] = cur[:, i] + lam * disp
+        return cur
+
+    def jac(x):
+        cur = np.array(x, dtype=float, copy=True)
+        npts = len(cur)
+        total = np.broadcast_to(np.eye(n), (npts, n, n)).copy()
+        for i in stages:
+            etas = np.ones((npts, n))
+            for j in range(n):
+                if j != i:
+                    etas[:, j] = eta(j, cur[:, j])
+            lam = np.prod(np.delete(etas, i, axis=1), axis=1)
+            fval = profiles[i].value(cur[:, i])
+            fder = profiles[i].derivative(cur[:, i])
+            disp = fval - cur[:, i]
+            stage_jac = np.broadcast_to(np.eye(n), (npts, n, n)).copy()
+            stage_jac[:, i, i] = 1.0 + lam * (fder - 1.0)
+            for j in range(n):
+                if j == i:
+                    continue
+                others = np.ones(npts)
+                for l in range(n):
+                    if l != i and l != j:
+                        others = others * etas[:, l]
+                stage_jac[:, i, j] = disp * eta_d(j, cur[:, j]) * others
+            total = np.einsum("nij,njk->nik", stage_jac, total)
+            cur[:, i] = cur[:, i] + lam * disp
+        return total
+
+    support = Box(-np.ones(n), np.ones(n))
+    return SmoothMap(
+        n, n, value, jac, support=support, smoothness=2, name="recenter",
+        meta={"center": a.tolist(), "rho": rho.tolist()},
+    )
+
+
+def punctured_projection_oracle(a, eps):
+    """cubemaps.punctured_cube_projection with the reference recentering map."""
+    n = len(a)
+    l, q, _ = _punctured_factors(n, eps)
+    phi = SmoothMap.compose(l, q, recentering_map_oracle(a))
+    phi.support = Box(-np.ones(n) * (1 + eps), np.ones(n) * (1 + eps))
+    return phi
+
+
+def select_center_oracle(cube, measures, eps, *, rng=None, budget=64, slack=0.5,
+                         normal_tol=None):
+    """deform.select_center, building and evaluating one map per candidate."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    rng = np.random.default_rng(0) if rng is None else rng
+    k = cube.dim
+    if normal_tol is None:
+        normal_tol = eps
+    iota = eps / math.sqrt(2.0)
+    eps_r = 2.0 * iota / cube.side
+    active = []
+    for v in measures:
+        mask = _restrict_near_cube(v, cube, normal_tol)
+        if np.any(mask) and v.weights[mask].sum() > 0:
+            active.append((v, mask))
+    if not active:
+        return cube.center(), {"branch": "empty", "candidates_tried": 0}
+    dims = sorted({v.dim for v, _ in active})
+    if dims[-1] < k:
+        total = len(active)
+        # evaluate the whole candidate budget: among the candidates meeting
+        # the averaged derivative bound (the averaging argument guarantees a
+        # positive fraction do), keep the one with the smallest sampled mass-growth
+        # factor; any passing candidate is legitimate, the best one tightens
+        # and stabilizes the empirical transport constants
+        cand_r = rng.uniform(-0.5, 0.5, (budget, k))
+        best_pass = None
+        best_any = None
+        for i in range(budget):
+            phi = punctured_projection_oracle(cand_r[i], min(eps_r, 0.2499))
+            ok = True
+            growth = 0.0
+            ratios = []
+            for v, mask in active:
+                u, _, _, _ = _inplane_coordinates(cube, v.points[mask])
+                sv = np.linalg.svd(phi.jacobian(u), compute_uv=False)
+                w = v.weights[mask]
+                wsum = np.sum(w)
+                ratio = float(np.sum(w * sv[:, 0] ** v.dim) / wsum)
+                jm = np.prod(sv[:, : v.dim], axis=1)
+                growth = max(growth, float(np.sum(w * jm) / wsum))
+                bound = total * center_bound_constant(k, v.dim) * (1.0 + slack)
+                ratios.append((ratio, bound))
+                if ratio > bound:
+                    ok = False
+            if best_any is None or ratios[0][0] < best_any[1][0][0]:
+                best_any = (cand_r[i], ratios)
+            if ok and (best_pass is None or growth < best_pass[0]):
+                best_pass = (growth, i, ratios)
+        if best_pass is not None:
+            growth, i, ratios = best_pass
+            a = cube.center()
+            a[list(cube.axes)] += cand_r[i] * cube.side / 2.0
+            return a, {
+                "branch": "averaged",
+                "candidates_tried": budget,
+                "growth_estimate": growth,
+                "ratios": [r for r, _ in ratios],
+                "bounds": [b for _, b in ratios],
+            }
+        raise CenterSearchError(
+            f"no centre met the derivative bound in {budget} tries for {cube}; "
+            f"best ratios {best_any[1]}"
+        )
+    if dims[0] < k:
+        raise CenterSearchError("mixed measure dimensions at one cube are unsupported")
+    # all dimensions equal dim(cube): pick a candidate far from the support
+    support = np.vstack([v.points[mask] for v, mask in active])
+    best_a, best_d = None, -1.0
+    for attempt in range(budget):
+        a_r = rng.uniform(-0.5, 0.5, k)
+        a = cube.center()
+        a[list(cube.axes)] += a_r * cube.side / 2.0
+        d = float(np.min(np.linalg.norm(support - a, axis=1)))
+        if d > best_d:
+            best_a, best_d = a, d
+    if best_d <= cube.side * 1e-6:
+        raise CenterSearchError(f"no candidate clear of the support in {cube}")
+    return best_a, {"branch": "off-support", "clearance": best_d, "candidates_tried": budget}

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmtkit
 from gmtkit import cli
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import sample_disc
@@ -288,3 +291,64 @@ class TestDeterminism:
         run_cli(["--out", tmp_path / "a", "--seed", "2", "minimize", prob])
         run_cli(["--out", tmp_path / "b", "--seed", "2", "minimize", prob])
         assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
+
+
+def _bad_input_files(tmp):
+    pts, w = sample_disc(1.3, 200, seed=3, center=[2.0, 2.0, 2.05])
+    DiscreteVarifold.flat(pts, Plane.axis(3, (0, 1)), w).to_csv(tmp / "disc.csv")
+    (tmp / "noeps.json").write_text(json.dumps({"m": 2, "seed": 0, "descent_count": 0, "stages": []}))
+    (tmp / "plan.txt").write_text("not json\n")
+    cell = {"level": 2, "corner": [99, 0, 0], "axes": [0, 1], "n": 3}
+    (tmp / "far_cell.json").write_text(json.dumps({"m": 2, "level": 2, "cells": [cell]}))
+    edge = {"level": 2, "corner": [0, 0, 0], "axes": [0], "n": 3}
+    (tmp / "edge_cell.json").write_text(json.dumps({"m": 2, "level": 2, "cells": [edge]}))
+
+
+BAD_INPUTS = {
+    "replay_missing_file": ({}, ["deform", "disc.csv", "--replay", "missing.json"]),
+    "replay_without_eps": ({}, ["deform", "disc.csv", "--replay", "noeps.json"]),
+    "replay_not_json": ({}, ["deform", "disc.csv", "--replay", "plan.txt"]),
+    "audit_cell_outside_grid": ({}, ["audit", "far_cell.json"]),
+    "audit_cell_of_wrong_dimension": ({}, ["audit", "edge_cell.json"]),
+    "eps_not_a_number": ({"GMTKIT_EPS": "abc"}, ["deform", "disc.csv"]),
+    "m_not_an_integer": ({"GMTKIT_M": '"two"'}, ["deform", "disc.csv"]),
+    "coverage_not_a_number": ({"GMTKIT_COVERAGE_THRESHOLD": "null"}, ["deform", "disc.csv"]),
+    "grid_level_not_an_integer": ({"GMTKIT_GRID_LEVEL": "[1]"}, ["deform", "disc.csv"]),
+    "grid_cells_not_a_list": ({"GMTKIT_GRID_CELLS": "4"}, ["deform", "disc.csv"]),
+    "grid_origin_not_integers": ({"GMTKIT_GRID_ORIGIN": '["a", 0, 0]'}, ["deform", "disc.csv"]),
+}
+
+
+class TestBadInput:
+    """Malformed input exits 2 with a one-line message and no traceback."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_2_one_line(self, case, tmp_path):
+        _bad_input_files(tmp_path)
+        env_extra, argv = BAD_INPUTS[case]
+        src = str(Path(gmtkit.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("GMTKIT_")}
+        env.update(env_extra, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmtkit.cli", "--out", str(tmp_path / "out"), *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+
+class TestAuditColumns:
+    def test_planar_problem_has_two_coordinate_columns(self, tmp_path):
+        ends = [{"level": 1, "corner": [0, 1], "axes": [], "n": 2},
+                {"level": 1, "corner": [4, 1], "axes": [], "n": 2}]
+        problem = {"n": 2, "cells": [4, 4], "level": 1, "m": 1, "boundary_cells": ends,
+                   "generators": [ends], "integrand": {"kind": "area"},
+                   "options": {"restarts": 1, "steps": 300}}
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps(problem))
+        assert run_cli(["--out", tmp_path / "out", "minimize", path]) == 0
+        lines = (tmp_path / "out" / "audit_ratios.csv").read_text().splitlines()
+        assert lines[0] == "px,py,radius,ratio,flag"
+        assert len(lines) > 1
+        assert all(len(line.split(",")) == 5 for line in lines[1:])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import dist_to_cube_boundary, rank_one_map
+from gmtkit._profiles import SmoothPiecewiseLinear
 from gmtkit.cubemaps import (
     BallBody,
     Box,
@@ -23,11 +24,17 @@ from gmtkit.cubemaps import (
     smooth_retraction,
     unrect_perturbation,
 )
+from gmtkit.cubemaps import _punctured_jacobians, _recenter, _recentering_profiles
 from gmtkit.cubical import DyadicCube
 from gmtkit.deform import deform_one_cube
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import four_corner_cantor, sample_disc
 from gmtkit.varifold import DiscreteVarifold
+from oracles import (
+    SmoothPiecewiseLinearOracle,
+    punctured_projection_oracle,
+    recentering_map_oracle,
+)
 
 
 def fd_check(smooth_map, probes, tol=1e-5, step=1e-6):
@@ -521,3 +528,134 @@ class TestSupportContract:
         x = np.array([[0.5], [2.5], [5.0]])
         assert np.array_equal(phi.value(x), x)
         assert seen == [1, 1]
+
+
+def _same_bytes(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def _recentering_probes(a, rng, count=600):
+    """Points of 1.3 Q whose coordinates are often special for the centre a:
+    on and next to dQ, in the corner blend windows of the profile, in the
+    lateral cutoff windows, at the centre, and signed zeros."""
+    n = len(a)
+    rho = np.minimum(0.5, 1.0 - np.abs(a))
+    pts = rng.uniform(-1.3, 1.3, (count, n))
+    for i in range(n):
+        r = rho[i]
+        knots = np.array([-1.0 + 5 * r / 8.0, a[i] - r / 8.0, a[i] + r / 8.0, 1.0 - 5 * r / 8.0])
+        delta = np.min(np.diff(knots)) / 8.0
+        special = np.concatenate([
+            [1.0, -1.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 1.0 + 1e-12,
+             0.0, -0.0, a[i], 1.0 - r / 2.0, -(1.0 - r / 4.0)],
+            knots, knots + delta, knots - delta,
+            (knots[:, None] + delta * rng.uniform(-1.0, 1.0, (4, 6))).ravel(),
+            (1.0 - r * rng.uniform(0.25, 0.5, 6)) * rng.choice([-1.0, 1.0], 6),
+        ])
+        pick = rng.random(count) < 0.5
+        pts[pick, i] = rng.choice(special, pick.sum())
+    # near the corners: every coordinate inside its lateral cutoff window
+    corner = (1.0 - rho * rng.uniform(0.25, 0.5, (count // 4, n))) * rng.choice([-1.0, 1.0], (count // 4, n))
+    return np.vstack([pts, corner])
+
+
+RECENTRES = [
+    np.array([0.3]),
+    np.array([-0.95]),
+    np.array([0.3, -0.45]),
+    np.array([0.0, 0.2]),
+    np.array([0.0, 0.0]),
+    np.array([0.5, -0.2, 0.1]),
+    np.array([0.2, 0.0, -0.9]),
+    np.array([1e-20, -0.3, 0.44]),
+    np.array([0.1, -0.7, 0.25, 0.6]),
+]
+
+
+class TestRecenteringKernel:
+    """The batched recentering kernel against the per-profile reference."""
+
+    @pytest.mark.parametrize("index", range(len(RECENTRES)))
+    def test_matches_reference_bytes(self, index, rng):
+        a = RECENTRES[index]
+        f, ref = recentering_map(a), recentering_map_oracle(a)
+        x = _recentering_probes(a, rng)
+        val, jac = f._value_jac(x)
+        assert _same_bytes(val, ref._value(x))
+        assert _same_bytes(jac, ref._jac(x))
+        assert _same_bytes(f._value(x), val) and _same_bytes(f._jac(x), jac)
+        assert _same_bytes(f.value(x), ref.value(x))
+        assert _same_bytes(f.jacobian(x), ref.jacobian(x))
+        assert f.meta == ref.meta
+
+    def test_stacked_centres_match_each_centre(self, rng):
+        centres = np.vstack([rng.uniform(-0.5, 0.5, (7, 3)), [[0.0, 0.1, -0.2], [0.0, 0.0, 0.3]]])
+        x = _recentering_probes(np.zeros(3), rng)
+        val, jac = _recenter(centres, _recentering_profiles(centres), x)
+        for c, a in enumerate(centres):
+            ref = recentering_map_oracle(a)
+            assert _same_bytes(val[c], ref._value(x))
+            assert _same_bytes(jac[c], ref._jac(x))
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [0.2, -1.5]])
+    def test_centre_outside_open_cube_rejected(self, bad):
+        with pytest.raises(ValueError, match="open cube"):
+            recentering_map(np.array(bad))
+
+    def test_profile_matches_reference_bytes(self, rng):
+        delta = 0.3
+        w = 0.9 * delta**2 / (1.0 + 2.0 * delta)
+        c = (delta - w) / (delta - 2.0 * w)
+        cases = [
+            ([w, delta - w, 1.0 - delta + w, 1.0 - w], [0.0, c, 1.0, c, 0.0], 0.5, 0.5, None),
+            ([-0.6875, 0.2375, 0.3625, 0.6875], [1.0, 0.9, 1.0, 1.1, 1.0], 0.3, 0.0, None),
+            ([-1.0, 0.5], [2.0, 0.5, 1.0], 0.0, 0.0, [0.1, 0.2]),
+            ([0.0], [1.0, 3.0], -1.0, -0.0, None),
+            ([0.0], [-0.0, 1.0], -5.0, 0.0, None),  # derivative -0.0 left of the corner
+        ]
+        for knots, slopes, at, av, deltas in cases:
+            new = SmoothPiecewiseLinear(knots, slopes, at, av, deltas)
+            ref = SmoothPiecewiseLinearOracle(knots, slopes, at, av, deltas)
+            kn = np.asarray(knots)
+            t = np.concatenate([
+                rng.uniform(kn[0] - 1.0, kn[-1] + 1.0, 500),
+                kn, kn + ref.deltas, kn - ref.deltas, [0.0, -0.0, at],
+                (kn[:, None] + ref.deltas[:, None] * rng.uniform(-1, 1, (len(kn), 50))).ravel(),
+            ])
+            assert _same_bytes(new.knot_vals, ref.knot_vals)
+            assert _same_bytes(new.deltas, ref.deltas)
+            assert _same_bytes(new.value(t), ref.value(t))
+            assert _same_bytes(new.derivative(t), ref.derivative(t))
+
+    def test_profile_validation(self):
+        with pytest.raises(ValueError, match="one more slope"):
+            SmoothPiecewiseLinear([0.0, 1.0], [1.0, 1.0], 0.5, 0.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SmoothPiecewiseLinear([1.0, 0.0], [1.0, 2.0, 1.0], 0.5, 0.0)
+        with pytest.raises(ValueError, match="blend window"):
+            SmoothPiecewiseLinear([0.0, 1.0], [1.0, 2.0, 1.0], 0.01, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_punctured_jacobians(self, n, rng):
+        centres = rng.uniform(-0.5, 0.5, (5, n))
+        centres[1, 0] = 0.0
+        x = rng.uniform(-1.0, 1.0, (300, n))
+        x[:20, 0] = 1.0
+        x[20:40, 1] = -1.0
+        jac = _punctured_jacobians(centres, x, 0.1)
+        for c, a in enumerate(centres):
+            assert _same_bytes(jac[c], punctured_cube_projection(a, 0.1).jacobian(x))
+            assert _same_bytes(jac[c], punctured_projection_oracle(a, 0.1).jacobian(x))
+
+    def test_stacked_punctured_jacobians_need_points_in_cube(self):
+        with pytest.raises(ValueError, match="closed cube"):
+            _punctured_jacobians(np.zeros((1, 2)) + 0.1, np.array([[1.01, 0.0]]), 0.1)
+
+    @pytest.mark.parametrize("name", ["collared_projection", "recentering_map"])
+    def test_value_and_jacobian_match_separate_calls(self, name, rng):
+        phi, lo, hi = SUPPORTED_MAPS[name]()
+        pts = rng.uniform(-2.0, 2.0, (2000, len(lo)))
+        assert phi.inside_support(pts).any() and not phi.inside_support(pts).all()
+        val, jac = phi.value_and_jacobian(pts)
+        assert _same_bytes(val, phi.value(pts))
+        assert _same_bytes(jac, phi.jacobian(pts))

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import skeleton_distance
+from gmtkit import deform
 from gmtkit.cubemaps import Box, SmoothMap
 from gmtkit.cubical import CubeFamily, DyadicCube, cubical_complex
 from gmtkit.deform import (
+    CenterSearchError,
     DeformationPlan,
     center_bound_constant,
     deform_one_cube,
@@ -16,6 +18,7 @@ from gmtkit.deform import (
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import four_corner_cantor, sample_circle, sample_disc, sample_segment
 from gmtkit.varifold import DiscreteVarifold, covering_measure, pushforward
+from oracles import select_center_oracle
 
 H = Plane.axis(3, (0, 1))
 
@@ -74,6 +77,110 @@ class TestSelectCenter:
         a1, _ = select_center(CUBE3, [v], 0.2, rng=np.random.default_rng(5))
         a2, _ = select_center(CUBE3, [v], 0.2, rng=np.random.default_rng(5))
         assert np.array_equal(a1, a2)
+
+
+SQUARE = DyadicCube(0, (0, 0, 0), (0, 1), 3)
+
+
+def _disc(count, seed=2, center=(0.5, 0.5, 0.5)):
+    pts, w = sample_disc(0.5, count, seed=seed, center=list(center))
+    return DiscreteVarifold.flat(pts, H, w)
+
+
+def _segment(start, end, count):
+    pts, w = sample_segment(start, end, count)
+    return DiscreteVarifold.flat(pts, Plane.axis(3, (0,)), w)
+
+
+class FixedDraws:
+    """Stands in for the generator: uniform() returns prepared candidates."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def uniform(self, low, high, size):
+        assert size == self.draws.shape
+        return self.draws.copy()
+
+
+def _assert_same_choice(cube, measures, eps, make_rng, **kw):
+    rng, rng_ref = make_rng(), make_rng()
+    a, info = select_center(cube, measures, eps, rng=rng, **kw)
+    a_ref, info_ref = select_center_oracle(cube, measures, eps, rng=rng_ref, **kw)
+    assert a.tobytes() == a_ref.tobytes()
+    assert info == info_ref
+    if isinstance(rng, np.random.Generator):
+        assert rng.random() == rng_ref.random()  # the same draws were consumed
+    return info
+
+
+class TestSelectCenterOracle:
+    """The stacked candidate evaluation against the per-candidate loop."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_one_measure_k3(self, budget):
+        info = _assert_same_choice(CUBE3, [_disc(400)], 0.2, lambda: np.random.default_rng(3),
+                                   budget=budget)
+        assert info["branch"] == "averaged" and info["candidates_tried"] == budget
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_two_measures_k3(self, budget):
+        measures = [_disc(300), _segment([0.1, 0.2, 0.45], [0.9, 0.7, 0.55], 150)]
+        info = _assert_same_choice(CUBE3, measures, 0.2, lambda: np.random.default_rng(4),
+                                   budget=budget)
+        assert len(info["ratios"]) == 2
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_one_measure_k2(self, budget):
+        v = _segment([0.1, 0.2, 0.0], [0.9, 0.7, 0.0], 250)
+        info = _assert_same_choice(SQUARE, [v], 0.1, lambda: np.random.default_rng(5),
+                                   budget=budget)
+        assert info["branch"] == "averaged"
+
+    @pytest.mark.parametrize("rows", [1, 2.5])
+    def test_candidates_spanning_chunks(self, rows, monkeypatch):
+        # chunks of one candidate, and of two with a shorter last chunk
+        v = _disc(400)
+        samples = int(np.count_nonzero(deform._restrict_near_cube(v, CUBE3, 0.2)))
+        monkeypatch.setattr(deform, "CANDIDATE_ROWS", int(rows * samples))
+        _assert_same_choice(CUBE3, [v, _segment([0.2, 0.2, 0.5], [0.8, 0.3, 0.5], 90)], 0.2,
+                            lambda: np.random.default_rng(6), budget=7)
+
+    def test_samples_above_row_cap(self):
+        v = _disc(deform.CANDIDATE_ROWS + 1000, seed=7)
+        assert np.count_nonzero(deform._restrict_near_cube(v, CUBE3, 0.2)) > deform.CANDIDATE_ROWS
+        _assert_same_choice(CUBE3, [v], 0.2, lambda: np.random.default_rng(7), budget=3)
+
+    def test_zero_coordinates(self):
+        draws = np.random.default_rng(8).uniform(-0.5, 0.5, (6, 3))
+        draws[0] = 0.0
+        draws[1, 0] = 0.0
+        draws[2, 1:] = [0.0, -0.0]
+        draws[3, 2] = -0.0
+        _assert_same_choice(CUBE3, [_disc(400, center=(0.52, 0.47, 0.5))], 0.2,
+                            lambda: FixedDraws(draws), budget=6)
+        _assert_same_choice(SQUARE, [_segment([0.1, 0.2, 0.0], [0.9, 0.7, 0.0], 250)], 0.1,
+                            lambda: FixedDraws([[0.0, 0.3], [0.0, 0.0], [-0.2, 0.0]]), budget=3)
+
+    def test_failure_message(self):
+        with pytest.raises(CenterSearchError) as new:
+            select_center(CUBE3, [_disc(300)], 0.2, rng=np.random.default_rng(9), budget=5,
+                          slack=-1.0)
+        with pytest.raises(CenterSearchError) as ref:
+            select_center_oracle(CUBE3, [_disc(300)], 0.2, rng=np.random.default_rng(9),
+                                 budget=5, slack=-1.0)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    @pytest.mark.parametrize("cap", [None, 600])
+    def test_off_support(self, budget, cap, monkeypatch):
+        if cap is not None:  # two or three candidates per chunk
+            monkeypatch.setattr(deform, "CANDIDATE_ROWS", cap)
+        pts, w = sample_segment([0.2, 0.2, 0.0], [0.8, 0.8, 0.0], 200)
+        v = DiscreteVarifold.flat(pts, Plane.axis(3, (0, 1)), w)
+        info = _assert_same_choice(SQUARE, [v], 0.1, lambda: np.random.default_rng(10),
+                                   budget=budget)
+        assert info["branch"] == "off-support"
 
 
 class TestDeformOneCube:
