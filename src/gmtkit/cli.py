@@ -36,6 +36,7 @@ from .solver import (
     Chain2,
     GridComplex,
     InfeasibleError,
+    OracleBudgetError,
     SpanningProblem,
     audit_minimizer,
     exhaustive_oracle,
@@ -163,10 +164,10 @@ def cmd_rotate(args):
 def cmd_retract(args):
     out = _out_dir(args)
     cfg = _load_config(args.config, {"n": 2, "eps": 0.1, "probes": 2000}, ("n", "eps", "probes"))
-    n, eps = int(cfg["n"]), float(cfg["eps"])
+    n, eps = _config_number(cfg, "n", int), _config_number(cfg, "eps", float)
     rng = np.random.default_rng(args.seed)
     l = retraction_with_collar(n, eps)
-    probes = rng.uniform(-1.0 - 2 * eps, 1.0 + 2 * eps, (int(cfg["probes"]), n))
+    probes = rng.uniform(-1.0 - 2 * eps, 1.0 + 2 * eps, (_config_number(cfg, "probes", int), n))
     img = l.value(probes)
     disp = np.linalg.norm(img - probes, axis=1)
     jac = np.linalg.svd(l.jacobian(probes), compute_uv=False)[:, 0]
@@ -198,15 +199,15 @@ def cmd_retract(args):
 
 
 def _body_from_config(cfg):
-    kind = cfg.get("body", "ball")
-    n = int(cfg.get("n", 2))
+    kind = cfg["body"]
+    n = _config_number(cfg, "n", int)
     if kind == "ball":
-        return BallBody(n, float(cfg.get("radius", 1.0))), n
+        return BallBody(n, _config_number(cfg, "radius", float)), n
     if kind == "ellipsoid":
-        axes = cfg.get("semi_axes", [2.0, 1.0])
+        axes = cfg["semi_axes"]
         return EllipsoidBody(axes), len(axes)
     if kind == "cube_enclosure":
-        return cube_enclosure(n, float(cfg.get("inner", 0.05)), float(cfg.get("outer", 0.1))), n
+        return cube_enclosure(n, _config_number(cfg, "inner", float), _config_number(cfg, "outer", float)), n
     raise InputError(f"unknown body kind {kind}")
 
 
@@ -221,8 +222,9 @@ def cmd_project(args):
     body, n = _body_from_config(cfg)
     rng = np.random.default_rng(args.seed)
     p, t = central_projection(body)
-    q = collared_projection(body, float(cfg["eps"]))
-    probes = rng.uniform(-1.5 * body.circumradius, 1.5 * body.circumradius, (int(cfg["probes"]), n))
+    q = collared_projection(body, _config_number(cfg, "eps", float))
+    probes = rng.uniform(-1.5 * body.circumradius, 1.5 * body.circumradius,
+                         (_config_number(cfg, "probes", int), n))
     probes = probes[np.linalg.norm(probes, axis=1) > 1e-3]
     pv, qv = p.value(probes), q.value(probes)
     fd = np.abs(p.jacobian(probes) - p.jacobian_fd(probes)).max()
@@ -355,6 +357,8 @@ def cmd_deform(args):
         except StageError as exc:
             sys.stderr.write(f"stage failure at cube {exc.cube}: {exc}\n")
             return EXIT_PIPELINE
+        except ValueError as exc:  # the argument checks: m, eps and the set dimension
+            raise InputError(str(exc)) from exc
     img = f1.value(v.points) if len(v) else v.points
     with open(out / "deform_plan.json", "w") as fh:
         fh.write(plan.to_json())
@@ -437,6 +441,8 @@ def _problem_from_json(path):
     if missing:
         raise InputError(f"missing problem keys: {sorted(missing)}")
     try:
+        if int(data["m"]) >= int(data["n"]):
+            raise ValueError(f"m = {data['m']} leaves no (m+1)-cells to move across in n = {data['n']}")
         cx = GridComplex(int(data["n"]), data["cells"], int(data["level"]), data.get("origin"))
         bcells = [DyadicCube.from_dict(d) for d in data["boundary_cells"]]
         generators = []
@@ -448,7 +454,7 @@ def _problem_from_json(path):
         integrand = integrand_from_config(data["integrand"], n=int(data["n"]))
         problem = SpanningProblem(cx, int(data["m"]), bcells, generators, integrand,
                                   dict(data.get("options", {})))
-    except (ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise InputError(f"invalid problem: {exc}") from exc
     return problem
 
@@ -490,21 +496,19 @@ def _chain_to_obj(chain: Chain2):
 def cmd_minimize(args):
     out = _out_dir(args)
     problem = _problem_from_json(args.problem)
-    opts = problem.options
+    opts = {"restarts": 3, "steps": 4000, "oracle_budget_dim": 18, **problem.options}
+    restarts, steps = _config_number(opts, "restarts", int), _config_number(opts, "steps", int)
+    if restarts < 1:
+        raise InputError(f"restarts must be at least 1, got {restarts}")
     try:
-        res = solver_minimize(
-            problem,
-            seed=args.seed,
-            restarts=int(opts.get("restarts", 3)),
-            steps=int(opts.get("steps", 4000)),
-        )
+        res = solver_minimize(problem, seed=args.seed, restarts=restarts, steps=steps)
     except InfeasibleError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
     payload = {"value": res.value, "cells": res.chain.count(), "chain": res.chain.to_dict(),
                "initial_value": res.initial_value, "accepted_moves": len(res.trace)}
     if opts.get("oracle_check"):
-        _, oval = exhaustive_oracle(problem, budget_dim=int(opts.get("oracle_budget_dim", 18)))
+        _, oval = exhaustive_oracle(problem, budget_dim=_config_number(opts, "oracle_budget_dim", int))
         payload["oracle_value"] = oval
         payload["oracle_match"] = bool(abs(oval - res.value) <= 1e-9)
     _write_json(out / "solution.json", payload)
@@ -541,8 +545,9 @@ def cmd_audit(args):
     cfg = _load_config(args.config, {"n": 3, "cells": [4, 4, 4], "level": 2, "origin": [0, 0, 0],
                                      "integrand": {"kind": "area"}, "subdivision": 8},
                        ("n", "cells", "level", "origin", "integrand", "subdivision"))
-    cx = GridComplex(int(cfg["n"]), cfg["cells"], int(cfg["level"]), cfg.get("origin"))
     try:
+        cx = GridComplex(_config_number(cfg, "n", int), cfg["cells"], _config_number(cfg, "level", int),
+                         cfg["origin"])
         m = int(data["m"])
         bits = np.zeros(cx.count(m), dtype=bool)
         for d in data["cells"]:
@@ -553,10 +558,10 @@ def cmd_audit(args):
     except KeyError as exc:
         raise InputError(f"chain {args.chain} lacks the key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid chain {args.chain}: {exc}") from exc
+        raise InputError(f"invalid grid or chain {args.chain}: {exc}") from exc
     chain = Chain2(cx, m, bits)
-    integrand = integrand_from_config(cfg["integrand"], n=int(cfg["n"]))
-    report = audit_minimizer(chain, integrand, subdivision=int(cfg["subdivision"]))
+    integrand = integrand_from_config(cfg["integrand"], n=cx.n)
+    report = audit_minimizer(chain, integrand, subdivision=_config_number(cfg, "subdivision", int))
     _write_audit(out, report, cx.n)
     return EXIT_OK
 
@@ -569,11 +574,11 @@ def cmd_probe_ellipticity(args):
          "integrand": {"kind": "area"}, "sup_grid": 256},
         ("n", "m", "x", "plane_axes", "integrand", "sup_grid"),
     )
-    n = int(cfg["n"])
+    n = _config_number(cfg, "n", int)
     integrand = integrand_from_config(cfg["integrand"], n=n)
     plane = Plane.axis(n, cfg["plane_axes"])
     report = ellipticity_probe(integrand, np.array(cfg["x"], dtype=float), plane,
-                               sup_grid=int(cfg["sup_grid"]), seed=args.seed)
+                               sup_grid=_config_number(cfg, "sup_grid", int), seed=args.seed)
     _write_json(
         out / "ellipticity_report.json",
         {"margins": report.margins, "min_margin": report.min_margin,
@@ -635,7 +640,7 @@ def main(argv=None):
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except (StageError,) as exc:
+    except (StageError, OracleBudgetError) as exc:
         sys.stderr.write(f"pipeline failure: {exc}\n")
         return EXIT_PIPELINE
 

@@ -522,6 +522,8 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
     f1 includes the cleanup.
     """
     sets = list(sets)
+    if not 0 <= m < complex_.ambient_dim:
+        raise ValueError(f"m must lie in [0, {complex_.ambient_dim}), got {m}")
     if any(v.dim > m for v in sets):
         raise ValueError("set dimensions must not exceed m")
     eps0 = 2.0 ** (-4) * family.min_side()

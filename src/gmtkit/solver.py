@@ -44,55 +44,72 @@ __all__ = [
 # GF(2) linear algebra
 
 
-def _gf2_rref(a):
-    """Row-reduce a copy of a over GF(2); returns (rref, pivot_columns)."""
-    a = a.copy() % 2
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hit = np.nonzero(a[r:, c])[0]
-        if len(hit) == 0:
-            continue
-        pr = r + hit[0]
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        mask = a[:, c].astype(bool)
-        mask[r] = False
-        a[mask] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+class _Reduction:
+    """Left-to-right column reduction over GF(2) on Python-int bitsets.
+
+    ``columns`` lists the set row indices of each column.  Each column adds
+    earlier reduced columns until its highest set bit is no earlier pivot or
+    it vanishes (Edelsbrunner, Letscher and Zomorodian 2002).  Survivors,
+    keyed by pivot with the combination of original columns that produced
+    them, are the greedy leftmost basis; ``kernel`` holds the combinations
+    of the vanished columns, in column order.
+    """
+
+    def __init__(self, columns):
+        self.pivots = {}  # highest set bit -> (reduced column, combination)
+        self.kernel = []
+        for j, rows in enumerate(columns):
+            col, combo = sum(1 << i for i in rows), 1 << j
+            while col:
+                hit = self.pivots.get(col.bit_length() - 1)
+                if hit is None:
+                    self.pivots[col.bit_length() - 1] = (col, combo)
+                    break
+                col ^= hit[0]
+                combo ^= hit[1]
+            else:
+                self.kernel.append(combo)
+
+    def solve(self, b):
+        """The solution of a x = b supported on the basis columns, or None."""
+        x = 0
+        while b:
+            hit = self.pivots.get(b.bit_length() - 1)
+            if hit is None:
+                return None
+            b ^= hit[0]
+            x ^= hit[1]
+        return x
+
+
+def _to_int(bits):
+    """A GF(2) vector (entries taken mod 2) as a Python-int bitset."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8) % 2, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _to_bits(x, size):
+    """The first ``size`` bits of the bitset x as a uint8 vector."""
+    raw = np.frombuffer(x.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
+
+
+def _dense_reduction(a):
+    return _Reduction(np.flatnonzero(col).tolist() for col in a.T % 2)
 
 
 def gf2_solve(a, b):
-    """One solution x of a x = b over GF(2), or None when inconsistent."""
+    """One solution x of a x = b over GF(2) (free variables 0), or None when inconsistent."""
     a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8).reshape(-1, 1)
-    aug, pivots = _gf2_rref(np.hstack([a, b]))
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, cols]
-    return x
+    x = _dense_reduction(a).solve(_to_int(np.reshape(b, a.shape[0])))
+    return None if x is None else _to_bits(x, a.shape[1])
 
 
 def gf2_nullspace(a):
     """Basis of the kernel of a over GF(2), as columns of the result."""
     a = np.asarray(a, dtype=np.uint8)
-    rref, pivots = _gf2_rref(a)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.uint8)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, j] = rref[r, fc]
-    return basis
+    kernel = [_to_bits(v, a.shape[1]) for v in _dense_reduction(a).kernel]
+    return np.array(kernel, dtype=np.uint8).reshape(len(kernel), a.shape[1]).T
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +144,8 @@ class GridComplex:
             lst.sort()
             self.cells[k] = lst
             self.index.update({cube: (k, i) for i, cube in enumerate(lst)})
-        self._boundary = {}
+        self._facets = {}
+        self._reductions = {}
 
     @property
     def side(self):
@@ -136,24 +154,32 @@ class GridComplex:
     def count(self, k):
         return len(self.cells[k])
 
-    def boundary_matrix(self, k):
-        """The mod-2 boundary operator as a (count(k-1), count(k)) matrix."""
-        if k not in self._boundary:
+    def facets(self, k):
+        """The (count(k), 2k) facet indices of each k-cell, rows ascending (cached)."""
+        if k not in self._facets:
             if not 1 <= k <= self.n:
                 raise ValueError("boundary defined for 1 <= k <= n")
-            mat = np.zeros((self.count(k - 1), self.count(k)), dtype=np.uint8)
-            for j, cube in enumerate(self.cells[k]):
-                for f in cube.facets():
-                    mat[self.index[f][1], j] ^= 1
-            self._boundary[k] = mat
-        return self._boundary[k]
+            rows = [sorted(self.index[f][1] for f in cube.facets()) for cube in self.cells[k]]
+            self._facets[k] = np.array(rows, dtype=np.intp).reshape(self.count(k), 2 * k)
+        return self._facets[k]
 
-    def cell_id(self, cube):
-        k, i = self.index[cube]
-        return i
+    def reduction(self, k):
+        """The column reduction of the boundary operator on k-cells (cached)."""
+        if k not in self._reductions:
+            self._reductions[k] = _Reduction(self.facets(k).tolist())
+        return self._reductions[k]
 
-    def cube_dict_id(self, d, k):
-        return self.index[DyadicCube.from_dict(d)][1]
+    def boundary(self, k, bits):
+        """The mod-2 boundary, over the (k-1)-cells, of the k-cells selected by bits."""
+        hits = np.bincount(self.facets(k)[np.asarray(bits, dtype=bool)].ravel(),
+                           minlength=self.count(k - 1))
+        return (hits % 2).astype(np.uint8)
+
+    def boundary_matrix(self, k):
+        """Dense (count(k-1), count(k)) uint8 view of the boundary operator."""
+        mat = np.zeros((self.count(k - 1), self.count(k)), dtype=np.uint8)
+        mat[self.facets(k), np.arange(self.count(k))[:, None]] = 1
+        return mat
 
 
 class Chain2:
@@ -169,9 +195,6 @@ class Chain2:
         if len(self.bits) != count:
             raise ValueError("bit vector length mismatch")
 
-    def copy(self):
-        return Chain2(self.complex, self.m, self.bits)
-
     def cells(self):
         return [c for c, b in zip(self.complex.cells[self.m], self.bits) if b]
 
@@ -179,14 +202,10 @@ class Chain2:
         return int(self.bits.sum())
 
     def boundary(self):
-        mat = self.complex.boundary_matrix(self.m)
-        return (mat @ self.bits.astype(np.uint8)) % 2
+        return self.complex.boundary(self.m, self.bits)
 
     def value(self, weights):
         return float(weights[self.bits].sum())
-
-    def __xor__(self, other_bits):
-        return Chain2(self.complex, self.m, self.bits ^ other_bits)
 
     def to_dict(self):
         return {
@@ -208,7 +227,6 @@ class SpanningProblem:
     def __post_init__(self):
         if self.m < 1 or self.m > self.complex.n:
             raise ValueError("m out of range")
-        bmat = self.complex.boundary_matrix(self.m - 1) if self.m >= 2 else None
         bset = np.zeros(self.complex.count(self.m - 1), dtype=bool)
         for c in self.boundary_cells:
             bset[self.complex.index[c][1]] = True
@@ -217,7 +235,7 @@ class SpanningProblem:
             z = np.asarray(z, dtype=np.uint8)
             if np.any(z.astype(bool) & ~bset):
                 raise ValueError("generator not supported in the boundary set")
-            if bmat is not None and np.any((bmat @ z) % 2):
+            if self.m >= 2 and np.any(self.complex.boundary(self.m - 1, z % 2)):
                 raise ValueError("generator is not a cycle")
 
     def cell_weights(self):
@@ -244,31 +262,35 @@ class OracleBudgetError(RuntimeError):
     pass
 
 
-def spans(chain: Chain2, problem: SpanningProblem) -> bool:
+def spans(chain: Chain2, problem: SpanningProblem, counts=None) -> bool:
     """Whether every generator bounds inside B union the chain's support.
 
-    Solved by Gaussian elimination over GF(2) on the boundary-operator
-    columns of the chain's support cells (plus any m-cells of B).
+    A generator equal to the chain's boundary is spanned by the chain itself,
+    a certificate that needs no elimination; any other generator is solved
+    on a column reduction of the support cells.  ``counts``, when given, is a
+    dict whose "certified" or "eliminated" entry counts how this was settled.
     """
-    mat = problem.complex.boundary_matrix(problem.m)
-    cols = np.nonzero(chain.bits)[0]
-    sub = mat[:, cols] if len(cols) else np.zeros((mat.shape[0], 0), dtype=np.uint8)
-    for z in problem.generators:
-        if gf2_solve(sub, np.asarray(z, dtype=np.uint8)) is None:
-            return False
-    return True
+    cx, m = problem.complex, problem.m
+    boundary = cx.boundary(m, chain.bits)
+    pending = [z for z in problem.generators if not np.array_equal(np.asarray(z) % 2, boundary)]
+    if counts is not None:
+        counts["eliminated" if pending else "certified"] += 1
+    if not pending:
+        return True
+    support = _Reduction(cx.facets(m)[chain.bits].tolist())
+    return all(support.solve(_to_int(z)) is not None for z in pending)
 
 
 def initial_chain(problem: SpanningProblem) -> Chain2:
     """Union of per-generator elimination solutions of the boundary system."""
-    mat = problem.complex.boundary_matrix(problem.m)
-    bits = np.zeros(problem.complex.count(problem.m), dtype=bool)
+    reduction = problem.complex.reduction(problem.m)
+    union = 0
     for z in problem.generators:
-        x = gf2_solve(mat, np.asarray(z, dtype=np.uint8))
+        x = reduction.solve(_to_int(z))
         if x is None:
             raise InfeasibleError("a generator is not a boundary in the full grid")
-        bits |= x.astype(bool)
-    return Chain2(problem.complex, problem.m, bits)
+        union |= x
+    return Chain2(problem.complex, problem.m, _to_bits(union, problem.complex.count(problem.m)))
 
 
 @dataclass
@@ -278,12 +300,8 @@ class MinimizeResult:
     trace: list
     restarts: int
     initial_value: float
-
-
-def _move_columns(problem):
-    """Per-(m+1)-cell flip sets: indices of the m-cells in its boundary."""
-    mat = problem.complex.boundary_matrix(problem.m + 1)
-    return [np.nonzero(mat[:, j])[0] for j in range(mat.shape[1])]
+    # per restart: proposals, accepts, span_rejects, certified, eliminated, value
+    restart_counts: list = field(default_factory=list)
 
 
 def _chain_key(bits):
@@ -308,18 +326,20 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000, t0=None,
     start = initial_chain(problem)
     if not spans(start, problem):
         raise InfeasibleError("initial chain does not span")
-    moves = _move_columns(problem)
+    moves = problem.complex.facets(problem.m + 1)
     if t0 is None:
         t0 = float(weights.max()) * 2.0
     best = None
     init_val = start.value(weights)
     full_trace = []
+    restart_counts = []
     for r in range(restarts):
         rng = np.random.default_rng(seed * 1000 + r)
         bits = start.bits.copy()
         value = start.value(weights)
         temp = t0
         trace = []
+        counts = {"proposals": steps, "span_rejects": 0, "certified": 0, "eliminated": 0}
         for step in range(steps):
             j = int(rng.integers(len(moves)))
             col = moves[j]
@@ -339,7 +359,8 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000, t0=None,
             if accept:
                 cand_bits = bits.copy()
                 cand_bits[col] ^= True
-                if not spans(Chain2(problem.complex, problem.m, cand_bits), problem):
+                if not spans(Chain2(problem.complex, problem.m, cand_bits), problem, counts):
+                    counts["span_rejects"] += 1
                     temp *= cooling
                     continue
                 bits = cand_bits
@@ -350,25 +371,32 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000, t0=None,
         improved = True
         while improved:
             improved = False
+            counts["proposals"] += len(moves)
             for j, col in enumerate(moves):
                 delta = float(np.sum(weights[col] * (1.0 - 2.0 * bits[col])))
                 if delta < -1e-12:
                     cand_bits = bits.copy()
                     cand_bits[col] ^= True
-                    if spans(Chain2(problem.complex, problem.m, cand_bits), problem):
+                    if spans(Chain2(problem.complex, problem.m, cand_bits), problem, counts):
                         bits = cand_bits
                         value += delta
                         trace.append({"restart": r, "step": "greedy", "cell": j, "delta": delta, "value": value})
                         improved = True
+                    else:
+                        counts["span_rejects"] += 1
         chain = Chain2(problem.complex, problem.m, bits)
         key = (value, chain.count(), _chain_key(bits))
         if best is None or key < best[0]:
             best = (key, chain, trace)
         full_trace.extend(trace)
+        restart_counts.append(dict(counts, restart=r, accepts=len(trace), value=value))
+        logger.info("minimize restart %(restart)d: %(proposals)d proposals, %(accepts)d accepts, "
+                    "%(span_rejects)d broke spanning; checks settled %(certified)d by dc = z, "
+                    "%(eliminated)d by elimination; value %(value).6g", restart_counts[-1])
     chain = best[1]
     final_value = chain.value(weights)
     logger.info("minimize: value %.6g with %d cells (initial %.6g)", final_value, chain.count(), init_val)
-    return MinimizeResult(chain, final_value, full_trace, restarts, init_val)
+    return MinimizeResult(chain, final_value, full_trace, restarts, init_val, restart_counts)
 
 
 def _projection_lower_bound(problem: SpanningProblem, weights):
@@ -382,7 +410,7 @@ def _projection_lower_bound(problem: SpanningProblem, weights):
     for axes in itertools.combinations(range(n), m):
         proj_shape = tuple(cx.shape[a] for a in axes)
         proj = GridComplex(m, proj_shape, cx.level, origin=tuple(cx.origin[a] for a in axes))
-        pmat = proj.boundary_matrix(m)
+        reduction = proj.reduction(m)
         for z in problem.generators:
             pz = np.zeros(proj.count(m - 1), dtype=np.uint8)
             for i in np.nonzero(np.asarray(z, dtype=np.uint8))[0]:
@@ -396,10 +424,10 @@ def _projection_lower_bound(problem: SpanningProblem, weights):
                     m,
                 )
                 pz[proj.index[pcube][1]] ^= 1
-            x = gf2_solve(pmat, pz)
-            if x is None or not np.any(x):
+            x = reduction.solve(_to_int(pz))
+            if not x:
                 continue
-            forced = np.nonzero(x)[0]
+            forced = np.nonzero(_to_bits(x, proj.count(m)))[0]
             total = 0.0
             for fi in forced:
                 pcell = proj.cells[m][fi]
@@ -425,17 +453,17 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
     if not problem.generators:
         return Chain2(problem.complex, problem.m), 0.0
     start = initial_chain(problem)
-    mat = problem.complex.boundary_matrix(problem.m)
-    kernel = gf2_nullspace(mat)
-    dim = kernel.shape[1]
+    kernel = problem.complex.reduction(problem.m).kernel
+    dim = len(kernel)
     single = len(problem.generators) == 1
     if dim <= budget_dim:
+        kernel = [_to_bits(v, problem.complex.count(problem.m)).astype(bool) for v in kernel]
         best = None
         for combo in range(2**dim):
             bits = start.bits.copy()
             for j in range(dim):
                 if combo >> j & 1:
-                    bits ^= kernel[:, j].astype(bool)
+                    bits ^= kernel[j]
             chain = Chain2(problem.complex, problem.m, bits)
             if not single and not spans(chain, problem):
                 continue
@@ -445,7 +473,7 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
                 best = (key, chain)
         return best[1], best[0][0]
     # descent incumbent
-    moves = _move_columns(problem)
+    moves = problem.complex.facets(problem.m + 1)
     bits = start.bits.copy()
     value = start.value(weights)
     improved = True

@@ -5,8 +5,12 @@ version of a library routine, kept as written before the routine was
 batched: ``SmoothPiecewiseLinearOracle`` loops over the corners of one
 profile, ``recentering_map_oracle`` builds one centre's map with a
 profile object per coordinate, and ``select_center_oracle`` builds and
-evaluates one punctured projection per candidate centre.  The tests
-assert that the library returns the same bytes.
+evaluates one punctured projection per candidate centre.  The GF(2)
+oracles are the dense solver as it was before the sparse column
+reduction: ``boundary_matrix_oracle`` fills a uint8 matrix cube by cube,
+``gf2_rref_oracle`` row-reduces it, and ``spans_oracle`` eliminates on the
+dense columns of the chain's support.  The tests assert that the library
+returns the same bytes.
 """
 
 import math
@@ -284,3 +288,74 @@ def select_center_oracle(cube, measures, eps, *, rng=None, budget=64, slack=0.5,
     if best_d <= cube.side * 1e-6:
         raise CenterSearchError(f"no candidate clear of the support in {cube}")
     return best_a, {"branch": "off-support", "clearance": best_d, "candidates_tried": budget}
+
+
+def boundary_matrix_oracle(cx, k):
+    """The mod-2 boundary operator of a GridComplex as a dense uint8 matrix."""
+    mat = np.zeros((cx.count(k - 1), cx.count(k)), dtype=np.uint8)
+    for j, cube in enumerate(cx.cells[k]):
+        for f in cube.facets():
+            mat[cx.index[f][1], j] ^= 1
+    return mat
+
+
+def gf2_rref_oracle(a):
+    """Row-reduce a copy of a over GF(2); returns (rref, pivot_columns)."""
+    a = a.copy() % 2
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hit = np.nonzero(a[r:, c])[0]
+        if len(hit) == 0:
+            continue
+        pr = r + hit[0]
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        mask = a[:, c].astype(bool)
+        mask[r] = False
+        a[mask] ^= a[r]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def gf2_solve_oracle(a, b):
+    """One solution x of a x = b over GF(2) (free variables 0), or None."""
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8).reshape(-1, 1)
+    aug, pivots = gf2_rref_oracle(np.hstack([a, b]))
+    cols = a.shape[1]
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    for r, c in enumerate(pivots):
+        x[c] = aug[r, cols]
+    return x
+
+
+def gf2_nullspace_oracle(a):
+    """Basis of the kernel of a over GF(2), one column per free column."""
+    a = np.asarray(a, dtype=np.uint8)
+    rref, pivots = gf2_rref_oracle(a)
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.uint8)
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for r, pc in enumerate(pivots):
+            basis[pc, j] = rref[r, fc]
+    return basis
+
+
+def spans_oracle(chain, problem):
+    """Whether every generator solves the dense boundary system on the support."""
+    mat = boundary_matrix_oracle(problem.complex, problem.m)
+    cols = np.nonzero(chain.bits)[0]
+    sub = mat[:, cols] if len(cols) else np.zeros((mat.shape[0], 0), dtype=np.uint8)
+    for z in problem.generators:
+        if gf2_solve_oracle(sub, np.asarray(z, dtype=np.uint8)) is None:
+            return False
+    return True

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import gmtkit
 from gmtkit import cli
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import sample_disc
+from gmtkit.solver import exhaustive_oracle
 from gmtkit.varifold import DiscreteVarifold
 
 
@@ -293,6 +295,13 @@ class TestDeterminism:
         assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
 
 
+def _square_edges(level, cells, z):
+    return [{"level": level, "corner": list(corner), "axes": list(axes), "n": 3}
+            for i in range(cells)
+            for corner, axes in [((i, 0, z), (0,)), ((i, cells, z), (0,)),
+                                 ((0, i, z), (1,)), ((cells, i, z), (1,))]]
+
+
 def _bad_input_files(tmp):
     pts, w = sample_disc(1.3, 200, seed=3, center=[2.0, 2.0, 2.05])
     DiscreteVarifold.flat(pts, Plane.axis(3, (0, 1)), w).to_csv(tmp / "disc.csv")
@@ -302,6 +311,18 @@ def _bad_input_files(tmp):
     (tmp / "far_cell.json").write_text(json.dumps({"m": 2, "level": 2, "cells": [cell]}))
     edge = {"level": 2, "corner": [0, 0, 0], "axes": [0], "n": 3}
     (tmp / "edge_cell.json").write_text(json.dumps({"m": 2, "level": 2, "cells": [edge]}))
+    square = [{"level": 2, "corner": [i, j, 0], "axes": [0, 1], "n": 3} for i in range(4) for j in range(4)]
+    (tmp / "chain.json").write_text(json.dumps({"m": 2, "level": 2, "cells": square}))
+    ends = [{"level": 1, "corner": c, "axes": [0, 1], "n": 2} for c in ([0, 0], [1, 0])]
+    (tmp / "planar.json").write_text(json.dumps(
+        {"n": 2, "cells": [2, 2], "level": 1, "m": 2, "boundary_cells": ends, "generators": [],
+         "integrand": {"kind": "area"}}))
+    for name, restarts in (("restarts", "many"), ("no_restarts", 0)):
+        (tmp / f"{name}.json").write_text(json.dumps(square_problem_dict(1, 2, options={"restarts": restarts})))
+    low, high = _square_edges(1, 2, z=0), _square_edges(1, 2, z=2)
+    (tmp / "stacked.json").write_text(json.dumps(dict(
+        square_problem_dict(1, 2), boundary_cells=low + high, generators=[low, high],
+        options={"restarts": 1, "steps": 50, "oracle_check": True, "oracle_budget_dim": 0})))
 
 
 BAD_INPUTS = {
@@ -316,11 +337,34 @@ BAD_INPUTS = {
     "grid_level_not_an_integer": ({"GMTKIT_GRID_LEVEL": "[1]"}, ["deform", "disc.csv"]),
     "grid_cells_not_a_list": ({"GMTKIT_GRID_CELLS": "4"}, ["deform", "disc.csv"]),
     "grid_origin_not_integers": ({"GMTKIT_GRID_ORIGIN": '["a", 0, 0]'}, ["deform", "disc.csv"]),
+    "deform_eps_out_of_range": ({"GMTKIT_EPS": "5"}, ["deform", "disc.csv"]),
+    "deform_eps_zero": ({"GMTKIT_EPS": "0"}, ["deform", "disc.csv"]),
+    "deform_m_out_of_range": ({"GMTKIT_M": "7"}, ["deform", "disc.csv"]),
+    "deform_m_equals_n": ({"GMTKIT_M": "3"}, ["deform", "disc.csv"]),
+    "deform_m_below_set_dimension": ({"GMTKIT_M": "1"}, ["deform", "disc.csv"]),
+    "retract_n_not_an_integer": ({"GMTKIT_N": "abc"}, ["retract"]),
+    "retract_eps_not_a_number": ({"GMTKIT_EPS": '"x"'}, ["retract"]),
+    "retract_probes_not_an_integer": ({"GMTKIT_PROBES": "null"}, ["retract"]),
+    "project_n_not_an_integer": ({"GMTKIT_N": "abc"}, ["project"]),
+    "project_radius_not_a_number": ({"GMTKIT_RADIUS": "abc"}, ["project"]),
+    "project_inner_not_a_number": ({"GMTKIT_BODY": "cube_enclosure", "GMTKIT_INNER": "abc"}, ["project"]),
+    "project_eps_not_a_number": ({"GMTKIT_EPS": "[]"}, ["project"]),
+    "project_probes_not_an_integer": ({"GMTKIT_PROBES": "abc"}, ["project"]),
+    "audit_n_not_an_integer": ({"GMTKIT_N": "abc"}, ["audit", "chain.json"]),
+    "audit_level_not_an_integer": ({"GMTKIT_LEVEL": '"x"'}, ["audit", "chain.json"]),
+    "audit_cells_not_integers": ({"GMTKIT_CELLS": '["a", 4, 4]'}, ["audit", "chain.json"]),
+    "audit_subdivision_not_an_integer": ({"GMTKIT_SUBDIVISION": "abc"}, ["audit", "chain.json"]),
+    "probe_n_not_an_integer": ({"GMTKIT_N": "abc"}, ["probe-ellipticity"]),
+    "probe_sup_grid_not_an_integer": ({"GMTKIT_SUP_GRID": "abc"}, ["probe-ellipticity"]),
+    "minimize_m_equals_n": ({}, ["minimize", "planar.json"]),
+    "minimize_restarts_not_an_integer": ({}, ["minimize", "restarts.json"]),
+    "minimize_no_restarts": ({}, ["minimize", "no_restarts.json"]),
 }
 
 
 class TestBadInput:
-    """Malformed input exits 2 with a one-line message and no traceback."""
+    """Malformed input exits 2 (an exceeded oracle budget 3) with a one-line
+    message and no traceback."""
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exit_2_one_line(self, case, tmp_path):
@@ -336,6 +380,16 @@ class TestBadInput:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_oracle_budget_exceeded_exit_3(self, tmp_path, monkeypatch, capsys):
+        # two generators and no enumeration budget send the oracle to branch
+        # and bound, which a one-node budget stops at once
+        _bad_input_files(tmp_path)
+        monkeypatch.setattr(cli, "exhaustive_oracle", functools.partial(exhaustive_oracle, node_budget=1))
+        assert run_cli(["--out", tmp_path / "out", "minimize", tmp_path / "stacked.json"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "oracle budget exceeded" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestAuditColumns:

@@ -1,7 +1,11 @@
+import logging
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import square_cycle
+from oracles import boundary_matrix_oracle, gf2_nullspace_oracle, gf2_solve_oracle, spans_oracle
 from gmtkit.cubical import DyadicCube
 from gmtkit.grassmann import Plane
 from gmtkit.solver import (
@@ -267,3 +271,228 @@ class TestAudit:
         cx = GridComplex(3, (2, 2, 2), 1)
         with pytest.raises(ValueError):
             audit_minimizer(Chain2(cx, 2), AreaIntegrand())
+
+
+# ---------------------------------------------------------------------------
+# the sparse reduction against the dense elimination it replaced
+
+def l_problem(cells, level=3):
+    """The boundary of an L-shaped sheet: a floor at z = 0 and a wall at x = 0."""
+    a, b = cells - 4, cells - 2
+    sheet = [((i, j, 0), (0, 1)) for i in range(a) for j in range(b)]
+    sheet += [((0, j, k), (1, 2)) for j in range(b) for k in range(a)]
+    cx = GridComplex(3, (cells,) * 3, level)
+    z = np.zeros(cx.count(1), dtype=np.uint8)
+    for corner, axes in sheet:
+        for facet in DyadicCube(level, corner, axes, 3).facets():
+            z[cx.index[facet][1]] ^= 1
+    edges = [cx.cells[1][i] for i in np.nonzero(z)[0]]
+    return SpanningProblem(cx, 2, edges, [z], AreaIntegrand())
+
+
+def stacked_squares_problem():
+    cx = GridComplex(3, (2, 2, 2), 1)
+    z0, cells0 = square_cycle(cx, z=0)
+    z1, cells1 = square_cycle(cx, z=2)
+    return SpanningProblem(cx, 2, cells0 + cells1, [z0, z1], AreaIntegrand())
+
+
+def random_gf2_cases(rng):
+    """(name, a, b) triples covering the shapes the reduction must agree on."""
+    cases = []
+    for rows, cols in [(8, 12), (12, 8), (10, 10), (1, 5), (5, 1)]:
+        a = rng.integers(0, 2, (rows, cols)).astype(np.uint8)
+        cases.append(("random", a, (a @ rng.integers(0, 2, cols)) % 2))
+        cases.append(("random_b", a, rng.integers(0, 2, rows)))
+    while True:
+        full = rng.integers(0, 2, (9, 9)).astype(np.uint8)
+        if gf2_nullspace_oracle(full).shape[1] == 0:
+            break
+    cases.append(("full_rank", full, rng.integers(0, 2, 9)))
+    low = (rng.integers(0, 2, (14, 3)) @ rng.integers(0, 2, (3, 11))) % 2
+    cases.append(("rank_deficient", low, (low @ rng.integers(0, 2, 11)) % 2))
+    cases.append(("inconsistent", np.array([[1, 0], [1, 0]]), np.array([1, 0])))
+    zero_cols = rng.integers(0, 2, (7, 9)).astype(np.uint8)
+    zero_cols[:, [0, 4, 8]] = 0
+    cases.append(("zero_columns", zero_cols, (zero_cols @ rng.integers(0, 2, 9)) % 2))
+    cases.append(("all_zero", np.zeros((4, 5)), np.zeros(4)))
+    cases.append(("all_zero_inconsistent", np.zeros((4, 5)), np.array([0, 0, 1, 0])))
+    cases.append(("no_columns", np.zeros((6, 0)), np.zeros(6)))
+    cases.append(("no_columns_inconsistent", np.zeros((6, 0)), np.eye(6)[2]))
+    cases.append(("no_rows", np.zeros((0, 4)), np.zeros(0)))
+    cases.append(("entries_mod_2", rng.integers(0, 4, (6, 8)), rng.integers(0, 4, 6)))
+    return cases
+
+
+def assert_same_solution(a, b):
+    got, want = gf2_solve(a, b), gf2_solve_oracle(a, b)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def assert_same_nullspace(a):
+    got, want = gf2_nullspace(a), gf2_nullspace_oracle(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestGf2Oracle:
+    def test_random_matrices(self, rng):
+        for _ in range(20):
+            for name, a, b in random_gf2_cases(rng):
+                assert_same_solution(a, b)
+                assert_same_nullspace(a)
+
+    def test_l_problem_boundaries(self):
+        for cells in (8, 12):
+            p = l_problem(cells)
+            mat = boundary_matrix_oracle(p.complex, 2)
+            z = p.generators[0]
+            want = gf2_solve_oracle(mat, z)
+            assert want is not None
+            assert gf2_solve(mat, z).tobytes() == want.tobytes()
+            assert initial_chain(p).bits.tobytes() == want.astype(bool).tobytes()
+            if cells == 8:
+                assert_same_nullspace(mat)
+
+    def test_chain_support_submatrices(self, rng):
+        p = square_problem(2)
+        mat = boundary_matrix_oracle(p.complex, 2)
+        z = p.generators[0]
+        start = initial_chain(p).bits
+        for density in (0.05, 0.2, 0.5, 0.9):
+            for _ in range(10):
+                cols = np.nonzero((rng.random(mat.shape[1]) < density) | start)[0]
+                sub = mat[:, cols]
+                assert_same_solution(sub, z)
+                assert_same_solution(sub, rng.integers(0, 2, mat.shape[0]))
+                assert_same_nullspace(sub)
+
+    def test_kernel_basis_is_reduction_kernel(self):
+        p = square_problem(1)
+        red = p.complex.reduction(2)
+        dense = gf2_nullspace_oracle(boundary_matrix_oracle(p.complex, 2))
+        assert len(red.kernel) == dense.shape[1]
+        for j, v in enumerate(red.kernel):
+            assert all((v >> i & 1) == dense[i, j] for i in range(dense.shape[0]))
+
+
+class TestFacetIndex:
+    def test_dense_view_and_sorted_rows(self):
+        cx = GridComplex(3, (3, 2, 2), 1, origin=(1, 0, -1))
+        for k in range(1, 4):
+            facets = cx.facets(k)
+            assert facets.shape == (cx.count(k), 2 * k)
+            assert np.all(np.diff(facets, axis=1) > 0)
+            assert np.array_equal(cx.boundary_matrix(k), boundary_matrix_oracle(cx, k))
+        with pytest.raises(ValueError):
+            cx.facets(0)
+
+    def test_chain_boundary_matches_dense_matmul(self, rng):
+        cx = GridComplex(3, (4, 4, 4), 2)
+        for m in (1, 2, 3):
+            mat = boundary_matrix_oracle(cx, m)
+            for density in (0.0, 0.1, 0.5, 1.0):
+                bits = rng.random(cx.count(m)) < density
+                got = Chain2(cx, m, bits).boundary()
+                want = (mat @ bits.astype(np.uint8)) % 2
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestSpansOracle:
+    def random_chains(self, p, rng, count):
+        """Random subsets plus the start chain moved by random (m+1)-cell boundaries."""
+        start = initial_chain(p).bits
+        moves = p.complex.facets(p.m + 1)
+        for i in range(count):
+            bits = rng.random(len(start)) < (0.1, 0.3, 0.6)[i % 3]
+            yield bits
+            moved = start.copy()
+            for j in rng.integers(0, len(moves), 1 + i % 5):
+                moved[moves[j]] ^= True
+            yield moved
+            yield moved | bits
+
+    def test_one_generator(self, rng):
+        for level in (1, 2):
+            p = square_problem(level)
+            seen = set()
+            for bits in self.random_chains(p, rng, 40):
+                chain = Chain2(p.complex, 2, bits)
+                want = spans_oracle(chain, p)
+                assert spans(chain, p) == want
+                seen.add(want)
+            assert seen == {True, False}
+
+    def test_two_generators(self, rng):
+        p = stacked_squares_problem()
+        seen = set()
+        for bits in self.random_chains(p, rng, 60):
+            chain = Chain2(p.complex, 2, bits)
+            want = spans_oracle(chain, p)
+            assert spans(chain, p) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_tube_and_certificate(self):
+        p = stacked_squares_problem()
+        cx = p.complex
+        fills = np.zeros(cx.count(2), dtype=bool)
+        for z in (0, 2):
+            for i in range(2):
+                for j in range(2):
+                    fills[cx.index[DyadicCube(1, (i, j, z), (0, 1), 3)][1]] = True
+        tube = fills.copy()
+        for row in cx.facets(3):
+            tube[row] ^= True
+        for bits, want in ((fills, True), (tube, False)):
+            counts = Counter()
+            chain = Chain2(cx, 2, bits)
+            assert spans(chain, p, counts) == spans_oracle(chain, p) == want
+            assert counts == Counter(eliminated=1)
+        # one generator equal to the chain's boundary is certified
+        single = square_problem(1)
+        counts = Counter()
+        assert spans(initial_chain(single), single, counts)
+        assert counts == Counter(certified=1)
+
+
+class TestNoDenseBoundary:
+    def test_solver_paths_never_densify(self, monkeypatch):
+        def refuse(self, k):
+            raise AssertionError("dense boundary matrix built")
+
+        monkeypatch.setattr(GridComplex, "boundary_matrix", refuse)
+        for level in (1, 2):
+            p = square_problem(level)
+            res = minimize(p, seed=0, restarts=2, steps=800)
+            _, value = exhaustive_oracle(p)
+            assert res.value == value == 1.0
+            audit_minimizer(res.chain, p.integrand, subdivision=4)
+        minimize(stacked_squares_problem(), seed=0, restarts=1, steps=200)
+
+
+class TestRestartCounts:
+    def test_counts_add_up_and_are_logged(self, caplog):
+        p = stacked_squares_problem()
+        with caplog.at_level(logging.INFO, logger="gmtkit.solver"):
+            res = minimize(p, seed=3, restarts=2, steps=400)
+        assert [c["restart"] for c in res.restart_counts] == [0, 1]
+        accepts = 0
+        for c in res.restart_counts:
+            assert c["proposals"] >= 400
+            assert c["certified"] + c["eliminated"] == c["accepts"] + c["span_rejects"]
+            assert c["eliminated"] > 0
+            accepts += c["accepts"]
+        assert accepts == len(res.trace)
+        logged = [r.getMessage() for r in caplog.records if "restart" in r.getMessage()]
+        assert len(logged) == 2 and "by elimination" in logged[0]
+
+    def test_single_generator_checks_are_certified(self):
+        res = minimize(square_problem(1), seed=0, restarts=1, steps=500)
+        (c,) = res.restart_counts
+        assert c["eliminated"] == 0 and c["span_rejects"] == 0
+        assert c["certified"] == c["accepts"] > 0
