@@ -78,13 +78,16 @@ def _load_config(path, defaults, allowed):
     return cfg
 
 
-def _config_number(cfg, key, kind):
-    """cfg[key] converted by ``kind`` (int or float); InputError if it does not convert."""
+def _config_number(cfg, key, kind, least=None):
+    """cfg[key] converted by ``kind`` (int or float) and at least ``least``, else InputError."""
     try:
-        return kind(cfg[key])
+        value = kind(cfg[key])
     except (TypeError, ValueError) as exc:
         what = "an integer" if kind is int else "a number"
         raise InputError(f"{key} must be {what}: {exc}") from exc
+    if least is not None and value < least:
+        raise InputError(f"{key} must be at least {least}, got {value}")
+    return value
 
 
 def _write_json(path, payload):
@@ -164,10 +167,13 @@ def cmd_rotate(args):
 def cmd_retract(args):
     out = _out_dir(args)
     cfg = _load_config(args.config, {"n": 2, "eps": 0.1, "probes": 2000}, ("n", "eps", "probes"))
-    n, eps = _config_number(cfg, "n", int), _config_number(cfg, "eps", float)
+    n, eps = _config_number(cfg, "n", int, 1), _config_number(cfg, "eps", float)
     rng = np.random.default_rng(args.seed)
-    l = retraction_with_collar(n, eps)
-    probes = rng.uniform(-1.0 - 2 * eps, 1.0 + 2 * eps, (_config_number(cfg, "probes", int), n))
+    try:
+        l = retraction_with_collar(n, eps)
+    except ValueError as exc:  # eps outside (0, 1)
+        raise InputError(str(exc)) from exc
+    probes = rng.uniform(-1.0 - 2 * eps, 1.0 + 2 * eps, (_config_number(cfg, "probes", int, 1), n))
     img = l.value(probes)
     disp = np.linalg.norm(img - probes, axis=1)
     jac = np.linalg.svd(l.jacobian(probes), compute_uv=False)[:, 0]
@@ -200,7 +206,7 @@ def cmd_retract(args):
 
 def _body_from_config(cfg):
     kind = cfg["body"]
-    n = _config_number(cfg, "n", int)
+    n = _config_number(cfg, "n", int, 1)
     if kind == "ball":
         return BallBody(n, _config_number(cfg, "radius", float)), n
     if kind == "ellipsoid":
@@ -224,7 +230,7 @@ def cmd_project(args):
     p, t = central_projection(body)
     q = collared_projection(body, _config_number(cfg, "eps", float))
     probes = rng.uniform(-1.5 * body.circumradius, 1.5 * body.circumradius,
-                         (_config_number(cfg, "probes", int), n))
+                         (_config_number(cfg, "probes", int, 1), n))
     probes = probes[np.linalg.norm(probes, axis=1) > 1e-3]
     pv, qv = p.value(probes), q.value(probes)
     fd = np.abs(p.jacobian(probes) - p.jacobian_fd(probes)).max()
@@ -260,7 +266,10 @@ def cmd_project(args):
 def _open_set_from_config(cfg):
     kind = cfg.get("open_set", "boxes")
     if kind == "boxes":
-        return BoxUnion([(b[0], b[1]) for b in cfg["boxes"]])
+        try:
+            return BoxUnion([(b[0], b[1]) for b in cfg["boxes"]])
+        except (IndexError, TypeError, ValueError) as exc:
+            raise InputError(f"boxes must be a list of [lo, hi] corner pairs: {exc}") from exc
     if kind == "ball":
         return BallSet(cfg.get("center", [0.0, 0.0]), float(cfg.get("radius", 1.0)))
     if kind == "punctured":
@@ -330,9 +339,7 @@ def cmd_deform(args):
     m = _config_number(cfg, "m", int)
     eps = _config_number(cfg, "eps", float)
     coverage = _config_number(cfg, "coverage_threshold", float)
-    budget = _config_number(cfg, "budget", int)
-    if budget < 1:
-        raise InputError(f"budget must be at least 1, got {budget}")
+    budget = _config_number(cfg, "budget", int, 1)
     cx = cubical_complex(fam)
     if args.replay:
         try:
@@ -497,9 +504,7 @@ def cmd_minimize(args):
     out = _out_dir(args)
     problem = _problem_from_json(args.problem)
     opts = {"restarts": 3, "steps": 4000, "oracle_budget_dim": 18, **problem.options}
-    restarts, steps = _config_number(opts, "restarts", int), _config_number(opts, "steps", int)
-    if restarts < 1:
-        raise InputError(f"restarts must be at least 1, got {restarts}")
+    restarts, steps = _config_number(opts, "restarts", int, 1), _config_number(opts, "steps", int)
     try:
         res = solver_minimize(problem, seed=args.seed, restarts=restarts, steps=steps)
     except InfeasibleError as exc:
@@ -561,7 +566,7 @@ def cmd_audit(args):
         raise InputError(f"invalid grid or chain {args.chain}: {exc}") from exc
     chain = Chain2(cx, m, bits)
     integrand = integrand_from_config(cfg["integrand"], n=cx.n)
-    report = audit_minimizer(chain, integrand, subdivision=_config_number(cfg, "subdivision", int))
+    report = audit_minimizer(chain, integrand, subdivision=_config_number(cfg, "subdivision", int, 1))
     _write_audit(out, report, cx.n)
     return EXIT_OK
 
@@ -576,7 +581,12 @@ def cmd_probe_ellipticity(args):
     )
     n = _config_number(cfg, "n", int)
     integrand = integrand_from_config(cfg["integrand"], n=n)
-    plane = Plane.axis(n, cfg["plane_axes"])
+    try:
+        plane = Plane.axis(n, cfg["plane_axes"])
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"plane_axes {cfg['plane_axes']!r} are not axes of R^{n}: {exc}") from exc
+    if plane.dim >= n:
+        raise InputError(f"plane_axes must leave a normal direction in R^{n}")
     report = ellipticity_probe(integrand, np.array(cfg["x"], dtype=float), plane,
                                sup_grid=_config_number(cfg, "sup_grid", int), seed=args.seed)
     _write_json(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cubical import DyadicCube
 from .grassmann import Plane
-from .varifold import DiscreteVarifold, density_ratio, sample_spacing, unit_ball_volume
+from .varifold import DiscreteVarifold, _ball_ratios, _spacing_probes, sample_spacing, unit_ball_volume
 
 logger = logging.getLogger("gmtkit.solver")
 
@@ -130,20 +130,15 @@ class GridComplex:
         self.origin = tuple(0 for _ in range(n)) if origin is None else tuple(origin)
         if len(self.shape) != n or len(self.origin) != n:
             raise ValueError("shape/origin must have length n")
-        self.cells = {}
-        self.index = {}
+        self.cells, self.index, self._cell_keys = {}, {}, {}
         for k in range(n + 1):
-            lst = []
-            for axes in itertools.combinations(range(n), k):
-                ranges = [
-                    range(self.origin[j], self.origin[j] + self.shape[j] + (0 if j in axes else 1))
-                    for j in range(n)
-                ]
-                for corner in itertools.product(*ranges):
-                    lst.append(DyadicCube(self.level, corner, axes, n))
-            lst.sort()
-            self.cells[k] = lst
-            self.index.update({cube: (k, i) for i, cube in enumerate(lst)})
+            groups = list(self._groups(k))
+            keys = np.concatenate([self._keys(corners, axes) for axes, corners in groups])
+            cubes = [DyadicCube(self.level, tuple(c), a, n) for a, cs in groups for c in cs.tolist()]
+            order = np.argsort(keys)
+            self.cells[k] = [cubes[i] for i in order]
+            self._cell_keys[k] = keys[order]
+            self.index.update({cube: (k, i) for i, cube in enumerate(self.cells[k])})
         self._facets = {}
         self._reductions = {}
 
@@ -154,13 +149,33 @@ class GridComplex:
     def count(self, k):
         return len(self.cells[k])
 
+    def _groups(self, k):
+        """(axes, corners) for each axis set of the k-cells, one corner per row."""
+        for axes in itertools.combinations(range(self.n), k):
+            extent = [s + (j not in axes) for j, s in enumerate(self.shape)]
+            yield axes, np.indices(extent).reshape(self.n, -1).T + self.origin
+
+    def _keys(self, corners, axes):
+        """Integer keys, ascending in the cells' (corner, axes) sort order: the
+        mixed-radix code of the corner, times C(n, k), plus the rank of the axes."""
+        rank = list(itertools.combinations(range(self.n), len(axes))).index(axes)
+        code = np.ravel_multi_index((corners - self.origin).T, np.add(self.shape, 1))
+        return code * math.comb(self.n, len(axes)) + rank
+
     def facets(self, k):
-        """The (count(k), 2k) facet indices of each k-cell, rows ascending (cached)."""
+        """The (count(k), 2k) facet indices of each k-cell, rows ascending (cached):
+        for each a in its axes A, the cells with axes A - {a} at its corner c and at c + e_a."""
         if k not in self._facets:
             if not 1 <= k <= self.n:
                 raise ValueError("boundary defined for 1 <= k <= n")
-            rows = [sorted(self.index[f][1] for f in cube.facets()) for cube in self.cells[k]]
-            self._facets[k] = np.array(rows, dtype=np.intp).reshape(self.count(k), 2 * k)
+            rows = np.empty((self.count(k), 2 * k), dtype=np.intp)
+            for axes, corners in self._groups(k):
+                faces = [self._keys(corners + s * np.eye(self.n, dtype=int)[a], axes[:i] + axes[i + 1:])
+                         for i, a in enumerate(axes) for s in (0, 1)]
+                own = np.searchsorted(self._cell_keys[k], self._keys(corners, axes))
+                rows[own] = np.searchsorted(self._cell_keys[k - 1], np.column_stack(faces))
+            rows.sort(axis=1)
+            self._facets[k] = rows
         return self._facets[k]
 
     def reduction(self, k):
@@ -319,6 +334,8 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000, t0=None,
     """
     if problem.m + 1 > problem.complex.n:
         raise ValueError("no (m+1)-cells to move across")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     weights = problem.cell_weights()
     if not problem.generators:
         empty = Chain2(problem.complex, problem.m)
@@ -567,16 +584,6 @@ def chain_to_varifold(chain: Chain2, subdivision=4):
     return DiscreteVarifold.concat(parts)
 
 
-def _local_plane_fit(points, center, radius, m):
-    sel = np.linalg.norm(points - center, axis=1) <= radius
-    pts = points[sel]
-    if len(pts) < m + 1:
-        return None
-    centred = pts - pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(centred, full_matrices=False)
-    return Plane(vt[:m].T)
-
-
 def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
                     ratio_bounds=(0.9, 1.1), fit_radius=None, audit_points=None):
     """Density-ratio and tilt audit of a solution chain.
@@ -609,7 +616,8 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     tilt_weight = 0.0
     for x in audit_points:
         x = np.asarray(x, dtype=float)
-        ratios = density_ratio(v, x, radii, spacing=spacing)
+        d = np.linalg.norm(v.points - x, axis=1)
+        ratios = _ball_ratios(v.weights, d, radii, v.dim, spacing)
         near_boundary = bool(len(bpts) and np.min(np.linalg.norm(bpts - x, axis=1)) <= max(radii))
         flags = []
         for rec in ratios:
@@ -621,12 +629,13 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
                 flags.append("ok")
             else:
                 flags.append("violation")
-        fit = _local_plane_fit(v.points, x, fit_radius, m)
+        sel = d <= fit_radius
         tilt = None
-        if fit is not None:
-            sel = np.linalg.norm(v.points - x, axis=1) <= fit_radius
+        if sel.sum() >= m + 1:  # enough samples for a local plane fit
+            pts = v.points[sel]
+            _, _, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
             frames = v.frames[sel]
-            pf = fit.projector()
+            pf = Plane(vt[:m].T).projector()
             pt = np.einsum("nij,nkj->nik", frames, frames)
             eig = np.linalg.eigvalsh(pt - pf)
             d2 = np.maximum(eig[:, -1], -eig[:, 0]) ** 2
@@ -658,4 +667,6 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
         "entries": entries,
         "subdivision": subdivision,
     }
+    logger.info("audit: sample spacing %.6g from %d probes, %d audit points, %d violations",
+                spacing, len(_spacing_probes(len(v))), len(entries), report["violations"])
     return report

@@ -562,11 +562,15 @@ class DensityRatio:
     reliable: bool
 
 
+SPACING_PAIRS = 1 << 16  # candidate pairs one chunk of sample_spacing measures
+
+
 def sample_spacing(points, cap=2048):
     """Median nearest-neighbour distance (resolution scale of the sampling).
 
     Grid-hashed so large clouds stay linear: each probe point is compared
-    only against the points in its own and adjacent hash cells.
+    only against the points in its own and adjacent hash cells, read as ranges
+    of the points sorted by cell code and measured SPACING_PAIRS pairs at a time.
     """
     pts = np.atleast_2d(points)
     n_pts, dim = pts.shape
@@ -582,23 +586,45 @@ def sample_spacing(points, cap=2048):
         return float(np.median(mins[np.isfinite(mins)]))
     span = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     cell = max(span / max(n_pts, 2) ** (1.0 / dim) * 2.0, 1e-12)
-    buckets = {}
     keys = np.floor(pts / cell).astype(np.int64)
-    for i, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(i)
-    probe_idx = np.arange(0, n_pts, max(1, n_pts // cap))
-    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
+    keys -= keys.min(axis=0) - 1  # every neighbour cell gets a code >= 0
+    radix = keys.max(axis=0) + 2
+    order = np.argsort(np.ravel_multi_index(keys.T, radix), kind="stable")
+    codes = np.ravel_multi_index(keys[order].T, radix)
+    probes = _spacing_probes(n_pts, cap)
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+    near = np.ravel_multi_index(np.moveaxis(keys[probes][:, None, :] + offsets, 2, 0), radix)
+    first = np.searchsorted(codes, near, "left")
+    count = np.searchsorted(codes, near, "right") - first
+    per_probe = count.sum(axis=1)
+    ends = np.cumsum(per_probe)
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], SPACING_PAIRS), "right"))
     mins = []
-    for i in probe_idx:
-        key = tuple(keys[i])
-        cand = []
-        for off in offsets:
-            cand.extend(buckets.get(tuple(np.add(key, off)), []))
-        d = np.linalg.norm(pts[cand] - pts[i], axis=1)
-        d = d[d > 0.0]
-        if len(d):
-            mins.append(d.min())
-    return float(np.median(mins)) if mins else math.inf
+    for lo, hi in zip(cuts, np.append(cuts[1:], len(probes))):
+        c = count[lo:hi].ravel()  # the chunk's (probe, offset) ranges, concatenated below
+        cand = order[np.arange(c.sum()) + np.repeat(first[lo:hi].ravel() - np.cumsum(c) + c, c)]
+        d = np.linalg.norm(pts[cand] - pts[np.repeat(probes[lo:hi], per_probe[lo:hi])], axis=1)
+        seg = ends[lo:hi] - ends[lo] + per_probe[lo] - per_probe[lo:hi]
+        pos = d > 0.0  # a probe with no positive distance has no neighbour
+        best = np.minimum.reduceat(np.where(pos, d, np.inf), seg)
+        mins.append(best[np.logical_or.reduceat(pos, seg)])
+    mins = np.concatenate(mins)
+    return float(np.median(mins)) if len(mins) else math.inf
+
+
+def _spacing_probes(n_pts, cap=2048):
+    """The points whose nearest-neighbour distances ``sample_spacing`` takes."""
+    return np.arange(0, n_pts, max(1, n_pts // cap))
+
+
+def _ball_ratios(weights, d, radii, m, spacing):
+    """DensityRatio per radius from the samples' distances d to the centre."""
+    out = []
+    for r in radii:
+        if r <= 0:
+            raise ValueError("radii must be positive")
+        out.append(DensityRatio(float(r), float(weights[d <= r].sum()) / r**m, bool(r >= 5.0 * spacing)))
+    return out
 
 
 def density_ratio(v: DiscreteVarifold, x, radii, spacing=None):
@@ -610,14 +636,7 @@ def density_ratio(v: DiscreteVarifold, x, radii, spacing=None):
     x = np.asarray(x, dtype=float)
     if spacing is None:
         spacing = sample_spacing(v.points)
-    d = np.linalg.norm(v.points - x, axis=1)
-    out = []
-    for r in radii:
-        if r <= 0:
-            raise ValueError("radii must be positive")
-        mass = float(v.weights[d <= r].sum())
-        out.append(DensityRatio(float(r), mass / r**v.dim, bool(r >= 5.0 * spacing)))
-    return out
+    return _ball_ratios(v.weights, np.linalg.norm(v.points - x, axis=1), radii, v.dim, spacing)
 
 
 def covering_measure(points, m, resolution):

@@ -9,10 +9,15 @@ evaluates one punctured projection per candidate centre.  The GF(2)
 oracles are the dense solver as it was before the sparse column
 reduction: ``boundary_matrix_oracle`` fills a uint8 matrix cube by cube,
 ``gf2_rref_oracle`` row-reduces it, and ``spans_oracle`` eliminates on the
-dense columns of the chain's support.  The tests assert that the library
-returns the same bytes.
+dense columns of the chain's support.  ``facets_oracle`` builds the facet
+rows from ``DyadicCube.facets()`` objects, ``sample_spacing_oracle`` hashes
+points into a dict of buckets and loops over the probes, and
+``audit_minimizer_oracle`` measures the distance from each audit point once
+for the ratios, once for the plane fit and once for the tilt.  The tests
+assert that the library returns the same bytes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +30,9 @@ from gmtkit.deform import (
     _restrict_near_cube,
     center_bound_constant,
 )
+from gmtkit.grassmann import Plane
+from gmtkit.solver import chain_to_varifold
+from gmtkit.varifold import unit_ball_volume
 
 
 class SmoothPiecewiseLinearOracle:
@@ -359,3 +367,132 @@ def spans_oracle(chain, problem):
         if gf2_solve_oracle(sub, np.asarray(z, dtype=np.uint8)) is None:
             return False
     return True
+
+
+def facets_oracle(cx, k):
+    """The facet rows of a GridComplex from ``DyadicCube.facets()`` objects."""
+    rows = [sorted(cx.index[f][1] for f in cube.facets()) for cube in cx.cells[k]]
+    return np.array(rows, dtype=np.intp).reshape(cx.count(k), 2 * k)
+
+
+def sample_spacing_oracle(points, cap=2048):
+    """Median nearest-neighbour distance, with a dict of hash buckets and a
+    loop over the probes above ``cap`` points."""
+    pts = np.atleast_2d(points)
+    n_pts, dim = pts.shape
+    if n_pts < 2:
+        return math.inf
+    if n_pts <= cap:
+        mins = np.full(n_pts, np.inf)
+        for start in range(0, n_pts, 1024):
+            block = pts[start : start + 1024]
+            d = np.linalg.norm(pts[:, None, :] - block[None, :, :], axis=2)
+            d[d == 0.0] = np.inf
+            mins = np.minimum(mins, d.min(axis=1))
+        return float(np.median(mins[np.isfinite(mins)]))
+    span = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    cell = max(span / max(n_pts, 2) ** (1.0 / dim) * 2.0, 1e-12)
+    buckets = {}
+    keys = np.floor(pts / cell).astype(np.int64)
+    for i, key in enumerate(map(tuple, keys)):
+        buckets.setdefault(key, []).append(i)
+    probe_idx = np.arange(0, n_pts, max(1, n_pts // cap))
+    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
+    mins = []
+    for i in probe_idx:
+        key = tuple(keys[i])
+        cand = []
+        for off in offsets:
+            cand.extend(buckets.get(tuple(np.add(key, off)), []))
+        d = np.linalg.norm(pts[cand] - pts[i], axis=1)
+        d = d[d > 0.0]
+        if len(d):
+            mins.append(d.min())
+    return float(np.median(mins)) if mins else math.inf
+
+
+def density_ratio_oracle(v, x, radii, spacing):
+    """(radius, mass / r^m, reliable) per radius, from its own distances."""
+    d = np.linalg.norm(v.points - x, axis=1)
+    return [(float(r), float(v.weights[d <= r].sum()) / r**v.dim, bool(r >= 5.0 * spacing))
+            for r in radii]
+
+
+def audit_minimizer_oracle(chain, radii=None, subdivision=8, ratio_bounds=(0.9, 1.1),
+                           fit_radius=None, audit_points=None):
+    """The density-ratio and tilt audit, computing the distance from each
+    audit point three times: for the ratios, the plane fit and the tilt."""
+    m = chain.m
+    v = chain_to_varifold(chain, subdivision=subdivision)
+    side = chain.complex.side
+    if radii is None:
+        radii = [side * f for f in (1.2, 1.6, 2.0)]
+    if fit_radius is None:
+        fit_radius = side * 1.5
+    omega = unit_ball_volume(m)
+    lo, hi = ratio_bounds[0] * omega, ratio_bounds[1] * omega
+    bvec = chain.boundary()
+    boundary_cells = [chain.complex.cells[m - 1][i] for i in np.nonzero(bvec)[0]]
+    bpts = np.array([c.center() for c in boundary_cells]) if boundary_cells else np.zeros((0, chain.complex.n))
+    if audit_points is None:
+        audit_points = [c.center() for c in chain.cells()]
+    spacing = sample_spacing_oracle(v.points)
+    entries = []
+    tilt_total = 0.0
+    tilt_weight = 0.0
+    for x in audit_points:
+        x = np.asarray(x, dtype=float)
+        ratios = density_ratio_oracle(v, x, radii, spacing)
+        near_boundary = bool(len(bpts) and np.min(np.linalg.norm(bpts - x, axis=1)) <= max(radii))
+        flags = []
+        for _, ratio, reliable in ratios:
+            if not reliable:
+                flags.append("unreliable")
+            elif near_boundary:
+                flags.append("boundary")
+            elif lo <= ratio <= hi:
+                flags.append("ok")
+            else:
+                flags.append("violation")
+        fit = None
+        sel = np.linalg.norm(v.points - x, axis=1) <= fit_radius
+        if sel.sum() >= m + 1:
+            pts = v.points[sel]
+            _, _, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
+            fit = Plane(vt[:m].T)
+        tilt = None
+        if fit is not None:
+            sel = np.linalg.norm(v.points - x, axis=1) <= fit_radius
+            frames = v.frames[sel]
+            pf = fit.projector()
+            pt = np.einsum("nij,nkj->nik", frames, frames)
+            eig = np.linalg.eigvalsh(pt - pf)
+            d2 = np.maximum(eig[:, -1], -eig[:, 0]) ** 2
+            ws = v.weights[sel]
+            tilt = float(np.sum(ws * d2))
+            tilt_total += tilt
+            tilt_weight += float(ws.sum())
+        entries.append(
+            {
+                "point": x.tolist(),
+                "ratios": [(r, ratio, flag) for (r, ratio, _), flag in zip(ratios, flags)],
+                "boundary": near_boundary,
+                "tilt": tilt,
+            }
+        )
+    all_ratios = [
+        rec[1] for e in entries for rec in e["ratios"] if rec[2] in ("ok", "violation")
+    ]
+    return {
+        "m": m,
+        "omega_m": omega,
+        "radii": list(map(float, radii)),
+        "ratio_bounds": [lo, hi],
+        "min_ratio": min(all_ratios) if all_ratios else None,
+        "max_ratio": max(all_ratios) if all_ratios else None,
+        "violations": sum(1 for e in entries for rec in e["ratios"] if rec[2] == "violation"),
+        "boundary_points": sum(1 for e in entries if e["boundary"]),
+        "tilt_excess": tilt_total / tilt_weight if tilt_weight else None,
+        "entries": entries,
+        "subdivision": subdivision,
+    }

@@ -359,6 +359,15 @@ BAD_INPUTS = {
     "minimize_m_equals_n": ({}, ["minimize", "planar.json"]),
     "minimize_restarts_not_an_integer": ({}, ["minimize", "restarts.json"]),
     "minimize_no_restarts": ({}, ["minimize", "no_restarts.json"]),
+    "retract_n_zero": ({"GMTKIT_N": "0"}, ["retract"]),
+    "retract_probes_negative": ({"GMTKIT_PROBES": "-1"}, ["retract"]),
+    "retract_eps_negative": ({"GMTKIT_EPS": "-1"}, ["retract"]),
+    "project_n_zero": ({"GMTKIT_N": "0"}, ["project"]),
+    "audit_subdivision_zero": ({"GMTKIT_SUBDIVISION": "0"}, ["audit", "chain.json"]),
+    "probe_n_one": ({"GMTKIT_N": "1"}, ["probe-ellipticity"]),
+    "whitney_box_without_hi": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BOXES": "[[0]]"}, ["whitney"]),
+    "whitney_box_not_a_pair": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BOXES": "[5]"}, ["whitney"]),
+    "whitney_box_not_numbers": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BOXES": '[["a", "b"]]'}, ["whitney"]),
 }
 
 

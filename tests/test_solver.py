@@ -1,3 +1,4 @@
+import itertools
 import logging
 from collections import Counter
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import square_cycle
-from oracles import boundary_matrix_oracle, gf2_nullspace_oracle, gf2_solve_oracle, spans_oracle
+from oracles import (
+    audit_minimizer_oracle,
+    boundary_matrix_oracle,
+    facets_oracle,
+    gf2_nullspace_oracle,
+    gf2_solve_oracle,
+    spans_oracle,
+)
 from gmtkit.cubical import DyadicCube
 from gmtkit.grassmann import Plane
 from gmtkit.solver import (
@@ -496,3 +504,112 @@ class TestRestartCounts:
         (c,) = res.restart_counts
         assert c["eliminated"] == 0 and c["span_rejects"] == 0
         assert c["certified"] == c["accepts"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the integer facet index and the one-distance audit against their oracles
+
+GRIDS = [
+    (2, (3, 2), (1, -2)),
+    (2, (1, 1), (0, 0)),
+    (3, (3, 2, 2), (1, 0, -1)),
+    (3, (4, 4, 4), (0, 0, 0)),
+    (4, (2, 3, 1, 2), (0, -1, 2, 5)),
+]
+
+
+class TestIntegerFacetIndex:
+    @pytest.mark.parametrize("n, shape, origin", GRIDS)
+    def test_cells_sorted_as_cubes(self, n, shape, origin):
+        cx = GridComplex(n, shape, 1, origin)
+        for k in range(n + 1):
+            enumerated = [
+                DyadicCube(1, corner, axes, n)
+                for axes in itertools.combinations(range(n), k)
+                for corner in itertools.product(*[
+                    range(o, o + s + (j not in axes)) for j, (o, s) in enumerate(zip(origin, shape))
+                ])
+            ]
+            assert cx.cells[k] == sorted(enumerated)
+            assert all(cx.index[c] == (k, i) for i, c in enumerate(cx.cells[k]))
+
+    @pytest.mark.parametrize("n, shape, origin", GRIDS)
+    def test_facets_equal_cube_oracle(self, n, shape, origin):
+        cx = GridComplex(n, shape, 2, origin)
+        for k in range(1, n + 1):
+            got, want = cx.facets(k), facets_oracle(cx, k)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_cube_faces_built(self, monkeypatch):
+        def refuse(self, dims=None):
+            raise AssertionError("DyadicCube faces built")
+
+        cx = GridComplex(3, (3, 2, 4), 1, origin=(2, -1, 0))
+        p = l_problem(8)
+        monkeypatch.setattr(DyadicCube, "faces", refuse)
+        for k in (1, 2, 3):
+            assert cx.facets(k).shape == (cx.count(k), 2 * k)
+        # the generator cycle check builds facets(1) of a fresh complex
+        fresh = GridComplex(3, p.complex.shape, p.complex.level)
+        SpanningProblem(fresh, 2, p.boundary_cells, p.generators, p.integrand)
+        assert 1 in fresh._facets
+
+
+def audit_cases():
+    for level in (1, 2):
+        p = square_problem(level)
+        yield p, minimize(p, seed=1, restarts=1, steps=300).chain
+    for cells in (8, 12):
+        p = l_problem(cells)
+        yield p, minimize(p, seed=0, restarts=1, steps=400).chain
+
+
+class TestAuditOracle:
+    def test_reports_equal_the_three_distance_loop(self):
+        for p, chain in audit_cases():
+            got = audit_minimizer(chain, p.integrand)
+            assert repr(got) == repr(audit_minimizer_oracle(chain))
+            assert got["entries"] and got["tilt_excess"] is not None
+
+    def test_custom_radii_points_and_fit(self):
+        p = l_problem(8)
+        chain = initial_chain(p)
+        points = [np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.25]), np.array([3.0, 3.0, 3.0])]
+        kwargs = dict(radii=[0.05, 0.3, 0.7], subdivision=6, fit_radius=0.2,
+                      ratio_bounds=(0.95, 1.05), audit_points=points)
+        got = audit_minimizer(chain, p.integrand, **kwargs)
+        assert repr(got) == repr(audit_minimizer_oracle(chain, **kwargs))
+        assert got["entries"][2]["tilt"] is None  # no samples near the far point
+
+    def test_samples_exactly_on_the_radii(self):
+        # the L sheet itself, sampled on an exact binary subgrid (side 1/8,
+        # spacing 1/32), audited at a floor sample next to the wall: samples
+        # lie exactly at the radius and the fit radius, and the fit is tilted
+        cx = GridComplex(3, (8, 8, 8), 3)
+        bits = np.zeros(cx.count(2), dtype=bool)
+        for i in range(4):
+            for j in range(6):
+                bits[cx.index[DyadicCube(3, (i, j, 0), (0, 1), 3)][1]] = True
+                bits[cx.index[DyadicCube(3, (0, j, i), (1, 2), 3)][1]] = True
+        chain = Chain2(cx, 2, bits)
+        kwargs = dict(radii=[0.0625, 0.25], subdivision=4, fit_radius=0.0625,
+                      audit_points=[np.array([0.015625, 0.078125, 0.0])])
+        got = audit_minimizer(chain, AreaIntegrand(), **kwargs)
+        assert repr(got) == repr(audit_minimizer_oracle(chain, **kwargs))
+        assert got["entries"][0]["tilt"] > 0.0
+
+    def test_logs_one_line(self, caplog):
+        p = square_problem(2)
+        chain = initial_chain(p)
+        with caplog.at_level(logging.INFO, logger="gmtkit.solver"):
+            report = audit_minimizer(chain, p.integrand)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("audit")]
+        assert f"{len(report['entries'])} audit points" in line
+        assert f"{report['violations']} violations" in line and "probes" in line
+        assert "spacing" not in report
+
+
+def test_minimize_needs_a_restart():
+    with pytest.raises(ValueError, match="restarts"):
+        minimize(square_problem(1), restarts=0)

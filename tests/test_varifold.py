@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import norm_map
+from oracles import sample_spacing_oracle
+from gmtkit import varifold
 from gmtkit.cubemaps import Ball, SmoothMap
 from gmtkit.grassmann import Plane, haar_sample
 from gmtkit.sampling import ring_sampled_disc, sample_disc, sample_segment
@@ -23,6 +25,7 @@ from gmtkit.varifold import (
     psi_F,
     pullback_integrand,
     pushforward,
+    sample_spacing,
     slice_varifold,
     unit_ball_volume,
 )
@@ -420,3 +423,43 @@ class TestCsvRoundtrip:
         assert np.allclose(w.weights, v.weights)
         assert np.array_equal(w.isotropic, v.isotropic)
         assert np.allclose(w.frames[~w.isotropic], v.frames[~v.isotropic])
+
+
+class TestSampleSpacingOracle:
+    """The hashed path (above the 2048-point cap) against the dict-bucket loop."""
+
+    def assert_same(self, pts):
+        got, want = sample_spacing(pts), sample_spacing_oracle(pts)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+        return got
+
+    def test_random_clouds(self, rng):
+        for dim, count in ((2, 2049), (2, 5000), (3, 3000), (3, 7000), (4, 2500), (4, 4100)):
+            pts = rng.random((count, dim)) * rng.uniform(0.1, 10.0) - rng.uniform(-3.0, 3.0)
+            assert math.isfinite(self.assert_same(pts))
+
+    def test_duplicates_sheets_and_lattices(self, rng):
+        base = rng.random((1200, 3))
+        self.assert_same(np.vstack([base, base, base[:100]]))  # every point duplicated
+        sheet = rng.random((4000, 3))
+        sheet[:, 2] = 0.25
+        self.assert_same(sheet)  # a flat sheet in 3-D
+        tilted = rng.random((3000, 2)) @ np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.25]])
+        self.assert_same(tilted)
+        self.assert_same(np.round(rng.random((3000, 3)) * 6) / 6)  # many equal distances
+
+    def test_isolated_points(self, rng):
+        cluster = rng.random((3000, 3)) * 1e-3
+        far = np.array([[5.0, 5.0, 5.0], [-5.0, 2.0, 0.0]])
+        self.assert_same(np.vstack([cluster, far]))
+        # only duplicates and isolated points: no probe has a positive distance
+        lonely = np.vstack([np.zeros((2100, 3)), far])
+        assert self.assert_same(lonely) == math.inf
+        assert self.assert_same(np.zeros((2100, 2))) == math.inf
+
+    def test_small_chunks(self, rng, monkeypatch):
+        pts = rng.random((2600, 3))
+        pts[::7] = pts[1::7][: len(pts[::7])]
+        for pairs in (1, 7, 500):
+            monkeypatch.setattr(varifold, "SPACING_PAIRS", pairs)
+            self.assert_same(pts)
