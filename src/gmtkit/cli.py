@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -79,14 +80,25 @@ def _load_config(path, defaults, allowed):
 
 
 def _config_number(cfg, key, kind, least=None):
-    """cfg[key] converted by ``kind`` (int or float) and at least ``least``, else InputError."""
+    """cfg[key] converted by ``kind`` (int or float), finite and at least
+    ``least``, else InputError."""
     try:
         value = kind(cfg[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         what = "an integer" if kind is int else "a number"
         raise InputError(f"{key} must be {what}: {exc}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"{key} must be finite, got {value}")
     if least is not None and value < least:
         raise InputError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
+def _config_positive(cfg, key):
+    """cfg[key] as a finite float above 0, else InputError."""
+    value = _config_number(cfg, key, float)
+    if value <= 0:
+        raise InputError(f"{key} must be positive, got {value}")
     return value
 
 
@@ -208,12 +220,21 @@ def _body_from_config(cfg):
     kind = cfg["body"]
     n = _config_number(cfg, "n", int, 1)
     if kind == "ball":
-        return BallBody(n, _config_number(cfg, "radius", float)), n
+        return BallBody(n, _config_positive(cfg, "radius")), n
     if kind == "ellipsoid":
-        axes = cfg["semi_axes"]
+        try:
+            axes = [float(a) for a in cfg["semi_axes"]]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"semi_axes must be a list of numbers: {exc}") from exc
+        if not axes or not all(math.isfinite(a) and a > 0 for a in axes):
+            raise InputError(f"semi_axes must be a non-empty list of positive numbers, got {cfg['semi_axes']!r}")
         return EllipsoidBody(axes), len(axes)
     if kind == "cube_enclosure":
-        return cube_enclosure(n, _config_number(cfg, "inner", float), _config_number(cfg, "outer", float)), n
+        try:
+            body = cube_enclosure(n, _config_number(cfg, "inner", float), _config_number(cfg, "outer", float))
+        except ValueError as exc:  # not 0 < inner < outer, or no exponent fits
+            raise InputError(f"inner and outer: {exc}") from exc
+        return body, n
     raise InputError(f"unknown body kind {kind}")
 
 
@@ -228,7 +249,7 @@ def cmd_project(args):
     body, n = _body_from_config(cfg)
     rng = np.random.default_rng(args.seed)
     p, t = central_projection(body)
-    q = collared_projection(body, _config_number(cfg, "eps", float))
+    q = collared_projection(body, _config_positive(cfg, "eps"))
     probes = rng.uniform(-1.5 * body.circumradius, 1.5 * body.circumradius,
                          (_config_number(cfg, "probes", int, 1), n))
     probes = probes[np.linalg.norm(probes, axis=1) > 1e-3]

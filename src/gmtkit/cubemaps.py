@@ -914,9 +914,90 @@ class RankConditionError(RuntimeError):
     pass
 
 
-def _covering_count(coords, resolution):
-    cells = np.unique(np.floor(coords / resolution).astype(np.int64), axis=0)
-    return len(cells)
+# rows (candidates x samples) whose cell codes one sort counts together: each
+# per-chunk array of codes, sorted codes or differences stays at 0.5 MB
+DIRECTION_ROWS = 1 << 16
+# sample pairs the native-resolution estimate measures at once: up to this
+# many samples per block of columns, and as many probe rows as fit beside them
+RESOLUTION_PAIRS = 1 << 17
+
+
+def _native_resolution(points):
+    """Median distance from each probe sample (all of them up to 4096, else
+    every (npts // 4096)-th) to its nearest distinct sample; nan when no
+    probe has one."""
+    npts = len(points)
+    sub = points if npts <= 4096 else points[:: npts // 4096]
+    cols = min(npts, RESOLUTION_PAIRS)
+    rows = max(1, RESOLUTION_PAIRS // cols)
+    mins = np.full(len(sub), np.inf)
+    for i in range(0, len(sub), rows):
+        probes, best = sub[i : i + rows], mins[i : i + rows]
+        for j in range(0, npts, cols):
+            d = np.linalg.norm(probes[:, None, :] - points[None, j : j + cols], axis=2)
+            d[d == 0.0] = np.inf
+            np.minimum(best, d.min(axis=1), out=best)
+    finite = mins[np.isfinite(mins)]
+    return float(np.median(finite)) if len(finite) else math.nan
+
+
+def _dense_ranks(keys):
+    """Each entry's rank among the distinct values of its row, from 0."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    ordered = np.take_along_axis(keys, order, axis=1)
+    step = np.zeros(keys.shape, dtype=np.int64)
+    step[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ranks = np.empty_like(step)
+    np.put_along_axis(ranks, order, np.cumsum(step, axis=1), axis=1)
+    return ranks
+
+
+def _cell_counts(coords, resolution):
+    """Distinct cells of side ``resolution`` met by each row of ``coords``
+    (rows, samples, m), counted with one sort per row.  For m > 1 the integer
+    cell codes fold into one key through their per-row ranks, each below the
+    sample count S, so a key stays below S^2 whatever the codes' span."""
+    codes = np.floor(coords / resolution).astype(np.int64)
+    key = codes[..., 0]
+    for j in range(1, codes.shape[2]):
+        key = _dense_ranks(key) * codes.shape[1] + _dense_ranks(codes[..., j])
+    key = np.sort(key, axis=1)
+    return 1 + np.count_nonzero(np.diff(key, axis=1), axis=1)
+
+
+def _direction_search(xb, t_plane, cone, direction_budget, rng, resolution):
+    """Candidate planes within ``cone`` of ``t_plane`` and the cell count of
+    the samples ``xb`` projected onto each.
+
+    An m = 1 plane in R^2 gets an even angle grid; otherwise ``t_plane`` and
+    random tilts of its frame drawn from ``rng``.  Returns (candidates,
+    scores, best, baseline, own): ``best`` is the first minimum, ``baseline``
+    the count on ``t_plane`` and ``own`` the ambient count of ``xb``."""
+    n, m = t_plane.frame.shape
+    if m == 1 and n == 2:
+        base = math.atan2(t_plane.frame[1, 0], t_plane.frame[0, 0])
+        amax = math.asin(min(cone, 1.0))
+        angles = base + np.linspace(-amax, amax, direction_budget)
+        candidates = [Plane.span([math.cos(t), math.sin(t)]) for t in angles]
+    else:
+        candidates = [t_plane]
+        while len(candidates) < direction_budget:
+            g = t_plane.frame + cone * 0.7 * rng.standard_normal((n, m))
+            try:
+                cand = Plane(g)
+            except ValueError:
+                continue
+            if projector_distance(cand, t_plane) <= cone:
+                candidates.append(cand)
+    scores = np.empty(len(candidates), dtype=np.int64)
+    step = max(1, DIRECTION_ROWS // len(xb))
+    for start in range(0, len(candidates), step):
+        chunk = candidates[start : start + step]
+        proj = np.stack([xb @ cand.frame for cand in chunk])
+        scores[start : start + len(chunk)] = _cell_counts(proj, resolution)
+    baseline = int(_cell_counts((xb @ t_plane.frame)[None], resolution)[0])
+    own = int(_cell_counts(xb[None], resolution)[0])
+    return candidates, scores, int(np.argmin(scores)), baseline, own
 
 
 def _cluster_balls(points, gap, region):
@@ -1007,8 +1088,14 @@ def unrect_perturbation(
     direction (found by brute-force search over a direction grid) with the
     row space of Df at the centre.  ||D rho - id|| <= eps by construction.
     """
+    if direction_budget < 1:
+        raise ValueError(f"direction_budget must be at least 1, got {direction_budget}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     npts, n = points.shape
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"sample {i} is not finite: {points[i].tolist()}")
     if npts == 0:
         rho = SmoothMap.identity(n)
         rho.meta = {"balls": 0, "uncovered": 0}
@@ -1024,15 +1111,9 @@ def unrect_perturbation(
                 f"(sigma_{m+1} = {svals[i, m]:.3e})"
             )
     if resolution is None:
-        # native sample resolution: median nearest-neighbour distance
-        sub = points if npts <= 4096 else points[:: npts // 4096]
-        mins = np.full(len(sub), np.inf)
-        for start in range(0, npts, 1024):
-            block = points[start : start + 1024]
-            d2 = np.linalg.norm(sub[:, None, :] - block[None, :, :], axis=2)
-            d2[d2 == 0.0] = np.inf
-            mins = np.minimum(mins, d2.min(axis=1))
-        resolution = float(np.median(mins[np.isfinite(mins)]))
+        resolution = _native_resolution(points)
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
     if cluster_gap is None:
         cluster_gap = resolution * 8.0
     centers, outer_radii, inner_radii, uncovered = _cluster_balls(points, cluster_gap, region)
@@ -1053,43 +1134,29 @@ def unrect_perturbation(
         ja = f.jacobian(a)
         u, s, vt = np.linalg.svd(ja)
         t_plane = Plane(vt[:m].T)
-        if m == 1 and n == 2:
-            base = math.atan2(t_plane.frame[1, 0], t_plane.frame[0, 0])
-            amax = math.asin(min(cone, 1.0))
-            angles = base + np.linspace(-amax, amax, direction_budget)
-            candidates = [Plane.span([math.cos(t), math.sin(t)]) for t in angles]
-        else:
-            candidates = [t_plane]
-            while len(candidates) < direction_budget:
-                g = t_plane.frame + cone * 0.7 * rng.standard_normal((n, m))
-                try:
-                    cand = Plane(g)
-                except ValueError:
-                    continue
-                if projector_distance(cand, t_plane) <= cone:
-                    candidates.append(cand)
-        baseline = _covering_count(xb @ t_plane.frame, resolution)
-        best = None
-        for cand in candidates:
-            score = _covering_count(xb @ cand.frame, resolution)
-            if best is None or score < best[0]:
-                best = (score, cand)
-        own = _covering_count(xb, resolution)  # ambient occupancy count
-        if best[0] > threshold_factor * own:
+        candidates, scores, best, baseline, own = _direction_search(
+            xb, t_plane, cone, direction_budget, rng, resolution)
+        score = int(scores[best])
+        if score > threshold_factor * own:
             raise DirectionSearchError(
                 f"no direction below threshold in ball {b_idx} "
-                f"(best {best[0]} cells vs own {own} cells)"
+                f"(best {score} cells vs own {own} cells)"
             )
-        rot = build_rotation(best[1], t_plane)
+        rot = build_rotation(candidates[best], t_plane)
+        cell = resolution**m
         balls.append(
             {
                 "center": a,
                 "r": r,
                 "r_inner": r_in,
                 "rotation": rot,
-                "tilt": projector_distance(best[1], t_plane),
-                "score": best[0] * resolution**m,
-                "baseline": baseline * resolution**m,
+                "tilt": projector_distance(candidates[best], t_plane),
+                "score": score * cell,
+                "baseline": baseline * cell,
+                "candidates": len(candidates),
+                "best_index": best,
+                "own": own * cell,
+                "threshold": threshold_factor * own * cell,
             }
         )
 
@@ -1158,6 +1225,10 @@ def unrect_perturbation(
                     "tilt": b["tilt"],
                     "projected_estimate": b["score"],
                     "baseline_estimate": b["baseline"],
+                    "candidates": b["candidates"],
+                    "best_index": b["best_index"],
+                    "own_estimate": b["own"],
+                    "threshold_estimate": b["threshold"],
                 }
                 for b in balls
             ],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._profiles import SmoothPiecewiseLinear
-from .cubemaps import SmoothMap
+from .cubemaps import SmoothMap, _cell_counts
 from .grassmann import Plane, haar_sample
 
 __all__ = [
@@ -648,8 +648,7 @@ def covering_measure(points, m, resolution):
     pts = np.atleast_2d(points)
     if len(pts) == 0:
         return 0.0, resolution
-    cells = np.unique(np.floor(pts / resolution).astype(np.int64), axis=0)
-    return float(len(cells)) * resolution**m, resolution
+    return float(_cell_counts(pts[None], resolution)[0]) * resolution**m, resolution
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ dense columns of the chain's support.  ``facets_oracle`` builds the facet
 rows from ``DyadicCube.facets()`` objects, ``sample_spacing_oracle`` hashes
 points into a dict of buckets and loops over the probes, and
 ``audit_minimizer_oracle`` measures the distance from each audit point once
-for the ratios, once for the plane fit and once for the tilt.  The tests
-assert that the library returns the same bytes.
+for the ratios, once for the plane fit and once for the tilt.
+``direction_search_oracle`` counts each candidate plane's cells with its own
+``np.unique(axis=0)``, and ``native_resolution_oracle`` measures the
+distances from every probe sample to a 1024-sample block at once.
+The tests assert that the library returns the same bytes.
 """
 
 import itertools
@@ -30,7 +33,7 @@ from gmtkit.deform import (
     _restrict_near_cube,
     center_bound_constant,
 )
-from gmtkit.grassmann import Plane
+from gmtkit.grassmann import Plane, projector_distance
 from gmtkit.solver import chain_to_varifold
 from gmtkit.varifold import unit_ball_volume
 
@@ -496,3 +499,52 @@ def audit_minimizer_oracle(chain, radii=None, subdivision=8, ratio_bounds=(0.9, 
         "entries": entries,
         "subdivision": subdivision,
     }
+
+
+def _covering_count_oracle(coords, resolution):
+    return len(np.unique(np.floor(coords / resolution).astype(np.int64), axis=0))
+
+
+def direction_search_oracle(xb, t_plane, cone, direction_budget, rng, resolution):
+    """(candidates, scores, best, baseline, own) with one ``np.unique`` per
+    candidate plane, and the first strict improvement kept as the winner."""
+    n, m = t_plane.frame.shape
+    if m == 1 and n == 2:
+        base = math.atan2(t_plane.frame[1, 0], t_plane.frame[0, 0])
+        amax = math.asin(min(cone, 1.0))
+        angles = base + np.linspace(-amax, amax, direction_budget)
+        candidates = [Plane.span([math.cos(t), math.sin(t)]) for t in angles]
+    else:
+        candidates = [t_plane]
+        while len(candidates) < direction_budget:
+            g = t_plane.frame + cone * 0.7 * rng.standard_normal((n, m))
+            try:
+                cand = Plane(g)
+            except ValueError:
+                continue
+            if projector_distance(cand, t_plane) <= cone:
+                candidates.append(cand)
+    baseline = _covering_count_oracle(xb @ t_plane.frame, resolution)
+    scores, best = [], None
+    for k, cand in enumerate(candidates):
+        score = _covering_count_oracle(xb @ cand.frame, resolution)
+        scores.append(score)
+        if best is None or score < scores[best]:
+            best = k
+    own = _covering_count_oracle(xb, resolution)
+    return candidates, np.array(scores, dtype=np.int64), best, baseline, own
+
+
+def native_resolution_oracle(points):
+    """Median nearest-neighbour distance, all probes against one 1024-sample
+    block at a time (nan when no sample has a distinct neighbour)."""
+    npts = len(points)
+    sub = points if npts <= 4096 else points[:: npts // 4096]
+    mins = np.full(len(sub), np.inf)
+    for start in range(0, npts, 1024):
+        block = points[start : start + 1024]
+        d2 = np.linalg.norm(sub[:, None, :] - block[None, :, :], axis=2)
+        d2[d2 == 0.0] = np.inf
+        mins = np.minimum(mins, d2.min(axis=1))
+    finite = mins[np.isfinite(mins)]
+    return float(np.median(finite)) if len(finite) else math.nan

@@ -368,6 +368,12 @@ BAD_INPUTS = {
     "whitney_box_without_hi": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BOXES": "[[0]]"}, ["whitney"]),
     "whitney_box_not_a_pair": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BOXES": "[5]"}, ["whitney"]),
     "whitney_box_not_numbers": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BOXES": '[["a", "b"]]'}, ["whitney"]),
+    "project_radius_zero": ({"GMTKIT_RADIUS": "0"}, ["project"]),
+    "project_radius_negative": ({"GMTKIT_RADIUS": "-1"}, ["project"]),
+    "project_radius_nan": ({"GMTKIT_RADIUS": "NaN"}, ["project"]),
+    "project_inner_above_outer": ({"GMTKIT_BODY": "cube_enclosure", "GMTKIT_INNER": "0.2"}, ["project"]),
+    "project_semi_axes_empty": ({"GMTKIT_BODY": "ellipsoid", "GMTKIT_SEMI_AXES": "[]"}, ["project"]),
+    "project_eps_nan": ({"GMTKIT_EPS": "NaN"}, ["project"]),
 }
 
 

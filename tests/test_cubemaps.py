@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import dist_to_cube_boundary, rank_one_map
+from gmtkit import cubemaps
 from gmtkit._profiles import SmoothPiecewiseLinear
 from gmtkit.cubemaps import (
     BallBody,
@@ -24,7 +25,13 @@ from gmtkit.cubemaps import (
     smooth_retraction,
     unrect_perturbation,
 )
-from gmtkit.cubemaps import _punctured_jacobians, _recenter, _recentering_profiles
+from gmtkit.cubemaps import (
+    _direction_search,
+    _native_resolution,
+    _punctured_jacobians,
+    _recenter,
+    _recentering_profiles,
+)
 from gmtkit.cubical import DyadicCube
 from gmtkit.deform import deform_one_cube
 from gmtkit.grassmann import Plane
@@ -32,6 +39,8 @@ from gmtkit.sampling import four_corner_cantor, sample_disc
 from gmtkit.varifold import DiscreteVarifold
 from oracles import (
     SmoothPiecewiseLinearOracle,
+    direction_search_oracle,
+    native_resolution_oracle,
     punctured_projection_oracle,
     recentering_map_oracle,
 )
@@ -456,6 +465,169 @@ class TestUnrectPerturbation:
         pts = np.column_stack([t, np.full_like(t, 0.4)])
         with pytest.raises(DirectionSearchError):
             unrect_perturbation(pts, rank_one_map(), self.region, 0.5, 1, cluster_gap=0.3)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_direction_budget_below_one(self, budget):
+        pts, _ = four_corner_cantor(4, angle=0.01)
+        with pytest.raises(ValueError, match="direction_budget"):
+            unrect_perturbation(pts, rank_one_map(), self.region, 0.8, 1, cluster_gap=0.2,
+                                direction_budget=budget)
+
+    def test_non_finite_sample(self):
+        pts, _ = four_corner_cantor(4, angle=0.01)
+        pts[7] = [np.nan, 0.3]
+        with pytest.raises(ValueError, match="sample 7 is not finite"):
+            unrect_perturbation(pts, rank_one_map(), self.region, 0.8, 1, cluster_gap=0.2)
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.01, np.nan, np.inf])
+    def test_resolution_not_finite_and_positive(self, resolution):
+        pts, _ = four_corner_cantor(4, angle=0.01)
+        with pytest.raises(ValueError, match="resolution must be finite and positive"):
+            unrect_perturbation(pts, rank_one_map(), self.region, 0.8, 1, cluster_gap=0.2,
+                                resolution=resolution)
+
+
+def _rank_two_map():
+    """f(x) = (x_0, x_1, 0): a globally rank-two smooth map of R^3."""
+
+    def value(x):
+        out = np.zeros_like(x)
+        out[:, :2] = x[:, :2]
+        return out
+
+    def jac(x):
+        j = np.zeros((len(x), 3, 3))
+        j[:, 0, 0] = j[:, 1, 1] = 1.0
+        return j
+
+    return SmoothMap(3, 3, value, jac, name="rank2")
+
+
+def _tilted_cantor_3d(depth=4):
+    """A four-corner Cantor set on a slightly tilted plane of R^3."""
+    p2, _ = four_corner_cantor(depth, angle=0.01)
+    return np.column_stack([p2, 0.37 + 0.01 * p2[:, 0]])
+
+
+class TestDirectionSearchOracle:
+    """The sorted cell count over candidate chunks and the blocked resolution
+    estimate against one ``np.unique`` per candidate and the unblocked
+    estimate: the same scores, winner, rng draws and rho bytes."""
+
+    def _search(self, xb, t_plane, cone, budget, resolution, seed=5):
+        rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        cands, scores, best, baseline, own = _direction_search(xb, t_plane, cone, budget, rng, resolution)
+        want = direction_search_oracle(xb, t_plane, cone, budget, rng_oracle, resolution)
+        assert [c.frame.tobytes() for c in cands] == [c.frame.tobytes() for c in want[0]]
+        assert scores.tobytes() == want[1].tobytes()
+        assert (best, baseline, own) == want[2:]
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        return scores, best
+
+    def test_angle_grid_n2(self):
+        pts, _ = four_corner_cantor(5, angle=0.012)
+        scores, _ = self._search(pts, Plane.axis(2, (0,)), 0.05, 720, 0.25**5)
+        assert scores.min() < scores.max()
+
+    @pytest.mark.parametrize("m, resolution", [(1, 0.25**4), (2, 0.03)])
+    def test_random_frames_n3(self, m, resolution):
+        scores, _ = self._search(_tilted_cantor_3d(), Plane.axis(3, tuple(range(m))), 0.3, 200, resolution)
+        assert scores.min() < scores.max()
+
+    def test_tied_minima_keep_the_first(self):
+        pts, _ = four_corner_cantor(3, angle=0.012)
+        scores, best = self._search(pts, Plane.axis(2, (0,)), 0.05, 50, 0.25**3)
+        ties = np.flatnonzero(scores == scores.min())
+        assert len(ties) > 1 and best == ties[0] > 0
+
+    def test_samples_on_cell_boundaries(self):
+        # every coordinate is a multiple of the (binary) resolution
+        grid = np.arange(-8, 9) / 8.0
+        pts = np.array(list(itertools.product(grid, grid)))
+        self._search(pts, Plane.axis(2, (0,)), 0.1, 721, 0.125)
+        self._search(np.column_stack([pts, pts[:, 0] - pts[:, 1]]), Plane.axis(3, (0, 2)), 0.1, 60, 0.125)
+
+    def test_negative_coordinates(self):
+        pts, _ = four_corner_cantor(4, angle=0.012, origin=(-3.3, -2.1))
+        self._search(pts, Plane.axis(2, (0,)), 0.05, 200, 0.25**4)
+        self._search(_tilted_cantor_3d() - 2.7, Plane.axis(3, (0, 1)), 0.3, 100, 0.25**4)
+
+    def test_one_candidate_chunks(self, monkeypatch):
+        monkeypatch.setattr(cubemaps, "DIRECTION_ROWS", 1)
+        pts, _ = four_corner_cantor(4, angle=0.012)
+        self._search(pts, Plane.axis(2, (0,)), 0.05, 90, 0.25**4)
+        self._search(_tilted_cantor_3d(), Plane.axis(3, (0, 1)), 0.3, 40, 0.25**4)
+
+    def test_code_span_beyond_int64(self, rng):
+        pts = rng.uniform(-5.0, 5.0, (300, 3))
+        pts = np.vstack([pts, pts[:40], pts[:20] * [1.0, 1.0, -1.0]])
+        span = np.floor(pts[:, 0] / 1e-18).max() - np.floor(pts[:, 0] / 1e-18).min()
+        assert span > 2.0**63
+        self._search(pts, Plane.axis(3, (0, 1)), 0.3, 40, 1e-18)
+        # codes {0, 4} x {0, 4, 2^62}: a mixed-radix key over int64 offsets
+        # wraps 4 * (2^62 + 1) onto 4, the key of the distinct cell (0, 4)
+        big = [(a, b, 0.5) for a in (0.0, 4.0) for b in (0.0, 4.0, 2.0**62)]
+        self._search(np.array(big), Plane.axis(3, (0, 1)), 0.3, 40, 1.0)
+
+    def test_more_than_4096_samples(self, rng):
+        pts = rng.uniform(-1.0, 1.0, (5000, 2)) ** 3
+        self._search(pts, Plane.axis(2, (1,)), 0.2, 64, 0.01)
+
+    def test_duplicate_samples(self):
+        pts, _ = four_corner_cantor(4, angle=0.012)
+        pts = np.vstack([pts, pts[::3], pts[:5]])
+        self._search(pts, Plane.axis(2, (0,)), 0.05, 200, 0.25**4)
+        self._search(np.repeat(_tilted_cantor_3d(), 2, axis=0), Plane.axis(3, (0,)), 0.3, 60, 0.25**4)
+
+    @pytest.mark.parametrize("count, dim", [(1, 2), (700, 2), (3000, 2), (8200, 2), (1500, 3)])
+    def test_native_resolution(self, count, dim, rng):
+        pts = rng.uniform(-1.0, 1.0, (count, dim))
+        pts = np.vstack([pts, pts[: max(1, count // 10)]])  # duplicates measure nothing
+        got, want = _native_resolution(pts), native_resolution_oracle(pts)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+        assert math.isnan(got) == (count == 1)
+
+    @pytest.mark.parametrize("case", ["n2", "n3_m1", "n3_m2"])
+    def test_map_matches_oracle_bytes(self, case, monkeypatch, rng):
+        if case == "n2":
+            pts, f, m, kw = four_corner_cantor(5, angle=0.004)[0], rank_one_map(), 1, {}
+        else:
+            m = int(case[-1])
+            f = rank_one_map(3) if m == 1 else _rank_two_map()
+            pts, kw = _tilted_cantor_3d(), {"direction_budget": 150, "threshold_factor": 4.0}
+        n = pts.shape[1]
+        region = Box([-0.8] * n, [1.8] * n)
+        probes = np.vstack([pts, rng.uniform(-0.2, 1.2, (2000, n))])
+        rho = unrect_perturbation(pts, f, region, 0.8, m, cluster_gap=0.2, seed=4, **kw)
+        monkeypatch.setattr(cubemaps, "_direction_search", direction_search_oracle)
+        monkeypatch.setattr(cubemaps, "_native_resolution", native_resolution_oracle)
+        want = unrect_perturbation(pts, f, region, 0.8, m, cluster_gap=0.2, seed=4, **kw)
+        assert rho.meta["balls"] and rho.meta == want.meta
+        assert rho.value(probes).tobytes() == want.value(probes).tobytes()
+        assert rho.jacobian(probes).tobytes() == want.jacobian(probes).tobytes()
+
+    def test_ball_meta_reports_the_search(self, monkeypatch):
+        pts, _ = four_corner_cantor(4, angle=0.01)
+        region = Box([-0.8, -0.8], [1.8, 1.8])
+        rho = unrect_perturbation(pts, rank_one_map(), region, 0.8, 1, cluster_gap=0.2,
+                                  threshold_factor=0.4)
+        searches = []
+
+        def recording(*args):
+            searches.append(direction_search_oracle(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(cubemaps, "_direction_search", recording)
+        unrect_perturbation(pts, rank_one_map(), region, 0.8, 1, cluster_gap=0.2, threshold_factor=0.4)
+        cell = rho.meta["resolution"]
+        assert len(searches) == len(rho.meta["balls"]) > 1
+        for ball, (cands, scores, best, baseline, own) in zip(rho.meta["balls"], searches):
+            assert ball["candidates"] == len(cands) == 720
+            assert ball["best_index"] == best
+            assert ball["projected_estimate"] == scores[best] * cell
+            assert ball["own_estimate"] == own * cell
+            assert ball["threshold_estimate"] == 0.4 * own * cell
+            assert ball["projected_estimate"] <= ball["threshold_estimate"]
 
 
 def _cube_deform_case():
