@@ -712,6 +712,13 @@ def _recentering_profiles(a):
     a_i != 0, and each of them has the monotone C^2 profile f with
     f(a_i) = 0, f(t) = t for |t| >= 1 - 5 rho/8 (up to the corner blends) and
     slope 1 on |t - a_i| <= rho/8, one row per live centre.
+
+    The blend half-widths are the default eighth of the smaller neighbouring
+    gap, except that the outer knots' are capped at 3 rho/8, so their windows
+    end by |t| = 1 - rho/4 and f(t) = t on the band the lateral cutoffs
+    leave alone.  The cap binds only once |a_i| > 11/19 (about 0.58), where the
+    far outer gap exceeds 3 rho, so centres in the middle half keep the
+    default widths and their bits.
     """
     rho = _recentering_rho(a)
     profiles = []
@@ -725,11 +732,14 @@ def _recentering_profiles(a):
         r1, r0 = a_i + r / 8.0, 1.0 - 5 * r / 8.0
         k_left = (-r / 8.0 - l0) / (l1 - l0)
         k_right = (r0 - r / 8.0) / (r0 - r1)
+        knots = np.stack([l0, l1, r1, r0], axis=1)
+        gaps = np.diff(knots, axis=1)
+        deltas = np.minimum(np.hstack([gaps[:, :1], gaps]), np.hstack([gaps, gaps[:, -1:]])) / 8.0
+        deltas[:, [0, -1]] = np.minimum(deltas[:, [0, -1]], (3 * r / 8.0)[:, None])
         one = np.ones_like(a_i)
         profiles.append((live, *profile_rows(
-            np.stack([l0, l1, r1, r0], axis=1),
-            np.stack([one, k_left, one, k_right, one], axis=1),
-            a_i, np.zeros_like(a_i),
+            knots, np.stack([one, k_left, one, k_right, one], axis=1),
+            a_i, np.zeros_like(a_i), deltas,
         )))
     return profiles
 
@@ -807,8 +817,13 @@ def recentering_map(a):
     """Diffeomorphism of R^n fixing everything outside Int Q and moving a to 0.
 
     Coordinates are recentred one at a time; each stage is laterally
-    localized so the map is the exact identity as soon as any coordinate is
-    within rho_j/4 of the boundary (in particular outside Q and near dQ).
+    localized, so once some coordinate x_j is within rho_j/4 of the boundary
+    the other coordinates do not move and x_j moves by at most 1 ulp (past
+    the outer knot the profile is knot_vals[-1] + (t - knot), and the knot
+    value walked out from the centre need not round to the knot itself).
+    Outside Q the map is the exact identity.  Equal outputs therefore follow
+    from equal input bits, not from position, which is why
+    ``_punctured_jacobian_rows`` compares recentred rows bit for bit.
     On the core box where all lateral cutoffs equal 1 the map acts as the
     plain product of the 1-d profiles, so f(a) = 0 exactly and
     |f(x)| >= c |x - a| with a dimension constant c.
@@ -855,14 +870,29 @@ def _check_punctured(a, eps):
         raise ValueError("centre must lie in the open cube")
 
 
-def _punctured_jacobians(centres, x, eps):
-    """Jacobians of punctured_cube_projection(centres[c], eps) at the points x.
+def _row_fingerprint(words):
+    """A 64-bit key per row of the uint64 array ``words`` (N, W): the wrapping
+    dot product with fixed odd constants.  Equal rows get equal keys; unequal
+    rows rarely collide, and a collision only costs speed, because callers
+    merge rows after an exact compare."""
+    odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return words @ odd
 
-    ``centres`` is (C, n) and x (S, n) with every point in the closed cube Q;
-    returns (C, S, n, n).  The factors l and q, the chain products and the
-    recentering run once over all C * S rows, with the float operations of
-    the single-centre map, so each (c, s) entry equals that map's Jacobian at
-    x[s] bit for bit.
+
+def _punctured_jacobian_rows(centres, x, eps):
+    """Jacobians of punctured_cube_projection(centres[c], eps) at the points x,
+    one per distinct recentred row.
+
+    ``centres`` is (C, n) and x (S, n) with every point in the closed cube Q.
+    Returns (jac, inverse): jac is (G, n, n) and the (C, S) indices
+    ``inverse`` give entry (c, s) as jac[inverse[c, s]].  Only the
+    recentering depends on the centre; the factors q and l and the chain
+    products after it are row-wise, so they run once per group of rows whose
+    recentred value and Jacobian are bitwise equal, with the float
+    operations of the single-centre map: each entry equals that map's
+    Jacobian at x[s] bit for bit.  Rows are sorted by ``_row_fingerprint``
+    and adjacent equal rows merged after an exact word compare, so +0.0 and
+    -0.0 stay apart and a fingerprint collision cannot merge unequal rows.
     """
     _check_punctured(centres, eps)
     if np.any(np.abs(x) > 1.0):
@@ -870,11 +900,28 @@ def _punctured_jacobians(centres, x, eps):
     count, n = centres.shape
     l, q, _ = _punctured_factors(n, eps)
     cur, jac = _recenter(centres, _recentering_profiles(centres), x)
-    cur, jq = q.value_and_jacobian(cur.reshape(-1, n))
-    jac = np.einsum("nij,njk->nik", jq, jac.reshape(-1, n, n))
+    cur, jac = cur.reshape(-1, n), jac.reshape(-1, n, n)
+    words = np.hstack([cur, jac.reshape(-1, n * n)]).view(np.uint64)
+    order = np.argsort(_row_fingerprint(words))
+    words = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(words[1:] != words[:-1], axis=1)
+    del words
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    keep = order[first]
+    cur, jq = q.value_and_jacobian(cur[keep])
+    jac = np.einsum("nij,njk->nik", jq, jac[keep])
     del jq  # freed before l.jacobian allocates its own temporaries
     jac = np.einsum("nij,njk->nik", l.jacobian(cur), jac)
-    return jac.reshape(count, len(x), n, n)
+    return jac, inverse.reshape(count, len(x))
+
+
+def _punctured_jacobians(centres, x, eps):
+    """Jacobians of punctured_cube_projection(centres[c], eps) at the points x,
+    as a (C, S, n, n) array: ``_punctured_jacobian_rows`` scattered back."""
+    jac, inverse = _punctured_jacobian_rows(centres, x, eps)
+    return jac[inverse]
 
 
 def punctured_cube_projection(a, eps):
@@ -1098,7 +1145,7 @@ def unrect_perturbation(
         raise ValueError(f"sample {i} is not finite: {points[i].tolist()}")
     if npts == 0:
         rho = SmoothMap.identity(n)
-        rho.meta = {"balls": 0, "uncovered": 0}
+        rho.meta = {"balls": [], "uncovered_samples": 0, "resolution": resolution, "eps": eps}
         return rho
     jacs = f.jacobian(points)
     svals = np.linalg.svd(jacs, compute_uv=False)

@@ -19,7 +19,7 @@ from ._profiles import plateau_step, smoothstep, smoothstep_d
 from .cubemaps import (
     Box,
     SmoothMap,
-    _punctured_jacobians,
+    _punctured_jacobian_rows,
     punctured_cube_projection,
     unrect_perturbation,
 )
@@ -43,7 +43,9 @@ __all__ = [
 ]
 
 # rows (candidates x samples) select_center evaluates together: each
-# (rows, k, k) temporary stays near 0.6 MB, and the whole chain near 4 MB
+# (rows, k, k) temporary stays near 0.6 MB and the rows' (rows, k + k^2)
+# uint64 words near 0.8 MB; a chunk peaks near 4.7 MB at k = 3 when no two
+# recentred rows share their bits, less when the chain runs on fewer rows
 CANDIDATE_ROWS = 8192
 
 # empirical bound for sup 2 |x-a| dist(a, dQ) ||D phi_{a,eps}|| with a in the
@@ -107,10 +109,15 @@ def _restrict_near_cube(v: DiscreteVarifold, cube: DyadicCube, normal_tol, pad=0
 def _candidate_singular_values(cand_r, u, eps):
     """Per candidate centre, the singular values of its punctured projection's
     Jacobian at the points u; candidates are evaluated in chunks of about
-    CANDIDATE_ROWS rows (candidates x points)."""
+    CANDIDATE_ROWS rows (candidates x points), and each chunk's SVDs run once
+    per distinct recentred row."""
     step = max(1, CANDIDATE_ROWS // len(u))
+    distinct = 0
     for c in range(0, len(cand_r), step):
-        yield from np.linalg.svd(_punctured_jacobians(cand_r[c:c + step], u, eps), compute_uv=False)
+        jac, inverse = _punctured_jacobian_rows(cand_r[c:c + step], u, eps)
+        distinct += len(jac)
+        yield from np.linalg.svd(jac, compute_uv=False)[inverse]
+    logger.debug("select_center: %d candidate rows, %d distinct", len(cand_r) * len(u), distinct)
 
 
 def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack=0.5,

@@ -5,7 +5,10 @@ version of a library routine, kept as written before the routine was
 batched: ``SmoothPiecewiseLinearOracle`` loops over the corners of one
 profile, ``recentering_map_oracle`` builds one centre's map with a
 profile object per coordinate, and ``select_center_oracle`` builds and
-evaluates one punctured projection per candidate centre.  The GF(2)
+evaluates one punctured projection per candidate centre.
+``punctured_jacobians_oracle`` and ``candidate_singular_values_oracle`` run
+the chain after the recentering on every stacked row instead of once per
+distinct row.  The GF(2)
 oracles are the dense solver as it was before the sparse column
 reduction: ``boundary_matrix_oracle`` fills a uint8 matrix cube by cube,
 ``gf2_rref_oracle`` row-reduces it, and ``spans_oracle`` eliminates on the
@@ -26,7 +29,15 @@ import math
 import numpy as np
 
 from gmtkit._profiles import smoothstep, smoothstep_d, smoothstep_i
-from gmtkit.cubemaps import Box, SmoothMap, _punctured_factors
+from gmtkit import deform
+from gmtkit.cubemaps import (
+    Box,
+    SmoothMap,
+    _check_punctured,
+    _punctured_factors,
+    _recenter,
+    _recentering_profiles,
+)
 from gmtkit.deform import (
     CenterSearchError,
     _inplane_coordinates,
@@ -127,13 +138,20 @@ class SmoothPiecewiseLinearOracle:
 
 def coordinate_profile_oracle(a_i, rho):
     """Monotone C^2 profile with f(a_i) = 0, f(t) = t for |t| >= 1 - 5 rho/8
-    (up to the corner blends), slope 1 on |t - a_i| <= rho/8."""
+    (up to the corner blends), slope 1 on |t - a_i| <= rho/8.  Each corner
+    blends over an eighth of its smaller neighbouring gap, and the outer two
+    over at most 3 rho/8, so f(t) = t once |t| >= 1 - rho/4."""
     l0, l1 = -1.0 + 5 * rho / 8.0, a_i - rho / 8.0
     r1, r0 = a_i + rho / 8.0, 1.0 - 5 * rho / 8.0
     k_left = (-rho / 8.0 - l0) / (l1 - l0)
     k_right = (r0 - rho / 8.0) / (r0 - r1)
+    knots = [l0, l1, r1, r0]
+    gaps = np.diff(knots)
+    cap = 3 * rho / 8.0
+    deltas = [min(gaps[0] / 8.0, cap), min(gaps[0], gaps[1]) / 8.0,
+              min(gaps[1], gaps[2]) / 8.0, min(gaps[2] / 8.0, cap)]
     return SmoothPiecewiseLinearOracle(
-        [l0, l1, r1, r0], [1.0, k_left, 1.0, k_right, 1.0], a_i, 0.0
+        knots, [1.0, k_left, 1.0, k_right, 1.0], a_i, 0.0, deltas
     )
 
 
@@ -141,8 +159,10 @@ def recentering_map_oracle(a):
     """Diffeomorphism of R^n fixing everything outside Int Q and moving a to 0.
 
     Coordinates are recentred one at a time; each stage is laterally
-    localized so the map is the exact identity as soon as any coordinate is
-    within rho_j/4 of the boundary (in particular outside Q and near dQ).
+    localized, so once some coordinate x_j is within rho_j/4 of the boundary
+    the other coordinates do not move and x_j moves by at most 1 ulp (the
+    profile's knot values are walked out from the centre and need not round
+    to the outer knots).  Outside Q the map is the exact identity.
     On the core box where all lateral cutoffs equal 1 the map acts as the
     plain product of the 1-d profiles, so f(a) = 0 exactly and
     |f(x)| >= c |x - a| with a dimension constant c.
@@ -217,6 +237,30 @@ def punctured_projection_oracle(a, eps):
     phi = SmoothMap.compose(l, q, recentering_map_oracle(a))
     phi.support = Box(-np.ones(n) * (1 + eps), np.ones(n) * (1 + eps))
     return phi
+
+
+def punctured_jacobians_oracle(centres, x, eps):
+    """cubemaps._punctured_jacobians before the row dedup: the factors q and
+    l and the chain products run on every one of the C * S recentred rows."""
+    _check_punctured(centres, eps)
+    if np.any(np.abs(x) > 1.0):
+        raise ValueError("points must lie in the closed cube")
+    count, n = centres.shape
+    l, q, _ = _punctured_factors(n, eps)
+    cur, jac = _recenter(centres, _recentering_profiles(centres), x)
+    cur, jq = q.value_and_jacobian(cur.reshape(-1, n))
+    jac = np.einsum("nij,njk->nik", jq, jac.reshape(-1, n, n))
+    jac = np.einsum("nij,njk->nik", l.jacobian(cur), jac)
+    return jac.reshape(count, len(x), n, n)
+
+
+def candidate_singular_values_oracle(cand_r, u, eps):
+    """deform._candidate_singular_values before the row dedup: one SVD per
+    row of each chunk of about deform.CANDIDATE_ROWS rows."""
+    step = max(1, deform.CANDIDATE_ROWS // len(u))
+    for c in range(0, len(cand_r), step):
+        yield from np.linalg.svd(punctured_jacobians_oracle(cand_r[c:c + step], u, eps),
+                                 compute_uv=False)
 
 
 def select_center_oracle(cube, measures, eps, *, rng=None, budget=64, slack=0.5,

@@ -28,6 +28,7 @@ from gmtkit.cubemaps import (
 from gmtkit.cubemaps import (
     _direction_search,
     _native_resolution,
+    _punctured_jacobian_rows,
     _punctured_jacobians,
     _recenter,
     _recentering_profiles,
@@ -41,6 +42,7 @@ from oracles import (
     SmoothPiecewiseLinearOracle,
     direction_search_oracle,
     native_resolution_oracle,
+    punctured_jacobians_oracle,
     punctured_projection_oracle,
     recentering_map_oracle,
 )
@@ -325,6 +327,26 @@ class TestRecentering:
         f = recentering_map(np.array([0.3, -0.45]))
         assert fd_check(f, rng.uniform(-1.2, 1.2, (400, 2)))
 
+    @pytest.mark.parametrize("far", [0.6, 0.75, 0.9, 0.95])
+    def test_far_centre_keeps_cube_and_boundary_band(self, far, rng):
+        # a centre near one face: the opposite outer corner of its profile
+        # must still blend inside |t| < 1 - rho/4
+        centres = [[far, 0.0], [-far, 0.3], [0.751, -far], [0.2, far, -0.4], [far, -far, far]]
+        for a in map(np.array, centres):
+            n = len(a)
+            f = recentering_map(a)
+            rho = np.minimum(0.5, 1.0 - np.abs(a))
+            x = rng.uniform(-1.0, 1.0, (3000, n))
+            x[:200] = np.sign(x[:200]) * np.where(rng.random((200, n)) < 0.5, 1.0, np.abs(x[:200]))
+            assert np.all(np.abs(f.value(x)) <= 1.0)
+            band = x.copy()
+            j = rng.integers(0, n, len(band))
+            rows = np.arange(len(band))
+            depth = rho[j] / 4.0 * np.append(rng.random(len(band) - 2), [0.0, 1.0])
+            band[rows, j] = np.sign(band[rows, j]) * (1.0 - depth)
+            assert np.all(np.abs(band[rows, j]) >= 1.0 - rho[j] / 4.0)
+            assert np.all(np.abs(f.value(band) - band) <= np.spacing(np.abs(band)))
+
 
 class TestPuncturedCubeProjection:
     def test_identity_far_from_cube(self, rng):
@@ -420,6 +442,11 @@ class TestUnrectPerturbation:
         rho = unrect_perturbation(np.zeros((0, 2)), rank_one_map(), self.region, 0.5, 1)
         x = np.array([[0.3, 0.4]])
         assert np.array_equal(rho.value(x), x)
+        # the keys of a non-empty call, so callers can iterate the balls
+        assert rho.meta == {"balls": [], "uncovered_samples": 0, "resolution": None, "eps": 0.5}
+        given = unrect_perturbation(np.zeros((0, 2)), rank_one_map(), self.region, 0.5, 1,
+                                    resolution=0.01)
+        assert given.meta["resolution"] == 0.01
 
     def test_cantor_reduction(self, rng):
         pts, _ = four_corner_cantor(6, angle=0.012)
@@ -831,3 +858,78 @@ class TestRecenteringKernel:
         val, jac = phi.value_and_jacobian(pts)
         assert _same_bytes(val, phi.value(pts))
         assert _same_bytes(jac, phi.jacobian(pts))
+
+def _recentred_words(centres, x):
+    """The recentred rows (value, Jacobian) of every (centre, point) pair as
+    uint64 words, computed apart from the dedup."""
+    n = centres.shape[1]
+    cur, jac = _recenter(centres, _recentering_profiles(centres), x)
+    return np.hstack([cur.reshape(-1, n), jac.reshape(-1, n * n)]).view(np.uint64)
+
+
+def _boundary_heavy_points(rng, count, n):
+    """Points of Q, half of them with a coordinate on or next to dQ, where the
+    recentred rows of different centres often share their bits."""
+    x = rng.uniform(-1.0, 1.0, (count, n))
+    j = rng.integers(0, n, count // 2)
+    x[np.arange(count // 2), j] = rng.choice([-1.0, 1.0, 0.99, -0.97], count // 2)
+    return x
+
+
+class TestPuncturedRowDedup:
+    """_punctured_jacobian_rows against the chain run on every stacked row."""
+
+    def _check(self, centres, x, eps=0.1):
+        jac, inverse = _punctured_jacobian_rows(centres, x, eps)
+        assert inverse.shape == (len(centres), len(x))
+        assert _same_bytes(jac[inverse], punctured_jacobians_oracle(centres, x, eps))
+        assert _same_bytes(_punctured_jacobians(centres, x, eps), jac[inverse])
+        # a group holds only rows whose recentred bits are equal, and every
+        # group is used
+        words = _recentred_words(centres, x)
+        flat = inverse.ravel()
+        first = np.full(len(jac), -1)
+        first[flat[::-1]] = np.arange(len(flat))[::-1]
+        assert np.all(first >= 0)
+        assert np.array_equal(words, words[first[flat]])
+        return jac, inverse, len(np.unique(words, axis=0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shared_rows_are_merged(self, n, rng):
+        centres = rng.uniform(-0.5, 0.5, (9, n))
+        jac, _, distinct = self._check(centres, _boundary_heavy_points(rng, 400, n))
+        assert len(jac) == distinct < len(centres) * 400
+
+    def test_all_distinct_chunk(self, rng):
+        centres = rng.uniform(-0.5, 0.5, (6, 3))
+        x = rng.uniform(-0.5, 0.5, (300, 3))  # inside every profile's outer knots
+        jac, _, distinct = self._check(centres, x)
+        assert len(jac) == distinct == 6 * 300
+
+    @pytest.mark.parametrize("sign_blind", [False, True])
+    def test_signed_zeros_stay_apart(self, sign_blind, monkeypatch):
+        if sign_blind:  # rows differing only in signs share a key and sort together
+            keys = cubemaps._row_fingerprint
+            monkeypatch.setattr(cubemaps, "_row_fingerprint",
+                                lambda words: keys(words & np.uint64(2**63 - 1)))
+        # coordinate 1 is never recentred, so the sign of its zero survives
+        centres = np.array([[0.2, 0.0], [-0.3, 0.0], [0.2, -0.0]])
+        x = np.array([[0.3, 0.0], [0.3, -0.0], [1.0, 0.0], [1.0, -0.0], [-0.4, 0.5]])
+        jac, inverse, distinct = self._check(centres, x)
+        assert len(jac) >= distinct if sign_blind else len(jac) == distinct
+        assert np.all(inverse[:, 0] != inverse[:, 1]) and np.all(inverse[:, 2] != inverse[:, 3])
+
+    def test_colliding_fingerprints_never_merge_unequal_rows(self, monkeypatch, rng):
+        monkeypatch.setattr(cubemaps, "_row_fingerprint",
+                            lambda words: np.zeros(len(words), dtype=np.uint64))
+        centres = rng.uniform(-0.5, 0.5, (5, 2))
+        centres[0, 1] = 0.0
+        x = _boundary_heavy_points(rng, 300, 2)
+        x[:10, 1] = -0.0
+        jac, _, distinct = self._check(centres, x)
+        assert len(jac) >= distinct
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_centre(self, n, rng):
+        self._check(rng.uniform(-0.5, 0.5, (1, n)), _boundary_heavy_points(rng, 200, n))
+

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import skeleton_distance
 from gmtkit import deform
-from gmtkit.cubemaps import Box, SmoothMap
+from gmtkit.cubemaps import Box, SmoothMap, _punctured_jacobian_rows
 from gmtkit.cubical import CubeFamily, DyadicCube, cubical_complex
 from gmtkit.deform import (
     CenterSearchError,
@@ -18,7 +18,7 @@ from gmtkit.deform import (
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import four_corner_cantor, sample_circle, sample_disc, sample_segment
 from gmtkit.varifold import DiscreteVarifold, covering_measure, pushforward
-from oracles import select_center_oracle
+from oracles import candidate_singular_values_oracle, select_center_oracle
 
 H = Plane.axis(3, (0, 1))
 
@@ -181,6 +181,68 @@ class TestSelectCenterOracle:
         info = _assert_same_choice(SQUARE, [v], 0.1, lambda: np.random.default_rng(10),
                                    budget=budget)
         assert info["branch"] == "off-support"
+
+
+SQUARE2 = DyadicCube(0, (0, 0), (0, 1), 2)
+
+
+def _segment_and_cantor():
+    """A square's worth of the purge workload: a segment on the square's lower
+    edge and a Cantor set, whose recentred rows are mostly shared between
+    candidates."""
+    seg_pts, seg_w = sample_segment([0.1, 0.0], [0.9, 0.0], 200)
+    cpts, cw = four_corner_cantor(4, angle=0.004)
+    return [DiscreteVarifold.flat(seg_pts, Plane.axis(2, (0,)), seg_w),
+            DiscreteVarifold.isotropic_set(cpts, cw, 1)]
+
+
+class TestCandidateRowDedup:
+    """select_center with the row dedup against the chain run on every row."""
+
+    def _assert_same_as_every_row(self, cube, measures, eps, seed, monkeypatch, **kw):
+        a, info = select_center(cube, measures, eps, rng=np.random.default_rng(seed), **kw)
+        with monkeypatch.context() as patch:
+            patch.setattr(deform, "_candidate_singular_values", candidate_singular_values_oracle)
+            a_ref, info_ref = select_center(cube, measures, eps, rng=np.random.default_rng(seed),
+                                            **kw)
+        assert a.tobytes() == a_ref.tobytes()
+        assert info == info_ref
+        return info
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    def test_matches_every_row_path(self, rows, monkeypatch):
+        measures = [_disc(300), _segment([0.1, 0.2, 0.45], [0.9, 0.7, 0.55], 150)]
+        if rows is not None:  # one candidate per chunk
+            monkeypatch.setattr(deform, "CANDIDATE_ROWS", rows)
+        info = self._assert_same_as_every_row(CUBE3, measures, 0.2, 11, monkeypatch, budget=9)
+        assert info["branch"] == "averaged"
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    def test_segment_and_cantor_square(self, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(deform, "CANDIDATE_ROWS", rows)
+        measures = _segment_and_cantor()
+        _assert_same_choice(SQUARE2, measures, 0.1, lambda: np.random.default_rng(12))
+        self._assert_same_as_every_row(SQUARE2, measures, 0.1, 12, monkeypatch)
+
+    def test_debug_line_counts_rows(self, caplog, monkeypatch):
+        chunks = []  # (rows, distinct rows) of each chunk
+
+        def counted(centres, x, eps):
+            jac, inverse = _punctured_jacobian_rows(centres, x, eps)
+            chunks.append((inverse.size, len(jac)))
+            return jac, inverse
+
+        monkeypatch.setattr(deform, "_punctured_jacobian_rows", counted)
+        measures = _segment_and_cantor()
+        with caplog.at_level("DEBUG", logger="gmtkit.deform"):
+            _, info = select_center(SQUARE2, measures, 0.1, rng=np.random.default_rng(12))
+        lines = [r.getMessage() for r in caplog.records if r.name == "gmtkit.deform"]
+        samples = sum(np.count_nonzero(deform._restrict_near_cube(v, SQUARE2, 0.1)) for v in measures)
+        rows, distinct = np.sum(chunks, axis=0)
+        assert info["branch"] == "averaged" and rows == 64 * samples
+        assert lines == [f"select_center: {rows} candidate rows, {distinct} distinct"]
+        assert distinct < rows / 2
 
 
 class TestDeformOneCube:
