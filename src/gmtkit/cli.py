@@ -94,6 +94,19 @@ def _config_number(cfg, key, kind, least=None):
     return value
 
 
+def _config_array(cfg, key, shape, what):
+    """cfg[key] as a float array of ``shape`` (None matches any positive
+    length) with finite entries, else InputError saying it must be ``what``."""
+    try:
+        value = np.array(cfg[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{key} must be {what}: {exc}") from exc
+    if (value.ndim != len(shape) or not value.size or not np.isfinite(value).all()
+            or any(s not in (None, t) for s, t in zip(shape, value.shape))):
+        raise InputError(f"{key} must be {what}, got {cfg[key]!r}")
+    return value
+
+
 def _config_positive(cfg, key):
     """cfg[key] as a finite float above 0, else InputError."""
     value = _config_number(cfg, key, float)
@@ -284,17 +297,16 @@ def cmd_project(args):
 # whitney
 
 
-def _open_set_from_config(cfg):
-    kind = cfg.get("open_set", "boxes")
+def _open_set_from_config(cfg, n):
+    """The open set of a whitney config, in R^n."""
+    kind, coords = cfg["open_set"], f"{n} finite coordinates"
     if kind == "boxes":
-        try:
-            return BoxUnion([(b[0], b[1]) for b in cfg["boxes"]])
-        except (IndexError, TypeError, ValueError) as exc:
-            raise InputError(f"boxes must be a list of [lo, hi] corner pairs: {exc}") from exc
+        boxes = _config_array(cfg, "boxes", (None, 2, n), f"a list of [lo, hi] pairs of {coords}")
+        return BoxUnion([(b[0], b[1]) for b in boxes])
     if kind == "ball":
-        return BallSet(cfg.get("center", [0.0, 0.0]), float(cfg.get("radius", 1.0)))
+        return BallSet(_config_array(cfg, "center", (n,), coords), _config_positive(cfg, "radius"))
     if kind == "punctured":
-        return PuncturedPlane(cfg.get("point", [0.0, 0.0]))
+        return PuncturedPlane(_config_array(cfg, "point", (n,), coords))
     raise InputError(f"unknown open set kind {kind}")
 
 
@@ -307,8 +319,14 @@ def cmd_whitney(args):
          "skeleton_dim": 1},
         ("open_set", "point", "center", "radius", "boxes", "bbox", "min_level", "skeleton_dim"),
     )
-    open_set = _open_set_from_config(cfg)
-    fam = whitney_family(open_set, (cfg["bbox"][0], cfg["bbox"][1]), int(cfg["min_level"]))
+    bbox = _config_array(cfg, "bbox", (2, None), "a [lo, hi] pair of finite corners")
+    n = bbox.shape[1]
+    open_set = _open_set_from_config(cfg, n)
+    min_level = _config_number(cfg, "min_level", int)
+    k = _config_number(cfg, "skeleton_dim", int, 0)
+    if k > n:
+        raise InputError(f"skeleton_dim must be at most {n}, got {k}")
+    fam = whitney_family(open_set, (bbox[0], bbox[1]), min_level)
     if len(fam) == 0:
         _write_json(out / "whitney_summary.json", {"cubes": 0, "meta": fam.meta})
         return EXIT_OK
@@ -316,7 +334,6 @@ def cmd_whitney(args):
     with open(out / "whitney_complex.json", "w") as fh:
         fh.write(cx.to_json())
         fh.write("\n")
-    k = int(cfg["skeleton_dim"])
     with open(out / f"whitney_skeleton_{k}.obj", "w") as fh:
         fh.write(cx.skeleton_to_obj(k))
     _write_json(

@@ -88,9 +88,6 @@ class FaceIndex:
     def center(self):
         return np.array(self.kappa, dtype=float)
 
-    def tangent_plane(self):
-        return Plane.axis(self.ambient_dim, self.tangent_axes())
-
     def region_contains(self, x):
         """Whether points lie in C_kappa (strict inequality on free axes)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -363,10 +360,6 @@ class ConvexBody:
         return self.gauge(x), self.gauge_grad(x)
 
     @property
-    def inradius(self):
-        raise NotImplementedError
-
-    @property
     def circumradius(self):
         raise NotImplementedError
 
@@ -396,10 +389,6 @@ class BallBody(ConvexBody):
         return np.where(norm > 0, x / (safe * self.radius), 0.0)
 
     @property
-    def inradius(self):
-        return self.radius
-
-    @property
     def circumradius(self):
         return self.radius
 
@@ -415,10 +404,6 @@ class EllipsoidBody(ConvexBody):
         g = self.gauge(x)
         safe = np.where(g > 0, g, 1.0)[:, None]
         return np.where(g[:, None] > 0, x / (self.semi_axes**2) / safe, 0.0)
-
-    @property
-    def inradius(self):
-        return float(np.min(self.semi_axes))
 
     @property
     def circumradius(self):
@@ -457,10 +442,6 @@ class SuperellipsoidBody(ConvexBody):
         ratios = np.abs(x) / safe[:, None]  # all <= 1
         grad = (ratios ** (self.power - 1)) * np.sign(x) / self.radius
         return norm / self.radius, np.where(norm[:, None] > 0, grad, 0.0)
-
-    @property
-    def inradius(self):
-        return self.radius
 
     @property
     def circumradius(self):
@@ -969,6 +950,13 @@ DIRECTION_ROWS = 1 << 16
 RESOLUTION_PAIRS = 1 << 17
 
 
+def _check_resolution(resolution):
+    """The given resolution if it is finite and positive, else ValueError."""
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
+    return resolution
+
+
 def _native_resolution(points):
     """Median distance from each probe sample (all of them up to 4096, else
     every (npts // 4096)-th) to its nearest distinct sample; nan when no
@@ -1143,6 +1131,8 @@ def unrect_perturbation(
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"sample {i} is not finite: {points[i].tolist()}")
+    if resolution is not None:
+        _check_resolution(resolution)
     if npts == 0:
         rho = SmoothMap.identity(n)
         rho.meta = {"balls": [], "uncovered_samples": 0, "resolution": resolution, "eps": eps}
@@ -1158,9 +1148,7 @@ def unrect_perturbation(
                 f"(sigma_{m+1} = {svals[i, m]:.3e})"
             )
     if resolution is None:
-        resolution = _native_resolution(points)
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and positive, got {resolution}")
+        resolution = _check_resolution(_native_resolution(points))
     if cluster_gap is None:
         cluster_gap = resolution * 8.0
     centers, outer_radii, inner_radii, uncovered = _cluster_balls(points, cluster_gap, region)

@@ -9,6 +9,8 @@ output such as centres and bounds.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import json
 import math
@@ -18,11 +20,11 @@ import numpy as np
 
 __all__ = [
     "DyadicCube",
+    "CubeIndex",
     "CubeFamily",
     "CubicalComplex",
     "whitney_family",
     "cubical_complex",
-    "skeleton",
     "neighbors",
     "BoxUnion",
     "BallSet",
@@ -57,8 +59,7 @@ class DyadicCube:
         """(lo, hi) integer corners in units of 2^(-level)."""
         lo = np.array(self.corner, dtype=np.int64)
         hi = lo.copy()
-        for a in self.axes:
-            hi[a] += 1
+        hi[list(self.axes)] += 1
         return lo, hi
 
     def bounds(self):
@@ -76,11 +77,6 @@ class DyadicCube:
         f = 1 << (level - self.level)
         lo, hi = self.bounds_int()
         return lo * f, hi * f
-
-    def contains_point(self, x, tol=0.0):
-        lo, hi = self.bounds()
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.all((x >= lo - tol) & (x <= hi + tol), axis=1)
 
     def faces(self, dims=None):
         """All faces (same level) of the requested dimensions, self included."""
@@ -113,8 +109,7 @@ class DyadicCube:
 
     def parent(self):
         """The containing cube one level coarser (floor division of the corner)."""
-        corner = tuple(c // 2 for c in self.corner)
-        return DyadicCube(self.level - 1, corner, self.axes, self.ambient_dim)
+        return DyadicCube(self.level - 1, tuple(c // 2 for c in self.corner), self.axes, self.ambient_dim)
 
     def intersects(self, other):
         """Closed-set intersection test, exact in integers."""
@@ -125,30 +120,19 @@ class DyadicCube:
 
     def interiors_overlap(self, other):
         """Relative interiors overlap: same affine span, open overlap on it."""
-        if self.dim != other.dim:
+        if self.axes != other.axes:
             return False
         level = max(self.level, other.level)
         alo, ahi = self.scaled_bounds(level)
         blo, bhi = other.scaled_bounds(level)
-        for j in range(self.ambient_dim):
-            free_a = j in self.axes
-            free_b = j in other.axes
-            if free_a != free_b:
-                return False
-            if free_a:
-                if min(ahi[j], bhi[j]) <= max(alo[j], blo[j]):
-                    return False
-            else:
-                if alo[j] != blo[j]:
-                    return False
-        return True
+        free = np.isin(np.arange(self.ambient_dim), self.axes)
+        return bool(np.all(np.where(free, np.minimum(ahi, bhi) > np.maximum(alo, blo), alo == blo)))
 
     def is_face_of(self, other):
         if self.level != other.level:
             return False
-        level = self.level
-        alo, ahi = self.scaled_bounds(level)
-        blo, bhi = other.scaled_bounds(level)
+        alo, ahi = self.bounds_int()
+        blo, bhi = other.bounds_int()
         return bool(np.all(alo >= blo) and np.all(ahi <= bhi))
 
     def canonical(self):
@@ -177,16 +161,97 @@ class DyadicCube:
         return DyadicCube(int(d["level"]), tuple(d["corner"]), tuple(d["axes"]), int(d["n"]))
 
 
+def _corner_codes(corners, origin, extent):
+    """Mixed-radix integer codes of integer corners (one per row) in the box
+    origin + [0, extent), ascending in the corners' lexicographic order."""
+    return np.ravel_multi_index((np.asarray(corners) - origin).T, extent)
+
+
+class CubeIndex:
+    """Integer incidence index over a list of dyadic cubes of any dimensions.
+
+    ``lo`` and ``hi`` are the closed bounds in int64 units of the finest level.
+    Cubes are bucketed by level and corner code (a 0-cube at the finest level):
+    a box no wider than a level-b cube meets level-b cubes of at most three
+    corners per axis, so a query looks up 3^n codes per level and confirms them.
+    """
+
+    def __init__(self, cubes):
+        self.cubes = list(cubes)
+        count, n = len(self.cubes), self.cubes[0].ambient_dim if self.cubes else 0
+        self.levels = np.array([c.level for c in self.cubes], dtype=np.int64)
+        self.finest = int(self.levels.max()) if self.cubes else 0
+        corner = np.array([c.corner for c in self.cubes], dtype=np.int64).reshape(count, n)
+        free = np.array([[j in c.axes for j in range(n)] for c in self.cubes], dtype=bool).reshape(count, n)
+        scale = np.left_shift(1, self.finest - self.levels)[:, None]
+        self.lo, self.hi = corner * scale, (corner + free) * scale
+        solid = free.any(axis=1)
+        self._bucket_level = np.where(solid, self.levels, self.finest)
+        key = np.where(solid[:, None], corner, self.lo)
+        self._buckets = []
+        for b in np.unique(self._bucket_level):
+            members = np.nonzero(self._bucket_level == b)[0]
+            origin = key[members].min(axis=0)
+            extent = key[members].max(axis=0) - origin + 1
+            codes = _corner_codes(key[members], origin, extent)
+            order = np.argsort(codes, kind="stable")
+            self._buckets.append((int(b), origin, extent, codes[order], members[order]))
+        self.position = {c: i for i, c in enumerate(self.cubes)}
+
+    def _meeting(self, lo, hi, levels):
+        """(row, cube) index pairs, unordered, of the closed boxes [lo, hi]
+        (finest units) and the cubes they meet that are bucketed at the row's
+        level or coarser; no box may be wider than a cube of its level."""
+        found = [(np.empty(0, dtype=np.int64),) * 2]
+        for b, origin, extent, codes, members in self._buckets:
+            rows = np.nonzero(levels >= b)[0]
+            side = 1 << (self.finest - b)
+            first, last = -(-lo[rows] // side) - 1, hi[rows] // side
+            for step in itertools.product(*map(range, np.max(last - first, axis=0, initial=-1) + 1)):
+                corners = first + step
+                ok = np.all((corners <= last) & (corners >= origin) & (corners < origin + extent), axis=1)
+                keys = _corner_codes(corners[ok], origin, extent)
+                start = np.searchsorted(codes, keys, "left")
+                count = np.searchsorted(codes, keys, "right") - start
+                r = np.repeat(rows[ok], count)
+                c = members[np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(r))]
+                meet = np.all((hi[r] >= self.lo[c]) & (self.hi[c] >= lo[r]), axis=1)
+                found.append((r[meet], c[meet]))
+        return tuple(np.concatenate(a) for a in zip(*found))
+
+    @functools.cached_property
+    def touching(self):
+        """(P, 2) index pairs i < j of the cubes whose closed sets meet, rows ascending."""
+        i, j = self._meeting(self.lo, self.hi, self._bucket_level)
+        # a pair within one bucket level is found from both ends
+        keep = (self._bucket_level[j] < self._bucket_level[i]) | (i < j)
+        pairs = np.sort(np.column_stack([i[keep], j[keep]]), axis=1)
+        return pairs[np.lexsort(pairs.T[::-1])]
+
+    def locate(self, points):
+        """(row, cube) index pairs, unordered, of the closed cubes holding each
+        point; exact (NaN is held by none)."""
+        if not self.cubes:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        t = pts * 2.0 ** self.finest
+        # NaN and far points skip the search, which keeps the int64 casts in range
+        rows = np.nonzero(np.all((t >= self.lo.min(axis=0)) & (t <= self.hi.max(axis=0)), axis=1))[0]
+        # a cube holding t holds floor(t): its bounds are integers
+        cell = np.floor(t[rows]).astype(np.int64)
+        r, c = self._meeting(cell, cell, np.full(len(rows), self.finest))
+        lo, hi = self.lo * 2.0 ** -self.finest, self.hi * 2.0 ** -self.finest
+        hold = np.all((lo[c] <= pts[rows[r]]) & (pts[rows[r]] <= hi[c]), axis=1)
+        return rows[r[hold]], c[hold]
+
+
 class CubeFamily:
-    """A finite set of top-dimensional dyadic cubes."""
+    """A finite set of top-dimensional dyadic cubes, with its CubeIndex."""
 
     def __init__(self, cubes, meta=None):
         cubes = sorted(set(cubes))
-        if cubes:
-            n = cubes[0].ambient_dim
-            for c in cubes:
-                if c.ambient_dim != n or c.dim != n:
-                    raise ValueError("family members must be top-dimensional, same ambient")
+        if any(c.ambient_dim != cubes[0].ambient_dim or c.dim != c.ambient_dim for c in cubes):
+            raise ValueError("family members must be top-dimensional, same ambient")
         self.cubes = cubes
         self.meta = dict(meta) if meta else {}
 
@@ -197,7 +262,11 @@ class CubeFamily:
         return iter(self.cubes)
 
     def __contains__(self, cube):
-        return cube in set(self.cubes)
+        return cube in self.index.position
+
+    @functools.cached_property
+    def index(self):
+        return CubeIndex(self.cubes)
 
     @property
     def ambient_dim(self):
@@ -212,81 +281,62 @@ class CubeFamily:
     def admissibility_violations(self, check_boundary=False):
         """List of violations of the admissibility conditions.
 
-        The boundary-coverage condition is opt-in: finite truncations of
+        Touching pairs (i, j) with i < j in list order, each cube's
+        interior overlaps before its size-ratio violations.  The
+        boundary-coverage condition is opt-in: finite truncations of
         Whitney families are uncovered along their outer frontier by
         construction, and the complex machinery only needs the first two
         conditions plus dyadic rigidity.
         """
-        out = []
-        cubes = self.cubes
-        if cubes:
-            finest = max(c.level for c in cubes)
-            lo = np.array([c.scaled_bounds(finest)[0] for c in cubes])
-            hi = np.array([c.scaled_bounds(finest)[1] for c in cubes])
-            levels = np.array([c.level for c in cubes])
-            for i in range(len(cubes)):
-                touch = np.all(hi[i + 1 :] >= lo[i], axis=1) & np.all(hi[i] >= lo[i + 1 :], axis=1)
-                overlap = touch & np.all(
-                    np.minimum(hi[i + 1 :], hi[i]) > np.maximum(lo[i + 1 :], lo[i]), axis=1
-                )
-                bad_ratio = touch & (np.abs(levels[i + 1 :] - levels[i]) > 1)
-                for j in np.nonzero(overlap)[0]:
-                    out.append(("interior-overlap", cubes[i], cubes[i + 1 + j]))
-                for j in np.nonzero(bad_ratio & ~overlap)[0]:
-                    out.append(("size-ratio", cubes[i], cubes[i + 1 + j]))
+        idx = self.index
+        i, j = idx.touching.T
+        overlap = np.all(np.minimum(idx.hi[i], idx.hi[j]) > np.maximum(idx.lo[i], idx.lo[j]), axis=1)
+        bad = np.nonzero(overlap | (np.abs(idx.levels[i] - idx.levels[j]) > 1))[0]
+        bad = bad[np.lexsort((j[bad], ~overlap[bad], i[bad]))]
+        out = [("interior-overlap" if overlap[p] else "size-ratio", self.cubes[i[p]], self.cubes[j[p]])
+               for p in bad]
         if check_boundary:
-            finest = max(c.level for c in cubes) if cubes else 0
-            for a in cubes:
-                others = [b for b in cubes if b != a and b.intersects(a)]
-                for facet in a.facets():
-                    if not _facet_covered(facet, others, finest + 1):
-                        out.append(("boundary-uncovered", a, facet))
+            out += [("boundary-uncovered", self.cubes[a], self.cubes[a].facets()[f])
+                    for a, f in self._uncovered_facets()]
         return out
+
+    def _uncovered_facets(self):
+        """(cube, facet number) pairs, ascending, of the facets with a sub-cell
+        one level below the finest whose midpoint no other cube holds."""
+        n, idx = self.ambient_dim, self.index
+        out = []
+        for level in np.unique(idx.levels):
+            members = np.nonzero(idx.levels == level)[0]
+            f = 1 << (idx.finest + 1 - int(level))
+            # doubled sub-cell midpoints of the facets of the level's cube at the origin
+            mids = np.array([list(itertools.product(*[range(1, 2 * f, 2) if j in facet.axes else [2 * f * c]
+                                                      for j, c in enumerate(facet.corner)]))
+                             for facet in DyadicCube(int(level), (0,) * n, tuple(range(n)), n).facets()])
+            pts = (idx.lo[members] << 2)[:, None, None] + mids
+            r, c = idx.locate(pts.reshape(-1, n) * 2.0 ** -(idx.finest + 2))
+            covered = np.zeros(pts.shape[:3], dtype=bool)
+            covered.flat[r[c != members[r // covered[0].size]]] = True
+            a, k = np.nonzero(~covered.all(axis=2))
+            out += zip(members[a].tolist(), k.tolist())
+        return sorted(out)
 
     def admissible(self, check_boundary=False):
         return not self.admissibility_violations(check_boundary)
 
     def contains_point(self, x):
+        """Whether each point lies in a closed cube of the family."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         ok = np.zeros(len(x), dtype=bool)
-        for c in self.cubes:
-            ok |= c.contains_point(x)
+        ok[self.index.locate(x)[0]] = True
         return ok
 
     def interior_contains(self, x):
         """Membership in Int(union): all 2^n touching fine cells are covered."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        finest = max(c.level for c in self.cubes) + 1
-        h = 2.0 ** (-finest) / 2.0
-        ok = np.ones(len(x), dtype=bool)
-        n = self.ambient_dim
-        for signs in itertools.product((-1, 1), repeat=n):
-            probe = x + h * np.array(signs, dtype=float)
-            ok &= self.contains_point(probe)
-        return ok
-
-
-def _facet_covered(facet, candidates, level):
-    """Whether every sub-cell of the facet (at the given level) lies in some
-    candidate cube.  Exact integer midpoint test."""
-    f = 1 << (level - facet.level)
-    lo, hi = facet.scaled_bounds(level)
-    axes = facet.axes
-    ranges = [range(lo[a], hi[a]) for a in axes]
-    scaled = [c.scaled_bounds(level) for c in candidates]
-    for combo in itertools.product(*ranges):
-        # midpoint of the sub-cell, doubled to stay integer
-        mid2 = 2 * lo.copy()
-        for a, v in zip(axes, combo):
-            mid2[a] = 2 * v + 1
-        ok = False
-        for clo, chi in scaled:
-            if np.all(mid2 >= 2 * clo) and np.all(mid2 <= 2 * chi):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+        h = 2.0 ** (-(self.index.finest + 1)) / 2.0
+        signs = np.array(list(itertools.product((-1, 1), repeat=x.shape[1])), dtype=float)
+        probes = x[:, None, :] + h * signs
+        return self.contains_point(probes.reshape(-1, x.shape[1])).reshape(len(x), -1).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +391,10 @@ class BoxUnion:
         x = np.asarray(x, dtype=float)
         if not self.contains(x[None, :])[0]:
             return 0.0
-        cands = set()
-        for lo, hi in self.boxes:
-            for j in range(len(x)):
-                cands.add(abs(x[j] - lo[j]))
-                cands.add(abs(x[j] - hi[j]))
+        cands = {abs(x[j] - b[j]) for box in self.boxes for b in box for j in range(len(x))}
         cands = sorted(c for c in cands if c > 0)
-        lo_i, hi_i = 0, len(cands) - 1
-        if not cands or not self.cube_inside(x, cands[0]):
-            return 0.0
-        if self.cube_inside(x, cands[-1]):
-            return cands[-1]
-        while hi_i - lo_i > 1:
-            mid = (lo_i + hi_i) // 2
-            if self.cube_inside(x, cands[mid]):
-                lo_i = mid
-            else:
-                hi_i = mid
-        return cands[lo_i]
+        inside = bisect.bisect_left(cands, True, key=lambda r: not self.cube_inside(x, r))
+        return cands[inside - 1] if inside else 0.0
 
 
 class BallSet:
@@ -397,22 +433,19 @@ class PuncturedPlane:
         return float(np.max(np.abs(np.asarray(x, dtype=float) - self.point)))
 
 
+def _corners(lo, hi):
+    """The 2^n corners of the box [lo, hi], the first axis slowest."""
+    return np.array(list(itertools.product(*zip(lo, hi))))
+
+
 def _cube_dist_inf(cube, open_set):
     """Sup-norm distance from the (closed) cube to the complement of the set.
 
-    Exact when the oracle's distance function is exact: the minimum over the
-    cube of dist(x, complement) is attained at a corner for BoxUnion-type
-    sets; we take the min over corners and the centre and subtract nothing
-    because dist_inf is 1-Lipschitz in sup-norm and the corner grid is the
-    extreme set of the cube.
+    The least over the cube's corners: exact when the oracle's distance is,
+    since dist_inf is 1-Lipschitz in sup-norm and, for BoxUnion-type sets,
+    least at a corner.
     """
-    lo, hi = cube.bounds()
-    corners = [
-        np.where(np.array(mask), hi, lo)
-        for mask in itertools.product((False, True), repeat=cube.ambient_dim)
-    ]
-    vals = [open_set.dist_inf_complement(c) for c in corners]
-    return min(vals)
+    return min(open_set.dist_inf_complement(c) for c in _corners(*cube.bounds()))
 
 
 def whitney_family(open_set, bbox, min_level, top_level=None):
@@ -431,48 +464,26 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
     side = 2.0 ** (-top_level)
     ilo = np.floor(lo / side + 1e-9).astype(np.int64)
     ihi = np.ceil(hi / side - 1e-9).astype(np.int64)
-    axes = tuple(range(n))
-    queue = [
-        DyadicCube(top_level, tuple(c), axes, n)
-        for c in itertools.product(*[range(ilo[j], ihi[j]) for j in range(n)])
-    ]
+    queue = [DyadicCube(top_level, tuple(c), tuple(range(n)), n)
+             for c in itertools.product(*[range(ilo[j], ihi[j]) for j in range(n)])]
     emitted = []
-    truncated = 0
-    waived_top = 0
+    truncated = waived_top = 0
     while queue:
         cube = queue.pop()
-        d = _cube_dist_inf(cube, open_set)
-        if d > 2.0 * cube.side:
-            if cube.level == top_level:
-                parent_d = _cube_dist_inf(cube.parent(), open_set)
-                if parent_d > 2.0 * cube.parent().side:
-                    waived_top += 1
+        if _cube_dist_inf(cube, open_set) > 2.0 * cube.side:
+            parent = cube.parent()
+            if cube.level == top_level and _cube_dist_inf(parent, open_set) > 2.0 * parent.side:
+                waived_top += 1
             emitted.append(cube)
+        elif cube.level >= min_level:
+            truncated += 1
         else:
-            if cube.level >= min_level:
-                truncated += 1
-                continue
             # refine only when the cube still meets the set
             clo, chi = cube.bounds()
-            mid = (clo + chi) / 2.0
-            corners = [
-                np.where(np.array(mask), chi, clo)
-                for mask in itertools.product((False, True), repeat=n)
-            ]
-            probe = np.vstack([mid] + corners)
-            if not open_set.contains(probe).any():
-                continue
-            queue.extend(cube.children())
-    fam = CubeFamily(
-        emitted,
-        meta={
-            "truncated_below_min_level": truncated,
-            "top_level_parent_waivers": waived_top,
-            "top_level": top_level,
-            "min_level": min_level,
-        },
-    )
-    return fam
+            if open_set.contains(np.vstack([(clo + chi) / 2.0, _corners(clo, chi)])).any():
+                queue.extend(cube.children())
+    return CubeFamily(emitted, meta={"truncated_below_min_level": truncated, "top_level_parent_waivers": waived_top,
+                                     "top_level": top_level, "min_level": min_level})
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +519,6 @@ class CubicalComplex:
 
     def skeleton_to_obj(self, k):
         """OBJ export of a skeleton: vertices plus edges (k=1) or quads (k=2)."""
-        cubes = self.skeleton(k)
         verts = {}
         lines = []
 
@@ -519,20 +529,17 @@ class CubicalComplex:
             return verts[key]
 
         elements = []
-        for c in cubes:
+        for c in self.skeleton(k):
             lo, hi = c.bounds()
             if k == 1:
-                a = lo
                 b = lo.copy()
                 b[c.axes[0]] = hi[c.axes[0]]
-                elements.append(("l", [vid(a), vid(b)]))
+                elements.append(("l", [vid(lo), vid(b)]))
             elif k == 2:
                 ax, ay = c.axes
                 p = [lo.copy() for _ in range(4)]
-                p[1][ax] = hi[ax]
-                p[2][ax] = hi[ax]
-                p[2][ay] = hi[ay]
-                p[3][ay] = hi[ay]
+                p[1][ax] = p[2][ax] = hi[ax]
+                p[2][ay] = p[3][ay] = hi[ay]
                 elements.append(("f", [vid(q) for q in p]))
             else:
                 elements.append(("p", [vid(lo)]))
@@ -559,9 +566,7 @@ def cubical_complex(family: CubeFamily) -> CubicalComplex:
     faces_by_dim = {}
     for cube in family:
         for f in cube.faces():
-            if f.dim == 0:
-                f = f.canonical()
-            faces_by_dim.setdefault(f.dim, set()).add(f)
+            faces_by_dim.setdefault(f.dim, set()).add(f.canonical())
     # a finer face overlapping the relative interior of f shares f's affine
     # span, so it is one of f's children
     by_dim = {
@@ -571,22 +576,16 @@ def cubical_complex(family: CubeFamily) -> CubicalComplex:
     return CubicalComplex(family, by_dim)
 
 
-def skeleton(complex_: CubicalComplex, k):
-    """All cubes of dimension exactly k in the complex."""
-    if not 0 <= k <= complex_.ambient_dim:
-        raise ValueError("skeleton dimension out of range")
-    return complex_.skeleton(k)
-
-
 def neighbors(family: CubeFamily, cube: DyadicCube, rings: int) -> CubeFamily:
     """Iterated closed-neighbourhood union of a member cube."""
     if cube not in family:
         raise ValueError("cube is not a member of the family")
-    current = {cube}
+    i, j = family.index.touching.T
+    near = np.zeros(len(family), dtype=bool)
+    near[family.index.position[cube]] = True
     for _ in range(rings):
-        nxt = set(current)
-        for r in family:
-            if any(r.intersects(c) for c in current):
-                nxt.add(r)
-        current = nxt
-    return CubeFamily(sorted(current))
+        ring = near.copy()
+        ring[j[near[i]]] = True
+        ring[i[near[j]]] = True
+        near = ring
+    return CubeFamily([c for c, k in zip(family.cubes, near) if k])

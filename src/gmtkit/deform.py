@@ -23,7 +23,7 @@ from .cubemaps import (
     punctured_cube_projection,
     unrect_perturbation,
 )
-from .cubical import CubeFamily, CubicalComplex, DyadicCube, cubical_complex, whitney_family, BoxUnion
+from .cubical import BoxUnion, CubeFamily, CubeIndex, CubicalComplex, DyadicCube, cubical_complex, whitney_family
 from .varifold import DiscreteVarifold, covering_measure, pushforward, sample_spacing
 
 logger = logging.getLogger("gmtkit.deform")
@@ -464,15 +464,9 @@ class DeformationPlan:
 
 
 def _max_touching(complex_: CubicalComplex):
-    cubes = complex_.all_cubes()
-    finest = max(c.level for c in cubes)
-    lo = np.array([c.scaled_bounds(finest)[0] for c in cubes])
-    hi = np.array([c.scaled_bounds(finest)[1] for c in cubes])
-    worst = 1
-    for i in range(len(cubes)):
-        touch = np.all(hi >= lo[i], axis=1) & np.all(hi[i] >= lo, axis=1)
-        worst = max(worst, int(touch.sum()))
-    return worst
+    """delta_touching: the most cells of the complex touching one cell, itself included."""
+    cells = complex_.all_cubes()
+    return int(np.bincount(CubeIndex(cells).touching.ravel(), minlength=len(cells)).max()) + 1
 
 
 def _add_stage(plan, cube, kind, current, eps_stage, **search):
@@ -539,15 +533,11 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
     delta_touch = _max_touching(complex_)
     eps_stage = eps / delta_touch
     rng = np.random.default_rng(seed)
-    candidates = [
-        c
-        for k in range(complex_.ambient_dim, m, -1)
-        for c in sorted(complex_.skeleton(k), key=lambda q: (q.level, q.corner, q.axes))
-    ]
-    touch_mask = family.interior_contains(np.array([c.center() for c in candidates]))
-    stage_cubes = [c for c, t in zip(candidates, touch_mask) if t]
+    candidates = [c for k in range(complex_.ambient_dim, m, -1) for c in complex_.skeleton(k)]
+    inside = family.interior_contains(np.array([c.center() for c in candidates]))
     # order: dimension descending, then side descending within a dimension
-    stage_cubes.sort(key=lambda c: (-c.dim, c.level, c.corner, c.axes))
+    stage_cubes = sorted((c for c, t in zip(candidates, inside) if t),
+                         key=lambda c: (-c.dim, c.level, c.corner, c.axes))
     plan = DeformationPlan(m=m, eps=eps, seed=seed)
     plan.constants["delta_touching"] = delta_touch
     plan.constants["eps_stage"] = eps_stage

@@ -92,8 +92,10 @@ class Plane:
 
     @staticmethod
     def axis(n, axes):
-        """The coordinate plane spanned by the given axis indices."""
+        """The coordinate plane spanned by the given distinct axis indices in [0, n)."""
         axes = tuple(axes)
+        if len(set(axes)) != len(axes) or not all(0 <= a < n for a in axes):
+            raise ValueError(f"axes {axes} must be distinct indices in [0, {n})")
         frame = np.zeros((n, len(axes)))
         for j, a in enumerate(axes):
             frame[a, j] = 1.0

@@ -49,17 +49,6 @@ def ring_sampled_disc(radius=1.0, ring_spacing=1e-3, points_per_unit_length=2000
     return pts, ws
 
 
-def sample_square(side=1.0, count=5000, seed=0, center=None, ambient=3, axes=(0, 1)):
-    """Uniform samples of a flat square patch; weights sum to side^2."""
-    rng = np.random.default_rng(seed)
-    pts = np.zeros((count, ambient))
-    pts[:, axes[0]] = side * (rng.random(count) - 0.5)
-    pts[:, axes[1]] = side * (rng.random(count) - 0.5)
-    if center is not None:
-        pts += np.asarray(center, dtype=float)
-    return pts, np.full(count, side**2 / count)
-
-
 def sample_circle(radius=1.0, count=2000, center=None, ambient=3, axes=(0, 1)):
     """Evenly spaced samples of a circle; weights sum to the circumference."""
     th = 2 * np.pi * (np.arange(count) + 0.5) / count

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubical import DyadicCube
+from .cubical import DyadicCube, _corner_codes
 from .grassmann import Plane
 from .varifold import DiscreteVarifold, _ball_ratios, _spacing_probes, sample_spacing, unit_ball_volume
 
@@ -159,7 +159,7 @@ class GridComplex:
         """Integer keys, ascending in the cells' (corner, axes) sort order: the
         mixed-radix code of the corner, times C(n, k), plus the rank of the axes."""
         rank = list(itertools.combinations(range(self.n), len(axes))).index(axes)
-        code = np.ravel_multi_index((corners - self.origin).T, np.add(self.shape, 1))
+        code = _corner_codes(corners, self.origin, np.add(self.shape, 1))
         return code * math.comb(self.n, len(axes)) + rank
 
     def facets(self, k):

@@ -256,11 +256,6 @@ class DiscreteVarifold:
         )
 
     @staticmethod
-    def from_flat(points, tangent_frames, weights):
-        """Tangent samples from per-sample frame matrices (N, n, m)."""
-        return DiscreteVarifold(points, tangent_frames, weights)
-
-    @staticmethod
     def flat(points, plane: Plane, weights):
         """All samples share one tangent plane."""
         points = np.atleast_2d(np.asarray(points, dtype=float))

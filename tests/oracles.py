@@ -19,7 +19,11 @@ points into a dict of buckets and loops over the probes, and
 for the ratios, once for the plane fit and once for the tilt.
 ``direction_search_oracle`` counts each candidate plane's cells with its own
 ``np.unique(axis=0)``, and ``native_resolution_oracle`` measures the
-distances from every probe sample to a 1024-sample block at once.
+distances from every probe sample to a 1024-sample block at once.  The
+cube-layer oracles are the pairwise scans the ``CubeIndex`` replaced: one
+row scan per cube for touching pairs, admissibility and ``delta_touching``,
+a Python loop over candidate cubes per facet sub-cell, one closed-box test
+per cube for point location, and ``DyadicCube.intersects`` for neighbours.
 The tests assert that the library returns the same bytes.
 """
 
@@ -592,3 +596,120 @@ def native_resolution_oracle(points):
         mins = np.minimum(mins, d2.min(axis=1))
     finite = mins[np.isfinite(mins)]
     return float(np.median(finite)) if len(finite) else math.nan
+
+
+# ---------------------------------------------------------------------------
+# the cube layer's pairwise scans, as they were before the CubeIndex
+
+
+def touching_pairs_oracle(cubes):
+    """Index pairs i < j of cubes whose closed sets meet, one row scan per cube."""
+    finest = max(c.level for c in cubes)
+    lo = np.array([c.scaled_bounds(finest)[0] for c in cubes])
+    hi = np.array([c.scaled_bounds(finest)[1] for c in cubes])
+    out = []
+    for i in range(len(cubes)):
+        touch = np.all(hi[i + 1 :] >= lo[i], axis=1) & np.all(hi[i] >= lo[i + 1 :], axis=1)
+        out += [(i, i + 1 + int(j)) for j in np.nonzero(touch)[0]]
+    return out
+
+
+def admissibility_violations_oracle(family, check_boundary=False):
+    """``CubeFamily.admissibility_violations`` by pairwise scans."""
+    out = []
+    cubes = family.cubes
+    if cubes:
+        finest = max(c.level for c in cubes)
+        lo = np.array([c.scaled_bounds(finest)[0] for c in cubes])
+        hi = np.array([c.scaled_bounds(finest)[1] for c in cubes])
+        levels = np.array([c.level for c in cubes])
+        for i in range(len(cubes)):
+            touch = np.all(hi[i + 1 :] >= lo[i], axis=1) & np.all(hi[i] >= lo[i + 1 :], axis=1)
+            overlap = touch & np.all(
+                np.minimum(hi[i + 1 :], hi[i]) > np.maximum(lo[i + 1 :], lo[i]), axis=1
+            )
+            bad_ratio = touch & (np.abs(levels[i + 1 :] - levels[i]) > 1)
+            for j in np.nonzero(overlap)[0]:
+                out.append(("interior-overlap", cubes[i], cubes[i + 1 + j]))
+            for j in np.nonzero(bad_ratio & ~overlap)[0]:
+                out.append(("size-ratio", cubes[i], cubes[i + 1 + j]))
+    if check_boundary:
+        finest = max(c.level for c in cubes) if cubes else 0
+        for a in cubes:
+            others = [b for b in cubes if b != a and b.intersects(a)]
+            for facet in a.facets():
+                if not _facet_covered_oracle(facet, others, finest + 1):
+                    out.append(("boundary-uncovered", a, facet))
+    return out
+
+
+def _facet_covered_oracle(facet, candidates, level):
+    """Whether every sub-cell of the facet (at the given level) lies in some
+    candidate cube.  Exact integer midpoint test."""
+    lo, hi = facet.scaled_bounds(level)
+    axes = facet.axes
+    ranges = [range(lo[a], hi[a]) for a in axes]
+    scaled = [c.scaled_bounds(level) for c in candidates]
+    for combo in itertools.product(*ranges):
+        # midpoint of the sub-cell, doubled to stay integer
+        mid2 = 2 * lo.copy()
+        for a, v in zip(axes, combo):
+            mid2[a] = 2 * v + 1
+        ok = False
+        for clo, chi in scaled:
+            if np.all(mid2 >= 2 * clo) and np.all(mid2 <= 2 * chi):
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
+def contains_point_oracle(family, x):
+    """``CubeFamily.contains_point``, one closed-box test per cube."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ok = np.zeros(len(x), dtype=bool)
+    for c in family.cubes:
+        lo, hi = c.bounds()
+        ok |= np.all((x >= lo) & (x <= hi), axis=1)
+    return ok
+
+
+def interior_contains_oracle(family, x):
+    """``CubeFamily.interior_contains`` over ``contains_point_oracle``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    finest = max(c.level for c in family.cubes) + 1
+    h = 2.0 ** (-finest) / 2.0
+    ok = np.ones(len(x), dtype=bool)
+    n = family.ambient_dim
+    for signs in itertools.product((-1, 1), repeat=n):
+        probe = x + h * np.array(signs, dtype=float)
+        ok &= contains_point_oracle(family, probe)
+    return ok
+
+
+def neighbors_oracle(family, cube, rings):
+    """``cubical.neighbors`` by ``DyadicCube.intersects`` over the family."""
+    if cube not in set(family.cubes):
+        raise ValueError("cube is not a member of the family")
+    current = {cube}
+    for _ in range(rings):
+        nxt = set(current)
+        for r in family:
+            if any(r.intersects(c) for c in current):
+                nxt.add(r)
+        current = nxt
+    return sorted(current)
+
+
+def max_touching_oracle(complex_):
+    """``deform._max_touching``: each cell's touching count by a row scan."""
+    cubes = complex_.all_cubes()
+    finest = max(c.level for c in cubes)
+    lo = np.array([c.scaled_bounds(finest)[0] for c in cubes])
+    hi = np.array([c.scaled_bounds(finest)[1] for c in cubes])
+    worst = 1
+    for i in range(len(cubes)):
+        touch = np.all(hi >= lo[i], axis=1) & np.all(hi[i] >= lo, axis=1)
+        worst = max(worst, int(touch.sum()))
+    return worst

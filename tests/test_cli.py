@@ -374,6 +374,15 @@ BAD_INPUTS = {
     "project_inner_above_outer": ({"GMTKIT_BODY": "cube_enclosure", "GMTKIT_INNER": "0.2"}, ["project"]),
     "project_semi_axes_empty": ({"GMTKIT_BODY": "ellipsoid", "GMTKIT_SEMI_AXES": "[]"}, ["project"]),
     "project_eps_nan": ({"GMTKIT_EPS": "NaN"}, ["project"]),
+    "whitney_min_level_not_an_integer": ({"GMTKIT_MIN_LEVEL": "abc"}, ["whitney"]),
+    "whitney_skeleton_dim_not_an_integer": ({"GMTKIT_SKELETON_DIM": "abc"}, ["whitney"]),
+    "whitney_radius_not_a_number": ({"GMTKIT_OPEN_SET": '"ball"', "GMTKIT_RADIUS": "abc"}, ["whitney"]),
+    "whitney_bbox_one_corner": ({"GMTKIT_BBOX": "[[0]]"}, ["whitney"]),
+    "whitney_bbox_not_a_pair": ({"GMTKIT_BBOX": "5"}, ["whitney"]),
+    "whitney_point_not_numbers": ({"GMTKIT_POINT": '["a", 1]'}, ["whitney"]),
+    "whitney_skeleton_dim_negative": ({"GMTKIT_SKELETON_DIM": "-1"}, ["whitney"]),
+    "whitney_center_of_wrong_length": ({"GMTKIT_OPEN_SET": '"ball"', "GMTKIT_CENTER": "[0]"}, ["whitney"]),
+    "probe_plane_axes_negative": ({"GMTKIT_PLANE_AXES": "[-1, 0]"}, ["probe-ellipticity"]),
 }
 
 

@@ -448,6 +448,12 @@ class TestUnrectPerturbation:
                                     resolution=0.01)
         assert given.meta["resolution"] == 0.01
 
+    @pytest.mark.parametrize("resolution", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_resolution_rejected_without_samples(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be finite and positive"):
+            unrect_perturbation(np.zeros((0, 2)), rank_one_map(), self.region, 0.5, 1,
+                                resolution=resolution)
+
     def test_cantor_reduction(self, rng):
         pts, _ = four_corner_cantor(6, angle=0.012)
         f = rank_one_map()

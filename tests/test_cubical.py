@@ -7,13 +7,22 @@ from gmtkit.cubical import (
     BallSet,
     BoxUnion,
     CubeFamily,
+    CubeIndex,
     DyadicCube,
     PuncturedPlane,
     _cube_dist_inf,
     cubical_complex,
     neighbors,
-    skeleton,
     whitney_family,
+)
+from gmtkit.deform import _max_touching
+from oracles import (
+    admissibility_violations_oracle,
+    contains_point_oracle,
+    interior_contains_oracle,
+    max_touching_oracle,
+    neighbors_oracle,
+    touching_pairs_oracle,
 )
 
 
@@ -123,9 +132,9 @@ class TestCubicalComplex:
 
     def test_unit_cube_r3_edges(self):
         cx = cubical_complex(CubeFamily([DyadicCube(0, (0, 0, 0), (0, 1, 2), 3)]))
-        assert len(skeleton(cx, 1)) == 12
-        assert len(skeleton(cx, 0)) == 8
-        assert len(skeleton(cx, 3)) == 1
+        assert len(cx.skeleton(1)) == 12
+        assert len(cx.skeleton(0)) == 8
+        assert len(cx.skeleton(3)) == 1
 
     def test_subdivided_shared_edge(self):
         big = DyadicCube(0, (0, 0), (0, 1), 2)
@@ -186,11 +195,6 @@ class TestCubicalComplex:
         for k, cubes in cx.by_dim.items():
             for a, b in itertools.combinations(cubes, 2):
                 assert not a.interiors_overlap(b)
-
-    def test_skeleton_range_check(self):
-        cx = cubical_complex(CubeFamily([DyadicCube(0, (0, 0), (0, 1), 2)]))
-        with pytest.raises(ValueError):
-            skeleton(cx, 5)
 
     def test_json_and_obj_export(self):
         cx = cubical_complex(CubeFamily([DyadicCube(0, (0, 0), (0, 1), 2)]))
@@ -276,3 +280,114 @@ class TestNeighbors:
         fam = unit_grid(2, 2)
         with pytest.raises(ValueError):
             neighbors(fam, DyadicCube(0, (9, 9), (0, 1), 2), 1)
+
+
+def _random_box_union(seed):
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for _ in range(3):
+        lo = rng.integers(-6, 3, 2) / 4.0
+        boxes.append((lo, lo + rng.integers(2, 6, 2) / 4.0))
+    return whitney_family(BoxUnion(boxes), ([-2, -2], [2, 2]), min_level=4, top_level=1)
+
+
+def _cube_soup(seed, count=40):
+    """Random squares of levels 0 to 3 in [0, 2]^2: overlapping, touching at
+    every size ratio, and not admissible."""
+    rng = np.random.default_rng(seed)
+    cubes = []
+    for _ in range(count):
+        level = int(rng.integers(0, 4))
+        cubes.append(DyadicCube(level, tuple(int(c) for c in rng.integers(0, 2 << level, 2) // 2), (0, 1), 2))
+    return CubeFamily(cubes)
+
+
+def _purge_family(min_level):
+    lo, hi = np.array([-1.0, -1.0]), np.array([2.0, 2.0])
+    return whitney_family(BoxUnion([(lo, hi)]), (lo, hi), min_level=min_level)
+
+
+ORACLE_FAMILIES = {
+    "box-union-0": lambda: _random_box_union(0),
+    "box-union-1": lambda: _random_box_union(1),
+    "box-union-2": lambda: _random_box_union(2),
+    "punctured-plane": lambda: whitney_family(PuncturedPlane([0.0, 0.0]), ([-1, -1], [1, 1]), 4, top_level=1),
+    "purge-3": lambda: _purge_family(3),
+    "purge-4": lambda: _purge_family(4),
+    "purge-5": lambda: _purge_family(5),
+    "ball-3d": lambda: whitney_family(BallSet([0.0, 0.0, 0.0], 1.0), ([-1, -1, -1], [1, 1, 1]), 3),
+}
+
+
+def _probe_points(fam, rng):
+    """Random points around the family, every grid point one level below the
+    finest on a window of it (faces and corners), cube centres, and NaN."""
+    idx = fam.index
+    lo, hi = idx.lo.min(axis=0) * 2.0 ** -idx.finest, idx.hi.max(axis=0) * 2.0 ** -idx.finest
+    n = len(lo)
+    spread = rng.uniform(lo - 0.25, hi + 0.25, (400, n))
+    step = 2.0 ** -(idx.finest + 1)
+    start = lo - step + rng.integers(0, 8, n) * step * 8
+    grid = start + step * np.indices((12,) * n).reshape(n, -1).T
+    centres = np.array([c.center() for c in fam.cubes[:: max(1, len(fam) // 50)]])
+    odd = np.full((2, n), np.nan)
+    odd[1] = np.inf
+    return np.vstack([spread, grid, centres, odd, lo[None] - step, hi[None] + step])
+
+
+class TestCubeIndexOracle:
+    """The CubeIndex paths against the pairwise scans they replaced."""
+
+    @pytest.fixture(params=sorted(ORACLE_FAMILIES), scope="class")
+    def built(self, request):
+        family = ORACLE_FAMILIES[request.param]()
+        return family, cubical_complex(family)
+
+    @pytest.fixture
+    def family(self, built):
+        return built[0]
+
+    def test_touching_pairs(self, built):
+        family, cx = built
+        assert family.index.touching.tolist() == [list(p) for p in touching_pairs_oracle(family.cubes)]
+        cells = cx.all_cubes()
+        assert CubeIndex(cells).touching.tolist() == [list(p) for p in touching_pairs_oracle(cells)]
+
+    def test_violations(self, family):
+        assert family.admissibility_violations() == admissibility_violations_oracle(family)
+        if len(family) <= 300:  # the boundary oracle scans every pair in Python
+            assert (family.admissibility_violations(check_boundary=True)
+                    == admissibility_violations_oracle(family, check_boundary=True))
+
+    def test_delta_touching(self, built):
+        assert _max_touching(built[1]) == max_touching_oracle(built[1])
+
+    def test_point_location(self, family, rng):
+        pts = _probe_points(family, rng)
+        assert np.array_equal(family.contains_point(pts), contains_point_oracle(family, pts))
+        assert np.array_equal(family.interior_contains(pts), interior_contains_oracle(family, pts))
+
+    def test_neighbors(self, family, rng):
+        for i in rng.choice(len(family), 3, replace=False):
+            q = family.cubes[i]
+            for rings in (0, 1, 2):
+                assert list(neighbors(family, q, rings)) == neighbors_oracle(family, q, rings)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_violation_order_on_cube_soups(self, seed):
+        fam = _cube_soup(seed)
+        kinds = {v[0] for v in fam.admissibility_violations()}
+        assert kinds == {"interior-overlap", "size-ratio"}
+        assert fam.admissibility_violations() == admissibility_violations_oracle(fam)
+        assert (fam.admissibility_violations(check_boundary=True)
+                == admissibility_violations_oracle(fam, check_boundary=True))
+        assert fam.index.touching.tolist() == [list(p) for p in touching_pairs_oracle(fam.cubes)]
+        pts = _probe_points(fam, np.random.default_rng(seed))
+        assert np.array_equal(fam.contains_point(pts), contains_point_oracle(fam, pts))
+        assert np.array_equal(fam.interior_contains(pts), interior_contains_oracle(fam, pts))
+
+    def test_empty_family(self):
+        fam = CubeFamily([])
+        assert fam.admissibility_violations(check_boundary=True) == []
+        assert not fam.contains_point(np.zeros((3, 2))).any()
+        assert not fam.interior_contains(np.zeros((3, 2))).any()

@@ -32,6 +32,11 @@ class TestPlane:
         with pytest.raises(ValueError):
             Plane(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("axes", [(-1, 0), (0, 3), (1, 1)], ids=["negative", "too-large", "repeated"])
+    def test_axis_rejects_indices_outside_range_or_repeated(self, axes):
+        with pytest.raises(ValueError, match="distinct indices"):
+            Plane.axis(3, axes)
+
     def test_json_roundtrip(self, rng):
         p = Plane(rng.standard_normal((4, 2)))
         q = Plane.from_json(p.to_json())
