@@ -262,7 +262,10 @@ def cmd_project(args):
     body, n = _body_from_config(cfg)
     rng = np.random.default_rng(args.seed)
     p, t = central_projection(body)
-    q = collared_projection(body, _config_positive(cfg, "eps"))
+    eps = _config_positive(cfg, "eps")
+    if eps > body.circumradius / 2:  # collared_projection caps eps / circumradius at 1/2
+        raise InputError(f"eps must be at most half the body's circumradius {body.circumradius:g}, got {eps}")
+    q = collared_projection(body, eps)
     probes = rng.uniform(-1.5 * body.circumradius, 1.5 * body.circumradius,
                          (_config_number(cfg, "probes", int, 1), n))
     probes = probes[np.linalg.norm(probes, axis=1) > 1e-3]
@@ -625,8 +628,11 @@ def cmd_probe_ellipticity(args):
         raise InputError(f"plane_axes {cfg['plane_axes']!r} are not axes of R^{n}: {exc}") from exc
     if plane.dim >= n:
         raise InputError(f"plane_axes must leave a normal direction in R^{n}")
-    report = ellipticity_probe(integrand, np.array(cfg["x"], dtype=float), plane,
-                               sup_grid=_config_number(cfg, "sup_grid", int), seed=args.seed)
+    m = _config_number(cfg, "m", int)
+    if m != plane.dim:
+        raise InputError(f"m must equal the number of plane_axes ({plane.dim}), got {m}")
+    report = ellipticity_probe(integrand, _config_array(cfg, "x", (n,), f"{n} finite coordinates"), plane,
+                               sup_grid=_config_number(cfg, "sup_grid", int, 1), seed=args.seed)
     _write_json(
         out / "ellipticity_report.json",
         {"margins": report.margins, "min_margin": report.min_margin,

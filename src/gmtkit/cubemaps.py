@@ -18,6 +18,8 @@ does the same for samples).
 from __future__ import annotations
 
 import functools
+import itertools
+import logging
 import math
 
 import numpy as np
@@ -31,6 +33,8 @@ from ._profiles import (
     smoothstep_d,
 )
 from .grassmann import Plane, build_rotation, projector_distance
+
+logger = logging.getLogger("gmtkit.cubemaps")
 
 __all__ = [
     "FaceIndex",
@@ -945,8 +949,9 @@ class RankConditionError(RuntimeError):
 # rows (candidates x samples) whose cell codes one sort counts together: each
 # per-chunk array of codes, sorted codes or differences stays at 0.5 MB
 DIRECTION_ROWS = 1 << 16
-# sample pairs the native-resolution estimate measures at once: up to this
-# many samples per block of columns, and as many probe rows as fit beside them
+# sample pairs one block of the all-pairs nearest-sample search measures at
+# once: up to this many samples per block of columns, and as many probe rows
+# as fit beside them
 RESOLUTION_PAIRS = 1 << 17
 
 
@@ -957,21 +962,116 @@ def _check_resolution(resolution):
     return resolution
 
 
+def _nearest_distinct(probes, points, block=RESOLUTION_PAIRS):
+    """Each probe's distance to its nearest sample at a positive distance
+    (inf if none), measured against all samples ``block`` pairs at a time."""
+    cols = max(1, min(len(points), block))
+    rows = max(1, block // cols)
+    mins = np.full(len(probes), np.inf)
+    for i in range(0, len(probes), rows):
+        rows_i, best = probes[i : i + rows], mins[i : i + rows]
+        for j in range(0, len(points), cols):
+            d = np.linalg.norm(rows_i[:, None, :] - points[None, j : j + cols], axis=-1)
+            d[d == 0.0] = np.inf
+            np.minimum(best, d.min(axis=1), out=best)
+    return mins
+
+
+def _grid_neighbours(points, queries, cell, budget=math.inf):
+    """Candidate neighbours of each query from a grid of side ``cell``: the
+    samples in the 3^n cells around the query's (the fixed-radius search of
+    Bentley, Stanat and Williams, IPL 6, 1977).  Cell indices stay below
+    2^50, so ``floor(x / cell)`` is off by less than 1/8 of a cell: a sample
+    within 3/4 ``cell`` of the query along every axis is a candidate, and
+    every other sample is more than 3/4 ``cell`` away.
+
+    The samples are sorted by the mixed-radix int64 code of their cell.  The
+    3^n cells around a query cell are 3^(n-1) runs of consecutive codes, so
+    each is one range of that order.  Returns (pairs, groups): the
+    query-candidate pair count and an iterator over (members, cand), the
+    queries that share one cell and the samples in its 3^n cells, both in
+    index order.  Returns None when there are no samples, when a cell index
+    or code would be too large, or when the lookups and the pairs together
+    would exceed ``budget``.
+    """
+    npts, n = points.shape
+    nq = len(queries)
+    if not 0.0 < cell < math.inf or npts == 0 or nq * 3 ** (n - 1) > budget:
+        return None
+    with np.errstate(over="ignore"):
+        keys, qkeys = np.floor(points / cell), np.floor(queries / cell)
+    if not ((np.abs(keys) < 2.0**50).all() and (np.abs(qkeys) < 2.0**50).all()):
+        return None
+    keys = keys.astype(np.int64)
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    radix = tuple(int(r) for r in hi - lo + 7)
+    if math.prod(radix) >= 1 << 62:
+        return None
+    # a query more than two cells outside the samples' range meets none, so
+    # clipping its index there keeps its candidates; no neighbour index
+    # leaves [0, radix), so a neighbour's code is the query's plus a step
+    qkeys = np.clip(qkeys.astype(np.int64), lo - 2, hi + 2)
+    codes = np.ravel_multi_index((keys - lo + 3).T, radix)
+    qcodes = np.ravel_multi_index((qkeys - lo + 3).T, radix)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    qorder = np.argsort(qcodes, kind="stable")
+    qcells, qfirst, qsize = np.unique(qcodes[qorder], return_index=True, return_counts=True)
+    runs = np.array([(*o, 1) for o in itertools.product((0, 1, 2), repeat=n - 1)])
+    near = qcells[:, None] + np.ravel_multi_index(runs.T, radix) - np.ravel_multi_index((1,) * n, radix)
+    left = np.searchsorted(codes, near - 1, "left")
+    right = np.searchsorted(codes, near + 1, "right")
+    pairs = int(qsize @ (right - left).sum(axis=1))
+    if 2 * near.size + pairs > budget:
+        return None
+
+    def groups():
+        for first, size, lefts, rights in zip(qfirst, qsize, left.tolist(), right.tolist()):
+            cand = np.concatenate([order[a:b] for a, b in zip(lefts, rights)])
+            yield qorder[first : first + size], np.sort(cand)
+
+    return pairs, groups()
+
+
+def _grid_nearest(points, queries, cell, block, budget=math.inf):
+    """(mins, pairs): each query's distance to its nearest candidate of
+    ``_grid_neighbours`` at a positive distance (inf if none), measured by
+    ``_nearest_distinct`` ``block`` pairs at a time, and the pair count;
+    None where ``_grid_neighbours`` gives None."""
+    grid = _grid_neighbours(points, queries, cell, budget)
+    if grid is None:
+        return None
+    mins = np.full(len(queries), np.inf)
+    for members, cand in grid[1]:
+        mins[members] = _nearest_distinct(queries[members], points[cand], block)
+    return mins, grid[0]
+
+
 def _native_resolution(points):
     """Median distance from each probe sample (all of them up to 4096, else
     every (npts // 4096)-th) to its nearest distinct sample; nan when no
-    probe has one."""
-    npts = len(points)
+    probe has one.
+
+    Each probe first searches the grid of side h = 2 span / npts^(1/n)
+    (``_grid_neighbours``).  A grid minimum below h/2 is final, since every
+    sample outside the probe's 3^n cells is more than 3h/4 away.  The other
+    probes, and all of them when the grid would cost more than all pairs, are
+    measured against every sample by ``_nearest_distinct``.  A pair's
+    distance is the same float on either path, so the median keeps its bits.
+    Logs the pairs measured, the all-pairs count and the fallback probes at
+    DEBUG.
+    """
+    npts, n = points.shape
     sub = points if npts <= 4096 else points[:: npts // 4096]
-    cols = min(npts, RESOLUTION_PAIRS)
-    rows = max(1, RESOLUTION_PAIRS // cols)
-    mins = np.full(len(sub), np.inf)
-    for i in range(0, len(sub), rows):
-        probes, best = sub[i : i + rows], mins[i : i + rows]
-        for j in range(0, npts, cols):
-            d = np.linalg.norm(probes[:, None, :] - points[None, j : j + cols], axis=2)
-            d[d == 0.0] = np.inf
-            np.minimum(best, d.min(axis=1), out=best)
+    total = len(sub) * npts
+    h = float(np.max(points.max(axis=0) - points.min(axis=0))) / npts ** (1.0 / n) * 2.0 if npts else 0.0
+    grid = _grid_nearest(points, sub, h, RESOLUTION_PAIRS, budget=total)
+    mins, pairs = grid if grid is not None else (np.full(len(sub), np.inf), 0)
+    far = ~(mins < h / 2.0)
+    mins[far] = _nearest_distinct(sub[far], points)
+    fallback = int(np.count_nonzero(far))
+    logger.debug("native resolution: %d pairs measured of %d, %d fallback probes",
+                 pairs + fallback * npts, total, fallback)
     finite = mins[np.isfinite(mins)]
     return float(np.median(finite)) if len(finite) else math.nan
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cubemaps import _grid_neighbours
 from .cubical import DyadicCube, _corner_codes
 from .grassmann import Plane
 from .varifold import DiscreteVarifold, _ball_ratios, _spacing_probes, sample_spacing, unit_ball_volume
@@ -592,6 +593,14 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     support points over a radius ladder, classifies points near the chain's
     mod-2 boundary as boundary rather than violations, and reports the
     tilt-excess statistic against local plane fits.
+
+    Each audit point measures only the samples in the 3^n cells around its
+    own in a grid of side 2 max(radii, fit_radius), shared by the points of
+    one cell (``cubemaps._grid_neighbours``), or every sample when that grid
+    would cost more than all pairs.  Either way the candidates stay in index
+    order, so the mass sums, the plane fit and the tilt see the same samples
+    in the same order as a scan of all of them, and the tilts are summed in
+    the order of the audit points.  The INFO line counts the pairs measured.
     """
     if chain.count() == 0:
         raise ValueError("audit needs a nonempty chain")
@@ -611,46 +620,53 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     if audit_points is None:
         audit_points = [c.center() for c in chain.cells()]
     spacing = sample_spacing(v.points)
-    entries = []
-    tilt_total = 0.0
-    tilt_weight = 0.0
-    for x in audit_points:
-        x = np.asarray(x, dtype=float)
-        d = np.linalg.norm(v.points - x, axis=1)
-        ratios = _ball_ratios(v.weights, d, radii, v.dim, spacing)
-        near_boundary = bool(len(bpts) and np.min(np.linalg.norm(bpts - x, axis=1)) <= max(radii))
-        flags = []
-        for rec in ratios:
-            if not rec.reliable:
-                flags.append("unreliable")
-            elif near_boundary:
-                flags.append("boundary")
-            elif lo <= rec.ratio <= hi:
-                flags.append("ok")
-            else:
-                flags.append("violation")
-        sel = d <= fit_radius
-        tilt = None
-        if sel.sum() >= m + 1:  # enough samples for a local plane fit
-            pts = v.points[sel]
-            _, _, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
-            frames = v.frames[sel]
-            pf = Plane(vt[:m].T).projector()
-            pt = np.einsum("nij,nkj->nik", frames, frames)
-            eig = np.linalg.eigvalsh(pt - pf)
-            d2 = np.maximum(eig[:, -1], -eig[:, 0]) ** 2
-            ws = v.weights[sel]
-            tilt = float(np.sum(ws * d2))
-            tilt_total += tilt
-            tilt_weight += float(ws.sum())
-        entries.append(
-            {
+    audit_points = list(audit_points)
+    xs = np.asarray(audit_points, dtype=float).reshape(len(audit_points), chain.complex.n)
+    total = len(xs) * len(v)
+    grid = _grid_neighbours(v.points, xs, 2.0 * max([*radii, fit_radius]), budget=total)
+    pairs, groups = (total, [(range(len(xs)), np.arange(len(v)))]) if grid is None else grid
+    entries, fit_weights = [None] * len(xs), [0.0] * len(xs)
+    for members, cand in groups:
+        points, frames, weights = v.points[cand], v.frames[cand], v.weights[cand]
+        for i in members:
+            x = xs[i]
+            d = np.linalg.norm(points - x, axis=1)
+            ratios = _ball_ratios(weights, d, radii, v.dim, spacing)
+            near_boundary = bool(len(bpts) and np.min(np.linalg.norm(bpts - x, axis=1)) <= max(radii))
+            flags = []
+            for rec in ratios:
+                if not rec.reliable:
+                    flags.append("unreliable")
+                elif near_boundary:
+                    flags.append("boundary")
+                elif lo <= rec.ratio <= hi:
+                    flags.append("ok")
+                else:
+                    flags.append("violation")
+            sel = d <= fit_radius
+            tilt = None
+            if sel.sum() >= m + 1:  # enough samples for a local plane fit
+                pts = points[sel]
+                _, _, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
+                fit_frames = frames[sel]
+                pf = Plane(vt[:m].T).projector()
+                pt = np.einsum("nij,nkj->nik", fit_frames, fit_frames)
+                eig = np.linalg.eigvalsh(pt - pf)
+                d2 = np.maximum(eig[:, -1], -eig[:, 0]) ** 2
+                ws = weights[sel]
+                tilt = float(np.sum(ws * d2))
+                fit_weights[i] = float(ws.sum())
+            entries[i] = {
                 "point": x.tolist(),
                 "ratios": [(rec.radius, rec.ratio, flag) for rec, flag in zip(ratios, flags)],
                 "boundary": near_boundary,
                 "tilt": tilt,
             }
-        )
+    tilt_total = tilt_weight = 0.0
+    for e, w in zip(entries, fit_weights):  # summed in the order of the audit points
+        if e["tilt"] is not None:
+            tilt_total += e["tilt"]
+            tilt_weight += w
     all_ratios = [
         rec[1] for e in entries for rec in e["ratios"] if rec[2] in ("ok", "violation")
     ]
@@ -667,6 +683,7 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
         "entries": entries,
         "subdivision": subdivision,
     }
-    logger.info("audit: sample spacing %.6g from %d probes, %d audit points, %d violations",
-                spacing, len(_spacing_probes(len(v))), len(entries), report["violations"])
+    logger.info("audit: sample spacing %.6g from %d probes, %d audit points, %d sample pairs, "
+                "%d violations", spacing, len(_spacing_probes(len(v))), len(entries), pairs,
+                report["violations"])
     return report

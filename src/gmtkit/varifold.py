@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._profiles import SmoothPiecewiseLinear
-from .cubemaps import SmoothMap, _cell_counts
+from .cubemaps import SmoothMap, _cell_counts, _grid_nearest, _nearest_distinct
 from .grassmann import Plane, haar_sample
 
 __all__ = [
@@ -557,53 +557,35 @@ class DensityRatio:
     reliable: bool
 
 
-SPACING_PAIRS = 1 << 16  # candidate pairs one chunk of sample_spacing measures
+SPACING_PAIRS = 1 << 16  # sample pairs one block of sample_spacing measures
 
 
 def sample_spacing(points, cap=2048):
     """Median nearest-neighbour distance (resolution scale of the sampling).
 
-    Grid-hashed so large clouds stay linear: each probe point is compared
-    only against the points in its own and adjacent hash cells, read as ranges
-    of the points sorted by cell code and measured SPACING_PAIRS pairs at a time.
+    Up to ``cap`` points, every point is measured against all the others.
+    Above it, the probes of ``_spacing_probes`` look only in their own and
+    the adjacent cells of a grid of side 2 span / n_pts^(1/dim), through the
+    grid search ``cubemaps._grid_neighbours`` that the solver's audit and the
+    native-resolution estimate share, and a probe with no neighbour at a
+    positive distance there is left out.  Should a cell index or code be too
+    large for that grid, the probes are measured against all points instead.
+    Distances are measured SPACING_PAIRS pairs at a time, with the same
+    floats as a per-probe loop.
     """
     pts = np.atleast_2d(points)
     n_pts, dim = pts.shape
     if n_pts < 2:
         return math.inf
     if n_pts <= cap:
-        mins = np.full(n_pts, np.inf)
-        for start in range(0, n_pts, 1024):
-            block = pts[start : start + 1024]
-            d = np.linalg.norm(pts[:, None, :] - block[None, :, :], axis=2)
-            d[d == 0.0] = np.inf
-            mins = np.minimum(mins, d.min(axis=1))
+        mins = _nearest_distinct(pts, pts, SPACING_PAIRS)
         return float(np.median(mins[np.isfinite(mins)]))
     span = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     cell = max(span / max(n_pts, 2) ** (1.0 / dim) * 2.0, 1e-12)
-    keys = np.floor(pts / cell).astype(np.int64)
-    keys -= keys.min(axis=0) - 1  # every neighbour cell gets a code >= 0
-    radix = keys.max(axis=0) + 2
-    order = np.argsort(np.ravel_multi_index(keys.T, radix), kind="stable")
-    codes = np.ravel_multi_index(keys[order].T, radix)
-    probes = _spacing_probes(n_pts, cap)
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
-    near = np.ravel_multi_index(np.moveaxis(keys[probes][:, None, :] + offsets, 2, 0), radix)
-    first = np.searchsorted(codes, near, "left")
-    count = np.searchsorted(codes, near, "right") - first
-    per_probe = count.sum(axis=1)
-    ends = np.cumsum(per_probe)
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], SPACING_PAIRS), "right"))
-    mins = []
-    for lo, hi in zip(cuts, np.append(cuts[1:], len(probes))):
-        c = count[lo:hi].ravel()  # the chunk's (probe, offset) ranges, concatenated below
-        cand = order[np.arange(c.sum()) + np.repeat(first[lo:hi].ravel() - np.cumsum(c) + c, c)]
-        d = np.linalg.norm(pts[cand] - pts[np.repeat(probes[lo:hi], per_probe[lo:hi])], axis=1)
-        seg = ends[lo:hi] - ends[lo] + per_probe[lo] - per_probe[lo:hi]
-        pos = d > 0.0  # a probe with no positive distance has no neighbour
-        best = np.minimum.reduceat(np.where(pos, d, np.inf), seg)
-        mins.append(best[np.logical_or.reduceat(pos, seg)])
-    mins = np.concatenate(mins)
+    probes = pts[_spacing_probes(n_pts, cap)]
+    grid = _grid_nearest(pts, probes, cell, SPACING_PAIRS)
+    mins = _nearest_distinct(probes, pts, SPACING_PAIRS) if grid is None else grid[0]
+    mins = mins[np.isfinite(mins)]
     return float(np.median(mins)) if len(mins) else math.inf
 
 

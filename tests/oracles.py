@@ -19,7 +19,12 @@ points into a dict of buckets and loops over the probes, and
 for the ratios, once for the plane fit and once for the tilt.
 ``direction_search_oracle`` counts each candidate plane's cells with its own
 ``np.unique(axis=0)``, and ``native_resolution_oracle`` measures the
-distances from every probe sample to a 1024-sample block at once.  The
+distances from every probe sample to a 1024-sample block at once.
+``native_resolution_oracle``, ``sample_spacing_oracle`` and
+``audit_minimizer_oracle`` are also the references for the one grid
+neighbour search (``cubemaps._grid_neighbours``) that all three library
+routines now share: none of them uses a grid beyond the spacing's own
+buckets, and the audit and resolution oracles scan every sample.  The
 cube-layer oracles are the pairwise scans the ``CubeIndex`` replaced: one
 row scan per cube for touching pairs, admissibility and ``delta_touching``,
 a Python loop over candidate cubes per facet sub-cell, one closed-box test

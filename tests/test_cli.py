@@ -383,6 +383,10 @@ BAD_INPUTS = {
     "whitney_skeleton_dim_negative": ({"GMTKIT_SKELETON_DIM": "-1"}, ["whitney"]),
     "whitney_center_of_wrong_length": ({"GMTKIT_OPEN_SET": '"ball"', "GMTKIT_CENTER": "[0]"}, ["whitney"]),
     "probe_plane_axes_negative": ({"GMTKIT_PLANE_AXES": "[-1, 0]"}, ["probe-ellipticity"]),
+    "project_eps_above_half_circumradius": ({"GMTKIT_EPS": "5"}, ["project"]),
+    "probe_m_not_the_plane_dimension": ({"GMTKIT_M": "5"}, ["probe-ellipticity"]),
+    "probe_x_of_wrong_length": ({"GMTKIT_X": "[0]"}, ["probe-ellipticity"]),
+    "probe_sup_grid_negative": ({"GMTKIT_SUP_GRID": "-1"}, ["probe-ellipticity"]),
 }
 
 

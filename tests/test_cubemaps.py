@@ -1,5 +1,7 @@
 import itertools
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from gmtkit.cubemaps import (
 )
 from gmtkit.cubemaps import (
     _direction_search,
+    _grid_neighbours,
     _native_resolution,
     _punctured_jacobian_rows,
     _punctured_jacobians,
@@ -37,11 +40,12 @@ from gmtkit.cubical import DyadicCube
 from gmtkit.deform import deform_one_cube
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import four_corner_cantor, sample_disc
-from gmtkit.varifold import DiscreteVarifold
+from gmtkit.varifold import DiscreteVarifold, sample_spacing
 from oracles import (
     SmoothPiecewiseLinearOracle,
     direction_search_oracle,
     native_resolution_oracle,
+    sample_spacing_oracle,
     punctured_jacobians_oracle,
     punctured_projection_oracle,
     recentering_map_oracle,
@@ -661,6 +665,86 @@ class TestDirectionSearchOracle:
             assert ball["own_estimate"] == own * cell
             assert ball["threshold_estimate"] == 0.4 * own * cell
             assert ball["projected_estimate"] <= ball["threshold_estimate"]
+
+
+def _grid_hard_case(case, rng):
+    """Sample sets where a grid neighbour search could go wrong; each holds
+    more than 2048 points, so ``sample_spacing`` searches its grid too."""
+    if case == "far_point":  # its nearest sample lies far outside its 3^n cells
+        return np.vstack([rng.random((3000, 2)) * 100.0, [[130.0, 50.0]]])
+    if case == "all_duplicates":
+        return np.tile([[0.25, -1.5, 3.0]], (2100, 1))
+    if case == "exactly_h":
+        # span 25 and 2500 points make h = 1: every nearest distinct sample
+        # lies exactly h away along one axis, on a cell boundary
+        lattice = np.stack(np.meshgrid(np.arange(26.0), np.arange(26.0), indexing="ij"), -1).reshape(-1, 2)
+        return np.vstack([lattice] * 3 + [lattice[:472]])
+    if case == "span_2_40":  # a crowded cluster at 2^40 beside a cloud spanning 2^40
+        return np.vstack([rng.random((1500, 2)) * 1e-3 + 2.0**40, rng.random((1500, 2)) * 2.0**40])
+    if case == "n1":
+        pts = rng.standard_normal((3000, 1)) ** 3
+        return np.vstack([pts, pts[:300]])
+    if case == "n4_curve":
+        t = np.sort(rng.random(3000)) * 20.0
+        return np.stack([np.cos(t), np.sin(t), t / 7.0, np.cos(2.0 * t)], axis=1)
+    if case == "n4_cloud":
+        return rng.random((3000, 4))
+    return rng.uniform(-1.0, 1.0, (9000, 3)) ** 3  # probes subsampled to every 2nd sample
+
+
+GRID_HARD_CASES = ["far_point", "all_duplicates", "exactly_h", "span_2_40", "n1", "n4_curve",
+                   "n4_cloud", "subsampled"]
+
+
+class TestGridNeighbours:
+    """``_grid_neighbours`` and its two nearest-sample users against the
+    all-pairs oracles, byte for byte."""
+
+    @pytest.mark.parametrize("case", GRID_HARD_CASES)
+    def test_resolution_and_spacing_match_the_oracles(self, case, rng, caplog):
+        pts = _grid_hard_case(case, rng)
+        with caplog.at_level(logging.DEBUG, logger="gmtkit.cubemaps"):
+            got = _native_resolution(pts)
+        want = native_resolution_oracle(pts)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        spacing = sample_spacing(pts)
+        assert np.float64(spacing).tobytes() == np.float64(sample_spacing_oracle(pts)).tobytes()
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "gmtkit.cubemaps"]
+        measured, total, fallback = map(int, re.findall(r"\d+", line))
+        probes = len(pts) if len(pts) <= 4096 else len(pts[:: len(pts) // 4096])
+        assert total == probes * len(pts)
+        if case in ("far_point", "span_2_40", "n1", "n4_curve", "subsampled"):
+            assert measured < total // 2  # the grid ran
+        if case == "far_point":
+            assert fallback >= 1 and got < 2.0
+        if case == "all_duplicates":
+            assert math.isnan(got) and spacing == math.inf and fallback == probes
+        if case == "exactly_h":
+            assert got == spacing == 1.0 and fallback == probes
+
+    def test_candidates_are_the_neighbour_cells(self, rng):
+        for n, cell in ((1, 0.05), (2, 0.1), (3, 0.3), (4, 0.45)):
+            pts = np.round(rng.random((400, n)) * 20.0) / 20.0  # many samples on cell boundaries
+            queries = np.vstack([pts[::7], rng.uniform(-2.0, 3.0, (30, n))])
+            pairs, groups = _grid_neighbours(pts, queries, cell)
+            seen, counted = np.zeros(len(queries), dtype=int), 0
+            for members, cand in groups:
+                assert np.all(np.diff(members) > 0) and np.all(np.diff(cand) > 0)
+                for i in members:
+                    near = np.abs(np.floor(pts / cell) - np.floor(queries[i] / cell)).max(axis=1) <= 1
+                    assert np.array_equal(cand, np.flatnonzero(near))
+                    seen[i] += 1
+                counted += len(members) * len(cand)
+            assert np.all(seen == 1) and counted == pairs
+
+    def test_declines_what_it_cannot_do_exactly(self, rng):
+        pts = rng.random((50, 2))
+        assert _grid_neighbours(pts, pts, 0.0) is None
+        assert _grid_neighbours(pts, pts, math.nan) is None
+        assert _grid_neighbours(np.zeros((0, 2)), pts, 0.1) is None
+        assert _grid_neighbours(pts, pts, 1e-20) is None  # cell indices past 2^50
+        assert _grid_neighbours(pts, pts, 10.0, budget=50 * 50) is None  # one cell holds all
+        assert _grid_neighbours(pts, np.array([[np.nan, 0.0]]), 0.1) is None
 
 
 def _cube_deform_case():

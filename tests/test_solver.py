@@ -610,6 +610,38 @@ class TestAuditOracle:
         assert "spacing" not in report
 
 
+def _audit_pairs(caplog):
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("audit")]
+    return int(line.split(" sample pairs")[0].rsplit(" ", 1)[1])
+
+
+def test_audit_reach_beyond_the_chain(caplog):
+    # radii wider than the whole L sheet: one grid cell holds every sample,
+    # so the audit measures all pairs and must still give the oracle's report
+    p = l_problem(8)
+    chain = initial_chain(p)
+    points = [np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.25]), np.array([9.0, -9.0, 9.0])]
+    kwargs = dict(radii=[0.1, 2.5, 6.0], subdivision=4, fit_radius=20.0, audit_points=points)
+    with caplog.at_level(logging.INFO, logger="gmtkit.solver"):
+        got = audit_minimizer(chain, p.integrand, **kwargs)
+    assert repr(got) == repr(audit_minimizer_oracle(chain, **kwargs))
+    samples = len(chain_to_varifold(chain, subdivision=4))
+    assert _audit_pairs(caplog) == len(points) * samples
+    assert got["entries"][2]["tilt"] is not None  # the far point still fits the whole sheet
+
+
+def test_audit_grid_measures_fewer_pairs(caplog):
+    p = l_problem(12)
+    chain = initial_chain(p)
+    kwargs = dict(radii=[0.08, 0.1], subdivision=8, fit_radius=0.08)
+    with caplog.at_level(logging.INFO, logger="gmtkit.solver"):
+        got = audit_minimizer(chain, p.integrand, **kwargs)
+    assert repr(got) == repr(audit_minimizer_oracle(chain, **kwargs))
+    samples = len(chain_to_varifold(chain, subdivision=8))
+    assert 0 < _audit_pairs(caplog) < len(got["entries"]) * samples // 4
+    assert got["violations"] and got["tilt_excess"] is not None
+
+
 def test_minimize_needs_a_restart():
     with pytest.raises(ValueError, match="restarts"):
         minimize(square_problem(1), restarts=0)
