@@ -6,16 +6,17 @@ artifact is written deterministically (sorted keys, repr floats, no
 timestamps), so a rerun with the same config and seed is byte-identical.
 
 Exit codes: 0 success, 2 input error, 3 pipeline failure, 4 infeasible.
-Tolerance-style config keys can be overridden by environment variables
-prefixed GMTKIT_ (e.g. GMTKIT_EPS=0.05).
+Config keys can be overridden by environment variables prefixed GMTKIT_
+(e.g. GMTKIT_EPS=0.05); each subcommand's --help lists its inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
+import operator
 import os
+import reprlib
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .solver import (
     exhaustive_oracle,
     minimize as solver_minimize,
 )
-from .varifold import DiscreteVarifold, ellipticity_probe, integrand_from_config, slice_varifold
+from .varifold import DiscreteVarifold, _checked_floats, ellipticity_probe, integrand_from_config, slice_varifold
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -57,78 +58,177 @@ class InputError(RuntimeError):
     pass
 
 
-def _load_config(path, defaults, allowed):
-    cfg = dict(defaults)
-    if path:
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+class Rule:
+    """One input of a subcommand: its kind, its default (None: it has none) and
+    its rule.
+
+    The kinds are "int" (below 2^53 in size), "float", "bool", "choice" and
+    "integrand".  Each bound is a (comparison, number) pair that every entry
+    must meet.  An int or float with a ``shape`` is an array; a shape entry is
+    a length, None (any positive length) or "n" (the ambient dimension).  A
+    choice ending in ":" stands for itself followed by an axis index below n.
+    With ``when`` = (key, value) the input is read only when that key has
+    that value.
+    """
+
+    def __init__(self, kind, default=None, *bounds, shape=(), choices=(), when=()):
+        self.kind, self.default, self.bounds = kind, default, bounds
+        self.shape, self.choices, self.when = shape, choices, when
+
+    def describe(self, n="n"):
+        """The rule in words."""
+        if self.kind == "bool":
+            return "true or false"
+        if self.kind == "choice":
+            return "one of " + ", ".join(f"{c}j (j < {n})" if c.endswith(":") else c for c in self.choices)
+        if self.kind == "integrand":
+            return f"an integrand dict in R^{n}, of kind area, tilt_penalty or table"
+        what = "integer" if self.kind == "int" else "finite number"
+        limits = " and ".join(f"{sym} {bound:g}" for sym, bound in self.bounds)
+        if not self.shape:
+            return f"{'an' if self.kind == 'int' else 'a'} {what}" + (f" {limits}" if limits else "")
+        dims = [("k" if s is None else str(n if s == "n" else s)) for s in self.shape]
+        kind = f"list of {dims[0]}" if len(dims) == 1 else f"{' x '.join(dims)} array of"
+        return f"a {kind} {what}s" + (f", each {limits}" if limits else "")
+
+    def check(self, key, value, n):
+        """value converted to the rule's type, else InputError naming the key,
+        the rule and the value."""
         try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
-        unknown = set(user) - set(allowed)
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(user)
-    for key in allowed:
+            if self.kind == "integrand":
+                return integrand_from_config(value, n=n)
+            if self.kind in ("int", "float"):
+                shape = [n if s == "n" else s for s in self.shape]
+                arr = _checked_floats(value, key, self.describe(n), lambda a: (
+                    a.ndim == len(shape) and a.size and all(s in (None, t) for s, t in zip(shape, a.shape))
+                    and (self.kind == "float" or ((a == np.floor(a)) & (abs(a) < 2**53)).all())
+                    and all(_COMPARE[sym](a, bound).all() for sym, bound in self.bounds)))
+                return arr.astype(int).tolist() if self.kind == "int" else (arr if shape else float(arr))
+        except ValueError as exc:
+            raise InputError(f"{key}: {exc}" if self.kind == "integrand" else str(exc)) from exc
+        if (self.kind == "bool" and isinstance(value, bool)) or (self.kind == "choice" and value in (
+                [c for c in self.choices if not c.endswith(":")]
+                + [f"{c}{j}" for c in self.choices if c.endswith(":") for j in range(n)])):
+            return value
+        raise InputError(f"{key} must be {self.describe(n)}, got {reprlib.repr(value)}")
+
+
+def _checked(table, raw, n=None, what="config"):
+    """raw (key -> value) checked against ``table`` in the table's order, with
+    the defaults filled in.  n is the ambient dimension, or a function of the
+    inputs checked so far that gives it to the first integrand or array of
+    length n."""
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise InputError(f"unknown {what} keys: {sorted(unknown)}")
+    out = {}
+    for key, rule in table.items():
+        if rule.when and out[rule.when[0]] != rule.when[1]:
+            continue
+        if callable(n) and (rule.kind == "integrand" or "n" in rule.shape):
+            n = n(out)
+        out[key] = rule.check(key, raw.get(key, rule.default), n)
+    return out
+
+
+def _read_json(path, what):
+    """The JSON object in the file at path, else InputError."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{what} {path} must hold a JSON object, got {reprlib.repr(data)}")
+    return data
+
+
+def _config(args, table, n=None):
+    """The --config file with the GMTKIT_ environment overrides, checked against table."""
+    raw = _read_json(args.config, "config") if args.config else {}
+    for key in table:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             try:
-                cfg[key] = json.loads(env)
+                raw[key] = json.loads(env)
             except json.JSONDecodeError:
-                cfg[key] = env
-    return cfg
+                raw[key] = env
+    return _checked(table, raw, n)
 
 
-def _config_number(cfg, key, kind, least=None):
-    """cfg[key] converted by ``kind`` (int or float), finite and at least
-    ``least``, else InputError."""
-    try:
-        value = kind(cfg[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise InputError(f"{key} must be {what}: {exc}") from exc
-    if not math.isfinite(value):
-        raise InputError(f"{key} must be finite, got {value}")
-    if least is not None and value < least:
-        raise InputError(f"{key} must be at least {least}, got {value}")
-    return value
+def _arguments(args, table, n=None):
+    """The subcommand's own arguments, checked against table."""
+    return _checked(table, {k: getattr(args, k) for k in table if getattr(args, k) is not None}, n, "argument")
 
 
-def _config_array(cfg, key, shape, what):
-    """cfg[key] as a float array of ``shape`` (None matches any positive
-    length) with finite entries, else InputError saying it must be ``what``."""
-    try:
-        value = np.array(cfg[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{key} must be {what}: {exc}") from exc
-    if (value.ndim != len(shape) or not value.size or not np.isfinite(value).all()
-            or any(s not in (None, t) for s, t in zip(shape, value.shape))):
-        raise InputError(f"{key} must be {what}, got {cfg[key]!r}")
-    return value
+INPUTS = {
+    "rotate": {"tau": Rule("float", [0.25, 0.5, 1.0], shape=(None,))},
+    "retract": {"n": Rule("int", 2, (">=", 1)), "eps": Rule("float", 0.1, (">", 0), ("<", 1)),
+                "probes": Rule("int", 2000, (">=", 1))},
+    "project": {
+        "body": Rule("choice", "ball", choices=("ball", "ellipsoid", "cube_enclosure")),
+        "n": Rule("int", 2, (">=", 1)),
+        "radius": Rule("float", 1.0, (">", 0), when=("body", "ball")),
+        "semi_axes": Rule("float", [2.0, 1.0], (">", 0), shape=(None,), when=("body", "ellipsoid")),
+        "inner": Rule("float", 0.05, (">", 0), when=("body", "cube_enclosure")),
+        "outer": Rule("float", 0.1, (">", 0), when=("body", "cube_enclosure")),
+        "eps": Rule("float", 0.2, (">", 0)),
+        "probes": Rule("int", 2000, (">=", 1)),
+    },
+    "whitney": {
+        "open_set": Rule("choice", "punctured", choices=("punctured", "ball", "boxes")),
+        "bbox": Rule("float", [[-1, -1], [1, 1]], shape=(2, None)),
+        "point": Rule("float", [0.0, 0.0], shape=("n",), when=("open_set", "punctured")),
+        "center": Rule("float", [0.0, 0.0], shape=("n",), when=("open_set", "ball")),
+        "radius": Rule("float", 1.0, (">", 0), when=("open_set", "ball")),
+        "boxes": Rule("float", [[[-1, -1], [1, 1]]], shape=(None, 2, "n"), when=("open_set", "boxes")),
+        "min_level": Rule("int", 5),
+        "skeleton_dim": Rule("int", 1, (">=", 0)),
+    },
+    "deform": {
+        "grid_origin": Rule("int", [0, 0, 0], shape=("n",)),
+        "grid_cells": Rule("int", [4, 4, 4], (">=", 1), shape=("n",)),
+        "grid_level": Rule("int", 0), "m": Rule("int", 2, (">=", 0)), "eps": Rule("float", 0.05, (">", 0)),
+        "budget": Rule("int", 64, (">=", 1)), "coverage_threshold": Rule("float", 0.98),
+    },
+    "slice": {"map": Rule("choice", "norm", choices=("norm", "coord:")), "t": Rule("float"),
+              "bin": Rule("float", None, (">", 0))},
+    "minimize": {"restarts": Rule("int", 3, (">=", 1)), "steps": Rule("int", 4000, (">=", 0)),
+                 "oracle_check": Rule("bool", False), "oracle_budget_dim": Rule("int", 18, (">=", 0))},
+    "audit": {
+        "n": Rule("int", 3, (">=", 1)), "cells": Rule("int", [4, 4, 4], (">=", 1), shape=("n",)),
+        "level": Rule("int", 2), "origin": Rule("int", [0, 0, 0], shape=("n",)),
+        "integrand": Rule("integrand", {"kind": "area"}), "subdivision": Rule("int", 8, (">=", 1)),
+    },
+    "probe-ellipticity": {
+        "n": Rule("int", 3, (">=", 2)),
+        "integrand": Rule("integrand", {"kind": "area"}),
+        "plane_axes": Rule("int", [0, 1], (">=", 0), shape=(None,)),
+        "m": Rule("int", 2),
+        "x": Rule("float", [0.0, 0.0, 0.0], shape=("n",)),
+        "sup_grid": Rule("int", 256, (">=", 1)),
+    },
+}
 
 
-def _config_positive(cfg, key):
-    """cfg[key] as a finite float above 0, else InputError."""
-    value = _config_number(cfg, key, float)
-    if value <= 0:
-        raise InputError(f"{key} must be positive, got {value}")
-    return value
+def _epilog(command):
+    """One line per input of the subcommand: its default and its rule."""
+    lines = [{"rotate": "arguments", "slice": "arguments", "minimize": 'the problem\'s "options"'}.get(
+        command, f"config keys (--config file, or {ENV_PREFIX}<KEY> as JSON)") + ":"]
+    if any(rule.shape for rule in INPUTS[command].values()):
+        lines.append("  (n is the ambient dimension, k any length >= 1)")
+    for key, rule in INPUTS[command].items():
+        default = "required" if rule.default is None else f"default {json.dumps(rule.default)}"
+        when = f", read when {rule.when[0]} is {rule.when[1]}" if rule.when else ""
+        lines.append(f"  {key}: {default}; {rule.describe()}{when}")
+    return "\n".join(lines)
 
 
 def _write_json(path, payload):
-    def _convert(obj):
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        if isinstance(obj, dict):
-            return {k: _convert(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [_convert(v) for v in obj]
-        return obj
-
-    with open(path, "w") as fh:
-        json.dump(_convert(payload), fh, sort_keys=True, indent=1)
+    with open(path, "w") as fh:  # numpy arrays and scalars as lists and Python numbers
+        json.dump(payload, fh, sort_keys=True, indent=1, default=lambda obj: obj.tolist())
         fh.write("\n")
 
 
@@ -141,7 +241,10 @@ def _write_csv(path, header, rows):
 
 def _out_dir(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make the output directory {out}: {exc}") from exc
     return out
 
 
@@ -151,7 +254,7 @@ def _out_dir(args):
 
 def cmd_rotate(args):
     out = _out_dir(args)
-    taus = [float(t) for t in args.tau.split(",")] if args.tau else [0.25, 0.5, 1.0]
+    taus = _arguments(args, INPUTS["rotate"])["tau"].tolist()
     rows = []
     try:
         lines = Path(args.planes).read_text().splitlines()
@@ -191,26 +294,20 @@ def cmd_rotate(args):
 
 def cmd_retract(args):
     out = _out_dir(args)
-    cfg = _load_config(args.config, {"n": 2, "eps": 0.1, "probes": 2000}, ("n", "eps", "probes"))
-    n, eps = _config_number(cfg, "n", int, 1), _config_number(cfg, "eps", float)
+    cfg = _config(args, INPUTS["retract"])
+    n, eps = cfg["n"], cfg["eps"]
     rng = np.random.default_rng(args.seed)
-    try:
-        l = retraction_with_collar(n, eps)
-    except ValueError as exc:  # eps outside (0, 1)
-        raise InputError(str(exc)) from exc
-    probes = rng.uniform(-1.0 - 2 * eps, 1.0 + 2 * eps, (_config_number(cfg, "probes", int, 1), n))
+    l = retraction_with_collar(n, eps)
+    probes = rng.uniform(-1.0 - 2 * eps, 1.0 + 2 * eps, (cfg["probes"], n))
     img = l.value(probes)
     disp = np.linalg.norm(img - probes, axis=1)
     jac = np.linalg.svd(l.jacobian(probes), compute_uv=False)[:, 0]
     dist_before = np.linalg.norm(probes - np.clip(probes, -1, 1), axis=1)
     dist_after = np.linalg.norm(img - np.clip(img, -1, 1), axis=1)
-    rows = [
-        tuple(map(float, list(probes[i]) + [disp[i], jac[i], dist_before[i], dist_after[i]]))
-        for i in range(len(probes))
-    ]
+    rows = [tuple(map(float, list(probes[i]) + [disp[i], jac[i], dist_before[i], dist_after[i]]))
+            for i in range(len(probes))]
     _write_csv(out / "retract_probes.csv",
-               ",".join([f"x{j}" for j in range(n)]) + ",displacement,jac_norm,dist_before,dist_after",
-               rows)
+               ",".join([f"x{j}" for j in range(n)]) + ",displacement,jac_norm,dist_before,dist_after", rows)
     summary = {
         "n": n,
         "eps": eps,
@@ -230,66 +327,44 @@ def cmd_retract(args):
 
 
 def _body_from_config(cfg):
-    kind = cfg["body"]
-    n = _config_number(cfg, "n", int, 1)
-    if kind == "ball":
-        return BallBody(n, _config_positive(cfg, "radius")), n
-    if kind == "ellipsoid":
-        try:
-            axes = [float(a) for a in cfg["semi_axes"]]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"semi_axes must be a list of numbers: {exc}") from exc
-        if not axes or not all(math.isfinite(a) and a > 0 for a in axes):
-            raise InputError(f"semi_axes must be a non-empty list of positive numbers, got {cfg['semi_axes']!r}")
-        return EllipsoidBody(axes), len(axes)
-    if kind == "cube_enclosure":
-        try:
-            body = cube_enclosure(n, _config_number(cfg, "inner", float), _config_number(cfg, "outer", float))
-        except ValueError as exc:  # not 0 < inner < outer, or no exponent fits
-            raise InputError(f"inner and outer: {exc}") from exc
-        return body, n
-    raise InputError(f"unknown body kind {kind}")
+    n = cfg["n"]
+    if cfg["body"] == "ball":
+        return BallBody(n, cfg["radius"]), n
+    if cfg["body"] == "ellipsoid":
+        return EllipsoidBody(cfg["semi_axes"]), len(cfg["semi_axes"])
+    try:
+        return cube_enclosure(n, cfg["inner"], cfg["outer"]), n
+    except ValueError as exc:  # not inner < outer, or no exponent fits
+        raise InputError(f"inner and outer: {exc}") from exc
 
 
 def cmd_project(args):
     out = _out_dir(args)
-    cfg = _load_config(
-        args.config,
-        {"body": "ball", "n": 2, "radius": 1.0, "semi_axes": [2.0, 1.0], "inner": 0.05,
-         "outer": 0.1, "eps": 0.2, "probes": 2000},
-        ("body", "n", "radius", "semi_axes", "inner", "outer", "eps", "probes"),
-    )
+    cfg = _config(args, INPUTS["project"])
     body, n = _body_from_config(cfg)
     rng = np.random.default_rng(args.seed)
     p, t = central_projection(body)
-    eps = _config_positive(cfg, "eps")
+    eps = cfg["eps"]
     if eps > body.circumradius / 2:  # collared_projection caps eps / circumradius at 1/2
         raise InputError(f"eps must be at most half the body's circumradius {body.circumradius:g}, got {eps}")
     q = collared_projection(body, eps)
-    probes = rng.uniform(-1.5 * body.circumradius, 1.5 * body.circumradius,
-                         (_config_number(cfg, "probes", int, 1), n))
+    probes = rng.uniform(-1.5 * body.circumradius, 1.5 * body.circumradius, (cfg["probes"], n))
     probes = probes[np.linalg.norm(probes, axis=1) > 1e-3]
     pv, qv = p.value(probes), q.value(probes)
     fd = np.abs(p.jacobian(probes) - p.jacobian_fd(probes)).max()
     nu = body.normal(pv)
     xh = probes / np.linalg.norm(probes, axis=1, keepdims=True)
-    bound = np.linalg.norm(pv, axis=1) / np.linalg.norm(probes, axis=1) * (
-        1.0 + 1.0 / np.einsum("ni,ni->n", nu, xh)
-    )
+    bound = np.linalg.norm(pv, axis=1) / np.linalg.norm(probes, axis=1) * (1.0 + 1.0 / np.einsum("ni,ni->n", nu, xh))
     jnorm = np.linalg.svd(p.jacobian(probes), compute_uv=False)[:, 0]
-    rows = [
-        tuple(map(float, list(probes[i]) + [np.linalg.norm(qv[i] - probes[i]),
-                                            np.linalg.norm(pv[i] - probes[i]), jnorm[i], bound[i]]))
-        for i in range(len(probes))
-    ]
+    rows = [tuple(map(float, list(probes[i]) + [np.linalg.norm(qv[i] - probes[i]),
+                                                np.linalg.norm(pv[i] - probes[i]), jnorm[i], bound[i]]))
+            for i in range(len(probes))]
     _write_csv(out / "project_probes.csv",
                ",".join([f"x{j}" for j in range(n)]) + ",q_move,p_move,dp_norm,dp_bound", rows)
     summary = {
         "fd_jacobian_error": float(fd),
         "derivative_bound_ok": bool(np.all(jnorm <= bound + 1e-9)),
-        "q_shorter_than_p": bool(
-            np.all([r[n] <= r[n + 1] + 1e-12 for r in rows])
-        ),
+        "q_shorter_than_p": bool(np.all([r[n] <= r[n + 1] + 1e-12 for r in rows])),
         "pass": bool(fd < 1e-5 and np.all(jnorm <= bound + 1e-9)),
     }
     _write_json(out / "project_summary.json", summary)
@@ -300,36 +375,22 @@ def cmd_project(args):
 # whitney
 
 
-def _open_set_from_config(cfg, n):
-    """The open set of a whitney config, in R^n."""
-    kind, coords = cfg["open_set"], f"{n} finite coordinates"
-    if kind == "boxes":
-        boxes = _config_array(cfg, "boxes", (None, 2, n), f"a list of [lo, hi] pairs of {coords}")
-        return BoxUnion([(b[0], b[1]) for b in boxes])
-    if kind == "ball":
-        return BallSet(_config_array(cfg, "center", (n,), coords), _config_positive(cfg, "radius"))
-    if kind == "punctured":
-        return PuncturedPlane(_config_array(cfg, "point", (n,), coords))
-    raise InputError(f"unknown open set kind {kind}")
+def _open_set_from_config(cfg):
+    """The open set of a whitney config."""
+    if cfg["open_set"] == "boxes":
+        return BoxUnion([(b[0], b[1]) for b in cfg["boxes"]])
+    if cfg["open_set"] == "ball":
+        return BallSet(cfg["center"], cfg["radius"])
+    return PuncturedPlane(cfg["point"])
 
 
 def cmd_whitney(args):
     out = _out_dir(args)
-    cfg = _load_config(
-        args.config,
-        {"open_set": "punctured", "point": [0.0, 0.0], "center": [0.0, 0.0], "radius": 1.0,
-         "boxes": [[[-1, -1], [1, 1]]], "bbox": [[-1, -1], [1, 1]], "min_level": 5,
-         "skeleton_dim": 1},
-        ("open_set", "point", "center", "radius", "boxes", "bbox", "min_level", "skeleton_dim"),
-    )
-    bbox = _config_array(cfg, "bbox", (2, None), "a [lo, hi] pair of finite corners")
-    n = bbox.shape[1]
-    open_set = _open_set_from_config(cfg, n)
-    min_level = _config_number(cfg, "min_level", int)
-    k = _config_number(cfg, "skeleton_dim", int, 0)
-    if k > n:
-        raise InputError(f"skeleton_dim must be at most {n}, got {k}")
-    fam = whitney_family(open_set, (bbox[0], bbox[1]), min_level)
+    cfg = _config(args, INPUTS["whitney"], n=lambda cfg: cfg["bbox"].shape[1])
+    bbox, k = cfg["bbox"], cfg["skeleton_dim"]
+    if k > bbox.shape[1]:
+        raise InputError(f"skeleton_dim must be at most {bbox.shape[1]}, got {k}")
+    fam = whitney_family(_open_set_from_config(cfg), (bbox[0], bbox[1]), cfg["min_level"])
     if len(fam) == 0:
         _write_json(out / "whitney_summary.json", {"cubes": 0, "meta": fam.meta})
         return EXIT_OK
@@ -339,11 +400,9 @@ def cmd_whitney(args):
         fh.write("\n")
     with open(out / f"whitney_skeleton_{k}.obj", "w") as fh:
         fh.write(cx.skeleton_to_obj(k))
-    _write_json(
-        out / "whitney_summary.json",
-        {"cubes": len(fam), "meta": fam.meta, "complex_sizes": {k: len(v) for k, v in cx.by_dim.items()},
-         "admissible": fam.admissible()},
-    )
+    _write_json(out / "whitney_summary.json",
+                {"cubes": len(fam), "meta": fam.meta, "complex_sizes": {k: len(v) for k, v in cx.by_dim.items()},
+                 "admissible": fam.admissible()})
     return EXIT_OK
 
 
@@ -353,54 +412,24 @@ def cmd_whitney(args):
 
 def cmd_deform(args):
     out = _out_dir(args)
-    cfg = _load_config(
-        args.config,
-        {"grid_origin": [0, 0, 0], "grid_cells": [4, 4, 4], "grid_level": 0, "m": 2,
-         "eps": 0.05, "budget": 64, "coverage_threshold": 0.98},
-        ("grid_origin", "grid_cells", "grid_level", "m", "eps", "budget", "coverage_threshold"),
-    )
-    try:
-        v = DiscreteVarifold.from_csv(args.set)
-    except (OSError, ValueError, IndexError) as exc:
-        raise InputError(f"cannot read set {args.set}: {exc}") from exc
+    v = _read_set(args.set)
     n = v.ambient_dim
-    level = _config_number(cfg, "grid_level", int)
-    try:
-        origin = [int(o) for o in cfg["grid_origin"]]
-        cells = [int(x) for x in cfg["grid_cells"]]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"grid_origin and grid_cells must be lists of integers: {exc}") from exc
-    axes = tuple(range(n))
-    fam = CubeFamily(
-        [
-            DyadicCube(level, tuple(o + c_i for o, c_i in zip(origin, c)), axes, n)
-            for c in np.ndindex(*cells)
-        ]
-    )
-    m = _config_number(cfg, "m", int)
-    eps = _config_number(cfg, "eps", float)
-    coverage = _config_number(cfg, "coverage_threshold", float)
-    budget = _config_number(cfg, "budget", int, 1)
+    cfg = _config(args, INPUTS["deform"], n)
+    fam = CubeFamily([DyadicCube(cfg["grid_level"], tuple(o + c_i for o, c_i in zip(cfg["grid_origin"], c)),
+                                 tuple(range(n)), n) for c in np.ndindex(*cfg["grid_cells"])])
+    m, eps = cfg["m"], cfg["eps"]
     cx = cubical_complex(fam)
     if args.replay:
         try:
-            text = Path(args.replay).read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read plan {args.replay}: {exc}") from exc
-        try:
-            plan = DeformationPlan.from_json(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse plan {args.replay}: {exc}") from exc
-        except KeyError as exc:
-            raise InputError(f"plan {args.replay} lacks the key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"invalid plan {args.replay}: {exc}") from exc
+            plan = DeformationPlan.from_json(Path(args.replay).read_text())
+        except (OSError, KeyError, TypeError, ValueError) as exc:  # a missing key raises KeyError
+            raise InputError(f"cannot load plan {args.replay}: {type(exc).__name__} {exc}") from exc
         f1 = plan.f_map() or SmoothMap.identity(n)
     else:
         try:
             plan, _, f1 = deform_onto_skeleton(
                 fam, cx, [v] if len(v) else [], m, eps,
-                seed=args.seed, budget=budget, coverage_threshold=coverage,
+                seed=args.seed, budget=cfg["budget"], coverage_threshold=cfg["coverage_threshold"],
             )
         except StageError as exc:
             sys.stderr.write(f"stage failure at cube {exc.cube}: {exc}\n")
@@ -447,28 +476,27 @@ def _scalar_map(kind, n):
             return (x / np.where(nr > 0, nr, 1.0))[:, None, :]
 
         return SmoothMap(n, 1, val, jac, name="norm")
-    if kind.startswith("coord:"):
-        j = int(kind.split(":")[1])
-        a = np.zeros((1, n))
-        a[0, j] = 1.0
-        return SmoothMap.affine(a)
-    raise InputError(f"unknown slicing map {kind}")
+    a = np.zeros((1, n))
+    a[0, int(kind.split(":")[1])] = 1.0  # coord:j
+    return SmoothMap.affine(a)
+
+
+def _read_set(path):
+    try:
+        return DiscreteVarifold.from_csv(path)
+    except (OSError, ValueError, IndexError) as exc:
+        raise InputError(f"cannot read set {path}: {exc}") from exc
 
 
 def cmd_slice(args):
     out = _out_dir(args)
-    try:
-        v = DiscreteVarifold.from_csv(args.set)
-    except (OSError, ValueError, IndexError) as exc:
-        raise InputError(f"cannot read set {args.set}: {exc}") from exc
-    f = _scalar_map(args.map, v.ambient_dim)
-    result = slice_varifold(v, f, float(args.t), float(args.bin))
+    v = _read_set(args.set)
+    cfg = _arguments(args, INPUTS["slice"], v.ambient_dim)
+    result = slice_varifold(v, _scalar_map(cfg["map"], v.ambient_dim), cfg["t"], cfg["bin"])
     result.varifold.to_csv(out / "slice.csv")
-    _write_json(
-        out / "slice_summary.json",
-        {"t": float(args.t), "bin": float(args.bin), "mass": result.mass(),
-         "samples": len(result.varifold), "dropped_degenerate": result.dropped_degenerate},
-    )
+    _write_json(out / "slice_summary.json", {"t": cfg["t"], "bin": cfg["bin"], "mass": result.mass(),
+                                             "samples": len(result.varifold),
+                                             "dropped_degenerate": result.dropped_degenerate})
     return EXIT_OK
 
 
@@ -477,10 +505,7 @@ def cmd_slice(args):
 
 
 def _problem_from_json(path):
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read problem {path}: {exc}") from exc
+    data = _read_json(path, "problem")
     required = {"n", "cells", "level", "m", "boundary_cells", "generators", "integrand"}
     unknown = set(data) - required - {"origin", "options"}
     if unknown:
@@ -522,16 +547,13 @@ def _chain_to_obj(chain: Chain2):
         if chain.m == 2:
             ax, ay = c.axes
             pts = [lo.copy() for _ in range(4)]
-            pts[1][ax] = hi[ax]
-            pts[2][ax] = hi[ax]
-            pts[2][ay] = hi[ay]
-            pts[3][ay] = hi[ay]
+            pts[1][ax] = pts[2][ax] = hi[ax]
+            pts[2][ay] = pts[3][ay] = hi[ay]
             faces.append(("f", [vid(p) for p in pts]))
         else:
-            a = lo
             b = lo.copy()
             b[c.axes[0]] = hi[c.axes[0]]
-            faces.append(("l", [vid(a), vid(b)]))
+            faces.append(("l", [vid(lo), vid(b)]))
     lines = []
     for key in sorted(verts, key=verts.get):
         pad = list(key) + [0.0] * (3 - len(key))
@@ -544,17 +566,16 @@ def _chain_to_obj(chain: Chain2):
 def cmd_minimize(args):
     out = _out_dir(args)
     problem = _problem_from_json(args.problem)
-    opts = {"restarts": 3, "steps": 4000, "oracle_budget_dim": 18, **problem.options}
-    restarts, steps = _config_number(opts, "restarts", int, 1), _config_number(opts, "steps", int)
+    opts = _checked(INPUTS["minimize"], problem.options, what="option")
     try:
-        res = solver_minimize(problem, seed=args.seed, restarts=restarts, steps=steps)
+        res = solver_minimize(problem, seed=args.seed, restarts=opts["restarts"], steps=opts["steps"])
     except InfeasibleError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
     payload = {"value": res.value, "cells": res.chain.count(), "chain": res.chain.to_dict(),
                "initial_value": res.initial_value, "accepted_moves": len(res.trace)}
-    if opts.get("oracle_check"):
-        _, oval = exhaustive_oracle(problem, budget_dim=_config_number(opts, "oracle_budget_dim", int))
+    if opts["oracle_check"]:
+        _, oval = exhaustive_oracle(problem, budget_dim=opts["oracle_budget_dim"])
         payload["oracle_value"] = oval
         payload["oracle_match"] = bool(abs(oval - res.value) <= 1e-9)
     _write_json(out / "solution.json", payload)
@@ -571,29 +592,16 @@ def _write_audit(out, report, n):
     (px, py, pz up to three dimensions, p0, p1, ... beyond)."""
     _write_json(out / "audit_report.json", report)
     coords = ["px", "py", "pz"][:n] if n <= 3 else [f"p{j}" for j in range(n)]
-    _write_csv(
-        out / "audit_ratios.csv",
-        ",".join(coords + ["radius", "ratio", "flag"]),
-        [
-            tuple(e["point"]) + (r[0], r[1], r[2])
-            for e in report["entries"]
-            for r in e["ratios"]
-        ],
-    )
+    _write_csv(out / "audit_ratios.csv", ",".join(coords + ["radius", "ratio", "flag"]),
+               [tuple(e["point"]) + (r[0], r[1], r[2]) for e in report["entries"] for r in e["ratios"]])
 
 
 def cmd_audit(args):
     out = _out_dir(args)
+    data = _read_json(args.chain, "chain")
+    cfg = _config(args, INPUTS["audit"], n=lambda cfg: cfg["n"])
+    cx = GridComplex(cfg["n"], cfg["cells"], cfg["level"], cfg["origin"])
     try:
-        data = json.loads(Path(args.chain).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read chain {args.chain}: {exc}") from exc
-    cfg = _load_config(args.config, {"n": 3, "cells": [4, 4, 4], "level": 2, "origin": [0, 0, 0],
-                                     "integrand": {"kind": "area"}, "subdivision": 8},
-                       ("n", "cells", "level", "origin", "integrand", "subdivision"))
-    try:
-        cx = GridComplex(_config_number(cfg, "n", int), cfg["cells"], _config_number(cfg, "level", int),
-                         cfg["origin"])
         m = int(data["m"])
         bits = np.zeros(cx.count(m), dtype=bool)
         for d in data["cells"]:
@@ -601,92 +609,71 @@ def cmd_audit(args):
             if cx.index.get(cube, (None,))[0] != m:
                 raise InputError(f"chain cell {cube} is not a cell of dimension {m} in the grid")
             bits[cx.index[cube][1]] = True
-    except KeyError as exc:
-        raise InputError(f"chain {args.chain} lacks the key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid grid or chain {args.chain}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a missing key raises KeyError
+        raise InputError(f"invalid chain {args.chain}: {type(exc).__name__} {exc}") from exc
     chain = Chain2(cx, m, bits)
-    integrand = integrand_from_config(cfg["integrand"], n=cx.n)
-    report = audit_minimizer(chain, integrand, subdivision=_config_number(cfg, "subdivision", int, 1))
+    report = audit_minimizer(chain, cfg["integrand"], subdivision=cfg["subdivision"])
     _write_audit(out, report, cx.n)
     return EXIT_OK
 
 
 def cmd_probe_ellipticity(args):
     out = _out_dir(args)
-    cfg = _load_config(
-        args.config,
-        {"n": 3, "m": 2, "x": [0.0, 0.0, 0.0], "plane_axes": [0, 1],
-         "integrand": {"kind": "area"}, "sup_grid": 256},
-        ("n", "m", "x", "plane_axes", "integrand", "sup_grid"),
-    )
-    n = _config_number(cfg, "n", int)
-    integrand = integrand_from_config(cfg["integrand"], n=n)
+    cfg = _config(args, INPUTS["probe-ellipticity"], n=lambda cfg: cfg["n"])
+    n = cfg["n"]
     try:
         plane = Plane.axis(n, cfg["plane_axes"])
-    except (IndexError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"plane_axes {cfg['plane_axes']!r} are not axes of R^{n}: {exc}") from exc
     if plane.dim >= n:
         raise InputError(f"plane_axes must leave a normal direction in R^{n}")
-    m = _config_number(cfg, "m", int)
-    if m != plane.dim:
-        raise InputError(f"m must equal the number of plane_axes ({plane.dim}), got {m}")
-    report = ellipticity_probe(integrand, _config_array(cfg, "x", (n,), f"{n} finite coordinates"), plane,
-                               sup_grid=_config_number(cfg, "sup_grid", int, 1), seed=args.seed)
-    _write_json(
-        out / "ellipticity_report.json",
-        {"margins": report.margins, "min_margin": report.min_margin,
-         "counterexample": report.counterexample},
-    )
+    if cfg["m"] != plane.dim:
+        raise InputError(f"m must equal the number of plane_axes ({plane.dim}), got {cfg['m']}")
+    report = ellipticity_probe(cfg["integrand"], cfg["x"], plane, sup_grid=cfg["sup_grid"], seed=args.seed)
+    _write_json(out / "ellipticity_report.json", {"margins": report.margins, "min_margin": report.min_margin,
+                                                   "counterexample": report.counterexample})
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as one line and exit 2."""
+
+    def error(self, message):
+        sys.stderr.write(f"input error: {message}\n")
+        sys.exit(EXIT_INPUT)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="gmtkit", description=__doc__)
+    parser = _Parser(prog="gmtkit", description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="gmtkit_out")
     parser.add_argument("--config", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rotate", help="rotation bounds on plane pairs")
-    p.add_argument("planes")
-    p.add_argument("--tau", default="0.25,0.5,1.0")
-    p.set_defaults(fn=cmd_rotate)
+    def command(name, fn, help, *positional):
+        p = sub.add_parser(name, help=help, epilog=_epilog(name),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        for arg in positional:
+            p.add_argument(arg)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("retract", help="collared cube retraction contract")
-    p.set_defaults(fn=cmd_retract)
-
-    p = sub.add_parser("project", help="central projection checks")
-    p.set_defaults(fn=cmd_project)
-
-    p = sub.add_parser("whitney", help="Whitney family and complex of an open set")
-    p.set_defaults(fn=cmd_whitney)
-
-    p = sub.add_parser("deform", help="deform a sampled set onto a grid skeleton")
-    p.add_argument("set")
-    p.add_argument("--replay", default=None)
-    p.set_defaults(fn=cmd_deform)
-
-    p = sub.add_parser("slice", help="slice a varifold by a scalar map")
-    p.add_argument("set")
-    p.add_argument("--map", default="norm")
+    command("rotate", cmd_rotate, "rotation bounds on plane pairs", "planes").add_argument(
+        "--tau", type=lambda text: text.split(","), help="comma-separated path parameters")
+    command("retract", cmd_retract, "collared cube retraction contract")
+    command("project", cmd_project, "central projection checks")
+    command("whitney", cmd_whitney, "Whitney family and complex of an open set")
+    command("deform", cmd_deform, "deform a sampled set onto a grid skeleton", "set").add_argument("--replay")
+    p = command("slice", cmd_slice, "slice a varifold by a scalar map", "set")
+    p.add_argument("--map")
     p.add_argument("--t", required=True)
     p.add_argument("--bin", required=True)
-    p.set_defaults(fn=cmd_slice)
-
-    p = sub.add_parser("minimize", help="solve a spanning problem")
-    p.add_argument("problem")
-    p.set_defaults(fn=cmd_minimize)
-
-    p = sub.add_parser("audit", help="density-ratio audit of a chain")
-    p.add_argument("chain")
-    p.set_defaults(fn=cmd_audit)
-
-    p = sub.add_parser("probe-ellipticity", help="one-sided ellipticity probe")
-    p.set_defaults(fn=cmd_probe_ellipticity)
+    command("minimize", cmd_minimize, "solve a spanning problem", "problem")
+    command("audit", cmd_audit, "density-ratio audit of a chain", "chain")
+    command("probe-ellipticity", cmd_probe_ellipticity, "one-sided ellipticity probe")
 
     args = parser.parse_args(argv)
     try:

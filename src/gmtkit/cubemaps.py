@@ -902,13 +902,6 @@ def _punctured_jacobian_rows(centres, x, eps):
     return jac, inverse.reshape(count, len(x))
 
 
-def _punctured_jacobians(centres, x, eps):
-    """Jacobians of punctured_cube_projection(centres[c], eps) at the points x,
-    as a (C, S, n, n) array: ``_punctured_jacobian_rows`` scattered back."""
-    jac, inverse = _punctured_jacobian_rows(centres, x, eps)
-    return jac[inverse]
-
-
 def punctured_cube_projection(a, eps):
     """The smooth map of Q minus {a} onto the boundary of Q.
 

@@ -36,8 +36,6 @@ __all__ = [
     "InfeasibleError",
     "audit_minimizer",
     "chain_to_varifold",
-    "gf2_solve",
-    "gf2_nullspace",
 ]
 
 
@@ -93,24 +91,6 @@ def _to_bits(x, size):
     """The first ``size`` bits of the bitset x as a uint8 vector."""
     raw = np.frombuffer(x.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=size, bitorder="little")
-
-
-def _dense_reduction(a):
-    return _Reduction(np.flatnonzero(col).tolist() for col in a.T % 2)
-
-
-def gf2_solve(a, b):
-    """One solution x of a x = b over GF(2) (free variables 0), or None when inconsistent."""
-    a = np.asarray(a, dtype=np.uint8)
-    x = _dense_reduction(a).solve(_to_int(np.reshape(b, a.shape[0])))
-    return None if x is None else _to_bits(x, a.shape[1])
-
-
-def gf2_nullspace(a):
-    """Basis of the kernel of a over GF(2), as columns of the result."""
-    a = np.asarray(a, dtype=np.uint8)
-    kernel = [_to_bits(v, a.shape[1]) for v in _dense_reduction(a).kernel]
-    return np.array(kernel, dtype=np.uint8).reshape(len(kernel), a.shape[1]).T
 
 
 # ---------------------------------------------------------------------------

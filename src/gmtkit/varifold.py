@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,22 +165,59 @@ class FrozenIntegrand(Integrand):
         return self.base.evaluate(fixed, frames)
 
 
+def _checked_floats(value, key, rule, test):
+    """value as a finite float array that passes ``test``, else ValueError
+    naming the key, the rule and the value."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or isinstance(value, bool) or not np.isfinite(arr).all() or not test(arr):
+        raise ValueError(f"{key} must be {rule}, got {reprlib.repr(value)}")
+    return arr
+
+
 def integrand_from_config(cfg, n=None):
-    """Build a registry integrand from a JSON-style dict."""
+    """Build a registry integrand from a JSON-style dict, in R^n (for a table,
+    the dimension of its values when n is None).  A malformed dict raises
+    ValueError naming the key."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"an integrand must be a dict, got {reprlib.repr(cfg)}")
     kind = cfg.get("kind", "area")
     if kind == "area":
         return AreaIntegrand()
     if kind == "tilt_penalty":
-        axes = cfg.get("reference_axes")
-        if axes is not None:
-            ref = Plane.axis(n, axes)
+        lam = float(_checked_floats(cfg.get("lam", 1.0), "lam", "a finite number", lambda a: a.ndim == 0))
+        if cfg.get("reference_axes") is not None:
+            axes = _checked_floats(cfg["reference_axes"], "reference_axes", f"distinct axes of R^{n}",
+                                   lambda a: a.ndim == 1 and a.size and (a == np.floor(a)).all())
+            try:
+                ref = Plane.axis(n, axes.astype(int).tolist())
+            except (TypeError, ValueError) as exc:
+                got = reprlib.repr(cfg["reference_axes"])
+                raise ValueError(f"reference_axes must be distinct axes of R^{n}, got {got}") from exc
+        elif cfg.get("reference_frame") is not None:
+            frame = _checked_floats(cfg["reference_frame"], "reference_frame",
+                                    f"a frame of {n} rows and m >= 1 columns",
+                                    lambda a: isinstance(n, int) and n > 0 and a.size and a.size % n == 0)
+            try:
+                ref = Plane(frame.reshape(n, -1))
+            except ValueError as exc:
+                raise ValueError(f"reference_frame must have independent columns: {exc}") from exc
         else:
-            frame = np.asarray(cfg["reference_frame"], dtype=float)
-            ref = Plane(frame.reshape(n, -1))
-        return TiltPenaltyIntegrand(ref, lam=float(cfg.get("lam", 1.0)))
+            raise ValueError("a tilt_penalty integrand needs reference_axes or reference_frame")
+        return TiltPenaltyIntegrand(ref, lam=lam)
     if kind == "table":
-        return TableIntegrand(cfg["origin"], cfg["spacing"], np.asarray(cfg["values"]))
-    raise ValueError(f"unknown integrand kind: {kind}")
+        rule = f"an array of numbers > 0 with {'one or more' if n is None else n} axes of length >= 2"
+        values = _checked_floats(cfg.get("values"), "values", rule,
+                                 lambda a: a.ndim == (a.ndim if n is None else n) and a.ndim and min(a.shape) >= 2
+                                 and (a > 0).all())
+        dim = values.ndim
+        origin = _checked_floats(cfg.get("origin"), "origin", f"{dim} finite numbers", lambda a: a.shape == (dim,))
+        spacing = _checked_floats(cfg.get("spacing"), "spacing", f"{dim} numbers > 0",
+                                  lambda a: a.shape == (dim,) and (a > 0).all())
+        return TableIntegrand(origin, spacing, values)
+    raise ValueError(f"unknown integrand kind {reprlib.repr(kind)}: use area, tilt_penalty or table")
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +606,10 @@ def sample_spacing(points, cap=2048):
     the adjacent cells of a grid of side 2 span / n_pts^(1/dim), through the
     grid search ``cubemaps._grid_neighbours`` that the solver's audit and the
     native-resolution estimate share, and a probe with no neighbour at a
-    positive distance there is left out.  Should a cell index or code be too
-    large for that grid, the probes are measured against all points instead.
-    Distances are measured SPACING_PAIRS pairs at a time, with the same
-    floats as a per-probe loop.
+    positive distance there is left out; with no such probe the spacing is
+    inf.  Should a cell index or code be too large for that grid, the probes
+    are measured against all points instead.  Distances are measured
+    SPACING_PAIRS pairs at a time, with the same floats as a per-probe loop.
     """
     pts = np.atleast_2d(points)
     n_pts, dim = pts.shape
@@ -579,12 +617,12 @@ def sample_spacing(points, cap=2048):
         return math.inf
     if n_pts <= cap:
         mins = _nearest_distinct(pts, pts, SPACING_PAIRS)
-        return float(np.median(mins[np.isfinite(mins)]))
-    span = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-    cell = max(span / max(n_pts, 2) ** (1.0 / dim) * 2.0, 1e-12)
-    probes = pts[_spacing_probes(n_pts, cap)]
-    grid = _grid_nearest(pts, probes, cell, SPACING_PAIRS)
-    mins = _nearest_distinct(probes, pts, SPACING_PAIRS) if grid is None else grid[0]
+    else:
+        span = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+        cell = max(span / max(n_pts, 2) ** (1.0 / dim) * 2.0, 1e-12)
+        probes = pts[_spacing_probes(n_pts, cap)]
+        grid = _grid_nearest(pts, probes, cell, SPACING_PAIRS)
+        mins = _nearest_distinct(probes, pts, SPACING_PAIRS) if grid is None else grid[0]
     mins = mins[np.isfinite(mins)]
     return float(np.median(mins)) if len(mins) else math.inf
 

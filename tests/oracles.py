@@ -12,7 +12,9 @@ distinct row.  The GF(2)
 oracles are the dense solver as it was before the sparse column
 reduction: ``boundary_matrix_oracle`` fills a uint8 matrix cube by cube,
 ``gf2_rref_oracle`` row-reduces it, and ``spans_oracle`` eliminates on the
-dense columns of the chain's support.  ``facets_oracle`` builds the facet
+dense columns of the chain's support; ``gf2_solve`` and ``gf2_nullspace``
+run the library's column reduction (``solver._Reduction``) on a dense
+matrix, so that it can be compared with them.  ``facets_oracle`` builds the facet
 rows from ``DyadicCube.facets()`` objects, ``sample_spacing_oracle`` hashes
 points into a dict of buckets and loops over the probes, and
 ``audit_minimizer_oracle`` measures the distance from each audit point once
@@ -54,7 +56,7 @@ from gmtkit.deform import (
     center_bound_constant,
 )
 from gmtkit.grassmann import Plane, projector_distance
-from gmtkit.solver import chain_to_varifold
+from gmtkit.solver import _Reduction, _to_bits, _to_int, chain_to_varifold
 from gmtkit.varifold import unit_ball_volume
 
 
@@ -249,8 +251,9 @@ def punctured_projection_oracle(a, eps):
 
 
 def punctured_jacobians_oracle(centres, x, eps):
-    """cubemaps._punctured_jacobians before the row dedup: the factors q and
-    l and the chain products run on every one of the C * S recentred rows."""
+    """The (C, S, n, n) Jacobians of cubemaps._punctured_jacobian_rows
+    scattered back, as computed before the row dedup: the factors q and l and
+    the chain products run on every one of the C * S recentred rows."""
     _check_punctured(centres, eps)
     if np.any(np.abs(x) > 1.0):
         raise ValueError("points must lie in the closed cube")
@@ -412,6 +415,26 @@ def gf2_nullspace_oracle(a):
         for r, pc in enumerate(pivots):
             basis[pc, j] = rref[r, fc]
     return basis
+
+
+def _dense_reduction(a):
+    return _Reduction(np.flatnonzero(col).tolist() for col in a.T % 2)
+
+
+def gf2_solve(a, b):
+    """One solution x of a x = b over GF(2) (free variables 0), or None when
+    inconsistent: the library's column reduction run on a dense matrix."""
+    a = np.asarray(a, dtype=np.uint8)
+    x = _dense_reduction(a).solve(_to_int(np.reshape(b, a.shape[0])))
+    return None if x is None else _to_bits(x, a.shape[1])
+
+
+def gf2_nullspace(a):
+    """Basis of the kernel of a over GF(2), as columns of the result, from the
+    library's column reduction run on a dense matrix."""
+    a = np.asarray(a, dtype=np.uint8)
+    kernel = [_to_bits(v, a.shape[1]) for v in _dense_reduction(a).kernel]
+    return np.array(kernel, dtype=np.uint8).reshape(len(kernel), a.shape[1]).T
 
 
 def spans_oracle(chain, problem):

@@ -1,8 +1,10 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +325,10 @@ def _bad_input_files(tmp):
     (tmp / "stacked.json").write_text(json.dumps(dict(
         square_problem_dict(1, 2), boundary_cells=low + high, generators=[low, high],
         options={"restarts": 1, "steps": 50, "oracle_check": True, "oracle_budget_dim": 0})))
+    (tmp / "planes.txt").write_text("2 1 1 0 0 1\n")
+    (tmp / "problem.json").write_text(json.dumps(square_problem_dict(1, 2, options={"restarts": 1, "steps": 50})))
+    (tmp / "integrand_5.json").write_text(json.dumps(square_problem_dict(1, 2, integrand=5)))
+    (tmp / "steps_negative.json").write_text(json.dumps(square_problem_dict(1, 2, options={"steps": -5})))
 
 
 BAD_INPUTS = {
@@ -387,7 +393,62 @@ BAD_INPUTS = {
     "probe_m_not_the_plane_dimension": ({"GMTKIT_M": "5"}, ["probe-ellipticity"]),
     "probe_x_of_wrong_length": ({"GMTKIT_X": "[0]"}, ["probe-ellipticity"]),
     "probe_sup_grid_negative": ({"GMTKIT_SUP_GRID": "-1"}, ["probe-ellipticity"]),
+    "slice_t_not_a_number": ({}, ["slice", "disc.csv", "--t", "abc", "--bin", "0.05"]),
+    "slice_bin_zero": ({}, ["slice", "disc.csv", "--t", "0.5", "--bin", "0"]),
+    "slice_map_not_a_coordinate": ({}, ["slice", "disc.csv", "--map", "coord:x", "--t", "0.5", "--bin", "0.05"]),
+    "slice_map_axis_out_of_range": ({}, ["slice", "disc.csv", "--map", "coord:7", "--t", "0.5", "--bin", "0.05"]),
+    "slice_t_nan": ({}, ["slice", "disc.csv", "--t", "nan", "--bin", "0.05"]),
+    "slice_bin_nan": ({}, ["slice", "disc.csv", "--t", "0.5", "--bin", "nan"]),
+    "rotate_tau_not_a_number": ({}, ["rotate", "planes.txt", "--tau", "abc"]),
+    "rotate_tau_nan": ({}, ["rotate", "planes.txt", "--tau", "nan"]),
+    "seed_not_an_integer": ({}, ["--seed", "abc", "retract"]),
+    "slice_without_t": ({}, ["slice", "disc.csv"]),
+    "out_is_a_file": ({}, ["--out", "disc.csv", "retract"]),
 }
+
+# the same contract for inputs from the environment and from files, run
+# through cli.main in-process
+IN_PROCESS_BAD_INPUTS = {
+    "probe_integrand_not_a_dict": ({"GMTKIT_INTEGRAND": "5"}, ["probe-ellipticity"]),
+    "audit_integrand_not_a_dict": ({"GMTKIT_INTEGRAND": "5"}, ["audit", "chain.json"]),
+    "minimize_integrand_not_a_dict": ({}, ["minimize", "integrand_5.json"]),
+    "probe_integrand_kind_unknown": ({"GMTKIT_INTEGRAND": '{"kind": "bogus"}'}, ["probe-ellipticity"]),
+    "audit_integrand_kind_unknown": ({"GMTKIT_INTEGRAND": '{"kind": "bogus"}'}, ["audit", "chain.json"]),
+    "probe_tilt_without_reference": ({"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty"}'}, ["probe-ellipticity"]),
+    "probe_tilt_lam_not_a_number": (
+        {"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": "abc"}'},
+        ["probe-ellipticity"]),
+    "probe_table_values_one_dimensional": (
+        {"GMTKIT_INTEGRAND": '{"kind": "table", "origin": [0, 0, 0], "spacing": [1, 1, 1], "values": [1, 2]}'},
+        ["probe-ellipticity"]),
+    "probe_table_spacing_zero": (
+        {"GMTKIT_INTEGRAND": json.dumps({"kind": "table", "origin": [0, 0, 0], "spacing": [0, 0, 0],
+                                         "values": np.ones((2, 2, 2)).tolist()})},
+        ["probe-ellipticity"]),
+    "deform_grid_cells_negative": ({"GMTKIT_GRID_CELLS": "[-1, 2, 2]"}, ["deform", "disc.csv"]),
+    "deform_grid_cells_of_wrong_length": ({"GMTKIT_GRID_CELLS": "[2, 2]"}, ["deform", "disc.csv"]),
+    "deform_grid_origin_of_wrong_length": ({"GMTKIT_GRID_ORIGIN": "[0]"}, ["deform", "disc.csv"]),
+    "minimize_steps_negative": ({}, ["minimize", "steps_negative.json"]),
+}
+
+
+def run_in_process(tmp_path, monkeypatch, capsys, env, argv):
+    """(exit code, stderr, warnings) of cli.main run in tmp_path with only the
+    given GMTKIT_ variables set."""
+    monkeypatch.chdir(tmp_path)
+    for key in [k for k in os.environ if k.startswith("GMTKIT_")]:
+        monkeypatch.delenv(key)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main([str(a) for a in ["--seed", 0, "--out", tmp_path / "out", *argv]])
+    finally:
+        for key in env:
+            monkeypatch.delenv(key)
+        err = capsys.readouterr().err
+    return rc, err, caught
 
 
 class TestBadInput:
@@ -408,6 +469,20 @@ class TestBadInput:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("case", sorted(IN_PROCESS_BAD_INPUTS))
+    def test_in_process_exit_2_one_line(self, case, tmp_path, monkeypatch, capsys):
+        _bad_input_files(tmp_path)
+        rc, err, caught = run_in_process(tmp_path, monkeypatch, capsys, *IN_PROCESS_BAD_INPUTS[case])
+        assert rc == 2, err
+        assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gmtkit")
 
     def test_oracle_budget_exceeded_exit_3(self, tmp_path, monkeypatch, capsys):
         # two generators and no enumeration budget send the oracle to branch
@@ -434,3 +509,129 @@ class TestAuditColumns:
         assert lines[0] == "px,py,radius,ratio,flag"
         assert len(lines) > 1
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+# ---------------------------------------------------------------------------
+# the input tables: defaults, --help and a bad-input sweep generated from them
+
+SWEEP_ARGV = {  # the subcommand's argv around the swept input, with the files of _bad_input_files
+    "rotate": ["planes.txt"],
+    "retract": [],
+    "project": [],
+    "whitney": [],
+    "deform": ["disc.csv"],
+    "slice": ["disc.csv"],
+    "minimize": ["problem.json"],
+    "audit": ["chain.json"],
+    "probe-ellipticity": [],
+}
+SWEEP_N = {"whitney": 2}  # the ambient dimension of the sweep's inputs; 3 elsewhere
+SLICE_VALID = {"t": 0.5, "bin": 0.05}  # the slice inputs without a default
+
+
+def _outside(rule, sym, bound):
+    """Values just past one bound of a rule, and on it when it is open."""
+    step = 1 if rule.kind == "int" else None
+    if sym in (">", ">="):
+        below = bound - step if step else np.nextafter(bound, -math.inf)
+        return [bound, bound - 1] if sym == ">" else [below]
+    above = bound + step if step else np.nextafter(bound, math.inf)
+    return [bound, bound + 1] if sym == "<" else [above]
+
+
+def _with_first(default, value):
+    """The default array with its first entry replaced by value, or value for a scalar."""
+    if not isinstance(default, list):
+        return value
+    out = json.loads(json.dumps(default))
+    row = out
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = value
+    return out
+
+
+def bad_values(rule, default):
+    """(label, value) pairs that break the rule, made from a valid value:
+    a wrong type, each side of each bound, NaN and +-inf, a wrong shape and
+    null."""
+    cases = [("wrong type", "abc" if rule.kind != "choice" else 5), ("null", None), ("wrong shape", [default])]
+    if rule.kind != "integrand":
+        cases.append(("wrong type", {"a": 1}))
+    if rule.kind in ("int", "float"):
+        cases += [(label, _with_first(default, v))
+                  for label, v in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf))]
+        cases += [(f"bound {sym} {bound}", _with_first(default, v))
+                  for sym, bound in rule.bounds for v in _outside(rule, sym, bound)]
+        if rule.kind == "int":
+            cases += [("not integral", _with_first(default, 1.5)), ("beyond 2^53", _with_first(default, 1e20))]
+        if rule.shape:
+            cases.append(("wrong shape", []))
+        if rule.shape == ("n",):
+            cases.append(("wrong length", default + default[:1]))
+    else:
+        cases += [("nan", math.nan), ("inf", math.inf)]
+    return cases
+
+
+def _as_argument(rule, value):
+    """value as the text of a command-line argument: a list input comma-separated."""
+    if rule.shape and isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def sweep_cases():
+    """(subcommand, key, label, value) for every input of every subcommand."""
+    return [(command, key, label, value)
+            for command, table in cli.INPUTS.items() for key, rule in table.items()
+            for label, value in bad_values(rule, SLICE_VALID[key] if rule.default is None else rule.default)]
+
+
+class TestInputTables:
+    @pytest.mark.parametrize("command", sorted(cli.INPUTS))
+    def test_defaults_pass_their_rules(self, command):
+        for key, rule in cli.INPUTS[command].items():
+            if rule.default is not None:
+                rule.check(key, rule.default, SWEEP_N.get(command, 3))
+
+    @pytest.mark.parametrize("command", sorted(cli.INPUTS))
+    def test_help_lists_every_input(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for key, rule in cli.INPUTS[command].items():
+            default = "required" if rule.default is None else f"default {json.dumps(rule.default)}"
+            assert f"  {key}: {default}; {rule.describe()}" in out
+
+    def test_every_subcommand_has_a_table(self):
+        assert set(cli.INPUTS) == set(SWEEP_ARGV)
+
+    def test_generated_bad_input_sweep(self, tmp_path, monkeypatch, capsys):
+        _bad_input_files(tmp_path)
+        failures = []
+        for command, key, label, value in sweep_cases():
+            rule = cli.INPUTS[command][key]
+            argv = [command, *SWEEP_ARGV[command]]
+            if command in ("rotate", "slice"):
+                given = dict(SLICE_VALID) if command == "slice" else {}
+                given[key] = value
+                argv += [f"--{k}={_as_argument(cli.INPUTS[command][k], v)}" for k, v in given.items()]
+            elif command == "minimize":
+                problem = square_problem_dict(1, 2, options={"restarts": 1, "steps": 50, key: value})
+                (tmp_path / "swept.json").write_text(json.dumps(problem))
+                argv = [command, "swept.json"]
+            else:
+                config = {key: value, **dict([rule.when] if rule.when else [])}
+                (tmp_path / "swept_config.json").write_text(json.dumps(config))
+                argv = ["--config", "swept_config.json", *argv]
+            try:
+                rc, err, caught = run_in_process(tmp_path, monkeypatch, capsys, {}, argv)
+            except (Exception, SystemExit) as exc:  # anything escaping main fails the case
+                failures.append(f"{command} {key}={value!r} ({label}): {type(exc).__name__}: {exc}")
+                continue
+            if rc not in (2, 3, 4) or len(err.splitlines()) != 1 or caught:
+                failures.append(f"{command} {key}={value!r} ({label}): exit {rc}, stderr {err!r}, "
+                                f"warnings {[str(w.message) for w in caught]}")
+        assert not failures, "\n".join(failures)

@@ -32,7 +32,6 @@ from gmtkit.cubemaps import (
     _grid_neighbours,
     _native_resolution,
     _punctured_jacobian_rows,
-    _punctured_jacobians,
     _recenter,
     _recentering_profiles,
 )
@@ -931,14 +930,15 @@ class TestRecenteringKernel:
         x = rng.uniform(-1.0, 1.0, (300, n))
         x[:20, 0] = 1.0
         x[20:40, 1] = -1.0
-        jac = _punctured_jacobians(centres, x, 0.1)
+        rows, inverse = _punctured_jacobian_rows(centres, x, 0.1)
+        jac = rows[inverse]
         for c, a in enumerate(centres):
             assert _same_bytes(jac[c], punctured_cube_projection(a, 0.1).jacobian(x))
             assert _same_bytes(jac[c], punctured_projection_oracle(a, 0.1).jacobian(x))
 
     def test_stacked_punctured_jacobians_need_points_in_cube(self):
         with pytest.raises(ValueError, match="closed cube"):
-            _punctured_jacobians(np.zeros((1, 2)) + 0.1, np.array([[1.01, 0.0]]), 0.1)
+            _punctured_jacobian_rows(np.zeros((1, 2)) + 0.1, np.array([[1.01, 0.0]]), 0.1)
 
     @pytest.mark.parametrize("name", ["collared_projection", "recentering_map"])
     def test_value_and_jacobian_match_separate_calls(self, name, rng):
@@ -973,7 +973,6 @@ class TestPuncturedRowDedup:
         jac, inverse = _punctured_jacobian_rows(centres, x, eps)
         assert inverse.shape == (len(centres), len(x))
         assert _same_bytes(jac[inverse], punctured_jacobians_oracle(centres, x, eps))
-        assert _same_bytes(_punctured_jacobians(centres, x, eps), jac[inverse])
         # a group holds only rows whose recentred bits are equal, and every
         # group is used
         words = _recentred_words(centres, x)

@@ -10,7 +10,9 @@ from oracles import (
     audit_minimizer_oracle,
     boundary_matrix_oracle,
     facets_oracle,
+    gf2_nullspace,
     gf2_nullspace_oracle,
+    gf2_solve,
     gf2_solve_oracle,
     spans_oracle,
 )
@@ -23,8 +25,6 @@ from gmtkit.solver import (
     audit_minimizer,
     chain_to_varifold,
     exhaustive_oracle,
-    gf2_nullspace,
-    gf2_solve,
     initial_chain,
     minimize,
     spans,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,39 @@ class TestIntegrands:
         assert isinstance(integrand_from_config({"kind": "area"}), AreaIntegrand)
         with pytest.raises(ValueError):
             integrand_from_config({"kind": "bogus"})
+
+    def test_registry_builds_frames_and_tables(self):
+        frame = {"kind": "tilt_penalty", "reference_frame": [[1, 0], [0, 1], [0, 0]], "lam": 2}
+        assert np.array_equal(integrand_from_config(frame, n=3).reference.frame, H.frame)
+        table = {"kind": "table", "origin": [0, 0], "spacing": [1, 1], "values": [[1, 2], [3, 4]]}
+        assert integrand_from_config(table).evaluate(np.array([[0.5, 0.5]]), None) == pytest.approx([2.5])
+
+    @pytest.mark.parametrize("cfg, key", [
+        (5, "dict"),
+        (["area"], "dict"),
+        ({"kind": "tilt_penalty"}, "reference_axes"),
+        ({"kind": "tilt_penalty", "reference_axes": [0, 3]}, "reference_axes"),
+        ({"kind": "tilt_penalty", "reference_axes": [1, 1]}, "reference_axes"),
+        ({"kind": "tilt_penalty", "reference_axes": "ab"}, "reference_axes"),
+        ({"kind": "tilt_penalty", "reference_axes": []}, "reference_axes"),
+        ({"kind": "tilt_penalty", "reference_frame": [1, 0]}, "reference_frame"),
+        ({"kind": "tilt_penalty", "reference_frame": [[1, 1], [1, 1], [0, 0]]}, "reference_frame"),
+        ({"kind": "tilt_penalty", "reference_frame": [math.nan, 0, 0]}, "reference_frame"),
+        ({"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": "abc"}, "lam"),
+        ({"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": math.nan}, "lam"),
+        ({"kind": "table", "origin": [0, 0, 0], "spacing": [1, 1, 1], "values": [1, 2]}, "values"),
+        ({"kind": "table", "origin": [0, 0, 0], "spacing": [1, 1, 1], "values": np.ones((1, 2, 2)).tolist()}, "values"),
+        ({"kind": "table", "origin": [0, 0, 0], "spacing": [1, 1, 1], "values": np.zeros((2, 2, 2)).tolist()}, "values"),
+        ({"kind": "table", "origin": [0, 0, 0], "spacing": [1, 1, 1]}, "values"),
+        ({"kind": "table", "origin": [0, 0], "spacing": [1, 1, 1], "values": np.ones((2, 2, 2)).tolist()}, "origin"),
+        ({"kind": "table", "origin": [0, 0, 0], "spacing": [0, 1, 1], "values": np.ones((2, 2, 2)).tolist()}, "spacing"),
+        ({"kind": "table", "origin": [0, 0, 0], "spacing": 1.0, "values": np.ones((2, 2, 2)).tolist()}, "spacing"),
+        ({"kind": "table", "origin": [0, 0, 0], "spacing": [1, math.inf, 1], "values": np.ones((2, 2, 2)).tolist()},
+         "spacing"),
+    ])
+    def test_registry_rejects_malformed_dicts(self, cfg, key):
+        with pytest.raises(ValueError, match=key):
+            integrand_from_config(cfg, n=3)
 
 
 class TestPhiPsi:
@@ -456,6 +490,12 @@ class TestSampleSpacingOracle:
         lonely = np.vstack([np.zeros((2100, 3)), far])
         assert self.assert_same(lonely) == math.inf
         assert self.assert_same(np.zeros((2100, 2))) == math.inf
+
+    @pytest.mark.parametrize("count", [2, 100, 3000])
+    def test_all_duplicates_is_inf_without_warning(self, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_spacing(np.zeros((count, 2))) == math.inf
 
     def test_small_chunks(self, rng, monkeypatch):
         pts = rng.random((2600, 3))
