@@ -213,6 +213,10 @@ INPUTS = {
 }
 
 
+# the grid keys of a minimize problem file, under the audit's rules (origin may be left out)
+PROBLEM = {"m": Rule("int", None, (">=", 1)), **{k: INPUTS["audit"][k] for k in ("n", "cells", "level", "origin")}}
+
+
 def _epilog(command):
     """One line per input of the subcommand: its default and its rule."""
     lines = [{"rotate": "arguments", "slice": "arguments", "minimize": 'the problem\'s "options"'}.get(
@@ -513,20 +517,22 @@ def _problem_from_json(path):
     missing = required - set(data)
     if missing:
         raise InputError(f"missing problem keys: {sorted(missing)}")
+    grid = _checked({k: rule for k, rule in PROBLEM.items() if k in data}, {k: data[k] for k in PROBLEM if k in data},
+                    n=lambda cfg: cfg["n"], what="problem")
+    n, m = grid["n"], grid["m"]
     try:
-        if int(data["m"]) >= int(data["n"]):
-            raise ValueError(f"m = {data['m']} leaves no (m+1)-cells to move across in n = {data['n']}")
-        cx = GridComplex(int(data["n"]), data["cells"], int(data["level"]), data.get("origin"))
+        if m >= n:
+            raise ValueError(f"m = {m} leaves no (m+1)-cells to move across in n = {n}")
+        cx = GridComplex(n, grid["cells"], grid["level"], grid.get("origin"))
         bcells = [DyadicCube.from_dict(d) for d in data["boundary_cells"]]
         generators = []
         for gen in data["generators"]:
-            bits = np.zeros(cx.count(int(data["m"]) - 1), dtype=np.uint8)
+            bits = np.zeros(cx.count(m - 1), dtype=np.uint8)
             for d in gen:
                 bits[cx.index[DyadicCube.from_dict(d)][1]] ^= 1
             generators.append(bits)
-        integrand = integrand_from_config(data["integrand"], n=int(data["n"]))
-        problem = SpanningProblem(cx, int(data["m"]), bcells, generators, integrand,
-                                  dict(data.get("options", {})))
+        integrand = integrand_from_config(data["integrand"], n=n)
+        problem = SpanningProblem(cx, m, bcells, generators, integrand, dict(data.get("options", {})))
     except (TypeError, ValueError, KeyError) as exc:
         raise InputError(f"invalid problem: {exc}") from exc
     return problem

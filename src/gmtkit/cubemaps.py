@@ -18,12 +18,12 @@ does the same for samples).
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 
 import numpy as np
 
+from . import _grid
 from ._profiles import (
     plateau_step,
     profile_eval,
@@ -942,10 +942,6 @@ class RankConditionError(RuntimeError):
 # rows (candidates x samples) whose cell codes one sort counts together: each
 # per-chunk array of codes, sorted codes or differences stays at 0.5 MB
 DIRECTION_ROWS = 1 << 16
-# sample pairs one block of the all-pairs nearest-sample search measures at
-# once: up to this many samples per block of columns, and as many probe rows
-# as fit beside them
-RESOLUTION_PAIRS = 1 << 17
 
 
 def _check_resolution(resolution):
@@ -955,142 +951,29 @@ def _check_resolution(resolution):
     return resolution
 
 
-def _nearest_distinct(probes, points, block=RESOLUTION_PAIRS):
-    """Each probe's distance to its nearest sample at a positive distance
-    (inf if none), measured against all samples ``block`` pairs at a time."""
-    cols = max(1, min(len(points), block))
-    rows = max(1, block // cols)
-    mins = np.full(len(probes), np.inf)
-    for i in range(0, len(probes), rows):
-        rows_i, best = probes[i : i + rows], mins[i : i + rows]
-        for j in range(0, len(points), cols):
-            d = np.linalg.norm(rows_i[:, None, :] - points[None, j : j + cols], axis=-1)
-            d[d == 0.0] = np.inf
-            np.minimum(best, d.min(axis=1), out=best)
-    return mins
-
-
-def _grid_neighbours(points, queries, cell, budget=math.inf):
-    """Candidate neighbours of each query from a grid of side ``cell``: the
-    samples in the 3^n cells around the query's (the fixed-radius search of
-    Bentley, Stanat and Williams, IPL 6, 1977).  Cell indices stay below
-    2^50, so ``floor(x / cell)`` is off by less than 1/8 of a cell: a sample
-    within 3/4 ``cell`` of the query along every axis is a candidate, and
-    every other sample is more than 3/4 ``cell`` away.
-
-    The samples are sorted by the mixed-radix int64 code of their cell.  The
-    3^n cells around a query cell are 3^(n-1) runs of consecutive codes, so
-    each is one range of that order.  Returns (pairs, groups): the
-    query-candidate pair count and an iterator over (members, cand), the
-    queries that share one cell and the samples in its 3^n cells, both in
-    index order.  Returns None when there are no samples, when a cell index
-    or code would be too large, or when the lookups and the pairs together
-    would exceed ``budget``.
-    """
-    npts, n = points.shape
-    nq = len(queries)
-    if not 0.0 < cell < math.inf or npts == 0 or nq * 3 ** (n - 1) > budget:
-        return None
-    with np.errstate(over="ignore"):
-        keys, qkeys = np.floor(points / cell), np.floor(queries / cell)
-    if not ((np.abs(keys) < 2.0**50).all() and (np.abs(qkeys) < 2.0**50).all()):
-        return None
-    keys = keys.astype(np.int64)
-    lo, hi = keys.min(axis=0), keys.max(axis=0)
-    radix = tuple(int(r) for r in hi - lo + 7)
-    if math.prod(radix) >= 1 << 62:
-        return None
-    # a query more than two cells outside the samples' range meets none, so
-    # clipping its index there keeps its candidates; no neighbour index
-    # leaves [0, radix), so a neighbour's code is the query's plus a step
-    qkeys = np.clip(qkeys.astype(np.int64), lo - 2, hi + 2)
-    codes = np.ravel_multi_index((keys - lo + 3).T, radix)
-    qcodes = np.ravel_multi_index((qkeys - lo + 3).T, radix)
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    qorder = np.argsort(qcodes, kind="stable")
-    qcells, qfirst, qsize = np.unique(qcodes[qorder], return_index=True, return_counts=True)
-    runs = np.array([(*o, 1) for o in itertools.product((0, 1, 2), repeat=n - 1)])
-    near = qcells[:, None] + np.ravel_multi_index(runs.T, radix) - np.ravel_multi_index((1,) * n, radix)
-    left = np.searchsorted(codes, near - 1, "left")
-    right = np.searchsorted(codes, near + 1, "right")
-    pairs = int(qsize @ (right - left).sum(axis=1))
-    if 2 * near.size + pairs > budget:
-        return None
-
-    def groups():
-        for first, size, lefts, rights in zip(qfirst, qsize, left.tolist(), right.tolist()):
-            cand = np.concatenate([order[a:b] for a, b in zip(lefts, rights)])
-            yield qorder[first : first + size], np.sort(cand)
-
-    return pairs, groups()
-
-
-def _grid_nearest(points, queries, cell, block, budget=math.inf):
-    """(mins, pairs): each query's distance to its nearest candidate of
-    ``_grid_neighbours`` at a positive distance (inf if none), measured by
-    ``_nearest_distinct`` ``block`` pairs at a time, and the pair count;
-    None where ``_grid_neighbours`` gives None."""
-    grid = _grid_neighbours(points, queries, cell, budget)
-    if grid is None:
-        return None
-    mins = np.full(len(queries), np.inf)
-    for members, cand in grid[1]:
-        mins[members] = _nearest_distinct(queries[members], points[cand], block)
-    return mins, grid[0]
-
-
 def _native_resolution(points):
     """Median distance from each probe sample (all of them up to 4096, else
     every (npts // 4096)-th) to its nearest distinct sample; nan when no
-    probe has one.
-
-    Each probe first searches the grid of side h = 2 span / npts^(1/n)
-    (``_grid_neighbours``).  A grid minimum below h/2 is final, since every
-    sample outside the probe's 3^n cells is more than 3h/4 away.  The other
-    probes, and all of them when the grid would cost more than all pairs, are
-    measured against every sample by ``_nearest_distinct``.  A pair's
-    distance is the same float on either path, so the median keeps its bits.
-    Logs the pairs measured, the all-pairs count and the fallback probes at
-    DEBUG.
-    """
+    probe has one.  A probe's minimum in the grid of side h = 2 span /
+    npts^(1/n) is final below its own ``_grid.block_margin``; the other
+    probes, and all of them when the grid would cost more than all pairs,
+    are measured against every sample, with the same floats.  Logs the
+    pairs measured, the all-pairs count and the fallback probes at DEBUG."""
     npts, n = points.shape
     sub = points if npts <= 4096 else points[:: npts // 4096]
     total = len(sub) * npts
     h = float(np.max(points.max(axis=0) - points.min(axis=0))) / npts ** (1.0 / n) * 2.0 if npts else 0.0
-    grid = _grid_nearest(points, sub, h, RESOLUTION_PAIRS, budget=total)
-    mins, pairs = grid if grid is not None else (np.full(len(sub), np.inf), 0)
-    far = ~(mins < h / 2.0)
-    mins[far] = _nearest_distinct(sub[far], points)
+    grid = _grid.nearest(points, sub, h, budget=total)
+    if grid is None:
+        mins, pairs, far = np.full(len(sub), np.inf), 0, np.ones(len(sub), dtype=bool)
+    else:
+        (mins, pairs), far = grid, ~(grid[0] < _grid.block_margin(sub, h))
+    mins[far] = _grid.nearest_distinct(sub[far], points)
     fallback = int(np.count_nonzero(far))
     logger.debug("native resolution: %d pairs measured of %d, %d fallback probes",
                  pairs + fallback * npts, total, fallback)
     finite = mins[np.isfinite(mins)]
     return float(np.median(finite)) if len(finite) else math.nan
-
-
-def _dense_ranks(keys):
-    """Each entry's rank among the distinct values of its row, from 0."""
-    order = np.argsort(keys, axis=1, kind="stable")
-    ordered = np.take_along_axis(keys, order, axis=1)
-    step = np.zeros(keys.shape, dtype=np.int64)
-    step[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    ranks = np.empty_like(step)
-    np.put_along_axis(ranks, order, np.cumsum(step, axis=1), axis=1)
-    return ranks
-
-
-def _cell_counts(coords, resolution):
-    """Distinct cells of side ``resolution`` met by each row of ``coords``
-    (rows, samples, m), counted with one sort per row.  For m > 1 the integer
-    cell codes fold into one key through their per-row ranks, each below the
-    sample count S, so a key stays below S^2 whatever the codes' span."""
-    codes = np.floor(coords / resolution).astype(np.int64)
-    key = codes[..., 0]
-    for j in range(1, codes.shape[2]):
-        key = _dense_ranks(key) * codes.shape[1] + _dense_ranks(codes[..., j])
-    key = np.sort(key, axis=1)
-    return 1 + np.count_nonzero(np.diff(key, axis=1), axis=1)
 
 
 def _direction_search(xb, t_plane, cone, direction_budget, rng, resolution):
@@ -1122,75 +1005,36 @@ def _direction_search(xb, t_plane, cone, direction_budget, rng, resolution):
     for start in range(0, len(candidates), step):
         chunk = candidates[start : start + step]
         proj = np.stack([xb @ cand.frame for cand in chunk])
-        scores[start : start + len(chunk)] = _cell_counts(proj, resolution)
-    baseline = int(_cell_counts((xb @ t_plane.frame)[None], resolution)[0])
-    own = int(_cell_counts(xb[None], resolution)[0])
+        scores[start : start + len(chunk)] = _grid.cell_counts(proj, resolution)
+    baseline = int(_grid.cell_counts((xb @ t_plane.frame)[None], resolution)[0])
+    own = int(_grid.cell_counts(xb[None], resolution)[0])
     return candidates, scores, int(np.argmin(scores)), baseline, own
 
 
 def _cluster_balls(points, gap, region):
-    """Disjoint balls around single-linkage clusters of the samples.
+    """Disjoint balls around the single-linkage clusters of the samples
+    (``_grid.cell_clusters``), in the order of those clusters.
 
     Each ball's inner core (half of the rotation happens inside it) contains
     its whole cluster; the outer radius is capped by the distance to other
     clusters and by the ambient region.  Returns (centers, r_out, r_in,
     uncovered_idx)."""
-    cells = np.floor(points / gap).astype(np.int64)
-    order = {}
-    for idx, c in enumerate(map(tuple, cells)):
-        order.setdefault(c, []).append(idx)
-    parent = {c: c for c in order}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    n = points.shape[1]
-    offsets = [
-        tuple(o)
-        for o in np.stack(np.meshgrid(*([[-1, 0, 1]] * n), indexing="ij"), axis=-1).reshape(-1, n)
-        if any(o)
-    ]
-    for c in list(order):
-        for off in offsets:
-            d = tuple(np.add(c, off))
-            if d in order:
-                ra, rb = find(c), find(d)
-                if ra != rb:
-                    parent[ra] = rb
-    clusters = {}
-    for c, members in order.items():
-        clusters.setdefault(find(c), []).extend(members)
-    roots = sorted(clusters)
-    centers, inner = [], []
-    members_by_ball = []
-    for root in roots:
-        idx = np.array(sorted(clusters[root]))
-        pts = points[idx]
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        centers.append((lo + hi) / 2.0)
-        inner.append(float(np.linalg.norm(hi - lo) / 2.0) * 1.02 + 1e-12)
-        members_by_ball.append(idx)
-    centers = np.array(centers)
-    inner = np.array(inner)
+    label = _grid.cell_clusters(points, gap)
+    order = np.argsort(label, kind="stable")  # the samples of each ball, in index order
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    lo = np.minimum.reduceat(points[order], starts, axis=0)
+    hi = np.maximum.reduceat(points[order], starts, axis=0)
+    centers = (lo + hi) / 2.0
+    inner = np.array([float(np.linalg.norm(d) / 2.0) * 1.02 + 1e-12 for d in hi - lo])
     outer = 2.5 * inner
     if len(centers) > 1:
         d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
         np.fill_diagonal(d, np.inf)
         outer = np.minimum(outer, 0.48 * d.min(axis=1))
-    keep, uncovered = [], []
-    for i in range(len(centers)):
-        ok = outer[i] >= 1.3 * inner[i]
-        if ok and region is not None and hasattr(region, "contains_ball"):
-            ok = region.contains_ball(centers[i], outer[i])
-        if ok:
-            keep.append(i)
-        else:
-            uncovered.extend(members_by_ball[i].tolist())
-    keep = np.array(keep, dtype=int)
-    return centers[keep], outer[keep], inner[keep], uncovered
+    keep = outer >= 1.3 * inner
+    if region is not None and hasattr(region, "contains_ball"):
+        keep = np.array([ok and region.contains_ball(c, r) for ok, c, r in zip(keep, centers, outer)], dtype=bool)
+    return centers[keep], outer[keep], inner[keep], order[~keep[label[order]]].tolist()
 
 
 def unrect_perturbation(

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _grid
+
 __all__ = [
     "DyadicCube",
     "CubeIndex",
@@ -161,12 +163,6 @@ class DyadicCube:
         return DyadicCube(int(d["level"]), tuple(d["corner"]), tuple(d["axes"]), int(d["n"]))
 
 
-def _corner_codes(corners, origin, extent):
-    """Mixed-radix integer codes of integer corners (one per row) in the box
-    origin + [0, extent), ascending in the corners' lexicographic order."""
-    return np.ravel_multi_index((np.asarray(corners) - origin).T, extent)
-
-
 class CubeIndex:
     """Integer incidence index over a list of dyadic cubes of any dimensions.
 
@@ -193,7 +189,7 @@ class CubeIndex:
             members = np.nonzero(self._bucket_level == b)[0]
             origin = key[members].min(axis=0)
             extent = key[members].max(axis=0) - origin + 1
-            codes = _corner_codes(key[members], origin, extent)
+            codes = _grid.cell_codes(key[members], origin, extent)
             order = np.argsort(codes, kind="stable")
             self._buckets.append((int(b), origin, extent, codes[order], members[order]))
         self.position = {c: i for i, c in enumerate(self.cubes)}
@@ -210,11 +206,11 @@ class CubeIndex:
             for step in itertools.product(*map(range, np.max(last - first, axis=0, initial=-1) + 1)):
                 corners = first + step
                 ok = np.all((corners <= last) & (corners >= origin) & (corners < origin + extent), axis=1)
-                keys = _corner_codes(corners[ok], origin, extent)
+                keys = _grid.cell_codes(corners[ok], origin, extent)
                 start = np.searchsorted(codes, keys, "left")
                 count = np.searchsorted(codes, keys, "right") - start
                 r = np.repeat(rows[ok], count)
-                c = members[np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(r))]
+                c = members[_grid.ranges(start, count)]
                 meet = np.all((hi[r] >= self.lo[c]) & (self.hi[c] >= lo[r]), axis=1)
                 found.append((r[meet], c[meet]))
         return tuple(np.concatenate(a) for a in zip(*found))

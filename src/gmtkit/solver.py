@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubemaps import _grid_neighbours
-from .cubical import DyadicCube, _corner_codes
+from . import _grid
+from .cubical import DyadicCube
 from .grassmann import Plane
 from .varifold import DiscreteVarifold, _ball_ratios, _spacing_probes, sample_spacing, unit_ball_volume
 
@@ -140,7 +140,7 @@ class GridComplex:
         """Integer keys, ascending in the cells' (corner, axes) sort order: the
         mixed-radix code of the corner, times C(n, k), plus the rank of the axes."""
         rank = list(itertools.combinations(range(self.n), len(axes))).index(axes)
-        code = _corner_codes(corners, self.origin, np.add(self.shape, 1))
+        code = _grid.cell_codes(corners, self.origin, np.add(self.shape, 1))
         return code * math.comb(self.n, len(axes)) + rank
 
     def facets(self, k):
@@ -575,12 +575,12 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     tilt-excess statistic against local plane fits.
 
     Each audit point measures only the samples in the 3^n cells around its
-    own in a grid of side 2 max(radii, fit_radius), shared by the points of
-    one cell (``cubemaps._grid_neighbours``), or every sample when that grid
-    would cost more than all pairs.  Either way the candidates stay in index
-    order, so the mass sums, the plane fit and the tilt see the same samples
-    in the same order as a scan of all of them, and the tilts are summed in
-    the order of the audit points.  The INFO line counts the pairs measured.
+    own in a grid of side 2 max(radii, fit_radius) (``_grid.neighbours``),
+    or every sample when that grid would cost more than all pairs.  Either
+    way the candidates stay in index order, so the mass sums, the plane fit
+    and the tilt see the samples of a scan of all of them, in its order; the
+    tilts are summed in the order of the audit points.  The INFO line counts
+    the pairs measured.
     """
     if chain.count() == 0:
         raise ValueError("audit needs a nonempty chain")
@@ -603,8 +603,12 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     audit_points = list(audit_points)
     xs = np.asarray(audit_points, dtype=float).reshape(len(audit_points), chain.complex.n)
     total = len(xs) * len(v)
-    grid = _grid_neighbours(v.points, xs, 2.0 * max([*radii, fit_radius]), budget=total)
-    pairs, groups = (total, [(range(len(xs)), np.arange(len(v)))]) if grid is None else grid
+    grid = _grid.neighbours(v.points, xs, 2.0 * max([*radii, fit_radius]), budget=total)
+    if grid is None:
+        pairs, groups = total, [(range(len(xs)), np.arange(len(v)))]
+    else:
+        pairs = grid.pairs
+        groups = zip(np.split(grid.queries, grid.qbounds[1:-1]), np.split(grid.cands, grid.cbounds[1:-1]))
     entries, fit_weights = [None] * len(xs), [0.0] * len(xs)
     for members, cand in groups:
         points, frames, weights = v.points[cand], v.frames[cand], v.weights[cand]

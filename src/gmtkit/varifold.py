@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._profiles import SmoothPiecewiseLinear
-from .cubemaps import SmoothMap, _cell_counts, _grid_nearest, _nearest_distinct
+from . import _grid
+from .cubemaps import SmoothMap
 from .grassmann import Plane, haar_sample
 
 __all__ = [
@@ -102,8 +103,9 @@ class TiltPenaltyIntegrand(Integrand):
     def __init__(self, reference: Plane, lam=1.0):
         self.reference = reference
         self.lam = float(lam)
-        self.inf_bound = 1.0
-        self.sup_bound = 1.0 + self.lam
+        # ||P_T - P_H||^2 runs over [0, 1]
+        self.inf_bound = min(1.0, 1.0 + self.lam)
+        self.sup_bound = max(1.0, 1.0 + self.lam)
         self.name = f"tilt_penalty(lam={lam})"
 
     def evaluate(self, points, frames):
@@ -187,7 +189,8 @@ def integrand_from_config(cfg, n=None):
     if kind == "area":
         return AreaIntegrand()
     if kind == "tilt_penalty":
-        lam = float(_checked_floats(cfg.get("lam", 1.0), "lam", "a finite number", lambda a: a.ndim == 0))
+        lam = float(_checked_floats(cfg.get("lam", 1.0), "lam", "a finite number > -1",
+                                    lambda a: a.ndim == 0 and a > -1.0))
         if cfg.get("reference_axes") is not None:
             axes = _checked_floats(cfg["reference_axes"], "reference_axes", f"distinct axes of R^{n}",
                                    lambda a: a.ndim == 1 and a.size and (a == np.floor(a)).all())
@@ -595,34 +598,28 @@ class DensityRatio:
     reliable: bool
 
 
-SPACING_PAIRS = 1 << 16  # sample pairs one block of sample_spacing measures
-
-
 def sample_spacing(points, cap=2048):
     """Median nearest-neighbour distance (resolution scale of the sampling).
 
     Up to ``cap`` points, every point is measured against all the others.
-    Above it, the probes of ``_spacing_probes`` look only in their own and
-    the adjacent cells of a grid of side 2 span / n_pts^(1/dim), through the
-    grid search ``cubemaps._grid_neighbours`` that the solver's audit and the
-    native-resolution estimate share, and a probe with no neighbour at a
-    positive distance there is left out; with no such probe the spacing is
-    inf.  Should a cell index or code be too large for that grid, the probes
-    are measured against all points instead.  Distances are measured
-    SPACING_PAIRS pairs at a time, with the same floats as a per-probe loop.
+    Above it, the probes of ``_spacing_probes`` look only in their 3^dim
+    cells of a grid of side 2 span / n_pts^(1/dim) (``_grid.nearest``), and
+    a probe with no neighbour at a positive distance there is left out (inf
+    if all are); should the grid decline, they are measured against all
+    points.  The floats are those of a per-probe loop.
     """
     pts = np.atleast_2d(points)
     n_pts, dim = pts.shape
     if n_pts < 2:
         return math.inf
     if n_pts <= cap:
-        mins = _nearest_distinct(pts, pts, SPACING_PAIRS)
+        mins = _grid.nearest_distinct(pts, pts)
     else:
         span = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
         cell = max(span / max(n_pts, 2) ** (1.0 / dim) * 2.0, 1e-12)
         probes = pts[_spacing_probes(n_pts, cap)]
-        grid = _grid_nearest(pts, probes, cell, SPACING_PAIRS)
-        mins = _nearest_distinct(probes, pts, SPACING_PAIRS) if grid is None else grid[0]
+        grid = _grid.nearest(pts, probes, cell)
+        mins = _grid.nearest_distinct(probes, pts) if grid is None else grid[0]
     mins = mins[np.isfinite(mins)]
     return float(np.median(mins)) if len(mins) else math.inf
 
@@ -663,7 +660,7 @@ def covering_measure(points, m, resolution):
     pts = np.atleast_2d(points)
     if len(pts) == 0:
         return 0.0, resolution
-    return float(_cell_counts(pts[None], resolution)[0]) * resolution**m, resolution
+    return float(_grid.cell_counts(pts[None], resolution)[0]) * resolution**m, resolution
 
 
 # ---------------------------------------------------------------------------

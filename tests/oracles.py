@@ -24,9 +24,13 @@ for the ratios, once for the plane fit and once for the tilt.
 distances from every probe sample to a 1024-sample block at once.
 ``native_resolution_oracle``, ``sample_spacing_oracle`` and
 ``audit_minimizer_oracle`` are also the references for the one grid
-neighbour search (``cubemaps._grid_neighbours``) that all three library
-routines now share: none of them uses a grid beyond the spacing's own
-buckets, and the audit and resolution oracles scan every sample.  The
+neighbour search (``_grid.neighbours`` and its nearest-sample reduction
+``_grid.nearest``) that all three library routines now share: none of
+them uses a grid beyond the spacing's own buckets, and the audit and
+resolution oracles scan every sample.  ``cluster_balls_oracle`` is the
+purge's clustering before ``_grid.cell_clusters``: a dict of tuple cells,
+a union-find over the tuples and the balls in the sorted order of their
+roots.  The
 cube-layer oracles are the pairwise scans the ``CubeIndex`` replaced: one
 row scan per cube for touching pairs, admissibility and ``delta_touching``,
 a Python loop over candidate cubes per facet sub-cell, one closed-box test
@@ -741,3 +745,68 @@ def max_touching_oracle(complex_):
         touch = np.all(hi >= lo[i], axis=1) & np.all(hi[i] >= lo, axis=1)
         worst = max(worst, int(touch.sum()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the purge's clustering, as it was before the integer cell clusters
+
+
+def cluster_balls_oracle(points, gap, region):
+    """``cubemaps._cluster_balls`` with a dict of tuple cells, a union-find
+    over those tuples and the balls in the sorted order of their roots."""
+    cells = np.floor(points / gap).astype(np.int64)
+    order = {}
+    for idx, c in enumerate(map(tuple, cells)):
+        order.setdefault(c, []).append(idx)
+    parent = {c: c for c in order}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    n = points.shape[1]
+    offsets = [
+        tuple(o)
+        for o in np.stack(np.meshgrid(*([[-1, 0, 1]] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        if any(o)
+    ]
+    for c in list(order):
+        for off in offsets:
+            d = tuple(np.add(c, off))
+            if d in order:
+                ra, rb = find(c), find(d)
+                if ra != rb:
+                    parent[ra] = rb
+    clusters = {}
+    for c, members in order.items():
+        clusters.setdefault(find(c), []).extend(members)
+    roots = sorted(clusters)
+    centers, inner = [], []
+    members_by_ball = []
+    for root in roots:
+        idx = np.array(sorted(clusters[root]))
+        pts = points[idx]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        centers.append((lo + hi) / 2.0)
+        inner.append(float(np.linalg.norm(hi - lo) / 2.0) * 1.02 + 1e-12)
+        members_by_ball.append(idx)
+    centers = np.array(centers)
+    inner = np.array(inner)
+    outer = 2.5 * inner
+    if len(centers) > 1:
+        d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+        np.fill_diagonal(d, np.inf)
+        outer = np.minimum(outer, 0.48 * d.min(axis=1))
+    keep, uncovered = [], []
+    for i in range(len(centers)):
+        ok = outer[i] >= 1.3 * inner[i]
+        if ok and region is not None and hasattr(region, "contains_ball"):
+            ok = region.contains_ball(centers[i], outer[i])
+        if ok:
+            keep.append(i)
+        else:
+            uncovered.extend(members_by_ball[i].tolist())
+    keep = np.array(keep, dtype=int)
+    return centers[keep], outer[keep], inner[keep], uncovered

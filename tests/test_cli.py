@@ -329,6 +329,9 @@ def _bad_input_files(tmp):
     (tmp / "problem.json").write_text(json.dumps(square_problem_dict(1, 2, options={"restarts": 1, "steps": 50})))
     (tmp / "integrand_5.json").write_text(json.dumps(square_problem_dict(1, 2, integrand=5)))
     (tmp / "steps_negative.json").write_text(json.dumps(square_problem_dict(1, 2, options={"steps": -5})))
+    for name, key, value in (("level_fraction", "level", 1.7), ("m_fraction", "m", 1.5),
+                             ("cells_of_wrong_length", "cells", [2, 2])):
+        (tmp / f"{name}.json").write_text(json.dumps(dict(square_problem_dict(1, 2), **{key: value})))
 
 
 BAD_INPUTS = {
@@ -404,6 +407,9 @@ BAD_INPUTS = {
     "seed_not_an_integer": ({}, ["--seed", "abc", "retract"]),
     "slice_without_t": ({}, ["slice", "disc.csv"]),
     "out_is_a_file": ({}, ["--out", "disc.csv", "retract"]),
+    "minimize_level_not_an_integer": ({}, ["minimize", "level_fraction.json"]),
+    "minimize_m_not_an_integer": ({}, ["minimize", "m_fraction.json"]),
+    "minimize_cells_of_wrong_length": ({}, ["minimize", "cells_of_wrong_length.json"]),
 }
 
 # the same contract for inputs from the environment and from files, run
@@ -417,6 +423,9 @@ IN_PROCESS_BAD_INPUTS = {
     "probe_tilt_without_reference": ({"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty"}'}, ["probe-ellipticity"]),
     "probe_tilt_lam_not_a_number": (
         {"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": "abc"}'},
+        ["probe-ellipticity"]),
+    "probe_tilt_lam_minus_one": (
+        {"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": -1}'},
         ["probe-ellipticity"]),
     "probe_table_values_one_dimensional": (
         {"GMTKIT_INTEGRAND": '{"kind": "table", "origin": [0, 0, 0], "spacing": [1, 1, 1], "values": [1, 2]}'},

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import dist_to_cube_boundary, rank_one_map
-from gmtkit import cubemaps
+from gmtkit import _grid, cubemaps
 from gmtkit._profiles import SmoothPiecewiseLinear
 from gmtkit.cubemaps import (
     BallBody,
@@ -28,8 +28,8 @@ from gmtkit.cubemaps import (
     unrect_perturbation,
 )
 from gmtkit.cubemaps import (
+    _cluster_balls,
     _direction_search,
-    _grid_neighbours,
     _native_resolution,
     _punctured_jacobian_rows,
     _recenter,
@@ -42,6 +42,7 @@ from gmtkit.sampling import four_corner_cantor, sample_disc
 from gmtkit.varifold import DiscreteVarifold, sample_spacing
 from oracles import (
     SmoothPiecewiseLinearOracle,
+    cluster_balls_oracle,
     direction_search_oracle,
     native_resolution_oracle,
     sample_spacing_oracle,
@@ -696,7 +697,7 @@ GRID_HARD_CASES = ["far_point", "all_duplicates", "exactly_h", "span_2_40", "n1"
 
 
 class TestGridNeighbours:
-    """``_grid_neighbours`` and its two nearest-sample users against the
+    """``_grid.neighbours`` and its two nearest-sample users against the
     all-pairs oracles, byte for byte."""
 
     @pytest.mark.parametrize("case", GRID_HARD_CASES)
@@ -725,8 +726,9 @@ class TestGridNeighbours:
         for n, cell in ((1, 0.05), (2, 0.1), (3, 0.3), (4, 0.45)):
             pts = np.round(rng.random((400, n)) * 20.0) / 20.0  # many samples on cell boundaries
             queries = np.vstack([pts[::7], rng.uniform(-2.0, 3.0, (30, n))])
-            pairs, groups = _grid_neighbours(pts, queries, cell)
+            grid = _grid.neighbours(pts, queries, cell)
             seen, counted = np.zeros(len(queries), dtype=int), 0
+            groups = zip(np.split(grid.queries, grid.qbounds[1:-1]), np.split(grid.cands, grid.cbounds[1:-1]))
             for members, cand in groups:
                 assert np.all(np.diff(members) > 0) and np.all(np.diff(cand) > 0)
                 for i in members:
@@ -734,16 +736,100 @@ class TestGridNeighbours:
                     assert np.array_equal(cand, np.flatnonzero(near))
                     seen[i] += 1
                 counted += len(members) * len(cand)
-            assert np.all(seen == 1) and counted == pairs
+            assert np.all(seen == 1) and counted == grid.pairs
 
     def test_declines_what_it_cannot_do_exactly(self, rng):
         pts = rng.random((50, 2))
-        assert _grid_neighbours(pts, pts, 0.0) is None
-        assert _grid_neighbours(pts, pts, math.nan) is None
-        assert _grid_neighbours(np.zeros((0, 2)), pts, 0.1) is None
-        assert _grid_neighbours(pts, pts, 1e-20) is None  # cell indices past 2^50
-        assert _grid_neighbours(pts, pts, 10.0, budget=50 * 50) is None  # one cell holds all
-        assert _grid_neighbours(pts, np.array([[np.nan, 0.0]]), 0.1) is None
+        assert _grid.neighbours(pts, pts, 0.0) is None
+        assert _grid.neighbours(pts, pts, math.nan) is None
+        assert _grid.neighbours(np.zeros((0, 2)), pts, 0.1) is None
+        assert _grid.neighbours(pts, pts, 1e-20) is None  # cell indices past 2^50
+        assert _grid.neighbours(pts, pts, 10.0, budget=50 * 50) is None  # one cell holds all
+        assert _grid.neighbours(pts, np.array([[np.nan, 0.0]]), 0.1) is None
+
+    @staticmethod
+    def _fallback_probes(caplog, pts):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="gmtkit.cubemaps"):
+            got = _native_resolution(pts)
+        assert np.float64(got).tobytes() == np.float64(native_resolution_oracle(pts)).tobytes()
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "gmtkit.cubemaps"]
+        return int(re.findall(r"\d+", line)[-1])
+
+    def test_margin_one_ulp_either_side(self, rng, caplog):
+        # 1024 samples spanning 1 make h = 1/16; the probe q = (0, 8.5 h) has
+        # margin 5/8 h, and its one sample within 2h lies 1 ulp inside or
+        # outside it, along the first axis (so the distance is exact)
+        h = 2.0 / 1024**0.5
+        q = np.array([0.0, 8.5 * h])
+        margin = float(_grid.block_margin(q[None], h)[0])
+        assert margin == 0.625 * h
+        cloud = np.vstack([rng.uniform([0.3, 0.0], [1.0, 1.0], (1020, 2)), [[1.0, 1.0], [1.0, 0.0]]])
+        counts = []
+        for d in (np.nextafter(margin, 0.0), np.nextafter(margin, 1.0)):
+            pts = np.vstack([cloud, q, [d, q[1]]])
+            assert np.linalg.norm(pts[-1] - q) == d
+            counts.append(self._fallback_probes(caplog, pts))
+        assert counts[1] == counts[0] + 1  # only q's grid minimum stops being final
+
+    def test_margin_leaves_fewer_fallback_probes(self, rng, caplog):
+        pts = rng.random((4096, 2))
+        h = 2.0 / 4096**0.5
+        mins, _ = _grid.nearest(pts, pts, h)
+        half_cell = int(np.count_nonzero(~(mins < h / 2.0)))
+        assert self._fallback_probes(caplog, pts) < half_cell // 4
+
+
+def _cantor(depth, angle=0.01):
+    return four_corner_cantor(depth, angle=angle)[0]
+
+
+CLUSTER_CASES = {
+    "cantor4": lambda rng: (_cantor(4), 0.2, Box([-0.8] * 2, [1.8] * 2)),
+    "cantor4_fine": lambda rng: (_cantor(4), 0.02, Box([-0.8] * 2, [1.8] * 2)),
+    "cantor6": lambda rng: (_cantor(6), 0.2, Box([-0.8] * 2, [1.8] * 2)),
+    "cantor6_fine": lambda rng: (_cantor(6), 0.01, None),
+    # clusters that touch only through a cell corner, chained in both diagonals
+    "diagonal": lambda rng: (np.array([[0.5, 0.5], [1.5, 1.5], [2.5, 0.5], [3.5, -0.5], [0.5, 3.5],
+                                       [-0.5, 4.5], [8.5, 8.5], [7.5, 9.5], [6.5, 8.5]]), 1.0, None),
+    "negative": lambda rng: (rng.normal(0.0, 1.0, (600, 2)) * 3.0 - 40.0, 0.3, None),
+    "n1": lambda rng: (rng.standard_normal((500, 1)) ** 3, 0.05, Box([-50.0], [50.0])),
+    "n2_blobs": lambda rng: (np.vstack([rng.normal(c, 0.05, (80, 2)) for c in rng.uniform(-2, 2, (12, 2))]),
+                             0.1, Box([-3.0] * 2, [3.0] * 2)),
+    "n3_blobs": lambda rng: (np.vstack([rng.normal(c, 0.1, (60, 3)) for c in rng.uniform(-3, 1, (10, 3))]),
+                             0.25, None),
+    "n3_cloud": lambda rng: (rng.random((4000, 3)), 0.03, None),
+    # wide spans over six axes: the cell keys are ranked again before they reach 2^62
+    "n6_sparse": lambda rng: (rng.random((700, 6)) * 1e6, 1e-3, None),
+}
+
+
+class TestClusterBalls:
+    """The integer cell clusters against the dict-of-tuples union-find,
+    byte for byte, in the same ball order."""
+
+    @pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
+    def test_matches_the_oracle(self, case, rng):
+        points, gap, region = CLUSTER_CASES[case](rng)
+        got, want = _cluster_balls(points, gap, region), cluster_balls_oracle(points, gap, region)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got[3] == want[3]
+        if case == "n3_cloud":
+            assert len(got[0]) > 100
+
+    def test_each_cluster_is_a_component(self, rng):
+        points = rng.random((300, 2))
+        label = _grid.cell_clusters(points, 0.05)
+        cells = np.floor(points / 0.05)
+        touch = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2) <= 1
+        reach = touch.copy()
+        for _ in range(len(points)):
+            grown = (reach.astype(int) @ touch.astype(int)) > 0
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        assert np.array_equal(reach, label[:, None] == label[None, :])
 
 
 def _cube_deform_case():

@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +18,38 @@ MODULES = ["gmtkit"] + [
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+SRC = Path(gmtkit.__file__).parent
+# a private name of this kind in cubemaps or cubical would be a second grid
+GRID_WORDS = re.compile(r"grid|cell|code|nearest|rank|pairs")
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_only_the_grid_module_builds_cell_codes():
+    """Only ``gmtkit._grid`` calls ``ravel_multi_index``, and no module takes
+    a grid helper from ``cubemaps`` or ``cubical``."""
+    grid_names = _top_level_names(ast.parse((SRC / "_grid.py").read_text()))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if path.stem != "_grid" and isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "ravel_multi_index":
+                    found.append(f"{path.name}:{node.lineno} calls ravel_multi_index")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("cubemaps", "cubical"):
+                for alias in node.names:
+                    if alias.name in grid_names or (alias.name.startswith("_") and GRID_WORDS.search(alias.name)):
+                        found.append(f"{path.name}:{node.lineno} imports {alias.name} from {node.module}")
+    assert not found, found

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import norm_map
 from oracles import sample_spacing_oracle
-from gmtkit import varifold
+from gmtkit import _grid, varifold
 from gmtkit.cubemaps import Ball, SmoothMap
 from gmtkit.grassmann import Plane, haar_sample
 from gmtkit.sampling import ring_sampled_disc, sample_disc, sample_segment
@@ -104,10 +105,36 @@ class TestIntegrands:
         ({"kind": "table", "origin": [0, 0, 0], "spacing": 1.0, "values": np.ones((2, 2, 2)).tolist()}, "spacing"),
         ({"kind": "table", "origin": [0, 0, 0], "spacing": [1, math.inf, 1], "values": np.ones((2, 2, 2)).tolist()},
          "spacing"),
+        ({"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": -1}, "lam"),
+        ({"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": -2.5}, "lam"),
     ])
     def test_registry_rejects_malformed_dicts(self, cfg, key):
         with pytest.raises(ValueError, match=key):
             integrand_from_config(cfg, n=3)
+
+    def test_every_registry_kind_stays_within_its_bounds(self, rng):
+        with pytest.raises(ValueError) as exc:
+            integrand_from_config({"kind": "bogus"})
+        kinds = set(re.findall(r"\w+", str(exc.value).split("use ")[1])) - {"or"}
+        configs = {
+            "area": [{"kind": "area"}],
+            "tilt_penalty": [{"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": lam}
+                             for lam in (-0.999, -0.5, 0.0, 3.0, *rng.uniform(-0.99, 5.0, 4))]
+            + [{"kind": "tilt_penalty", "reference_frame": rng.standard_normal((3, 1)).tolist(), "lam": -0.75}],
+            "table": [{"kind": "table", "origin": rng.uniform(-1, 0, 3).tolist(),
+                       "spacing": rng.uniform(0.2, 1, 3).tolist(),
+                       "values": rng.uniform(0.05, 4.0, (3, 4, 2)).tolist()}],
+        }
+        assert set(configs) == kinds
+        pts = rng.uniform(-3.0, 3.0, (400, 3))
+        for kind, cfgs in configs.items():
+            for cfg in cfgs:
+                f = integrand_from_config(cfg, n=3)
+                assert f.inf_bound > 0, cfg
+                for m in (1, 2):
+                    frames = np.stack([haar_sample(3, m, rng).frame for _ in range(len(pts))])
+                    vals = f.evaluate(pts, frames)
+                    assert np.all(vals >= f.inf_bound - 1e-12) and np.all(vals <= f.sup_bound + 1e-12), cfg
 
 
 class TestPhiPsi:
@@ -501,5 +528,5 @@ class TestSampleSpacingOracle:
         pts = rng.random((2600, 3))
         pts[::7] = pts[1::7][: len(pts[::7])]
         for pairs in (1, 7, 500):
-            monkeypatch.setattr(varifold, "SPACING_PAIRS", pairs)
+            monkeypatch.setattr(_grid, "PAIR_BLOCK", pairs)
             self.assert_same(pts)
