@@ -27,6 +27,11 @@ def cell_codes(cells, origin, radix):
     return code
 
 
+def cell_corners(codes, origin, radix):
+    """The integer cells (one per row) whose ``cell_codes`` are ``codes``."""
+    return np.stack(np.unravel_index(codes, tuple(radix)), axis=-1) + np.asarray(origin, dtype=np.int64)
+
+
 def ranges(starts, counts):
     """The ranges [start, start + count) one after another, as one array."""
     counts = np.asarray(counts, dtype=np.int64)

@@ -31,7 +31,8 @@ from .cubemaps import (
     cube_enclosure,
     retraction_with_collar,
 )
-from .cubical import BallSet, BoxUnion, CubeFamily, DyadicCube, PuncturedPlane, cubical_complex, whitney_family
+from .cubical import (BallSet, BoxUnion, CubeFamily, DyadicCube, PuncturedPlane, cubes_to_obj, cubical_complex,
+                      whitney_family)
 from .deform import DeformationPlan, StageError, deform_onto_skeleton
 from .grassmann import Plane, build_rotation, projector_distance
 from .solver import (
@@ -525,48 +526,13 @@ def _problem_from_json(path):
             raise ValueError(f"m = {m} leaves no (m+1)-cells to move across in n = {n}")
         cx = GridComplex(n, grid["cells"], grid["level"], grid.get("origin"))
         bcells = [DyadicCube.from_dict(d) for d in data["boundary_cells"]]
-        generators = []
-        for gen in data["generators"]:
-            bits = np.zeros(cx.count(m - 1), dtype=np.uint8)
-            for d in gen:
-                bits[cx.index[DyadicCube.from_dict(d)][1]] ^= 1
-            generators.append(bits)
+        generators = [(np.bincount(cx.rows(m - 1, map(DyadicCube.from_dict, gen)), minlength=cx.count(m - 1)) % 2)
+                      .astype(np.uint8) for gen in data["generators"]]
         integrand = integrand_from_config(data["integrand"], n=n)
         problem = SpanningProblem(cx, m, bcells, generators, integrand, dict(data.get("options", {})))
     except (TypeError, ValueError, KeyError) as exc:
         raise InputError(f"invalid problem: {exc}") from exc
     return problem
-
-
-def _chain_to_obj(chain: Chain2):
-    verts = {}
-    faces = []
-
-    def vid(p):
-        key = tuple(round(float(v), 12) for v in p)
-        if key not in verts:
-            verts[key] = len(verts) + 1
-        return verts[key]
-
-    for c in chain.cells():
-        lo, hi = c.bounds()
-        if chain.m == 2:
-            ax, ay = c.axes
-            pts = [lo.copy() for _ in range(4)]
-            pts[1][ax] = pts[2][ax] = hi[ax]
-            pts[2][ay] = pts[3][ay] = hi[ay]
-            faces.append(("f", [vid(p) for p in pts]))
-        else:
-            b = lo.copy()
-            b[c.axes[0]] = hi[c.axes[0]]
-            faces.append(("l", [vid(lo), vid(b)]))
-    lines = []
-    for key in sorted(verts, key=verts.get):
-        pad = list(key) + [0.0] * (3 - len(key))
-        lines.append("v " + " ".join(repr(float(v)) for v in pad[:3]))
-    for tag, ids in faces:
-        lines.append(tag + " " + " ".join(str(i) for i in ids))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_minimize(args):
@@ -586,7 +552,7 @@ def cmd_minimize(args):
         payload["oracle_match"] = bool(abs(oval - res.value) <= 1e-9)
     _write_json(out / "solution.json", payload)
     with open(out / "solution.obj", "w") as fh:
-        fh.write(_chain_to_obj(res.chain))
+        fh.write(cubes_to_obj(res.chain.cells(), res.chain.m))
     if res.chain.count():
         report = audit_minimizer(res.chain, problem.integrand)
         _write_audit(out, report, problem.complex.n)
@@ -610,11 +576,7 @@ def cmd_audit(args):
     try:
         m = int(data["m"])
         bits = np.zeros(cx.count(m), dtype=bool)
-        for d in data["cells"]:
-            cube = DyadicCube.from_dict(d)
-            if cx.index.get(cube, (None,))[0] != m:
-                raise InputError(f"chain cell {cube} is not a cell of dimension {m} in the grid")
-            bits[cx.index[cube][1]] = True
+        bits[cx.rows(m, map(DyadicCube.from_dict, data["cells"]))] = True
     except (KeyError, TypeError, ValueError) as exc:  # a missing key raises KeyError
         raise InputError(f"invalid chain {args.chain}: {type(exc).__name__} {exc}") from exc
     chain = Chain2(cx, m, bits)

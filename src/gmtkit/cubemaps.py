@@ -1016,8 +1016,9 @@ def _cluster_balls(points, gap, region):
     (``_grid.cell_clusters``), in the order of those clusters.
 
     Each ball's inner core (half of the rotation happens inside it) contains
-    its whole cluster; the outer radius is capped by the distance to other
-    clusters and by the ambient region.  Returns (centers, r_out, r_in,
+    its whole cluster; the outer radius is capped by the ambient region and
+    by the distance to the nearest other centre (``_grid.nearest_distinct``,
+    in blocks; zero when centres coincide).  Returns (centers, r_out, r_in,
     uncovered_idx)."""
     label = _grid.cell_clusters(points, gap)
     order = np.argsort(label, kind="stable")  # the samples of each ball, in index order
@@ -1028,9 +1029,10 @@ def _cluster_balls(points, gap, region):
     inner = np.array([float(np.linalg.norm(d) / 2.0) * 1.02 + 1e-12 for d in hi - lo])
     outer = 2.5 * inner
     if len(centers) > 1:
-        d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-        np.fill_diagonal(d, np.inf)
-        outer = np.minimum(outer, 0.48 * d.min(axis=1))
+        near = _grid.nearest_distinct(centers, centers)
+        _, same, counts = np.unique(centers, axis=0, return_inverse=True, return_counts=True)
+        near[counts[same.ravel()] > 1] = 0.0  # a ball whose centre another shares is dropped
+        outer = np.minimum(outer, 0.48 * near)
     keep = outer >= 1.3 * inner
     if region is not None and hasattr(region, "contains_ball"):
         keep = np.array([ok and region.contains_ball(c, r) for ok, c, r in zip(keep, centers, outer)], dtype=bool)

@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "CubicalComplex",
     "whitney_family",
     "cubical_complex",
+    "cubes_to_obj",
     "neighbors",
     "BoxUnion",
     "BallSet",
@@ -72,14 +74,6 @@ class DyadicCube:
         lo, hi = self.bounds_int()
         return (lo + hi) / 2.0 * self.side
 
-    def scaled_bounds(self, level):
-        """Integer bounds re-expressed at a finer (or equal) level."""
-        if level < self.level:
-            raise ValueError("can only rescale to a finer level")
-        f = 1 << (level - self.level)
-        lo, hi = self.bounds_int()
-        return lo * f, hi * f
-
     def faces(self, dims=None):
         """All faces (same level) of the requested dimensions, self included."""
         out = []
@@ -113,30 +107,6 @@ class DyadicCube:
         """The containing cube one level coarser (floor division of the corner)."""
         return DyadicCube(self.level - 1, tuple(c // 2 for c in self.corner), self.axes, self.ambient_dim)
 
-    def intersects(self, other):
-        """Closed-set intersection test, exact in integers."""
-        level = max(self.level, other.level)
-        alo, ahi = self.scaled_bounds(level)
-        blo, bhi = other.scaled_bounds(level)
-        return bool(np.all(ahi >= blo) and np.all(bhi >= alo))
-
-    def interiors_overlap(self, other):
-        """Relative interiors overlap: same affine span, open overlap on it."""
-        if self.axes != other.axes:
-            return False
-        level = max(self.level, other.level)
-        alo, ahi = self.scaled_bounds(level)
-        blo, bhi = other.scaled_bounds(level)
-        free = np.isin(np.arange(self.ambient_dim), self.axes)
-        return bool(np.all(np.where(free, np.minimum(ahi, bhi) > np.maximum(alo, blo), alo == blo)))
-
-    def is_face_of(self, other):
-        if self.level != other.level:
-            return False
-        alo, ahi = self.bounds_int()
-        blo, bhi = other.bounds_int()
-        return bool(np.all(alo >= blo) and np.all(ahi <= bhi))
-
     def canonical(self):
         """Minimal-level representation (only 0-cubes are ambiguous).
 
@@ -160,7 +130,26 @@ class DyadicCube:
 
     @staticmethod
     def from_dict(d):
-        return DyadicCube(int(d["level"]), tuple(d["corner"]), tuple(d["axes"]), int(d["n"]))
+        """The cube of a dict whose ``level``, ``n`` and list entries are
+        integral numbers below 2^53 (not bools or strings): n ``corner``
+        entries and sorted, distinct ``axes`` in [0, n); else ValueError."""
+        def integral(value, what):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                    abs(value) < 2**53 and value == math.floor(value)):
+                raise ValueError(f"cube {what} must be an integer below 2^53, got {value!r}")
+            return int(value)
+
+        def entries(key):
+            if not isinstance(d[key], list):
+                raise ValueError(f"cube {key} must be a list of integers, got {d[key]!r}")
+            return tuple(integral(v, f"{key} entry") for v in d[key])
+
+        n, corner, axes = integral(d["n"], "n"), entries("corner"), entries("axes")
+        if len(corner) != n:
+            raise ValueError(f"cube corner must have n = {n} entries, got {list(corner)}")
+        if list(axes) != sorted(set(axes)) or not all(0 <= a < n for a in axes):
+            raise ValueError(f"cube axes must be sorted, distinct and in [0, {n}), got {list(axes)}")
+        return DyadicCube(integral(d["level"], "level"), corner, axes, n)
 
 
 class CubeIndex:
@@ -514,37 +503,42 @@ class CubicalComplex:
         return json.dumps({"ambient_dim": self.ambient_dim, "cubes": payload}, sort_keys=True)
 
     def skeleton_to_obj(self, k):
-        """OBJ export of a skeleton: vertices plus edges (k=1) or quads (k=2)."""
-        verts = {}
-        lines = []
+        return cubes_to_obj(self.skeleton(k), k)
 
-        def vid(p):
-            key = tuple(round(float(v), 12) for v in p)
-            if key not in verts:
-                verts[key] = len(verts) + 1
-            return verts[key]
 
-        elements = []
-        for c in self.skeleton(k):
-            lo, hi = c.bounds()
-            if k == 1:
-                b = lo.copy()
-                b[c.axes[0]] = hi[c.axes[0]]
-                elements.append(("l", [vid(lo), vid(b)]))
-            elif k == 2:
-                ax, ay = c.axes
-                p = [lo.copy() for _ in range(4)]
-                p[1][ax] = p[2][ax] = hi[ax]
-                p[2][ay] = p[3][ay] = hi[ay]
-                elements.append(("f", [vid(q) for q in p]))
-            else:
-                elements.append(("p", [vid(lo)]))
-        for key in sorted(verts, key=verts.get):
-            pad = list(key) + [0.0] * (3 - len(key))
-            lines.append("v " + " ".join(repr(float(v)) for v in pad[:3]))
-        for tag, ids in elements:
-            lines.append(tag + " " + " ".join(str(i) for i in ids))
-        return "\n".join(lines) + "\n"
+def cubes_to_obj(cubes, k):
+    """OBJ export of k-cubes: vertices plus edges (k=1), quads (k=2) or, for
+    any other k, one point at each cube's lower corner."""
+    verts = {}
+    lines = []
+
+    def vid(p):
+        key = tuple(round(float(v), 12) for v in p)
+        if key not in verts:
+            verts[key] = len(verts) + 1
+        return verts[key]
+
+    elements = []
+    for c in cubes:
+        lo, hi = c.bounds()
+        if k == 1:
+            b = lo.copy()
+            b[c.axes[0]] = hi[c.axes[0]]
+            elements.append(("l", [vid(lo), vid(b)]))
+        elif k == 2:
+            ax, ay = c.axes
+            p = [lo.copy() for _ in range(4)]
+            p[1][ax] = p[2][ax] = hi[ax]
+            p[2][ay] = p[3][ay] = hi[ay]
+            elements.append(("f", [vid(q) for q in p]))
+        else:
+            elements.append(("p", [vid(lo)]))
+    for key in sorted(verts, key=verts.get):
+        pad = list(key) + [0.0] * (3 - len(key))
+        lines.append("v " + " ".join(repr(float(v)) for v in pad[:3]))
+    for tag, ids in elements:
+        lines.append(tag + " " + " ".join(str(i) for i in ids))
+    return "\n".join(lines) + "\n"
 
 
 def cubical_complex(family: CubeFamily) -> CubicalComplex:

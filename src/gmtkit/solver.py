@@ -9,6 +9,7 @@ boundaries of (m+1)-cells, re-checking spanning at every acceptance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -101,7 +102,10 @@ class GridComplex:
     """The full cubical complex of a uniform grid of cells.
 
     ``shape`` counts top cells per axis; cells live at refinement ``level``
-    starting at the integer ``origin`` (units of the cell side).
+    starting at the integer ``origin`` (units of the cell side).  The sorted
+    integer keys ``_cell_keys[k]`` are the only per-cell storage: the solver
+    decodes corners and axes from them, and the cube objects ``cells`` and
+    their ``index`` are built on first use.
     """
 
     def __init__(self, n, shape, level, origin=None):
@@ -111,15 +115,8 @@ class GridComplex:
         self.origin = tuple(0 for _ in range(n)) if origin is None else tuple(origin)
         if len(self.shape) != n or len(self.origin) != n:
             raise ValueError("shape/origin must have length n")
-        self.cells, self.index, self._cell_keys = {}, {}, {}
-        for k in range(n + 1):
-            groups = list(self._groups(k))
-            keys = np.concatenate([self._keys(corners, axes) for axes, corners in groups])
-            cubes = [DyadicCube(self.level, tuple(c), a, n) for a, cs in groups for c in cs.tolist()]
-            order = np.argsort(keys)
-            self.cells[k] = [cubes[i] for i in order]
-            self._cell_keys[k] = keys[order]
-            self.index.update({cube: (k, i) for i, cube in enumerate(self.cells[k])})
+        self._cell_keys = {k: np.sort(np.concatenate([self._keys(c, k, r) for r, _, c in self._groups(k)]))
+                           for k in range(n + 1)}
         self._facets = {}
         self._reductions = {}
 
@@ -128,20 +125,69 @@ class GridComplex:
         return 2.0 ** (-self.level)
 
     def count(self, k):
-        return len(self.cells[k])
+        return len(self._cell_keys[k])
+
+    @functools.cached_property
+    def cells(self):
+        """k -> the k-cells as DyadicCubes, in key order."""
+        out = {}
+        for k in range(self.n + 1):
+            corners, rank = self.decode(k)
+            axes = list(itertools.combinations(range(self.n), k))
+            out[k] = [DyadicCube(self.level, c, axes[r], self.n)
+                      for c, r in zip(zip(*corners.T.tolist()), rank.tolist())]
+        return out
+
+    @functools.cached_property
+    def index(self):
+        """cube -> (k, row in cells[k])."""
+        return {cube: (k, i) for k, cubes in self.cells.items() for i, cube in enumerate(cubes)}
 
     def _groups(self, k):
-        """(axes, corners) for each axis set of the k-cells, one corner per row."""
-        for axes in itertools.combinations(range(self.n), k):
+        """(rank, axes, corners) for each axis set of the k-cells, one corner per row."""
+        for rank, axes in enumerate(itertools.combinations(range(self.n), k)):
             extent = [s + (j not in axes) for j, s in enumerate(self.shape)]
-            yield axes, np.indices(extent).reshape(self.n, -1).T + self.origin
+            yield rank, axes, np.indices(extent).reshape(self.n, -1).T + self.origin
 
-    def _keys(self, corners, axes):
+    def _keys(self, corners, k, rank):
         """Integer keys, ascending in the cells' (corner, axes) sort order: the
-        mixed-radix code of the corner, times C(n, k), plus the rank of the axes."""
-        rank = list(itertools.combinations(range(self.n), len(axes))).index(axes)
-        code = _grid.cell_codes(corners, self.origin, np.add(self.shape, 1))
-        return code * math.comb(self.n, len(axes)) + rank
+        mixed-radix code of the corner, times C(n, k), plus the rank of the
+        axes in ``itertools.combinations(range(n), k)``."""
+        return _grid.cell_codes(corners, self.origin, np.add(self.shape, 1)) * math.comb(self.n, k) + rank
+
+    def _find(self, k, corners, rank):
+        """The rows in cells[k] of the k-cells with these corners and axes ranks."""
+        return np.searchsorted(self._cell_keys[k], self._keys(corners, k, rank))
+
+    def _masks(self, k):
+        """The 0/1 free-axis mask of each axes rank of the k-cells."""
+        return np.array([[j in axes for j in range(self.n)] for axes in itertools.combinations(range(self.n), k)],
+                        dtype=np.int64).reshape(-1, self.n)
+
+    def decode(self, k, rows=slice(None)):
+        """(corners, rank) of the k-cells at ``rows``, from their keys: the
+        integer corners and the ranks of the axes."""
+        code, rank = np.divmod(self._cell_keys[k][rows], math.comb(self.n, k))
+        return _grid.cell_corners(code, self.origin, np.add(self.shape, 1)), rank
+
+    def centers(self, k, rows=slice(None)):
+        """The centres of the k-cells at ``rows``, in the floats of ``DyadicCube.center``."""
+        corners, rank = self.decode(k, rows)
+        return (2 * corners + self._masks(k)[rank]) / 2.0 * self.side
+
+    def rows(self, k, cubes):
+        """Each cube's row in ``cells[k]``, from its key; KeyError names the
+        first cube that is not a k-cell of the grid."""
+        cubes = list(cubes)
+        ranks = {(self.level, axes, self.n): r for r, axes in enumerate(itertools.combinations(range(self.n), k))}
+        rank = np.array([ranks.get((c.level, c.axes, c.ambient_dim), -1) for c in cubes], dtype=np.int64)
+        corners = np.array([c.corner if c.ambient_dim == self.n else self.origin for c in cubes],
+                           dtype=np.int64).reshape(len(cubes), self.n)
+        top = corners + self._masks(k)[rank]
+        bad = (rank < 0) | ((corners < self.origin) | (top > np.add(self.origin, self.shape))).any(axis=1)
+        if bad.any():
+            raise KeyError(f"{cubes[int(np.argmax(bad))]} is not a {k}-cell of the grid")
+        return self._find(k, corners, rank)
 
     def facets(self, k):
         """The (count(k), 2k) facet indices of each k-cell, rows ascending (cached):
@@ -149,12 +195,13 @@ class GridComplex:
         if k not in self._facets:
             if not 1 <= k <= self.n:
                 raise ValueError("boundary defined for 1 <= k <= n")
+            lower = list(itertools.combinations(range(self.n), k - 1))
             rows = np.empty((self.count(k), 2 * k), dtype=np.intp)
-            for axes, corners in self._groups(k):
-                faces = [self._keys(corners + s * np.eye(self.n, dtype=int)[a], axes[:i] + axes[i + 1:])
+            for rank, axes, corners in self._groups(k):
+                faces = [self._find(k - 1, corners + s * np.eye(self.n, dtype=int)[a],
+                                    lower.index(axes[:i] + axes[i + 1:]))
                          for i, a in enumerate(axes) for s in (0, 1)]
-                own = np.searchsorted(self._cell_keys[k], self._keys(corners, axes))
-                rows[own] = np.searchsorted(self._cell_keys[k - 1], np.column_stack(faces))
+                rows[self._find(k, corners, rank)] = np.column_stack(faces)
             rows.sort(axis=1)
             self._facets[k] = rows
         return self._facets[k]
@@ -224,8 +271,7 @@ class SpanningProblem:
         if self.m < 1 or self.m > self.complex.n:
             raise ValueError("m out of range")
         bset = np.zeros(self.complex.count(self.m - 1), dtype=bool)
-        for c in self.boundary_cells:
-            bset[self.complex.index[c][1]] = True
+        bset[self.complex.rows(self.m - 1, self.boundary_cells)] = True
         self.boundary_mask = bset
         for z in self.generators:
             z = np.asarray(z, dtype=np.uint8)
@@ -236,12 +282,12 @@ class SpanningProblem:
 
     def cell_weights(self):
         """Per-m-cell energy F(centre, plane) * side^m."""
-        cells = self.complex.cells[self.m]
-        pts = np.array([c.center() for c in cells])
-        out = np.zeros(len(cells))
+        pts = self.complex.centers(self.m)
+        rank = self.complex.decode(self.m)[1]
+        out = np.zeros(len(pts))
         side = self.complex.side
-        for axes in itertools.combinations(range(self.complex.n), self.m):
-            mask = np.array([c.axes == axes for c in cells])
+        for r, axes in enumerate(itertools.combinations(range(self.complex.n), self.m)):
+            mask = rank == r
             if not np.any(mask):
                 continue
             plane = Plane.axis(self.complex.n, axes)
@@ -404,38 +450,28 @@ def _projection_lower_bound(problem: SpanningProblem, weights):
     cx = problem.complex
     n, m = cx.n, problem.m
     best = 0.0
-    m_cells = cx.cells[m]
-    for axes in itertools.combinations(range(n), m):
-        proj_shape = tuple(cx.shape[a] for a in axes)
-        proj = GridComplex(m, proj_shape, cx.level, origin=tuple(cx.origin[a] for a in axes))
+    corners, rank = cx.decode(m)
+    faces = list(itertools.combinations(range(n), m - 1))  # the axes of the (m-1)-cells, by rank
+    for r, axes in enumerate(itertools.combinations(range(n), m)):
+        proj = GridComplex(m, [cx.shape[a] for a in axes], cx.level, origin=[cx.origin[a] for a in axes])
         reduction = proj.reduction(m)
+        # the cheapest cell of each stack: the m-cells with these axes over one projected m-cell
+        mine = rank == r
+        stack = np.full(proj.count(m), math.inf)
+        np.minimum.at(stack, proj._find(m, corners[mine][:, list(axes)], 0), weights[mine])
+        # each (m-1)-cell's axes rank in the projection, -1 for axes outside these
+        subs = list(itertools.combinations(axes, m - 1))
+        prank = np.array([subs.index(f) if f in subs else -1 for f in faces])
         for z in problem.generators:
-            pz = np.zeros(proj.count(m - 1), dtype=np.uint8)
-            for i in np.nonzero(np.asarray(z, dtype=np.uint8))[0]:
-                cube = cx.cells[m - 1][i]
-                if not set(cube.axes) <= set(axes):
-                    continue
-                pcube = DyadicCube(
-                    cx.level,
-                    tuple(cube.corner[a] for a in axes),
-                    tuple(axes.index(a) for a in cube.axes),
-                    m,
-                )
-                pz[proj.index[pcube][1]] ^= 1
+            zc, zr = cx.decode(m - 1, np.flatnonzero(np.asarray(z, dtype=np.uint8)))
+            keep = prank[zr] >= 0
+            pz = np.bincount(proj._find(m - 1, zc[keep][:, list(axes)], prank[zr[keep]]),
+                             minlength=proj.count(m - 1)) % 2
             x = reduction.solve(_to_int(pz))
             if not x:
                 continue
-            forced = np.nonzero(_to_bits(x, proj.count(m)))[0]
-            total = 0.0
-            for fi in forced:
-                pcell = proj.cells[m][fi]
-                stack_min = math.inf
-                for i, cell in enumerate(m_cells):
-                    if cell.axes == axes and tuple(cell.corner[a] for a in axes) == pcell.corner:
-                        stack_min = min(stack_min, weights[i])
-                if math.isfinite(stack_min):
-                    total += stack_min
-            best = max(best, total)
+            # no stack is empty; the forced cells' minima are summed in order
+            best = max(best, float(np.cumsum(stack[np.flatnonzero(_to_bits(x, proj.count(m)))])[-1]))
     return best
 
 
@@ -538,30 +574,15 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
 
 def chain_to_varifold(chain: Chain2, subdivision=4):
     """Sample the chain's cells on a per-cell subgrid with side^m weights."""
-    cells = chain.cells()
-    if not cells:
-        n = chain.complex.n
-        return DiscreteVarifold(np.zeros((0, n)), np.zeros((0, n, chain.m)), np.zeros(0))
-    n = chain.complex.n
-    side = chain.complex.side
-    sub = subdivision
+    n, m, side, sub = chain.complex.n, chain.m, chain.complex.side, subdivision
+    corners, rank = chain.complex.decode(m, np.flatnonzero(chain.bits))
+    ticks = (np.arange(sub) + 0.5) / sub * side
+    mesh = np.stack(np.meshgrid(*([ticks] * m), indexing="ij"), axis=-1).reshape(-1, m)
     parts = []
-    for axes in itertools.combinations(range(n), chain.m):
-        group = [c for c in cells if c.axes == axes]
-        if not group:
-            continue
-        plane = Plane.axis(n, axes)
-        ticks = (np.arange(sub) + 0.5) / sub * side
-        mesh = np.stack(np.meshgrid(*([ticks] * chain.m), indexing="ij"), axis=-1).reshape(-1, chain.m)
-        pts = []
-        for c in group:
-            lo, _ = c.bounds()
-            p = np.broadcast_to(lo, (len(mesh), n)).copy()
-            p[:, list(axes)] += mesh
-            pts.append(p)
-        pts = np.vstack(pts)
-        w = np.full(len(pts), (side / sub) ** chain.m)
-        parts.append(DiscreteVarifold.flat(pts, plane, w))
+    for r, axes in enumerate(itertools.combinations(range(n), m)):
+        pts = np.repeat(corners[rank == r] * side, len(mesh), axis=0)  # each cell's lower corner, once per mesh point
+        pts[:, list(axes)] += np.tile(mesh, (len(pts) // len(mesh), 1))
+        parts.append(DiscreteVarifold.flat(pts, Plane.axis(n, axes), np.full(len(pts), (side / sub) ** m)))
     return DiscreteVarifold.concat(parts)
 
 
@@ -594,11 +615,9 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     omega = unit_ball_volume(m)
     lo, hi = ratio_bounds[0] * omega, ratio_bounds[1] * omega
     # boundary cells of the chain (odd incidence)
-    bvec = chain.boundary()
-    boundary_cells = [chain.complex.cells[m - 1][i] for i in np.nonzero(bvec)[0]]
-    bpts = np.array([c.center() for c in boundary_cells]) if boundary_cells else np.zeros((0, chain.complex.n))
+    bpts = chain.complex.centers(m - 1, np.flatnonzero(chain.boundary()))
     if audit_points is None:
-        audit_points = [c.center() for c in chain.cells()]
+        audit_points = chain.complex.centers(m, np.flatnonzero(chain.bits))
     spacing = sample_spacing(v.points)
     audit_points = list(audit_points)
     xs = np.asarray(audit_points, dtype=float).reshape(len(audit_points), chain.complex.n)

@@ -34,7 +34,9 @@ roots.  The
 cube-layer oracles are the pairwise scans the ``CubeIndex`` replaced: one
 row scan per cube for touching pairs, admissibility and ``delta_touching``,
 a Python loop over candidate cubes per facet sub-cell, one closed-box test
-per cube for point location, and ``DyadicCube.intersects`` for neighbours.
+per cube for point location, and ``intersects`` for neighbours, which
+lives here with the other cube predicates no library routine calls:
+``scaled_bounds``, ``interiors_overlap`` and ``is_face_of``.
 The tests assert that the library returns the same bytes.
 """
 
@@ -60,7 +62,9 @@ from gmtkit.deform import (
     center_bound_constant,
 )
 from gmtkit.grassmann import Plane, projector_distance
-from gmtkit.solver import _Reduction, _to_bits, _to_int, chain_to_varifold
+from gmtkit.cubical import DyadicCube
+from gmtkit.solver import GridComplex, _Reduction, _to_bits, _to_int
+from gmtkit.varifold import DiscreteVarifold
 from gmtkit.varifold import unit_ball_volume
 
 
@@ -506,7 +510,7 @@ def audit_minimizer_oracle(chain, radii=None, subdivision=8, ratio_bounds=(0.9, 
     """The density-ratio and tilt audit, computing the distance from each
     audit point three times: for the ratios, the plane fit and the tilt."""
     m = chain.m
-    v = chain_to_varifold(chain, subdivision=subdivision)
+    v = chain_to_varifold_oracle(chain, subdivision=subdivision)
     side = chain.complex.side
     if radii is None:
         radii = [side * f for f in (1.2, 1.6, 2.0)]
@@ -634,11 +638,48 @@ def native_resolution_oracle(points):
 # the cube layer's pairwise scans, as they were before the CubeIndex
 
 
+def scaled_bounds(cube, level):
+    """Integer bounds of the cube re-expressed at a finer (or equal) level."""
+    if level < cube.level:
+        raise ValueError("can only rescale to a finer level")
+    f = 1 << (level - cube.level)
+    lo, hi = cube.bounds_int()
+    return lo * f, hi * f
+
+
+def intersects(a, b):
+    """Closed-set intersection test, exact in integers."""
+    level = max(a.level, b.level)
+    alo, ahi = scaled_bounds(a, level)
+    blo, bhi = scaled_bounds(b, level)
+    return bool(np.all(ahi >= blo) and np.all(bhi >= alo))
+
+
+def interiors_overlap(a, b):
+    """Relative interiors overlap: same affine span, open overlap on it."""
+    if a.axes != b.axes:
+        return False
+    level = max(a.level, b.level)
+    alo, ahi = scaled_bounds(a, level)
+    blo, bhi = scaled_bounds(b, level)
+    free = np.isin(np.arange(a.ambient_dim), a.axes)
+    return bool(np.all(np.where(free, np.minimum(ahi, bhi) > np.maximum(alo, blo), alo == blo)))
+
+
+def is_face_of(a, b):
+    """Whether a is a face of b at the same level."""
+    if a.level != b.level:
+        return False
+    alo, ahi = a.bounds_int()
+    blo, bhi = b.bounds_int()
+    return bool(np.all(alo >= blo) and np.all(ahi <= bhi))
+
+
 def touching_pairs_oracle(cubes):
     """Index pairs i < j of cubes whose closed sets meet, one row scan per cube."""
     finest = max(c.level for c in cubes)
-    lo = np.array([c.scaled_bounds(finest)[0] for c in cubes])
-    hi = np.array([c.scaled_bounds(finest)[1] for c in cubes])
+    lo = np.array([scaled_bounds(c, finest)[0] for c in cubes])
+    hi = np.array([scaled_bounds(c, finest)[1] for c in cubes])
     out = []
     for i in range(len(cubes)):
         touch = np.all(hi[i + 1 :] >= lo[i], axis=1) & np.all(hi[i] >= lo[i + 1 :], axis=1)
@@ -652,8 +693,8 @@ def admissibility_violations_oracle(family, check_boundary=False):
     cubes = family.cubes
     if cubes:
         finest = max(c.level for c in cubes)
-        lo = np.array([c.scaled_bounds(finest)[0] for c in cubes])
-        hi = np.array([c.scaled_bounds(finest)[1] for c in cubes])
+        lo = np.array([scaled_bounds(c, finest)[0] for c in cubes])
+        hi = np.array([scaled_bounds(c, finest)[1] for c in cubes])
         levels = np.array([c.level for c in cubes])
         for i in range(len(cubes)):
             touch = np.all(hi[i + 1 :] >= lo[i], axis=1) & np.all(hi[i] >= lo[i + 1 :], axis=1)
@@ -668,7 +709,7 @@ def admissibility_violations_oracle(family, check_boundary=False):
     if check_boundary:
         finest = max(c.level for c in cubes) if cubes else 0
         for a in cubes:
-            others = [b for b in cubes if b != a and b.intersects(a)]
+            others = [b for b in cubes if b != a and intersects(b, a)]
             for facet in a.facets():
                 if not _facet_covered_oracle(facet, others, finest + 1):
                     out.append(("boundary-uncovered", a, facet))
@@ -678,10 +719,10 @@ def admissibility_violations_oracle(family, check_boundary=False):
 def _facet_covered_oracle(facet, candidates, level):
     """Whether every sub-cell of the facet (at the given level) lies in some
     candidate cube.  Exact integer midpoint test."""
-    lo, hi = facet.scaled_bounds(level)
+    lo, hi = scaled_bounds(facet, level)
     axes = facet.axes
     ranges = [range(lo[a], hi[a]) for a in axes]
-    scaled = [c.scaled_bounds(level) for c in candidates]
+    scaled = [scaled_bounds(c, level) for c in candidates]
     for combo in itertools.product(*ranges):
         # midpoint of the sub-cell, doubled to stay integer
         mid2 = 2 * lo.copy()
@@ -721,14 +762,14 @@ def interior_contains_oracle(family, x):
 
 
 def neighbors_oracle(family, cube, rings):
-    """``cubical.neighbors`` by ``DyadicCube.intersects`` over the family."""
+    """``cubical.neighbors`` by ``intersects`` over the family."""
     if cube not in set(family.cubes):
         raise ValueError("cube is not a member of the family")
     current = {cube}
     for _ in range(rings):
         nxt = set(current)
         for r in family:
-            if any(r.intersects(c) for c in current):
+            if any(intersects(r, c) for c in current):
                 nxt.add(r)
         current = nxt
     return sorted(current)
@@ -738,8 +779,8 @@ def max_touching_oracle(complex_):
     """``deform._max_touching``: each cell's touching count by a row scan."""
     cubes = complex_.all_cubes()
     finest = max(c.level for c in cubes)
-    lo = np.array([c.scaled_bounds(finest)[0] for c in cubes])
-    hi = np.array([c.scaled_bounds(finest)[1] for c in cubes])
+    lo = np.array([scaled_bounds(c, finest)[0] for c in cubes])
+    hi = np.array([scaled_bounds(c, finest)[1] for c in cubes])
     worst = 1
     for i in range(len(cubes)):
         touch = np.all(hi >= lo[i], axis=1) & np.all(hi[i] >= lo, axis=1)
@@ -810,3 +851,90 @@ def cluster_balls_oracle(points, gap, region):
             uncovered.extend(members_by_ball[i].tolist())
     keep = np.array(keep, dtype=int)
     return centers[keep], outer[keep], inner[keep], uncovered
+
+
+# ---------------------------------------------------------------------------
+# the solver's loops over cube objects, as they were before the integer cell keys
+
+
+def cell_weights_oracle(problem):
+    """``SpanningProblem.cell_weights`` from each cube's ``center()`` and one
+    axes test per cube."""
+    cells = problem.complex.cells[problem.m]
+    pts = np.array([c.center() for c in cells])
+    out = np.zeros(len(cells))
+    side = problem.complex.side
+    for axes in itertools.combinations(range(problem.complex.n), problem.m):
+        mask = np.array([c.axes == axes for c in cells])
+        if not np.any(mask):
+            continue
+        plane = Plane.axis(problem.complex.n, axes)
+        frames = np.broadcast_to(plane.frame, (int(mask.sum()),) + plane.frame.shape)
+        out[mask] = problem.integrand.evaluate(pts[mask], frames) * side**problem.m
+    return out
+
+
+def chain_to_varifold_oracle(chain, subdivision=4):
+    """``solver.chain_to_varifold`` from each cube's ``bounds()``, one subgrid
+    per cube."""
+    cells = chain.cells()
+    n = chain.complex.n
+    if not cells:
+        return DiscreteVarifold(np.zeros((0, n)), np.zeros((0, n, chain.m)), np.zeros(0))
+    side = chain.complex.side
+    sub = subdivision
+    parts = []
+    for axes in itertools.combinations(range(n), chain.m):
+        group = [c for c in cells if c.axes == axes]
+        if not group:
+            continue
+        plane = Plane.axis(n, axes)
+        ticks = (np.arange(sub) + 0.5) / sub * side
+        mesh = np.stack(np.meshgrid(*([ticks] * chain.m), indexing="ij"), axis=-1).reshape(-1, chain.m)
+        pts = []
+        for c in group:
+            lo, _ = c.bounds()
+            p = np.broadcast_to(lo, (len(mesh), n)).copy()
+            p[:, list(axes)] += mesh
+            pts.append(p)
+        pts = np.vstack(pts)
+        w = np.full(len(pts), (side / sub) ** chain.m)
+        parts.append(DiscreteVarifold.flat(pts, plane, w))
+    return DiscreteVarifold.concat(parts)
+
+
+def projection_lower_bound_oracle(problem, weights):
+    """``solver._projection_lower_bound`` with a projected cube per generator
+    cell and a scan of every m-cell per forced cell."""
+    cx = problem.complex
+    n, m = cx.n, problem.m
+    best = 0.0
+    m_cells = cx.cells[m]
+    for axes in itertools.combinations(range(n), m):
+        proj_shape = tuple(cx.shape[a] for a in axes)
+        proj = GridComplex(m, proj_shape, cx.level, origin=tuple(cx.origin[a] for a in axes))
+        reduction = proj.reduction(m)
+        for z in problem.generators:
+            pz = np.zeros(proj.count(m - 1), dtype=np.uint8)
+            for i in np.nonzero(np.asarray(z, dtype=np.uint8))[0]:
+                cube = cx.cells[m - 1][i]
+                if not set(cube.axes) <= set(axes):
+                    continue
+                pcube = DyadicCube(cx.level, tuple(cube.corner[a] for a in axes),
+                                   tuple(axes.index(a) for a in cube.axes), m)
+                pz[proj.index[pcube][1]] ^= 1
+            x = reduction.solve(_to_int(pz))
+            if not x:
+                continue
+            forced = np.nonzero(_to_bits(x, proj.count(m)))[0]
+            total = 0.0
+            for fi in forced:
+                pcell = proj.cells[m][fi]
+                stack_min = math.inf
+                for i, cell in enumerate(m_cells):
+                    if cell.axes == axes and tuple(cell.corner[a] for a in axes) == pcell.corner:
+                        stack_min = min(stack_min, weights[i])
+                if math.isfinite(stack_min):
+                    total += stack_min
+            best = max(best, total)
+    return best

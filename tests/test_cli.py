@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -136,6 +137,52 @@ class TestWhitney:
         summary = json.loads((tmp_path / "out" / "whitney_summary.json").read_text())
         assert summary["cubes"] > 0 and summary["admissible"]
         assert (tmp_path / "out" / "whitney_skeleton_1.obj").exists()
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestObjArtifacts:
+    """One OBJ writer (``cubical.cubes_to_obj``) for skeletons and solution
+    chains: these digests are the bytes of the two writers it replaced."""
+
+    @pytest.mark.parametrize("k, digest", [
+        (0, "7ef9def638b9295a5c9871870a167048c3ce75b87bc9aeee64ed29f7f2c74015"),
+        (1, "8a7688fd525bbf3dd769379207a106a14425ceb0e609cf18184e0c53a60aa6f9"),
+        (2, "7b1872580c1d064c00de410b8bb94efba6831cf336868782e6b3232e429ae632"),
+    ])
+    def test_whitney_skeleton(self, tmp_path, k, digest):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"open_set": "punctured", "point": [0.3, 0.1], "bbox": [[-1, -1], [1, 1]],
+                                   "min_level": 3, "skeleton_dim": k}))
+        assert run_cli(["--out", tmp_path / "out", "--config", cfg, "whitney"]) == 0
+        assert _sha256(tmp_path / "out" / f"whitney_skeleton_{k}.obj") == digest
+
+    @pytest.mark.parametrize("m, digest", [
+        (1, "3da1914944815a22772a1546a3ac0b03a720560f0ff846cbaf947c2f09b32c07"),
+        (2, "ee2dbf2203ea571fe4e49261bcd77e2e13b89877eee37a2ece361a3a618e73e4"),
+    ])
+    def test_minimize_chain(self, tmp_path, m, digest):
+        ends = [{"level": 1, "corner": c, "axes": [], "n": 2} for c in ([0, 0], [2, 1])]
+        problem = square_problem_dict(1, 2) if m == 2 else {
+            "n": 2, "cells": [2, 2], "level": 1, "m": 1, "boundary_cells": ends, "generators": [ends],
+            "integrand": {"kind": "area"}, "options": {"restarts": 1, "steps": 50}}
+        (tmp_path / "problem.json").write_text(json.dumps(problem))
+        assert run_cli(["--out", tmp_path / "out", "minimize", tmp_path / "problem.json"]) == 0
+        assert _sha256(tmp_path / "out" / "solution.obj") == digest
+
+    def test_minimize_chain_of_3_cells_as_points(self, tmp_path):
+        """An m-chain with m >= 3 follows the skeleton rule: one point per cell."""
+        faces = [{"level": 0, "corner": [int(j == frozen and s) for j in range(4)], "axes": axes, "n": 4}
+                 for axes, frozen in (([0, 1], 2), ([0, 2], 1), ([1, 2], 0)) for s in (0, 1)]
+        (tmp_path / "problem.json").write_text(json.dumps(
+            {"n": 4, "cells": [1, 1, 1, 1], "level": 0, "m": 3, "boundary_cells": faces, "generators": [faces],
+             "integrand": {"kind": "area"}, "options": {"restarts": 1, "steps": 50}}))
+        assert run_cli(["--out", tmp_path / "out", "minimize", tmp_path / "problem.json"]) == 0
+        cells = json.loads((tmp_path / "out" / "solution.json").read_text())["chain"]["cells"]
+        assert (tmp_path / "out" / "solution.obj").read_text() == "v 0.0 0.0 0.0\np 1\n"
+        assert cells == [{"level": 0, "corner": [0, 0, 0, 0], "axes": [0, 1, 2], "n": 4}]
 
 
 class TestDeform:
@@ -332,6 +379,19 @@ def _bad_input_files(tmp):
     for name, key, value in (("level_fraction", "level", 1.7), ("m_fraction", "m", 1.5),
                              ("cells_of_wrong_length", "cells", [2, 2])):
         (tmp / f"{name}.json").write_text(json.dumps(dict(square_problem_dict(1, 2), **{key: value})))
+    # cube dicts that int() truncated, or whose bool corner entry passed as 1
+    for name, key, value in (("level_fraction", "level", 2.7), ("n_fraction", "n", 3.9)):
+        cells = [dict(square[0], **{key: value})] + square[1:]
+        (tmp / f"chain_{name}.json").write_text(json.dumps({"m": 2, "level": 2, "cells": cells}))
+    for name, key, i, change in (("boundary_level_fraction", "boundary_cells", 0, {"level": 1.5}),
+                                 ("generator_corner_bool", "generators", 4, {"corner": [True, 0, 0]})):
+        data = json.loads(json.dumps(square_problem_dict(1, 2, options={"restarts": 1, "steps": 50})))
+        (data[key][0] if key == "generators" else data[key])[i].update(change)
+        (tmp / f"{name}.json").write_text(json.dumps(data))
+    stage = {"cube": {"level": 2.7, "corner": [0, 0, 0], "axes": [0, 1, 2], "n": 3},
+             "center": [0.1, 0.1, 0.1], "eps": 0.05, "freeze_radius": 0.0, "kind": "descent"}
+    (tmp / "plan_level_fraction.json").write_text(json.dumps(
+        {"m": 2, "eps": 0.05, "seed": 0, "descent_count": 1, "stages": [stage]}))
 
 
 BAD_INPUTS = {
@@ -410,6 +470,11 @@ BAD_INPUTS = {
     "minimize_level_not_an_integer": ({}, ["minimize", "level_fraction.json"]),
     "minimize_m_not_an_integer": ({}, ["minimize", "m_fraction.json"]),
     "minimize_cells_of_wrong_length": ({}, ["minimize", "cells_of_wrong_length.json"]),
+    "audit_cell_level_fraction": ({}, ["audit", "chain_level_fraction.json"]),
+    "audit_cell_n_fraction": ({}, ["audit", "chain_n_fraction.json"]),
+    "minimize_boundary_cell_level_fraction": ({}, ["minimize", "boundary_level_fraction.json"]),
+    "minimize_generator_corner_bool": ({}, ["minimize", "generator_corner_bool.json"]),
+    "replay_cube_level_fraction": ({}, ["deform", "disc.csv", "--replay", "plan_level_fraction.json"]),
 }
 
 # the same contract for inputs from the environment and from files, run

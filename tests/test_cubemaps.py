@@ -784,6 +784,14 @@ def _cantor(depth, angle=0.01):
     return four_corner_cantor(depth, angle=angle)[0]
 
 
+def _ring_around_blob(rng):
+    """A ring and a blob, each symmetric about the origin: two clusters with
+    one centre, so both balls are dropped."""
+    t = np.linspace(0.0, np.pi, 32, endpoint=False)
+    half = np.vstack([np.column_stack([np.cos(t), np.sin(t)]), rng.normal(0.0, 0.02, (50, 2))])
+    return np.vstack([half, -half])
+
+
 CLUSTER_CASES = {
     "cantor4": lambda rng: (_cantor(4), 0.2, Box([-0.8] * 2, [1.8] * 2)),
     "cantor4_fine": lambda rng: (_cantor(4), 0.02, Box([-0.8] * 2, [1.8] * 2)),
@@ -801,6 +809,7 @@ CLUSTER_CASES = {
     "n3_cloud": lambda rng: (rng.random((4000, 3)), 0.03, None),
     # wide spans over six axes: the cell keys are ranked again before they reach 2^62
     "n6_sparse": lambda rng: (rng.random((700, 6)) * 1e6, 1e-3, None),
+    "ring_around_blob": lambda rng: (_ring_around_blob(rng), 0.2, None),
 }
 
 
@@ -817,6 +826,8 @@ class TestClusterBalls:
         assert got[3] == want[3]
         if case == "n3_cloud":
             assert len(got[0]) > 100
+        if case == "ring_around_blob":
+            assert len(got[0]) == 0 and len(got[3]) == len(points)
 
     def test_each_cluster_is_a_component(self, rng):
         points = rng.random((300, 2))

@@ -20,6 +20,9 @@ from oracles import (
     admissibility_violations_oracle,
     contains_point_oracle,
     interior_contains_oracle,
+    interiors_overlap,
+    intersects,
+    is_face_of,
     max_touching_oracle,
     neighbors_oracle,
     touching_pairs_oracle,
@@ -37,7 +40,7 @@ def brute_force_complex(family):
             kept.add(f)
             continue
         finer = [g for g in faces if g.dim == f.dim and g.level == f.level + 1]
-        if not any(f.interiors_overlap(g) for g in finer):
+        if not any(interiors_overlap(f, g) for g in finer):
             kept.add(f)
     return kept
 
@@ -67,9 +70,9 @@ class TestDyadicCube:
     def test_face_relation_same_level(self):
         c = DyadicCube(0, (0, 0), (0, 1), 2)
         edge = DyadicCube(0, (1, 0), (1,), 2)
-        assert edge.is_face_of(c)
+        assert is_face_of(edge, c)
         half_edge = DyadicCube(1, (2, 0), (1,), 2)
-        assert not half_edge.is_face_of(c)  # finer level: not a face by definition
+        assert not is_face_of(half_edge, c)  # finer level: not a face by definition
 
     def test_children_partition(self):
         c = DyadicCube(0, (1, 1), (0, 1), 2)
@@ -81,17 +84,17 @@ class TestDyadicCube:
     def test_integer_incidence(self):
         a = DyadicCube(0, (0, 0), (0, 1), 2)
         b = DyadicCube(1, (2, 0), (0, 1), 2)  # [1, 1.5] x [0, 0.5]
-        assert a.intersects(b)
-        assert not a.interiors_overlap(b)
+        assert intersects(a, b)
+        assert not interiors_overlap(a, b)
         c = DyadicCube(1, (1, 1), (0, 1), 2)  # strictly inside a
-        assert a.intersects(c)
+        assert intersects(a, c)
 
     def test_interiors_overlap_needs_same_span(self):
         e1 = DyadicCube(0, (1, 0), (1,), 2)
         e2 = DyadicCube(0, (0, 1), (0,), 2)
-        assert not e1.interiors_overlap(e2)
+        assert not interiors_overlap(e1, e2)
         e3 = DyadicCube(1, (2, 1), (1,), 2)
-        assert e1.interiors_overlap(e3)
+        assert interiors_overlap(e1, e3)
 
 
 class TestAdmissibility:
@@ -120,7 +123,7 @@ class TestAdmissibility:
         assert all(v[0] == "boundary-uncovered" for v in violations)
         inner_facets = {v[2] for v in violations}
         center_cube = DyadicCube(0, (1, 1), (0, 1), 2)
-        assert not any(f.is_face_of(center_cube) for f in inner_facets)
+        assert not any(is_face_of(f, center_cube) for f in inner_facets)
 
 
 class TestCubicalComplex:
@@ -194,7 +197,7 @@ class TestCubicalComplex:
         cx = cubical_complex(CubeFamily([big, s1, s2]))
         for k, cubes in cx.by_dim.items():
             for a, b in itertools.combinations(cubes, 2):
-                assert not a.interiors_overlap(b)
+                assert not interiors_overlap(a, b)
 
     def test_json_and_obj_export(self):
         cx = cubical_complex(CubeFamily([DyadicCube(0, (0, 0), (0, 1), 2)]))
@@ -273,7 +276,7 @@ class TestNeighbors:
         q = cubes[7]
         expect = {q}
         for _ in range(2):
-            expect |= {r for r in cubes if any(r.intersects(c) for c in expect)}
+            expect |= {r for r in cubes if any(intersects(r, c) for c in expect)}
         assert set(neighbors(fam, q, 2)) == expect
 
     def test_requires_membership(self):

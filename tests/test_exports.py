@@ -36,8 +36,8 @@ def _top_level_names(tree):
 
 
 def test_only_the_grid_module_builds_cell_codes():
-    """Only ``gmtkit._grid`` calls ``ravel_multi_index``, and no module takes
-    a grid helper from ``cubemaps`` or ``cubical``."""
+    """Only ``gmtkit._grid`` calls ``ravel_multi_index`` or ``unravel_index``,
+    and no module takes a grid helper from ``cubemaps`` or ``cubical``."""
     grid_names = _top_level_names(ast.parse((SRC / "_grid.py").read_text()))
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -46,8 +46,8 @@ def test_only_the_grid_module_builds_cell_codes():
             if path.stem != "_grid" and isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "ravel_multi_index":
-                    found.append(f"{path.name}:{node.lineno} calls ravel_multi_index")
+                if name in ("ravel_multi_index", "unravel_index"):
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("cubemaps", "cubical"):
                 for alias in node.names:
                     if alias.name in grid_names or (alias.name.startswith("_") and GRID_WORDS.search(alias.name)):

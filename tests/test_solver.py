@@ -1,5 +1,6 @@
 import itertools
 import logging
+import time
 from collections import Counter
 
 import numpy as np
@@ -9,18 +10,23 @@ from conftest import square_cycle
 from oracles import (
     audit_minimizer_oracle,
     boundary_matrix_oracle,
+    cell_weights_oracle,
+    chain_to_varifold_oracle,
     facets_oracle,
     gf2_nullspace,
     gf2_nullspace_oracle,
     gf2_solve,
     gf2_solve_oracle,
+    projection_lower_bound_oracle,
     spans_oracle,
 )
 from gmtkit.cubical import DyadicCube
 from gmtkit.grassmann import Plane
 from gmtkit.solver import (
+    _projection_lower_bound,
     Chain2,
     GridComplex,
+    OracleBudgetError,
     SpanningProblem,
     audit_minimizer,
     chain_to_varifold,
@@ -29,7 +35,7 @@ from gmtkit.solver import (
     minimize,
     spans,
 )
-from gmtkit.varifold import AreaIntegrand, TiltPenaltyIntegrand, pullback_integrand
+from gmtkit.varifold import AreaIntegrand, Integrand, TiltPenaltyIntegrand, pullback_integrand
 from gmtkit.cubemaps import SmoothMap
 
 
@@ -645,3 +651,138 @@ def test_audit_grid_measures_fewer_pairs(caplog):
 def test_minimize_needs_a_restart():
     with pytest.raises(ValueError, match="restarts"):
         minimize(square_problem(1), restarts=0)
+
+
+# ---------------------------------------------------------------------------
+# the solver on integer cell keys against its loops over cube objects
+
+
+class WavyIntegrand(Integrand):
+    """A weight that varies with the position and the plane, so that wrong
+    centres or a wrong axes group change it."""
+
+    def evaluate(self, points, frames):
+        return 1.5 + 0.25 * np.sin(points @ np.arange(1.0, points.shape[1] + 1)) + 0.1 * np.abs(frames[:, 0, 0])
+
+
+def sheet_problem(n, shape, level, sheet, m=2, origin=None, integrand=None):
+    """The boundary of a sheet of m-cells, given as (corner, axes), as the one generator."""
+    cx = GridComplex(n, shape, level, origin)
+    z = np.zeros(cx.count(m - 1), dtype=np.uint8)
+    for corner, axes in sheet:
+        for facet in DyadicCube(level, corner, axes, n).facets():
+            z[cx.index[facet][1]] ^= 1
+    bcells = [cx.cells[m - 1][i] for i in np.flatnonzero(z)]
+    return SpanningProblem(cx, m, bcells, [z], integrand or AreaIntegrand())
+
+
+def l_sheet(cells, far_wall=False):
+    """The L-shaped sheet of ``l_problem``, its wall at x = 0 or at the floor's far edge."""
+    a, b = cells - 4, cells - 2
+    x_wall = a if far_wall else 0
+    return ([((i, j, 0), (0, 1)) for i in range(a) for j in range(b)]
+            + [((x_wall, j, k), (1, 2)) for j in range(b) for k in range(a)])
+
+
+KEY_PROBLEMS = {
+    "square_half": lambda: square_problem(1),
+    "square_quarter": lambda: square_problem(2, integrand=WavyIntegrand()),
+    "l8": lambda: sheet_problem(3, (8,) * 3, 3, l_sheet(8)),
+    "l12_wavy": lambda: sheet_problem(3, (12,) * 3, 3, l_sheet(12), integrand=WavyIntegrand()),
+    "l16": lambda: sheet_problem(3, (16,) * 3, 3, l_sheet(16)),
+    "l8_far": lambda: sheet_problem(3, (8,) * 3, 3, l_sheet(8, far_wall=True), integrand=WavyIntegrand()),
+    "l16_far": lambda: sheet_problem(3, (16,) * 3, 3, l_sheet(16, far_wall=True)),
+    "origin": lambda: sheet_problem(3, (4, 3, 5), 2, [((-1, 2, 3), (0, 2)), ((0, 2, 3), (0, 2)), ((0, 1, 4), (0, 1))],
+                                    origin=(-2, 1, 3), integrand=WavyIntegrand()),
+    "n2": lambda: sheet_problem(2, (5, 4), 1, [((1, 1), (0,)), ((2, 1), (1,)), ((2, 2), (0,))], m=1,
+                                origin=(0, -1), integrand=WavyIntegrand()),
+    "n4_m2": lambda: sheet_problem(4, (2, 3, 2, 2), 1, [((0, 1, 0, 1), (0, 3)), ((1, 1, 0, 1), (0, 3))],
+                                   integrand=WavyIntegrand()),
+    "n4_m3": lambda: sheet_problem(4, (2, 2, 2, 2), 0, [((0, 0, 1, 0), (0, 1, 3))], m=3,
+                                   origin=(0, 0, -1, 0), integrand=WavyIntegrand()),
+}
+
+
+def _chains(p, rng):
+    """The initial chain, a random chain and the empty chain of a problem."""
+    yield initial_chain(p)
+    yield Chain2(p.complex, p.m, rng.random(p.complex.count(p.m)) < 0.3)
+    yield Chain2(p.complex, p.m)
+
+
+class TestCellKeys:
+    @pytest.mark.parametrize("n, shape, origin", GRIDS)
+    def test_decode_centers_and_rows(self, n, shape, origin):
+        cx = GridComplex(n, shape, 2, origin)
+        for k in range(n + 1):
+            cubes = cx.cells[k]
+            corners, rank = cx.decode(k)
+            axes = list(itertools.combinations(range(n), k))
+            assert corners.tolist() == [list(c.corner) for c in cubes]
+            assert [axes[r] for r in rank] == [c.axes for c in cubes]
+            assert cx.centers(k).tobytes() == np.array([c.center() for c in cubes]).tobytes()
+            assert cx.rows(k, cubes).tolist() == list(range(len(cubes)))
+
+    def test_rows_refuse_cubes_outside_the_grid(self):
+        cx = GridComplex(3, (2, 3, 2), 1, origin=(1, 0, -1))
+        for cube in (DyadicCube(1, (3, 0, -1), (0,), 3), DyadicCube(1, (0, 0, -1), (0,), 3),
+                     DyadicCube(2, (1, 0, -1), (0,), 3), DyadicCube(1, (1, 0, -1), (0, 1), 3)):
+            with pytest.raises(KeyError, match="is not a 1-cell"):
+                cx.rows(1, [cube])
+
+    @pytest.mark.parametrize("case", sorted(KEY_PROBLEMS))
+    def test_cell_weights(self, case):
+        p = KEY_PROBLEMS[case]()
+        assert p.cell_weights().tobytes() == cell_weights_oracle(p).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(KEY_PROBLEMS))
+    def test_chain_to_varifold(self, case, rng):
+        p = KEY_PROBLEMS[case]()
+        for chain in _chains(p, rng):
+            for sub in (1, 3):
+                got, want = chain_to_varifold(chain, sub), chain_to_varifold_oracle(chain, sub)
+                for a, b in [(got.points, want.points), (got.frames, want.frames), (got.weights, want.weights)]:
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(KEY_PROBLEMS))
+    def test_projection_lower_bound(self, case):
+        p = KEY_PROBLEMS[case]()
+        weights = p.cell_weights()
+        got = _projection_lower_bound(p, weights)
+        assert got == projection_lower_bound_oracle(p, weights)
+        if case in ("l16", "l16_far"):
+            assert got == 2.625
+
+    @pytest.mark.parametrize("case", ["origin", "n2", "n4_m2", "n4_m3", "l8_far"])
+    def test_audit(self, case):
+        p = KEY_PROBLEMS[case]()
+        chain = initial_chain(p)
+        assert repr(audit_minimizer(chain, p.integrand)) == repr(audit_minimizer_oracle(chain))
+
+    def test_l16_lower_bounds_are_fast(self):
+        # a guard against a scan of every m-cell per forced cell (seconds), far above the few ms it takes
+        for far_wall in (False, True):
+            p = sheet_problem(3, (16,) * 3, 3, l_sheet(16, far_wall))
+            weights = p.cell_weights()
+            start = time.perf_counter()
+            assert _projection_lower_bound(p, weights) == 2.625
+            assert time.perf_counter() - start < 0.5
+
+    def test_solver_builds_no_cube_objects(self, monkeypatch):
+        for case in ("square_half", "square_quarter", "l8", "n4_m3"):
+            p = KEY_PROBLEMS[case]()
+            cx = GridComplex(p.complex.n, p.complex.shape, p.complex.level, p.complex.origin)
+            fresh = SpanningProblem(cx, p.m, p.boundary_cells, p.generators, p.integrand)
+
+            def refuse(self):
+                raise AssertionError("a DyadicCube was built")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(DyadicCube, "__post_init__", refuse)
+                res = minimize(fresh, seed=0, restarts=1, steps=200)
+                try:  # the enumeration, the projection certificate or the branch and bound
+                    exhaustive_oracle(fresh, budget_dim=4, node_budget=2000)
+                except OracleBudgetError:
+                    pass
+                audit_minimizer(res.chain, fresh.integrand)
+            assert "cells" not in cx.__dict__ and "index" not in cx.__dict__
