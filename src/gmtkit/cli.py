@@ -395,7 +395,10 @@ def cmd_whitney(args):
     bbox, k = cfg["bbox"], cfg["skeleton_dim"]
     if k > bbox.shape[1]:
         raise InputError(f"skeleton_dim must be at most {bbox.shape[1]}, got {k}")
-    fam = whitney_family(_open_set_from_config(cfg), (bbox[0], bbox[1]), cfg["min_level"])
+    try:
+        fam = whitney_family(_open_set_from_config(cfg), (bbox[0], bbox[1]), cfg["min_level"])
+    except ValueError as exc:  # cube bounds beyond 2^53
+        raise InputError(f"min_level {cfg['min_level']} is too fine for the bbox: {exc}") from exc
     if len(fam) == 0:
         _write_json(out / "whitney_summary.json", {"cubes": 0, "meta": fam.meta})
         return EXIT_OK
@@ -573,8 +576,8 @@ def cmd_audit(args):
     data = _read_json(args.chain, "chain")
     cfg = _config(args, INPUTS["audit"], n=lambda cfg: cfg["n"])
     cx = GridComplex(cfg["n"], cfg["cells"], cfg["level"], cfg["origin"])
+    m = _checked({"m": PROBLEM["m"]}, {"m": data.get("m")}, what="chain")["m"]
     try:
-        m = int(data["m"])
         bits = np.zeros(cx.count(m), dtype=bool)
         bits[cx.rows(m, map(DyadicCube.from_dict, data["cells"]))] = True
     except (KeyError, TypeError, ValueError) as exc:  # a missing key raises KeyError

@@ -92,34 +92,6 @@ class DyadicCube:
     def facets(self):
         return self.faces(dims=self.dim - 1) if self.dim > 0 else []
 
-    def children(self):
-        """The 2^dim subdivision at level + 1 (free axes split, others rescale)."""
-        base = tuple(2 * c for c in self.corner)
-        out = []
-        for offs in itertools.product((0, 1), repeat=self.dim):
-            corner = list(base)
-            for a, o in zip(self.axes, offs):
-                corner[a] += o
-            out.append(DyadicCube(self.level + 1, tuple(corner), self.axes, self.ambient_dim))
-        return out
-
-    def parent(self):
-        """The containing cube one level coarser (floor division of the corner)."""
-        return DyadicCube(self.level - 1, tuple(c // 2 for c in self.corner), self.axes, self.ambient_dim)
-
-    def canonical(self):
-        """Minimal-level representation (only 0-cubes are ambiguous).
-
-        The floor keeps later common-refinement shifts within int64 range.
-        """
-        if self.dim > 0:
-            return self
-        level, corner = self.level, self.corner
-        while level > -30 and all(c % 2 == 0 for c in corner):
-            corner = tuple(c // 2 for c in corner)
-            level -= 1
-        return DyadicCube(level, corner, self.axes, self.ambient_dim)
-
     def to_dict(self):
         return {
             "level": int(self.level),
@@ -168,6 +140,9 @@ class CubeIndex:
         self.finest = int(self.levels.max()) if self.cubes else 0
         corner = np.array([c.corner for c in self.cubes], dtype=np.int64).reshape(count, n)
         free = np.array([[j in c.axes for j in range(n)] for c in self.cubes], dtype=bool).reshape(count, n)
+        reach = np.maximum(abs(corner + 0.0), abs(corner + free + 0.0))  # in units of each cube's level
+        if not (reach < 2.0 ** (53 - self.finest + self.levels)[:, None]).all():  # beyond, int64 wraps, floats round
+            raise ValueError(f"cube bounds at the finest level {self.finest} reach 2^53")
         scale = np.left_shift(1, self.finest - self.levels)[:, None]
         self.lo, self.hi = corner * scale, (corner + free) * scale
         solid = free.any(axis=1)
@@ -418,56 +393,49 @@ class PuncturedPlane:
         return float(np.max(np.abs(np.asarray(x, dtype=float) - self.point)))
 
 
-def _corners(lo, hi):
-    """The 2^n corners of the box [lo, hi], the first axis slowest."""
-    return np.array(list(itertools.product(*zip(lo, hi))))
-
-
-def _cube_dist_inf(cube, open_set):
-    """Sup-norm distance from the (closed) cube to the complement of the set.
-
-    The least over the cube's corners: exact when the oracle's distance is,
-    since dist_inf is 1-Lipschitz in sup-norm and, for BoxUnion-type sets,
-    least at a corner.
-    """
-    return min(open_set.dist_inf_complement(c) for c in _corners(*cube.bounds()))
-
-
 def whitney_family(open_set, bbox, min_level, top_level=None):
     """The Whitney family of an open set, truncated to a box and a finest level.
 
     A cube K is emitted when dist_inf(K, complement) > 2 side(K) and its
     parent fails the same test; top-level cubes are emitted on the first
     condition alone (truncation recorded in the family metadata).  Cubes that
-    would need refinement below ``min_level`` are dropped with a count.
+    would need refinement below ``min_level`` are dropped with a count.  A
+    cube's distance is the least over its corners (exact when the oracle's
+    is: dist_inf is 1-Lipschitz in sup-norm and, for BoxUnion-type sets,
+    least at a corner), one oracle call per distinct corner point of a level.
+    ValueError when a bound at the finest level would reach 2^53.
     """
-    lo = np.asarray(bbox[0], dtype=float)
-    hi = np.asarray(bbox[1], dtype=float)
+    lo, hi = (np.asarray(b, dtype=float) for b in bbox)
     n = len(lo)
     if top_level is None:
         top_level = -int(math.floor(math.log2(max(float(np.max(hi - lo)), 1e-9))))
     side = 2.0 ** (-top_level)
-    ilo = np.floor(lo / side + 1e-9).astype(np.int64)
-    ihi = np.ceil(hi / side - 1e-9).astype(np.int64)
-    queue = [DyadicCube(top_level, tuple(c), tuple(range(n)), n)
-             for c in itertools.product(*[range(ilo[j], ihi[j]) for j in range(n)])]
-    emitted = []
-    truncated = waived_top = 0
-    while queue:
-        cube = queue.pop()
-        if _cube_dist_inf(cube, open_set) > 2.0 * cube.side:
-            parent = cube.parent()
-            if cube.level == top_level and _cube_dist_inf(parent, open_set) > 2.0 * parent.side:
-                waived_top += 1
-            emitted.append(cube)
-        elif cube.level >= min_level:
-            truncated += 1
-        else:
-            # refine only when the cube still meets the set
-            clo, chi = cube.bounds()
-            if open_set.contains(np.vstack([(clo + chi) / 2.0, _corners(clo, chi)])).any():
-                queue.extend(cube.children())
-    return CubeFamily(emitted, meta={"truncated_below_min_level": truncated, "top_level_parent_waivers": waived_top,
+    ilo, ihi = np.floor(lo / side + 1e-9), np.ceil(hi / side - 1e-9)
+    if not np.abs([ilo, ihi]).max(initial=0.0) < 2.0 ** (53 - max(min_level - top_level, 0)):
+        raise ValueError(f"the cube bounds of the box at level {max(min_level, top_level)} reach 2^53")
+    offsets = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64).reshape(-1, n)
+
+    def dist(corners, level):
+        """Each cube's least corner distance, one oracle call per distinct corner point."""
+        points, inverse = np.unique((corners[:, None] + offsets).reshape(-1, n), axis=0, return_inverse=True)
+        d = np.array([open_set.dist_inf_complement(p) for p in points * 2.0 ** (-level)])
+        return d[inverse.reshape(len(corners), len(offsets))].min(axis=1)
+
+    corners = np.indices(np.maximum(ihi - ilo, 0).astype(np.int64)).reshape(n, -1).T + ilo.astype(np.int64)
+    emitted, waived_top = [], 0
+    for level in range(top_level, max(top_level, min_level) + 1):
+        side = 2.0 ** (-level)
+        ok = dist(corners, level) > 2.0 * side
+        if level == top_level:
+            waived_top = int(np.count_nonzero(dist(corners[ok] // 2, level - 1) > 2.0 * 2.0 ** (-(level - 1))))
+        emitted += [DyadicCube(level, c, tuple(range(n)), n) for c in map(tuple, corners[ok].tolist())]
+        corners = corners[~ok]
+        if level < min_level:  # refine the cubes that still meet the set: a test of each centre and corner
+            clo, chi = corners * side, (corners + 1) * side
+            probes = np.concatenate([((clo + chi) / 2.0)[:, None], (corners[:, None] + offsets) * side], axis=1)
+            meets = open_set.contains(probes.reshape(-1, n)).reshape(len(corners), len(offsets) + 1).any(axis=1)
+            corners = (2 * corners[meets][:, None] + offsets).reshape(-1, n)
+    return CubeFamily(emitted, meta={"truncated_below_min_level": len(corners), "top_level_parent_waivers": waived_top,
                                      "top_level": top_level, "min_level": min_level})
 
 
@@ -547,22 +515,51 @@ def cubical_complex(family: CubeFamily) -> CubicalComplex:
     A face of positive dimension is kept iff no same-dimension face of the
     family with half its side overlaps its relative interior (admissibility
     bounds the side ratio of touching cubes by 2, so only one finer level
-    can compete).
+    can compete).  The faces are integer (level, corner, fixed axes) rows, 3^n
+    per cube of the family's index; only the result becomes cube objects.
     """
     violations = family.admissibility_violations()
     if violations:
         kind, a, b = violations[0]
         raise ValueError(f"family not admissible ({kind}): {a} / {b}")
-    faces_by_dim = {}
-    for cube in family:
-        for f in cube.faces():
-            faces_by_dim.setdefault(f.dim, set()).add(f.canonical())
-    # a finer face overlapping the relative interior of f shares f's affine
-    # span, so it is one of f's children
-    by_dim = {
-        k: faces if k == 0 else {f for f in faces if not any(c in faces for c in f.children())}
-        for k, faces in faces_by_dim.items()
-    }
+    idx, n = family.index, family.ambient_dim
+    # per axis, a face is frozen at the cube's low side (0), at its high side (1) or free (2)
+    pattern = np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=np.int64).reshape(3**n, n)
+    level = np.repeat(idx.levels, len(pattern))
+    corner = ((idx.lo >> (idx.finest - idx.levels)[:, None])[:, None] + (pattern == 1)).reshape(len(level), n)
+    fixed = np.tile(pattern != 2, (len(idx.levels), 1))
+    dim = n - fixed.sum(axis=1)
+    by_dim = {}
+    for k in np.unique(dim).tolist():
+        lv, cn, fx = level[dim == k], corner[dim == k], fixed[dim == k]
+        if k == 0:  # a vertex at its coarsest level, not below -30 (common refinements stay in int64)
+            bits = np.bitwise_or.reduce(cn, axis=1)
+            shift = np.maximum(np.minimum(np.where(bits, np.frexp(bits & -bits)[1] - 1, lv + 30), lv + 30), 0)
+            lv, cn = lv - shift, cn >> shift[:, None]
+        # a face's key: the rank of its level, its corner less the least corner
+        # of its level, and its fixed axes, which sort as DyadicCube's axes do
+        levels, slot = np.unique(lv, return_inverse=True)
+        least = np.full((len(levels), n), np.iinfo(np.int64).max)
+        np.minimum.at(least, slot, cn)
+        rows = np.column_stack([slot, cn - least[slot], fx])
+        radix = rows.max(axis=0) + 1
+        if math.prod(radix.tolist()) >= 2**63:  # unlike CubeIndex's, these keys are not confirmed on bounds
+            raise ValueError(f"the {k}-faces of one level spread too far for int64 keys")
+        codes, first = np.unique(_grid.cell_codes(rows, 0 * radix, radix), return_index=True)
+        rows, lv, cn = rows[first], lv[first], cn[first]
+        axes = np.nonzero(rows[:, 1 + n:] == 0)[1].reshape(len(rows), k)
+        if k:
+            # a finer face overlapping the relative interior of f shares f's
+            # affine span, so it is one of f's 2^k children at the next level
+            steps = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.int64) @ np.eye(n, dtype=int)[axes]
+            up = np.minimum(np.searchsorted(levels, lv + 1), len(levels) - 1)
+            kids = np.empty((*steps.shape[:2], 1 + 2 * n), dtype=np.int64)
+            kids[..., 0], kids[..., 1 + n:] = up[:, None], rows[:, None, 1 + n:]
+            kids[..., 1:1 + n] = (2 * cn - least[up])[:, None] + steps
+            inside = (levels[up] == lv + 1)[:, None] & np.all((kids >= 0) & (kids < radix), axis=2)
+            keep = ~(inside & np.isin(_grid.cell_codes(kids, 0 * radix, radix), codes)).any(axis=1)
+            lv, cn, axes = lv[keep], cn[keep], axes[keep]
+        by_dim[k] = [DyadicCube(*c, n) for c in zip(lv.tolist(), map(tuple, cn.tolist()), map(tuple, axes.tolist()))]
     return CubicalComplex(family, by_dim)
 
 

@@ -130,13 +130,13 @@ class GridComplex:
     @functools.cached_property
     def cells(self):
         """k -> the k-cells as DyadicCubes, in key order."""
-        out = {}
-        for k in range(self.n + 1):
-            corners, rank = self.decode(k)
-            axes = list(itertools.combinations(range(self.n), k))
-            out[k] = [DyadicCube(self.level, c, axes[r], self.n)
-                      for c, r in zip(zip(*corners.T.tolist()), rank.tolist())]
-        return out
+        return {k: self.cubes(k) for k in range(self.n + 1)}
+
+    def cubes(self, k, rows=slice(None)):
+        """The k-cells at ``rows`` as DyadicCubes, decoded from their keys."""
+        corners, rank = self.decode(k, rows)
+        axes = list(itertools.combinations(range(self.n), k))
+        return [DyadicCube(self.level, c, axes[r], self.n) for c, r in zip(map(tuple, corners.tolist()), rank.tolist())]
 
     @functools.cached_property
     def index(self):
@@ -239,7 +239,7 @@ class Chain2:
             raise ValueError("bit vector length mismatch")
 
     def cells(self):
-        return [c for c, b in zip(self.complex.cells[self.m], self.bits) if b]
+        return self.complex.cubes(self.m, np.flatnonzero(self.bits))
 
     def count(self):
         return int(self.bits.sum())

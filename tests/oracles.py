@@ -37,6 +37,11 @@ a Python loop over candidate cubes per facet sub-cell, one closed-box test
 per cube for point location, and ``intersects`` for neighbours, which
 lives here with the other cube predicates no library routine calls:
 ``scaled_bounds``, ``interiors_overlap`` and ``is_face_of``.
+``whitney_family_oracle`` is the queue of cube objects the integer levels
+replaced, each cube's corners measured on their own (``_cube_dist_inf``),
+and ``cubical_complex_oracle`` the set of canonical ``DyadicCube.faces``
+objects with a set lookup of each face's children; ``children``,
+``parent`` and ``canonical`` are the cube methods they called.
 The tests assert that the library returns the same bytes.
 """
 
@@ -62,7 +67,7 @@ from gmtkit.deform import (
     center_bound_constant,
 )
 from gmtkit.grassmann import Plane, projector_distance
-from gmtkit.cubical import DyadicCube
+from gmtkit.cubical import CubeFamily, CubicalComplex, DyadicCube
 from gmtkit.solver import GridComplex, _Reduction, _to_bits, _to_int
 from gmtkit.varifold import DiscreteVarifold
 from gmtkit.varifold import unit_ball_volume
@@ -786,6 +791,109 @@ def max_touching_oracle(complex_):
         touch = np.all(hi >= lo[i], axis=1) & np.all(hi[i] >= lo, axis=1)
         worst = max(worst, int(touch.sum()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the cube builders one object at a time, as they were before the integer rows
+
+
+def children(cube):
+    """The 2^dim subdivision at level + 1 (free axes split, others rescale)."""
+    base = tuple(2 * c for c in cube.corner)
+    out = []
+    for offs in itertools.product((0, 1), repeat=cube.dim):
+        corner = list(base)
+        for a, o in zip(cube.axes, offs):
+            corner[a] += o
+        out.append(DyadicCube(cube.level + 1, tuple(corner), cube.axes, cube.ambient_dim))
+    return out
+
+
+def parent(cube):
+    """The containing cube one level coarser (floor division of the corner)."""
+    return DyadicCube(cube.level - 1, tuple(c // 2 for c in cube.corner), cube.axes, cube.ambient_dim)
+
+
+def canonical(cube):
+    """Minimal-level representation (only 0-cubes are ambiguous).
+
+    The floor keeps later common-refinement shifts within int64 range.
+    """
+    if cube.dim > 0:
+        return cube
+    level, corner = cube.level, cube.corner
+    while level > -30 and all(c % 2 == 0 for c in corner):
+        corner = tuple(c // 2 for c in corner)
+        level -= 1
+    return DyadicCube(level, corner, cube.axes, cube.ambient_dim)
+
+
+def _corners(lo, hi):
+    """The 2^n corners of the box [lo, hi], the first axis slowest."""
+    return np.array(list(itertools.product(*zip(lo, hi))))
+
+
+def _cube_dist_inf(cube, open_set):
+    """Sup-norm distance from the (closed) cube to the complement of the set.
+
+    The least over the cube's corners: exact when the oracle's distance is,
+    since dist_inf is 1-Lipschitz in sup-norm and, for BoxUnion-type sets,
+    least at a corner.
+    """
+    return min(open_set.dist_inf_complement(c) for c in _corners(*cube.bounds()))
+
+
+def whitney_family_oracle(open_set, bbox, min_level, top_level=None):
+    """``cubical.whitney_family`` as a queue of cubes, each cube's corners
+    evaluated on their own."""
+    lo = np.asarray(bbox[0], dtype=float)
+    hi = np.asarray(bbox[1], dtype=float)
+    n = len(lo)
+    if top_level is None:
+        top_level = -int(math.floor(math.log2(max(float(np.max(hi - lo)), 1e-9))))
+    side = 2.0 ** (-top_level)
+    ilo = np.floor(lo / side + 1e-9).astype(np.int64)
+    ihi = np.ceil(hi / side - 1e-9).astype(np.int64)
+    queue = [DyadicCube(top_level, tuple(c), tuple(range(n)), n)
+             for c in itertools.product(*[range(ilo[j], ihi[j]) for j in range(n)])]
+    emitted = []
+    truncated = waived_top = 0
+    while queue:
+        cube = queue.pop()
+        if _cube_dist_inf(cube, open_set) > 2.0 * cube.side:
+            up = parent(cube)
+            if cube.level == top_level and _cube_dist_inf(up, open_set) > 2.0 * up.side:
+                waived_top += 1
+            emitted.append(cube)
+        elif cube.level >= min_level:
+            truncated += 1
+        else:
+            # refine only when the cube still meets the set
+            clo, chi = cube.bounds()
+            if open_set.contains(np.vstack([(clo + chi) / 2.0, _corners(clo, chi)])).any():
+                queue.extend(children(cube))
+    return CubeFamily(emitted, meta={"truncated_below_min_level": truncated, "top_level_parent_waivers": waived_top,
+                                     "top_level": top_level, "min_level": min_level})
+
+
+def cubical_complex_oracle(family):
+    """``cubical.cubical_complex`` from ``DyadicCube.faces`` objects, a set of
+    canonical faces and a set lookup of each face's children."""
+    violations = family.admissibility_violations()
+    if violations:
+        kind, a, b = violations[0]
+        raise ValueError(f"family not admissible ({kind}): {a} / {b}")
+    faces_by_dim = {}
+    for cube in family:
+        for f in cube.faces():
+            faces_by_dim.setdefault(f.dim, set()).add(canonical(f))
+    # a finer face overlapping the relative interior of f shares f's affine
+    # span, so it is one of f's children
+    by_dim = {
+        k: faces if k == 0 else {f for f in faces if not any(c in faces for c in children(f))}
+        for k, faces in faces_by_dim.items()
+    }
+    return CubicalComplex(family, by_dim)
 
 
 # ---------------------------------------------------------------------------

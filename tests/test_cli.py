@@ -362,6 +362,7 @@ def _bad_input_files(tmp):
     (tmp / "edge_cell.json").write_text(json.dumps({"m": 2, "level": 2, "cells": [edge]}))
     square = [{"level": 2, "corner": [i, j, 0], "axes": [0, 1], "n": 3} for i in range(4) for j in range(4)]
     (tmp / "chain.json").write_text(json.dumps({"m": 2, "level": 2, "cells": square}))
+    (tmp / "chain_m_fraction.json").write_text(json.dumps({"m": 2.7, "level": 2, "cells": square}))
     ends = [{"level": 1, "corner": c, "axes": [0, 1], "n": 2} for c in ([0, 0], [1, 0])]
     (tmp / "planar.json").write_text(json.dumps(
         {"n": 2, "cells": [2, 2], "level": 1, "m": 2, "boundary_cells": ends, "generators": [],
@@ -475,6 +476,9 @@ BAD_INPUTS = {
     "minimize_boundary_cell_level_fraction": ({}, ["minimize", "boundary_level_fraction.json"]),
     "minimize_generator_corner_bool": ({}, ["minimize", "generator_corner_bool.json"]),
     "replay_cube_level_fraction": ({}, ["deform", "disc.csv", "--replay", "plan_level_fraction.json"]),
+    "audit_chain_m_fraction": ({}, ["audit", "chain_m_fraction.json"]),
+    "whitney_min_level_62": ({"GMTKIT_MIN_LEVEL": "62"}, ["whitney"]),
+    "whitney_min_level_64": ({"GMTKIT_MIN_LEVEL": "64"}, ["whitney"]),
 }
 
 # the same contract for inputs from the environment and from files, run

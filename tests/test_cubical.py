@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from gmtkit.cubical import (
     BallSet,
     BoxUnion,
@@ -10,22 +11,27 @@ from gmtkit.cubical import (
     CubeIndex,
     DyadicCube,
     PuncturedPlane,
-    _cube_dist_inf,
     cubical_complex,
     neighbors,
     whitney_family,
 )
 from gmtkit.deform import _max_touching
 from oracles import (
+    _cube_dist_inf,
     admissibility_violations_oracle,
+    canonical,
+    children,
     contains_point_oracle,
+    cubical_complex_oracle,
     interior_contains_oracle,
     interiors_overlap,
     intersects,
     is_face_of,
     max_touching_oracle,
     neighbors_oracle,
+    parent,
     touching_pairs_oracle,
+    whitney_family_oracle,
 )
 
 
@@ -33,7 +39,7 @@ def brute_force_complex(family):
     """Independent face-enumeration oracle for CX(F)."""
     faces = set()
     for cube in family:
-        faces.update(f.canonical() for f in cube.faces())
+        faces.update(canonical(f) for f in cube.faces())
     kept = set()
     for f in faces:
         if f.dim == 0:
@@ -76,10 +82,10 @@ class TestDyadicCube:
 
     def test_children_partition(self):
         c = DyadicCube(0, (1, 1), (0, 1), 2)
-        kids = c.children()
+        kids = children(c)
         assert len(kids) == 4
         assert all(k.side == 0.5 for k in kids)
-        assert all(k.parent() == c for k in kids)
+        assert all(parent(k) == c for k in kids)
 
     def test_integer_incidence(self):
         a = DyadicCube(0, (0, 0), (0, 1), 2)
@@ -224,8 +230,8 @@ class TestWhitney:
         for cube in fam:
             assert _cube_dist_inf(cube, u) > 2 * cube.side
             if cube.level > fam.meta["top_level"]:
-                parent = cube.parent()
-                assert not (_cube_dist_inf(parent, u) > 2 * parent.side)
+                up = parent(cube)
+                assert not (_cube_dist_inf(up, u) > 2 * up.side)
         assert fam.admissible()
 
     def test_open_ball_cubes_inside(self):
@@ -394,3 +400,117 @@ class TestCubeIndexOracle:
         assert fam.admissibility_violations(check_boundary=True) == []
         assert not fam.contains_point(np.zeros((3, 2))).any()
         assert not fam.interior_contains(np.zeros((3, 2))).any()
+
+
+# the inputs the integer cube rows are checked on against the object builders:
+# (open set, bbox, min_level, top_level), each under a second for the queue loop
+CUBE_ROW_FAMILIES = {
+    "cli-disc": (BallSet([0.0, 0.0], 1.0), ([-1, -1], [1, 1]), 5, None),
+    "purge-3": (BoxUnion([([-1.0, -1.0], [2.0, 2.0])]), ([-1.0, -1.0], [2.0, 2.0]), 3, None),
+    "ball-3d": (BallSet([0.0, 0.0, 0.0], 1.0), ([-1, -1, -1], [1, 1, 1]), 3, None),
+    "punctured-plane": (PuncturedPlane([0.0, 0.0]), ([-1, -1], [1, 1]), 6, 2),
+    "box-union-2d": (BoxUnion([([0.0, 0.0], [4.0, 2.0]), ([0.0, 0.0], [2.0, 4.0])]), ([1, 0], [3, 3]), 3, 1),
+    "box-union-3d": (BoxUnion([([0.0, 0.0, 0.0], [4.0, 4.0, 4.0])]), ([1, 1, 0], [1.5, 1.5, 1]), 3, 1),
+    "interval": (BoxUnion([([-0.5], [1.5])]), ([-1], [2]), 5, None),
+    "off-grid-ball": (BallSet([0.3, -0.2], 0.7), ([-0.55, -1.1], [1.3, 0.6]), 5, None),
+    "empty": (BallSet([10.0, 10.0], 0.5), ([-1, -1], [1, 1]), 4, 0),
+    # top-level cubes whose parents pass and fail the test
+    "box-in-plane": (BoxUnion([([0.0, 0.0], [16.0, 16.0])]), ([0, 0], [16, 16]), 2, 0),
+    # a puncture far from the origin: corners near 2^40 at the finest level
+    "far-puncture": (PuncturedPlane([1000.0, 1000.0]), ([999, 999], [1001, 1001]), 30, None),
+}
+
+
+class TestCubeRowsOracle:
+    """whitney_family and cubical_complex on integer rows against the queue of
+    cube objects and the face-object complex they replaced."""
+
+    @pytest.mark.parametrize("case", sorted(CUBE_ROW_FAMILIES))
+    def test_same_family_and_complex(self, case):
+        args = CUBE_ROW_FAMILIES[case]
+        fam, expected = whitney_family(*args), whitney_family_oracle(*args)
+        assert fam.cubes == expected.cubes and repr(fam.meta) == repr(expected.meta)
+        cx, cx_expected = cubical_complex(fam), cubical_complex_oracle(fam)
+        assert cx.by_dim == cx_expected.by_dim  # lists, whose first difference pytest shows at once
+        assert cx.to_json() == cx_expected.to_json()
+        for k in range(len(args[1][0]) + 1):
+            assert cx.skeleton_to_obj(k) == cx_expected.skeleton_to_obj(k)
+
+    def test_grid_and_cube_soup_complexes(self, rng):
+        grid = CubeFamily([DyadicCube(0, c, (0, 1, 2), 3) for c in np.ndindex(4, 4, 4)])
+        assert cubical_complex(grid).to_json() == cubical_complex_oracle(grid).to_json()
+        empty = CubeFamily([])
+        assert cubical_complex(empty).to_json() == cubical_complex_oracle(empty).to_json()
+        with pytest.raises(ValueError, match="size-ratio"):
+            cubical_complex(CubeFamily([DyadicCube(0, (0, 0), (0, 1), 2), DyadicCube(2, (4, 0), (0, 1), 2)]))
+
+    @pytest.mark.parametrize("case", ["box-union-2d", "box-in-plane", "ball-3d", "punctured-plane"])
+    def test_each_corner_point_once_per_level(self, case, monkeypatch):
+        open_set, *rest = CUBE_ROW_FAMILIES[case]
+        calls = []
+
+        class Counting:
+            contains = staticmethod(open_set.contains)
+
+            @staticmethod
+            def dist_inf_complement(x):
+                calls.append(tuple(x))
+                return open_set.dist_inf_complement(x)
+
+        fam = whitney_family(Counting(), *rest)
+        measured = {}  # level -> the corner points of the cubes the queue loop measured
+        real = oracles._cube_dist_inf
+
+        def record(cube, u):
+            lo, hi = cube.bounds()
+            measured.setdefault(cube.level, set()).update(itertools.product(*zip(lo.tolist(), hi.tolist())))
+            return real(cube, u)
+
+        monkeypatch.setattr(oracles, "_cube_dist_inf", record)
+        assert whitney_family_oracle(open_set, *rest).cubes == fam.cubes
+        assert len(calls) == sum(len(points) for points in measured.values())
+        assert set(calls) == set().union(*measured.values())
+
+    def test_complex_builds_no_faces(self, monkeypatch):
+        fam = whitney_family(*CUBE_ROW_FAMILIES["box-union-3d"])
+        expected = cubical_complex_oracle(fam).to_json()
+
+        def refuse(self, dims=None):
+            raise AssertionError("DyadicCube.faces was called")
+
+        monkeypatch.setattr(DyadicCube, "faces", refuse)
+        assert cubical_complex(CubeFamily(fam.cubes)).to_json() == expected
+
+
+class TestCubeBounds:
+    """Cube bounds at the finest level stay below 2^53: exact in int64 and in
+    the float copies of ``CubeIndex.locate``."""
+
+    def test_whitney_on_each_side(self):
+        fam = whitney_family(PuncturedPlane([0.0, 0.0]), ([-1, -1], [1, 1]), 51)
+        assert (fam.index.lo.min(), fam.index.hi.max()) == (-(2**52), 2**52)
+        assert fam.contains_point([[0.0, 2.0**-45], [0.0, 0.0]]).tolist() == [True, False]
+        for min_level in (52, 62, 64, 5000):
+            with pytest.raises(ValueError, match="2\\^53"):
+                whitney_family(PuncturedPlane([0.0, 0.0]), ([-1, -1], [1, 1]), min_level)
+
+    def test_cube_index_on_each_side(self):
+        for corner in (2**53 - 2, -(2**53) + 1):
+            idx = CubeIndex([DyadicCube(0, (corner,), (0,), 1)])
+            assert (idx.lo[0, 0], idx.hi[0, 0]) == (corner, corner + 1)
+        for corner in (2**53 - 1, -(2**53)):
+            with pytest.raises(ValueError, match="2\\^53"):
+                CubeIndex([DyadicCube(0, (corner,), (0,), 1)])
+        assert CubeIndex([DyadicCube(0, (1,), (0,), 1), DyadicCube(51, (0,), (0,), 1)]).hi.max() == 2**52
+        for finest in (52, 2000):
+            with pytest.raises(ValueError, match="2\\^53"):
+                CubeIndex([DyadicCube(0, (1,), (0,), 1), DyadicCube(finest, (0,), (0,), 1)])
+
+    def test_complex_face_keys_on_each_side(self):
+        for far, fits in ((2**20, True), (2**40, False)):
+            fam = CubeFamily([DyadicCube(45, (0, 0), (0, 1), 2), DyadicCube(45, (far, far), (0, 1), 2)])
+            if fits:
+                assert cubical_complex(fam).to_json() == cubical_complex_oracle(fam).to_json()
+            else:
+                with pytest.raises(ValueError, match="int64 keys"):
+                    cubical_complex(fam)

@@ -20,7 +20,7 @@ from oracles import (
     projection_lower_bound_oracle,
     spans_oracle,
 )
-from gmtkit.cubical import DyadicCube
+from gmtkit.cubical import DyadicCube, cubes_to_obj
 from gmtkit.grassmann import Plane
 from gmtkit.solver import (
     _projection_lower_bound,
@@ -786,3 +786,15 @@ class TestCellKeys:
                     pass
                 audit_minimizer(res.chain, fresh.integrand)
             assert "cells" not in cx.__dict__ and "index" not in cx.__dict__
+
+    def test_chain_cells_build_only_the_m_cells(self):
+        for case in ("square_half", "l8", "n4_m3"):
+            p = KEY_PROBLEMS[case]()
+            cx = GridComplex(p.complex.n, p.complex.shape, p.complex.level, p.complex.origin)
+            chain = minimize(SpanningProblem(cx, p.m, p.boundary_cells, p.generators, p.integrand),
+                             seed=0, restarts=1, steps=200).chain
+            cells, payload, obj = chain.cells(), chain.to_dict(), cubes_to_obj(chain.cells(), chain.m)
+            assert "cells" not in cx.__dict__
+            expected = [c for c, b in zip(cx.cells[chain.m], chain.bits) if b]
+            assert cells == expected and payload["cells"] == [c.to_dict() for c in expected]
+            assert obj == cubes_to_obj(expected, chain.m)
