@@ -304,9 +304,9 @@ def cmd_retract(args):
     rng = np.random.default_rng(args.seed)
     l = retraction_with_collar(n, eps)
     probes = rng.uniform(-1.0 - 2 * eps, 1.0 + 2 * eps, (cfg["probes"], n))
-    img = l.value(probes)
+    img, dl = l.value_and_jacobian(probes)
     disp = np.linalg.norm(img - probes, axis=1)
-    jac = np.linalg.svd(l.jacobian(probes), compute_uv=False)[:, 0]
+    jac = np.linalg.svd(dl, compute_uv=False)[:, 0]
     dist_before = np.linalg.norm(probes - np.clip(probes, -1, 1), axis=1)
     dist_after = np.linalg.norm(img - np.clip(img, -1, 1), axis=1)
     rows = [tuple(map(float, list(probes[i]) + [disp[i], jac[i], dist_before[i], dist_after[i]]))
@@ -355,12 +355,12 @@ def cmd_project(args):
     q = collared_projection(body, eps)
     probes = rng.uniform(-1.5 * body.circumradius, 1.5 * body.circumradius, (cfg["probes"], n))
     probes = probes[np.linalg.norm(probes, axis=1) > 1e-3]
-    pv, qv = p.value(probes), q.value(probes)
-    fd = np.abs(p.jacobian(probes) - p.jacobian_fd(probes)).max()
+    (pv, pj), qv = p.value_and_jacobian(probes), q.value(probes)
+    fd = np.abs(pj - p.jacobian_fd(probes)).max()
     nu = body.normal(pv)
     xh = probes / np.linalg.norm(probes, axis=1, keepdims=True)
     bound = np.linalg.norm(pv, axis=1) / np.linalg.norm(probes, axis=1) * (1.0 + 1.0 / np.einsum("ni,ni->n", nu, xh))
-    jnorm = np.linalg.svd(p.jacobian(probes), compute_uv=False)[:, 0]
+    jnorm = np.linalg.svd(pj, compute_uv=False)[:, 0]
     rows = [tuple(map(float, list(probes[i]) + [np.linalg.norm(qv[i] - probes[i]),
                                                 np.linalg.norm(pv[i] - probes[i]), jnorm[i], bound[i]]))
             for i in range(len(probes))]
@@ -476,14 +476,11 @@ def cmd_deform(args):
 
 def _scalar_map(kind, n):
     if kind == "norm":
-        def val(x):
-            return np.linalg.norm(x, axis=1)[:, None]
-
-        def jac(x):
+        def evaluate(x, jac):
             nr = np.linalg.norm(x, axis=1, keepdims=True)
-            return (x / np.where(nr > 0, nr, 1.0))[:, None, :]
+            return nr, (x / np.where(nr > 0, nr, 1.0))[:, None, :] if jac else None
 
-        return SmoothMap(n, 1, val, jac, name="norm")
+        return SmoothMap(n, 1, evaluate=evaluate, name="norm")
     a = np.zeros((1, n))
     a[0, int(kind.split(":")[1])] = 1.0  # coord:j
     return SmoothMap.affine(a)

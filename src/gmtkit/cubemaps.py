@@ -7,12 +7,16 @@ punctured-cube projection that maps Q minus an interior point onto the
 boundary of Q, and the local-rotation diffeomorphism that shrinks the image
 measure of sampled unrectifiable sets under rank-deficient maps.
 
-All maps evaluate in batch: ``value`` accepts (N, n) arrays and ``jacobian``
-returns (N, n_out, n_in).  Displacements are assembled so that maps are
-bit-exact identities outside their supports, and ``SmoothMap`` applies that
-rule once: ``value``, ``jacobian``, ``value_and_jacobian`` and ``compose``
-evaluate a map only on the rows inside its support (``varifold.pushforward``
-does the same for samples).
+All maps evaluate in batch.  Each ``SmoothMap`` is one function
+``evaluate(x, jac)`` that takes x (N, n) and returns the values (N, n_out)
+and, when ``jac`` is true, the Jacobians (N, n_out, n_in), else None; its
+value-only branch computes no Jacobian terms.  Displacements are assembled
+so that maps are bit-exact identities outside their supports, and
+``SmoothMap`` applies that rule once, in the one masked path behind
+``value``, ``jacobian`` and ``value_and_jacobian``: it evaluates a map only
+on the rows inside its support (``varifold.pushforward`` does the same for
+samples).  ``compose`` chains ``value_and_jacobian`` through its maps, so a
+composite evaluates each factor once.
 """
 
 from __future__ import annotations
@@ -191,22 +195,28 @@ class UnionRegion(Region):
 class SmoothMap:
     """A map R^n -> R^k with exact value and Jacobian evaluation.
 
-    ``support`` is a region outside which ``_value`` is the exact identity
+    The map is one function ``evaluate(x, jac) -> (value, jacobian)`` on
+    batches x (N, n): it returns the values (N, k) and, when ``jac`` is true,
+    the Jacobians (N, k, n), else None, and its value-only branch computes no
+    Jacobian terms.  The positional form ``SmoothMap(n_in, n_out, value_fn,
+    jac_fn)`` wraps two separate functions into that one.
+
+    ``support`` is a region outside which the map is the exact identity
     (None when the map moves points everywhere, e.g. a retraction onto the
-    cube).  ``value``, ``jacobian``, ``value_and_jacobian``, ``compose`` and
-    ``varifold.pushforward`` rely on that contract: they evaluate the map only
-    on the rows inside the support and return the rows outside it as x and I
-    unchanged.  ``value_jac_fn``, when given, returns value and Jacobian from
-    one pass and must agree with ``value_fn``/``jac_fn`` bit for bit.
+    cube).  ``value``, ``jacobian`` and ``value_and_jacobian`` all go through
+    one masked path: it checks the input dimension, takes a single point as a
+    batch of one, evaluates only the rows inside the support and returns the
+    rows outside it as x and I unchanged.
     """
 
-    def __init__(self, n_in, n_out, value_fn, jac_fn, support=None, smoothness=2, name="", meta=None,
-                 value_jac_fn=None):
+    def __init__(self, n_in, n_out, value_fn=None, jac_fn=None, support=None, smoothness=2, name="", meta=None,
+                 evaluate=None):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
-        self._value = value_fn
-        self._jac = jac_fn
-        self._value_jac = value_jac_fn
+        if evaluate is None:
+            def evaluate(x, jac):
+                return value_fn(x), (jac_fn(x) if jac else None)
+        self._evaluate = evaluate
         self.support = support
         self.smoothness_class = smoothness
         self.name = name
@@ -218,50 +228,37 @@ class SmoothMap:
             return np.ones(len(pts), dtype=bool)
         return self.support.contains(pts)
 
-    def value(self, x):
+    def _masked(self, x, jac):
+        """``evaluate`` on the rows of x inside the support; x and I elsewhere."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
         pts = np.atleast_2d(x)
         if pts.shape[1] != self.n_in:
             raise ValueError(f"expected points in R^{self.n_in}")
         inside = self.inside_support(pts)
         if inside.all():
-            out = self._value(pts)
+            val, der = self._evaluate(pts, jac)
         else:
-            out = pts.copy()
+            val = pts.copy()
+            der = np.broadcast_to(np.eye(self.n_in), (len(pts), self.n_in, self.n_in)).copy() if jac else None
             if inside.any():
-                out[inside] = self._value(pts[inside])
-        return out[0] if single else out
+                val[inside], sub = self._evaluate(pts[inside], jac)
+                if jac:
+                    der[inside] = sub
+        if x.ndim == 1:
+            return val[0], None if der is None else der[0]
+        return val, der
+
+    def value(self, x):
+        return self._masked(x, False)[0]
 
     __call__ = value
 
     def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        inside = self.inside_support(pts)
-        if inside.all():
-            out = self._jac(pts)
-        else:
-            out = np.broadcast_to(np.eye(self.n_in), (len(pts), self.n_in, self.n_in)).copy()
-            if inside.any():
-                out[inside] = self._jac(pts[inside])
-        return out[0] if single else out
+        return self._masked(x, True)[1]
 
-    def value_and_jacobian(self, pts):
-        """(value, jacobian) at the rows of pts (N, n), as ``value`` and ``jacobian`` give them."""
-        if self._value_jac is None:
-            return self.value(pts), self.jacobian(pts)
-        if pts.shape[1] != self.n_in:
-            raise ValueError(f"expected points in R^{self.n_in}")
-        inside = self.inside_support(pts)
-        if inside.all():
-            return self._value_jac(pts)
-        val = pts.copy()
-        jac = np.broadcast_to(np.eye(self.n_in), (len(pts), self.n_in, self.n_in)).copy()
-        if inside.any():
-            val[inside], jac[inside] = self._value_jac(pts[inside])
-        return val, jac
+    def value_and_jacobian(self, x):
+        """(value, jacobian) at x from one evaluation, as ``value`` and ``jacobian`` give them."""
+        return self._masked(x, True)
 
     def jacobian_fd(self, x, step=1e-6):
         """Central finite-difference Jacobian, the generic test oracle."""
@@ -270,20 +267,15 @@ class SmoothMap:
         for j in range(self.n_in):
             e = np.zeros(self.n_in)
             e[j] = step
-            out[:, :, j] = (self._value(x + e) - self._value(x - e)) / (2 * step)
+            out[:, :, j] = (self._evaluate(x + e, False)[0] - self._evaluate(x - e, False)[0]) / (2 * step)
         return out
 
     @staticmethod
     def identity(n):
-        return SmoothMap(
-            n,
-            n,
-            lambda x: x.copy(),
-            lambda x: np.broadcast_to(np.eye(n), (len(x), n, n)).copy(),
-            support=None,
-            smoothness=math.inf,
-            name="id",
-        )
+        def evaluate(x, jac):
+            return x.copy(), np.broadcast_to(np.eye(n), (len(x), n, n)).copy() if jac else None
+
+        return SmoothMap(n, n, evaluate=evaluate, support=None, smoothness=math.inf, name="id")
 
     @staticmethod
     def affine(a, b=None):
@@ -291,14 +283,11 @@ class SmoothMap:
         a = np.asarray(a, dtype=float)
         n_out, n_in = a.shape
         b = np.zeros(n_out) if b is None else np.asarray(b, dtype=float)
-        return SmoothMap(
-            n_in,
-            n_out,
-            lambda x: x @ a.T + b,
-            lambda x: np.broadcast_to(a, (len(x), n_out, n_in)).copy(),
-            smoothness=math.inf,
-            name="affine",
-        )
+
+        def evaluate(x, jac):
+            return x @ a.T + b, np.broadcast_to(a, (len(x), n_out, n_in)).copy() if jac else None
+
+        return SmoothMap(n_in, n_out, evaluate=evaluate, smoothness=math.inf, name="affine")
 
     @staticmethod
     def compose(*maps):
@@ -314,25 +303,20 @@ class SmoothMap:
         if all(s is not None for s in supports):
             support = UnionRegion(supports)
 
-        def value(x):
-            cur = x
+        def evaluate(x, jac):
+            cur, total = x, None
             for m in reversed(maps):
-                cur = m.value(cur)
-            return cur
-
-        def jac(x):
-            cur, jtotal = x, None
-            for inner in maps[:0:-1]:
-                cur, j = inner.value_and_jacobian(cur)
-                jtotal = j if jtotal is None else np.einsum("nij,njk->nik", j, jtotal)
-            j = maps[0].jacobian(cur)
-            return j if jtotal is None else np.einsum("nij,njk->nik", j, jtotal)
+                if not jac:
+                    cur = m.value(cur)
+                    continue
+                cur, j = m.value_and_jacobian(cur)
+                total = j if total is None else np.einsum("nij,njk->nik", j, total)
+            return cur, total
 
         return SmoothMap(
             maps[-1].n_in,
             maps[0].n_out,
-            value,
-            jac,
+            evaluate=evaluate,
             support=support,
             smoothness=min(m.smoothness_class for m in maps),
             name="o".join(m.name or "?" for m in maps),
@@ -506,17 +490,16 @@ def smooth_retraction(n, eps):
         raise ValueError("eps must be in (0, 1)")
     s_val, s_der = retraction_profile(eps)
 
-    def value(x):
-        return s_val(np.clip(x, -1.0, 1.0))
-
-    def jac(x):
-        d = s_der(np.clip(x, -1.0, 1.0))
+    def evaluate(x, jac):
+        c = np.clip(x, -1.0, 1.0)
+        if not jac:
+            return s_val(c), None
         out = np.zeros((len(x), n, n))
         idx = np.arange(n)
-        out[:, idx, idx] = d
-        return out
+        out[:, idx, idx] = s_der(c)
+        return s_val(c), out
 
-    return SmoothMap(n, n, value, jac, support=None, smoothness=2, name="retract", meta={"eps": eps})
+    return SmoothMap(n, n, evaluate=evaluate, support=None, smoothness=2, name="retract", meta={"eps": eps})
 
 
 def retraction_with_collar(n, eps):
@@ -538,28 +521,22 @@ def retraction_with_collar(n, eps):
     if du <= 0:
         raise RuntimeError("enclosure radius too large for the blend zone")
 
-    def blend(gamma):
-        return smoothstep((gamma - 1.0) / du)
-
-    def value(x):
-        gamma = body.gauge(x)
-        a = blend(gamma)
-        return x + (1.0 - a)[:, None] * (g._value(x) - x)
-
-    def jac(x):
-        gamma, grad = body.gauge_and_grad(x)
-        a = blend(gamma)
+    def evaluate(x, jac):
+        gamma, grad = body.gauge_and_grad(x) if jac else (body.gauge(x), None)
+        gx, jg = g.value_and_jacobian(x) if jac else (g.value(x), None)
+        a = smoothstep((gamma - 1.0) / du)
+        val = x + (1.0 - a)[:, None] * (gx - x)
+        if not jac:
+            return val, None
         ad = smoothstep_d((gamma - 1.0) / du) / du
-        gx = g._value(x)
-        jg = g._jac(x)
         eye = np.eye(n)
         out = eye + (1.0 - a)[:, None, None] * (jg - eye)
         out -= ad[:, None, None] * np.einsum("ni,nj->nij", gx - x, grad)
-        return out
+        return val, out
 
     support = Box(-np.ones(n) * (1 + eps), np.ones(n) * (1 + eps))
     return SmoothMap(
-        n, n, value, jac, support=support, smoothness=2, name="collar_retract",
+        n, n, evaluate=evaluate, support=support, smoothness=2, name="collar_retract",
         meta={"eps": eps, "iota": iota, "body_power": body.power, "body_radius": body.radius},
     )
 
@@ -581,30 +558,24 @@ def central_projection(body: ConvexBody):
     """
     n = getattr(body, "n", None) or len(np.atleast_1d(body.semi_axes))
 
-    def p_value(x):
+    def gauge(x, jac):
         _guard_nonzero(x)
-        return x / body.gauge(x)[:, None]
+        return body.gauge_and_grad(x) if jac else (body.gauge(x), None)
 
-    def p_jac(x):
-        _guard_nonzero(x)
-        gamma = body.gauge(x)
-        grad = body.gauge_grad(x)
-        eye = np.eye(n)
-        return eye / gamma[:, None, None] - np.einsum("ni,nj->nij", x, grad) / (
+    def p_evaluate(x, jac):
+        gamma, grad = gauge(x, jac)
+        if not jac:
+            return x / gamma[:, None], None
+        return x / gamma[:, None], np.eye(n) / gamma[:, None, None] - np.einsum("ni,nj->nij", x, grad) / (
             gamma**2
         )[:, None, None]
 
-    def t_value(x):
-        _guard_nonzero(x)
-        return (1.0 / body.gauge(x))[:, None]
+    def t_evaluate(x, jac):
+        gamma, grad = gauge(x, jac)
+        return (1.0 / gamma)[:, None], (-grad / (gamma**2)[:, None])[:, None, :] if jac else None
 
-    def t_jac(x):
-        _guard_nonzero(x)
-        gamma = body.gauge(x)
-        return (-body.gauge_grad(x) / (gamma**2)[:, None])[:, None, :]
-
-    p = SmoothMap(n, n, p_value, p_jac, support=None, smoothness=2, name="central_proj")
-    t = SmoothMap(n, 1, t_value, t_jac, support=None, smoothness=2, name="central_scale")
+    p = SmoothMap(n, n, evaluate=p_evaluate, support=None, smoothness=2, name="central_proj")
+    t = SmoothMap(n, 1, evaluate=t_evaluate, support=None, smoothness=2, name="central_scale")
     return p, t
 
 
@@ -657,16 +628,13 @@ def collared_projection(body: ConvexBody, eps):
     delta = 1.0 / (1.0 - frac)
     alpha, alpha_d = _collar_alpha(delta)
 
-    def value(x):
+    def evaluate(x, jac):
         _guard_nonzero(x)
-        t = 1.0 / body.gauge(x)
-        return alpha(t)[:, None] * x
-
-    def value_jac(x):
-        _guard_nonzero(x)
-        gamma, grad = body.gauge_and_grad(x)
+        gamma, grad = body.gauge_and_grad(x) if jac else (body.gauge(x), None)
         t = 1.0 / gamma
         a = alpha(t)
+        if not jac:
+            return a[:, None] * x, None
         ad = alpha_d(t)
         eye = np.eye(n)
         out = a[:, None, None] * eye
@@ -675,8 +643,8 @@ def collared_projection(body: ConvexBody, eps):
 
     support = Box(-np.ones(n) * big_r, np.ones(n) * big_r)
     return SmoothMap(
-        n, n, value, lambda x: value_jac(x)[1], support=support, smoothness=2,
-        name="collared_proj", meta={"eps": eps, "delta": delta}, value_jac_fn=value_jac,
+        n, n, evaluate=evaluate, support=support, smoothness=2,
+        name="collared_proj", meta={"eps": eps, "delta": delta},
     )
 
 
@@ -820,16 +788,14 @@ def recentering_map(a):
     centre = a[None]
     profiles = _recentering_profiles(centre)
 
-    def value_jac(x):
-        val, jac = _recenter(centre, profiles, x)
-        return val[0], jac[0]
+    def evaluate(x, jac):
+        val, der = _recenter(centre, profiles, x, jac)
+        return val[0], None if der is None else der[0]
 
     support = Box(-np.ones(n), np.ones(n))
     return SmoothMap(
-        n, n, lambda x: _recenter(centre, profiles, x, jac=False)[0][0],
-        lambda x: value_jac(x)[1], support=support, smoothness=2, name="recenter",
+        n, n, evaluate=evaluate, support=support, smoothness=2, name="recenter",
         meta={"center": a.tolist(), "rho": _recentering_rho(a).tolist()},
-        value_jac_fn=value_jac,
     )
 
 
@@ -1134,42 +1100,18 @@ def unrect_perturbation(
             }
         )
 
-    centers_arr = np.array([b["center"] for b in balls]) if balls else np.zeros((0, n))
+    centers_arr = np.array([b["center"] for b in balls])
     radii_arr = np.array([b["r"] for b in balls])
 
-    def _assign(x):
-        if len(balls) == 0:
-            return np.full(len(x), -1), None
+    def evaluate(x, jac):
+        val = x.copy()
+        der = np.broadcast_to(np.eye(n), (len(x), n, n)).copy() if jac else None
+        if not balls:
+            return val, der
+        # each point to its nearest centre, kept when inside that ball
         d = np.linalg.norm(x[:, None, :] - centers_arr[None, :, :], axis=2)
         idx = np.argmin(d, axis=1)
-        dmin = d[np.arange(len(x)), idx]
-        idx = np.where(dmin < radii_arr[idx], idx, -1)
-        return idx, dmin
-
-    def value(x):
-        out = np.array(x, dtype=float, copy=True)
-        idx, _ = _assign(out)
-        for k, b in enumerate(balls):
-            sel = idx == k
-            if not np.any(sel):
-                continue
-            v = out[sel] - b["center"]
-            dist = np.linalg.norm(v, axis=1)
-            s = zeta_val((b["r"] - dist) / (b["r"] - b["r_inner"]))
-            delta = np.zeros_like(v)
-            for alpha, sv, sh in b["rotation"].angles:
-                cs = np.cos(s * alpha) - 1.0
-                sn = np.sin(s * alpha)
-                vs = v @ sv
-                vh = v @ sh
-                delta += (cs * vs - sn * vh)[:, None] * sv + (cs * vh + sn * vs)[:, None] * sh
-            out[sel] = out[sel] + delta
-        return out
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(np.eye(n), (len(x), n, n)).copy()
-        idx, _ = _assign(x)
+        idx = np.where(d[np.arange(len(x)), idx] < radii_arr[idx], idx, -1)
         for k, b in enumerate(balls):
             sel = idx == k
             if not np.any(sel):
@@ -1178,16 +1120,25 @@ def unrect_perturbation(
             dist = np.linalg.norm(v, axis=1)
             width = b["r"] - b["r_inner"]
             s = zeta_val((b["r"] - dist) / width)
-            sd = zeta_der((b["r"] - dist) / width)
-            rot = b["rotation"]
-            mrot = np.array([rot.evaluate(t) for t in s])
-            mder = np.array([rot.derivative(t) for t in s])
-            grad_s = -(sd / width)[:, None] * (v / np.maximum(dist, 1e-300)[:, None])
-            out[sel] = mrot + np.einsum("ni,nj->nij", np.einsum("nij,nj->ni", mder, v), grad_s)
-        return out
+            delta = np.zeros_like(v)
+            for alpha, sv, sh in b["rotation"].angles:
+                cs = np.cos(s * alpha) - 1.0
+                sn = np.sin(s * alpha)
+                vs = v @ sv
+                vh = v @ sh
+                delta += (cs * vs - sn * vh)[:, None] * sv + (cs * vh + sn * vs)[:, None] * sh
+            val[sel] = x[sel] + delta
+            if jac:
+                sd = zeta_der((b["r"] - dist) / width)
+                rot = b["rotation"]
+                mrot = np.array([rot.evaluate(t) for t in s])
+                mder = np.array([rot.derivative(t) for t in s])
+                grad_s = -(sd / width)[:, None] * (v / np.maximum(dist, 1e-300)[:, None])
+                der[sel] = mrot + np.einsum("ni,nj->nij", np.einsum("nij,nj->ni", mder, v), grad_s)
+        return val, der
 
     rho = SmoothMap(
-        n, n, value, jac,
+        n, n, evaluate=evaluate,
         support=UnionRegion([Ball(b["center"], b["r"]) for b in balls]) if balls else None,
         smoothness=2,
         name="unrect_perturb",

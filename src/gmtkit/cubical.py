@@ -445,11 +445,12 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
 
 class CubicalComplex:
     """Faces of an admissible family, with touching faces subdivided so that
-    only the finest copies of overlapping same-dimension faces are kept."""
+    only the finest copies of overlapping same-dimension faces are kept.
+    ``by_dim`` maps each dimension k to its k-faces in ``DyadicCube`` order."""
 
     def __init__(self, family, by_dim):
         self.family = family
-        self.by_dim = {k: sorted(v) for k, v in by_dim.items()}
+        self.by_dim = by_dim
 
     @property
     def ambient_dim(self):

@@ -263,25 +263,21 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
             cut = np.ones(len(x))
         return u, z, ry, a3, rz, cut
 
-    def value(x):
-        out = np.array(x, dtype=float, copy=True)
-        u, z, ry, a3, rz, cut = _components(x)
-        live = (a3 > 0.0) & (cut > 0.0)
-        if np.any(live):
-            disp = (phi_r.value(u[live]) - u[live]) * (cube.side / 2.0)
-            out[np.ix_(live, axes)] += (a3[live] * cut[live])[:, None] * disp
-        return out
-
-    def jac(x):
+    def evaluate(x, jac):
         npts = len(x)
-        out = np.broadcast_to(np.eye(n), (npts, n, n)).copy()
+        val = x.copy()
+        out = np.broadcast_to(np.eye(n), (npts, n, n)).copy() if jac else None
         u, z, ry, a3, rz, cut = _components(x)
         live = (a3 > 0.0) & (cut > 0.0)
         if not np.any(live):
-            return out
+            return val, out
         ul = u[live]
-        disp = (phi_r.value(ul) - ul) * (cube.side / 2.0)  # (L, k)
-        dphi = phi_r.jacobian(ul) - np.eye(k)  # (L, k, k): derivative of disp wrt y
+        img, dphi = phi_r.value_and_jacobian(ul) if jac else (phi_r.value(ul), None)
+        disp = (img - ul) * (cube.side / 2.0)  # (L, k)
+        val[np.ix_(live, axes)] += (a3[live] * cut[live])[:, None] * disp
+        if not jac:
+            return val, None
+        dphi = dphi - np.eye(k)  # (L, k, k): derivative of disp wrt y
         a3l = a3[live]
         cutl = cut[live]
         # in-plane block
@@ -300,11 +296,11 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
             zdir = zl / np.maximum(znorm, 1e-300)[:, None]
             zblock = np.einsum("ni,nj->nij", a3l[:, None] * disp, cutd[:, None] * zdir)
             out[np.ix_(np.arange(npts)[live], axes, others)] += zblock
-        return out
+        return val, out
 
     lo, hi = cube.bounds()
     support = Box(lo - eps, hi + eps)
-    m = SmoothMap(n, n, value, jac, support=support, smoothness=2, name="cube_deform")
+    m = SmoothMap(n, n, evaluate=evaluate, support=support, smoothness=2, name="cube_deform")
     m.meta = {
         "cube": cube.to_dict(),
         "center": center.tolist(),
@@ -406,8 +402,7 @@ class DeformationPlan:
         trap_w = np.full(time_samples, 1.0 / (time_samples - 1))
         trap_w[0] = trap_w[-1] = 0.5 / (time_samples - 1)
         for stage in stages:
-            nxt = stage.map.value(pts)
-            jstage = stage.map.jacobian(pts)
+            nxt, jstage = stage.map.value_and_jacobian(pts)
             delta = np.linalg.norm(nxt - pts, axis=1)
             moved = delta > 0
             if np.any(moved):
@@ -595,9 +590,9 @@ def image_mass_bound(g: SmoothMap, v: DiscreteVarifold, region, resolution=None)
         return 0.0, 0.0, {"resolution": resolution}
     if resolution is None:
         resolution = max(sample_spacing(pts), 1e-9) * 2.0
-    img = g.value(pts)
+    img, jac = g.value_and_jacobian(pts)
     lhs, res = covering_measure(img, v.dim, resolution)
-    norms = np.linalg.svd(g.jacobian(pts), compute_uv=False)[:, 0]
+    norms = np.linalg.svd(jac, compute_uv=False)[:, 0]
     rhs = float(np.sum(v.weights[mask] * norms**v.dim))
     return lhs, rhs, {"resolution": res}
 

@@ -454,13 +454,13 @@ def pullback_integrand(phi: SmoothMap, f: Integrand, rank_tol=1e-12):
         name = f"pullback({f.name})"
 
         def evaluate(self, points, frames):
-            jacs = phi.jacobian(points)
+            img, jacs = phi.value_and_jacobian(points)
             jm, a = _m_jacobians(jacs, frames)
             out = np.zeros(len(points))
             ok = jm > rank_tol
             if np.any(ok):
                 img_frames, _ = np.linalg.qr(a[ok])
-                vals = f.evaluate(phi.value(points[ok]), img_frames)
+                vals = f.evaluate(img[ok], img_frames)
                 out[ok] = vals * jm[ok]
             return out
 
@@ -487,14 +487,12 @@ def pushforward(phi: SmoothMap, v: DiscreteVarifold, haar_draws=16, seed=0):
     parts = []
     tang = v.tangent_part()
     if len(tang):
-        jacs = phi.jacobian(tang.points)
+        img, jacs = phi.value_and_jacobian(tang.points)
         jm, a = _m_jacobians(jacs, tang.frames)
         ok = jm > 1e-12
         if np.any(ok):
             frames, _ = np.linalg.qr(a[ok])
-            parts.append(
-                DiscreteVarifold(phi.value(tang.points[ok]), frames, tang.weights[ok] * jm[ok])
-            )
+            parts.append(DiscreteVarifold(img[ok], frames, tang.weights[ok] * jm[ok]))
     iso = v.isotropic_part()
     if len(iso):
         rng = np.random.default_rng(seed)
@@ -572,22 +570,20 @@ def blowup_map(rho: SmoothMap, t, delta):
         0.5,
     )
 
-    def value(x):
-        tau = (t - rho.value(x)[:, 0]) / delta
+    def evaluate(x, jac):
+        r, jr = rho.value_and_jacobian(x) if jac else (rho.value(x), None)
+        tau = (t - r[:, 0]) / delta
         s = np.where(tau <= 0.0, 0.0, np.where(tau >= 1.0, 1.0, profile.value(np.clip(tau, 0, 1))))
-        return np.column_stack([s, x])
-
-    def jac(x):
-        npts = len(x)
-        tau = (t - rho.value(x)[:, 0]) / delta
+        val = np.column_stack([s, x])
+        if not jac:
+            return val, None
         sd = np.where((tau <= 0.0) | (tau >= 1.0), 0.0, profile.derivative(np.clip(tau, 0, 1)))
-        jr = rho.jacobian(x)[:, 0, :]
-        out = np.zeros((npts, n + 1, n))
-        out[:, 0, :] = -(sd / delta)[:, None] * jr
+        out = np.zeros((len(x), n + 1, n))
+        out[:, 0, :] = -(sd / delta)[:, None] * jr[:, 0, :]
         out[:, 1:, :] = np.eye(n)
-        return out
+        return val, out
 
-    return SmoothMap(n, n + 1, value, jac, smoothness=2, name="blowup",
+    return SmoothMap(n, n + 1, evaluate=evaluate, smoothness=2, name="blowup",
                      meta={"t": t, "delta": delta})
 
 

@@ -890,7 +890,7 @@ def cubical_complex_oracle(family):
     # a finer face overlapping the relative interior of f shares f's affine
     # span, so it is one of f's children
     by_dim = {
-        k: faces if k == 0 else {f for f in faces if not any(c in faces for c in children(f))}
+        k: sorted(faces if k == 0 else {f for f in faces if not any(c in faces for c in children(f))})
         for k, faces in faces_by_dim.items()
     }
     return CubicalComplex(family, by_dim)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import dist_to_cube_boundary, rank_one_map
+from conftest import dist_to_cube_boundary, norm_map, rank_one_map
 from gmtkit import _grid, cubemaps
 from gmtkit._profiles import SmoothPiecewiseLinear
 from gmtkit.cubemaps import (
@@ -39,7 +39,7 @@ from gmtkit.cubical import DyadicCube
 from gmtkit.deform import deform_one_cube
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import four_corner_cantor, sample_disc
-from gmtkit.varifold import DiscreteVarifold, sample_spacing
+from gmtkit.varifold import DiscreteVarifold, blowup_map, sample_spacing
 from oracles import (
     SmoothPiecewiseLinearOracle,
     cluster_balls_oracle,
@@ -879,6 +879,19 @@ SUPPORTED_MAPS = {
     "compose": _composite_case,
 }
 
+# the supported maps and the maps of gmtkit without a support, each with a
+# box of probe points around where it moves
+ALL_MAPS = {
+    **SUPPORTED_MAPS,
+    "identity": lambda: (SmoothMap.identity(3), [-1] * 3, [1] * 3),
+    "affine": lambda: (SmoothMap.affine([[1.0, 2.0, 0.5], [-0.3, 0.0, 4.0]], [0.1, -0.2]), [-1] * 3, [1] * 3),
+    "smooth_retraction": lambda: (smooth_retraction(2, 0.2), [-1.2] * 2, [1.2] * 2),
+    "central_projection": lambda: (central_projection(EllipsoidBody([1.0, 2.0, 0.5]))[0], [-2] * 3, [2] * 3),
+    "central_projection_t": lambda: (
+        central_projection(cube_enclosure(2, 0.05, 0.1))[1], [-1.2] * 2, [1.2] * 2),
+    "blowup_map": lambda: (blowup_map(norm_map(2), 0.8, 0.3), [-1] * 2, [1] * 2),
+}
+
 
 class TestSupportContract:
     """value/jacobian skip the rows outside a declared support; the raw
@@ -892,8 +905,8 @@ class TestSupportContract:
         pts = rng.uniform(mid - 3 * half, mid + 3 * half, (3000, len(lo)))
         inside = phi.support.contains(pts)
         assert inside.any() and not inside.all()
-        assert phi.value(pts).tobytes() == phi._value(pts).tobytes()
-        assert phi.jacobian(pts).tobytes() == phi._jac(pts).tobytes()
+        assert phi.value(pts).tobytes() == phi._evaluate(pts, False)[0].tobytes()
+        assert phi.jacobian(pts).tobytes() == phi._evaluate(pts, True)[1].tobytes()
         outside = pts[~inside]
         assert phi.value(outside).tobytes() == outside.tobytes()
         eye = np.broadcast_to(np.eye(len(lo)), (len(outside), len(lo), len(lo)))
@@ -965,10 +978,10 @@ class TestRecenteringKernel:
         a = RECENTRES[index]
         f, ref = recentering_map(a), recentering_map_oracle(a)
         x = _recentering_probes(a, rng)
-        val, jac = f._value_jac(x)
-        assert _same_bytes(val, ref._value(x))
-        assert _same_bytes(jac, ref._jac(x))
-        assert _same_bytes(f._value(x), val) and _same_bytes(f._jac(x), jac)
+        val, jac = f._evaluate(x, True)
+        assert _same_bytes(val, ref._evaluate(x, False)[0])
+        assert _same_bytes(jac, ref._evaluate(x, True)[1])
+        assert _same_bytes(f._evaluate(x, False)[0], val) and _same_bytes(f._evaluate(x, True)[1], jac)
         assert _same_bytes(f.value(x), ref.value(x))
         assert _same_bytes(f.jacobian(x), ref.jacobian(x))
         assert f.meta == ref.meta
@@ -979,8 +992,8 @@ class TestRecenteringKernel:
         val, jac = _recenter(centres, _recentering_profiles(centres), x)
         for c, a in enumerate(centres):
             ref = recentering_map_oracle(a)
-            assert _same_bytes(val[c], ref._value(x))
-            assert _same_bytes(jac[c], ref._jac(x))
+            assert _same_bytes(val[c], ref._evaluate(x, False)[0])
+            assert _same_bytes(jac[c], ref._evaluate(x, True)[1])
 
     @pytest.mark.parametrize("bad", [[1.0, 0.0], [0.2, -1.5]])
     def test_centre_outside_open_cube_rejected(self, bad):
@@ -1037,11 +1050,12 @@ class TestRecenteringKernel:
         with pytest.raises(ValueError, match="closed cube"):
             _punctured_jacobian_rows(np.zeros((1, 2)) + 0.1, np.array([[1.01, 0.0]]), 0.1)
 
-    @pytest.mark.parametrize("name", ["collared_projection", "recentering_map"])
+    @pytest.mark.parametrize("name", sorted(ALL_MAPS))
     def test_value_and_jacobian_match_separate_calls(self, name, rng):
-        phi, lo, hi = SUPPORTED_MAPS[name]()
+        phi, lo, hi = ALL_MAPS[name]()
         pts = rng.uniform(-2.0, 2.0, (2000, len(lo)))
-        assert phi.inside_support(pts).any() and not phi.inside_support(pts).all()
+        if phi.support is not None:
+            assert phi.inside_support(pts).any() and not phi.inside_support(pts).all()
         val, jac = phi.value_and_jacobian(pts)
         assert _same_bytes(val, phi.value(pts))
         assert _same_bytes(jac, phi.jacobian(pts))
@@ -1119,3 +1133,27 @@ class TestPuncturedRowDedup:
     def test_one_centre(self, n, rng):
         self._check(rng.uniform(-0.5, 0.5, (1, n)), _boundary_heavy_points(rng, 200, n))
 
+
+class TestEvaluationPath:
+    """``value``, ``jacobian`` and ``value_and_jacobian`` share one checked,
+    masked path: the same answers for a single point as for a batch of one,
+    and the same error for points of the wrong dimension."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_MAPS))
+    def test_single_point_is_a_batch_of_one(self, name, rng):
+        phi, lo, hi = ALL_MAPS[name]()
+        pts = rng.uniform(lo, hi, (200, len(lo)))
+        x = pts[np.argmax(phi.inside_support(pts))]
+        val, jac = phi.value_and_jacobian(x)
+        assert val.shape == (phi.n_out,) and jac.shape == (phi.n_out, phi.n_in)
+        assert _same_bytes(val, phi.value(x)) and _same_bytes(jac, phi.jacobian(x))
+        batch_val, batch_jac = phi.value_and_jacobian(x[None])
+        assert _same_bytes(val, batch_val[0]) and _same_bytes(jac, batch_jac[0])
+
+    @pytest.mark.parametrize("name", sorted(ALL_MAPS))
+    def test_wrong_dimension_rejected(self, name):
+        phi, lo, hi = ALL_MAPS[name]()
+        for bad in (np.full((4, phi.n_in + 1), 0.5), np.full((4, phi.n_in - 1), 0.5), np.full(phi.n_in + 1, 0.5)):
+            for method in (phi.value, phi.jacobian, phi.value_and_jacobian):
+                with pytest.raises(ValueError, match=rf"expected points in R\^{phi.n_in}$"):
+                    method(bad)

@@ -173,6 +173,7 @@ class TestCubicalComplex:
             if not fam.admissible():
                 continue
             cx = cubical_complex(fam)
+            assert all(faces == sorted(faces) for faces in cx.by_dim.values())
             assert set(cx.all_cubes()) == brute_force_complex(fam)
 
     @pytest.mark.parametrize(
@@ -431,6 +432,7 @@ class TestCubeRowsOracle:
         fam, expected = whitney_family(*args), whitney_family_oracle(*args)
         assert fam.cubes == expected.cubes and repr(fam.meta) == repr(expected.meta)
         cx, cx_expected = cubical_complex(fam), cubical_complex_oracle(fam)
+        assert all(faces == sorted(faces) for faces in cx.by_dim.values())  # built in cube order, not re-sorted
         assert cx.by_dim == cx_expected.by_dim  # lists, whose first difference pytest shows at once
         assert cx.to_json() == cx_expected.to_json()
         for k in range(len(args[1][0]) + 1):
@@ -438,6 +440,7 @@ class TestCubeRowsOracle:
 
     def test_grid_and_cube_soup_complexes(self, rng):
         grid = CubeFamily([DyadicCube(0, c, (0, 1, 2), 3) for c in np.ndindex(4, 4, 4)])
+        assert all(faces == sorted(faces) for faces in cubical_complex(grid).by_dim.values())
         assert cubical_complex(grid).to_json() == cubical_complex_oracle(grid).to_json()
         empty = CubeFamily([])
         assert cubical_complex(empty).to_json() == cubical_complex_oracle(empty).to_json()

@@ -53,3 +53,25 @@ def test_only_the_grid_module_builds_cell_codes():
                     if alias.name in grid_names or (alias.name.startswith("_") and GRID_WORDS.search(alias.name)):
                         found.append(f"{path.name}:{node.lineno} imports {alias.name} from {node.module}")
     assert not found, found
+
+
+def test_only_smoothmap_reads_the_raw_evaluation():
+    """No code in ``src/`` reads a map's ``_evaluate`` except ``self._evaluate``
+    in ``SmoothMap``'s own methods, so every other caller goes through the
+    checked, masked path of ``value``, ``jacobian`` and ``value_and_jacobian``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "SmoothMap":
+                for method in cls.body:
+                    if isinstance(method, ast.FunctionDef):
+                        allowed.update(id(node) for node in ast.walk(method)
+                                       if isinstance(node, ast.Attribute)
+                                       and isinstance(node.value, ast.Name) and node.value.id == "self")
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "value", None)
+            if name == "_evaluate" and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno} reads _evaluate")
+    assert not found, found
