@@ -281,8 +281,7 @@ def cmd_rotate(args):
             raise InputError(f"{args.planes}:{ln}: malformed plane pair ({exc})") from exc
         d = projector_distance(s, t)
         rot = build_rotation(s, t)
-        for tau in taus:
-            m_tau = rot.evaluate(tau)
+        for tau, m_tau in zip(taus, rot.evaluate(taus)):
             dev = float(np.linalg.norm(m_tau - np.eye(n), 2))
             bound = 8.0 * abs(tau) * d
             rows.append((ln, tau, dev, bound, "pass" if dev <= bound + 1e-12 else "fail"))
@@ -334,11 +333,11 @@ def cmd_retract(args):
 def _body_from_config(cfg):
     n = cfg["n"]
     if cfg["body"] == "ball":
-        return BallBody(n, cfg["radius"]), n
+        return BallBody(n, cfg["radius"])
     if cfg["body"] == "ellipsoid":
-        return EllipsoidBody(cfg["semi_axes"]), len(cfg["semi_axes"])
+        return EllipsoidBody(cfg["semi_axes"])
     try:
-        return cube_enclosure(n, cfg["inner"], cfg["outer"]), n
+        return cube_enclosure(n, cfg["inner"], cfg["outer"])
     except ValueError as exc:  # not inner < outer, or no exponent fits
         raise InputError(f"inner and outer: {exc}") from exc
 
@@ -346,7 +345,8 @@ def _body_from_config(cfg):
 def cmd_project(args):
     out = _out_dir(args)
     cfg = _config(args, INPUTS["project"])
-    body, n = _body_from_config(cfg)
+    body = _body_from_config(cfg)
+    n = body.n
     rng = np.random.default_rng(args.seed)
     p, t = central_projection(body)
     eps = cfg["eps"]

@@ -331,21 +331,25 @@ class SmoothMap:
 
 
 class ConvexBody:
-    """Bounded open convex set containing 0, described by a smooth gauge.
+    """Bounded open convex set in R^n containing 0, described by a smooth gauge.
 
     ``gauge`` is 1-homogeneous with V = {gauge < 1}; the outward unit normal
-    at a boundary point is the normalized gauge gradient.
+    at a boundary point is the normalized gauge gradient.  Each body
+    computes both in one function, ``_gauge(x, grad) -> (gauge, gradient or
+    None)``, at the rows of x.
     """
 
-    def gauge(self, x):
+    n: int
+
+    def _gauge(self, x, grad):
         raise NotImplementedError
 
-    def gauge_grad(self, x):
-        raise NotImplementedError
+    def gauge(self, x):
+        return self._gauge(x, False)[0]
 
     def gauge_and_grad(self, x):
-        """(gauge, gauge_grad) at the rows of x."""
-        return self.gauge(x), self.gauge_grad(x)
+        """(gauge, gauge gradient) at the rows of x."""
+        return self._gauge(x, True)
 
     @property
     def circumradius(self):
@@ -355,7 +359,7 @@ class ConvexBody:
         return self.gauge(np.atleast_2d(x)) < 1.0
 
     def normal(self, y):
-        g = self.gauge_grad(np.atleast_2d(y))
+        g = self._gauge(np.atleast_2d(y), True)[1]
         return g / np.linalg.norm(g, axis=1, keepdims=True)
 
     def boundary_point(self, direction):
@@ -368,13 +372,12 @@ class BallBody(ConvexBody):
         self.n = n
         self.radius = float(radius)
 
-    def gauge(self, x):
-        return np.linalg.norm(x, axis=1) / self.radius
-
-    def gauge_grad(self, x):
-        norm = np.linalg.norm(x, axis=1, keepdims=True)
-        safe = np.where(norm > 0, norm, 1.0)
-        return np.where(norm > 0, x / (safe * self.radius), 0.0)
+    def _gauge(self, x, grad):
+        norm = np.linalg.norm(x, axis=1)
+        if not grad:
+            return norm / self.radius, None
+        safe = np.where(norm > 0, norm, 1.0)[:, None]
+        return norm / self.radius, np.where(norm[:, None] > 0, x / (safe * self.radius), 0.0)
 
     @property
     def circumradius(self):
@@ -383,15 +386,15 @@ class BallBody(ConvexBody):
 
 class EllipsoidBody(ConvexBody):
     def __init__(self, semi_axes):
-        self.semi_axes = np.asarray(semi_axes, dtype=float)
+        self.semi_axes = np.atleast_1d(np.asarray(semi_axes, dtype=float))
+        self.n = len(self.semi_axes)
 
-    def gauge(self, x):
-        return np.sqrt(np.sum((x / self.semi_axes) ** 2, axis=1))
-
-    def gauge_grad(self, x):
-        g = self.gauge(x)
+    def _gauge(self, x, grad):
+        g = np.sqrt(np.sum((x / self.semi_axes) ** 2, axis=1))
+        if not grad:
+            return g, None
         safe = np.where(g > 0, g, 1.0)[:, None]
-        return np.where(g[:, None] > 0, x / (self.semi_axes**2) / safe, 0.0)
+        return g, np.where(g[:, None] > 0, x / (self.semi_axes**2) / safe, 0.0)
 
     @property
     def circumradius(self):
@@ -408,28 +411,18 @@ class SuperellipsoidBody(ConvexBody):
         self.radius = float(radius)
         self.power = int(power)
 
-    def _pnorm(self, x):
-        # scale-invariant evaluation: no overflow for points far outside
+    def _gauge(self, x, grad):
+        # scale-invariant p-norm: no overflow for points far outside
         ax = np.abs(x)
         mx = np.max(ax, axis=1, keepdims=True)
-        safe = np.where(mx > 0, mx, 1.0)
-        ratios = ax / safe
-        s = np.sum(ratios**self.power, axis=1)
-        return (mx[:, 0] * s ** (1.0 / self.power))
-
-    def gauge(self, x):
-        return self._pnorm(x) / self.radius
-
-    def gauge_grad(self, x):
-        return self.gauge_and_grad(x)[1]
-
-    def gauge_and_grad(self, x):
-        # one p-norm pass serves both
-        norm = self._pnorm(x)
+        ratios = ax / np.where(mx > 0, mx, 1.0)
+        norm = mx[:, 0] * np.sum(ratios**self.power, axis=1) ** (1.0 / self.power)
+        if not grad:
+            return norm / self.radius, None
         safe = np.where(norm > 0, norm, 1.0)
-        ratios = np.abs(x) / safe[:, None]  # all <= 1
-        grad = (ratios ** (self.power - 1)) * np.sign(x) / self.radius
-        return norm / self.radius, np.where(norm[:, None] > 0, grad, 0.0)
+        ratios = ax / safe[:, None]  # all <= 1
+        out = (ratios ** (self.power - 1)) * np.sign(x) / self.radius
+        return norm / self.radius, np.where(norm[:, None] > 0, out, 0.0)
 
     @property
     def circumradius(self):
@@ -522,7 +515,7 @@ def retraction_with_collar(n, eps):
         raise RuntimeError("enclosure radius too large for the blend zone")
 
     def evaluate(x, jac):
-        gamma, grad = body.gauge_and_grad(x) if jac else (body.gauge(x), None)
+        gamma, grad = body._gauge(x, jac)
         gx, jg = g.value_and_jacobian(x) if jac else (g.value(x), None)
         a = smoothstep((gamma - 1.0) / du)
         val = x + (1.0 - a)[:, None] * (gx - x)
@@ -556,11 +549,11 @@ def central_projection(body: ConvexBody):
     Returns (p, t) as smooth maps (t has one output component).  For the
     gauge description t = 1/gauge, so Dp = I/gauge - x (grad gauge)^T/gauge^2.
     """
-    n = getattr(body, "n", None) or len(np.atleast_1d(body.semi_axes))
+    n = body.n
 
     def gauge(x, jac):
         _guard_nonzero(x)
-        return body.gauge_and_grad(x) if jac else (body.gauge(x), None)
+        return body._gauge(x, jac)
 
     def p_evaluate(x, jac):
         gamma, grad = gauge(x, jac)
@@ -622,7 +615,7 @@ def collared_projection(body: ConvexBody, eps):
     t <= 1, i.e. outside V) and t (deep inside, where dist(x, complement)
     >= eps).  q(x) always lies on the segment [x, p(x)].
     """
-    n = getattr(body, "n", None) or len(np.atleast_1d(body.semi_axes))
+    n = body.n
     big_r = body.circumradius
     frac = min(eps / big_r, 0.5)
     delta = 1.0 / (1.0 - frac)
@@ -630,7 +623,7 @@ def collared_projection(body: ConvexBody, eps):
 
     def evaluate(x, jac):
         _guard_nonzero(x)
-        gamma, grad = body.gauge_and_grad(x) if jac else (body.gauge(x), None)
+        gamma, grad = body._gauge(x, jac)
         t = 1.0 / gamma
         a = alpha(t)
         if not jac:
@@ -1012,7 +1005,6 @@ def unrect_perturbation(
     eps,
     m,
     *,
-    weights=None,
     seed=0,
     cluster_gap=None,
     direction_budget=720,
@@ -1060,7 +1052,7 @@ def unrect_perturbation(
     rng = np.random.default_rng(seed)
     zeta_val, zeta_der = plateau_step(0.0, 1.0, max_slope=2.0)
 
-    balls = []
+    balls, meta = [], []
     for b_idx in range(len(centers)):
         a = centers[b_idx]
         r = float(outer_radii[b_idx])
@@ -1082,26 +1074,24 @@ def unrect_perturbation(
                 f"no direction below threshold in ball {b_idx} "
                 f"(best {score} cells vs own {own} cells)"
             )
-        rot = build_rotation(candidates[best], t_plane)
         cell = resolution**m
-        balls.append(
+        balls.append((a, r, r - r_in, build_rotation(candidates[best], t_plane)))
+        meta.append(
             {
-                "center": a,
+                "center": a.tolist(),
                 "r": r,
-                "r_inner": r_in,
-                "rotation": rot,
                 "tilt": projector_distance(candidates[best], t_plane),
-                "score": score * cell,
-                "baseline": baseline * cell,
+                "projected_estimate": score * cell,
+                "baseline_estimate": baseline * cell,
                 "candidates": len(candidates),
                 "best_index": best,
-                "own": own * cell,
-                "threshold": threshold_factor * own * cell,
+                "own_estimate": own * cell,
+                "threshold_estimate": threshold_factor * own * cell,
             }
         )
 
-    centers_arr = np.array([b["center"] for b in balls])
-    radii_arr = np.array([b["r"] for b in balls])
+    centers_arr = np.array([b[0] for b in balls])
+    radii_arr = np.array([b[1] for b in balls])
 
     def evaluate(x, jac):
         val = x.copy()
@@ -1112,54 +1102,26 @@ def unrect_perturbation(
         d = np.linalg.norm(x[:, None, :] - centers_arr[None, :, :], axis=2)
         idx = np.argmin(d, axis=1)
         idx = np.where(d[np.arange(len(x)), idx] < radii_arr[idx], idx, -1)
-        for k, b in enumerate(balls):
+        for k, (center, r, width, rot) in enumerate(balls):
             sel = idx == k
             if not np.any(sel):
                 continue
-            v = x[sel] - b["center"]
+            v = x[sel] - center
             dist = np.linalg.norm(v, axis=1)
-            width = b["r"] - b["r_inner"]
-            s = zeta_val((b["r"] - dist) / width)
-            delta = np.zeros_like(v)
-            for alpha, sv, sh in b["rotation"].angles:
-                cs = np.cos(s * alpha) - 1.0
-                sn = np.sin(s * alpha)
-                vs = v @ sv
-                vh = v @ sh
-                delta += (cs * vs - sn * vh)[:, None] * sv + (cs * vh + sn * vs)[:, None] * sh
-            val[sel] = x[sel] + delta
+            s = zeta_val((r - dist) / width)
+            val[sel] = x[sel] + rot.displacement(s, v)
             if jac:
-                sd = zeta_der((b["r"] - dist) / width)
-                rot = b["rotation"]
-                mrot = np.array([rot.evaluate(t) for t in s])
-                mder = np.array([rot.derivative(t) for t in s])
+                sd = zeta_der((r - dist) / width)
                 grad_s = -(sd / width)[:, None] * (v / np.maximum(dist, 1e-300)[:, None])
-                der[sel] = mrot + np.einsum("ni,nj->nij", np.einsum("nij,nj->ni", mder, v), grad_s)
+                der[sel] = rot.evaluate(s) + np.einsum(
+                    "ni,nj->nij", np.einsum("nij,nj->ni", rot.derivative(s), v), grad_s)
         return val, der
 
     rho = SmoothMap(
         n, n, evaluate=evaluate,
-        support=UnionRegion([Ball(b["center"], b["r"]) for b in balls]) if balls else None,
+        support=UnionRegion([Ball(b[0], b[1]) for b in balls]) if balls else None,
         smoothness=2,
         name="unrect_perturb",
-        meta={
-            "balls": [
-                {
-                    "center": b["center"].tolist(),
-                    "r": b["r"],
-                    "tilt": b["tilt"],
-                    "projected_estimate": b["score"],
-                    "baseline_estimate": b["baseline"],
-                    "candidates": b["candidates"],
-                    "best_index": b["best_index"],
-                    "own_estimate": b["own"],
-                    "threshold_estimate": b["threshold"],
-                }
-                for b in balls
-            ],
-            "uncovered_samples": len(uncovered),
-            "resolution": resolution,
-            "eps": eps,
-        },
+        meta={"balls": meta, "uncovered_samples": len(uncovered), "resolution": resolution, "eps": eps},
     )
     return rho

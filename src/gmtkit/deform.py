@@ -96,11 +96,11 @@ def _inplane_coordinates(cube: DyadicCube, points):
     return u, z, axes, others
 
 
-def _restrict_near_cube(v: DiscreteVarifold, cube: DyadicCube, normal_tol, pad=0.0):
+def _restrict_near_cube(v: DiscreteVarifold, cube: DyadicCube, normal_tol):
     """Samples lying on the cube's plane (within normal_tol) and inside the
-    cube (with optional in-plane padding, in scaled units)."""
+    closed cube."""
     u, z, _, _ = _inplane_coordinates(cube, v.points)
-    mask = np.all(np.abs(u) <= 1.0 + pad, axis=1)
+    mask = np.all(np.abs(u) <= 1.0, axis=1)
     if z.shape[1]:
         mask &= np.linalg.norm(z, axis=1) <= normal_tol
     return mask
@@ -120,28 +120,26 @@ def _candidate_singular_values(cand_r, u, eps):
     logger.debug("select_center: %d candidate rows, %d distinct", len(cand_r) * len(u), distinct)
 
 
-def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack=0.5,
-                  normal_tol=None):
+def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack=0.5):
     """A good projection centre in the middle half of the cube.
 
     For measure dimensions below dim(cube): randomized search accepting the
     first candidate whose sampled derivative integrals obey the averaged
     bound l * Gamma(k, m_i) * mu_i(K) * (1 + slack).  For dimensions equal
-    to dim(cube): any candidate point clear of the support.  Deterministic
-    given the generator state.  ``budget`` (at least 1) is the number of
-    candidates drawn.
+    to dim(cube): any candidate point clear of the support.  The samples
+    counted are those in the closed cube within eps of its plane.
+    Deterministic given the generator state.  ``budget`` (at least 1) is
+    the number of candidates drawn.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     rng = np.random.default_rng(0) if rng is None else rng
     k = cube.dim
-    if normal_tol is None:
-        normal_tol = eps
     iota = eps / math.sqrt(2.0)
     eps_r = 2.0 * iota / cube.side
     active = []
     for v in measures:
-        mask = _restrict_near_cube(v, cube, normal_tol)
+        mask = _restrict_near_cube(v, cube, eps)
         if np.any(mask) and v.weights[mask].sum() > 0:
             active.append((v, mask))
     if not active:
@@ -377,9 +375,7 @@ class DeformationPlan:
             return pts.copy()
         tau = min(t, 1.0) * n_stages
         j = min(int(math.floor(tau)), n_stages - 1)
-        cur = pts
-        for s in stages[:j]:
-            cur = s.map.value(cur)
+        cur = self.apply_stages(pts, j)
         w = float(smoothstep(tau - j))
         nxt = stages[j].map.value(cur)
         return cur + w * (nxt - cur)
@@ -508,8 +504,7 @@ def _coverage_fraction(cube: DyadicCube, points, grid=5, tol=None):
 
 
 def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, eps, *,
-                         seed=0, budget=64, slack=0.5, coverage_threshold=0.98,
-                         coverage_grid=5):
+                         seed=0, budget=64, slack=0.5, coverage_threshold=0.98):
     """Deform the sampled sets onto the m-skeleton of the complex.
 
     Descent stages process the complex's cubes of dimension > m (dimension
@@ -562,7 +557,7 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
                 inside &= np.linalg.norm(z, axis=1) <= eps_stage / 4.0
             if not np.any(inside):
                 continue
-            frac = _coverage_fraction(cube, support[inside], grid=coverage_grid)
+            frac = _coverage_fraction(cube, support[inside])
             if frac >= coverage_threshold:
                 continue
             cleanup.append(cube)
@@ -598,7 +593,7 @@ def image_mass_bound(g: SmoothMap, v: DiscreteVarifold, region, resolution=None)
 
 
 def purge_unrectifiable(s_r: DiscreteVarifold, s_u: DiscreteVarifold, bounds, eps, *,
-                        seed=0, min_level=6, grid_level=None, direction_budget=720,
+                        seed=0, min_level=6, direction_budget=720,
                         cluster_gap=None, resolution=None):
     """Deform onto the skeleton, then kill the unrectifiable part.
 

@@ -5,6 +5,11 @@ frame.  The rotation construction follows the classical principal-angle
 decomposition: split R^n into the common part, the orthogonal complement of
 the sum, the pair of mutually orthogonal parts, and the genuinely tilted
 2-planes; rotate each tilted 2-plane by its principal angle.
+
+A ``PlaneRotation`` evaluates its path M(tau), the derivative M'(tau) and
+the displacement (M(tau) - I) v at a scalar tau or at a 1-d array of them
+in one kernel: an array gives a stack whose entries have the bytes of the
+scalar calls.
 """
 
 from __future__ import annotations
@@ -143,6 +148,12 @@ class PlaneRotation:
     M(0) is the identity and M(1) maps ``source`` onto ``target``.  The path
     rotates by angle tau * alpha_i inside each stored orthonormal 2-plane
     span{s_i, s_hat_i} and fixes the orthogonal complement.
+
+    ``evaluate`` and ``derivative`` take a scalar tau, which gives an n x n
+    matrix, or a 1-d array of them, which gives a stack whose entries have
+    the bytes of the scalar calls; ``displacement`` takes an array of tau
+    and one row of v per entry.  All three run one kernel that adds the
+    pairs in stored order.
     """
 
     def __init__(self, source: Plane, target: Plane, angles):
@@ -151,52 +162,46 @@ class PlaneRotation:
         self.ambient_dim = source.ambient_dim
         self.angles = list(angles)
 
-    def _pair_matrices(self):
-        if not hasattr(self, "_cached_pairs"):
-            sym, skew, alphas = [], [], []
-            for alpha, s, s_hat in self.angles:
-                sym.append(np.outer(s, s) + np.outer(s_hat, s_hat))
-                skew.append(np.outer(s_hat, s) - np.outer(s, s_hat))
-                alphas.append(alpha)
-            self._cached_pairs = (
-                np.array(sym).reshape(len(sym), self.ambient_dim, self.ambient_dim),
-                np.array(skew).reshape(len(skew), self.ambient_dim, self.ambient_dim),
-                np.array(alphas),
-            )
-        return self._cached_pairs
+    def _path(self, tau, derivative=False, v=None):
+        """One result per entry of tau: M(tau), M'(tau) if ``derivative``, or
+        the row (M(tau_k) - I) v_k if v is given."""
+        taus = np.atleast_1d(np.asarray(tau, dtype=float))
+        n = self.ambient_dim
+        if v is not None:
+            out = np.zeros_like(v)
+        elif derivative:
+            out = np.zeros((len(taus), n, n))
+        else:
+            out = np.broadcast_to(np.eye(n), (len(taus), n, n)).copy()
+        for alpha, s, s_hat in self.angles:
+            c = np.cos(taus * alpha)
+            si = np.sin(taus * alpha)
+            if v is not None:
+                cs, vs, vh = c - 1.0, v @ s, v @ s_hat
+                out += (cs * vs - si * vh)[:, None] * s + (cs * vh + si * vs)[:, None] * s_hat
+                continue
+            sym = np.outer(s, s) + np.outer(s_hat, s_hat)
+            skew = np.outer(s_hat, s) - np.outer(s, s_hat)
+            c, si = c[:, None, None], si[:, None, None]
+            if derivative:
+                out += alpha * (-si * sym)
+                out += alpha * (c * skew)
+            else:
+                out += (c - 1.0) * sym
+                out += si * skew
+        return out if np.ndim(tau) or v is not None else out[0]
 
     def evaluate(self, tau):
-        n = self.ambient_dim
-        m = np.eye(n)
-        for alpha, s, s_hat in self.angles:
-            c = math.cos(tau * alpha) - 1.0
-            si = math.sin(tau * alpha)
-            m += c * (np.outer(s, s) + np.outer(s_hat, s_hat))
-            m += si * (np.outer(s_hat, s) - np.outer(s, s_hat))
-        return m
-
-    def evaluate_many(self, taus):
-        """M(tau) for an array of parameters, as a (len(taus), n, n) stack."""
-        taus = np.asarray(taus, dtype=float)
-        n = self.ambient_dim
-        out = np.broadcast_to(np.eye(n), (len(taus), n, n)).copy()
-        if not self.angles:
-            return out
-        sym, skew, alphas = self._pair_matrices()
-        phases = taus[:, None] * alphas[None, :]
-        out += np.einsum("tp,pij->tij", np.cos(phases) - 1.0, sym)
-        out += np.einsum("tp,pij->tij", np.sin(phases), skew)
-        return out
+        """M(tau): n x n for a scalar tau, a (len(tau), n, n) stack for an array."""
+        return self._path(tau)
 
     def derivative(self, tau):
-        n = self.ambient_dim
-        m = np.zeros((n, n))
-        for alpha, s, s_hat in self.angles:
-            c = math.cos(tau * alpha)
-            si = math.sin(tau * alpha)
-            m += alpha * (-si * (np.outer(s, s) + np.outer(s_hat, s_hat)))
-            m += alpha * (c * (np.outer(s_hat, s) - np.outer(s, s_hat)))
-        return m
+        """dM/dtau, shaped as ``evaluate``."""
+        return self._path(tau, derivative=True)
+
+    def displacement(self, tau, v):
+        """The rows (M(tau_k) - I) v_k for a 1-d array tau and an (len(tau), n) array v."""
+        return self._path(tau, v=v)
 
     def max_angle(self):
         return max((a for a, _, _ in self.angles), default=0.0)

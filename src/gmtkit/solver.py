@@ -350,14 +350,14 @@ def _chain_key(bits):
     return bits.tobytes()
 
 
-def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000, t0=None,
-             cooling=0.995):
+def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000):
     """Simulated-annealing descent over spanning chains.
 
     Moves add the boundary of a single (m+1)-cell; every would-be acceptance
     is re-checked for spanning and rejected if it breaks it.  Geometric
-    cooling, deterministic for a fixed seed; restarts keep the best result
-    by (value, cell count, lexicographic bits).
+    cooling by 0.995 a step from twice the largest cell weight,
+    deterministic for a fixed seed; restarts keep the best result by
+    (value, cell count, lexicographic bits).
     """
     if problem.m + 1 > problem.complex.n:
         raise ValueError("no (m+1)-cells to move across")
@@ -371,8 +371,7 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000, t0=None,
     if not spans(start, problem):
         raise InfeasibleError("initial chain does not span")
     moves = problem.complex.facets(problem.m + 1)
-    if t0 is None:
-        t0 = float(weights.max()) * 2.0
+    t0, cooling = float(weights.max()) * 2.0, 0.995
     best = None
     init_val = start.value(weights)
     full_trace = []

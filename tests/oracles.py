@@ -22,6 +22,10 @@ for the ratios, once for the plane fit and once for the tilt.
 ``direction_search_oracle`` counts each candidate plane's cells with its own
 ``np.unique(axis=0)``, and ``native_resolution_oracle`` measures the
 distances from every probe sample to a 1024-sample block at once.
+``PlaneRotationOracle`` evaluates the rotation path one tau at a time with
+``math.cos`` and ``math.sin``, and its ``displacement`` is the purge's
+pair loop; ``gauge_grad_oracle`` is each body's gauge gradient computed
+apart from its gauge.
 ``native_resolution_oracle``, ``sample_spacing_oracle`` and
 ``audit_minimizer_oracle`` are also the references for the one grid
 neighbour search (``_grid.neighbours`` and its nearest-sample reduction
@@ -53,7 +57,9 @@ import numpy as np
 from gmtkit._profiles import smoothstep, smoothstep_d, smoothstep_i
 from gmtkit import deform
 from gmtkit.cubemaps import (
+    BallBody,
     Box,
+    EllipsoidBody,
     SmoothMap,
     _check_punctured,
     _punctured_factors,
@@ -288,20 +294,17 @@ def candidate_singular_values_oracle(cand_r, u, eps):
                                  compute_uv=False)
 
 
-def select_center_oracle(cube, measures, eps, *, rng=None, budget=64, slack=0.5,
-                         normal_tol=None):
+def select_center_oracle(cube, measures, eps, *, rng=None, budget=64, slack=0.5):
     """deform.select_center, building and evaluating one map per candidate."""
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     rng = np.random.default_rng(0) if rng is None else rng
     k = cube.dim
-    if normal_tol is None:
-        normal_tol = eps
     iota = eps / math.sqrt(2.0)
     eps_r = 2.0 * iota / cube.side
     active = []
     for v in measures:
-        mask = _restrict_near_cube(v, cube, normal_tol)
+        mask = _restrict_near_cube(v, cube, eps)
         if np.any(mask) and v.weights[mask].sum() > 0:
             active.append((v, mask))
     if not active:
@@ -622,6 +625,75 @@ def direction_search_oracle(xb, t_plane, cone, direction_budget, rng, resolution
             best = k
     own = _covering_count_oracle(xb, resolution)
     return candidates, np.array(scores, dtype=np.int64), best, baseline, own
+
+
+class PlaneRotationOracle:
+    """A ``PlaneRotation`` as it was before the batched path: ``evaluate`` and
+    ``derivative`` loop over the pairs at one tau with ``math.cos`` and
+    ``math.sin`` (an array of tau stacks the per-entry results), and
+    ``displacement`` is the loop the purge's rho wrote out by hand."""
+
+    def __init__(self, rotation):
+        self.angles = rotation.angles
+        self.ambient_dim = rotation.ambient_dim
+
+    def _stack(self, one, tau):
+        n = self.ambient_dim
+        return np.array([one(t) for t in tau]).reshape(len(tau), n, n) if np.ndim(tau) else one(tau)
+
+    def evaluate(self, tau):
+        def one(tau):
+            m = np.eye(self.ambient_dim)
+            for alpha, s, s_hat in self.angles:
+                c = math.cos(tau * alpha) - 1.0
+                si = math.sin(tau * alpha)
+                m += c * (np.outer(s, s) + np.outer(s_hat, s_hat))
+                m += si * (np.outer(s_hat, s) - np.outer(s, s_hat))
+            return m
+        return self._stack(one, tau)
+
+    def derivative(self, tau):
+        def one(tau):
+            n = self.ambient_dim
+            m = np.zeros((n, n))
+            for alpha, s, s_hat in self.angles:
+                c = math.cos(tau * alpha)
+                si = math.sin(tau * alpha)
+                m += alpha * (-si * (np.outer(s, s) + np.outer(s_hat, s_hat)))
+                m += alpha * (c * (np.outer(s_hat, s) - np.outer(s, s_hat)))
+            return m
+        return self._stack(one, tau)
+
+    def displacement(self, tau, v):
+        delta = np.zeros_like(v)
+        for alpha, sv, sh in self.angles:
+            cs = np.cos(tau * alpha) - 1.0
+            sn = np.sin(tau * alpha)
+            vs = v @ sv
+            vh = v @ sh
+            delta += (cs * vs - sn * vh)[:, None] * sv + (cs * vh + sn * vs)[:, None] * sh
+        return delta
+
+
+def gauge_grad_oracle(body, x):
+    """The gauge gradient of a ``BallBody``, ``EllipsoidBody`` or
+    ``SuperellipsoidBody`` as each computed it on its own, apart from its gauge."""
+    if isinstance(body, BallBody):
+        norm = np.linalg.norm(x, axis=1, keepdims=True)
+        safe = np.where(norm > 0, norm, 1.0)
+        return np.where(norm > 0, x / (safe * body.radius), 0.0)
+    if isinstance(body, EllipsoidBody):
+        g = np.sqrt(np.sum((x / body.semi_axes) ** 2, axis=1))
+        safe = np.where(g > 0, g, 1.0)[:, None]
+        return np.where(g[:, None] > 0, x / (body.semi_axes**2) / safe, 0.0)
+    ax = np.abs(x)
+    mx = np.max(ax, axis=1, keepdims=True)
+    s = np.sum((ax / np.where(mx > 0, mx, 1.0)) ** body.power, axis=1)
+    norm = mx[:, 0] * s ** (1.0 / body.power)
+    safe = np.where(norm > 0, norm, 1.0)
+    ratios = np.abs(x) / safe[:, None]
+    grad = (ratios ** (body.power - 1)) * np.sign(x) / body.radius
+    return np.where(norm[:, None] > 0, grad, 0.0)
 
 
 def native_resolution_oracle(points):

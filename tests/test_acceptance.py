@@ -92,7 +92,7 @@ def test_01_rotation_bounds():
                     t = Plane(ft[i], orthonormalize=False)
                     rot = build_rotation(s, t)
                     d = projector_distance(s, t)
-                    stack = rot.evaluate_many(tau_grid)
+                    stack = rot.evaluate(tau_grid)
                     m_tau, m_plus, m_minus, m_one = (
                         stack[:5], stack[5:10], stack[10:15], stack[15]
                     )

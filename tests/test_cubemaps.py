@@ -37,13 +37,15 @@ from gmtkit.cubemaps import (
 )
 from gmtkit.cubical import DyadicCube
 from gmtkit.deform import deform_one_cube
-from gmtkit.grassmann import Plane
+from gmtkit.grassmann import Plane, build_rotation
 from gmtkit.sampling import four_corner_cantor, sample_disc
 from gmtkit.varifold import DiscreteVarifold, blowup_map, sample_spacing
 from oracles import (
+    PlaneRotationOracle,
     SmoothPiecewiseLinearOracle,
     cluster_balls_oracle,
     direction_search_oracle,
+    gauge_grad_oracle,
     native_resolution_oracle,
     sample_spacing_oracle,
     punctured_jacobians_oracle,
@@ -196,6 +198,15 @@ class TestCubeEnclosure:
         boundary = np.array([body.boundary_point(d) for d in dirs])
         nu = body.normal(boundary)
         assert np.all(np.einsum("ni,ni->n", nu, boundary) > 0)
+        # one gauge function per body: the value of gauge, the gradient of the oracle
+        for other in (BallBody(3, 1.5), EllipsoidBody([2.0, 1.0, 0.5]), body):
+            x = np.vstack([dirs, 1e-3 * dirs[:5], np.zeros(3)])
+            g, grad = other.gauge_and_grad(x)
+            assert g.tobytes() == other.gauge(x).tobytes()
+            assert grad.tobytes() == gauge_grad_oracle(other, x).tobytes()
+            assert not grad[-1].any()
+            nu = grad[:-1] / np.linalg.norm(grad[:-1], axis=1, keepdims=True)
+            assert other.normal(x[:-1]).tobytes() == nu.tobytes()
 
 
 class TestCentralProjection:
@@ -638,6 +649,7 @@ class TestDirectionSearchOracle:
         rho = unrect_perturbation(pts, f, region, 0.8, m, cluster_gap=0.2, seed=4, **kw)
         monkeypatch.setattr(cubemaps, "_direction_search", direction_search_oracle)
         monkeypatch.setattr(cubemaps, "_native_resolution", native_resolution_oracle)
+        monkeypatch.setattr(cubemaps, "build_rotation", lambda s, t: PlaneRotationOracle(build_rotation(s, t)))
         want = unrect_perturbation(pts, f, region, 0.8, m, cluster_gap=0.2, seed=4, **kw)
         assert rho.meta["balls"] and rho.meta == want.meta
         assert rho.value(probes).tobytes() == want.value(probes).tobytes()

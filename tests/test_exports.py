@@ -75,3 +75,16 @@ def test_only_smoothmap_reads_the_raw_evaluation():
             if name == "_evaluate" and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno} reads _evaluate")
     assert not found, found
+
+
+def test_only_grassmann_reads_rotation_angles():
+    """No module in ``src/`` but ``grassmann`` reads a rotation's ``angles``:
+    M(tau), M'(tau) and the displacement (M(tau) - I) v all come from
+    ``PlaneRotation``'s one kernel."""
+    found = [
+        f"{path.name}:{node.lineno} reads .angles"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "grassmann"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "angles"
+    ]
+    assert not found, found

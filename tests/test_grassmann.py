@@ -10,6 +10,7 @@ from gmtkit.grassmann import (
     projector_distance,
     tilt_measure_excess,
 )
+from oracles import PlaneRotationOracle
 
 
 def finite_difference_derivative(rot, tau, step=1e-5):
@@ -120,6 +121,48 @@ class TestBuildRotation:
         rot = build_rotation(s, t)
         m1 = rot.evaluate(1.0)
         assert np.abs(m1 @ s.projector() @ m1.T - t.projector()).max() <= 1e-12
+
+
+class TestRotationPath:
+    """``evaluate``, ``derivative`` and ``displacement`` run one kernel over an
+    array of tau; every entry carries the bytes of the per-point oracle."""
+
+    TAUS = [0.0, 1.0, -0.7, 0.3, 2.5, -1e-3]
+
+    def _rotations(self, rng):
+        for n in range(2, 7):
+            for m in range(1, n):
+                for _ in range(3):
+                    yield build_rotation(haar_sample(n, m, rng), haar_sample(n, m, rng))
+        s = haar_sample(4, 2, rng)
+        yield build_rotation(s, s)
+
+    def test_scalar_and_array_match_oracle_bytes(self, rng):
+        for rot in self._rotations(rng):
+            ref, n = PlaneRotationOracle(rot), rot.ambient_dim
+            for tau in self.TAUS + [1, np.float64(-0.25)]:
+                for got, want in ((rot.evaluate(tau), ref.evaluate(tau)),
+                                  (rot.derivative(tau), ref.derivative(tau))):
+                    assert got.shape == (n, n) and got.tobytes() == want.tobytes()
+            taus = np.concatenate([self.TAUS, rng.uniform(-2.0, 2.0, 20)])
+            for got, want in ((rot.evaluate(taus), ref.evaluate(taus)),
+                              (rot.derivative(taus), ref.derivative(taus))):
+                assert got.shape == (len(taus), n, n) and got.tobytes() == want.tobytes()
+            v = rng.standard_normal((len(taus), n))
+            disp = rot.displacement(taus, v)
+            assert disp.tobytes() == ref.displacement(taus, v).tobytes()
+            assert np.abs(disp - np.einsum("tij,tj->ti", rot.evaluate(taus) - np.eye(n), v)).max() <= 1e-14
+            assert rot.evaluate(np.array([])).shape == (0, n, n)
+
+    def test_equal_planes_give_identity_and_zero(self, rng):
+        s = haar_sample(5, 2, rng)
+        rot = build_rotation(s, s)
+        taus = np.array([0.0, 1.0, -0.5])
+        assert np.array_equal(rot.evaluate(taus), np.broadcast_to(np.eye(5), (3, 5, 5)))
+        assert np.array_equal(rot.derivative(taus), np.zeros((3, 5, 5)))
+        assert np.array_equal(rot.evaluate(0.4), np.eye(5))
+        assert np.array_equal(rot.derivative(0.4), np.zeros((5, 5)))
+        assert np.array_equal(rot.displacement(taus, rng.standard_normal((3, 5))), np.zeros((3, 5)))
 
 
 class TestTiltMeasureExcess:
