@@ -395,10 +395,13 @@ def cmd_whitney(args):
     bbox, k = cfg["bbox"], cfg["skeleton_dim"]
     if k > bbox.shape[1]:
         raise InputError(f"skeleton_dim must be at most {bbox.shape[1]}, got {k}")
+    for what, (lo, hi) in [("bbox", bbox), *(("box", box) for box in cfg.get("boxes", []))]:
+        if not (lo < hi).all():
+            raise InputError(f"{what} must have lo < hi on every axis, got lo {lo.tolist()} and hi {hi.tolist()}")
     try:
         fam = whitney_family(_open_set_from_config(cfg), (bbox[0], bbox[1]), cfg["min_level"])
-    except ValueError as exc:  # cube bounds beyond 2^53
-        raise InputError(f"min_level {cfg['min_level']} is too fine for the bbox: {exc}") from exc
+    except ValueError as exc:  # a box face grid beyond MAX_FACE_CELLS, or cube bounds beyond 2^53
+        raise InputError(str(exc)) from exc
     if len(fam) == 0:
         _write_json(out / "whitney_summary.json", {"cubes": 0, "meta": fam.meta})
         return EXIT_OK

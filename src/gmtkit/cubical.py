@@ -9,7 +9,6 @@ output such as centres and bounds.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
@@ -300,61 +299,56 @@ class CubeFamily:
 
 
 # ---------------------------------------------------------------------------
-# open-set oracles for Whitney decompositions
+# open sets for Whitney decompositions: contains, dist_inf_complement and meets on arrays
+
+MAX_FACE_CELLS = 1 << 22  # cells of the face grid a BoxUnion may build
 
 
 class BoxUnion:
-    """Open set given as a finite union of open boxes (dyadic coordinates)."""
+    """Open set given as a finite union of open boxes.
+
+    The box faces cut space into a grid (each axis at its distinct face
+    coordinates, with -inf and inf at the ends).  A point's distance is its
+    sup-distance to the closed cells no box covers, one subtraction
+    x_j - face_j.  ValueError beyond MAX_FACE_CELLS cells.
+    """
 
     def __init__(self, boxes):
         self.boxes = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)) for lo, hi in boxes]
+        faces = [np.unique(c) for c in np.array(self.boxes).transpose(2, 0, 1).reshape(-1, 2 * len(self.boxes))]
+        cells = math.prod(len(f) + 1 for f in faces)
+        if cells > MAX_FACE_CELLS:
+            raise ValueError(f"the box faces cut space into {cells} cells, more than {MAX_FACE_CELLS}")
+        covered = np.zeros([len(f) + 1 for f in faces], dtype=bool)
+        for lo, hi in self.boxes:  # cell k of an axis spans [edges[k], edges[k + 1]]
+            covered[tuple(slice(f.searchsorted(a) + 1, f.searchsorted(b) + 1) for f, a, b in zip(faces, lo, hi))] = True
+        edges, free = [np.concatenate([[-np.inf], f, [np.inf]]) for f in faces], np.nonzero(~covered)
+        self._lo, self._hi = (np.column_stack([e[k + s] for e, k in zip(edges, free)]) for s in (0, 1))
 
     def contains(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ok = np.zeros(len(x), dtype=bool)
-        for lo, hi in self.boxes:
-            ok |= np.all((x > lo) & (x < hi), axis=1)
-        return ok
-
-    def _box_covered(self, lo, hi, boxes):
-        for blo, bhi in boxes:
-            if np.all(lo >= blo) and np.all(hi <= bhi):
-                return True
-        for blo, bhi in boxes:
-            if np.all(np.minimum(hi, bhi) > np.maximum(lo, blo)):
-                # split along the first coordinate where b's face cuts the target
-                for j in range(len(lo)):
-                    for cut in (blo[j], bhi[j]):
-                        if lo[j] < cut < hi[j]:
-                            hi1 = hi.copy()
-                            hi1[j] = cut
-                            lo2 = lo.copy()
-                            lo2[j] = cut
-                            return self._box_covered(lo, hi1, boxes) and self._box_covered(
-                                lo2, hi, boxes
-                            )
-                # b fully spans the target in every axis it cuts
-                return True
-        return False
-
-    def cube_inside(self, center, r):
-        """Whether the closed sup-ball B_inf(center, r) lies in the union."""
-        c = np.asarray(center, dtype=float)
-        return self._box_covered(c - r, c + r, self.boxes)
+        return self.meets(x, x)
 
     def dist_inf_complement(self, x):
-        """Exact sup-norm distance from x to the complement.
+        """Each point's sup-norm distance to the uncovered cells, 0 outside the union."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        d, rows = np.zeros(len(x)), np.nonzero(self.contains(x))[0]
+        cols = min(len(self._lo), _grid.PAIR_BLOCK)  # cell 0 of every axis is uncovered
+        step = _grid.PAIR_BLOCK // cols
+        for i in range(0, len(rows), step):
+            block, best = rows[i : i + step], np.inf
+            for j in range(0, len(self._lo), cols):
+                gap = np.maximum(self._lo[j : j + cols] - x[block, None], x[block, None] - self._hi[j : j + cols])
+                best = np.minimum(best, gap.max(axis=2).min(axis=1))
+            d[block] = best
+        return d
 
-        The distance is one of the face-coordinate offsets; r -> B(x, r)
-        inside U is monotone, so binary search over the sorted candidates.
-        """
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x[None, :])[0]:
-            return 0.0
-        cands = {abs(x[j] - b[j]) for box in self.boxes for b in box for j in range(len(x))}
-        cands = sorted(c for c in cands if c > 0)
-        inside = bisect.bisect_left(cands, True, key=lambda r: not self.cube_inside(x, r))
-        return cands[inside - 1] if inside else 0.0
+    def meets(self, lo, hi):
+        """Whether each closed box [lo, hi] (a point if lo = hi) meets an open box."""
+        lo, hi = np.atleast_2d(np.asarray(lo, dtype=float)), np.atleast_2d(np.asarray(hi, dtype=float))
+        ok = np.zeros(len(lo), dtype=bool)
+        for blo, bhi in self.boxes:
+            ok |= np.all((lo < bhi) & (hi > blo), axis=1)
+        return ok
 
 
 class BallSet:
@@ -369,14 +363,17 @@ class BallSet:
         return np.linalg.norm(x - self.center, axis=1) < self.radius
 
     def dist_inf_complement(self, x):
-        x = np.abs(np.asarray(x, dtype=float) - self.center)
-        if np.linalg.norm(x) >= self.radius:
-            return 0.0
-        n = len(x)
-        # largest r with |x + r * sign-corner| <= radius for the worst corner
-        s = float(np.sum(x))
-        disc = s * s + n * (self.radius**2 - float(x @ x))
-        return (-s + math.sqrt(disc)) / n
+        """Each point's largest r with |x + r * sign-corner| <= radius, 0 outside."""
+        x = np.abs(np.atleast_2d(np.asarray(x, dtype=float)) - self.center)
+        n, s = x.shape[1], x.sum(axis=1)
+        xx = (x[:, None] @ x[:, :, None])[:, 0, 0]  # bit for bit a single point's x @ x
+        with np.errstate(invalid="ignore"):
+            d = (-s + np.sqrt(s * s + n * (self.radius**2 - xx))) / n
+        return np.where(np.sqrt(xx) >= self.radius, 0.0, d)
+
+    def meets(self, lo, hi):
+        """Whether each closed box [lo, hi] holds a point of the ball: its point nearest the centre."""
+        return self.contains(np.clip(self.center, lo, hi))
 
 
 class PuncturedPlane:
@@ -390,7 +387,11 @@ class PuncturedPlane:
         return np.any(x != self.point, axis=1)
 
     def dist_inf_complement(self, x):
-        return float(np.max(np.abs(np.asarray(x, dtype=float) - self.point)))
+        return np.max(np.abs(np.atleast_2d(np.asarray(x, dtype=float)) - self.point), axis=1)
+
+    def meets(self, lo, hi):
+        """Every closed box with interior meets the punctured plane."""
+        return np.ones(len(np.atleast_2d(lo)), dtype=bool)
 
 
 def whitney_family(open_set, bbox, min_level, top_level=None):
@@ -399,11 +400,12 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
     A cube K is emitted when dist_inf(K, complement) > 2 side(K) and its
     parent fails the same test; top-level cubes are emitted on the first
     condition alone (truncation recorded in the family metadata).  Cubes that
-    would need refinement below ``min_level`` are dropped with a count.  A
-    cube's distance is the least over its corners (exact when the oracle's
-    is: dist_inf is 1-Lipschitz in sup-norm and, for BoxUnion-type sets,
-    least at a corner), one oracle call per distinct corner point of a level.
-    ValueError when a bound at the finest level would reach 2^53.
+    fail it are refined when they meet the set, and dropped with a count
+    below ``min_level``.  A cube's distance is the least over its corners
+    (exact when the set's is: dist_inf is 1-Lipschitz in sup-norm and, for
+    BoxUnion-type sets, least at a corner), one call per level on its
+    distinct corner points.  ValueError when a bound at the finest level
+    would reach 2^53.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bbox)
     n = len(lo)
@@ -416,9 +418,9 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
     offsets = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64).reshape(-1, n)
 
     def dist(corners, level):
-        """Each cube's least corner distance, one oracle call per distinct corner point."""
+        """Each cube's least corner distance, one call on the distinct corner points."""
         points, inverse = np.unique((corners[:, None] + offsets).reshape(-1, n), axis=0, return_inverse=True)
-        d = np.array([open_set.dist_inf_complement(p) for p in points * 2.0 ** (-level)])
+        d = open_set.dist_inf_complement(points * 2.0 ** (-level))
         return d[inverse.reshape(len(corners), len(offsets))].min(axis=1)
 
     corners = np.indices(np.maximum(ihi - ilo, 0).astype(np.int64)).reshape(n, -1).T + ilo.astype(np.int64)
@@ -430,10 +432,8 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
             waived_top = int(np.count_nonzero(dist(corners[ok] // 2, level - 1) > 2.0 * 2.0 ** (-(level - 1))))
         emitted += [DyadicCube(level, c, tuple(range(n)), n) for c in map(tuple, corners[ok].tolist())]
         corners = corners[~ok]
-        if level < min_level:  # refine the cubes that still meet the set: a test of each centre and corner
-            clo, chi = corners * side, (corners + 1) * side
-            probes = np.concatenate([((clo + chi) / 2.0)[:, None], (corners[:, None] + offsets) * side], axis=1)
-            meets = open_set.contains(probes.reshape(-1, n)).reshape(len(corners), len(offsets) + 1).any(axis=1)
+        if level < min_level:  # refine the cubes that still meet the set
+            meets = open_set.meets(corners * side, (corners + 1) * side)
             corners = (2 * corners[meets][:, None] + offsets).reshape(-1, n)
     return CubeFamily(emitted, meta={"truncated_below_min_level": len(corners), "top_level_parent_waivers": waived_top,
                                      "top_level": top_level, "min_level": min_level})

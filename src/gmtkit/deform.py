@@ -487,20 +487,18 @@ def _add_stage(plan, cube, kind, current, eps_stage, **search):
     return [pushforward(stage_map, v) for v in current]
 
 
-def _coverage_fraction(cube: DyadicCube, points, grid=5, tol=None):
-    """Fraction of a probe grid on the cube lying within tol of the points."""
-    if tol is None:
-        tol = cube.side / grid
+def _coverage_fraction(cube: DyadicCube, points):
+    """Fraction of a 5^k probe grid on the k-cube lying within side / 5 of the points."""
     axes = list(cube.axes)
     lo, hi = cube.bounds()
-    ticks = [(np.arange(grid) + 0.5) / grid * (hi[a] - lo[a]) + lo[a] for a in axes]
+    ticks = [(np.arange(5) + 0.5) / 5 * (hi[a] - lo[a]) + lo[a] for a in axes]
     mesh = np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, len(axes))
     probes = np.broadcast_to(cube.center(), (len(mesh), cube.ambient_dim)).copy()
     probes[:, axes] = mesh
     if len(points) == 0:
         return 0.0
     d = np.linalg.norm(probes[:, None, :] - points[None, :, :], axis=2)
-    return float(np.mean(d.min(axis=1) <= tol))
+    return float(np.mean(d.min(axis=1) <= cube.side / 5))
 
 
 def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, eps, *,
@@ -603,10 +601,8 @@ def purge_unrectifiable(s_r: DiscreteVarifold, s_u: DiscreteVarifold, bounds, ep
     map is g o rho restricted to admissible deformations of G.
     """
     m = s_r.dim if len(s_r) else s_u.dim
-    lo = np.asarray(bounds[0], dtype=float)
-    hi = np.asarray(bounds[1], dtype=float)
-    open_set = BoxUnion([(lo, hi)])
-    family = whitney_family(open_set, (lo, hi), min_level=min_level)
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    family = whitney_family(BoxUnion([(lo, hi)]), (lo, hi), min_level=min_level)
     complex_ = cubical_complex(family)
     sets = [v for v in (s_r, s_u) if len(v)]
     eps_deform = 2.0 ** (-4) * family.min_side() * 0.5

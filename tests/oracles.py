@@ -42,13 +42,18 @@ per cube for point location, and ``intersects`` for neighbours, which
 lives here with the other cube predicates no library routine calls:
 ``scaled_bounds``, ``interiors_overlap`` and ``is_face_of``.
 ``whitney_family_oracle`` is the queue of cube objects the integer levels
-replaced, each cube's corners measured on their own (``_cube_dist_inf``),
-and ``cubical_complex_oracle`` the set of canonical ``DyadicCube.faces``
-objects with a set lookup of each face's children; ``children``,
-``parent`` and ``canonical`` are the cube methods they called.
+replaced, each cube's corners measured on their own (``_cube_dist_inf``)
+and each cube refined on its own ``meets_oracle`` test;
+``dist_inf_complement_oracle`` is the open sets' point-by-point distance
+before the array forms (for boxes, the recursive cover test and the
+bisection over face offsets), and ``cubical_complex_oracle`` the set of
+canonical ``DyadicCube.faces`` objects with a set lookup of each face's
+children; ``children``, ``parent`` and ``canonical`` are the cube methods
+they called.
 The tests assert that the library returns the same bytes.
 """
 
+import bisect
 import itertools
 import math
 
@@ -73,7 +78,7 @@ from gmtkit.deform import (
     center_bound_constant,
 )
 from gmtkit.grassmann import Plane, projector_distance
-from gmtkit.cubical import CubeFamily, CubicalComplex, DyadicCube
+from gmtkit.cubical import BallSet, BoxUnion, CubeFamily, CubicalComplex, DyadicCube, PuncturedPlane
 from gmtkit.solver import GridComplex, _Reduction, _to_bits, _to_int
 from gmtkit.varifold import DiscreteVarifold
 from gmtkit.varifold import unit_ball_volume
@@ -905,6 +910,69 @@ def _corners(lo, hi):
     return np.array(list(itertools.product(*zip(lo, hi))))
 
 
+def _box_covered(lo, hi, boxes):
+    """Whether the union of the closed boxes covers the closed box [lo, hi]
+    (lists of floats), splitting it at the first face of an overlapping box
+    that cuts it."""
+    for blo, bhi in boxes:
+        if all(a >= b for a, b in zip(lo, blo)) and all(a <= b for a, b in zip(hi, bhi)):
+            return True
+    for blo, bhi in boxes:
+        if all(min(h, bh) > max(l, bl) for l, h, bl, bh in zip(lo, hi, blo, bhi)):
+            for j in range(len(lo)):
+                for cut in (blo[j], bhi[j]):
+                    if lo[j] < cut < hi[j]:
+                        return (_box_covered(lo, hi[:j] + [cut] + hi[j + 1:], boxes)
+                                and _box_covered(lo[:j] + [cut] + lo[j + 1:], hi, boxes))
+            # b fully spans the target in every axis it cuts
+            return True
+    return False
+
+
+def dist_inf_complement_oracle(open_set, x):
+    """The sup-norm distance from one point to the complement of a
+    ``BoxUnion``, ``BallSet`` or ``PuncturedPlane``, as each computed it
+    point by point.
+
+    For boxes, the distance is one of the face offsets |x_j - face_j|, and
+    r -> [x - r, x + r] covered is monotone: a binary search over the sorted
+    offsets with the recursive cover test.  The boxes are taken relative to
+    x, so each comparison is between the offsets themselves; on dyadic faces
+    and points that is the arithmetic of the absolute coordinates.
+    """
+    x = np.asarray(x, dtype=float)
+    if isinstance(open_set, PuncturedPlane):
+        return float(np.max(np.abs(x - open_set.point)))
+    if isinstance(open_set, BallSet):
+        x = np.abs(x - open_set.center)
+        if np.linalg.norm(x) >= open_set.radius:
+            return 0.0
+        n = len(x)
+        # largest r with |x + r * sign-corner| <= radius for the worst corner
+        s = float(np.sum(x))
+        disc = s * s + n * (open_set.radius**2 - float(x @ x))
+        return (-s + math.sqrt(disc)) / n
+    x = x.tolist()
+    boxes = [([b - v for b, v in zip(blo.tolist(), x)], [b - v for b, v in zip(bhi.tolist(), x)])
+             for blo, bhi in open_set.boxes]
+    if not any(all(a < 0.0 < b for a, b in zip(*box)) for box in boxes):  # x in no open box
+        return 0.0
+    cands = sorted({abs(c) for box in boxes for b in box for c in b} - {0.0})
+    inside = bisect.bisect_left(cands, True, key=lambda r: not _box_covered([-r] * len(x), [r] * len(x), boxes))
+    return cands[inside - 1] if inside else 0.0
+
+
+def meets_oracle(open_set, lo, hi):
+    """Whether the closed box [lo, hi] meets the open set: for boxes an open
+    overlap with one of them, for a ball its point nearest the centre inside."""
+    if isinstance(open_set, BoxUnion):
+        return any(all(lo[j] < bhi[j] and hi[j] > blo[j] for j in range(len(lo))) for blo, bhi in open_set.boxes)
+    if isinstance(open_set, BallSet):
+        gap = np.clip(open_set.center, lo, hi) - open_set.center
+        return math.sqrt(sum(float(g) * float(g) for g in gap)) < open_set.radius
+    return True
+
+
 def _cube_dist_inf(cube, open_set):
     """Sup-norm distance from the (closed) cube to the complement of the set.
 
@@ -912,12 +980,12 @@ def _cube_dist_inf(cube, open_set):
     since dist_inf is 1-Lipschitz in sup-norm and, for BoxUnion-type sets,
     least at a corner.
     """
-    return min(open_set.dist_inf_complement(c) for c in _corners(*cube.bounds()))
+    return min(dist_inf_complement_oracle(open_set, c) for c in _corners(*cube.bounds()))
 
 
 def whitney_family_oracle(open_set, bbox, min_level, top_level=None):
     """``cubical.whitney_family`` as a queue of cubes, each cube's corners
-    evaluated on their own."""
+    evaluated on their own and each cube refined on its own meets test."""
     lo = np.asarray(bbox[0], dtype=float)
     hi = np.asarray(bbox[1], dtype=float)
     n = len(lo)
@@ -939,11 +1007,8 @@ def whitney_family_oracle(open_set, bbox, min_level, top_level=None):
             emitted.append(cube)
         elif cube.level >= min_level:
             truncated += 1
-        else:
-            # refine only when the cube still meets the set
-            clo, chi = cube.bounds()
-            if open_set.contains(np.vstack([(clo + chi) / 2.0, _corners(clo, chi)])).any():
-                queue.extend(children(cube))
+        elif meets_oracle(open_set, *cube.bounds()):
+            queue.extend(children(cube))
     return CubeFamily(emitted, meta={"truncated_below_min_level": truncated, "top_level_parent_waivers": waived_top,
                                      "top_level": top_level, "min_level": min_level})
 

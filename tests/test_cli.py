@@ -479,6 +479,12 @@ BAD_INPUTS = {
     "audit_chain_m_fraction": ({}, ["audit", "chain_m_fraction.json"]),
     "whitney_min_level_62": ({"GMTKIT_MIN_LEVEL": "62"}, ["whitney"]),
     "whitney_min_level_64": ({"GMTKIT_MIN_LEVEL": "64"}, ["whitney"]),
+    "whitney_bbox_flat": ({"GMTKIT_BBOX": "[[0, -1], [0, 1]]"}, ["whitney"]),
+    "whitney_box_lo_above_hi": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BOXES": "[[[0, 0], [1, -1]]]"}, ["whitney"]),
+    # 81 boxes with distinct faces: 163^3 face-grid cells, above 2^22, counted before any grid is made
+    "whitney_boxes_over_face_cap": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BBOX": "[[0, 0, 0], [1, 1, 1]]",
+                                     "GMTKIT_BOXES": json.dumps([[[i] * 3, [1000 + i] * 3] for i in range(81)])},
+                                    ["whitney"]),
 }
 
 # the same contract for inputs from the environment and from files, run

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gmtkit import cubical
 from gmtkit.cubical import (
     BallSet,
     BoxUnion,
@@ -23,11 +24,13 @@ from oracles import (
     children,
     contains_point_oracle,
     cubical_complex_oracle,
+    dist_inf_complement_oracle,
     interior_contains_oracle,
     interiors_overlap,
     intersects,
     is_face_of,
     max_touching_oracle,
+    meets_oracle,
     neighbors_oracle,
     parent,
     touching_pairs_oracle,
@@ -292,13 +295,19 @@ class TestNeighbors:
             neighbors(fam, DyadicCube(0, (9, 9), (0, 1), 2), 1)
 
 
-def _random_box_union(seed):
+def _random_boxes(seed, n=2, count=3):
+    """Boxes with quarter-integer faces in R^n, so that overlaps, shared
+    faces and corner contacts are common."""
     rng = np.random.default_rng(seed)
     boxes = []
-    for _ in range(3):
-        lo = rng.integers(-6, 3, 2) / 4.0
-        boxes.append((lo, lo + rng.integers(2, 6, 2) / 4.0))
-    return whitney_family(BoxUnion(boxes), ([-2, -2], [2, 2]), min_level=4, top_level=1)
+    for _ in range(count):
+        lo = rng.integers(-6, 3, n) / 4.0
+        boxes.append((lo, lo + rng.integers(2, 6, n) / 4.0))
+    return boxes
+
+
+def _random_box_union(seed):
+    return whitney_family(BoxUnion(_random_boxes(seed)), ([-2, -2], [2, 2]), min_level=4, top_level=1)
 
 
 def _cube_soup(seed, count=40):
@@ -419,6 +428,13 @@ CUBE_ROW_FAMILIES = {
     "box-in-plane": (BoxUnion([([0.0, 0.0], [16.0, 16.0])]), ([0, 0], [16, 16]), 2, 0),
     # a puncture far from the origin: corners near 2^40 at the finest level
     "far-puncture": (PuncturedPlane([1000.0, 1000.0]), ([999, 999], [1001, 1001]), 30, None),
+    # sets that hold no centre or corner of the top-level cubes
+    "small-ball": (BallSet([0.5, 0.5], 0.3), ([-1, -1], [1, 1]), 5, None),
+    "half-box": (BoxUnion([([-1.0, -1.0], [0.0, 1.0])]), ([-1, -1], [1, 1]), 3, None),
+    # faces off the dyadic grid
+    "non-dyadic-box": (BoxUnion([([0.1, 0.1], [0.9, 0.9])]), ([0, 0], [1, 1]), 5, None),
+    "random-union-2d": (BoxUnion(_random_boxes(3, 2, 4)), ([-2, -2], [2, 2]), 4, 1),
+    "random-union-3d": (BoxUnion(_random_boxes(4, 3, 3)), ([-2, -2, -2], [2, 2, 2]), 3, 1),
 }
 
 
@@ -447,20 +463,32 @@ class TestCubeRowsOracle:
         with pytest.raises(ValueError, match="size-ratio"):
             cubical_complex(CubeFamily([DyadicCube(0, (0, 0), (0, 1), 2), DyadicCube(2, (4, 0), (0, 1), 2)]))
 
+    @pytest.mark.parametrize("case", sorted(CUBE_ROW_FAMILIES))
+    def test_covers_points_far_from_the_complement(self, case):
+        """A bbox point farther than 3 sides of the finest level from the
+        complement lies in a family cube: the cubes holding it meet the set,
+        and the one at the finest level passes the Whitney test."""
+        open_set, bbox, min_level, _ = CUBE_ROW_FAMILIES[case]
+        fam = whitney_family(*CUBE_ROW_FAMILIES[case])
+        pts = np.random.default_rng(0).uniform(bbox[0], bbox[1], (2000, len(bbox[0])))
+        far = pts[open_set.dist_inf_complement(pts) > 3 * 2.0**-min_level]
+        assert fam.contains_point(far).all()
+        assert len(far) > 0 or case == "empty"
+
     @pytest.mark.parametrize("case", ["box-union-2d", "box-in-plane", "ball-3d", "punctured-plane"])
     def test_each_corner_point_once_per_level(self, case, monkeypatch):
-        open_set, *rest = CUBE_ROW_FAMILIES[case]
+        open_set, bbox, min_level, top_level = CUBE_ROW_FAMILIES[case]
         calls = []
 
         class Counting:
-            contains = staticmethod(open_set.contains)
+            contains, meets = staticmethod(open_set.contains), staticmethod(open_set.meets)
 
             @staticmethod
             def dist_inf_complement(x):
-                calls.append(tuple(x))
+                calls.append(list(map(tuple, x.tolist())))
                 return open_set.dist_inf_complement(x)
 
-        fam = whitney_family(Counting(), *rest)
+        fam = whitney_family(Counting(), bbox, min_level, top_level)
         measured = {}  # level -> the corner points of the cubes the queue loop measured
         real = oracles._cube_dist_inf
 
@@ -470,9 +498,14 @@ class TestCubeRowsOracle:
             return real(cube, u)
 
         monkeypatch.setattr(oracles, "_cube_dist_inf", record)
-        assert whitney_family_oracle(open_set, *rest).cubes == fam.cubes
-        assert len(calls) == sum(len(points) for points in measured.values())
-        assert set(calls) == set().union(*measured.values())
+        assert whitney_family_oracle(open_set, bbox, min_level, top_level).cubes == fam.cubes
+        # one call per level, the top level's parents second
+        top = fam.meta["top_level"]
+        levels = [top, top - 1, *range(top + 1, max(top, min_level) + 1)]
+        assert len(calls) == len(levels)
+        for level, rows in zip(levels, calls):
+            assert len(rows) == len(set(rows))
+            assert set(rows) == measured.get(level, set())
 
     def test_complex_builds_no_faces(self, monkeypatch):
         fam = whitney_family(*CUBE_ROW_FAMILIES["box-union-3d"])
@@ -483,6 +516,64 @@ class TestCubeRowsOracle:
 
         monkeypatch.setattr(DyadicCube, "faces", refuse)
         assert cubical_complex(CubeFamily(fam.cubes)).to_json() == expected
+
+
+def _box_unions(n):
+    """Random dyadic box unions in R^n, each with a box nested in its first
+    box and one touching its first box at a corner."""
+    for seed in range(4):
+        boxes = _random_boxes(10 + seed, n, 4)
+        lo, hi = boxes[0]
+        yield BoxUnion(boxes + [((3 * lo + hi) / 4, (lo + 3 * hi) / 4), (hi, hi + 0.5)])
+
+
+def _probe_rows(n, rng):
+    """Points on a 1/8 lattice (on faces and corners), uniform points and far points."""
+    lattice = rng.integers(-20, 21, (300, n)) / 8.0
+    uniform = rng.uniform(-2.5, 2.5, (300, n))
+    far = rng.choice([-1.0, 1.0], (20, n)) * 1e6
+    return np.vstack([lattice, uniform, far])
+
+
+class TestOpenSetRows:
+    """The open sets' array forms against the point-by-point distances and
+    the per-box meets rule of tests/oracles.py, byte for byte."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_box_union_rows(self, n, rng):
+        for u in _box_unions(n):
+            pts = _probe_rows(n, rng)
+            want = np.array([dist_inf_complement_oracle(u, p) for p in pts])
+            assert (want > 0).any()
+            assert u.dist_inf_complement(pts).tobytes() == want.tobytes()
+            lo = rng.integers(-20, 21, (300, n)) / 8.0
+            hi = lo + rng.integers(1, 5, (300, n)) / 8.0
+            assert u.meets(lo, hi).tolist() == [meets_oracle(u, a, b) for a, b in zip(lo, hi)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_ball_and_puncture_rows(self, n, rng):
+        centre, radius = rng.uniform(-1, 1, n), float(rng.uniform(0.5, 2))
+        pts = np.vstack([centre + rng.uniform(-2.5, 2.5, (2000, n)), centre, rng.integers(-16, 17, (200, n)) / 8.0])
+        lo = rng.uniform(-3, 3, (300, n))
+        hi = lo + rng.uniform(0, 1, (300, n))
+        for u in (BallSet(centre, radius), PuncturedPlane(centre)):
+            want = np.array([dist_inf_complement_oracle(u, p) for p in pts])
+            assert u.dist_inf_complement(pts).tobytes() == want.tobytes()
+            assert u.meets(lo, hi).tolist() == [meets_oracle(u, a, b) for a, b in zip(lo, hi)]
+
+    def test_non_dyadic_faces(self):
+        u = BoxUnion([([0.1] * 2, [0.9] * 2)])
+        assert u.dist_inf_complement([[0.5, 0.5]]).tolist() == [0.4]
+        x = np.random.default_rng(0).uniform(0.1, 0.9, (2000, 2))
+        x = x[u.contains(x)]
+        assert u.dist_inf_complement(x).tolist() == np.minimum(x - 0.1, 0.9 - x).min(axis=1).tolist()
+
+    def test_face_grid_cap(self):
+        # 81 boxes with distinct faces cut each axis into 163 cells: counted, not built
+        boxes = [([i] * 3, [1000 + i] * 3) for i in range(81)]
+        assert 163**3 > cubical.MAX_FACE_CELLS
+        with pytest.raises(ValueError, match=f"{163**3} cells"):
+            BoxUnion(boxes)
 
 
 class TestCubeBounds:
