@@ -45,7 +45,8 @@ from .solver import (
     exhaustive_oracle,
     minimize as solver_minimize,
 )
-from .varifold import DiscreteVarifold, _checked_floats, ellipticity_probe, integrand_from_config, slice_varifold
+from .varifold import (DiscreteVarifold, _checked_floats, _write_table, ellipticity_probe, integrand_from_config,
+                       slice_varifold)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -237,13 +238,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
 def _out_dir(args):
     out = Path(args.out)
     try:
@@ -260,7 +254,7 @@ def _out_dir(args):
 def cmd_rotate(args):
     out = _out_dir(args)
     taus = _arguments(args, INPUTS["rotate"])["tau"].tolist()
-    rows = []
+    pairs, devs, bounds = [], [], []
     try:
         lines = Path(args.planes).read_text().splitlines()
     except OSError as exc:
@@ -280,15 +274,15 @@ def cmd_rotate(args):
         except (ValueError, IndexError) as exc:
             raise InputError(f"{args.planes}:{ln}: malformed plane pair ({exc})") from exc
         d = projector_distance(s, t)
-        rot = build_rotation(s, t)
-        for tau, m_tau in zip(taus, rot.evaluate(taus)):
-            dev = float(np.linalg.norm(m_tau - np.eye(n), 2))
-            bound = 8.0 * abs(tau) * d
-            rows.append((ln, tau, dev, bound, "pass" if dev <= bound + 1e-12 else "fail"))
-    _write_csv(out / "rotate_report.csv", "line,tau,norm_M_minus_I,bound,status", rows)
-    failures = sum(1 for r in rows if r[4] == "fail")
-    _write_json(out / "rotate_summary.json", {"pairs": len(rows) // max(len(taus), 1),
-                                              "taus": taus, "failures": failures})
+        pairs.append(ln)
+        devs += [float(np.linalg.norm(m_tau - np.eye(n), 2)) for m_tau in build_rotation(s, t).evaluate(taus)]
+        bounds += [8.0 * abs(tau) * d for tau in taus]
+    dev, bound = np.array(devs), np.array(bounds)
+    status = np.where(dev <= bound + 1e-12, "pass", "fail")
+    _write_table(out / "rotate_report.csv", "line,tau,norm_M_minus_I,bound,status",
+                 [np.repeat(pairs, len(taus)), np.tile(taus, len(pairs)), dev, bound, status])
+    failures = int((status == "fail").sum())
+    _write_json(out / "rotate_summary.json", {"pairs": len(pairs), "taus": taus, "failures": failures})
     return EXIT_OK if failures == 0 else EXIT_PIPELINE
 
 
@@ -308,10 +302,9 @@ def cmd_retract(args):
     jac = np.linalg.svd(dl, compute_uv=False)[:, 0]
     dist_before = np.linalg.norm(probes - np.clip(probes, -1, 1), axis=1)
     dist_after = np.linalg.norm(img - np.clip(img, -1, 1), axis=1)
-    rows = [tuple(map(float, list(probes[i]) + [disp[i], jac[i], dist_before[i], dist_after[i]]))
-            for i in range(len(probes))]
-    _write_csv(out / "retract_probes.csv",
-               ",".join([f"x{j}" for j in range(n)]) + ",displacement,jac_norm,dist_before,dist_after", rows)
+    _write_table(out / "retract_probes.csv",
+                 ",".join([f"x{j}" for j in range(n)]) + ",displacement,jac_norm,dist_before,dist_after",
+                 [*probes.T, disp, jac, dist_before, dist_after])
     summary = {
         "n": n,
         "eps": eps,
@@ -361,15 +354,15 @@ def cmd_project(args):
     xh = probes / np.linalg.norm(probes, axis=1, keepdims=True)
     bound = np.linalg.norm(pv, axis=1) / np.linalg.norm(probes, axis=1) * (1.0 + 1.0 / np.einsum("ni,ni->n", nu, xh))
     jnorm = np.linalg.svd(pj, compute_uv=False)[:, 0]
-    rows = [tuple(map(float, list(probes[i]) + [np.linalg.norm(qv[i] - probes[i]),
-                                                np.linalg.norm(pv[i] - probes[i]), jnorm[i], bound[i]]))
-            for i in range(len(probes))]
-    _write_csv(out / "project_probes.csv",
-               ",".join([f"x{j}" for j in range(n)]) + ",q_move,p_move,dp_norm,dp_bound", rows)
+    # a norm per row: np.linalg.norm(..., axis=1) may round these two columns differently
+    q_move, p_move = (np.array([np.linalg.norm(row) for row in img - probes]) for img in (qv, pv))
+    _write_table(out / "project_probes.csv",
+                 ",".join([f"x{j}" for j in range(n)]) + ",q_move,p_move,dp_norm,dp_bound",
+                 [*probes.T, q_move, p_move, jnorm, bound])
     summary = {
         "fd_jacobian_error": float(fd),
         "derivative_bound_ok": bool(np.all(jnorm <= bound + 1e-9)),
-        "q_shorter_than_p": bool(np.all([r[n] <= r[n + 1] + 1e-12 for r in rows])),
+        "q_shorter_than_p": bool(np.all(q_move <= p_move + 1e-12)),
         "pass": bool(fd < 1e-5 and np.all(jnorm <= bound + 1e-9)),
     }
     _write_json(out / "project_summary.json", summary)
@@ -451,10 +444,9 @@ def cmd_deform(args):
     with open(out / "deform_plan.json", "w") as fh:
         fh.write(plan.to_json())
         fh.write("\n")
-    rows = [tuple(map(float, list(v.points[i]) + list(img[i]))) for i in range(len(v))]
-    _write_csv(out / "deformed_set.csv",
-               ",".join([f"x{j}" for j in range(n)]) + "," + ",".join([f"y{j}" for j in range(n)]),
-               rows)
+    _write_table(out / "deformed_set.csv",
+                 ",".join([f"x{j}" for j in range(n)]) + "," + ",".join([f"y{j}" for j in range(n)]),
+                 [*v.points.T, *img.T])
     constants = dict(plan.constants)
     if len(v):
         skeleton = cx.skeleton(m)
@@ -492,7 +484,7 @@ def _scalar_map(kind, n):
 def _read_set(path):
     try:
         return DiscreteVarifold.from_csv(path)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: the set-file rule
         raise InputError(f"cannot read set {path}: {exc}") from exc
 
 
@@ -567,8 +559,12 @@ def _write_audit(out, report, n):
     (px, py, pz up to three dimensions, p0, p1, ... beyond)."""
     _write_json(out / "audit_report.json", report)
     coords = ["px", "py", "pz"][:n] if n <= 3 else [f"p{j}" for j in range(n)]
-    _write_csv(out / "audit_ratios.csv", ",".join(coords + ["radius", "ratio", "flag"]),
-               [tuple(e["point"]) + (r[0], r[1], r[2]) for e in report["entries"] for r in e["ratios"]])
+    entries = report["entries"]
+    points = np.array([e["point"] for e in entries], dtype=float).reshape(len(entries), n)
+    points = np.repeat(points, [len(e["ratios"]) for e in entries], axis=0)  # one row per (point, radius)
+    radius, ratio, flag = (np.array([r[k] for e in entries for r in e["ratios"]]) for k in range(3))
+    _write_table(out / "audit_ratios.csv", ",".join(coords + ["radius", "ratio", "flag"]),
+                 [*points.T, radius, ratio, flag])
 
 
 def cmd_audit(args):

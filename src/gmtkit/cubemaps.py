@@ -1010,7 +1010,6 @@ def unrect_perturbation(
     direction_budget=720,
     threshold_factor=0.5,
     resolution=None,
-    rank_tol=1e-6,
 ):
     """Diffeomorphism rho with f o rho shrinking the sampled set's measure.
 
@@ -1037,7 +1036,7 @@ def unrect_perturbation(
     jacs = f.jacobian(points)
     svals = np.linalg.svd(jacs, compute_uv=False)
     if svals.shape[1] > m:
-        bad = svals[:, m] > rank_tol * np.maximum(svals[:, 0], 1e-12)
+        bad = svals[:, m] > 1e-6 * np.maximum(svals[:, 0], 1e-12)
         if np.any(bad):
             i = int(np.argmax(bad))
             raise RankConditionError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from .cubemaps import (
     unrect_perturbation,
 )
 from .cubical import BoxUnion, CubeFamily, CubeIndex, CubicalComplex, DyadicCube, cubical_complex, whitney_family
-from .varifold import DiscreteVarifold, covering_measure, pushforward, sample_spacing
+from .varifold import DiscreteVarifold, _checked_floats, covering_measure, pushforward, sample_spacing
 
 logger = logging.getLogger("gmtkit.deform")
 
@@ -362,14 +363,13 @@ class DeformationPlan:
             cur = s.map.value(cur)
         return cur
 
-    def homotopy(self, t, points, use_all=True):
+    def homotopy(self, t, points):
         """f(t, x): the time interpolation through the stage maps.
 
         f(t, .) = s(tN - j) psi_{j+1} + (1 - s(tN - j)) psi_j with a flat
         smooth time profile s.
         """
-        stages = self.stages if use_all else self.g_stages()
-        n_stages = len(stages)
+        n_stages = len(self.stages)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if n_stages == 0 or t <= 0:
             return pts.copy()
@@ -377,16 +377,17 @@ class DeformationPlan:
         j = min(int(math.floor(tau)), n_stages - 1)
         cur = self.apply_stages(pts, j)
         w = float(smoothstep(tau - j))
-        nxt = stages[j].map.value(cur)
+        nxt = self.stages[j].map.value(cur)
         return cur + w * (nxt - cur)
 
-    def homotopy_mass_estimate(self, v: DiscreteVarifold, time_samples=5, use_all=False):
-        """Trapezoidal estimate of the (m+1)-measure of the whole homotopy.
+    def homotopy_mass_estimate(self, v: DiscreteVarifold):
+        """Trapezoidal estimate of the (m+1)-measure of the homotopy through
+        the descent stages.
 
-        Integrates |d_t f| ||D_x f_t||^m over time and the sample measure,
-        stage interval by stage interval.
+        Integrates |d_t f| ||D_x f_t||^m over time (five times per stage) and
+        the sample measure, stage interval by stage interval.
         """
-        stages = self.g_stages() if not use_all else self.stages
+        stages = self.g_stages()
         n_stages = len(stages)
         if n_stages == 0 or len(v) == 0:
             return 0.0
@@ -394,9 +395,8 @@ class DeformationPlan:
         w = v.weights
         jac_total = np.broadcast_to(np.eye(v.ambient_dim), (len(pts),) * 1 + (v.ambient_dim, v.ambient_dim)).copy()
         total = 0.0
-        sigma = np.linspace(0.0, 1.0, time_samples)
-        trap_w = np.full(time_samples, 1.0 / (time_samples - 1))
-        trap_w[0] = trap_w[-1] = 0.5 / (time_samples - 1)
+        sigma = np.linspace(0.0, 1.0, 5)
+        trap_w = np.array([0.125, 0.25, 0.25, 0.25, 0.125])
         for stage in stages:
             nxt, jstage = stage.map.value_and_jacobian(pts)
             delta = np.linalg.norm(nxt - pts, axis=1)
@@ -433,23 +433,29 @@ class DeformationPlan:
 
     @staticmethod
     def from_json(text):
+        """The plan ``to_json`` wrote.  Each stage's cube, a centre of n finite
+        numbers, eps and freeze_radius finite and > 0, and kind "descent" or
+        "cleanup"; descent_count an integer in [0, number of stages].  A plan
+        that breaks these raises ValueError naming the stage and the rule."""
         data = json.loads(text)
+        count = data["descent_count"]
+        if type(count) is not int or not 0 <= count <= len(data["stages"]):
+            raise ValueError(f"descent_count must be an integer in [0, {len(data['stages'])}], "
+                             f"got {reprlib.repr(count)}")
         plan = DeformationPlan(
-            m=data["m"], eps=data["eps"], seed=data["seed"],
-            descent_count=data["descent_count"], constants=data.get("constants", {}),
+            m=data["m"], eps=data["eps"], seed=data["seed"], descent_count=count, constants=data.get("constants", {}),
         )
-        for sd in data["stages"]:
+        for i, sd in enumerate(data["stages"]):
             cube = DyadicCube.from_dict(sd["cube"])
-            stage = PlanStage(
-                cube=cube,
-                center=np.array(sd["center"], dtype=float),
-                eps=sd["eps"],
-                freeze_radius=sd["freeze_radius"],
-                kind=sd["kind"],
-            )
-            stage.map = deform_one_cube(
-                cube, [], sd["eps"], center=stage.center, freeze_radius=sd["freeze_radius"]
-            )
+            center = _checked_floats(sd["center"], f"stage {i} center", f"{cube.ambient_dim} finite numbers",
+                                     lambda a: a.shape == (cube.ambient_dim,))
+            eps, freeze_radius = (float(_checked_floats(sd[key], f"stage {i} {key}", "a finite number > 0",
+                                                        lambda a: a.ndim == 0 and a > 0))
+                                  for key in ("eps", "freeze_radius"))
+            if sd["kind"] not in ("descent", "cleanup"):
+                raise ValueError(f'stage {i} kind must be "descent" or "cleanup", got {reprlib.repr(sd["kind"])}')
+            stage = PlanStage(cube=cube, center=center, eps=eps, freeze_radius=freeze_radius, kind=sd["kind"])
+            stage.map = deform_one_cube(cube, [], eps, center=center, freeze_radius=freeze_radius)
             plan.stages.append(stage)
         return plan
 

@@ -28,7 +28,8 @@ __all__ = [
     "haar_sample",
 ]
 
-FRAME_TOL = 1e-12
+# largest entry of |F^T F - I| for an orthonormal frame F: Plane's check and the set-file rule
+FRAME_TOL = 1e-10
 # angle below which a principal pair is treated as already aligned
 ANGLE_DROP_TOL = 1e-12
 
@@ -74,7 +75,7 @@ class Plane:
             frame = frame.copy()
         if frame.shape[1] > 0:
             gram = frame.T @ frame
-            if np.max(np.abs(gram - np.eye(frame.shape[1]))) > 1e-10:
+            if np.max(np.abs(gram - np.eye(frame.shape[1]))) > FRAME_TOL:
                 raise ValueError("frame is not orthonormal")
         self.frame = frame
         self.frame.setflags(write=False)

@@ -12,13 +12,14 @@ import itertools
 import math
 import reprlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from ._profiles import SmoothPiecewiseLinear
 from . import _grid
 from .cubemaps import SmoothMap
-from .grassmann import Plane, haar_sample
+from .grassmann import FRAME_TOL, Plane, haar_sample
 
 __all__ = [
     "Integrand",
@@ -308,52 +309,120 @@ class DiscreteVarifold:
         return DiscreteVarifold(points, None, weights, dim=dim)
 
     def to_csv(self, path):
+        """Write the set file that ``from_csv`` reads: the header, then one row
+        per sample in order, its frame columns one after another."""
         n, m = self.ambient_dim, self.dim
-        with open(path, "w") as fh:
-            fh.write(f"# gmtkit varifold n={n} m={m}\n")
-            for i in range(len(self)):
-                coords = ",".join(repr(float(v)) for v in self.points[i])
-                weight = repr(float(self.weights[i]))
-                if self.isotropic[i]:
-                    fh.write(f"{coords},isotropic,{weight}\n")
-                else:
-                    fr = ",".join(repr(float(v)) for v in self.frames[i].T.ravel())
-                    fh.write(f"{coords},{fr},{weight}\n")
+        entries = self.frames.transpose(0, 2, 1).reshape(len(self), n * m)
+        starts = np.flatnonzero(np.diff(self.isotropic.astype(np.int8), prepend=-1))  # runs of one row kind
+        blocks = []
+        for lo, hi in zip(starts, [*starts[1:], len(self)]):
+            middle = [["isotropic"] * (hi - lo)] if self.isotropic[lo] else entries[lo:hi].T
+            blocks.append([*self.points[lo:hi].T, *middle, self.weights[lo:hi]])
+        _write_table(path, f"# gmtkit varifold n={n} m={m}", *blocks)
 
     @staticmethod
     def from_csv(path):
-        points, frames, weights, iso = [], [], [], []
-        n = m = None
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for tok in line.split():
-                        if tok.startswith("n="):
-                            n = int(tok[2:])
-                        if tok.startswith("m="):
-                            m = int(tok[2:])
-                    continue
-                parts = line.split(",")
-                if n is None:
-                    raise ValueError("varifold csv requires the header line")
-                points.append([float(v) for v in parts[:n]])
-                if parts[n] == "isotropic":
-                    iso.append(True)
-                    frames.append(np.zeros((n, m)))
-                    weights.append(float(parts[n + 1]))
-                else:
-                    iso.append(False)
-                    fr = np.array([float(v) for v in parts[n : n + n * m]]).reshape(m, n).T
-                    frames.append(fr)
-                    weights.append(float(parts[n + n * m]))
-        if not points:
-            if n is None or m is None:
-                raise ValueError("varifold csv requires the header line")
-            return DiscreteVarifold(np.zeros((0, n)), np.zeros((0, n, m)), np.zeros(0))
-        return DiscreteVarifold(np.array(points), np.array(frames), np.array(weights), np.array(iso))
+        """Read a set file: a ``#`` header giving n and m, then tangent rows
+        (n coordinates, the n*m entries of the frame column by column, the
+        weight) and isotropic rows (n coordinates, ``isotropic``, the weight)
+        in any order.  A row with the wrong number of fields, a field that is
+        not a finite number, a negative weight or a frame that is not
+        orthonormal within ``FRAME_TOL`` raises ValueError naming the line
+        and the rule."""
+        lines = Path(path).read_text().splitlines()
+        n, m, start = _set_header(lines)
+        body = [(i, s) for i, s in enumerate(map(str.strip, lines[start:]), start + 1) if s]
+        lineno, text = np.array([i for i, _ in body], dtype=int), [s for _, s in body]
+        iso = np.fromiter(("isotropic" in s for s in text), bool, len(text))
+        fields = np.fromiter((s.count(",") for s in text), int, len(text)) + 1
+        _check_rows(lineno, text, fields != np.where(iso, n + 2, n + n * m + 1),
+                    f"a tangent row must have n + n*m + 1 = {n + n * m + 1} fields and an isotropic row n + 2 = {n + 2}")
+        bad = np.zeros(len(text), dtype=bool)
+        bad[iso] = [s.split(",", n + 1)[n] != "isotropic" for s in itertools.compress(text, iso)]
+        _check_rows(lineno, text, bad, f"an isotropic row must have the token isotropic as field {n + 1}")
+        tangent = _parse_rows(lineno[~iso], list(itertools.compress(text, ~iso)), n + n * m + 1)
+        isotropic = _parse_rows(lineno[iso], list(itertools.compress(text, iso)), n + 2, token=n)
+        transposed = tangent[:, n:-1].reshape(len(tangent), m, n)  # each tangent row's frame, one column per row
+        points, weights, frames = np.zeros((len(text), n)), np.zeros(len(text)), np.zeros((len(text), n, m))
+        points[~iso], weights[~iso], frames[~iso] = tangent[:, :n], tangent[:, -1], transposed.transpose(0, 2, 1)
+        points[iso], weights[iso] = isotropic[:, :n], isotropic[:, -1]
+        _check_rows(lineno, text, ~(np.isfinite(points).all(axis=1) & np.isfinite(frames).all(axis=(1, 2))
+                                    & np.isfinite(weights)), "every number must be finite")
+        _check_rows(lineno, text, weights < 0, "every weight must be >= 0")
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge entry gives an inf on the diagonal
+            gram = transposed @ transposed.transpose(0, 2, 1)
+        gram.reshape(len(gram), m * m)[:, ::m + 1] -= 1.0  # F^T F - I
+        bad[~iso] = (np.abs(gram) > FRAME_TOL).any(axis=(1, 2))
+        _check_rows(lineno, text, bad, f"the m frame columns of a tangent row must be orthonormal within {FRAME_TOL:g}")
+        return DiscreteVarifold(points, frames, weights, iso)
+
+
+# rows the table writer formats at a time: a batch's text stays near 1 MB
+TABLE_ROWS = 4096
+
+
+def _write_table(path, header, *blocks):
+    """A CSV file: the header line, then one line per row of each block in
+    turn.  A block is a list of columns of one length; row i is the i-th entry
+    of each column, comma-separated, floats by repr over ``tolist()`` (the
+    shortest text that reads back to the same double) and the rest by str.
+    Every CSV artifact is written here, TABLE_ROWS rows at a time."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            for lo in range(0, len(columns[0]), TABLE_ROWS):
+                text = [map(repr if c.dtype.kind == "f" else str, c[lo:lo + TABLE_ROWS].tolist()) for c in columns]
+                fh.write("".join(f"{row}\n" for row in map(",".join, zip(*text))))
+
+
+def _set_header(lines):
+    """(n, m, index of the first row): the integers 1 <= n < 2^31 and
+    0 <= m <= n that the ``#`` lines before the first row give, each once."""
+    keys, start = {}, len(lines)
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            start = i
+            break
+        for key, eq, value in (tok.partition("=") for tok in line[1:].split()):
+            if eq and key in ("n", "m"):
+                if key in keys or not (value.isascii() and value.isdigit()):
+                    raise ValueError(f"line {i + 1}: the header must give n and m once each, as integers, "
+                                     f"got {reprlib.repr(line)}")
+                keys[key] = int(value)
+    n, m = keys.get("n"), keys.get("m")
+    if n is None or m is None or not 1 <= n < 2**31 or not 0 <= m <= n:
+        raise ValueError(f"the # header before the first row must give integers 1 <= n < 2^31 and 0 <= m <= n, "
+                         f"got n={n} and m={m}")
+    return n, m, start
+
+
+def _check_rows(lineno, text, bad, rule):
+    """ValueError naming the first row where ``bad`` holds, its line and the
+    rule it breaks."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"line {lineno[i]}: {rule}, got {reprlib.repr(text[i])}")
+
+
+def _parse_rows(lineno, rows, width, token=None):
+    """The fields of the comma-separated rows of ``width`` fields, but the
+    field ``token``, as a float array read in one call; a field that is not a
+    number names its line."""
+    if not rows:
+        return np.zeros((0, width - (token is not None)))
+    usecols = None if token is None else [j for j in range(width) if j != token]
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
+        for ln, row in zip(lineno, rows):
+            try:
+                np.loadtxt([row], delimiter=",", comments=None, usecols=usecols)
+            except ValueError:
+                raise ValueError(f"line {ln}: every field but the isotropic token must be a number, "
+                                 f"got {reprlib.repr(row)}") from None
+        raise
 
 
 @dataclass
@@ -445,7 +514,7 @@ def _m_jacobians(jacs, frames):
     return np.sqrt(np.maximum(det, 0.0)), a
 
 
-def pullback_integrand(phi: SmoothMap, f: Integrand, rank_tol=1e-12):
+def pullback_integrand(phi: SmoothMap, f: Integrand):
     """phi^# F: (x, T) -> F(phi(x), D phi[T]) ||Lambda_m D phi o P_T||."""
 
     class _Pullback(Integrand):
@@ -457,7 +526,7 @@ def pullback_integrand(phi: SmoothMap, f: Integrand, rank_tol=1e-12):
             img, jacs = phi.value_and_jacobian(points)
             jm, a = _m_jacobians(jacs, frames)
             out = np.zeros(len(points))
-            ok = jm > rank_tol
+            ok = jm > 1e-12
             if np.any(ok):
                 img_frames, _ = np.linalg.qr(a[ok])
                 vals = f.evaluate(img[ok], img_frames)
@@ -510,7 +579,7 @@ def pushforward(phi: SmoothMap, v: DiscreteVarifold, haar_draws=16, seed=0):
     return DiscreteVarifold.concat(parts)
 
 
-def slice_varifold(v: DiscreteVarifold, f: SmoothMap, t, bin_width, coarea_tol=1e-12):
+def slice_varifold(v: DiscreteVarifold, f: SmoothMap, t, bin_width):
     """The slice of V by f at level t: a discrete density quotient.
 
     Samples with |f(x) - t| <= bin/2 (componentwise) contribute weight times
@@ -539,7 +608,7 @@ def slice_varifold(v: DiscreteVarifold, f: SmoothMap, t, bin_width, coarea_tol=1
     b = np.einsum("nij,njk->nik", jacs, sub.frames)  # (N, nu, m)
     gram = np.einsum("nij,nkj->nik", b, b)
     coarea = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-    keep = coarea > coarea_tol
+    keep = coarea > 1e-12
     dropped = int((~keep).sum())
     sub = sub.restrict(keep)
     b = b[keep]

@@ -49,7 +49,9 @@ before the array forms (for boxes, the recursive cover test and the
 bisection over face offsets), and ``cubical_complex_oracle`` the set of
 canonical ``DyadicCube.faces`` objects with a set lookup of each face's
 children; ``children``, ``parent`` and ``canonical`` are the cube methods
-they called.
+they called.  ``varifold_to_csv_oracle`` and ``varifold_from_csv_oracle``
+are the set-file writer and reader before the table writer and the
+whole-array reader: one Python step per row, and no rule on what is read.
 The tests assert that the library returns the same bytes.
 """
 
@@ -1183,3 +1185,56 @@ def projection_lower_bound_oracle(problem, weights):
                     total += stack_min
             best = max(best, total)
     return best
+
+
+def varifold_to_csv_oracle(v, path):
+    """``DiscreteVarifold.to_csv`` as it was before the table writer: one
+    ``repr(float(.))`` per value and one ``write`` per row."""
+    n, m = v.ambient_dim, v.dim
+    with open(path, "w") as fh:
+        fh.write(f"# gmtkit varifold n={n} m={m}\n")
+        for i in range(len(v)):
+            coords = ",".join(repr(float(x)) for x in v.points[i])
+            weight = repr(float(v.weights[i]))
+            if v.isotropic[i]:
+                fh.write(f"{coords},isotropic,{weight}\n")
+            else:
+                fr = ",".join(repr(float(x)) for x in v.frames[i].T.ravel())
+                fh.write(f"{coords},{fr},{weight}\n")
+
+
+def varifold_from_csv_oracle(path):
+    """``DiscreteVarifold.from_csv`` as it was before the set-file rule: one
+    ``float`` per field and one frame array per row, with no checks."""
+    points, frames, weights, iso = [], [], [], []
+    n = m = None
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                for tok in line.split():
+                    if tok.startswith("n="):
+                        n = int(tok[2:])
+                    if tok.startswith("m="):
+                        m = int(tok[2:])
+                continue
+            parts = line.split(",")
+            if n is None:
+                raise ValueError("varifold csv requires the header line")
+            points.append([float(x) for x in parts[:n]])
+            if parts[n] == "isotropic":
+                iso.append(True)
+                frames.append(np.zeros((n, m)))
+                weights.append(float(parts[n + 1]))
+            else:
+                iso.append(False)
+                fr = np.array([float(x) for x in parts[n : n + n * m]]).reshape(m, n).T
+                frames.append(fr)
+                weights.append(float(parts[n + n * m]))
+    if not points:
+        if n is None or m is None:
+            raise ValueError("varifold csv requires the header line")
+        return DiscreteVarifold(np.zeros((0, n)), np.zeros((0, n, m)), np.zeros(0))
+    return DiscreteVarifold(np.array(points), np.array(frames), np.array(weights), np.array(iso))

@@ -14,7 +14,7 @@ import pytest
 import gmtkit
 from gmtkit import cli
 from gmtkit.grassmann import Plane
-from gmtkit.sampling import sample_disc
+from gmtkit.sampling import ring_sampled_disc, sample_disc
 from gmtkit.solver import exhaustive_oracle
 from gmtkit.varifold import DiscreteVarifold
 
@@ -183,6 +183,68 @@ class TestObjArtifacts:
         cells = json.loads((tmp_path / "out" / "solution.json").read_text())["chain"]["cells"]
         assert (tmp_path / "out" / "solution.obj").read_text() == "v 0.0 0.0 0.0\np 1\n"
         assert cells == [{"level": 0, "corner": [0, 0, 0, 0], "axes": [0, 1, 2], "n": 4}]
+
+
+class TestCsvArtifacts:
+    """One table writer (``varifold._write_table``) for every CSV the CLI
+    writes and for ``DiscreteVarifold.to_csv``: these digests are the bytes of
+    the per-row writers it replaced, on fixed inputs."""
+
+    @staticmethod
+    def inputs(tmp):
+        (tmp / "planes.txt").write_text("2 1 1 0 1 0\n2 1 1 0 0.6 0.8\n3 2 1 0 0 1 0 0 1 0 0 0 0 1\n"
+                                        "4 2 1 0 0 1 0 0 0 0 0.6 0 0 0.8 0 1 0 0\n")
+        (tmp / "retract.json").write_text(json.dumps({"n": 3, "probes": 300, "eps": 0.2}))
+        (tmp / "ellipsoid.json").write_text(json.dumps({"body": "ellipsoid", "semi_axes": [2.0, 1.0, 0.5],
+                                                        "probes": 300}))
+        pts, w = sample_disc(1.3, 200, seed=3, center=[2.0, 2.0, 2.05])
+        DiscreteVarifold.flat(pts, Plane.axis(3, (0, 1)), w).to_csv(tmp / "disc.csv")
+        pts, w = ring_sampled_disc(1.0, ring_spacing=0.05 / 8, points_per_unit_length=30)
+        DiscreteVarifold.flat(pts, Plane.axis(3, (0, 1)), w).to_csv(tmp / "ring.csv")
+        square = [{"level": 2, "corner": [i, j, 0], "axes": [0, 1], "n": 3} for i in range(4) for j in range(4)]
+        (tmp / "chain.json").write_text(json.dumps({"m": 2, "level": 2, "cells": square}))
+        ends = [{"level": 1, "corner": c, "axes": [], "n": 2} for c in ([0, 0], [2, 1])]
+        (tmp / "segment.json").write_text(json.dumps(
+            {"n": 2, "cells": [2, 2], "level": 1, "m": 1, "boundary_cells": ends, "generators": [ends],
+             "integrand": {"kind": "area"}, "options": {"restarts": 1, "steps": 50}}))
+        faces = [{"level": 0, "corner": [int(j == frozen and s) for j in range(4)], "axes": axes, "n": 4}
+                 for axes, frozen in (([0, 1], 2), ([0, 2], 1), ([1, 2], 0)) for s in (0, 1)]
+        (tmp / "cube_3.json").write_text(json.dumps(
+            {"n": 4, "cells": [1, 1, 1, 1], "level": 0, "m": 3, "boundary_cells": faces, "generators": [faces],
+             "integrand": {"kind": "area"}, "options": {"restarts": 1, "steps": 50}}))
+
+    @pytest.mark.parametrize("argv, csv, digest", [
+        ([], "disc.csv", "fb65d825ab354dde6873c647216085ceed928b8e5b53aa08025e64cbdd8e7f29"),
+        ([], "ring.csv", "8a047f66c79a6d1e4d7154e82a64278d71c369ca9158cf231889ba47c7996b3c"),
+        (["rotate", "planes.txt"], "out/rotate_report.csv",
+         "066db3a690103820438e5f916bfa589fe88676474d11881f9a13f3c638e7ef57"),
+        (["retract"], "out/retract_probes.csv",
+         "b11054a967c0fe037e9735cd63b03fc8ff03670911aa7b043267e972a38e0100"),
+        (["--config", "retract.json", "retract"], "out/retract_probes.csv",
+         "f269f47dba6ed3153abe2ea40313d6a33ce4dfface01cdab952c5db307157744"),
+        (["project"], "out/project_probes.csv",
+         "95fed54bdb38e4067723bacbc3de75b771f398ec5a9ec721598c5da23a567c42"),
+        (["--config", "ellipsoid.json", "project"], "out/project_probes.csv",
+         "39581997641bb5f4b444efbe6a94f70bf2b134609fa7f1c2c05bcdfc8acbe1ff"),
+        (["deform", "disc.csv"], "out/deformed_set.csv",
+         "92bb2c175436a4a237721212af91f05c86a7562e1e1a991f37d43c7730d5a83d"),
+        (["slice", "ring.csv", "--t", "0.5", "--bin", "0.05"], "out/slice.csv",
+         "02d81863b82faee6f02fb8baa7d915532daf0d28762f82df88d3e5334b6381bc"),
+        (["slice", "ring.csv", "--map", "coord:0", "--t", "0.25", "--bin", "0.02"], "out/slice.csv",
+         "b369d30026074fe4b88520f50e3580318ec8e9bd537546a75c2741b1817606b9"),
+        (["audit", "chain.json"], "out/audit_ratios.csv",
+         "2dcb0ae7125ec5681896c5b2f1627c80d1d1783f7fef361a67bea8319553e79d"),
+        (["minimize", "segment.json"], "out/audit_ratios.csv",
+         "c9571f70e7f35718b28b00436c584aa857a8ac4677548a027f7180007b9700c0"),
+        (["minimize", "cube_3.json"], "out/audit_ratios.csv",
+         "4e71d88fb20b6c90e1f227ca69731e2af61cb36fc5bd0c6d337dc784fb251ab1"),
+    ])
+    def test_digest(self, tmp_path, monkeypatch, argv, csv, digest):
+        monkeypatch.chdir(tmp_path)
+        self.inputs(tmp_path)
+        if argv:
+            assert run_cli(["--seed", "7", "--out", "out", *argv]) == 0
+        assert _sha256(tmp_path / csv) == digest
 
 
 class TestDeform:
@@ -393,6 +455,41 @@ def _bad_input_files(tmp):
              "center": [0.1, 0.1, 0.1], "eps": 0.05, "freeze_radius": 0.0, "kind": "descent"}
     (tmp / "plan_level_fraction.json").write_text(json.dumps(
         {"m": 2, "eps": 0.05, "seed": 0, "descent_count": 1, "stages": [stage]}))
+    for name, text in BAD_SET_FILES.items():
+        (tmp / f"set_{name}.csv").write_text(text)
+    for name, (change, count) in BAD_PLAN_STAGES.items():
+        (tmp / f"plan_{name}.json").write_text(json.dumps(
+            {"m": 2, "eps": 0.05, "seed": 0, "descent_count": count, "stages": [dict(PLAN_STAGE, **change)]}))
+
+
+# set files that break the set-file rule: a valid row, then the row that breaks it
+SET_HEADER, SET_ROW = "# gmtkit varifold n=3 m=2", "2.0,2.0,2.05,1.0,0.0,0.0,0.0,1.0,0.0,0.01"
+BAD_SET_FILES = {name: f"{header}\n{SET_ROW}\n{row}\n" for name, header, row in [
+    ("nan_coordinate", SET_HEADER, "nan,2.0,2.05,1.0,0.0,0.0,0.0,1.0,0.0,0.01"),
+    ("inf_frame_entry", SET_HEADER, "2.0,2.0,2.05,inf,0.0,0.0,0.0,1.0,0.0,0.01"),
+    ("inf_weight", SET_HEADER, "2.0,2.0,2.05,1.0,0.0,0.0,0.0,1.0,0.0,inf"),
+    ("negative_weight", SET_HEADER, "2.0,2.0,2.05,1.0,0.0,0.0,0.0,1.0,0.0,-0.01"),
+    ("scaled_frame_columns", SET_HEADER, "2.0,2.0,2.05,5.0,0.0,0.0,0.0,7.0,0.0,0.01"),
+    ("equal_frame_columns", SET_HEADER, "2.0,2.0,2.05,1.0,0.0,0.0,1.0,0.0,0.0,0.01"),
+    ("frame_entry_overflows", SET_HEADER, "2.0,2.0,2.05,1e200,0.0,-1e200,0.0,1.0,0.0,0.01"),
+    ("extra_fields", SET_HEADER, SET_ROW + ",3.0,4.0"),
+    ("too_few_fields", SET_HEADER, "2.0,2.0,2.05,1.0,0.0,0.0,0.0,1.0,0.0"),
+    ("header_without_m", "# gmtkit varifold n=3", SET_ROW),
+    ("header_n_not_an_integer", "# gmtkit varifold n=3.5 m=2", SET_ROW),
+]}
+
+# replay plans whose one stage, or descent_count, breaks a plan rule
+PLAN_STAGE = {"cube": {"level": 0, "corner": [2, 2, 2], "axes": [0, 1, 2], "n": 3},
+              "center": [2.5, 2.5, 2.5], "eps": 0.05, "freeze_radius": 0.1, "kind": "descent"}
+BAD_PLAN_STAGES = {
+    "center_of_length_1": ({"center": [2.5]}, 1),
+    "center_nan": ({"center": [math.nan, 2.5, 2.5]}, 1),
+    "kind_bogus": ({"kind": "bogus"}, 1),
+    "eps_zero": ({"eps": 0.0}, 1),
+    "freeze_radius_inf": ({"freeze_radius": math.inf}, 1),
+    "descent_count_above_stages": ({}, 2),
+    "descent_count_fraction": ({}, 0.5),
+}
 
 
 BAD_INPUTS = {
@@ -485,6 +582,9 @@ BAD_INPUTS = {
     "whitney_boxes_over_face_cap": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BBOX": "[[0, 0, 0], [1, 1, 1]]",
                                      "GMTKIT_BOXES": json.dumps([[[i] * 3, [1000 + i] * 3] for i in range(81)])},
                                     ["whitney"]),
+    **{f"{command}_set_{name}": ({}, [command, f"set_{name}.csv", *extra]) for name in BAD_SET_FILES
+       for command, extra in (("slice", ["--t", "0.5", "--bin", "0.05"]), ("deform", []))},
+    **{f"replay_{name}": ({}, ["deform", "disc.csv", "--replay", f"plan_{name}.json"]) for name in BAD_PLAN_STAGES},
 }
 
 # the same contract for inputs from the environment and from files, run

@@ -88,3 +88,19 @@ def test_only_grassmann_reads_rotation_angles():
         if isinstance(node, ast.Attribute) and node.attr == "angles"
     ]
     assert not found, found
+
+
+def test_one_writer_formats_floats_for_files():
+    """Outside ``varifold._write_table`` (every CSV) and ``cubical.cubes_to_obj``
+    (every OBJ), no function in ``src/`` uses the builtin ``repr``, so the
+    text of every float written to a file comes from one of those two."""
+    allowed = {("varifold", "_write_table"), ("cubical", "cubes_to_obj")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) in allowed
+                  for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno} uses repr" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "repr" and id(node) not in inside]
+    assert not found, found

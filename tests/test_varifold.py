@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import norm_map
-from oracles import sample_spacing_oracle
+from oracles import sample_spacing_oracle, varifold_from_csv_oracle, varifold_to_csv_oracle
 from gmtkit import _grid, varifold
 from gmtkit.cubemaps import Ball, SmoothMap
 from gmtkit.grassmann import Plane, haar_sample
@@ -472,6 +472,30 @@ class TestEllipticityProbe:
         assert np.all(frozen.evaluate(pts, None) == 4.0)
 
 
+def same_bits(v, w):
+    return all(getattr(v, a).dtype == getattr(w, a).dtype and getattr(v, a).shape == getattr(w, a).shape
+               and getattr(v, a).tobytes() == getattr(w, a).tobytes()
+               for a in ("points", "frames", "weights", "isotropic"))
+
+
+def csv_sets(n, m, seed=0):
+    """Tangent-only, isotropic-only, mixed and header-only varifolds in R^n
+    with awkward doubles: -0.0, the smallest subnormal, the largest double,
+    0.1 + 0.2 and zero weights."""
+    rng = np.random.default_rng(seed)
+    count = 40
+    points = rng.standard_normal((count, n)) * 10.0 ** rng.integers(-8, 9, (count, n))
+    points[:4, 0] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+    weights = rng.random(count)
+    weights[::7] = 0.0
+    frames = np.stack([haar_sample(n, m, rng).frame for _ in range(count)]) if m else np.zeros((count, n, 0))
+    tangent = DiscreteVarifold(points, frames, weights)
+    isotropic = DiscreteVarifold.isotropic_set(points[::-1], weights[::-1], m)
+    mixed = DiscreteVarifold.concat([tangent, isotropic]).restrict(rng.permutation(2 * count))
+    header = DiscreteVarifold(np.zeros((0, n)), np.zeros((0, n, m)), np.zeros(0))
+    return {"tangent": tangent, "isotropic": isotropic, "mixed": mixed, "header": header}
+
+
 class TestCsvRoundtrip:
     def test_tangent_and_isotropic(self, tmp_path):
         v1 = flat_disc(count=20)
@@ -480,10 +504,64 @@ class TestCsvRoundtrip:
         path = tmp_path / "set.csv"
         v.to_csv(path)
         w = DiscreteVarifold.from_csv(path)
-        assert np.allclose(w.points, v.points)
-        assert np.allclose(w.weights, v.weights)
+        assert w.points.tobytes() == v.points.tobytes()
+        assert w.weights.tobytes() == v.weights.tobytes()
         assert np.array_equal(w.isotropic, v.isotropic)
-        assert np.allclose(w.frames[~w.isotropic], v.frames[~v.isotropic])
+        assert w.frames[~w.isotropic].tobytes() == v.frames[~v.isotropic].tobytes()
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 2), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("kind", ["tangent", "isotropic", "mixed", "header"])
+    def test_matches_the_oracles(self, tmp_path, n, m, kind):
+        """The table writer writes the bytes of the per-row writer, and the
+        whole-array reader reads the bits of the per-row reader, which are
+        the bits written."""
+        v = csv_sets(n, m)[kind]
+        v.to_csv(tmp_path / "new.csv")
+        varifold_to_csv_oracle(v, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        w = DiscreteVarifold.from_csv(tmp_path / "old.csv")
+        assert same_bits(w, varifold_from_csv_oracle(tmp_path / "old.csv"))
+        assert same_bits(w, v) and len(w) == len(v)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rows_without_frame_columns(self, tmp_path, n):
+        """At m = 0 a tangent row is its n coordinates and its weight.  The
+        per-row writer put an empty field between them, which neither reader
+        reads."""
+        sets = csv_sets(n, 0)
+        for kind, v in sets.items():
+            v.to_csv(tmp_path / f"{kind}.csv")
+            assert same_bits(DiscreteVarifold.from_csv(tmp_path / f"{kind}.csv"), v)
+        assert (tmp_path / "tangent.csv").read_text().splitlines()[1].count(",") == n
+        varifold_to_csv_oracle(sets["tangent"], tmp_path / "old.csv")
+        with pytest.raises(ValueError, match="line 2: a tangent row must have"):
+            DiscreteVarifold.from_csv(tmp_path / "old.csv")
+        with pytest.raises(ValueError):
+            varifold_from_csv_oracle(tmp_path / "old.csv")
+
+    @pytest.mark.parametrize("text, where", [
+        ("# n=2 m=1\n0,0,1,0,1\n0,0,isotropic\n", "line 3: a tangent row must have"),
+        ("# n=2 m=1\n0,0,1,0,1\n0,isotropic,0,1\n", "line 3: an isotropic row must have the token"),
+        ("# n=2 m=1\n0,0,1,0,1\n0,0,1,zero,1\n", "line 3: every field but the isotropic token"),
+        ("# n=2 m=1\n\n0,0,1,0,1\n# n=2 m=1\n", "line 4: a tangent row must have"),
+        ("# n=2\n# m=1 n=2\n0,0,1,0,1\n", "line 2: the header must give n and m once each"),
+        ("# n=2 m=-1\n", "the header must give n and m once each"),
+        ("0,0,1,0,1\n", "the # header before the first row"),
+        ("# n=2 m=1\n0,0,1,0,1\n0,0,-inf,0,1\n", "line 3: every number must be finite"),
+        ("# n=2 m=1\n0,0,1,0,1\n0,0,isotropic,-1e-300\n", "line 3: every weight must be >= 0"),
+        ("# n=2 m=1\n0,0,1,0,1\n0,0,0.6,0.8000001,1\n", "line 3: the m frame columns"),
+    ])
+    def test_rule_names_the_line(self, tmp_path, text, where):
+        (tmp_path / "bad.csv").write_text(text)
+        with pytest.raises(ValueError, match=re.escape(where)):
+            DiscreteVarifold.from_csv(tmp_path / "bad.csv")
+
+    def test_frames_within_the_bound_are_read(self, tmp_path):
+        """The frame rule is grassmann's bound: a 1e-12 wobble passes, as it does for Plane."""
+        (tmp_path / "set.csv").write_text("# n=2 m=1\n0,0,0.6,0.8000000000001,1\n")
+        w = DiscreteVarifold.from_csv(tmp_path / "set.csv")
+        Plane(w.frames[0], orthonormalize=False)
+        assert w.frames[0, 1, 0] == 0.8000000000001
 
 
 class TestSampleSpacingOracle:
