@@ -160,9 +160,23 @@ def _config(args, table, n=None):
     return _checked(table, raw, n)
 
 
+def _number(token):
+    """A command-line token as a float, or as it is when float() cannot read
+    it (the rule then refuses it)."""
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
 def _arguments(args, table, n=None):
-    """The subcommand's own arguments, checked against table."""
-    return _checked(table, {k: getattr(args, k) for k in table if getattr(args, k) is not None}, n, "argument")
+    """The subcommand's own arguments, checked against table; each token of
+    a number is read with float() first."""
+    raw = {k: getattr(args, k) for k in table if getattr(args, k) is not None}
+    for key, value in raw.items():
+        if table[key].kind in ("int", "float"):
+            raw[key] = list(map(_number, value)) if isinstance(value, list) else _number(value)
+    return _checked(table, raw, n, "argument")
 
 
 INPUTS = {

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import _grid
 from ._profiles import (
+    collar_alpha,
     plateau_step,
     profile_eval,
     profile_rows,
@@ -481,16 +482,15 @@ def smooth_retraction(n, eps):
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
-    s_val, s_der = retraction_profile(eps)
+    profile = retraction_profile(eps)
 
     def evaluate(x, jac):
-        c = np.clip(x, -1.0, 1.0)
-        if not jac:
-            return s_val(c), None
-        out = np.zeros((len(x), n, n))
-        idx = np.arange(n)
-        out[:, idx, idx] = s_der(c)
-        return s_val(c), out
+        out = np.zeros((len(x), n, n)) if jac else None
+        val, der = profile(np.clip(x, -1.0, 1.0), jac)
+        if jac:
+            idx = np.arange(n)
+            out[:, idx, idx] = der
+        return val, out
 
     return SmoothMap(n, n, evaluate=evaluate, support=None, smoothness=2, name="retract", meta={"eps": eps})
 
@@ -572,42 +572,6 @@ def central_projection(body: ConvexBody):
     return p, t
 
 
-def _collar_alpha(delta):
-    """Profile with alpha(u) = 1 for u <= 1, alpha(u) = u for u >= delta,
-    1 <= alpha(u) <= u in between, 0 <= alpha' <= 1.5."""
-
-    def a_w(w):
-        w = np.asarray(w, dtype=float)
-        bump = np.minimum(smoothstep(2 * w), smoothstep(2 - 2 * w))
-        return smoothstep(w) + bump
-
-    # integral of a_w from 0 to w, in closed form
-    from ._profiles import smoothstep_i
-
-    def a_int(w):
-        w = np.asarray(w, dtype=float)
-        base = smoothstep_i(w)
-        low = 0.5 * smoothstep_i(np.minimum(2 * w, 1.0))
-        high = np.where(w > 0.5, 0.5 * (0.5 - smoothstep_i(2.0 - 2.0 * w)), 0.0)
-        return base + low + high
-
-    span = delta - 1.0
-
-    def value(u):
-        u = np.asarray(u, dtype=float)
-        w = (u - 1.0) / span
-        mid = 1.0 + span * a_int(np.clip(w, 0.0, 1.0))
-        return np.where(u <= 1.0, 1.0, np.where(u >= delta, u, mid))
-
-    def deriv(u):
-        u = np.asarray(u, dtype=float)
-        w = (u - 1.0) / span
-        mid = a_w(np.clip(w, 0.0, 1.0))
-        return np.where(u <= 1.0, 0.0, np.where(u >= delta, 1.0, mid))
-
-    return value, deriv
-
-
 def collared_projection(body: ConvexBody, eps):
     """Central projection inside V, identity outside V.
 
@@ -619,16 +583,14 @@ def collared_projection(body: ConvexBody, eps):
     big_r = body.circumradius
     frac = min(eps / big_r, 0.5)
     delta = 1.0 / (1.0 - frac)
-    alpha, alpha_d = _collar_alpha(delta)
+    alpha = collar_alpha(delta)
 
     def evaluate(x, jac):
         _guard_nonzero(x)
         gamma, grad = body._gauge(x, jac)
-        t = 1.0 / gamma
-        a = alpha(t)
+        a, ad = alpha(1.0 / gamma, jac)
         if not jac:
             return a[:, None] * x, None
-        ad = alpha_d(t)
         eye = np.eye(n)
         out = a[:, None, None] * eye
         out -= (ad / gamma**2)[:, None, None] * np.einsum("ni,nj->nij", x, grad)
@@ -1049,7 +1011,7 @@ def unrect_perturbation(
         cluster_gap = resolution * 8.0
     centers, outer_radii, inner_radii, uncovered = _cluster_balls(points, cluster_gap, region)
     rng = np.random.default_rng(seed)
-    zeta_val, zeta_der = plateau_step(0.0, 1.0, max_slope=2.0)
+    zeta = plateau_step(0.0, 1.0, max_slope=2.0)
 
     balls, meta = [], []
     for b_idx in range(len(centers)):
@@ -1107,10 +1069,9 @@ def unrect_perturbation(
                 continue
             v = x[sel] - center
             dist = np.linalg.norm(v, axis=1)
-            s = zeta_val((r - dist) / width)
+            s, sd = zeta((r - dist) / width, jac)
             val[sel] = x[sel] + rot.displacement(s, v)
             if jac:
-                sd = zeta_der((r - dist) / width)
                 grad_s = -(sd / width)[:, None] * (v / np.maximum(dist, 1e-300)[:, None])
                 der[sel] = rot.evaluate(s) + np.einsum(
                     "ni,nj->nij", np.einsum("nij,nj->ni", rot.derivative(s), v), grad_s)

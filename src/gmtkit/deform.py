@@ -247,26 +247,20 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
     a_r = (center[axes] - c[axes]) * (2.0 / cube.side)
     phi_r = punctured_cube_projection(a_r, eps_r)
     a_plane = center[axes]
-    blend_val, blend_der = plateau_step(0.25, 0.875, max_slope=2.0)
-
-    def _components(x):
-        u = (x[:, axes] - c[axes]) * (2.0 / cube.side)
-        z = x[:, others] - c[others] if others else np.zeros((len(x), 0))
-        ry = np.linalg.norm(x[:, axes] - a_plane, axis=1) / d
-        a3 = blend_val(ry)
-        if others:
-            rz = np.linalg.norm(z, axis=1) / iota
-            cut = 1.0 - blend_val(rz)
-        else:
-            rz = np.zeros(len(x))
-            cut = np.ones(len(x))
-        return u, z, ry, a3, rz, cut
+    blend = plateau_step(0.25, 0.875, max_slope=2.0)
 
     def evaluate(x, jac):
         npts = len(x)
         val = x.copy()
         out = np.broadcast_to(np.eye(n), (npts, n, n)).copy() if jac else None
-        u, z, ry, a3, rz, cut = _components(x)
+        u = (x[:, axes] - c[axes]) * (2.0 / cube.side)
+        a3, a3d = blend(np.linalg.norm(x[:, axes] - a_plane, axis=1) / d, jac)
+        if others:
+            z = x[:, others] - c[others]
+            cut, cutd = blend(np.linalg.norm(z, axis=1) / iota, jac)
+            cut = 1.0 - cut
+        else:
+            cut = np.ones(len(x))
         live = (a3 > 0.0) & (cut > 0.0)
         if not np.any(live):
             return val, out
@@ -283,7 +277,7 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
         block = (a3l * cutl)[:, None, None] * dphi
         ydiff = x[np.ix_(live, axes)] - a_plane
         ynorm = np.linalg.norm(ydiff, axis=1)
-        a3d = blend_der(ry[live]) / d
+        a3d = a3d[live] / d
         ydir = ydiff / np.maximum(ynorm, 1e-300)[:, None]
         block += cutl[:, None, None] * np.einsum("ni,nj->nij", disp, a3d[:, None] * ydir)
         rows = np.ix_(np.arange(npts)[live], axes, axes)
@@ -291,7 +285,7 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
         if others:
             zl = z[live]
             znorm = np.linalg.norm(zl, axis=1)
-            cutd = -blend_der(rz[live]) / iota
+            cutd = -cutd[live] / iota
             zdir = zl / np.maximum(znorm, 1e-300)[:, None]
             zblock = np.einsum("ni,nj->nij", a3l[:, None] * disp, cutd[:, None] * zdir)
             out[np.ix_(np.arange(npts)[live], axes, others)] += zblock

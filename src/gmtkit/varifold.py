@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._profiles import SmoothPiecewiseLinear
+from ._profiles import profile_eval, profile_rows
 from . import _grid
 from .cubemaps import SmoothMap
 from .grassmann import FRAME_TOL, Plane, haar_sample
@@ -168,14 +168,25 @@ class FrozenIntegrand(Integrand):
         return self.base.evaluate(fixed, frames)
 
 
+def _text_or_bool(value):
+    """Whether value, or an entry of it at any depth, is a string or a bool."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "fiuc" and _text_or_bool(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return any(map(_text_or_bool, value))
+    return isinstance(value, (str, bytes, bool, np.bool_))
+
+
 def _checked_floats(value, key, rule, test):
     """value as a finite float array that passes ``test``, else ValueError
-    naming the key, the rule and the value."""
+    naming the key, the rule and the value.  Every entry must be a number: a
+    string or a bool at any depth is refused, though numpy would read "0.5"
+    as 0.5 and True as 1."""
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = None if _text_or_bool(value) else np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or isinstance(value, bool) or not np.isfinite(arr).all() or not test(arr):
+    if arr is None or not np.isfinite(arr).all() or not test(arr):
         raise ValueError(f"{key} must be {rule}, got {reprlib.repr(value)}")
     return arr
 
@@ -328,10 +339,14 @@ class DiscreteVarifold:
         in any order.  A row with the wrong number of fields, a field that is
         not a finite number, a negative weight or a frame that is not
         orthonormal within ``FRAME_TOL`` raises ValueError naming the line
-        and the rule."""
+        and the rule; so does a file whose rows * n * m frame entries exceed
+        ``MAX_FRAME_ENTRIES``, before any frame array is made."""
         lines = Path(path).read_text().splitlines()
         n, m, start = _set_header(lines)
         body = [(i, s) for i, s in enumerate(map(str.strip, lines[start:]), start + 1) if s]
+        if len(body) * n * m > MAX_FRAME_ENTRIES:
+            raise ValueError(f"a set file may hold at most MAX_FRAME_ENTRIES = {MAX_FRAME_ENTRIES} frame entries "
+                             f"(rows * n * m, an n x m frame per row), got {len(body)} * {n} * {m}")
         lineno, text = np.array([i for i, _ in body], dtype=int), [s for _, s in body]
         iso = np.fromiter(("isotropic" in s for s in text), bool, len(text))
         fields = np.fromiter((s.count(",") for s in text), int, len(text)) + 1
@@ -359,6 +374,10 @@ class DiscreteVarifold:
 
 # rows the table writer formats at a time: a batch's text stays near 1 MB
 TABLE_ROWS = 4096
+# doubles the set-file reader may allocate for frames (128 MB): every row,
+# isotropic ones too, holds an n x m frame, though an isotropic row's text is
+# only n + 2 fields
+MAX_FRAME_ENTRIES = 1 << 24
 
 
 def _write_table(path, header, *blocks):
@@ -440,10 +459,9 @@ class SliceResult:
 # functionals
 
 
-def _grassmann_grid(n, m, count, seed, include_axes=True):
-    planes = []
-    if include_axes:
-        planes.extend(Plane.axis(n, axes) for axes in itertools.combinations(range(n), m))
+def _grassmann_grid(n, m, count, seed):
+    """The axis planes, then ``count`` Haar samples."""
+    planes = [Plane.axis(n, axes) for axes in itertools.combinations(range(n), m)]
     rng = np.random.default_rng(seed)
     planes.extend(haar_sample(n, m, rng) for _ in range(count))
     return planes
@@ -479,30 +497,23 @@ def phi_F(v: DiscreteVarifold, f: Integrand, grassmann_samples=256, seed=0, with
     return total
 
 
-def psi_F(s_r: DiscreteVarifold, s_u: DiscreteVarifold, f: Integrand, sup_grid=512, seed=0,
-          with_report=False):
+def psi_F(s_r: DiscreteVarifold, s_u: DiscreteVarifold, f: Integrand, sup_grid=512, seed=0):
     """Psi_F = Phi_F(rectifiable part) + unrectifiable mass at the sup of F.
 
     The per-point supremum over tangent planes is estimated on a Grassmann
-    grid of Haar samples plus all axis planes (grid size recorded).
+    grid of Haar samples plus all axis planes.
     """
     if len(s_r) and np.any(s_r.isotropic):
         raise ValueError("rectifiable part must be all-tangent")
     if len(s_u) and not np.all(s_u.isotropic):
         raise ValueError("unrectifiable part must be all-isotropic")
     total = phi_F(s_r, f) if len(s_r) else 0.0
-    used_grid = 0
     if len(s_u):
-        n, m = s_u.ambient_dim, s_u.dim
-        planes = _grassmann_grid(n, m, sup_grid, seed)
-        used_grid = len(planes)
         sup = np.full(len(s_u), -np.inf)
-        for plane in planes:
+        for plane in _grassmann_grid(s_u.ambient_dim, s_u.dim, sup_grid, seed):
             frames = np.broadcast_to(plane.frame, (len(s_u),) + plane.frame.shape)
             sup = np.maximum(sup, f.evaluate(s_u.points, frames))
         total += float(np.sum(s_u.weights * sup))
-    if with_report:
-        return total, {"sup_grid": used_grid}
     return total
 
 
@@ -632,21 +643,16 @@ def blowup_map(rho: SmoothMap, t, delta):
     n = rho.n_in
     w = 0.9 * delta**2 / (1.0 + 2.0 * delta)
     c = (delta - w) / (delta - 2.0 * w)
-    profile = SmoothPiecewiseLinear(
-        [w, delta - w, 1.0 - delta + w, 1.0 - w],
-        [0.0, c, 1.0, c, 0.0],
-        0.5,
-        0.5,
-    )
+    profile = profile_rows([[w, delta - w, 1.0 - delta + w, 1.0 - w]], [[0.0, c, 1.0, c, 0.0]], [0.5], [0.5])
 
     def evaluate(x, jac):
         r, jr = rho.value_and_jacobian(x) if jac else (rho.value(x), None)
         tau = (t - r[:, 0]) / delta
-        s = np.where(tau <= 0.0, 0.0, np.where(tau >= 1.0, 1.0, profile.value(np.clip(tau, 0, 1))))
-        val = np.column_stack([s, x])
+        s, sd = profile_eval(np.clip(tau, 0, 1)[None], *profile, derivative=jac)
+        val = np.column_stack([np.where(tau <= 0.0, 0.0, np.where(tau >= 1.0, 1.0, s[0])), x])
         if not jac:
             return val, None
-        sd = np.where((tau <= 0.0) | (tau >= 1.0), 0.0, profile.derivative(np.clip(tau, 0, 1)))
+        sd = np.where((tau <= 0.0) | (tau >= 1.0), 0.0, sd[0])
         out = np.zeros((len(x), n + 1, n))
         out[:, 0, :] = -(sd / delta)[:, None] * jr[:, 0, :]
         out[:, 1:, :] = np.eye(n)
@@ -743,9 +749,10 @@ class EllipticityReport:
         return self.counterexample is not None
 
 
-def _build_disc(t_plane: Plane, rings=24, per_ring=16):
+def _build_disc(t_plane: Plane):
     """Exact-quadrature unit m-disc inside the plane (m = 1 or 2)."""
     n, m = t_plane.ambient_dim, t_plane.dim
+    rings, per_ring = 24, 16
     if m == 1:
         count = rings * per_ring
         s = (np.arange(count) + 0.5) / count * 2.0 - 1.0
@@ -766,10 +773,10 @@ def _build_disc(t_plane: Plane, rings=24, per_ring=16):
     return DiscreteVarifold.flat(np.vstack(pts), t_plane, np.concatenate(ws))
 
 
-def _graph_bump(t_plane: Plane, normal, height, rings=24, per_ring=16):
+def _graph_bump(t_plane: Plane, normal, height):
     """Graph of h (1-r^2)^2 over the unit disc, lifted in a normal direction."""
     n, m = t_plane.ambient_dim, t_plane.dim
-    flat = _build_disc(t_plane, rings, per_ring)
+    flat = _build_disc(t_plane)
     local = flat.points @ t_plane.frame  # (N, m) coordinates in the plane
     r2 = np.sum(local**2, axis=1)
     u = height * (1.0 - r2) ** 2
@@ -783,9 +790,10 @@ def _graph_bump(t_plane: Plane, normal, height, rings=24, per_ring=16):
     return DiscreteVarifold(pts, frames, flat.weights * area)
 
 
-def _cone_over_boundary(t_plane: Plane, normal, height, segs=160, levels=40):
+def _cone_over_boundary(t_plane: Plane, normal, height):
     """Cone from an apex off the plane over the boundary of the unit disc."""
     n, m = t_plane.ambient_dim, t_plane.dim
+    segs, levels = 160, 40
     apex = height * normal
     pts, frames, ws = [], [], []
     if m == 1:
@@ -815,22 +823,20 @@ def _cone_over_boundary(t_plane: Plane, normal, height, segs=160, levels=40):
     return DiscreteVarifold(np.vstack(pts), np.concatenate(frames, axis=0), np.concatenate(ws))
 
 
-def _disc_with_patch(t_plane: Plane, hole_radius=0.5, mass_factor=1.3, rings=24, per_ring=16):
-    """The unit disc with the inner sub-disc replaced by an unrectifiable
-    patch of the same position and prescribed Hausdorff mass."""
-    full = _build_disc(t_plane, rings, per_ring)
+def _disc_with_patch(t_plane: Plane):
+    """The unit disc with the sub-disc of radius 1/2 replaced by an
+    unrectifiable patch of the same position and 1.3 times its mass."""
+    full = _build_disc(t_plane)
     local = full.points @ t_plane.frame
     r = np.sqrt(np.sum(local**2, axis=1))
-    keep = r >= hole_radius
+    keep = r >= 0.5
     ann = full.restrict(keep)
     hole = full.restrict(~keep)
-    patch = DiscreteVarifold.isotropic_set(
-        hole.points, hole.weights * mass_factor, t_plane.dim
-    )
+    patch = DiscreteVarifold.isotropic_set(hole.points, hole.weights * 1.3, t_plane.dim)
     return ann, patch
 
 
-def ellipticity_probe(f: Integrand, x, t_plane: Plane, candidates=None, sup_grid=512, seed=0):
+def ellipticity_probe(f: Integrand, x, t_plane: Plane, sup_grid=512, seed=0):
     """One-sided ellipticity probe: refute, never certify.
 
     Tests Psi_{F^x}(S) - Psi_{F^x}(D) >= c (H^m(S) - H^m(D)) over a built-in
@@ -848,13 +854,9 @@ def ellipticity_probe(f: Integrand, x, t_plane: Plane, candidates=None, sup_grid
     empty = DiscreteVarifold.isotropic_set(np.zeros((0, n)), np.zeros(0), m)
     psi_d = psi_F(disc, empty, fx, sup_grid=sup_grid, seed=seed)
     mass_d = disc.mass()
-    if candidates is None:
-        candidates = []
-        for h in (0.35, 0.7):
-            candidates.append((f"graph_bump_h{h}", _graph_bump(t_plane, normal, h), empty))
-        candidates.append(("cone_h0.5", _cone_over_boundary(t_plane, normal, 0.5), empty))
-        ann, patch = _disc_with_patch(t_plane)
-        candidates.append(("unrect_patch", ann, patch))
+    candidates = [(f"graph_bump_h{h}", _graph_bump(t_plane, normal, h), empty) for h in (0.35, 0.7)]
+    candidates.append(("cone_h0.5", _cone_over_boundary(t_plane, normal, 0.5), empty))
+    candidates.append(("unrect_patch", *_disc_with_patch(t_plane)))
     report = EllipticityReport()
     for name, s_r, s_u in candidates:
         psi_s = psi_F(s_r, s_u, fx, sup_grid=sup_grid, seed=seed)

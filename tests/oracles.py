@@ -3,7 +3,10 @@
 Each is the straightforward per-profile, per-centre or per-candidate
 version of a library routine, kept as written before the routine was
 batched: ``SmoothPiecewiseLinearOracle`` loops over the corners of one
-profile, ``recentering_map_oracle`` builds one centre's map with a
+profile, ``plateau_step_oracle``, ``retraction_profile_oracle`` and
+``collar_alpha_oracle`` are the composite profiles as pairs of closures
+(value, derivative), each evaluating its segments on its own,
+``recentering_map_oracle`` builds one centre's map with a
 profile object per coordinate, and ``select_center_oracle`` builds and
 evaluates one punctured projection per candidate centre.
 ``punctured_jacobians_oracle`` and ``candidate_singular_values_oracle`` run
@@ -190,6 +193,137 @@ def coordinate_profile_oracle(a_i, rho):
     return SmoothPiecewiseLinearOracle(
         knots, [1.0, k_left, 1.0, k_right, 1.0], a_i, 0.0, deltas
     )
+
+
+def plateau_step_oracle(a, b, max_slope=None):
+    """Smooth step from 0 at ``a`` to 1 at ``b`` with a capped derivative.
+
+    Returns a pair of vectorized callables (value, derivative).  The
+    derivative ramps up over a window of width w, holds a plateau, and ramps
+    down; it never exceeds ``max_slope`` (default: gentle, w = (b-a)/4).
+    """
+    width = b - a
+    if width <= 0:
+        raise ValueError("need a < b")
+    if max_slope is not None and max_slope * width <= 1.0:
+        raise ValueError("cap too small for a unit rise over the window")
+    if max_slope is None:
+        w = width / 4.0
+    else:
+        # plateau height c = 1 / (width - w) must stay <= max_slope
+        w = max(width - 1.0 / max_slope, 0.0) * 1.02
+        w = min(max(w, width / 16.0), width * 0.49)
+    c = 1.0 / (width - w)
+
+    def value(t):
+        t = np.asarray(t, dtype=float)
+        u = t - a
+        ramp_in = c * w * smoothstep_i(u / w)
+        mid = c * w / 2.0 + c * (u - w)
+        # assemble: [0,w] ramp, [w, width-w] linear, [width-w, width] mirrored ramp
+        out = np.where(u <= 0.0, 0.0, np.where(u >= width, 1.0, 0.0))
+        seg1 = (u > 0.0) & (u < w)
+        seg2 = (u >= w) & (u <= width - w)
+        seg3 = (u > width - w) & (u < width)
+        out = np.where(seg1, ramp_in, out)
+        out = np.where(seg2, mid, out)
+        out = np.where(seg3, 1.0 - c * w * smoothstep_i((width - u) / w), out)
+        return out
+
+    def deriv(t):
+        t = np.asarray(t, dtype=float)
+        u = t - a
+        out = np.zeros_like(u)
+        seg1 = (u > 0.0) & (u < w)
+        seg2 = (u >= w) & (u <= width - w)
+        seg3 = (u > width - w) & (u < width)
+        out = np.where(seg1, c * smoothstep(u / w), out)
+        out = np.where(seg2, c, out)
+        out = np.where(seg3, c * smoothstep((width - u) / w), out)
+        return out
+
+    return value, deriv
+
+
+def retraction_profile_oracle(eps):
+    """The coordinatewise profile of the smooth cube retraction.
+
+    Monotone C^2 map s with s(t) = t at t in {-2,-1,0,1,2}, flat first and
+    second derivatives at -1 and 1, and 0 <= s' <= 1 + eps.  Returns
+    (value, derivative).
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must be in (0, 1)")
+    delta = min(2.0 * eps / (1.0 + eps), 0.5)
+    c = 1.0 / (1.0 - delta / 2.0)
+
+    def w_int(t):
+        # integral from 0 of the plateau weight (transitions of width delta at +-1)
+        t = np.asarray(t, dtype=float)
+        at = np.abs(t)
+        # integral over [0, u] for u >= 0; weight = 1 except sigma((1-|x|)/delta+...) near 1
+        lo = 1.0 - delta
+        base = np.minimum(at, lo)
+        # contribution of the transition band [1-delta, 1]: integral of sigma((1-x)/delta)
+        upper = np.clip((1.0 - np.minimum(at, 1.0)) / delta, 0.0, 1.0)
+        band = delta * (0.5 - smoothstep_i(upper))
+        # band beyond 1: rising transition sigma((x-1)/delta) on [1, 1+delta] then 1
+        beyond = np.where(
+            at > 1.0,
+            delta * smoothstep_i(np.minimum((at - 1.0) / delta, 1.0))
+            + np.maximum(at - 1.0 - delta, 0.0),
+            0.0,
+        )
+        return np.sign(t) * (base + band + beyond)
+
+    def value(t):
+        return c * w_int(t)
+
+    def deriv(t):
+        t = np.asarray(t, dtype=float)
+        at = np.abs(t)
+        w = np.where(
+            at <= 1.0,
+            smoothstep((1.0 - at) / delta),
+            smoothstep((at - 1.0) / delta),
+        )
+        return c * w
+
+    return value, deriv
+
+
+def collar_alpha_oracle(delta):
+    """Profile with alpha(u) = 1 for u <= 1, alpha(u) = u for u >= delta,
+    1 <= alpha(u) <= u in between, 0 <= alpha' <= 1.5."""
+
+    def a_w(w):
+        w = np.asarray(w, dtype=float)
+        bump = np.minimum(smoothstep(2 * w), smoothstep(2 - 2 * w))
+        return smoothstep(w) + bump
+
+    # integral of a_w from 0 to w, in closed form
+    def a_int(w):
+        w = np.asarray(w, dtype=float)
+        base = smoothstep_i(w)
+        low = 0.5 * smoothstep_i(np.minimum(2 * w, 1.0))
+        high = np.where(w > 0.5, 0.5 * (0.5 - smoothstep_i(2.0 - 2.0 * w)), 0.0)
+        return base + low + high
+
+    span = delta - 1.0
+
+    def value(u):
+        u = np.asarray(u, dtype=float)
+        w = (u - 1.0) / span
+        mid = 1.0 + span * a_int(np.clip(w, 0.0, 1.0))
+        return np.where(u <= 1.0, 1.0, np.where(u >= delta, u, mid))
+
+    def deriv(u):
+        u = np.asarray(u, dtype=float)
+        w = (u - 1.0) / span
+        mid = a_w(np.clip(w, 0.0, 1.0))
+        return np.where(u <= 1.0, 0.0, np.where(u >= delta, 1.0, mid))
+
+    return value, deriv
 
 
 def recentering_map_oracle(a):

@@ -477,6 +477,10 @@ BAD_SET_FILES = {name: f"{header}\n{SET_ROW}\n{row}\n" for name, header, row in 
     ("header_without_m", "# gmtkit varifold n=3", SET_ROW),
     ("header_n_not_an_integer", "# gmtkit varifold n=3.5 m=2", SET_ROW),
 ]}
+# 17 isotropic rows with n = m = 1024: 70 KB of text, but 17 * 2^20 frame
+# entries, above MAX_FRAME_ENTRIES = 2^24, refused before any frame array is made
+BAD_SET_FILES["isotropic_rows_over_frame_cap"] = "# gmtkit varifold n=1024 m=1024\n" + (
+    "0.0," * 1024 + "isotropic,0.01\n") * 17
 
 # replay plans whose one stage, or descent_count, breaks a plan rule
 PLAN_STAGE = {"cube": {"level": 0, "corner": [2, 2, 2], "axes": [0, 1, 2], "n": 3},
@@ -489,6 +493,7 @@ BAD_PLAN_STAGES = {
     "freeze_radius_inf": ({"freeze_radius": math.inf}, 1),
     "descent_count_above_stages": ({}, 2),
     "descent_count_fraction": ({}, 0.5),
+    "eps_text": ({"eps": "0.05"}, 1),
 }
 
 
@@ -574,6 +579,16 @@ BAD_INPUTS = {
     "minimize_generator_corner_bool": ({}, ["minimize", "generator_corner_bool.json"]),
     "replay_cube_level_fraction": ({}, ["deform", "disc.csv", "--replay", "plan_level_fraction.json"]),
     "audit_chain_m_fraction": ({}, ["audit", "chain_m_fraction.json"]),
+    # a number in JSON input must be a JSON number: numpy would read "0.05" as
+    # 0.05 and true as 1, and a text that is not JSON stays text
+    "deform_eps_text": ({"GMTKIT_EPS": '"0.05"'}, ["deform", "disc.csv"]),
+    "deform_grid_cells_bool": ({"GMTKIT_GRID_CELLS": "[true, 2, 2]"}, ["deform", "disc.csv"]),
+    "retract_eps_not_json": ({"GMTKIT_EPS": ".5"}, ["retract"]),
+    "probe_tilt_lam_text": (
+        {"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": "2"}'},
+        ["probe-ellipticity"]),
+    "probe_tilt_reference_axes_bools": (
+        {"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty", "reference_axes": [true, false]}'}, ["probe-ellipticity"]),
     "whitney_min_level_62": ({"GMTKIT_MIN_LEVEL": "62"}, ["whitney"]),
     "whitney_min_level_64": ({"GMTKIT_MIN_LEVEL": "64"}, ["whitney"]),
     "whitney_bbox_flat": ({"GMTKIT_BBOX": "[[0, -1], [0, 1]]"}, ["whitney"]),

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import dist_to_cube_boundary, norm_map, rank_one_map
 from gmtkit import _grid, cubemaps
-from gmtkit._profiles import SmoothPiecewiseLinear
+from gmtkit._profiles import collar_alpha, plateau_step, profile_eval, profile_rows, retraction_profile
 from gmtkit.cubemaps import (
     BallBody,
     Box,
@@ -44,9 +44,12 @@ from oracles import (
     PlaneRotationOracle,
     SmoothPiecewiseLinearOracle,
     cluster_balls_oracle,
+    collar_alpha_oracle,
     direction_search_oracle,
     gauge_grad_oracle,
     native_resolution_oracle,
+    plateau_step_oracle,
+    retraction_profile_oracle,
     sample_spacing_oracle,
     punctured_jacobians_oracle,
     punctured_projection_oracle,
@@ -944,6 +947,12 @@ def _same_bytes(x, y):
     return np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
+def _profile_rows(knots, slopes, anchor_t, anchor_v, deltas=None):
+    """The ``profile_rows`` parameters of one profile."""
+    return profile_rows(np.atleast_2d(knots), np.atleast_2d(slopes), [anchor_t], [anchor_v],
+                        None if deltas is None else np.atleast_2d(deltas))
+
+
 def _recentering_probes(a, rng, count=600):
     """Points of 1.3 Q whose coordinates are often special for the centre a:
     on and next to dQ, in the corner blend windows of the profile, in the
@@ -1024,7 +1033,7 @@ class TestRecenteringKernel:
             ([0.0], [-0.0, 1.0], -5.0, 0.0, None),  # derivative -0.0 left of the corner
         ]
         for knots, slopes, at, av, deltas in cases:
-            new = SmoothPiecewiseLinear(knots, slopes, at, av, deltas)
+            new = _profile_rows(knots, slopes, at, av, deltas)
             ref = SmoothPiecewiseLinearOracle(knots, slopes, at, av, deltas)
             kn = np.asarray(knots)
             t = np.concatenate([
@@ -1032,18 +1041,21 @@ class TestRecenteringKernel:
                 kn, kn + ref.deltas, kn - ref.deltas, [0.0, -0.0, at],
                 (kn[:, None] + ref.deltas[:, None] * rng.uniform(-1, 1, (len(kn), 50))).ravel(),
             ])
-            assert _same_bytes(new.knot_vals, ref.knot_vals)
-            assert _same_bytes(new.deltas, ref.deltas)
-            assert _same_bytes(new.value(t), ref.value(t))
-            assert _same_bytes(new.derivative(t), ref.derivative(t))
+            assert _same_bytes(new[3][0], ref.knot_vals)
+            assert _same_bytes(new[2][0], ref.deltas)
+            value, derivative = profile_eval(t[None], *new, derivative=True)
+            assert _same_bytes(value[0], ref.value(t))
+            assert _same_bytes(derivative[0], ref.derivative(t))
+            only, none = profile_eval(t[None], *new)
+            assert _same_bytes(only, value) and none is None
 
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="one more slope"):
-            SmoothPiecewiseLinear([0.0, 1.0], [1.0, 1.0], 0.5, 0.0)
+            _profile_rows([0.0, 1.0], [1.0, 1.0], 0.5, 0.0)
         with pytest.raises(ValueError, match="strictly increasing"):
-            SmoothPiecewiseLinear([1.0, 0.0], [1.0, 2.0, 1.0], 0.5, 0.0)
+            _profile_rows([1.0, 0.0], [1.0, 2.0, 1.0], 0.5, 0.0)
         with pytest.raises(ValueError, match="blend window"):
-            SmoothPiecewiseLinear([0.0, 1.0], [1.0, 2.0, 1.0], 0.01, 0.0)
+            _profile_rows([0.0, 1.0], [1.0, 2.0, 1.0], 0.01, 0.0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stacked_punctured_jacobians(self, n, rng):
@@ -1169,3 +1181,57 @@ class TestEvaluationPath:
             for method in (phi.value, phi.jacobian, phi.value_and_jacobian):
                 with pytest.raises(ValueError, match=rf"expected points in R\^{phi.n_in}$"):
                     method(bad)
+
+
+def _plateau_case(a, b, cap):
+    width = b - a
+    w = width / 4.0 if cap is None else min(max(max(width - 1.0 / cap, 0.0) * 1.02, width / 16.0), width * 0.49)
+    return plateau_step(a, b, cap), plateau_step_oracle(a, b, cap), [a, a + w, b - w, b]
+
+
+def _retraction_case(eps):
+    delta = min(2.0 * eps / (1.0 + eps), 0.5)
+    ends = [1.0 - delta, 1.0, 1.0 + delta, 2.0]
+    return retraction_profile(eps), retraction_profile_oracle(eps), [-e for e in ends] + ends
+
+
+def _collar_case(body, eps):
+    delta = collared_projection(body, eps).meta["delta"]
+    return collar_alpha(delta), collar_alpha_oracle(delta), [1.0, delta]
+
+
+# the profiles with the parameters src/ builds them with: the stage and purge
+# plateaus, the retraction at user eps and at the collar's iota, and the collar
+# of each body the CLI projects onto (a large eps caps the collar at delta = 2)
+PROFILE_CASES = {
+    **{f"plateau-{a}-{b}-{cap}": (_plateau_case, a, b, cap)
+       for a, b in ((0.25, 0.875), (0.0, 1.0)) for cap in (2.0, None)},
+    **{f"retraction-{eps:.6g}": (_retraction_case, eps)
+       for eps in (0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999, 0.1 / (2.0 * (1.0 + math.sqrt(2.0))))},
+    **{f"collar-{name}-{eps}": (_collar_case, body, eps) for name, body in (
+        ("ball", BallBody(2, 1.0)), ("ellipsoid", EllipsoidBody(np.array([2.0, 1.0]))),
+        ("cube_enclosure", cube_enclosure(2, 0.05, 0.1))) for eps in (0.01, 0.2, 5.0)},
+}
+
+
+def _identical(x, y):
+    return (type(x) is type(y) and np.shape(x) == np.shape(y) and np.asarray(x).dtype == np.asarray(y).dtype
+            and _same_bytes(x, y))
+
+
+class TestProfiles:
+    """Each profile is one function (t, derivative=False) -> (value,
+    derivative or None) that gives the bytes of the closure pair it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(PROFILE_CASES))
+    def test_same_bytes_as_the_closure_pair(self, case, rng):
+        build, *args = PROFILE_CASES[case]
+        profile, (ref_value, ref_derivative), ends = build(*args)
+        ends = np.array(ends)
+        t = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf), [0.0, -0.0],
+                            rng.uniform(ends.min() - 1.0, ends.max() + 1.0, 2000)])
+        for x in (t, t[:2000].reshape(500, 4), 0.0, -0.0, float(ends[1])):
+            value, derivative = profile(x, derivative=True)
+            only, none = profile(x)
+            assert _identical(value, ref_value(x)) and _identical(derivative, ref_derivative(x))
+            assert _identical(only, value) and none is None

@@ -104,3 +104,20 @@ def test_one_writer_formats_floats_for_files():
         found += [f"{path.name}:{node.lineno} uses repr" for node in ast.walk(tree)
                   if isinstance(node, ast.Name) and node.id == "repr" and id(node) not in inside]
     assert not found, found
+
+
+def test_only_the_profile_module_assembles_profiles():
+    """No module in ``src/`` but ``_profiles`` calls ``smoothstep_i``: every
+    profile value (the integral of a smoothstep blend) is assembled in one
+    module, from which each map takes its profile as one function."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "_profiles":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "smoothstep_i":
+                    found.append(f"{path.name}:{node.lineno} calls smoothstep_i")
+    assert not found, found

@@ -563,6 +563,24 @@ class TestCsvRoundtrip:
         Plane(w.frames[0], orthonormalize=False)
         assert w.frames[0, 1, 0] == 0.8000000000001
 
+    def test_frame_entries_capped(self, tmp_path):
+        """17 isotropic rows with n = m = 1024 are 70 KB of text but would
+        take 17 * 2^20 frame entries, above MAX_FRAME_ENTRIES = 2^24; the
+        reader refuses them by name before it makes any frame array."""
+        (tmp_path / "big.csv").write_text("# n=1024 m=1024\n" + ("0.0," * 1024 + "isotropic,0.01\n") * 17)
+        with pytest.raises(ValueError, match=re.escape("MAX_FRAME_ENTRIES = 16777216 frame entries")
+                           + r".* got 17 \* 1024 \* 1024"):
+            DiscreteVarifold.from_csv(tmp_path / "big.csv")
+
+    def test_frame_entries_up_to_the_cap_are_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(varifold, "MAX_FRAME_ENTRIES", 12)
+        rows = "0,0,0,1,0,0,0,1,0,1\n0,0,0,isotropic,1\n"
+        (tmp_path / "set.csv").write_text("# n=3 m=2\n" + rows)
+        assert len(DiscreteVarifold.from_csv(tmp_path / "set.csv")) == 2
+        (tmp_path / "set.csv").write_text("# n=3 m=2\n" + rows + "1,1,1,isotropic,1\n")
+        with pytest.raises(ValueError, match=r"MAX_FRAME_ENTRIES = 12 .* got 3 \* 3 \* 2"):
+            DiscreteVarifold.from_csv(tmp_path / "set.csv")
+
 
 class TestSampleSpacingOracle:
     """The hashed path (above the 2048-point cap) against the dict-bucket loop."""
