@@ -40,6 +40,20 @@ def ranges(starts, counts):
     return out
 
 
+def pair_norms(diff):
+    """``np.linalg.norm(diff, axis=-1)``, byte for byte: up to 7 coordinates
+    numpy sums the squares of a row in order, which a running sum over the
+    coordinate columns repeats without the reduction's per-row overhead;
+    from 8 on, numpy sums pairwise, and the norm itself is taken."""
+    n = diff.shape[-1]
+    if n > 7:
+        return np.linalg.norm(diff, axis=-1)
+    out = diff[..., 0] * diff[..., 0]
+    for k in range(1, n):
+        out += diff[..., k] * diff[..., k]
+    return np.sqrt(out, out=out)
+
+
 def nearest_distinct(probes, points):
     """Each probe's distance to its nearest sample at a positive distance
     (inf if none), against all samples PAIR_BLOCK pairs at a time."""
@@ -49,7 +63,7 @@ def nearest_distinct(probes, points):
     for i in range(0, len(probes), rows):
         rows_i, best = probes[i : i + rows], mins[i : i + rows]
         for j in range(0, len(points), cols):
-            d = np.linalg.norm(rows_i[:, None, :] - points[None, j : j + cols], axis=-1)
+            d = pair_norms(rows_i[:, None, :] - points[None, j : j + cols])
             d[d == 0.0] = np.inf
             np.minimum(best, d.min(axis=1), out=best)
     return mins
@@ -126,7 +140,7 @@ def neighbours(points, queries, cell, budget=math.inf):
 def nearest(points, queries, cell, budget=math.inf):
     """(mins, pairs): each query's distance to its nearest ``neighbours``
     candidate at a positive distance (inf if none), or None.  The pairs are
-    measured by ``np.linalg.norm`` over a contiguous (pairs, n) difference,
+    measured by ``pair_norms`` over a contiguous (pairs, n) difference,
     the same floats as ``nearest_distinct``, in blocks of whole runs, one
     from the run holding every (PAIR_BLOCK / 8)-th pair: with their index
     arrays, that keeps a block near the working set of one cell's queries
@@ -151,7 +165,7 @@ def nearest(points, queries, cell, budget=math.inf):
         diff = np.empty((len(pos), cols.shape[0]))
         for k, (qk, pk) in enumerate(zip(qcols, cols)):
             np.subtract(np.repeat(qk[q], take), pk.take(pos), out=diff[:, k])
-        d = np.linalg.norm(diff, axis=-1)
+        d = pair_norms(diff)
         d[d == 0.0] = np.inf
         lead = np.flatnonzero(np.diff(q, prepend=-1))  # a query's entries are consecutive
         best[q[lead]] = np.minimum(best[q[lead]], np.minimum.reduceat(d, (np.cumsum(take) - take)[lead]))

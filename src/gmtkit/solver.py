@@ -358,6 +358,11 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000):
     cooling by 0.995 a step from twice the largest cell weight,
     deterministic for a fixed seed; restarts keep the best result by
     (value, cell count, lexicographic bits).
+
+    A step reads its move's energy and cell-count changes from two tables,
+    refilled whole after each accepted move.  Facet rows ascend, so the
+    first bit a move flips is its lowest facet's: the move makes the bits
+    lexicographically smaller exactly when that facet is in the chain.
     """
     if problem.m + 1 > problem.complex.n:
         raise ValueError("no (m+1)-cells to move across")
@@ -371,6 +376,24 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000):
     if not spans(start, problem):
         raise InfeasibleError("initial chain does not span")
     moves = problem.complex.facets(problem.m + 1)
+    move_weights = weights[moves]
+    sign, deltas, flips = np.empty(moves.shape), np.empty(len(moves)), np.empty(len(moves))
+
+    def refill(bits):
+        # per move, the sum over its facets of weight * (1 - 2 bit) and of (1 - 2 bit)
+        np.subtract(1.0, 2.0 * bits[moves], out=sign)
+        np.sum(move_weights * sign, axis=1, out=deltas)
+        np.sum(sign, axis=1, out=flips)
+
+    def flip_if_spanning(bits, j, counts):
+        bits[moves[j]] ^= True
+        if spans(Chain2(problem.complex, problem.m, bits), problem, counts):
+            refill(bits)
+            return True
+        bits[moves[j]] ^= True
+        counts["span_rejects"] += 1
+        return False
+
     t0, cooling = float(weights.max()) * 2.0, 0.995
     best = None
     init_val = start.value(weights)
@@ -379,34 +402,21 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000):
     for r in range(restarts):
         rng = np.random.default_rng(seed * 1000 + r)
         bits = start.bits.copy()
+        refill(bits)
         value = start.value(weights)
         temp = t0
         trace = []
         counts = {"proposals": steps, "span_rejects": 0, "certified": 0, "eliminated": 0}
         for step in range(steps):
             j = int(rng.integers(len(moves)))
-            col = moves[j]
-            delta = float(np.sum(weights[col] * (1.0 - 2.0 * bits[col])))
+            delta = float(deltas[j])
             accept = delta < -1e-15
             if not accept and delta <= 1e-15:
-                # value tie: prefer fewer cells, then lexicographically smaller
-                flips = len(col) - 2 * int(bits[col].sum())
-                if flips < 0:
-                    accept = True
-                elif flips == 0:
-                    cand = bits.copy()
-                    cand[col] ^= True
-                    accept = _chain_key(cand) < _chain_key(bits)
+                # value tie: prefer fewer cells, then lexicographically smaller bits
+                accept = bool(flips[j] < 0 or (flips[j] == 0 and bits[moves[j, 0]]))
             if not accept and temp > 1e-12:
                 accept = rng.random() < math.exp(-delta / temp)
-            if accept:
-                cand_bits = bits.copy()
-                cand_bits[col] ^= True
-                if not spans(Chain2(problem.complex, problem.m, cand_bits), problem, counts):
-                    counts["span_rejects"] += 1
-                    temp *= cooling
-                    continue
-                bits = cand_bits
+            if accept and flip_if_spanning(bits, j, counts):
                 value += delta
                 trace.append({"restart": r, "step": step, "cell": j, "delta": delta, "value": value})
             temp *= cooling
@@ -415,18 +425,12 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000):
         while improved:
             improved = False
             counts["proposals"] += len(moves)
-            for j, col in enumerate(moves):
-                delta = float(np.sum(weights[col] * (1.0 - 2.0 * bits[col])))
-                if delta < -1e-12:
-                    cand_bits = bits.copy()
-                    cand_bits[col] ^= True
-                    if spans(Chain2(problem.complex, problem.m, cand_bits), problem, counts):
-                        bits = cand_bits
-                        value += delta
-                        trace.append({"restart": r, "step": "greedy", "cell": j, "delta": delta, "value": value})
-                        improved = True
-                    else:
-                        counts["span_rejects"] += 1
+            for j in range(len(moves)):
+                delta = float(deltas[j])
+                if delta < -1e-12 and flip_if_spanning(bits, j, counts):
+                    value += delta
+                    trace.append({"restart": r, "step": "greedy", "cell": j, "delta": delta, "value": value})
+                    improved = True
         chain = Chain2(problem.complex, problem.m, bits)
         key = (value, chain.count(), _chain_key(bits))
         if best is None or key < best[0]:

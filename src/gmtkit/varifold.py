@@ -343,11 +343,13 @@ class DiscreteVarifold:
         ``MAX_FRAME_ENTRIES``, before any frame array is made."""
         lines = Path(path).read_text().splitlines()
         n, m, start = _set_header(lines)
-        body = [(i, s) for i, s in enumerate(map(str.strip, lines[start:]), start + 1) if s]
-        if len(body) * n * m > MAX_FRAME_ENTRIES:
+        text = [s.strip() for s in itertools.islice(lines, start, None)]
+        del lines  # the rows' text is all that is read from here on
+        lineno = np.flatnonzero(np.fromiter(map(bool, text), bool, len(text))) + start + 1
+        text = list(filter(None, text))
+        if len(text) * n * m > MAX_FRAME_ENTRIES:
             raise ValueError(f"a set file may hold at most MAX_FRAME_ENTRIES = {MAX_FRAME_ENTRIES} frame entries "
-                             f"(rows * n * m, an n x m frame per row), got {len(body)} * {n} * {m}")
-        lineno, text = np.array([i for i, _ in body], dtype=int), [s for _, s in body]
+                             f"(rows * n * m, an n x m frame per row), got {len(text)} * {n} * {m}")
         iso = np.fromiter(("isotropic" in s for s in text), bool, len(text))
         fields = np.fromiter((s.count(",") for s in text), int, len(text)) + 1
         _check_rows(lineno, text, fields != np.where(iso, n + 2, n + n * m + 1),

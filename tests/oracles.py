@@ -55,11 +55,15 @@ children; ``children``, ``parent`` and ``canonical`` are the cube methods
 they called.  ``varifold_to_csv_oracle`` and ``varifold_from_csv_oracle``
 are the set-file writer and reader before the table writer and the
 whole-array reader: one Python step per row, and no rule on what is read.
+``minimize_oracle`` is the annealer before its per-move tables: each step
+sums its move's weights with a fancy index, and a value tie compares the
+bytes of a copied candidate chain.
 The tests assert that the library returns the same bytes.
 """
 
 import bisect
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -84,9 +88,23 @@ from gmtkit.deform import (
 )
 from gmtkit.grassmann import Plane, projector_distance
 from gmtkit.cubical import BallSet, BoxUnion, CubeFamily, CubicalComplex, DyadicCube, PuncturedPlane
-from gmtkit.solver import GridComplex, _Reduction, _to_bits, _to_int
+from gmtkit.solver import (
+    Chain2,
+    GridComplex,
+    InfeasibleError,
+    MinimizeResult,
+    SpanningProblem,
+    _chain_key,
+    _Reduction,
+    _to_bits,
+    _to_int,
+    initial_chain,
+    spans,
+)
 from gmtkit.varifold import DiscreteVarifold
 from gmtkit.varifold import unit_ball_volume
+
+logger = logging.getLogger("oracles")
 
 
 class SmoothPiecewiseLinearOracle:
@@ -1372,3 +1390,96 @@ def varifold_from_csv_oracle(path):
             raise ValueError("varifold csv requires the header line")
         return DiscreteVarifold(np.zeros((0, n)), np.zeros((0, n, m)), np.zeros(0))
     return DiscreteVarifold(np.array(points), np.array(frames), np.array(weights), np.array(iso))
+
+
+def minimize_oracle(problem: SpanningProblem, seed=0, restarts=3, steps=4000):
+    """``solver.minimize`` before its per-move tables: simulated-annealing
+    descent over spanning chains.
+
+    Moves add the boundary of a single (m+1)-cell; every would-be acceptance
+    is re-checked for spanning and rejected if it breaks it.  Geometric
+    cooling by 0.995 a step from twice the largest cell weight,
+    deterministic for a fixed seed; restarts keep the best result by
+    (value, cell count, lexicographic bits).
+    """
+    if problem.m + 1 > problem.complex.n:
+        raise ValueError("no (m+1)-cells to move across")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    weights = problem.cell_weights()
+    if not problem.generators:
+        empty = Chain2(problem.complex, problem.m)
+        return MinimizeResult(empty, 0.0, [], restarts, 0.0)
+    start = initial_chain(problem)
+    if not spans(start, problem):
+        raise InfeasibleError("initial chain does not span")
+    moves = problem.complex.facets(problem.m + 1)
+    t0, cooling = float(weights.max()) * 2.0, 0.995
+    best = None
+    init_val = start.value(weights)
+    full_trace = []
+    restart_counts = []
+    for r in range(restarts):
+        rng = np.random.default_rng(seed * 1000 + r)
+        bits = start.bits.copy()
+        value = start.value(weights)
+        temp = t0
+        trace = []
+        counts = {"proposals": steps, "span_rejects": 0, "certified": 0, "eliminated": 0}
+        for step in range(steps):
+            j = int(rng.integers(len(moves)))
+            col = moves[j]
+            delta = float(np.sum(weights[col] * (1.0 - 2.0 * bits[col])))
+            accept = delta < -1e-15
+            if not accept and delta <= 1e-15:
+                # value tie: prefer fewer cells, then lexicographically smaller
+                flips = len(col) - 2 * int(bits[col].sum())
+                if flips < 0:
+                    accept = True
+                elif flips == 0:
+                    cand = bits.copy()
+                    cand[col] ^= True
+                    accept = _chain_key(cand) < _chain_key(bits)
+            if not accept and temp > 1e-12:
+                accept = rng.random() < math.exp(-delta / temp)
+            if accept:
+                cand_bits = bits.copy()
+                cand_bits[col] ^= True
+                if not spans(Chain2(problem.complex, problem.m, cand_bits), problem, counts):
+                    counts["span_rejects"] += 1
+                    temp *= cooling
+                    continue
+                bits = cand_bits
+                value += delta
+                trace.append({"restart": r, "step": step, "cell": j, "delta": delta, "value": value})
+            temp *= cooling
+        # final greedy pass: first-improvement descent
+        improved = True
+        while improved:
+            improved = False
+            counts["proposals"] += len(moves)
+            for j, col in enumerate(moves):
+                delta = float(np.sum(weights[col] * (1.0 - 2.0 * bits[col])))
+                if delta < -1e-12:
+                    cand_bits = bits.copy()
+                    cand_bits[col] ^= True
+                    if spans(Chain2(problem.complex, problem.m, cand_bits), problem, counts):
+                        bits = cand_bits
+                        value += delta
+                        trace.append({"restart": r, "step": "greedy", "cell": j, "delta": delta, "value": value})
+                        improved = True
+                    else:
+                        counts["span_rejects"] += 1
+        chain = Chain2(problem.complex, problem.m, bits)
+        key = (value, chain.count(), _chain_key(bits))
+        if best is None or key < best[0]:
+            best = (key, chain, trace)
+        full_trace.extend(trace)
+        restart_counts.append(dict(counts, restart=r, accepts=len(trace), value=value))
+        logger.info("minimize restart %(restart)d: %(proposals)d proposals, %(accepts)d accepts, "
+                    "%(span_rejects)d broke spanning; checks settled %(certified)d by dc = z, "
+                    "%(eliminated)d by elimination; value %(value).6g", restart_counts[-1])
+    chain = best[1]
+    final_value = chain.value(weights)
+    logger.info("minimize: value %.6g with %d cells (initial %.6g)", final_value, chain.count(), init_val)
+    return MinimizeResult(chain, final_value, full_trace, restarts, init_val, restart_counts)

@@ -477,6 +477,9 @@ BAD_SET_FILES = {name: f"{header}\n{SET_ROW}\n{row}\n" for name, header, row in 
     ("header_without_m", "# gmtkit varifold n=3", SET_ROW),
     ("header_n_not_an_integer", "# gmtkit varifold n=3.5 m=2", SET_ROW),
 ]}
+# blank and whitespace-only lines before the bad row, which is line 6
+BAD_SET_FILES["blank_lines_before_bad_row"] = (
+    f"{SET_HEADER}\n{SET_ROW}\n\n   \n\t\n2.0,2.0,2.05,1.0,0.0,0.0,0.0,1.0,0.0,-0.01\n")
 # 17 isotropic rows with n = m = 1024: 70 KB of text, but 17 * 2^20 frame
 # entries, above MAX_FRAME_ENTRIES = 2^24, refused before any frame array is made
 BAD_SET_FILES["isotropic_rows_over_frame_cap"] = "# gmtkit varifold n=1024 m=1024\n" + (
@@ -676,6 +679,12 @@ class TestBadInput:
         assert rc == 2, err
         assert len(err.splitlines()) == 1 and err.startswith("input error: ")
         assert not caught, [str(w.message) for w in caught]
+
+    def test_set_file_error_counts_blank_lines(self, tmp_path, monkeypatch, capsys):
+        _bad_input_files(tmp_path)
+        argv = ["slice", "set_blank_lines_before_bad_row.csv", "--t", "0.5", "--bin", "0.05"]
+        rc, err, _ = run_in_process(tmp_path, monkeypatch, capsys, {}, argv)
+        assert rc == 2 and "line 6: every weight must be >= 0" in err
 
     def test_help_unchanged(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -753,6 +753,21 @@ class TestGridNeighbours:
                 counted += len(members) * len(cand)
             assert np.all(seen == 1) and counted == grid.pairs
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_pair_norms_equal_the_norm(self, n, rng):
+        # magnitudes 1e-300 to 1e300 (squares that underflow and overflow),
+        # subnormals, signed zeros, infinities and nan, as pair rows and as
+        # the (probes, samples, n) block of nearest_distinct
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1e-310, 1.0, -1e300])
+        x = 10.0 ** rng.uniform(-300.0, 300.0, (3000, n)) * rng.choice([-1.0, 1.0], (3000, n))
+        spot = rng.random((3000, n)) < 0.15
+        x[spot] = rng.choice(special, int(spot.sum()))
+        x[:500] = rng.standard_normal((500, n))
+        with np.errstate(over="ignore", under="ignore"):
+            for diff in (x, x.reshape(30, 100, n)):
+                got, want = _grid.pair_norms(diff), np.linalg.norm(diff, axis=-1)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_declines_what_it_cannot_do_exactly(self, rng):
         pts = rng.random((50, 2))
         assert _grid.neighbours(pts, pts, 0.0) is None
@@ -1031,6 +1046,9 @@ class TestRecenteringKernel:
             ([-1.0, 0.5], [2.0, 0.5, 1.0], 0.0, 0.0, [0.1, 0.2]),
             ([0.0], [1.0, 3.0], -1.0, -0.0, None),
             ([0.0], [-0.0, 1.0], -5.0, 0.0, None),  # derivative -0.0 left of the corner
+            # knot value -0.0 and slope 0.0 left of it: the value there is -0.0
+            # before the corner at 1.0 adds its +0.0
+            ([0.0, 1.0], [0.0, 0.0, 1.0], 0.5, -0.0, None),
         ]
         for knots, slopes, at, av, deltas in cases:
             new = _profile_rows(knots, slopes, at, av, deltas)

@@ -121,3 +121,17 @@ def test_only_the_profile_module_assembles_profiles():
                 if name == "smoothstep_i":
                     found.append(f"{path.name}:{node.lineno} calls smoothstep_i")
     assert not found, found
+
+
+def test_only_pair_norms_takes_grid_norms():
+    """In ``gmtkit._grid`` only ``pair_norms`` calls ``np.linalg.norm``, so
+    every pair distance of the nearest-sample searches is one function's,
+    the running sum that equals the norm byte for byte up to 7 coordinates."""
+    tree = ast.parse((SRC / "_grid.py").read_text())
+    inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "pair_norms"
+              for node in ast.walk(fn)}
+    found = [f"_grid.py:{node.lineno} calls norm" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "norm" and id(node) not in inside]
+    assert not found, found
+

@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import logging
+import signal
 import time
 from collections import Counter
 
@@ -17,12 +19,14 @@ from oracles import (
     gf2_nullspace_oracle,
     gf2_solve,
     gf2_solve_oracle,
+    minimize_oracle,
     projection_lower_bound_oracle,
     spans_oracle,
 )
 from gmtkit.cubical import DyadicCube, cubes_to_obj
 from gmtkit.grassmann import Plane
 from gmtkit.solver import (
+    _chain_key,
     _projection_lower_bound,
     Chain2,
     GridComplex,
@@ -35,7 +39,13 @@ from gmtkit.solver import (
     minimize,
     spans,
 )
-from gmtkit.varifold import AreaIntegrand, Integrand, TiltPenaltyIntegrand, pullback_integrand
+from gmtkit.varifold import (
+    AreaIntegrand,
+    Integrand,
+    RiemannianWeightIntegrand,
+    TiltPenaltyIntegrand,
+    pullback_integrand,
+)
 from gmtkit.cubemaps import SmoothMap
 
 
@@ -798,3 +808,88 @@ class TestCellKeys:
             expected = [c for c, b in zip(cx.cells[chain.m], chain.bits) if b]
             assert cells == expected and payload["cells"] == [c.to_dict() for c in expected]
             assert obj == cubes_to_obj(expected, chain.m)
+
+
+# ---------------------------------------------------------------------------
+# the annealer's per-move tables against the per-step sums they replaced
+
+
+def _bump(points):
+    """An isotropic weight that differs from cell to cell."""
+    return 1.0 + 0.5 * np.exp(-8.0 * np.sum((points - 0.3) ** 2, axis=1))
+
+
+TABLE_PROBLEMS = {
+    "square_quarter": lambda: square_problem(2),
+    "l8": lambda: sheet_problem(3, (8,) * 3, 3, l_sheet(8)),
+    "l8_far": lambda: sheet_problem(3, (8,) * 3, 3, l_sheet(8, far_wall=True)),
+    "tilt": lambda: square_problem(2, integrand=TiltPenaltyIntegrand(Plane.axis(3, (0, 2)), lam=0.7)),
+    "riemannian": lambda: sheet_problem(3, (6,) * 3, 2, l_sheet(6, far_wall=True),
+                                        integrand=RiemannianWeightIntegrand(_bump, 1.0, 1.5)),
+}
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """AssertionError if the block runs past ``seconds`` (where SIGALRM
+    exists): a move table left stale after a greedy accept would make the
+    greedy pass take that move back and forth for ever."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def stop(signum, frame):
+        raise AssertionError(f"ran past {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestMoveTables:
+    @pytest.mark.parametrize("case", sorted(TABLE_PROBLEMS))
+    def test_minimize_matches_the_per_step_oracle(self, case):
+        p = TABLE_PROBLEMS[case]()
+        for seed in range(4):
+            kwargs = dict(seed=seed, restarts=1 + seed % 3, steps=1200)
+            with _deadline(30.0):
+                got = minimize(p, **kwargs)
+            want = minimize_oracle(p, **kwargs)
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert got.chain.bits.tobytes() == want.chain.bits.tobytes()
+            assert repr(got.trace) == repr(want.trace)
+            assert got.restart_counts == want.restart_counts
+            assert np.float64(got.initial_value).tobytes() == np.float64(want.initial_value).tobytes()
+            assert got.restarts == want.restarts
+
+    def test_oracle_cases_reach_the_greedy_pass(self):
+        # the comparison above covers the table refill after a greedy accept
+        # only if some run's greedy pass accepts a move
+        with _deadline(30.0):
+            greedy = [e for case in ("l8", "riemannian") for seed in range(4)
+                      for e in minimize(TABLE_PROBLEMS[case](), seed=seed, restarts=1 + seed % 3, steps=1200).trace
+                      if e["step"] == "greedy"]
+        assert len(greedy) >= 3
+
+    @pytest.mark.parametrize("width", range(2, 17))
+    def test_row_sums_equal_each_row_sum(self, width, rng):
+        weights = rng.uniform(0.01, 3.0, (400, width)) * 2.0 ** rng.integers(-30, 30, (400, width))
+        sign = 1.0 - 2.0 * (rng.random((400, width)) < 0.5)
+        table = np.empty(400)
+        np.sum(weights * sign, axis=1, out=table)
+        assert table.tobytes() == np.array([np.sum(w * s) for w, s in zip(weights, sign)]).tobytes()
+
+    def test_tie_bit_is_the_chain_key_order(self, rng):
+        p = TABLE_PROBLEMS["l8"]()
+        moves = p.complex.facets(3)
+        for density in (0.1, 0.5, 0.9):
+            bits = rng.random(p.complex.count(2)) < density
+            for j, col in enumerate(moves):
+                cand = bits.copy()
+                cand[col] ^= True
+                assert bool(bits[moves[j, 0]]) == (_chain_key(cand) < _chain_key(bits))
+

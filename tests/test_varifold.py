@@ -550,6 +550,7 @@ class TestCsvRoundtrip:
         ("# n=2 m=1\n0,0,1,0,1\n0,0,-inf,0,1\n", "line 3: every number must be finite"),
         ("# n=2 m=1\n0,0,1,0,1\n0,0,isotropic,-1e-300\n", "line 3: every weight must be >= 0"),
         ("# n=2 m=1\n0,0,1,0,1\n0,0,0.6,0.8000001,1\n", "line 3: the m frame columns"),
+        ("# n=2 m=1\n \n0,0,1,0,1\n\n\t \n0,0,isotropic,-1\n", "line 6: every weight must be >= 0"),
     ])
     def test_rule_names_the_line(self, tmp_path, text, where):
         (tmp_path / "bad.csv").write_text(text)
