@@ -54,6 +54,12 @@ def pair_norms(diff):
     return np.sqrt(out, out=out)
 
 
+def row_dots(a, b):
+    """The dot of each row of a with the same row of b: one BLAS ``ddot``
+    per row with the rows' own strides, the bytes of ``a[k] @ b[k]``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def nearest_distinct(probes, points):
     """Each probe's distance to its nearest sample at a positive distance
     (inf if none), against all samples PAIR_BLOCK pairs at a time."""

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _grid
 from .cubemaps import (
     BallBody,
     EllipsoidBody,
@@ -279,17 +280,22 @@ def cmd_rotate(args):
             continue
         try:
             vals = [float(v) for v in line.replace(",", " ").split()]
-            n, m = int(vals[0]), int(vals[1])
+            n, m = vals[:2]
+            if not (n.is_integer() and m.is_integer() and 1 <= n and 0 <= m <= n):
+                raise ValueError(f"n and m must be integers with 1 <= n and 0 <= m <= n, got {n:g} and {m:g}")
+            n, m = int(n), int(m)
             need = 2 + 2 * n * m
             if len(vals) != need:
                 raise ValueError(f"expected {need} fields, got {len(vals)}")
+            if not np.isfinite(vals[2:]).all():
+                raise ValueError("every frame entry must be finite")
             s = Plane(np.array(vals[2 : 2 + n * m]).reshape(n, m))
             t = Plane(np.array(vals[2 + n * m : need]).reshape(n, m))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise InputError(f"{args.planes}:{ln}: malformed plane pair ({exc})") from exc
         d = projector_distance(s, t)
         pairs.append(ln)
-        devs += [float(np.linalg.norm(m_tau - np.eye(n), 2)) for m_tau in build_rotation(s, t).evaluate(taus)]
+        devs += np.linalg.norm(build_rotation(s, t).evaluate(taus) - np.eye(n), 2, axis=(1, 2)).tolist()
         bounds += [8.0 * abs(tau) * d for tau in taus]
     dev, bound = np.array(devs), np.array(bounds)
     status = np.where(dev <= bound + 1e-12, "pass", "fail")
@@ -368,8 +374,7 @@ def cmd_project(args):
     xh = probes / np.linalg.norm(probes, axis=1, keepdims=True)
     bound = np.linalg.norm(pv, axis=1) / np.linalg.norm(probes, axis=1) * (1.0 + 1.0 / np.einsum("ni,ni->n", nu, xh))
     jnorm = np.linalg.svd(pj, compute_uv=False)[:, 0]
-    # a norm per row: np.linalg.norm(..., axis=1) may round these two columns differently
-    q_move, p_move = (np.array([np.linalg.norm(row) for row in img - probes]) for img in (qv, pv))
+    q_move, p_move = (np.sqrt(_grid.row_dots(d, d)) for d in (qv - probes, pv - probes))
     _write_table(out / "project_probes.csv",
                  ",".join([f"x{j}" for j in range(n)]) + ",q_move,p_move,dp_norm,dp_bound",
                  [*probes.T, q_move, p_move, jnorm, bound])

@@ -37,7 +37,7 @@ from ._profiles import (
     smoothstep,
     smoothstep_d,
 )
-from .grassmann import Plane, build_rotation, projector_distance
+from .grassmann import Plane, _mgs, build_rotation, projector_distance
 
 logger = logging.getLogger("gmtkit.cubemaps")
 
@@ -210,8 +210,7 @@ class SmoothMap:
     rows outside it as x and I unchanged.
     """
 
-    def __init__(self, n_in, n_out, value_fn=None, jac_fn=None, support=None, smoothness=2, name="", meta=None,
-                 evaluate=None):
+    def __init__(self, n_in, n_out, value_fn=None, jac_fn=None, support=None, name="", meta=None, evaluate=None):
         self.n_in = int(n_in)
         self.n_out = int(n_out)
         if evaluate is None:
@@ -219,7 +218,6 @@ class SmoothMap:
                 return value_fn(x), (jac_fn(x) if jac else None)
         self._evaluate = evaluate
         self.support = support
-        self.smoothness_class = smoothness
         self.name = name
         self.meta = dict(meta) if meta else {}
 
@@ -276,7 +274,7 @@ class SmoothMap:
         def evaluate(x, jac):
             return x.copy(), np.broadcast_to(np.eye(n), (len(x), n, n)).copy() if jac else None
 
-        return SmoothMap(n, n, evaluate=evaluate, support=None, smoothness=math.inf, name="id")
+        return SmoothMap(n, n, evaluate=evaluate, support=None, name="id")
 
     @staticmethod
     def affine(a, b=None):
@@ -288,7 +286,7 @@ class SmoothMap:
         def evaluate(x, jac):
             return x @ a.T + b, np.broadcast_to(a, (len(x), n_out, n_in)).copy() if jac else None
 
-        return SmoothMap(n_in, n_out, evaluate=evaluate, smoothness=math.inf, name="affine")
+        return SmoothMap(n_in, n_out, evaluate=evaluate, name="affine")
 
     @staticmethod
     def compose(*maps):
@@ -319,7 +317,6 @@ class SmoothMap:
             maps[0].n_out,
             evaluate=evaluate,
             support=support,
-            smoothness=min(m.smoothness_class for m in maps),
             name="o".join(m.name or "?" for m in maps),
         )
 
@@ -492,7 +489,7 @@ def smooth_retraction(n, eps):
             out[:, idx, idx] = der
         return val, out
 
-    return SmoothMap(n, n, evaluate=evaluate, support=None, smoothness=2, name="retract", meta={"eps": eps})
+    return SmoothMap(n, n, evaluate=evaluate, support=None, name="retract", meta={"eps": eps})
 
 
 def retraction_with_collar(n, eps):
@@ -529,7 +526,7 @@ def retraction_with_collar(n, eps):
 
     support = Box(-np.ones(n) * (1 + eps), np.ones(n) * (1 + eps))
     return SmoothMap(
-        n, n, evaluate=evaluate, support=support, smoothness=2, name="collar_retract",
+        n, n, evaluate=evaluate, support=support, name="collar_retract",
         meta={"eps": eps, "iota": iota, "body_power": body.power, "body_radius": body.radius},
     )
 
@@ -567,8 +564,8 @@ def central_projection(body: ConvexBody):
         gamma, grad = gauge(x, jac)
         return (1.0 / gamma)[:, None], (-grad / (gamma**2)[:, None])[:, None, :] if jac else None
 
-    p = SmoothMap(n, n, evaluate=p_evaluate, support=None, smoothness=2, name="central_proj")
-    t = SmoothMap(n, 1, evaluate=t_evaluate, support=None, smoothness=2, name="central_scale")
+    p = SmoothMap(n, n, evaluate=p_evaluate, support=None, name="central_proj")
+    t = SmoothMap(n, 1, evaluate=t_evaluate, support=None, name="central_scale")
     return p, t
 
 
@@ -597,10 +594,7 @@ def collared_projection(body: ConvexBody, eps):
         return a[:, None] * x, out
 
     support = Box(-np.ones(n) * big_r, np.ones(n) * big_r)
-    return SmoothMap(
-        n, n, evaluate=evaluate, support=support, smoothness=2,
-        name="collared_proj", meta={"eps": eps, "delta": delta},
-    )
+    return SmoothMap(n, n, evaluate=evaluate, support=support, name="collared_proj", meta={"eps": eps, "delta": delta})
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +743,7 @@ def recentering_map(a):
 
     support = Box(-np.ones(n), np.ones(n))
     return SmoothMap(
-        n, n, evaluate=evaluate, support=support, smoothness=2, name="recenter",
+        n, n, evaluate=evaluate, support=support, name="recenter",
         meta={"center": a.tolist(), "rho": _recentering_rho(a).tolist()},
     )
 
@@ -898,38 +892,38 @@ def _native_resolution(points):
 
 
 def _direction_search(xb, t_plane, cone, direction_budget, rng, resolution):
-    """Candidate planes within ``cone`` of ``t_plane`` and the cell count of
-    the samples ``xb`` projected onto each.
+    """Candidate planes within ``cone`` of ``t_plane``, as a (candidates, n, m)
+    frame array, and the cell count of the samples ``xb`` projected onto each.
 
-    An m = 1 plane in R^2 gets an even angle grid; otherwise ``t_plane`` and
-    random tilts of its frame drawn from ``rng``.  Returns (candidates,
-    scores, best, baseline, own): ``best`` is the first minimum, ``baseline``
-    the count on ``t_plane`` and ``own`` the ambient count of ``xb``."""
+    An m = 1 plane in R^2 gets an even angle grid, orthonormalized in one
+    ``_mgs`` call; otherwise ``t_plane`` and random tilts of its frame drawn
+    from ``rng``.  Returns (frames, scores, best, baseline, own): ``best`` is
+    the first minimum, ``baseline`` the count on ``t_plane`` and ``own`` the
+    ambient count of ``xb``."""
     n, m = t_plane.frame.shape
     if m == 1 and n == 2:
         base = math.atan2(t_plane.frame[1, 0], t_plane.frame[0, 0])
         amax = math.asin(min(cone, 1.0))
         angles = base + np.linspace(-amax, amax, direction_budget)
-        candidates = [Plane.span([math.cos(t), math.sin(t)]) for t in angles]
+        frames = _mgs(np.array([[[math.cos(t)], [math.sin(t)]] for t in angles.tolist()]))
     else:
-        candidates = [t_plane]
-        while len(candidates) < direction_budget:
+        frames = [t_plane.frame]
+        while len(frames) < direction_budget:
             g = t_plane.frame + cone * 0.7 * rng.standard_normal((n, m))
             try:
                 cand = Plane(g)
             except ValueError:
                 continue
             if projector_distance(cand, t_plane) <= cone:
-                candidates.append(cand)
-    scores = np.empty(len(candidates), dtype=np.int64)
+                frames.append(cand.frame)
+        frames = np.array(frames)
+    scores = np.empty(len(frames), dtype=np.int64)
     step = max(1, DIRECTION_ROWS // len(xb))
-    for start in range(0, len(candidates), step):
-        chunk = candidates[start : start + step]
-        proj = np.stack([xb @ cand.frame for cand in chunk])
-        scores[start : start + len(chunk)] = _grid.cell_counts(proj, resolution)
+    for start in range(0, len(frames), step):
+        scores[start : start + step] = _grid.cell_counts(xb @ frames[start : start + step], resolution)
     baseline = int(_grid.cell_counts((xb @ t_plane.frame)[None], resolution)[0])
     own = int(_grid.cell_counts(xb[None], resolution)[0])
-    return candidates, scores, int(np.argmin(scores)), baseline, own
+    return frames, scores, int(np.argmin(scores)), baseline, own
 
 
 def _cluster_balls(points, gap, region):
@@ -946,8 +940,8 @@ def _cluster_balls(points, gap, region):
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
     lo = np.minimum.reduceat(points[order], starts, axis=0)
     hi = np.maximum.reduceat(points[order], starts, axis=0)
-    centers = (lo + hi) / 2.0
-    inner = np.array([float(np.linalg.norm(d) / 2.0) * 1.02 + 1e-12 for d in hi - lo])
+    centers, diag = (lo + hi) / 2.0, hi - lo
+    inner = np.sqrt(_grid.row_dots(diag, diag)) / 2.0 * 1.02 + 1e-12
     outer = 2.5 * inner
     if len(centers) > 1:
         near = _grid.nearest_distinct(centers, centers)
@@ -1027,8 +1021,9 @@ def unrect_perturbation(
         ja = f.jacobian(a)
         u, s, vt = np.linalg.svd(ja)
         t_plane = Plane(vt[:m].T)
-        candidates, scores, best, baseline, own = _direction_search(
+        frames, scores, best, baseline, own = _direction_search(
             xb, t_plane, cone, direction_budget, rng, resolution)
+        plane = Plane(frames[best], orthonormalize=False)
         score = int(scores[best])
         if score > threshold_factor * own:
             raise DirectionSearchError(
@@ -1036,15 +1031,15 @@ def unrect_perturbation(
                 f"(best {score} cells vs own {own} cells)"
             )
         cell = resolution**m
-        balls.append((a, r, r - r_in, build_rotation(candidates[best], t_plane)))
+        balls.append((a, r, r - r_in, build_rotation(plane, t_plane)))
         meta.append(
             {
                 "center": a.tolist(),
                 "r": r,
-                "tilt": projector_distance(candidates[best], t_plane),
+                "tilt": projector_distance(plane, t_plane),
                 "projected_estimate": score * cell,
                 "baseline_estimate": baseline * cell,
-                "candidates": len(candidates),
+                "candidates": len(frames),
                 "best_index": best,
                 "own_estimate": own * cell,
                 "threshold_estimate": threshold_factor * own * cell,
@@ -1080,7 +1075,6 @@ def unrect_perturbation(
     rho = SmoothMap(
         n, n, evaluate=evaluate,
         support=UnionRegion([Ball(b[0], b[1]) for b in balls]) if balls else None,
-        smoothness=2,
         name="unrect_perturb",
         meta={"balls": meta, "uncovered_samples": len(uncovered), "resolution": resolution, "eps": eps},
     )

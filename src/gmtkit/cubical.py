@@ -366,7 +366,7 @@ class BallSet:
         """Each point's largest r with |x + r * sign-corner| <= radius, 0 outside."""
         x = np.abs(np.atleast_2d(np.asarray(x, dtype=float)) - self.center)
         n, s = x.shape[1], x.sum(axis=1)
-        xx = (x[:, None] @ x[:, :, None])[:, 0, 0]  # bit for bit a single point's x @ x
+        xx = _grid.row_dots(x, x)  # bit for bit a single point's x @ x
         with np.errstate(invalid="ignore"):
             d = (-s + np.sqrt(s * s + n * (self.radius**2 - xx))) / n
         return np.where(np.sqrt(xx) >= self.radius, 0.0, d)

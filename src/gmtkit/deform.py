@@ -293,7 +293,7 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
 
     lo, hi = cube.bounds()
     support = Box(lo - eps, hi + eps)
-    m = SmoothMap(n, n, evaluate=evaluate, support=support, smoothness=2, name="cube_deform")
+    m = SmoothMap(n, n, evaluate=evaluate, support=support, name="cube_deform")
     m.meta = {
         "cube": cube.to_dict(),
         "center": center.tolist(),

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from . import _grid
+
 __all__ = [
     "Plane",
     "PlaneRotation",
@@ -35,28 +37,33 @@ ANGLE_DROP_TOL = 1e-12
 
 
 def _mgs(columns, tol=1e-9):
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+    """Modified Gram-Schmidt with one re-orthogonalization pass, on one
+    n x m frame or on each frame of a stack (..., n, m).
 
-    Raises if the columns are numerically dependent (relative to the largest
-    column norm).
+    Each dot is one BLAS ``ddot`` (``_grid.row_dots``) with a frame's own
+    strides, and each norm the dot of a contiguous copy of the column, as
+    ``np.linalg.norm`` takes it: a frame of a stack gets the bytes it gets
+    alone.  Raises if the columns of a frame are numerically dependent
+    (relative to its largest entry, or 1).
     """
     a = np.array(columns, dtype=float, copy=True)
-    if a.ndim != 2:
-        raise ValueError("frame must be a 2d array")
-    n, m = a.shape
+    if a.ndim < 2:
+        raise ValueError("frame must be a 2d array or a stack of them")
+    n, m = a.shape[-2:]
     if m > n:
         raise ValueError(f"cannot have {m} independent columns in R^{n}")
-    scale = max(np.max(np.abs(a)), 1.0) if a.size else 1.0
-    q = np.zeros((n, m))
+    floor = tol * np.abs(a).max(axis=(-2, -1), initial=1.0)
+    q = np.zeros(a.shape)
     for j in range(m):
-        v = a[:, j]
+        v = a[..., j]
         for _ in range(2):  # re-orthogonalize once for stability
             for i in range(j):
-                v = v - (q[:, i] @ v) * q[:, i]
-        norm = np.linalg.norm(v)
-        if norm <= tol * scale:
+                v = v - _grid.row_dots(q[..., i], v)[..., None] * q[..., i]
+        c = v.copy()
+        norm = np.sqrt(_grid.row_dots(c, c))
+        if np.count_nonzero(norm <= floor):
             raise ValueError("frame columns are numerically dependent")
-        q[:, j] = v / norm
+        q[..., j] = v / norm[..., None]
     return q
 
 
@@ -69,14 +76,9 @@ class Plane:
         frame = np.asarray(frame, dtype=float)
         if frame.ndim != 2:
             raise ValueError("frame must be an n x m array")
-        if orthonormalize and frame.shape[1] > 0:
-            frame = _mgs(frame)
-        else:
-            frame = frame.copy()
-        if frame.shape[1] > 0:
-            gram = frame.T @ frame
-            if np.max(np.abs(gram - np.eye(frame.shape[1]))) > FRAME_TOL:
-                raise ValueError("frame is not orthonormal")
+        frame = _mgs(frame) if orthonormalize else frame.copy()
+        if np.abs(frame.T @ frame - np.eye(frame.shape[1])).max(initial=0.0) > FRAME_TOL:
+            raise ValueError("frame is not orthonormal")
         self.frame = frame
         self.frame.setflags(write=False)
 
@@ -91,10 +93,6 @@ class Plane:
     def projector(self):
         """Orthogonal projector onto the plane as an n x n matrix."""
         return self.frame @ self.frame.T
-
-    def contains(self, v, tol=1e-9):
-        v = np.asarray(v, dtype=float)
-        return np.linalg.norm(self.projector() @ v - v) <= tol * max(1.0, np.linalg.norm(v))
 
     @staticmethod
     def axis(n, axes):
@@ -260,14 +258,21 @@ def tilt_measure_excess(p: Plane, q: Plane):
     return 0.5 * d * d, mid, 2.0 ** (2 * m + 3) * d * d
 
 
+def _haar_frames(n, m, count, rng):
+    """The frames of ``count`` planes drawn from the orthogonally invariant
+    distribution on G(n,m): one (count, n, m) Gaussian draw from ``rng``,
+    orthonormalized in one ``_mgs`` call.  Frame k and the final state of
+    ``rng`` are those of ``count`` ``haar_sample`` calls on it."""
+    if not 0 < m <= n:
+        raise ValueError(f"need 0 < m <= n, got ({n}, {m})")
+    return _mgs(rng.standard_normal((count, n, m)))
+
+
 def haar_sample(n, m, seed):
     """A plane drawn from the orthogonally invariant distribution on G(n,m).
 
     Column span of a Gaussian n x m matrix, orthonormalized; deterministic
     for a fixed seed (an integer or a numpy Generator).
     """
-    if not 0 < m <= n:
-        raise ValueError(f"need 0 < m <= n, got ({n}, {m})")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = rng.standard_normal((n, m))
-    return Plane(_mgs(g), orthonormalize=False)
+    return Plane(_haar_frames(n, m, 1, rng)[0], orthonormalize=False)

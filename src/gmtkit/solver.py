@@ -19,8 +19,9 @@ import numpy as np
 
 from . import _grid
 from .cubical import DyadicCube
-from .grassmann import Plane
-from .varifold import DiscreteVarifold, _ball_ratios, _spacing_probes, sample_spacing, unit_ball_volume
+from .grassmann import Plane, _mgs
+from .varifold import (DiscreteVarifold, _ball_ratios, _projector_distance_sq, _spacing_probes, sample_spacing,
+                       unit_ball_volume)
 
 logger = logging.getLogger("gmtkit.solver")
 
@@ -654,13 +655,8 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
             if sel.sum() >= m + 1:  # enough samples for a local plane fit
                 pts = points[sel]
                 _, _, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
-                fit_frames = frames[sel]
-                pf = Plane(vt[:m].T).projector()
-                pt = np.einsum("nij,nkj->nik", fit_frames, fit_frames)
-                eig = np.linalg.eigvalsh(pt - pf)
-                d2 = np.maximum(eig[:, -1], -eig[:, 0]) ** 2
                 ws = weights[sel]
-                tilt = float(np.sum(ws * d2))
+                tilt = float(np.sum(ws * _projector_distance_sq(frames[sel], _mgs(vt[:m].T))))
                 fit_weights[i] = float(ws.sum())
             entries[i] = {
                 "point": x.tolist(),

@@ -19,7 +19,7 @@ import numpy as np
 from ._profiles import profile_eval, profile_rows
 from . import _grid
 from .cubemaps import SmoothMap
-from .grassmann import FRAME_TOL, Plane, haar_sample
+from .grassmann import FRAME_TOL, Plane, _haar_frames
 
 __all__ = [
     "Integrand",
@@ -67,7 +67,6 @@ class Integrand:
 
     inf_bound = 1.0
     sup_bound = 1.0
-    smoothness = math.inf
     name = "integrand"
 
     def evaluate(self, points, frames):
@@ -462,11 +461,9 @@ class SliceResult:
 
 
 def _grassmann_grid(n, m, count, seed):
-    """The axis planes, then ``count`` Haar samples."""
-    planes = [Plane.axis(n, axes) for axes in itertools.combinations(range(n), m)]
-    rng = np.random.default_rng(seed)
-    planes.extend(haar_sample(n, m, rng) for _ in range(count))
-    return planes
+    """The frames of the axis planes, then of ``count`` Haar samples."""
+    axis_frames = [Plane.axis(n, axes).frame for axes in itertools.combinations(range(n), m)]
+    return np.concatenate([axis_frames, _haar_frames(n, m, count, np.random.default_rng(seed))])
 
 
 def phi_F(v: DiscreteVarifold, f: Integrand, grassmann_samples=256, seed=0, with_report=False):
@@ -482,12 +479,9 @@ def phi_F(v: DiscreteVarifold, f: Integrand, grassmann_samples=256, seed=0, with
         total += float(np.sum(tang.weights * f.evaluate(tang.points, tang.frames)))
     iso = v.isotropic_part()
     if len(iso):
-        rng = np.random.default_rng(seed)
         draws = np.zeros((grassmann_samples, len(iso)))
-        for k in range(grassmann_samples):
-            plane = haar_sample(v.ambient_dim, v.dim, rng)
-            frames = np.broadcast_to(plane.frame, (len(iso),) + plane.frame.shape)
-            draws[k] = f.evaluate(iso.points, frames)
+        for k, frame in enumerate(_haar_frames(v.ambient_dim, v.dim, grassmann_samples, np.random.default_rng(seed))):
+            draws[k] = f.evaluate(iso.points, np.broadcast_to(frame, (len(iso),) + frame.shape))
         means = draws.mean(axis=0)
         total += float(np.sum(iso.weights * means))
         stderr = float(
@@ -512,9 +506,8 @@ def psi_F(s_r: DiscreteVarifold, s_u: DiscreteVarifold, f: Integrand, sup_grid=5
     total = phi_F(s_r, f) if len(s_r) else 0.0
     if len(s_u):
         sup = np.full(len(s_u), -np.inf)
-        for plane in _grassmann_grid(s_u.ambient_dim, s_u.dim, sup_grid, seed):
-            frames = np.broadcast_to(plane.frame, (len(s_u),) + plane.frame.shape)
-            sup = np.maximum(sup, f.evaluate(s_u.points, frames))
+        for frame in _grassmann_grid(s_u.ambient_dim, s_u.dim, sup_grid, seed):
+            sup = np.maximum(sup, f.evaluate(s_u.points, np.broadcast_to(frame, (len(s_u),) + frame.shape)))
         total += float(np.sum(s_u.weights * sup))
     return total
 
@@ -552,8 +545,9 @@ def pullback_integrand(phi: SmoothMap, f: Integrand):
 def pushforward(phi: SmoothMap, v: DiscreteVarifold, haar_draws=16, seed=0):
     """phi_# V: transport points, tangents, and weights by the m-Jacobian.
 
-    Isotropic samples are routed through per-sample Haar draws; samples whose
-    image plane degenerates keep zero weight and are dropped.
+    Isotropic samples are routed through ``haar_draws`` (at least 1) Haar
+    draws; samples whose image plane degenerates keep zero weight and are
+    dropped.
 
     Samples outside ``phi.support`` (where phi is the exact identity) pass
     through untouched: points, frames, weights and the isotropic flag.  The
@@ -577,14 +571,13 @@ def pushforward(phi: SmoothMap, v: DiscreteVarifold, haar_draws=16, seed=0):
             parts.append(DiscreteVarifold(img[ok], frames, tang.weights[ok] * jm[ok]))
     iso = v.isotropic_part()
     if len(iso):
-        rng = np.random.default_rng(seed)
-        reps = []
-        for _ in range(haar_draws):
-            plane = haar_sample(v.ambient_dim, v.dim, rng)
-            frames = np.broadcast_to(plane.frame, (len(iso),) + plane.frame.shape).copy()
-            reps.append(DiscreteVarifold(iso.points, frames, iso.weights / haar_draws))
-        merged = DiscreteVarifold.concat(reps)
-        parts.append(pushforward(phi, merged))
+        if haar_draws < 1:
+            raise ValueError(f"isotropic samples need haar_draws >= 1, got {haar_draws}")
+        # haar_draws copies of the isotropic samples, copy k on the k-th draw
+        frames = _haar_frames(v.ambient_dim, v.dim, haar_draws, np.random.default_rng(seed))
+        parts.append(pushforward(phi, DiscreteVarifold(
+            np.tile(iso.points, (haar_draws, 1)), np.repeat(frames, len(iso), axis=0),
+            np.tile(iso.weights / haar_draws, haar_draws))))
     if not parts:
         return DiscreteVarifold(
             np.zeros((0, phi.n_out)), np.zeros((0, phi.n_out, v.dim)), np.zeros(0)
@@ -660,8 +653,7 @@ def blowup_map(rho: SmoothMap, t, delta):
         out[:, 1:, :] = np.eye(n)
         return val, out
 
-    return SmoothMap(n, n + 1, evaluate=evaluate, smoothness=2, name="blowup",
-                     meta={"t": t, "delta": delta})
+    return SmoothMap(n, n + 1, evaluate=evaluate, name="blowup", meta={"t": t, "delta": delta})
 
 
 @dataclass

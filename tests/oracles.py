@@ -58,6 +58,11 @@ whole-array reader: one Python step per row, and no rule on what is read.
 ``minimize_oracle`` is the annealer before its per-move tables: each step
 sums its move's weights with a fancy index, and a value tie compares the
 bytes of a copied candidate chain.
+``mgs_oracle`` is ``grassmann._mgs`` before it took stacks of frames: one
+frame, a 1-D dot per pair of columns and ``np.linalg.norm`` per column;
+``haar_sample_oracle``, ``grassmann_grid_oracle``, ``phi_F_oracle``,
+``psi_F_oracle`` and ``pushforward_oracle`` draw one Haar plane at a time
+with it, as the library did before its frame arrays.
 The tests assert that the library returns the same bytes.
 """
 
@@ -101,7 +106,7 @@ from gmtkit.solver import (
     initial_chain,
     spans,
 )
-from gmtkit.varifold import DiscreteVarifold
+from gmtkit.varifold import DiscreteVarifold, _m_jacobians
 from gmtkit.varifold import unit_ball_volume
 
 logger = logging.getLogger("oracles")
@@ -414,7 +419,7 @@ def recentering_map_oracle(a):
 
     support = Box(-np.ones(n), np.ones(n))
     return SmoothMap(
-        n, n, value, jac, support=support, smoothness=2, name="recenter",
+        n, n, value, jac, support=support, name="recenter",
         meta={"center": a.tolist(), "rho": rho.tolist()},
     )
 
@@ -783,7 +788,7 @@ def direction_search_oracle(xb, t_plane, cone, direction_budget, rng, resolution
         if best is None or score < scores[best]:
             best = k
     own = _covering_count_oracle(xb, resolution)
-    return candidates, np.array(scores, dtype=np.int64), best, baseline, own
+    return np.array([c.frame for c in candidates]), np.array(scores, dtype=np.int64), best, baseline, own
 
 
 class PlaneRotationOracle:
@@ -1483,3 +1488,143 @@ def minimize_oracle(problem: SpanningProblem, seed=0, restarts=3, steps=4000):
     final_value = chain.value(weights)
     logger.info("minimize: value %.6g with %d cells (initial %.6g)", final_value, chain.count(), init_val)
     return MinimizeResult(chain, final_value, full_trace, restarts, init_val, restart_counts)
+
+
+def mgs_oracle(columns, tol=1e-9):
+    """Modified Gram-Schmidt with one re-orthogonalization pass.
+
+    Raises if the columns are numerically dependent (relative to the largest
+    column norm).
+    """
+    a = np.array(columns, dtype=float, copy=True)
+    if a.ndim != 2:
+        raise ValueError("frame must be a 2d array")
+    n, m = a.shape
+    if m > n:
+        raise ValueError(f"cannot have {m} independent columns in R^{n}")
+    scale = max(np.max(np.abs(a)), 1.0) if a.size else 1.0
+    q = np.zeros((n, m))
+    for j in range(m):
+        v = a[:, j]
+        for _ in range(2):  # re-orthogonalize once for stability
+            for i in range(j):
+                v = v - (q[:, i] @ v) * q[:, i]
+        norm = np.linalg.norm(v)
+        if norm <= tol * scale:
+            raise ValueError("frame columns are numerically dependent")
+        q[:, j] = v / norm
+    return q
+
+
+def haar_sample_oracle(n, m, seed):
+    """A plane drawn from the orthogonally invariant distribution on G(n,m).
+
+    Column span of a Gaussian n x m matrix, orthonormalized; deterministic
+    for a fixed seed (an integer or a numpy Generator).
+    """
+    if not 0 < m <= n:
+        raise ValueError(f"need 0 < m <= n, got ({n}, {m})")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    g = rng.standard_normal((n, m))
+    return Plane(mgs_oracle(g), orthonormalize=False)
+
+
+def grassmann_grid_oracle(n, m, count, seed):
+    """The axis planes, then ``count`` Haar samples."""
+    planes = [Plane.axis(n, axes) for axes in itertools.combinations(range(n), m)]
+    rng = np.random.default_rng(seed)
+    planes.extend(haar_sample_oracle(n, m, rng) for _ in range(count))
+    return planes
+
+
+def phi_F_oracle(v, f, grassmann_samples=256, seed=0, with_report=False):
+    """Phi_F(V) = sum of weight * F(x, T) over the samples.
+
+    Isotropic samples contribute weight times the Monte-Carlo average of
+    F(x, .) over Haar-random planes (count and standard error reported).
+    """
+    total = 0.0
+    report = {"grassmann_samples": 0, "mc_stderr": 0.0}
+    tang = v.tangent_part()
+    if len(tang):
+        total += float(np.sum(tang.weights * f.evaluate(tang.points, tang.frames)))
+    iso = v.isotropic_part()
+    if len(iso):
+        rng = np.random.default_rng(seed)
+        draws = np.zeros((grassmann_samples, len(iso)))
+        for k in range(grassmann_samples):
+            plane = haar_sample_oracle(v.ambient_dim, v.dim, rng)
+            frames = np.broadcast_to(plane.frame, (len(iso),) + plane.frame.shape)
+            draws[k] = f.evaluate(iso.points, frames)
+        means = draws.mean(axis=0)
+        total += float(np.sum(iso.weights * means))
+        stderr = float(
+            np.sum(iso.weights * draws.std(axis=0, ddof=1)) / math.sqrt(grassmann_samples)
+        )
+        report = {"grassmann_samples": grassmann_samples, "mc_stderr": stderr}
+    if with_report:
+        return total, report
+    return total
+
+
+def psi_F_oracle(s_r, s_u, f, sup_grid=512, seed=0):
+    """Psi_F = Phi_F(rectifiable part) + unrectifiable mass at the sup of F.
+
+    The per-point supremum over tangent planes is estimated on a Grassmann
+    grid of Haar samples plus all axis planes.
+    """
+    if len(s_r) and np.any(s_r.isotropic):
+        raise ValueError("rectifiable part must be all-tangent")
+    if len(s_u) and not np.all(s_u.isotropic):
+        raise ValueError("unrectifiable part must be all-isotropic")
+    total = phi_F_oracle(s_r, f) if len(s_r) else 0.0
+    if len(s_u):
+        sup = np.full(len(s_u), -np.inf)
+        for plane in grassmann_grid_oracle(s_u.ambient_dim, s_u.dim, sup_grid, seed):
+            frames = np.broadcast_to(plane.frame, (len(s_u),) + plane.frame.shape)
+            sup = np.maximum(sup, f.evaluate(s_u.points, frames))
+        total += float(np.sum(s_u.weights * sup))
+    return total
+
+
+def pushforward_oracle(phi, v, haar_draws=16, seed=0):
+    """phi_# V: transport points, tangents, and weights by the m-Jacobian.
+
+    Isotropic samples are routed through per-sample Haar draws; samples whose
+    image plane degenerates keep zero weight and are dropped.
+
+    Samples outside ``phi.support`` (where phi is the exact identity) pass
+    through untouched: points, frames, weights and the isotropic flag.  The
+    result is then [outside samples, transported samples], in that order, and
+    a varifold lying wholly outside the support is returned as it is.
+    """
+    inside = phi.inside_support(v.points)
+    if not inside.all():
+        if not inside.any():
+            return v
+        moved = pushforward_oracle(phi, v.restrict(inside), haar_draws, seed)
+        return DiscreteVarifold.concat([v.restrict(~inside), moved])
+    parts = []
+    tang = v.tangent_part()
+    if len(tang):
+        img, jacs = phi.value_and_jacobian(tang.points)
+        jm, a = _m_jacobians(jacs, tang.frames)
+        ok = jm > 1e-12
+        if np.any(ok):
+            frames, _ = np.linalg.qr(a[ok])
+            parts.append(DiscreteVarifold(img[ok], frames, tang.weights[ok] * jm[ok]))
+    iso = v.isotropic_part()
+    if len(iso):
+        rng = np.random.default_rng(seed)
+        reps = []
+        for _ in range(haar_draws):
+            plane = haar_sample_oracle(v.ambient_dim, v.dim, rng)
+            frames = np.broadcast_to(plane.frame, (len(iso),) + plane.frame.shape).copy()
+            reps.append(DiscreteVarifold(iso.points, frames, iso.weights / haar_draws))
+        merged = DiscreteVarifold.concat(reps)
+        parts.append(pushforward_oracle(phi, merged))
+    if not parts:
+        return DiscreteVarifold(
+            np.zeros((0, phi.n_out)), np.zeros((0, phi.n_out, v.dim)), np.zeros(0)
+        )
+    return DiscreteVarifold.concat(parts)

@@ -457,10 +457,16 @@ def _bad_input_files(tmp):
         {"m": 2, "eps": 0.05, "seed": 0, "descent_count": 1, "stages": [stage]}))
     for name, text in BAD_SET_FILES.items():
         (tmp / f"set_{name}.csv").write_text(text)
+    for name, line in BAD_PLANE_PAIRS.items():
+        (tmp / f"planes_{name}.txt").write_text(line + "\n")
     for name, (change, count) in BAD_PLAN_STAGES.items():
         (tmp / f"plan_{name}.json").write_text(json.dumps(
             {"m": 2, "eps": 0.05, "seed": 0, "descent_count": count, "stages": [dict(PLAN_STAGE, **change)]}))
 
+
+# plane-pair lines that break the rotate rule: integers 1 <= n and 0 <= m <= n, then finite frame entries
+BAD_PLANE_PAIRS = {"n_fraction": "2.5 1 1 0 0 1", "nan_entry": "2 1 nan 0 0 1", "n_overflows": "1e400 1 1 0 0 1",
+                   "n_zero": "0 0"}
 
 # set files that break the set-file rule: a valid row, then the row that breaks it
 SET_HEADER, SET_ROW = "# gmtkit varifold n=3 m=2", "2.0,2.0,2.05,1.0,0.0,0.0,0.0,1.0,0.0,0.01"
@@ -570,6 +576,10 @@ BAD_INPUTS = {
     "slice_bin_nan": ({}, ["slice", "disc.csv", "--t", "0.5", "--bin", "nan"]),
     "rotate_tau_not_a_number": ({}, ["rotate", "planes.txt", "--tau", "abc"]),
     "rotate_tau_nan": ({}, ["rotate", "planes.txt", "--tau", "nan"]),
+    "rotate_n_fraction": ({}, ["rotate", "planes_n_fraction.txt"]),
+    "rotate_nan_entry": ({}, ["rotate", "planes_nan_entry.txt"]),
+    "rotate_n_overflows": ({}, ["rotate", "planes_n_overflows.txt"]),
+    "rotate_n_zero": ({}, ["rotate", "planes_n_zero.txt"]),
     "seed_not_an_integer": ({}, ["--seed", "abc", "retract"]),
     "slice_without_t": ({}, ["slice", "disc.csv"]),
     "out_is_a_file": ({}, ["--out", "disc.csv", "retract"]),

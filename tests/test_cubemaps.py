@@ -569,7 +569,7 @@ class TestDirectionSearchOracle:
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         cands, scores, best, baseline, own = _direction_search(xb, t_plane, cone, budget, rng, resolution)
         want = direction_search_oracle(xb, t_plane, cone, budget, rng_oracle, resolution)
-        assert [c.frame.tobytes() for c in cands] == [c.frame.tobytes() for c in want[0]]
+        assert cands.tobytes() == want[0].tobytes()
         assert scores.tobytes() == want[1].tobytes()
         assert (best, baseline, own) == want[2:]
         assert rng.bit_generator.state == rng_oracle.bit_generator.state

@@ -135,3 +135,29 @@ def test_only_pair_norms_takes_grid_norms():
              and node.func.attr == "norm" and id(node) not in inside]
     assert not found, found
 
+
+
+
+def test_no_comprehension_takes_one_norm_per_row():
+    """No comprehension in ``src/`` calls ``np.linalg.norm`` without ``axis``:
+    a norm per row is one call (``axis``, or ``_grid.row_dots`` where the
+    bytes of a single row's norm matter), not a Python step per row."""
+    found = sorted({f"{path.name}:{node.lineno} takes a norm per row"
+                    for path in sorted(SRC.glob("*.py"))
+                    for comp in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(comp, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
+                    for node in ast.walk(comp)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "norm" and not any(k.arg == "axis" for k in node.keywords)})
+    assert not found, found
+
+
+def test_only_grassmann_builds_sampled_planes_one_by_one():
+    """Outside ``grassmann`` no code in ``src/`` calls ``haar_sample`` or
+    ``Plane.span``: planes in bulk are frame arrays, from one ``_mgs`` or
+    ``_haar_frames`` call."""
+    found = [f"{path.name}:{node.lineno} calls {ast.unparse(node.func)}"
+             for path in sorted(SRC.glob("*.py")) if path.stem != "grassmann"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and re.search(r"(^|\.)(haar_sample|Plane\.span)$", ast.unparse(node.func))]
+    assert not found, found

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 from gmtkit.grassmann import (
     Plane,
+    _haar_frames,
+    _mgs,
     build_rotation,
     haar_sample,
     projector_distance,
     tilt_measure_excess,
 )
-from oracles import PlaneRotationOracle
+from oracles import PlaneRotationOracle, haar_sample_oracle, mgs_oracle
 
 
 def finite_difference_derivative(rot, tau, step=1e-5):
@@ -222,3 +225,58 @@ class TestHaarSample:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             haar_sample(2, 3, 0)
+
+
+def _frame_stacks(n, m, count, seed):
+    """Gaussian, orthonormal (QR) and 1e5- and 1e-5-scaled stacks of
+    ``count`` n x m frames."""
+    g = np.random.default_rng(seed).standard_normal((count, n, m))
+    return {"gaussian": g, "orthonormal": np.linalg.qr(g)[0], "large": g * 1e5, "small": g * 1e-5}
+
+
+class TestFrameStacks:
+    """``_mgs`` on a stack of frames, and ``_haar_frames``, against the
+    single-frame Gram-Schmidt and one ``haar_sample`` per plane."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 20])
+    def test_stack_frames_equal_single_frames(self, n):
+        for m in range(0, min(n, 5) + 1):
+            for kind, stack in _frame_stacks(n, m, 40, seed=100 * n + m).items():
+                got = _mgs(stack)
+                assert got.shape == stack.shape
+                for k, frame in enumerate(stack):
+                    want = mgs_oracle(frame).tobytes()
+                    assert got[k].tobytes() == want, (n, m, kind, k)
+                    assert _mgs(frame).tobytes() == want, (n, m, kind, k)
+
+    def test_any_leading_shape(self, rng):
+        stack = rng.standard_normal((3, 4, 5, 2))
+        got = _mgs(stack)
+        for i, j in itertools.product(range(3), range(4)):
+            assert got[i, j].tobytes() == mgs_oracle(stack[i, j]).tobytes()
+        assert _mgs(stack[:0]).shape == (0, 4, 5, 2)
+
+    def test_dependent_frames_raise(self, rng):
+        stack = rng.standard_normal((6, 3, 2))
+        stack[4, :, 1] = 2.0 * stack[4, :, 0]
+        for frames in (stack, stack[4], np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="numerically dependent"):
+                _mgs(frames)
+        with pytest.raises(ValueError, match="independent columns"):
+            _mgs(np.ones((2, 2, 3)))
+        with pytest.raises(ValueError, match="2d array"):
+            _mgs(np.ones(3))
+
+    @pytest.mark.parametrize("n, m, count", [(2, 1, 720), (3, 1, 50), (3, 2, 256), (4, 2, 16), (5, 3, 7), (6, 6, 3)])
+    def test_haar_frames_equal_haar_samples(self, n, m, count):
+        rng, rng_oracle = np.random.default_rng(n + m), np.random.default_rng(n + m)
+        frames = _haar_frames(n, m, count, rng)
+        want = np.array([haar_sample_oracle(n, m, rng_oracle).frame for _ in range(count)])
+        assert frames.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        assert haar_sample(n, m, 9).frame.tobytes() == haar_sample_oracle(n, m, 9).frame.tobytes()
+
+    def test_haar_frames_check_dimensions(self, rng):
+        for n, m in ((2, 0), (2, 3)):
+            with pytest.raises(ValueError, match="0 < m <= n"):
+                _haar_frames(n, m, 4, rng)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import norm_map
-from oracles import sample_spacing_oracle, varifold_from_csv_oracle, varifold_to_csv_oracle
+from oracles import (phi_F_oracle, psi_F_oracle, pushforward_oracle, sample_spacing_oracle, varifold_from_csv_oracle,
+                     varifold_to_csv_oracle)
 from gmtkit import _grid, varifold
 from gmtkit.cubemaps import Ball, SmoothMap
 from gmtkit.grassmann import Plane, haar_sample
@@ -627,3 +628,48 @@ class TestSampleSpacingOracle:
         for pairs in (1, 7, 500):
             monkeypatch.setattr(_grid, "PAIR_BLOCK", pairs)
             self.assert_same(pts)
+
+
+class TestHaarFrameArrays:
+    """``phi_F``, ``psi_F`` and the isotropic ``pushforward`` draw their planes
+    as one frame array: the floats, reports and samples of one Haar plane at
+    a time (the oracles)."""
+
+    @staticmethod
+    def _parts(n, m, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, (30, n))
+        frames = np.linalg.qr(rng.standard_normal((20, n, m)))[0]
+        return (DiscreteVarifold(pts[:20], frames, rng.random(20)),
+                DiscreteVarifold.isotropic_set(pts[20:], rng.random(10), m))
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)])
+    def test_phi_and_psi(self, n, m):
+        tangent, iso = self._parts(n, m, seed=n + m)
+        ref = Plane.axis(n, range(m))
+        affine = SmoothMap.affine(np.eye(n) + 0.3 * np.random.default_rng(m).standard_normal((n, n)))
+        for f in (TiltPenaltyIntegrand(ref, lam=2.5), pullback_integrand(affine, TiltPenaltyIntegrand(ref, lam=0.5))):
+            for v in (iso, DiscreteVarifold.concat([tangent, iso])):
+                got = phi_F(v, f, grassmann_samples=64, seed=3, with_report=True)
+                assert repr(got) == repr(phi_F_oracle(v, f, grassmann_samples=64, seed=3, with_report=True))
+            got = psi_F(tangent, iso, f, sup_grid=100, seed=2)
+            assert repr(got) == repr(psi_F_oracle(tangent, iso, f, sup_grid=100, seed=2))
+        assert repr(psi_F(tangent, iso, f)) == repr(psi_F_oracle(tangent, iso, f))
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (4, 3)])
+    def test_isotropic_pushforward(self, n, m):
+        tangent, iso = self._parts(n, m, seed=7)
+        v = DiscreteVarifold.concat([tangent, iso]).restrict(np.random.default_rng(1).permutation(30))
+        g = np.random.default_rng(n)
+        doubled = SmoothMap(n, n, lambda x: 2.0 * x, lambda x: np.broadcast_to(2.0 * np.eye(n), (len(x), n, n)).copy(),
+                            support=Ball(np.zeros(n), 0.8))
+        for phi in (SmoothMap.affine(np.eye(n) + 0.3 * g.standard_normal((n, n)), g.standard_normal(n)), doubled):
+            for draws in (1, 16):
+                assert same_bits(pushforward(phi, v, draws, seed=5), pushforward_oracle(phi, v, draws, seed=5))
+
+    def test_isotropic_pushforward_needs_a_draw(self):
+        tangent, iso = self._parts(3, 2, seed=7)
+        assert same_bits(pushforward(SmoothMap.identity(3), tangent, 0), pushforward(SmoothMap.identity(3), tangent))
+        for v in (iso, DiscreteVarifold.concat([tangent, iso])):
+            with pytest.raises(ValueError, match="haar_draws >= 1"):
+                pushforward(SmoothMap.identity(3), v, 0)
