@@ -447,7 +447,7 @@ def cmd_deform(args):
             plan = DeformationPlan.from_json(Path(args.replay).read_text())
         except (OSError, KeyError, TypeError, ValueError) as exc:  # a missing key raises KeyError
             raise InputError(f"cannot load plan {args.replay}: {type(exc).__name__} {exc}") from exc
-        f1 = plan.f_map() or SmoothMap.identity(n)
+        f1 = plan.compose_stages() or SmoothMap.identity(n)
     else:
         try:
             plan, _, f1 = deform_onto_skeleton(

@@ -44,7 +44,6 @@ logger = logging.getLogger("gmtkit.cubemaps")
 __all__ = [
     "FaceIndex",
     "SmoothMap",
-    "Region",
     "Ball",
     "Box",
     "UnionRegion",
@@ -91,32 +90,8 @@ class FaceIndex:
     def dim(self):
         return sum(1 for k in self.kappa if k == 0)
 
-    def tangent_axes(self):
-        return tuple(j for j, k in enumerate(self.kappa) if k == 0)
-
     def center(self):
         return np.array(self.kappa, dtype=float)
-
-    def region_contains(self, x):
-        """Whether points lie in C_kappa (strict inequality on free axes)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ok = np.ones(len(x), dtype=bool)
-        for j, k in enumerate(self.kappa):
-            if k == 0:
-                ok &= np.abs(x[:, j]) < 1.0
-            else:
-                ok &= x[:, j] * k >= 1.0
-        return ok
-
-    def face_contains(self, x, tol=0.0):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ok = np.ones(len(x), dtype=bool)
-        for j, k in enumerate(self.kappa):
-            if k == 0:
-                ok &= np.abs(x[:, j]) <= 1.0 + tol
-            else:
-                ok &= np.abs(x[:, j] - k) <= tol
-        return ok
 
     def __eq__(self, other):
         return isinstance(other, FaceIndex) and self.kappa == other.kappa
@@ -149,12 +124,7 @@ def nearest_point_cube(x, n=None):
 # regions and smooth maps
 
 
-class Region:
-    def contains(self, x):
-        raise NotImplementedError
-
-
-class Ball(Region):
+class Ball:
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
@@ -163,11 +133,8 @@ class Ball(Region):
         x = np.atleast_2d(x)
         return np.linalg.norm(x - self.center, axis=1) <= self.radius
 
-    def contains_ball(self, center, r):
-        return np.linalg.norm(np.asarray(center) - self.center) + r <= self.radius
 
-
-class Box(Region):
+class Box:
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
@@ -176,12 +143,8 @@ class Box(Region):
         x = np.atleast_2d(x)
         return np.all((x >= self.lo) & (x <= self.hi), axis=1)
 
-    def contains_ball(self, center, r):
-        c = np.asarray(center, dtype=float)
-        return bool(np.all(c - r >= self.lo) and np.all(c + r <= self.hi))
 
-
-class UnionRegion(Region):
+class UnionRegion:
     def __init__(self, regions):
         self.regions = list(regions)
 
@@ -331,7 +294,7 @@ class SmoothMap:
 class ConvexBody:
     """Bounded open convex set in R^n containing 0, described by a smooth gauge.
 
-    ``gauge`` is 1-homogeneous with V = {gauge < 1}; the outward unit normal
+    The gauge is 1-homogeneous with V = {gauge < 1}; the outward unit normal
     at a boundary point is the normalized gauge gradient.  Each body
     computes both in one function, ``_gauge(x, grad) -> (gauge, gradient or
     None)``, at the rows of x.
@@ -342,27 +305,13 @@ class ConvexBody:
     def _gauge(self, x, grad):
         raise NotImplementedError
 
-    def gauge(self, x):
-        return self._gauge(x, False)[0]
-
-    def gauge_and_grad(self, x):
-        """(gauge, gauge gradient) at the rows of x."""
-        return self._gauge(x, True)
-
     @property
     def circumradius(self):
         raise NotImplementedError
 
-    def contains(self, x):
-        return self.gauge(np.atleast_2d(x)) < 1.0
-
     def normal(self, y):
         g = self._gauge(np.atleast_2d(y), True)[1]
         return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-    def boundary_point(self, direction):
-        d = np.asarray(direction, dtype=float)
-        return d / self.gauge(d[None, :])[0]
 
 
 class BallBody(ConvexBody):
@@ -931,9 +880,10 @@ def _cluster_balls(points, gap, region):
     (``_grid.cell_clusters``), in the order of those clusters.
 
     Each ball's inner core (half of the rotation happens inside it) contains
-    its whole cluster; the outer radius is capped by the ambient region and
-    by the distance to the nearest other centre (``_grid.nearest_distinct``,
-    in blocks; zero when centres coincide).  Returns (centers, r_out, r_in,
+    its whole cluster; the outer radius is capped by the distance to the
+    nearest other centre (``_grid.nearest_distinct``, in blocks; zero when
+    centres coincide), and a ball whose outer radius leaves the ``Box``
+    ``region`` (if not None) is dropped.  Returns (centers, r_out, r_in,
     uncovered_idx)."""
     label = _grid.cell_clusters(points, gap)
     order = np.argsort(label, kind="stable")  # the samples of each ball, in index order
@@ -949,8 +899,8 @@ def _cluster_balls(points, gap, region):
         near[counts[same.ravel()] > 1] = 0.0  # a ball whose centre another shares is dropped
         outer = np.minimum(outer, 0.48 * near)
     keep = outer >= 1.3 * inner
-    if region is not None and hasattr(region, "contains_ball"):
-        keep = np.array([ok and region.contains_ball(c, r) for ok, c, r in zip(keep, centers, outer)], dtype=bool)
+    if region is not None:
+        keep &= np.all((centers - outer[:, None] >= region.lo) & (centers + outer[:, None] <= region.hi), axis=1)
     return centers[keep], outer[keep], inner[keep], order[~keep[label[order]]].tolist()
 
 
@@ -969,9 +919,10 @@ def unrect_perturbation(
 ):
     """Diffeomorphism rho with f o rho shrinking the sampled set's measure.
 
-    ``points`` samples a purely unrectifiable set inside ``region`` where
-    rank Df <= m must hold (checked by a singular-value threshold).  Disjoint
-    balls cover the samples; in each ball a rotation aligns a low-projection
+    ``points`` samples a purely unrectifiable set inside ``region``, a
+    ``Box`` or None (no bound), where rank Df <= m must hold (checked by a
+    singular-value threshold).  Disjoint balls cover the samples, each ball
+    inside ``region``; in each ball a rotation aligns a low-projection
     direction (found by brute-force search over a direction grid) with the
     row space of Df at the centre.  ||D rho - id|| <= eps by construction.
     """

@@ -124,11 +124,13 @@ def _candidate_singular_values(cand_r, u, eps):
 def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack=0.5):
     """A good projection centre in the middle half of the cube.
 
-    For measure dimensions below dim(cube): randomized search accepting the
-    first candidate whose sampled derivative integrals obey the averaged
-    bound l * Gamma(k, m_i) * mu_i(K) * (1 + slack).  For dimensions equal
-    to dim(cube): any candidate point clear of the support.  The samples
-    counted are those in the closed cube within eps of its plane.
+    For measure dimensions below dim(cube): randomized search that evaluates
+    all ``budget`` candidates and keeps, among those whose sampled
+    derivative integrals obey the averaged bound
+    l * Gamma(k, m_i) * mu_i(K) * (1 + slack), the one with the least
+    sampled mass growth.  For dimensions equal to dim(cube): the first
+    candidate farthest from the support, which must be clear of it.  The
+    samples counted are those in the closed cube within eps of its plane.
     Deterministic given the generator state.  ``budget`` (at least 1) is
     the number of candidates drawn.
     """
@@ -210,35 +212,45 @@ def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack
     return centres[best], {"branch": "off-support", "clearance": best_d, "candidates_tried": budget}
 
 
-def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
-                    budget=64, slack=0.5, freeze_radius=None):
+def _check_cube_eps(cube: DyadicCube, eps):
+    if not 0 < eps < cube.side / 4.0:
+        raise ValueError("eps must lie in (0, side/4)")
+
+
+def deform_one_cube(cube: DyadicCube, measures, eps, *, rng=None, budget=64):
     """The single-cube deformation: punctured projection in the cube's plane,
     frozen near the centre, cut off in the normal directions.
 
     Identity at distance >= eps from the cube; maps the measures' in-cube
     samples into the cube boundary; preserves faces and the neighbouring
-    same-side cubes.
+    same-side cubes.  The centre is ``select_center``'s; the freeze radius
+    is half the least of eps / sqrt(2) and the centre's distance to the
+    samples.
     """
-    if not 0 < eps < cube.side / 4.0:
-        raise ValueError("eps must lie in (0, side/4)")
-    n = cube.ambient_dim
-    k = cube.dim
-    info = {}
-    if center is None:
-        center, info = select_center(cube, measures, eps, rng=rng, budget=budget, slack=slack)
-    center = np.asarray(center, dtype=float)
+    _check_cube_eps(cube, eps)
+    center, info = select_center(cube, measures, eps, rng=rng, budget=budget)
     iota = eps / math.sqrt(2.0)
     support_pts = [v.points for v in measures if len(v)]
-    if freeze_radius is None:
-        if support_pts:
-            dist_to_support = float(
-                min(np.min(np.linalg.norm(p - center, axis=1)) for p in support_pts)
-            )
-        else:
-            dist_to_support = np.inf
-        freeze_radius = 0.5 * min(iota, dist_to_support)
-        if not np.isfinite(freeze_radius) or freeze_radius <= 0:
-            freeze_radius = 0.5 * iota
+    if support_pts:
+        dist_to_support = float(
+            min(np.min(np.linalg.norm(p - center, axis=1)) for p in support_pts)
+        )
+    else:
+        dist_to_support = np.inf
+    freeze_radius = 0.5 * min(iota, dist_to_support)
+    if not np.isfinite(freeze_radius) or freeze_radius <= 0:
+        freeze_radius = 0.5 * iota
+    return _cube_map(cube, center, eps, freeze_radius, info)
+
+
+def _cube_map(cube: DyadicCube, center, eps, freeze_radius, selection):
+    """The stage map that a cube, its centre, eps and the freeze radius fix;
+    ``selection`` is the centre search's report, kept in the map's meta."""
+    _check_cube_eps(cube, eps)
+    n = cube.ambient_dim
+    k = cube.dim
+    center = np.asarray(center, dtype=float)
+    iota = eps / math.sqrt(2.0)
     d = freeze_radius
     eps_r = min(2.0 * iota / cube.side, 0.2499)
     axes = list(cube.axes)
@@ -299,7 +311,7 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, center=None, rng=None,
         "center": center.tolist(),
         "eps": eps,
         "freeze_radius": d,
-        "selection": info,
+        "selection": selection,
     }
     return m
 
@@ -339,14 +351,10 @@ class DeformationPlan:
     def g_stages(self):
         return self.stages[: self.descent_count]
 
-    def g_map(self):
-        maps = [s.map for s in self.g_stages()]
-        if not maps:
-            return None
-        return SmoothMap.compose(*reversed(maps))
-
-    def f_map(self):
-        maps = [s.map for s in self.stages]
+    def compose_stages(self, count=None):
+        """The composite of the first ``count`` stage maps (all when None), or
+        None when that takes no stage."""
+        maps = [s.map for s in self.stages[:count]]
         if not maps:
             return None
         return SmoothMap.compose(*reversed(maps))
@@ -449,7 +457,7 @@ class DeformationPlan:
             if sd["kind"] not in ("descent", "cleanup"):
                 raise ValueError(f'stage {i} kind must be "descent" or "cleanup", got {reprlib.repr(sd["kind"])}')
             stage = PlanStage(cube=cube, center=center, eps=eps, freeze_radius=freeze_radius, kind=sd["kind"])
-            stage.map = deform_one_cube(cube, [], eps, center=center, freeze_radius=freeze_radius)
+            stage.map = _cube_map(cube, center, eps, freeze_radius, {})
             plan.stages.append(stage)
         return plan
 
@@ -502,7 +510,7 @@ def _coverage_fraction(cube: DyadicCube, points):
 
 
 def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, eps, *,
-                         seed=0, budget=64, slack=0.5, coverage_threshold=0.98):
+                         seed=0, budget=64, coverage_threshold=0.98):
     """Deform the sampled sets onto the m-skeleton of the complex.
 
     Descent stages process the complex's cubes of dimension > m (dimension
@@ -529,7 +537,7 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
     plan = DeformationPlan(m=m, eps=eps, seed=seed)
     plan.constants["delta_touching"] = delta_touch
     plan.constants["eps_stage"] = eps_stage
-    search = {"rng": rng, "budget": budget, "slack": slack}
+    search = {"rng": rng, "budget": budget}
     current = list(sets)
     skipped = 0
     for cube in stage_cubes:
@@ -538,7 +546,7 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
         current = moved or current
     plan.descent_count = len(plan.stages)
     plan.constants["descent_skipped_empty"] = skipped
-    g1 = plan.g_map() or SmoothMap.identity(complex_.ambient_dim)
+    g1 = plan.compose_stages(plan.descent_count) or SmoothMap.identity(complex_.ambient_dim)
 
     # cleanup: empty the partially covered m-cubes (only for equal dimensions)
     if sets and all(v.dim == m for v in sets):
@@ -561,7 +569,7 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
             cleanup.append(cube)
         for cube in cleanup:
             current = _add_stage(plan, cube, "cleanup", current, eps_stage, **search) or current
-    f1 = plan.f_map() or SmoothMap.identity(complex_.ambient_dim)
+    f1 = plan.compose_stages() or SmoothMap.identity(complex_.ambient_dim)
     plan.constants["stage_count"] = len(plan.stages)
     logger.info(
         "deformation plan: %d descent + %d cleanup stages (skipped %d empty)",

@@ -14,7 +14,6 @@ scalar calls.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -76,9 +75,13 @@ class Plane:
         frame = np.asarray(frame, dtype=float)
         if frame.ndim != 2:
             raise ValueError("frame must be an n x m array")
-        frame = _mgs(frame) if orthonormalize else frame.copy()
-        if np.abs(frame.T @ frame - np.eye(frame.shape[1])).max(initial=0.0) > FRAME_TOL:
-            raise ValueError("frame is not orthonormal")
+        if not np.isfinite(frame).all():
+            raise ValueError("frame entries must be finite")
+        # a huge finite entry overflows a dot to inf: the frame then fails the check
+        with np.errstate(over="ignore"):
+            frame = _mgs(frame) if orthonormalize else frame.copy()
+            if np.abs(frame.T @ frame - np.eye(frame.shape[1])).max(initial=0.0) > FRAME_TOL:
+                raise ValueError("frame is not orthonormal")
         self.frame = frame
         self.frame.setflags(write=False)
 
@@ -104,21 +107,6 @@ class Plane:
         for j, a in enumerate(axes):
             frame[a, j] = 1.0
         return Plane(frame, orthonormalize=False)
-
-    @staticmethod
-    def span(*vectors):
-        return Plane(np.column_stack([np.asarray(v, dtype=float) for v in vectors]))
-
-    def to_json(self):
-        return json.dumps(
-            {"n": self.ambient_dim, "m": self.dim, "frame": [float(v) for v in self.frame.ravel()]}
-        )
-
-    @staticmethod
-    def from_json(text):
-        data = json.loads(text)
-        frame = np.array(data["frame"], dtype=float).reshape(data["n"], data["m"])
-        return Plane(frame)
 
     def __repr__(self):
         return f"Plane(n={self.ambient_dim}, m={self.dim})"
@@ -201,9 +189,6 @@ class PlaneRotation:
     def displacement(self, tau, v):
         """The rows (M(tau_k) - I) v_k for a 1-d array tau and an (len(tau), n) array v."""
         return self._path(tau, v=v)
-
-    def max_angle(self):
-        return max((a for a, _, _ in self.angles), default=0.0)
 
     def __repr__(self):
         return f"PlaneRotation(n={self.ambient_dim}, pairs={len(self.angles)})"

@@ -76,10 +76,6 @@ class Integrand:
         x = np.asarray(x, dtype=float)
         return float(self.evaluate(x[None, :], plane.frame[None, :, :])[0])
 
-    @property
-    def bounded(self):
-        return self.inf_bound > 0 and np.isfinite(self.sup_bound)
-
 
 class AreaIntegrand(Integrand):
     name = "area"
@@ -737,10 +733,6 @@ class EllipticityReport:
     margins: list = field(default_factory=list)
     min_margin: float = math.inf
     counterexample: str | None = None
-
-    @property
-    def refuted(self):
-        return self.counterexample is not None
 
 
 def _build_disc(t_plane: Plane):

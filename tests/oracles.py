@@ -64,6 +64,12 @@ frame, a 1-D dot per pair of columns and ``np.linalg.norm`` per column;
 ``psi_F_oracle`` and ``pushforward_oracle`` draw one Haar plane at a time
 with it, as the library did before its frame arrays.
 The tests assert that the library returns the same bytes.
+
+The face, body and plane helpers that only tests call live here too, as
+functions of the object: ``tangent_axes``, ``region_contains`` and
+``face_contains`` of a ``FaceIndex``; ``gauge``, ``gauge_and_grad`` and
+``boundary_point`` of a ``ConvexBody``; and ``plane_span``, the plane
+spanned by given vectors.
 """
 
 import bisect
@@ -769,7 +775,7 @@ def direction_search_oracle(xb, t_plane, cone, direction_budget, rng, resolution
         base = math.atan2(t_plane.frame[1, 0], t_plane.frame[0, 0])
         amax = math.asin(min(cone, 1.0))
         angles = base + np.linspace(-amax, amax, direction_budget)
-        candidates = [Plane.span([math.cos(t), math.sin(t)]) for t in angles]
+        candidates = [plane_span([math.cos(t), math.sin(t)]) for t in angles]
     else:
         candidates = [t_plane]
         while len(candidates) < direction_budget:
@@ -858,6 +864,56 @@ def gauge_grad_oracle(body, x):
     ratios = np.abs(x) / safe[:, None]
     grad = (ratios ** (body.power - 1)) * np.sign(x) / body.radius
     return np.where(norm[:, None] > 0, grad, 0.0)
+
+
+def tangent_axes(fi):
+    """The free axes of the face F_kappa: T_kappa = span{e_j : kappa_j = 0}."""
+    return tuple(j for j, k in enumerate(fi.kappa) if k == 0)
+
+
+def region_contains(fi, x):
+    """Whether points lie in C_kappa (strict inequality on free axes)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ok = np.ones(len(x), dtype=bool)
+    for j, k in enumerate(fi.kappa):
+        if k == 0:
+            ok &= np.abs(x[:, j]) < 1.0
+        else:
+            ok &= x[:, j] * k >= 1.0
+    return ok
+
+
+def face_contains(fi, x, tol=0.0):
+    """Whether points lie on the face F_kappa, within tol."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ok = np.ones(len(x), dtype=bool)
+    for j, k in enumerate(fi.kappa):
+        if k == 0:
+            ok &= np.abs(x[:, j]) <= 1.0 + tol
+        else:
+            ok &= np.abs(x[:, j] - k) <= tol
+    return ok
+
+
+def gauge(body, x):
+    """A convex body's gauge at the rows of x."""
+    return body._gauge(x, False)[0]
+
+
+def gauge_and_grad(body, x):
+    """(gauge, gauge gradient) at the rows of x."""
+    return body._gauge(x, True)
+
+
+def boundary_point(body, direction):
+    """The point of the body's boundary on the ray through ``direction``."""
+    d = np.asarray(direction, dtype=float)
+    return d / gauge(body, d[None, :])[0]
+
+
+def plane_span(*vectors):
+    """The plane spanned by the given vectors, orthonormalized."""
+    return Plane(np.column_stack([np.asarray(v, dtype=float) for v in vectors]))
 
 
 def native_resolution_oracle(points):
@@ -1247,8 +1303,8 @@ def cluster_balls_oracle(points, gap, region):
     keep, uncovered = [], []
     for i in range(len(centers)):
         ok = outer[i] >= 1.3 * inner[i]
-        if ok and region is not None and hasattr(region, "contains_ball"):
-            ok = region.contains_ball(centers[i], outer[i])
+        if ok and region is not None:
+            ok = bool(np.all(centers[i] - outer[i] >= region.lo) and np.all(centers[i] + outer[i] <= region.hi))
         if ok:
             keep.append(i)
         else:

@@ -464,9 +464,10 @@ def _bad_input_files(tmp):
             {"m": 2, "eps": 0.05, "seed": 0, "descent_count": count, "stages": [dict(PLAN_STAGE, **change)]}))
 
 
-# plane-pair lines that break the rotate rule: integers 1 <= n and 0 <= m <= n, then finite frame entries
+# plane-pair lines that break the rotate rule: integers 1 <= n and 0 <= m <= n, then the
+# frames of two planes, with finite entries (1e308 overflows the frame's norm)
 BAD_PLANE_PAIRS = {"n_fraction": "2.5 1 1 0 0 1", "nan_entry": "2 1 nan 0 0 1", "n_overflows": "1e400 1 1 0 0 1",
-                   "n_zero": "0 0"}
+                   "n_zero": "0 0", "entry_overflows": "2 1 1e308 0 0 1"}
 
 # set files that break the set-file rule: a valid row, then the row that breaks it
 SET_HEADER, SET_ROW = "# gmtkit varifold n=3 m=2", "2.0,2.0,2.05,1.0,0.0,0.0,0.0,1.0,0.0,0.01"
@@ -580,6 +581,7 @@ BAD_INPUTS = {
     "rotate_nan_entry": ({}, ["rotate", "planes_nan_entry.txt"]),
     "rotate_n_overflows": ({}, ["rotate", "planes_n_overflows.txt"]),
     "rotate_n_zero": ({}, ["rotate", "planes_n_zero.txt"]),
+    "rotate_entry_overflows": ({}, ["rotate", "planes_entry_overflows.txt"]),
     "seed_not_an_integer": ({}, ["--seed", "abc", "retract"]),
     "slice_without_t": ({}, ["slice", "disc.csv"]),
     "out_is_a_file": ({}, ["--out", "disc.csv", "retract"]),

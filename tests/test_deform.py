@@ -247,7 +247,6 @@ class TestCandidateRowDedup:
 
 class TestDeformOneCube:
     def test_identity_far_from_cube(self, rng):
-        v = DiscreteVarifold.flat(*sample_disc(0.4, 500, seed=1, center=[0.5, 0.5, 0.5]), plane=None) if False else None
         pts, w = sample_disc(0.4, 500, seed=1, center=[0.5, 0.5, 0.5])
         vf = DiscreteVarifold.flat(pts, H, w)
         phi = deform_one_cube(CUBE3, [vf], 0.2, rng=np.random.default_rng(0))

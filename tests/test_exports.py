@@ -161,3 +161,27 @@ def test_only_grassmann_builds_sampled_planes_one_by_one():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and re.search(r"(^|\.)(haar_sample|Plane\.span)$", ast.unparse(node.func))]
     assert not found, found
+
+
+# public methods kept though no code in src/ or perfbench/ calls them, each with its reason
+UNCALLED_METHODS = {
+    "DeformationPlan.homotopy": "the deformation theorem's homotopy f(t, x) through the stage maps",
+    "DeformationPlan.homotopy_mass_estimate": "the theorem's mass bound on that homotopy's trace",
+}
+
+
+def test_every_public_method_has_a_caller():
+    """Every public method of every public class in ``src/`` is named as an
+    attribute somewhere in ``src/`` or ``perfbench/``: a method only tests
+    call belongs in ``tests/``, and one nothing calls is deleted."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    sources = sorted(SRC.glob("*.py")) + sorted(perfbench.glob("*.py"))
+    named = {node.attr for path in sources for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)}
+    found = [f"{path.name}: {cls.name}.{fn.name}"
+             for path in sorted(SRC.glob("*.py")) for cls in ast.parse(path.read_text()).body
+             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+             for fn in cls.body
+             if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in named
+             and f"{cls.name}.{fn.name}" not in UNCALLED_METHODS]
+    assert not found, found

@@ -428,13 +428,17 @@ class TestCoveringMeasure:
         assert covering_measure(np.zeros((0, 2)), 1, 0.1)[0] == 0.0
 
 
+def refuted(report):
+    return report.counterexample is not None
+
+
 class TestEllipticityProbe:
     def test_area_margins_exactly_one(self):
         report = ellipticity_probe(AreaIntegrand(), np.zeros(3), H, sup_grid=64)
         margins = [e["margin"] for e in report.margins if "margin" in e]
         assert margins
         assert all(m == pytest.approx(1.0, abs=1e-9) for m in margins)
-        assert not report.refuted
+        assert not refuted(report)
 
     def test_convex_combination_keeps_min_margin(self):
         tp = TiltPenaltyIntegrand(H, lam=0.4)
@@ -447,7 +451,7 @@ class TestEllipticityProbe:
         r_area = ellipticity_probe(AreaIntegrand(), np.zeros(3), H, sup_grid=64)
         r_tp = ellipticity_probe(tp, np.zeros(3), H, sup_grid=64)
         r_combo = ellipticity_probe(combo, np.zeros(3), H, sup_grid=64)
-        if not (r_tp.refuted or r_area.refuted):
+        if not (refuted(r_tp) or refuted(r_area)):
             for ea, et, ec in zip(r_area.margins, r_tp.margins, r_combo.margins):
                 if "margin" in ec:
                     assert ec["margin"] >= min(ea["margin"], et["margin"]) - 1e-9
@@ -462,7 +466,7 @@ class TestEllipticityProbe:
         bad = TiltReward(H, lam=9.0)
         bad.inf_bound, bad.sup_bound = 1.0, 10.0
         report = ellipticity_probe(bad, np.zeros(3), H, sup_grid=64)
-        assert report.refuted
+        assert refuted(report)
         gaps = {e["candidate"]: e["psi_gap"] for e in report.margins}
         assert min(gaps.values()) < 0
 
