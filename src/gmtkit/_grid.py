@@ -188,6 +188,15 @@ def block_margin(queries, cell):
     return (np.minimum(u - (k - 1.0), (k + 2.0) - u).min(axis=1) - 0.375) * cell
 
 
+def reach_cell(reach):
+    """The side of a grid whose ``neighbours`` lists every sample within
+    ``reach`` of each query, the fixed-radius rule: ``block_margin`` is at
+    least 0.625 cell for every query whose own cell ``neighbours``
+    searches, and a query that it clips (more than two cells outside the
+    samples' range) lies more than one cell from every sample."""
+    return reach / 0.625
+
+
 def dense_ranks(keys):
     """Each entry's rank among the distinct values of its row, from 0."""
     order = np.argsort(keys, axis=1, kind="stable")

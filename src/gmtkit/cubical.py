@@ -28,7 +28,6 @@ __all__ = [
     "whitney_family",
     "cubical_complex",
     "cubes_to_obj",
-    "neighbors",
     "BoxUnion",
     "BallSet",
     "PuncturedPlane",
@@ -562,18 +561,3 @@ def cubical_complex(family: CubeFamily) -> CubicalComplex:
             lv, cn, axes = lv[keep], cn[keep], axes[keep]
         by_dim[k] = [DyadicCube(*c, n) for c in zip(lv.tolist(), map(tuple, cn.tolist()), map(tuple, axes.tolist()))]
     return CubicalComplex(family, by_dim)
-
-
-def neighbors(family: CubeFamily, cube: DyadicCube, rings: int) -> CubeFamily:
-    """Iterated closed-neighbourhood union of a member cube."""
-    if cube not in family:
-        raise ValueError("cube is not a member of the family")
-    i, j = family.index.touching.T
-    near = np.zeros(len(family), dtype=bool)
-    near[family.index.position[cube]] = True
-    for _ in range(rings):
-        ring = near.copy()
-        ring[j[near[i]]] = True
-        ring[i[near[j]]] = True
-        near = ring
-    return CubeFamily([c for c, k in zip(family.cubes, near) if k])

@@ -49,20 +49,6 @@ def ring_sampled_disc(radius=1.0, ring_spacing=1e-3, points_per_unit_length=2000
     return pts, ws
 
 
-def sample_circle(radius=1.0, count=2000, center=None, ambient=3, axes=(0, 1)):
-    """Evenly spaced samples of a circle; weights sum to the circumference."""
-    th = 2 * np.pi * (np.arange(count) + 0.5) / count
-    pts = np.zeros((count, ambient))
-    pts[:, axes[0]] = radius * np.cos(th)
-    pts[:, axes[1]] = radius * np.sin(th)
-    if center is not None:
-        pts += np.asarray(center, dtype=float)
-    tangents = np.zeros((count, ambient))
-    tangents[:, axes[0]] = -np.sin(th)
-    tangents[:, axes[1]] = np.cos(th)
-    return pts, np.full(count, 2 * np.pi * radius / count), tangents
-
-
 def sample_segment(start, end, count=500):
     """Evenly spaced samples of a straight segment."""
     start = np.asarray(start, dtype=float)

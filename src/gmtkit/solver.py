@@ -20,8 +20,7 @@ import numpy as np
 from . import _grid
 from .cubical import DyadicCube
 from .grassmann import Plane, _mgs
-from .varifold import (DiscreteVarifold, _ball_ratios, _projector_distance_sq, _spacing_probes, sample_spacing,
-                       unit_ball_volume)
+from .varifold import DiscreteVarifold, _spacing_probes, sample_spacing, unit_ball_volume
 
 logger = logging.getLogger("gmtkit.solver")
 
@@ -578,16 +577,62 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
 
 def chain_to_varifold(chain: Chain2, subdivision=4):
     """Sample the chain's cells on a per-cell subgrid with side^m weights."""
-    n, m, side, sub = chain.complex.n, chain.m, chain.complex.side, subdivision
+    points, weights, frames, frame_of = _chain_samples(chain, subdivision)
+    return DiscreteVarifold(points, frames[frame_of], weights)
+
+
+def _chain_samples(chain: Chain2, sub):
+    """The sample points and weights of ``chain_to_varifold``, the C(n, m)
+    axis frames in ``itertools.combinations`` order, and each sample's index
+    into them: the samples come in the order of their cells' axes."""
+    n, m, side = chain.complex.n, chain.m, chain.complex.side
     corners, rank = chain.complex.decode(m, np.flatnonzero(chain.bits))
     ticks = (np.arange(sub) + 0.5) / sub * side
     mesh = np.stack(np.meshgrid(*([ticks] * m), indexing="ij"), axis=-1).reshape(-1, m)
+    combos = list(itertools.combinations(range(n), m))
     parts = []
-    for r, axes in enumerate(itertools.combinations(range(n), m)):
+    for r, axes in enumerate(combos):
         pts = np.repeat(corners[rank == r] * side, len(mesh), axis=0)  # each cell's lower corner, once per mesh point
         pts[:, list(axes)] += np.tile(mesh, (len(pts) // len(mesh), 1))
-        parts.append(DiscreteVarifold.flat(pts, Plane.axis(n, axes), np.full(len(pts), (side / sub) ** m)))
-    return DiscreteVarifold.concat(parts)
+        parts.append(pts)
+    points = np.concatenate(parts)
+    frame_of = np.repeat(np.arange(len(combos)), [len(p) for p in parts])
+    frames = np.stack([Plane.axis(n, axes).frame for axes in combos])
+    return points, np.full(len(points), (side / sub) ** m), frames, frame_of
+
+
+AUDIT_BLOCK = 1 << 14  # query-candidate pairs one block of the audit measures
+
+
+def _reach_groups(points, xs, reach):
+    """(pairs, groups): the audit points in groups, each with the samples it
+    measures in index order.  In a grid of side ``_grid.reach_cell(reach)``
+    a group is the points of one cell with the samples of its 3^n cells,
+    less those outside the points' bounding box widened by ``reach``:
+    rounding is monotone and fl(sqrt(fl(t^2))) = |t|, so a sample more than
+    ``reach`` past the box along one axis is more than ``reach`` from every
+    point.  One group of every sample when that grid would cost more than
+    all pairs, or cannot decide."""
+    grid = _grid.neighbours(points, xs, _grid.reach_cell(reach), budget=len(xs) * len(points))
+    if grid is None:
+        return len(xs) * len(points), [(np.arange(len(xs)), np.arange(len(points)))]
+    groups, pairs = [], 0
+    for g in range(len(grid.qbounds) - 1):
+        q, c = grid.queries[grid.qbounds[g]:grid.qbounds[g + 1]], grid.cands[grid.cbounds[g]:grid.cbounds[g + 1]]
+        box, pc = xs[q], points[c]
+        c = c[~((pc - box.max(axis=0) > reach) | (box.min(axis=0) - pc > reach)).any(axis=1)]
+        groups.append((q, c))
+        pairs += len(q) * len(c)
+    return pairs, groups
+
+
+def _rows_by_count(mask, least=1):
+    """For each count L >= least of the true entries in a row of ``mask``:
+    the rows holding L, and each one's true columns in order, (rows, L)."""
+    counts = np.count_nonzero(mask, axis=1)
+    for count in np.unique(counts[counts >= least]).tolist():
+        rows = np.flatnonzero(counts == count)
+        yield rows, np.nonzero(mask[rows])[1].reshape(len(rows), count)
 
 
 def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
@@ -597,20 +642,30 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     Converts the chain to a discrete varifold, computes density ratios at
     support points over a radius ladder, classifies points near the chain's
     mod-2 boundary as boundary rather than violations, and reports the
-    tilt-excess statistic against local plane fits.
+    tilt-excess statistic against local plane fits.  ``integrand`` is
+    accepted for the callers' sake and not read: the audit measures area.
 
-    Each audit point measures only the samples in the 3^n cells around its
-    own in a grid of side 2 max(radii, fit_radius) (``_grid.neighbours``),
-    or every sample when that grid would cost more than all pairs.  Either
-    way the candidates stay in index order, so the mass sums, the plane fit
-    and the tilt see the samples of a scan of all of them, in its order; the
+    Each audit point measures only the samples that ``_reach_groups`` gives
+    it: those in the 3^n cells around its own in a grid of side
+    reach / 0.625, reach = max(radii, fit_radius) (``_grid.reach_cell``),
+    inside its group's bounding box widened by reach; or every sample, when
+    that grid would cost more than all pairs.  A group's points go in
+    blocks of whole points, about ``AUDIT_BLOCK`` pairs each, with one
+    ``_grid.pair_norms`` call per block.  Per radius, the points of a block
+    whose balls hold equally many samples sum their masses as the rows of
+    one (points, samples) array; points with equally many samples in the
+    fit ball share one stacked mean, ``svd`` and ``_mgs``, and one
+    ``eigvalsh`` per fit and distinct axis frame (a chain's samples carry
+    only C(n, m) frames) gives each sample its tilt.  The candidates stay in
+    index order and a row's sum is the sum of that row alone, so every mass,
+    fit and tilt is the float of a scan of all samples, in its order; the
     tilts are summed in the order of the audit points.  The INFO line counts
     the pairs measured.
     """
     if chain.count() == 0:
         raise ValueError("audit needs a nonempty chain")
     m = chain.m
-    v = chain_to_varifold(chain, subdivision=subdivision)
+    points, weights, frames, frame_of = _chain_samples(chain, subdivision)
     side = chain.complex.side
     if radii is None:
         radii = [side * f for f in (1.2, 1.6, 2.0)]
@@ -622,53 +677,61 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     bpts = chain.complex.centers(m - 1, np.flatnonzero(chain.boundary()))
     if audit_points is None:
         audit_points = chain.complex.centers(m, np.flatnonzero(chain.bits))
-    spacing = sample_spacing(v.points)
+    spacing = sample_spacing(points)
     audit_points = list(audit_points)
     xs = np.asarray(audit_points, dtype=float).reshape(len(audit_points), chain.complex.n)
-    total = len(xs) * len(v)
-    grid = _grid.neighbours(v.points, xs, 2.0 * max([*radii, fit_radius]), budget=total)
-    if grid is None:
-        pairs, groups = total, [(range(len(xs)), np.arange(len(v)))]
-    else:
-        pairs = grid.pairs
-        groups = zip(np.split(grid.queries, grid.qbounds[1:-1]), np.split(grid.cands, grid.cbounds[1:-1]))
-    entries, fit_weights = [None] * len(xs), [0.0] * len(xs)
-    for members, cand in groups:
-        points, frames, weights = v.points[cand], v.frames[cand], v.weights[cand]
-        for i in members:
-            x = xs[i]
-            d = np.linalg.norm(points - x, axis=1)
-            ratios = _ball_ratios(weights, d, radii, v.dim, spacing)
-            near_boundary = bool(len(bpts) and np.min(np.linalg.norm(bpts - x, axis=1)) <= max(radii))
-            flags = []
-            for rec in ratios:
-                if not rec.reliable:
-                    flags.append("unreliable")
-                elif near_boundary:
-                    flags.append("boundary")
-                elif lo <= rec.ratio <= hi:
-                    flags.append("ok")
-                else:
-                    flags.append("violation")
-            sel = d <= fit_radius
-            tilt = None
-            if sel.sum() >= m + 1:  # enough samples for a local plane fit
-                pts = points[sel]
-                _, _, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
-                ws = weights[sel]
-                tilt = float(np.sum(ws * _projector_distance_sq(frames[sel], _mgs(vt[:m].T))))
-                fit_weights[i] = float(ws.sum())
-            entries[i] = {
-                "point": x.tolist(),
-                "ratios": [(rec.radius, rec.ratio, flag) for rec, flag in zip(ratios, flags)],
-                "boundary": near_boundary,
-                "tilt": tilt,
-            }
-    tilt_total = tilt_weight = 0.0
-    for e, w in zip(entries, fit_weights):  # summed in the order of the audit points
-        if e["tilt"] is not None:
-            tilt_total += e["tilt"]
-            tilt_weight += w
+    if len(xs) and any(r <= 0 for r in radii):
+        raise ValueError("radii must be positive")
+    pairs, groups = _reach_groups(points, xs, max([*radii, fit_radius]))
+    projectors = np.einsum("nij,nkj->nik", frames, frames)
+    mass = np.zeros((len(xs), len(radii)))
+    tilt, fit_weight, fitted = np.zeros(len(xs)), np.zeros(len(xs)), np.zeros(len(xs), dtype=bool)
+    for q, c in groups:
+        if not len(c):
+            continue
+        pc, wc, fc = points[c], weights[c], frame_of[c]
+        rows = max(1, AUDIT_BLOCK // len(c))
+        for start in range(0, len(q), rows):
+            qb = q[start:start + rows]
+            d = _grid.pair_norms(pc - xs[qb][:, None])
+            for j, r in enumerate(radii):
+                for sel, cols in _rows_by_count(d <= r):
+                    mass[qb[sel], j] = wc[cols].sum(axis=1)
+            for sel, cols in _rows_by_count(d <= fit_radius, m + 1):  # enough samples for a plane fit
+                fit = pc[cols]
+                _, _, vt = np.linalg.svd(fit - fit.mean(axis=1, keepdims=True), full_matrices=False)
+                h = _mgs(vt[:, :m].transpose(0, 2, 1))
+                eig = np.linalg.eigvalsh(projectors - (h @ h.transpose(0, 2, 1))[:, None])
+                dist = np.maximum(eig[..., -1], -eig[..., 0]) ** 2  # (fits, frames)
+                ws = wc[cols]
+                tilt[qb[sel]] = (ws * np.take_along_axis(dist, fc[cols], axis=1)).sum(axis=1)
+                fit_weight[qb[sel]] = ws.sum(axis=1)
+                fitted[qb[sel]] = True
+    near = np.zeros(len(xs), dtype=bool)
+    if len(bpts) and len(xs):
+        step = max(1, AUDIT_BLOCK // len(bpts))
+        for start in range(0, len(xs), step):
+            near[start:start + step] = _grid.pair_norms(bpts - xs[start:start + step, None]).min(axis=1) <= max(radii)
+    reliable = [bool(r >= 5.0 * spacing) for r in radii]
+    entries, tilt_total, tilt_weight = [], 0.0, 0.0
+    for i, x in enumerate(xs):  # in the order of the audit points
+        ratios = []
+        for j, r in enumerate(radii):
+            ratio = float(mass[i, j]) / r**m
+            if not reliable[j]:
+                flag = "unreliable"
+            elif near[i]:
+                flag = "boundary"
+            elif lo <= ratio <= hi:
+                flag = "ok"
+            else:
+                flag = "violation"
+            ratios.append((float(r), ratio, flag))
+        if fitted[i]:
+            tilt_total += float(tilt[i])
+            tilt_weight += float(fit_weight[i])
+        entries.append({"point": x.tolist(), "ratios": ratios, "boundary": bool(near[i]),
+                        "tilt": float(tilt[i]) if fitted[i] else None})
     all_ratios = [
         rec[1] for e in entries for rec in e["ratios"] if rec[2] in ("ok", "violation")
     ]
@@ -686,6 +749,6 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
         "subdivision": subdivision,
     }
     logger.info("audit: sample spacing %.6g from %d probes, %d audit points, %d sample pairs, "
-                "%d violations", spacing, len(_spacing_probes(len(v))), len(entries), pairs,
+                "%d violations", spacing, len(_spacing_probes(len(points))), len(entries), pairs,
                 report["violations"])
     return report

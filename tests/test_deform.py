@@ -16,11 +16,25 @@ from gmtkit.deform import (
     select_center,
 )
 from gmtkit.grassmann import Plane
-from gmtkit.sampling import four_corner_cantor, sample_circle, sample_disc, sample_segment
+from gmtkit.sampling import four_corner_cantor, sample_disc, sample_segment
 from gmtkit.varifold import DiscreteVarifold, covering_measure, pushforward
 from oracles import candidate_singular_values_oracle, select_center_oracle
 
 H = Plane.axis(3, (0, 1))
+
+
+def sample_circle(radius=1.0, count=2000, center=None, ambient=3, axes=(0, 1)):
+    """Evenly spaced samples of a circle; weights sum to the circumference."""
+    th = 2 * np.pi * (np.arange(count) + 0.5) / count
+    pts = np.zeros((count, ambient))
+    pts[:, axes[0]] = radius * np.cos(th)
+    pts[:, axes[1]] = radius * np.sin(th)
+    if center is not None:
+        pts += np.asarray(center, dtype=float)
+    tangents = np.zeros((count, ambient))
+    tangents[:, axes[0]] = -np.sin(th)
+    tangents[:, axes[1]] = np.cos(th)
+    return pts, np.full(count, 2 * np.pi * radius / count), tangents
 
 
 def unit_grid_3d(cells=4):

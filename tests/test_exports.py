@@ -185,3 +185,48 @@ def test_every_public_method_has_a_caller():
              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in named
              and f"{cls.name}.{fn.name}" not in UNCALLED_METHODS]
     assert not found, found
+
+
+# public module-level functions kept though no code in src/ or perfbench/ calls them, each with its reason
+UNCALLED_FUNCTIONS = {
+    "nearest_point_cube": "the nearest-point projection onto the cube, the map the smooth retraction replaces",
+    "image_mass_bound": "the deformation theorem's image-mass inequality, checked on each stage",
+    "pullback_integrand": "the pull-back phi^# F of an integrand, the change of variables of the functionals",
+    "blowup_map": "the graph blow-up map K whose push-forwards give the slice",
+    "density_ratio": "the density ratio at one point, the quantity the solver's audit reports",
+    "chain_to_varifold": "a chain as the discrete varifold whose samples the audit measures",
+}
+
+
+def _names_outside_own_body(tree):
+    """Every name, attribute and imported name in a module, less each
+    top-level function's mentions of itself inside its own body."""
+    named = set()
+    for stmt in tree.body:
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+        if isinstance(stmt, ast.FunctionDef):
+            found.discard(stmt.name)
+        named |= found
+    return named
+
+
+def test_every_public_function_has_a_caller():
+    """Every public module-level function in ``src/`` is named somewhere in
+    ``src/`` or ``perfbench/`` outside its own body (``__all__`` strings do
+    not count): a function only tests call belongs in ``tests/``."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    named = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(perfbench.glob("*.py")):
+        named |= _names_outside_own_body(ast.parse(path.read_text()))
+    found = [f"{path.name}: {fn.name}"
+             for path in sorted(SRC.glob("*.py")) for fn in ast.parse(path.read_text()).body
+             if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+             and fn.name not in named and fn.name not in UNCALLED_FUNCTIONS]
+    assert not found, found

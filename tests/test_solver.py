@@ -1,8 +1,10 @@
 import contextlib
 import itertools
+import json
 import logging
 import signal
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -614,6 +616,48 @@ class TestAuditOracle:
         got = audit_minimizer(chain, AreaIntegrand(), **kwargs)
         assert repr(got) == repr(audit_minimizer_oracle(chain, **kwargs))
         assert got["entries"][0]["tilt"] > 0.0
+
+    @pytest.mark.parametrize("n, m, shape, level, subdivision, density", [
+        (2, 1, (9, 7), 2, 8, 0.3), (3, 1, (5, 4, 4), 2, 8, 0.3),
+        (4, 2, (6, 5, 4, 4), 2, 3, 0.06), (4, 3, (6, 4, 4, 4), 2, 2, 0.05)])
+    def test_random_chains(self, n, m, shape, level, subdivision, density, caplog):
+        # random chains in each (n, m): audit points bent every way and at
+        # negative coordinates, and a grid that runs on each of them
+        cx = GridComplex(n, shape, level, origin=(-1,) * n)
+        chain = Chain2(cx, m, np.random.default_rng(n * 10 + m).random(cx.count(m)) < density)
+        with caplog.at_level(logging.INFO, logger="gmtkit.solver"):
+            got = audit_minimizer(chain, AreaIntegrand(), subdivision=subdivision)
+        assert json.dumps(got) == json.dumps(audit_minimizer_oracle(chain, subdivision=subdivision))
+        samples = len(chain_to_varifold(chain, subdivision))
+        assert _audit_pairs(caplog) < len(got["entries"]) * samples and got["tilt_excess"] is not None
+
+    @pytest.mark.parametrize("subdivision", [3, 5])
+    def test_weights_that_are_not_powers_of_two(self, subdivision):
+        # (side / subdivision)^m is no power of two, so a regrouped mass or tilt sum shows
+        p = l_problem(12)
+        chain = minimize(p, seed=0, restarts=1, steps=400).chain
+        got = audit_minimizer(chain, p.integrand, subdivision=subdivision)
+        assert json.dumps(got) == json.dumps(audit_minimizer_oracle(chain, subdivision=subdivision))
+
+    def test_l16_chain(self):
+        p = KEY_PROBLEMS["l16"]()
+        chain = initial_chain(p)
+        assert json.dumps(audit_minimizer(chain, p.integrand)) == json.dumps(audit_minimizer_oracle(chain))
+
+    def test_memory_stays_below_the_per_point_loop(self):
+        # the per-point loop that the blocks replaced set the plateau bench's
+        # peak RSS in this call, 5.41 MiB above its start: the blocks stay below
+        p = KEY_PROBLEMS["l16"]()
+        chain = initial_chain(p)
+        audit_minimizer(chain, p.integrand)  # first-call allocations stay out of the measure
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            audit_minimizer(chain, p.integrand)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 5.4 * 2**20
 
     def test_logs_one_line(self, caplog):
         p = square_problem(2)
