@@ -60,6 +60,25 @@ def row_dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def row_matmul(a, b):
+    """``np.einsum("nij,njk->nik", a, b)`` byte for byte, for any equal
+    leading shapes.  With C-contiguous operands and k >= 2, einsum adds each
+    entry's products to 0.0 in j order, and so does this, one entry at a
+    time with (N,) temporaries and no per-row overhead; so does any order
+    for j <= 2.  Other layouts can make einsum's inner loop a dot product
+    over j that adds in another order, and einsum itself runs them."""
+    if a.shape[-1] > 2 and not (b.shape[-1] > 1 and a.flags.c_contiguous and b.flags.c_contiguous):
+        return np.einsum("nij,njk->nik" if a.ndim == 3 else "...ij,...jk->...ik", a, b)
+    out = np.zeros(a.shape[:-1] + b.shape[-1:])
+    prod = np.empty(out.shape[:-2])
+    for i in range(out.shape[-2]):
+        for k in range(out.shape[-1]):
+            acc = out[..., i, k]
+            for j in range(a.shape[-1]):
+                acc += np.multiply(a[..., i, j], b[..., j, k], out=prod)
+    return out
+
+
 def nearest_distinct(probes, points):
     """Each probe's distance to its nearest sample at a positive distance
     (inf if none), against all samples PAIR_BLOCK pairs at a time."""

@@ -42,6 +42,21 @@ def smoothstep_i(u):
     return np.where(u > 1.0, u - 0.5, np.where(u > 0.0, val, 0.0))
 
 
+def smoothstep_pair(u, derivative=False):
+    """(smoothstep(u), smoothstep_d(u) or None), each polynomial evaluated
+    only on the entries in [0, 1) and NaN: below 0 the pair is exactly
+    (0.0, 0.0) and from 1 on (1.0, 0.0), the values of the clipped argument."""
+    u = np.asarray(u, dtype=float)
+    band = ~((u < 0.0) | (u >= 1.0))
+    val = np.where(u >= 1.0, 1.0, 0.0)
+    val[band] = smoothstep(u[band])
+    if not derivative:
+        return val, None
+    der = np.zeros(u.shape)
+    der[band] = smoothstep_d(u[band])
+    return val, der
+
+
 def profile_rows(knots, slopes, anchor_t, anchor_v, deltas=None):
     """Parameters of smooth piecewise-linear profiles, one profile per row.
 
@@ -98,10 +113,15 @@ def profile_eval(t, knots, slopes, deltas, knot_vals, derivative=False):
     only on the points inside that corner's blend window; everywhere else
     every point goes through the same float operations, whatever C and S are.
     """
-    idx = np.sum(~(t[..., None] <= knots[:, None, :]), axis=-1)  # searchsorted
-    slope = np.take_along_axis(slopes, idx, axis=1)
+    count, nknots = knots.shape
+    idx = np.zeros(t.shape, dtype=np.intp)  # searchsorted: the knots below t
+    for j in range(nknots):
+        idx += ~(t <= knots[:, j, None])
+    # one flat gather per table, row c's entries starting at c times its width
+    slope = slopes.take(idx + np.arange(0, count * (nknots + 1), nknots + 1)[:, None])
     below = np.maximum(idx - 1, 0)
-    out = np.take_along_axis(knot_vals, below, axis=1) + slope * (t - np.take_along_axis(knots, below, axis=1))
+    below += np.arange(0, count * nknots, nknots)[:, None]
+    out = knot_vals.take(below) + slope * (t - knots.take(below))
     der = slope if derivative else None
     ds = slopes[:, 1:] - slopes[:, :-1]
     for j in range(knots.shape[1]):
@@ -175,16 +195,23 @@ def retraction_profile(eps):
         at = np.abs(t)
         # c times the weight's integral from 0: the plain part up to 1 - delta,
         # the falling band [1 - delta, 1], then the rising band [1, 1 + delta]
-        # and 1 beyond it
-        val = c * (np.sign(t) * (
-            np.minimum(at, 1.0 - delta)
-            + delta * (0.5 - smoothstep_i(np.clip((1.0 - np.minimum(at, 1.0)) / delta, 0.0, 1.0)))
-            + np.where(at > 1.0, delta * smoothstep_i(np.minimum((at - 1.0) / delta, 1.0))
-                       + np.maximum(at - 1.0 - delta, 0.0), 0.0)))
+        # and 1 beyond it.  Off the bands (and at |t| = 1) the smoothstep_i
+        # terms are the exact 0.5 or 0.0 of their clipped arguments, so only
+        # the band rows (and NaN) evaluate them
+        band = ~((np.abs(1.0 - at) >= delta) | (at == 1.0))
+        fall = np.where(at >= 1.0, delta * 0.5, 0.0)
+        rise = np.where(at > 1.0, delta * 0.5 + np.maximum(at - 1.0 - delta, 0.0), 0.0)
+        ab = at[band]
+        fall[band] = delta * (0.5 - smoothstep_i(np.clip((1.0 - np.minimum(ab, 1.0)) / delta, 0.0, 1.0)))
+        rise[band] = np.where(ab > 1.0, delta * smoothstep_i(np.minimum((ab - 1.0) / delta, 1.0))
+                              + np.maximum(ab - 1.0 - delta, 0.0), 0.0)
+        val = c * (np.sign(t) * (np.minimum(at, 1.0 - delta) + fall + rise))
         if not derivative:
             return val, None
         # the plateau weight: 1 but for transitions of width delta at +-1
-        return val, c * np.where(at <= 1.0, smoothstep((1.0 - at) / delta), smoothstep((at - 1.0) / delta))
+        weight = np.where(at == 1.0, 0.0, 1.0)
+        weight[band] = np.where(ab <= 1.0, smoothstep((1.0 - ab) / delta), smoothstep((ab - 1.0) / delta))
+        return val, c * weight
 
     return profile
 
@@ -197,15 +224,21 @@ def collar_alpha(delta):
 
     def alpha(u, derivative=False):
         u = np.asarray(u, dtype=float)
-        w = np.clip((u - 1.0) / span, 0.0, 1.0)
+        # outside the collar (1, delta) the value is the exact 1.0 or u and the
+        # derivative 0.0 or 1.0; only the collar rows (and NaN) evaluate the
+        # smoothstep terms
+        inside = u <= 1.0
+        band = ~(inside | (u >= delta))
+        w = np.clip((u[band] - 1.0) / span, 0.0, 1.0)
+        val = np.where(inside, 1.0, u)
         # the integral of a_w from 0 to w, in closed form
-        a_int = (smoothstep_i(w) + 0.5 * smoothstep_i(np.minimum(2 * w, 1.0))
-                 + np.where(w > 0.5, 0.5 * (0.5 - smoothstep_i(2.0 - 2.0 * w)), 0.0))
-        val = np.where(u <= 1.0, 1.0, np.where(u >= delta, u, 1.0 + span * a_int))
+        val[band] = 1.0 + span * (smoothstep_i(w) + 0.5 * smoothstep_i(np.minimum(2 * w, 1.0))
+                                  + np.where(w > 0.5, 0.5 * (0.5 - smoothstep_i(2.0 - 2.0 * w)), 0.0))
         if not derivative:
             return val, None
+        der = np.where(inside, 0.0, 1.0)
         # a_w(w) = smoothstep(w) plus a bump
-        mid = smoothstep(w) + np.minimum(smoothstep(2 * w), smoothstep(2 - 2 * w))
-        return val, np.where(u <= 1.0, 0.0, np.where(u >= delta, 1.0, mid))
+        der[band] = smoothstep(w) + np.minimum(smoothstep(2 * w), smoothstep(2 - 2 * w))
+        return val, der
 
     return alpha

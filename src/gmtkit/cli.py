@@ -8,12 +8,16 @@ timestamps), so a rerun with the same config and seed is byte-identical.
 Exit codes: 0 success, 2 input error, 3 pipeline failure, 4 infeasible.
 Config keys can be overridden by environment variables prefixed GMTKIT_
 (e.g. GMTKIT_EPS=0.05); each subcommand's --help lists its inputs.
+--log-level LEVEL writes the library's log records (the gmtkit logger)
+to stderr at LEVEL; it is off by default and changes no artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import operator
 import os
 import reprlib
@@ -632,11 +636,33 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_INPUT)
 
 
+@contextlib.contextmanager
+def _stderr_log(level):
+    """While open, one stderr handler on the gmtkit logger at ``level``
+    (nothing when None); the logger is left as it was found."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("gmtkit")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old)
+
+
 def main(argv=None):
     parser = _Parser(prog="gmtkit", description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="gmtkit_out")
     parser.add_argument("--config", default=None)
+    parser.add_argument("--log-level", type=str.upper, choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+                        help="log the library (the gmtkit logger) to stderr at this level; off by default")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help, *positional):
@@ -663,7 +689,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with _stderr_log(args.log_level):
+            return args.fn(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -36,6 +36,7 @@ from ._profiles import (
     retraction_profile,
     smoothstep,
     smoothstep_d,
+    smoothstep_pair,
 )
 from .grassmann import Plane, _mgs, build_rotation, projector_distance
 
@@ -272,7 +273,7 @@ class SmoothMap:
                     cur = m.value(cur)
                     continue
                 cur, j = m.value_and_jacobian(cur)
-                total = j if total is None else np.einsum("nij,njk->nik", j, total)
+                total = j if total is None else _grid.row_matmul(j, total)
             return cur, total
 
         return SmoothMap(
@@ -348,6 +349,20 @@ class EllipsoidBody(ConvexBody):
         return float(np.max(self.semi_axes))
 
 
+def _ratio_power(ratios, p):
+    """``ratios ** p`` byte for byte, for ratios >= 0 (or NaN) and an integer
+    p >= 1: at or below 2^(-1100/p) the true power is at most about
+    2^-1100, far below half the least subnormal, so pow would round it to
+    +0.0; those entries are written as +0.0 without pow's slow underflow
+    path, and the rest (NaN too) go through pow, gathered: a masked
+    ``np.power(..., where=)`` takes about twice as long on rows of one
+    ratio above the threshold."""
+    out = np.zeros(ratios.shape)
+    above = ~(ratios <= 2.0 ** (-1100.0 / p))
+    out[above] = ratios[above] ** p
+    return out
+
+
 class SuperellipsoidBody(ConvexBody):
     """V = { ||x/r||_p < 1 } for an even integer p; a smooth rounded cube."""
 
@@ -363,12 +378,12 @@ class SuperellipsoidBody(ConvexBody):
         ax = np.abs(x)
         mx = np.max(ax, axis=1, keepdims=True)
         ratios = ax / np.where(mx > 0, mx, 1.0)
-        norm = mx[:, 0] * np.sum(ratios**self.power, axis=1) ** (1.0 / self.power)
+        norm = mx[:, 0] * np.sum(_ratio_power(ratios, self.power), axis=1) ** (1.0 / self.power)
         if not grad:
             return norm / self.radius, None
         safe = np.where(norm > 0, norm, 1.0)
         ratios = ax / safe[:, None]  # all <= 1
-        out = (ratios ** (self.power - 1)) * np.sign(x) / self.radius
+        out = _ratio_power(ratios, self.power - 1) * np.sign(x) / self.radius
         return norm / self.radius, np.where(norm[:, None] > 0, out, 0.0)
 
     @property
@@ -595,6 +610,14 @@ def _recentering_profiles(a):
     return profiles
 
 
+def _lateral_cutoff(t, width, jac):
+    """A lateral cutoff of ``_recenter`` at the coordinates t: eta =
+    smoothstep(((1 - width) - |t|) / width) and, with ``jac``, its
+    derivative factor -sign(t) smoothstep'(...) / width (else None)."""
+    eta, der = smoothstep_pair(((1.0 - width) - np.abs(t)) / width, jac)
+    return eta, (-np.sign(t) * der / width if jac else None)
+
+
 def _recenter(a, profiles, x, jac=True):
     """The recentering maps with centres a (C, n) at the points x (S, n).
 
@@ -604,6 +627,12 @@ def _recenter(a, profiles, x, jac=True):
     ``recentering_map`` (C = 1) and a stack of candidate centres agree bit for
     bit.  No support rule is applied here: ``SmoothMap`` applies it for
     ``recentering_map``, and stacked callers keep their points in Q.
+
+    Coordinate j's lateral cutoff is computed once per move of x_j, and
+    reused by every stage until stage j moves x_j.  Before that move every
+    centre sees x_j unmoved, so when all centres share rho_j (every centre
+    in the middle half does) the cutoff is computed once per point and
+    broadcast over the centres.
     """
     count, n = a.shape
     # lateral cutoffs eta_j: 1 on |t| <= 1 - rho_j/2, 0 on |t| >= 1 - rho_j/4
@@ -613,33 +642,43 @@ def _recenter(a, profiles, x, jac=True):
     if jac:
         total = np.zeros(cur.shape + (n,))
         total[..., range(n), range(n)] = 1.0
+    cuts = [None] * n
+    unmoved = [True] * n
     for i, prof in enumerate(profiles):
         if prof is None:
             continue
+        for j in range(n):
+            if j == i or cuts[j] is not None:
+                continue
+            if unmoved[j] and (width[:, j] == width[0, j]).all():
+                cuts[j] = _lateral_cutoff(x[:, j], width[0, j], jac)
+            else:
+                cuts[j] = _lateral_cutoff(cur[..., j], width[:, j], jac)
         live, params = prof[0], prof[1:]
         if live.all():
-            _recenter_stage(i, width, params, cur, total)
+            _recenter_stage(i, params, cur, total, cuts)
         else:
             sub_cur = cur[live]
             sub_total = None if total is None else total[live]
-            _recenter_stage(i, width[live], params, sub_cur, sub_total)
+            sub_cuts = [None if c is None else tuple(f if f is None or f.ndim == 1 else f[live] for f in c)
+                        for c in cuts]
+            _recenter_stage(i, params, sub_cur, sub_total, sub_cuts)
             cur[live] = sub_cur
             if total is not None:
                 total[live] = sub_total
+        cuts[i], unmoved[i] = None, False
     return cur, total
 
 
-def _recenter_stage(i, width, params, cur, total):
+def _recenter_stage(i, params, cur, total, cuts):
     """Stage i of ``_recenter``: move coordinate i by its profile, laterally
-    localized; updates cur (C, S, n) and, unless None, total in place."""
+    localized by the other coordinates' ``cuts`` (eta, derivative factor);
+    updates cur (C, S, n) and, unless None, total in place."""
     n = cur.shape[-1]
-    arg = [None if j == i else ((1.0 - width[:, j]) - np.abs(cur[..., j])) / width[:, j]
-           for j in range(n)]
-    etas = [None if j == i else smoothstep(arg[j]) for j in range(n)]
     lam = 1.0
     for j in range(n):
         if j != i:
-            lam = lam * etas[j]
+            lam = lam * cuts[j][0]
     t = cur[..., i]
     fval, fder = profile_eval(t, *params, derivative=total is not None)
     disp = fval - t
@@ -652,9 +691,8 @@ def _recenter_stage(i, width, params, cur, total):
             others = 1.0
             for m in range(n):
                 if m != i and m != j:
-                    others = others * etas[m]
-            eta_d = -np.sign(cur[..., j]) * smoothstep_d(arg[j]) / width[:, j]
-            row.append(disp * eta_d * others)
+                    others = others * cuts[m][0]
+            row.append(disp * cuts[j][1] * others)
         # stage Jacobian times total: only row i changes, summed from 0.0 in
         # the order of einsum("nij,njk->nik")
         acc = 0.0
@@ -681,7 +719,7 @@ def recentering_map(a):
     """
     a = np.asarray(a, dtype=float)
     n = len(a)
-    if np.any(np.abs(a) >= 1.0):
+    if not (np.abs(a) < 1.0).all():  # NaN fails too
         raise ValueError("centre must lie in the open cube")
     centre = a[None]
     profiles = _recentering_profiles(centre)
@@ -715,7 +753,7 @@ def _punctured_factors(n, eps):
 def _check_punctured(a, eps):
     if not 0.0 < eps < 0.25:
         raise ValueError("eps must be in (0, 1/4)")
-    if np.any(np.abs(a) >= 1.0):
+    if not (np.abs(a) < 1.0).all():  # NaN fails too
         raise ValueError("centre must lie in the open cube")
 
 
@@ -744,7 +782,7 @@ def _punctured_jacobian_rows(centres, x, eps):
     -0.0 stay apart and a fingerprint collision cannot merge unequal rows.
     """
     _check_punctured(centres, eps)
-    if np.any(np.abs(x) > 1.0):
+    if not (np.abs(x) <= 1.0).all():  # NaN fails too
         raise ValueError("points must lie in the closed cube")
     count, n = centres.shape
     l, q, _ = _punctured_factors(n, eps)
@@ -760,9 +798,9 @@ def _punctured_jacobian_rows(centres, x, eps):
     inverse[order] = np.cumsum(first) - 1
     keep = order[first]
     cur, jq = q.value_and_jacobian(cur[keep])
-    jac = np.einsum("nij,njk->nik", jq, jac[keep])
+    jac = _grid.row_matmul(jq, jac[keep])
     del jq  # freed before l.jacobian allocates its own temporaries
-    jac = np.einsum("nij,njk->nik", l.jacobian(cur), jac)
+    jac = _grid.row_matmul(l.jacobian(cur), jac)
     return jac, inverse.reshape(count, len(x))
 
 

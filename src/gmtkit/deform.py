@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _grid
 from ._profiles import plateau_step, smoothstep, smoothstep_d
 from .cubemaps import (
     Box,
@@ -45,8 +46,10 @@ __all__ = [
 
 # rows (candidates x samples) select_center evaluates together: each
 # (rows, k, k) temporary stays near 0.6 MB and the rows' (rows, k + k^2)
-# uint64 words near 0.8 MB; a chunk peaks near 4.7 MB at k = 3 when no two
-# recentred rows share their bits, less when the chain runs on fewer rows
+# uint64 words near 0.8 MB.  Traced with tracemalloc, a chunk of 12 x 680
+# rows peaks at 4.2 MB at k = 3 and 2.3 MB at k = 2 when no two recentred
+# rows share their bits (test_deform holds these peaks), and the chunks of
+# deform_disc (12 x 665 at k = 3, about 5000 distinct rows) near 2.65 MB
 CANDIDATE_ROWS = 8192
 
 # empirical bound for sup 2 |x-a| dist(a, dQ) ||D phi_{a,eps}|| with a in the
@@ -410,13 +413,13 @@ class DeformationPlan:
                     sder = float(smoothstep_d(s_val))
                     if sder == 0.0:
                         continue
-                    jt = sprof * np.einsum("nij,njk->nik", jstage[moved], jac_total[moved]) + (
+                    jt = sprof * _grid.row_matmul(jstage[moved], jac_total[moved]) + (
                         1 - sprof
                     ) * jac_total[moved]
                     norms = np.linalg.svd(jt, compute_uv=False)[:, 0]
                     contrib[moved] += t_w * sder * delta[moved] * norms**self.m
                 total += float(np.sum(w * contrib))
-            jac_total = np.einsum("nij,njk->nik", jstage, jac_total)
+            jac_total = _grid.row_matmul(jstage, jac_total)
             pts = nxt
         return total
 

@@ -510,7 +510,7 @@ def psi_F(s_r: DiscreteVarifold, s_u: DiscreteVarifold, f: Integrand, sup_grid=5
 
 def _m_jacobians(jacs, frames):
     """||Lambda_m D phi o P_T||: the m-Jacobian along each tangent frame."""
-    a = np.einsum("nij,njk->nik", jacs, frames)
+    a = _grid.row_matmul(jacs, frames)
     gram = np.einsum("nji,njk->nik", a, a)
     det = np.linalg.det(gram)
     return np.sqrt(np.maximum(det, 0.0)), a
@@ -607,7 +607,7 @@ def slice_varifold(v: DiscreteVarifold, f: SmoothMap, t, bin_width):
             np.zeros((0, v.ambient_dim)), np.zeros((0, v.ambient_dim, v.dim - nu)), np.zeros(0)
         ), bin_width)
     jacs = f.jacobian(sub.points)  # (N, nu, n)
-    b = np.einsum("nij,njk->nik", jacs, sub.frames)  # (N, nu, m)
+    b = _grid.row_matmul(jacs, sub.frames)  # (N, nu, m)
     gram = np.einsum("nij,nkj->nik", b, b)
     coarea = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
     keep = coarea > 1e-12
@@ -618,7 +618,7 @@ def slice_varifold(v: DiscreteVarifold, f: SmoothMap, t, bin_width):
     # slice tangent: S cap ker Df = frame . null(B), batched
     _, _, vt = np.linalg.svd(b)
     null = np.swapaxes(vt[:, nu:, :], 1, 2)  # (N, m, m - nu)
-    new_frames, _ = np.linalg.qr(np.einsum("nij,njk->nik", sub.frames, null))
+    new_frames, _ = np.linalg.qr(_grid.row_matmul(sub.frames, null))
     weights = sub.weights * coarea / bin_width**nu
     return SliceResult(t, DiscreteVarifold(sub.points, new_frames, weights), bin_width, dropped)
 

@@ -30,6 +30,15 @@ rows of equal count, stacks the fits of equal size and takes one
 ``direction_search_oracle`` counts each candidate plane's cells with its own
 ``np.unique(axis=0)``, and ``native_resolution_oracle`` measures the
 distances from every probe sample to a 1024-sample block at once.
+The candidate-Jacobian chain's factors are kept as they were before they
+skipped work whose bytes are known: ``profile_eval_oracle`` indexes the
+intervals with a (C, S, K) compare-and-sum and three ``take_along_axis``
+gathers, ``retraction_profile_full`` and ``collar_alpha_full`` evaluate
+their smoothstep terms on every entry, ``superellipsoid_gauge_oracle``
+raises every ratio through ``pow``, and ``recenter_oracle`` computes
+every lateral cutoff of every stage on every (centre, point) row;
+``punctured_jacobians_oracle`` recentres with it and multiplies with
+``np.einsum``.
 ``PlaneRotationOracle`` evaluates the rotation path one tau at a time with
 ``math.cos`` and ``math.sin``, and its ``displacement`` is the purge's
 pair loop; ``gauge_grad_oracle`` is each body's gauge gradient computed
@@ -93,8 +102,8 @@ from gmtkit.cubemaps import (
     SmoothMap,
     _check_punctured,
     _punctured_factors,
-    _recenter,
     _recentering_profiles,
+    _recentering_rho,
 )
 from gmtkit.deform import (
     CenterSearchError,
@@ -447,13 +456,14 @@ def punctured_projection_oracle(a, eps):
 def punctured_jacobians_oracle(centres, x, eps):
     """The (C, S, n, n) Jacobians of cubemaps._punctured_jacobian_rows
     scattered back, as computed before the row dedup: the factors q and l and
-    the chain products run on every one of the C * S recentred rows."""
+    the einsum chain products run on every one of the C * S rows recentred
+    by ``recenter_oracle``."""
     _check_punctured(centres, eps)
     if np.any(np.abs(x) > 1.0):
         raise ValueError("points must lie in the closed cube")
     count, n = centres.shape
     l, q, _ = _punctured_factors(n, eps)
-    cur, jac = _recenter(centres, _recentering_profiles(centres), x)
+    cur, jac = recenter_oracle(centres, _recentering_profiles(centres), x)
     cur, jq = q.value_and_jacobian(cur.reshape(-1, n))
     jac = np.einsum("nij,njk->nik", jq, jac.reshape(-1, n, n))
     jac = np.einsum("nij,njk->nik", l.jacobian(cur), jac)
@@ -1689,3 +1699,156 @@ def pushforward_oracle(phi, v, haar_draws=16, seed=0):
             np.zeros((0, phi.n_out)), np.zeros((0, phi.n_out, v.dim)), np.zeros(0)
         )
     return DiscreteVarifold.concat(parts)
+
+
+# ---------------------------------------------------------------------------
+# the candidate-Jacobian chain before it skipped work whose result is known
+
+
+def profile_eval_oracle(t, knots, slopes, deltas, knot_vals, derivative=False):
+    """_profiles.profile_eval with its (C, S, K) compare-and-sum index and
+    three take_along_axis gathers."""
+    idx = np.sum(~(t[..., None] <= knots[:, None, :]), axis=-1)  # searchsorted
+    slope = np.take_along_axis(slopes, idx, axis=1)
+    below = np.maximum(idx - 1, 0)
+    out = np.take_along_axis(knot_vals, below, axis=1) + slope * (t - np.take_along_axis(knots, below, axis=1))
+    der = slope if derivative else None
+    ds = slopes[:, 1:] - slopes[:, :-1]
+    for j in range(knots.shape[1]):
+        u = (t - knots[:, j, None]) / deltas[:, j, None]
+        win = (np.abs(u) < 1.0) & (ds[:, j, None] != 0.0)
+        if not win.any():
+            continue
+        u = u[win]
+        dsj = np.broadcast_to(ds[:, j, None], t.shape)[win]
+        dj = np.broadcast_to(deltas[:, j, None], t.shape)[win]
+        out[win] += dsj * dj * (2.0 * smoothstep_i((u + 1.0) / 2.0) - np.maximum(u, 0.0))
+        if derivative:
+            der[win] += dsj * (smoothstep((u + 1.0) / 2.0) - np.where(u > 0.0, 1.0, 0.0))
+    # off its windows a corner adds 0.0, which turns -0.0 into +0.0 (adding
+    # -0.0 changes nothing)
+    zero = np.where(np.any(ds != 0.0, axis=1), 0.0, -0.0)[:, None]
+    return out + zero, (None if der is None else der + zero)
+
+
+def retraction_profile_full(eps):
+    """_profiles.retraction_profile evaluating both smoothstep_i bands on
+    every entry."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must be in (0, 1)")
+    delta = min(2.0 * eps / (1.0 + eps), 0.5)
+    c = 1.0 / (1.0 - delta / 2.0)
+
+    def profile(t, derivative=False):
+        t = np.asarray(t, dtype=float)
+        at = np.abs(t)
+        # c times the weight's integral from 0: the plain part up to 1 - delta,
+        # the falling band [1 - delta, 1], then the rising band [1, 1 + delta]
+        # and 1 beyond it
+        val = c * (np.sign(t) * (
+            np.minimum(at, 1.0 - delta)
+            + delta * (0.5 - smoothstep_i(np.clip((1.0 - np.minimum(at, 1.0)) / delta, 0.0, 1.0)))
+            + np.where(at > 1.0, delta * smoothstep_i(np.minimum((at - 1.0) / delta, 1.0))
+                       + np.maximum(at - 1.0 - delta, 0.0), 0.0)))
+        if not derivative:
+            return val, None
+        # the plateau weight: 1 but for transitions of width delta at +-1
+        return val, c * np.where(at <= 1.0, smoothstep((1.0 - at) / delta), smoothstep((at - 1.0) / delta))
+
+    return profile
+
+
+def collar_alpha_full(delta):
+    """_profiles.collar_alpha evaluating its smoothstep terms on every entry."""
+    span = delta - 1.0
+
+    def alpha(u, derivative=False):
+        u = np.asarray(u, dtype=float)
+        w = np.clip((u - 1.0) / span, 0.0, 1.0)
+        # the integral of a_w from 0 to w, in closed form
+        a_int = (smoothstep_i(w) + 0.5 * smoothstep_i(np.minimum(2 * w, 1.0))
+                 + np.where(w > 0.5, 0.5 * (0.5 - smoothstep_i(2.0 - 2.0 * w)), 0.0))
+        val = np.where(u <= 1.0, 1.0, np.where(u >= delta, u, 1.0 + span * a_int))
+        if not derivative:
+            return val, None
+        # a_w(w) = smoothstep(w) plus a bump
+        mid = smoothstep(w) + np.minimum(smoothstep(2 * w), smoothstep(2 - 2 * w))
+        return val, np.where(u <= 1.0, 0.0, np.where(u >= delta, 1.0, mid))
+
+    return alpha
+
+
+def superellipsoid_gauge_oracle(body, x, grad):
+    """SuperellipsoidBody._gauge raising every ratio through pow, the
+    underflowing ones on pow's slow path."""
+    # scale-invariant p-norm: no overflow for points far outside
+    ax = np.abs(x)
+    mx = np.max(ax, axis=1, keepdims=True)
+    ratios = ax / np.where(mx > 0, mx, 1.0)
+    norm = mx[:, 0] * np.sum(ratios**body.power, axis=1) ** (1.0 / body.power)
+    if not grad:
+        return norm / body.radius, None
+    safe = np.where(norm > 0, norm, 1.0)
+    ratios = ax / safe[:, None]  # all <= 1
+    out = (ratios ** (body.power - 1)) * np.sign(x) / body.radius
+    return norm / body.radius, np.where(norm[:, None] > 0, out, 0.0)
+
+
+def recenter_oracle(a, profiles, x, jac=True):
+    """cubemaps._recenter computing every lateral cutoff of every stage on
+    every (centre, point) row, with ``profile_eval_oracle``."""
+    count, n = a.shape
+    # lateral cutoffs eta_j: 1 on |t| <= 1 - rho_j/2, 0 on |t| >= 1 - rho_j/4
+    width = _recentering_rho(a)[:, :, None] / 4.0
+    cur = np.repeat(x[None], count, axis=0)
+    total = None
+    if jac:
+        total = np.zeros(cur.shape + (n,))
+        total[..., range(n), range(n)] = 1.0
+    for i, prof in enumerate(profiles):
+        if prof is None:
+            continue
+        live, params = prof[0], prof[1:]
+        if live.all():
+            _recenter_stage_oracle(i, width, params, cur, total)
+        else:
+            sub_cur = cur[live]
+            sub_total = None if total is None else total[live]
+            _recenter_stage_oracle(i, width[live], params, sub_cur, sub_total)
+            cur[live] = sub_cur
+            if total is not None:
+                total[live] = sub_total
+    return cur, total
+
+
+def _recenter_stage_oracle(i, width, params, cur, total):
+    n = cur.shape[-1]
+    arg = [None if j == i else ((1.0 - width[:, j]) - np.abs(cur[..., j])) / width[:, j]
+           for j in range(n)]
+    etas = [None if j == i else smoothstep(arg[j]) for j in range(n)]
+    lam = 1.0
+    for j in range(n):
+        if j != i:
+            lam = lam * etas[j]
+    t = cur[..., i]
+    fval, fder = profile_eval_oracle(t, *params, derivative=total is not None)
+    disp = fval - t
+    if total is not None:
+        row = []  # row i of the stage Jacobian; the other rows are those of I
+        for j in range(n):
+            if j == i:
+                row.append(1.0 + lam * (fder - 1.0))
+                continue
+            others = 1.0
+            for m in range(n):
+                if m != i and m != j:
+                    others = others * etas[m]
+            eta_d = -np.sign(cur[..., j]) * smoothstep_d(arg[j]) / width[:, j]
+            row.append(disp * eta_d * others)
+        # stage Jacobian times total: only row i changes, summed from 0.0 in
+        # the order of einsum("nij,njk->nik")
+        acc = 0.0
+        for j in range(n):
+            acc = acc + row[j][..., None] * total[..., j, :]
+        total[..., i, :] = acc
+    cur[..., i] = t + lam * disp

@@ -1,8 +1,10 @@
 import functools
 import hashlib
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -265,6 +267,17 @@ class TestDeform:
             tmp_path / "b" / "deformed_set.csv"
         ).read_bytes()
 
+    def test_log_level_debug_shows_the_centre_search(self, tmp_path, capsys):
+        set_csv = tmp_path / "disc.csv"
+        self.make_set(set_csv)
+        assert run_cli(["--out", tmp_path / "a", "--seed", "5", "deform", set_csv]) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(["--out", tmp_path / "b", "--seed", "5", "--log-level", "DEBUG", "deform", set_csv]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"^DEBUG gmtkit\.deform: select_center: \d+ candidate rows, \d+ distinct$", err, re.M), err
+        assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
+        assert not logging.getLogger("gmtkit").handlers  # the handler goes with the command
+
     @pytest.mark.parametrize("budget", ["0", '"many"'])
     def test_bad_budget_exit_2(self, tmp_path, monkeypatch, capsys, budget):
         set_csv = tmp_path / "disc.csv"
@@ -508,6 +521,7 @@ BAD_PLAN_STAGES = {
 
 
 BAD_INPUTS = {
+    "log_level_unknown": ({}, ["--log-level", "LOUD", "retract"]),
     "replay_missing_file": ({}, ["deform", "disc.csv", "--replay", "missing.json"]),
     "replay_without_eps": ({}, ["deform", "disc.csv", "--replay", "noeps.json"]),
     "replay_not_json": ({}, ["deform", "disc.csv", "--replay", "plan.txt"]),

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import dist_to_cube_boundary, norm_map, rank_one_map
 from gmtkit import _grid, cubemaps
-from gmtkit._profiles import collar_alpha, plateau_step, profile_eval, profile_rows, retraction_profile
+from gmtkit._profiles import (collar_alpha, plateau_step, profile_eval, profile_rows, retraction_profile, smoothstep,
+                              smoothstep_d, smoothstep_pair)
 from gmtkit.cubemaps import (
     BallBody,
     Box,
@@ -17,6 +18,7 @@ from gmtkit.cubemaps import (
     FaceIndex,
     RankConditionError,
     SmoothMap,
+    SuperellipsoidBody,
     central_projection,
     collared_projection,
     cube_enclosure,
@@ -31,6 +33,7 @@ from gmtkit.cubemaps import (
     _cluster_balls,
     _direction_search,
     _native_resolution,
+    _punctured_factors,
     _punctured_jacobian_rows,
     _recenter,
     _recentering_profiles,
@@ -45,6 +48,7 @@ from oracles import (
     SmoothPiecewiseLinearOracle,
     boundary_point,
     cluster_balls_oracle,
+    collar_alpha_full,
     collar_alpha_oracle,
     direction_search_oracle,
     face_contains,
@@ -53,12 +57,16 @@ from oracles import (
     gauge_grad_oracle,
     native_resolution_oracle,
     plateau_step_oracle,
+    profile_eval_oracle,
+    recenter_oracle,
+    retraction_profile_full,
     retraction_profile_oracle,
     sample_spacing_oracle,
     punctured_jacobians_oracle,
     punctured_projection_oracle,
     recentering_map_oracle,
     region_contains,
+    superellipsoid_gauge_oracle,
     tangent_axes,
 )
 
@@ -1292,3 +1300,215 @@ class TestProfiles:
             only, none = profile(x)
             assert _identical(value, ref_value(x)) and _identical(derivative, ref_derivative(x))
             assert _identical(only, value) and none is None
+
+
+def _edges(points):
+    """Each point, 1 ulp either side of it and its negative, with +-0.0,
+    +-inf and NaN."""
+    p = np.asarray(points, dtype=float)
+    p = np.concatenate([p, -p])
+    return np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf),
+                           [0.0, -0.0, np.inf, -np.inf, np.nan]])
+
+
+def _full_profile_cases():
+    """(profile, its every-row form, band edges) for the retraction and the
+    collar at the parameters of ``PROFILE_CASES`` and of the chain's factors."""
+    cases = {}
+    for name, (build, *args) in PROFILE_CASES.items():
+        if name.startswith("retraction"):
+            cases[name] = (retraction_profile(*args), retraction_profile_full(*args), build(*args)[2])
+        elif name.startswith("collar"):
+            _, _, ends = build(*args)
+            cases[name] = (collar_alpha(ends[1]), collar_alpha_full(ends[1]), ends)
+    for n in (2, 3):
+        l, q, _ = _punctured_factors(n, 0.000566)
+        delta = q.meta["delta"]
+        cases[f"chain-q-{n}"] = (collar_alpha(delta), collar_alpha_full(delta), [1.0, delta])
+        iota = l.meta["iota"]
+        d = min(2.0 * iota / (1.0 + iota), 0.5)
+        cases[f"chain-l-{n}"] = (retraction_profile(iota), retraction_profile_full(iota),
+                                 [1.0 - d, 1.0, 1.0 + d, 2.0])
+    return cases
+
+
+FULL_PROFILE_CASES = _full_profile_cases()
+
+
+def _chain_bodies(n, eps):
+    """The enclosing bodies of q and l in ``_punctured_factors(n, eps)``."""
+    l, _, q_power = _punctured_factors(n, eps)
+    iota_q = eps / 2.0 / (2.0 * (1.0 + math.sqrt(n))) / 8.0
+    q_body = cube_enclosure(n, iota_q / 4.0, iota_q)
+    assert q_body.power == q_power
+    return q_body, SuperellipsoidBody(n, l.meta["body_radius"], l.meta["body_power"])
+
+# the superellipsoid powers: the chain's q bodies (eps 0.000566 is
+# deform_disc's), bodies cube_enclosure picks, and small powers, whose
+# thresholds lie far from 0
+RATIO_POWERS = sorted({1, 2, 3, 4, 5, 8, 63, 64}
+                      | {_punctured_factors(n, eps)[2] for n in (1, 2, 3) for eps in (0.000566, 0.01, 0.2)}
+                      | {cube_enclosure(n, a, b).power for n in (1, 2, 3) for a, b in ((0.05, 0.1), (1e-4, 2e-4))})
+
+
+class TestChainSkipsKnownWork:
+    """The candidate-Jacobian chain skips only work whose bytes are known:
+    each new form against the form it replaced, kept in ``oracles``."""
+
+    @pytest.mark.parametrize("case", sorted(FULL_PROFILE_CASES))
+    def test_windowed_profile_matches_full(self, case, rng):
+        profile, full, ends = FULL_PROFILE_CASES[case]
+        t = _edges(ends)
+        t = np.concatenate([t, rng.uniform(-max(ends) - 1.0, max(ends) + 1.0, 3000),
+                            1.0 + rng.uniform(-1.0, 1.0, 500) * (max(ends) - 1.0)])
+        for x in (t, t[:3000].reshape(750, 4), 0.0, -0.0, np.nan, np.inf, float(ends[0]), float(ends[1])):
+            for derivative in (False, True):
+                got, ref = profile(x, derivative), full(x, derivative)
+                assert _identical(got[0], ref[0])
+                assert (got[1] is None and ref[1] is None) or _identical(got[1], ref[1])
+
+    def test_scalar_input_keeps_its_type(self):
+        # the retraction returns a numpy scalar for a scalar t, the collar a
+        # 0-d array, as before the windows
+        for profile, full, ends in FULL_PROFILE_CASES.values():
+            for x in (0.5, float(ends[0]), float(ends[-1]) + 1.0):
+                value, derivative = profile(x, True)
+                assert type(value) is type(full(x, True)[0]) and np.ndim(value) == 0
+                assert type(derivative) is type(full(x, True)[1]) and np.ndim(derivative) == 0
+        assert isinstance(retraction_profile(0.1)(0.95, True)[0], np.float64)
+
+    def test_smoothstep_pair(self, rng):
+        u = np.concatenate([_edges([0.0, 0.5, 1.0, 1e-300, 2.0]), rng.uniform(-1.0, 2.0, 2000)])
+        for x in (u, u.reshape(-1, 2) if len(u) % 2 == 0 else u[1:].reshape(-1, 2), 0.3):
+            value, derivative = smoothstep_pair(x, True)
+            assert _same_bytes(value, smoothstep(x)) and _same_bytes(derivative, smoothstep_d(x))
+            assert smoothstep_pair(x)[1] is None
+
+    @pytest.mark.parametrize("p", RATIO_POWERS)
+    def test_ratio_power_matches_pow(self, p, rng):
+        thr = 2.0 ** (-1100.0 / p)
+        r = np.concatenate([[thr, np.nextafter(thr, 0.0), np.nextafter(thr, 1.0), 0.0, 1.0, np.nan,
+                             np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 5e-324, np.inf],
+                            rng.uniform(0.0, 1.0, 2000), thr * rng.uniform(0.5, 2.0, 500),
+                            np.exp2(rng.uniform(-1100.0, 0.0, 500) / p)])
+        with np.errstate(over="ignore"):
+            assert _same_bytes(cubemaps._ratio_power(r, p), r**p)
+            assert _same_bytes(cubemaps._ratio_power(r.reshape(-1, 2)[:, ::-1], p), r.reshape(-1, 2)[:, ::-1] ** p)
+
+    @pytest.mark.parametrize("body", [
+        SuperellipsoidBody(1, 1.2, 2), cube_enclosure(2, 0.05, 0.1), cube_enclosure(3, 1e-4, 2e-4),
+        *(body for n in (2, 3) for body in _chain_bodies(n, 0.000566)),
+    ], ids=lambda body: f"n{body.n}-p{body.power}")
+    def test_superellipsoid_gauge_matches_oracle(self, body, rng):
+        n, p = body.n, body.power
+        thr = 2.0 ** (-1100.0 / p)
+        x = rng.uniform(-2.0, 2.0, (3000, n)) * 10.0 ** rng.integers(-3, 3, (3000, 1))
+        x[::7, 0] = 0.0
+        x[::11] = -0.0
+        x[1::13, -1] = np.inf
+        x[2::17, 0] = np.nan
+        # the ratio of the smaller coordinate to the larger at the threshold
+        for k, ratio in enumerate((thr, np.nextafter(thr, 0.0), np.nextafter(thr, 1.0))):
+            x[3 + k] = 1.0
+            x[3 + k, 0] = ratio
+        for grad in (False, True):
+            with np.errstate(all="ignore"):
+                got, ref = body._gauge(x, grad), superellipsoid_gauge_oracle(body, x, grad)
+            assert _same_bytes(got[0], ref[0])
+            assert (got[1] is None and ref[1] is None) or _same_bytes(got[1], ref[1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_profile_eval_matches_oracle(self, n, rng):
+        centres = np.vstack([rng.uniform(-0.5, 0.5, (6, n)), rng.uniform(-0.95, 0.95, (3, n))])
+        for i, prof in enumerate(_recentering_profiles(centres)):
+            knots, slopes, deltas, knot_vals = prof[1:]
+            t = np.concatenate([rng.uniform(-1.2, 1.2, 300), _edges(np.concatenate(
+                [knots.ravel(), (knots + deltas).ravel(), (knots - deltas).ravel()]))])
+            t = np.broadcast_to(t, (len(knots), len(t)))
+            for derivative in (False, True):
+                got, ref = profile_eval(t, *prof[1:], derivative), profile_eval_oracle(t, *prof[1:], derivative)
+                assert _same_bytes(got[0], ref[0])
+                assert (got[1] is None and ref[1] is None) or _same_bytes(got[1], ref[1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("draw", ["middle", "far", "zeros"])
+    def test_recenter_matches_oracle(self, n, draw, rng):
+        # middle-half centres share every cutoff width; far ones do not, and
+        # zero coordinates leave some centres out of a stage
+        centres = rng.uniform(-0.5, 0.5, (5, n))
+        if draw == "far":
+            centres[1:3] = rng.uniform(-0.97, 0.97, (2, n))
+            centres[3, -1] = 0.8
+        elif draw == "zeros":
+            centres[0] = 0.0
+            centres[1:, 0] = [0.0, 0.2, 0.0, -0.3]
+        x = np.vstack([_recentering_probes(centres[c], rng, 120) for c in range(len(centres))]
+                      + [[np.full(n, np.nan)], [np.full(n, np.inf)]])
+        profiles = _recentering_profiles(centres)
+        for jac in (False, True):
+            with np.errstate(invalid="ignore"):
+                got, ref = _recenter(centres, profiles, x, jac), recenter_oracle(centres, profiles, x, jac)
+            assert _same_bytes(got[0], ref[0])
+            assert (got[1] is None and ref[1] is None) or _same_bytes(got[1], ref[1])
+
+
+class TestRowMatmul:
+    """``_grid.row_matmul`` gives the bytes of einsum("nij,njk->nik")."""
+
+    @staticmethod
+    def _operands(rng, shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+        a[rng.random(shape) < 0.15] = -0.0
+        a[rng.random(shape) < 0.1] = 0.0
+        return a
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_square_rows(self, n, rng):
+        a, b = self._operands(rng, (500, n, n)), self._operands(rng, (500, n, n))
+        assert _same_bytes(_grid.row_matmul(a, b), np.einsum("nij,njk->nik", a, b))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacked_and_rectangular(self, n, rng):
+        a, b = self._operands(rng, (4, 30, n, n + 1)), self._operands(rng, (4, 30, n + 1, 2))
+        assert _same_bytes(_grid.row_matmul(a, b), np.einsum("...ij,...jk->...ik", a, b))
+        a2, b2 = a.reshape(-1, n, n + 1), b.reshape(-1, n + 1, 2)
+        assert _same_bytes(_grid.row_matmul(a2, b2), np.einsum("nij,njk->nik", a2, b2))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_non_contiguous(self, n, rng):
+        a = self._operands(rng, (300, n + 2, n))[::3, 1:-1]
+        b = np.swapaxes(self._operands(rng, (200, n, n)), 1, 2)[::2]
+        assert not a.flags.c_contiguous and not b.flags.c_contiguous
+        assert _same_bytes(_grid.row_matmul(a, b), np.einsum("nij,njk->nik", a, b))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_column(self, n, rng):
+        # einsum's inner loop is then a dot product over j
+        a, b = self._operands(rng, (400, 3, n)), self._operands(rng, (400, n, 1))
+        assert _same_bytes(_grid.row_matmul(a, b), np.einsum("nij,njk->nik", a, b))
+
+    def test_signed_zeros_and_empty(self):
+        a = np.full((3, 2, 2), -0.0)
+        b = np.ones((3, 2, 2))
+        assert _same_bytes(_grid.row_matmul(a, b), np.einsum("nij,njk->nik", a, b))
+        assert not np.signbit(_grid.row_matmul(a, b)).any()  # summed from +0.0
+        assert _grid.row_matmul(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert _same_bytes(_grid.row_matmul(np.ones((4, 2, 0)), np.ones((4, 0, 3))), np.zeros((4, 2, 3)))
+
+
+class TestNaNRejected:
+    """A NaN centre or point fails the range checks, which NaN once passed."""
+
+    def test_punctured_cube_projection(self):
+        with pytest.raises(ValueError, match="open cube"):
+            punctured_cube_projection(np.array([np.nan, 0.0]), 0.1)
+
+    def test_recentering_map(self):
+        with pytest.raises(ValueError, match="open cube"):
+            recentering_map(np.array([0.2, np.nan]))
+
+    def test_punctured_jacobian_rows(self):
+        with pytest.raises(ValueError, match="open cube"):
+            _punctured_jacobian_rows(np.array([[0.1, np.nan]]), np.zeros((1, 2)), 0.1)
+        with pytest.raises(ValueError, match="closed cube"):
+            _punctured_jacobian_rows(np.array([[0.1, 0.2]]), np.array([[0.5, np.nan]]), 0.1)

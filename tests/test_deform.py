@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,35 @@ class TestCandidateRowDedup:
         assert info["branch"] == "averaged" and rows == 64 * samples
         assert lines == [f"select_center: {rows} candidate rows, {distinct} distinct"]
         assert distinct < rows / 2
+
+
+# tracemalloc peaks (bytes) of one full chunk of _candidate_singular_values
+# with all 8160 recentred rows distinct, measured before the chain skipped
+# its known work (numpy 2.4.6); a chunk may not grow its live set past them
+# by more than CHUNK_PEAK_MARGIN
+CHUNK_PEAKS = {2: 2_412_483, 3: 4_199_243}
+CHUNK_PEAK_MARGIN = 200_000
+
+
+class TestCandidateChunkPeak:
+    """The live set of one candidate chunk, which sets deform_disc's peak RSS."""
+
+    @pytest.mark.parametrize("k", sorted(CHUNK_PEAKS))
+    def test_traced_peak_of_one_chunk(self, k):
+        rng = np.random.default_rng(7)
+        u = rng.uniform(-0.6, 0.6, (680, k))  # clear of the cutoffs: no two rows merge
+        cand = rng.uniform(-0.5, 0.5, (deform.CANDIDATE_ROWS // len(u), k))
+        assert len(_punctured_jacobian_rows(cand, u, 0.000566)[0]) == len(cand) * len(u) == 8160
+        for _ in deform._candidate_singular_values(cand, u, 0.000566):  # first-call allocations
+            pass
+        tracemalloc.start()
+        try:
+            for _ in deform._candidate_singular_values(cand, u, 0.000566):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= CHUNK_PEAKS[k] + CHUNK_PEAK_MARGIN, peak
 
 
 class TestDeformOneCube:

@@ -230,3 +230,45 @@ def test_every_public_function_has_a_caller():
              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
              and fn.name not in named and fn.name not in UNCALLED_FUNCTIONS]
     assert not found, found
+
+
+# callers that keep np.einsum("nij,njk->nik"), with the reason each does
+ROW_PRODUCT_EINSUM_ALLOWED = {
+    ("_grid.py", "row_matmul"): "the fallback for the layouts whose einsum order the loop does not repeat",
+}
+
+
+class _EinsumCalls(ast.NodeVisitor):
+    """(function, line) of each np.einsum call whose subscripts are a
+    string constant, by the innermost enclosing function."""
+
+    def __init__(self, subscripts):
+        self.subscripts, self.stack, self.found = subscripts, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "einsum" and node.args:
+            first = node.args[0]
+            texts = [first] if isinstance(first, ast.Constant) else [
+                n for n in ast.walk(first) if isinstance(n, ast.Constant)]
+            if any(t.value in self.subscripts for t in texts if isinstance(t.value, str)):
+                self.found.append((self.stack[-1], node.lineno))
+        self.generic_visit(node)
+
+
+def test_row_products_go_through_row_matmul():
+    """Every batched row product einsum("nij,njk->nik") in ``src/`` is
+    ``_grid.row_matmul``, which gives its bytes; the einsum call itself is
+    left only in the allowed callers."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _EinsumCalls({"nij,njk->nik", "...ij,...jk->...ik"})
+        visitor.visit(ast.parse(path.read_text()))
+        found += [f"{path.name}:{line} in {func}" for func, line in visitor.found
+                  if (path.name, func) not in ROW_PRODUCT_EINSUM_ALLOWED]
+    assert not found, found
