@@ -1,6 +1,7 @@
 """Every grid decision of gmtkit: integer cell codes, the fixed-radius
 neighbour search (Bentley, Stanat and Williams, IPL 6, 1977) with its
-all-pairs fallback, distinct-cell counts and single-linkage cell clusters.
+all-pairs fallback, the one blocked nearest-sample minimum, the one median
+spacing, distinct-cell counts and single-linkage cell clusters.
 No routine takes a Python step per cell or per query."""
 
 from __future__ import annotations
@@ -79,17 +80,20 @@ def row_matmul(a, b):
     return out
 
 
-def nearest_distinct(probes, points):
-    """Each probe's distance to its nearest sample at a positive distance
-    (inf if none), against all samples PAIR_BLOCK pairs at a time."""
-    cols = max(1, min(len(points), PAIR_BLOCK))
-    rows = max(1, PAIR_BLOCK // cols)
+def nearest_all(probes, points, distinct, block=None):
+    """Each probe's distance to its nearest sample (inf if none), against all
+    samples ``block`` pairs at a time (default PAIR_BLOCK); with
+    ``distinct``, a sample at distance zero does not count."""
+    block = block or PAIR_BLOCK
+    cols = max(1, min(len(points), block))
+    rows = max(1, block // cols)
     mins = np.full(len(probes), np.inf)
     for i in range(0, len(probes), rows):
         rows_i, best = probes[i : i + rows], mins[i : i + rows]
         for j in range(0, len(points), cols):
             d = pair_norms(rows_i[:, None, :] - points[None, j : j + cols])
-            d[d == 0.0] = np.inf
+            if distinct:
+                d[d == 0.0] = np.inf
             np.minimum(best, d.min(axis=1), out=best)
     return mins
 
@@ -166,7 +170,7 @@ def nearest(points, queries, cell, budget=math.inf):
     """(mins, pairs): each query's distance to its nearest ``neighbours``
     candidate at a positive distance (inf if none), or None.  The pairs are
     measured by ``pair_norms`` over a contiguous (pairs, n) difference,
-    the same floats as ``nearest_distinct``, in blocks of whole runs, one
+    the same floats as ``nearest_all``, in blocks of whole runs, one
     from the run holding every (PAIR_BLOCK / 8)-th pair: with their index
     arrays, that keeps a block near the working set of one cell's queries
     and candidates."""
@@ -205,6 +209,31 @@ def block_margin(queries, cell):
     u = queries / cell
     k = np.floor(u)
     return (np.minimum(u - (k - 1.0), (k + 2.0) - u).min(axis=1) - 0.375) * cell
+
+
+def median_spacing(points, cap):
+    """(median, probes, pairs, fallback): the median distance from each probe
+    sample (every one up to ``cap`` samples, else every (N // cap)-th) to its
+    nearest distinct sample, inf when no probe has one.  A probe's
+    ``nearest`` minimum in the grid of side h = 2 span / N^(1/n) is final
+    below its own ``block_margin``; the ``fallback`` probes beyond it, and
+    all of them when the grid would cost more than all pairs, are measured
+    against every sample (``nearest_all``), with the same floats.  ``pairs``
+    counts the pairs measured."""
+    npts, n = points.shape
+    if npts < 2:  # no pair to measure
+        return math.inf, npts, 0, 0
+    probes = points[:: max(1, npts // cap)]
+    cell = float(np.max(points.max(axis=0) - points.min(axis=0))) / npts ** (1.0 / n) * 2.0
+    grid = nearest(points, probes, cell, budget=len(probes) * npts)
+    if grid is None:
+        mins, pairs, far = np.full(len(probes), np.inf), 0, np.ones(len(probes), dtype=bool)
+    else:
+        (mins, pairs), far = grid, ~(grid[0] < block_margin(probes, cell))
+    mins[far] = nearest_all(probes[far], points, distinct=True)
+    fallback = int(np.count_nonzero(far))
+    finite = mins[np.isfinite(mins)]
+    return float(np.median(finite)) if len(finite) else math.inf, len(probes), pairs + fallback * npts, fallback
 
 
 def reach_cell(reach):

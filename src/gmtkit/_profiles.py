@@ -28,10 +28,10 @@ def smoothstep(u):
 def smoothstep_d(u):
     """Derivative of :func:`smoothstep` (max value 15/8 at u = 1/2)."""
     u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
+    outside = (u <= 0.0) | (u >= 1.0)  # NaN is not
     uc = np.clip(u, 0.0, 1.0)
     d = 30.0 * uc * uc * (1.0 - uc) * (1.0 - uc)
-    return np.where(inside, d, 0.0)
+    return np.where(outside, 0.0, d)
 
 
 def smoothstep_i(u):
@@ -39,7 +39,7 @@ def smoothstep_i(u):
     u = np.asarray(u, dtype=float)
     uc = np.clip(u, 0.0, 1.0)
     val = uc ** 4 * (2.5 + uc * (-3.0 + uc))
-    return np.where(u > 1.0, u - 0.5, np.where(u > 0.0, val, 0.0))
+    return np.where(u > 1.0, u - 0.5, np.where(u <= 0.0, 0.0, val))  # NaN stays NaN
 
 
 def smoothstep_pair(u, derivative=False):
@@ -164,7 +164,7 @@ def plateau_step(a, b, max_slope=None):
     def step(t, derivative=False):
         u = np.asarray(t, dtype=float) - a
         # segments: [0,w] ramp, [w, width-w] linear, [width-w, width] mirrored ramp
-        seg1 = (u > 0.0) & (u < w)
+        seg1 = ~((u <= 0.0) | (u >= w))  # and NaN, which the ramp keeps
         seg2 = (u >= w) & (u <= width - w)
         seg3 = (u > width - w) & (u < width)
         out = np.where(seg1, c * w * smoothstep_i(u / w), np.where(u <= 0.0, 0.0, np.where(u >= width, 1.0, 0.0)))

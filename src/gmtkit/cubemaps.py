@@ -853,31 +853,6 @@ def _check_resolution(resolution):
     return resolution
 
 
-def _native_resolution(points):
-    """Median distance from each probe sample (all of them up to 4096, else
-    every (npts // 4096)-th) to its nearest distinct sample; nan when no
-    probe has one.  A probe's minimum in the grid of side h = 2 span /
-    npts^(1/n) is final below its own ``_grid.block_margin``; the other
-    probes, and all of them when the grid would cost more than all pairs,
-    are measured against every sample, with the same floats.  Logs the
-    pairs measured, the all-pairs count and the fallback probes at DEBUG."""
-    npts, n = points.shape
-    sub = points if npts <= 4096 else points[:: npts // 4096]
-    total = len(sub) * npts
-    h = float(np.max(points.max(axis=0) - points.min(axis=0))) / npts ** (1.0 / n) * 2.0 if npts else 0.0
-    grid = _grid.nearest(points, sub, h, budget=total)
-    if grid is None:
-        mins, pairs, far = np.full(len(sub), np.inf), 0, np.ones(len(sub), dtype=bool)
-    else:
-        (mins, pairs), far = grid, ~(grid[0] < _grid.block_margin(sub, h))
-    mins[far] = _grid.nearest_distinct(sub[far], points)
-    fallback = int(np.count_nonzero(far))
-    logger.debug("native resolution: %d pairs measured of %d, %d fallback probes",
-                 pairs + fallback * npts, total, fallback)
-    finite = mins[np.isfinite(mins)]
-    return float(np.median(finite)) if len(finite) else math.nan
-
-
 def _direction_search(xb, t_plane, cone, direction_budget, rng, resolution):
     """Candidate planes within ``cone`` of ``t_plane``, as a (candidates, n, m)
     frame array, and the cell count of the samples ``xb`` projected onto each.
@@ -919,7 +894,7 @@ def _cluster_balls(points, gap, region):
 
     Each ball's inner core (half of the rotation happens inside it) contains
     its whole cluster; the outer radius is capped by the distance to the
-    nearest other centre (``_grid.nearest_distinct``, in blocks; zero when
+    nearest other centre (``_grid.nearest_all``, in blocks; zero when
     centres coincide), and a ball whose outer radius leaves the ``Box``
     ``region`` (if not None) is dropped.  Returns (centers, r_out, r_in,
     uncovered_idx)."""
@@ -932,7 +907,7 @@ def _cluster_balls(points, gap, region):
     inner = np.sqrt(_grid.row_dots(diag, diag)) / 2.0 * 1.02 + 1e-12
     outer = 2.5 * inner
     if len(centers) > 1:
-        near = _grid.nearest_distinct(centers, centers)
+        near = _grid.nearest_all(centers, centers, distinct=True)
         _, same, counts = np.unique(centers, axis=0, return_inverse=True, return_counts=True)
         near[counts[same.ravel()] > 1] = 0.0  # a ball whose centre another shares is dropped
         outer = np.minimum(outer, 0.48 * near)
@@ -989,7 +964,10 @@ def unrect_perturbation(
                 f"(sigma_{m+1} = {svals[i, m]:.3e})"
             )
     if resolution is None:
-        resolution = _check_resolution(_native_resolution(points))
+        spacing, probes, pairs, fallback = _grid.median_spacing(points, 4096)
+        logger.debug("native resolution: %d pairs measured of %d, %d fallback probes",
+                     pairs, probes * len(points), fallback)
+        resolution = _check_resolution(spacing)
     if cluster_gap is None:
         cluster_gap = resolution * 8.0
     centers, outer_radii, inner_radii, uncovered = _cluster_balls(points, cluster_gap, region)

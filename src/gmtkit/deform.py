@@ -203,11 +203,7 @@ def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack
     support = np.vstack([v.points[mask] for v, mask in active])
     centres = np.repeat(cube.center()[None], budget, axis=0)
     centres[:, list(cube.axes)] += rng.uniform(-0.5, 0.5, (budget, k)) * cube.side / 2.0
-    step = max(1, CANDIDATE_ROWS // len(support))
-    clearance = np.concatenate([
-        np.min(np.linalg.norm(support - centres[c:c + step, None], axis=2), axis=1)
-        for c in range(0, budget, step)
-    ])
+    clearance = _grid.nearest_all(centres, support, distinct=False, block=CANDIDATE_ROWS)
     best = int(np.argmax(clearance))  # the first of the farthest, as drawn
     best_d = float(clearance[best])
     if not best_d > cube.side * 1e-6:  # NaN clearances fail too
@@ -233,13 +229,8 @@ def deform_one_cube(cube: DyadicCube, measures, eps, *, rng=None, budget=64):
     _check_cube_eps(cube, eps)
     center, info = select_center(cube, measures, eps, rng=rng, budget=budget)
     iota = eps / math.sqrt(2.0)
-    support_pts = [v.points for v in measures if len(v)]
-    if support_pts:
-        dist_to_support = float(
-            min(np.min(np.linalg.norm(p - center, axis=1)) for p in support_pts)
-        )
-    else:
-        dist_to_support = np.inf
+    dist_to_support = min((float(_grid.nearest_all(center[None], v.points, distinct=False)[0])
+                           for v in measures), default=np.inf)
     freeze_radius = 0.5 * min(iota, dist_to_support)
     if not np.isfinite(freeze_radius) or freeze_radius <= 0:
         freeze_radius = 0.5 * iota
@@ -506,10 +497,7 @@ def _coverage_fraction(cube: DyadicCube, points):
     mesh = np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, len(axes))
     probes = np.broadcast_to(cube.center(), (len(mesh), cube.ambient_dim)).copy()
     probes[:, axes] = mesh
-    if len(points) == 0:
-        return 0.0
-    d = np.linalg.norm(probes[:, None, :] - points[None, :, :], axis=2)
-    return float(np.mean(d.min(axis=1) <= cube.side / 5))
+    return float(np.mean(_grid.nearest_all(probes, points, distinct=False) <= cube.side / 5))
 
 
 def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, eps, *,

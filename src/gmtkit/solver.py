@@ -20,7 +20,7 @@ import numpy as np
 from . import _grid
 from .cubical import DyadicCube
 from .grassmann import Plane, _mgs
-from .varifold import DiscreteVarifold, _spacing_probes, sample_spacing, unit_ball_volume
+from .varifold import SPACING_PROBES, DiscreteVarifold, unit_ball_volume
 
 logger = logging.getLogger("gmtkit.solver")
 
@@ -481,10 +481,13 @@ def _projection_lower_bound(problem: SpanningProblem, weights):
 def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_000):
     """Independent global minimum over the reachable chain coset.
 
-    Enumerates initial + ker(boundary) when the kernel dimension fits the
-    budget; otherwise tries a projection certificate (descent incumbent
-    matching a certified lower bound) and falls back to branch and bound
-    over the (m+1)-cell generators, erroring out at the node budget.
+    Enumerates initial + ker(boundary) in Gray-code order when the kernel
+    dimension fits the budget, keeping the least (value, cell count, bits);
+    otherwise tries a projection certificate (descent incumbent matching a
+    certified lower bound) and falls back to branch and bound over the
+    (m+1)-cell generators, erroring out at the node budget.  With several
+    generators the incumbent is the initial chain when the descent, which
+    does not check spanning, leaves a chain that does not span.
     """
     weights = problem.cell_weights()
     if not problem.generators:
@@ -496,11 +499,10 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
     if dim <= budget_dim:
         kernel = [_to_bits(v, problem.complex.count(problem.m)).astype(bool) for v in kernel]
         best = None
-        for combo in range(2**dim):
-            bits = start.bits.copy()
-            for j in range(dim):
-                if combo >> j & 1:
-                    bits ^= kernel[j]
+        bits = start.bits.copy()
+        for step in range(2**dim):  # Gray-code order: one kernel vector per step
+            if step:
+                bits ^= kernel[(step & -step).bit_length() - 1]
             chain = Chain2(problem.complex, problem.m, bits)
             if not single and not spans(chain, problem):
                 continue
@@ -522,6 +524,8 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
                 bits[col] ^= True
                 value += delta
                 improved = True
+    if not (single or spans(Chain2(problem.complex, problem.m, bits), problem)):
+        bits, value = start.bits.copy(), start.value(weights)  # the incumbent must span
     lb = _projection_lower_bound(problem, weights)
     if single and value <= lb + 1e-9:
         return Chain2(problem.complex, problem.m, bits), value
@@ -659,8 +663,11 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     only C(n, m) frames) gives each sample its tilt.  The candidates stay in
     index order and a row's sum is the sum of that row alone, so every mass,
     fit and tilt is the float of a scan of all samples, in its order; the
-    tilts are summed in the order of the audit points.  The INFO line counts
-    the pairs measured.
+    tilts are summed in the order of the audit points.  The spacing that
+    marks radii below 5 x spacing unreliable is ``sample_spacing``'s, exact
+    (``_grid.median_spacing`` at SPACING_PROBES); the INFO line gives it
+    and its probe count, and counts the pairs measured.  The boundary test
+    is ``_grid.nearest_all`` in blocks of ``AUDIT_BLOCK`` pairs.
     """
     if chain.count() == 0:
         raise ValueError("audit needs a nonempty chain")
@@ -677,7 +684,7 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
     bpts = chain.complex.centers(m - 1, np.flatnonzero(chain.boundary()))
     if audit_points is None:
         audit_points = chain.complex.centers(m, np.flatnonzero(chain.bits))
-    spacing = sample_spacing(points)
+    spacing, probes = _grid.median_spacing(points, SPACING_PROBES)[:2]  # sample_spacing, and its probe count
     audit_points = list(audit_points)
     xs = np.asarray(audit_points, dtype=float).reshape(len(audit_points), chain.complex.n)
     if len(xs) and any(r <= 0 for r in radii):
@@ -707,11 +714,7 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
                 tilt[qb[sel]] = (ws * np.take_along_axis(dist, fc[cols], axis=1)).sum(axis=1)
                 fit_weight[qb[sel]] = ws.sum(axis=1)
                 fitted[qb[sel]] = True
-    near = np.zeros(len(xs), dtype=bool)
-    if len(bpts) and len(xs):
-        step = max(1, AUDIT_BLOCK // len(bpts))
-        for start in range(0, len(xs), step):
-            near[start:start + step] = _grid.pair_norms(bpts - xs[start:start + step, None]).min(axis=1) <= max(radii)
+    near = _grid.nearest_all(xs, bpts, distinct=False, block=AUDIT_BLOCK) <= max(radii)
     reliable = [bool(r >= 5.0 * spacing) for r in radii]
     entries, tilt_total, tilt_weight = [], 0.0, 0.0
     for i, x in enumerate(xs):  # in the order of the audit points
@@ -749,6 +752,6 @@ def audit_minimizer(chain: Chain2, integrand, radii=None, subdivision=8,
         "subdivision": subdivision,
     }
     logger.info("audit: sample spacing %.6g from %d probes, %d audit points, %d sample pairs, "
-                "%d violations", spacing, len(_spacing_probes(len(points))), len(entries), pairs,
+                "%d violations", spacing, probes, len(entries), pairs,
                 report["violations"])
     return report

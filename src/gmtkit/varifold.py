@@ -659,35 +659,18 @@ class DensityRatio:
     reliable: bool
 
 
-def sample_spacing(points, cap=2048):
+SPACING_PROBES = 2048  # the probe cap of sample_spacing
+
+
+def sample_spacing(points):
     """Median nearest-neighbour distance (resolution scale of the sampling).
 
-    Up to ``cap`` points, every point is measured against all the others.
-    Above it, the probes of ``_spacing_probes`` look only in their 3^dim
-    cells of a grid of side 2 span / n_pts^(1/dim) (``_grid.nearest``), and
-    a probe with no neighbour at a positive distance there is left out (inf
-    if all are); should the grid decline, they are measured against all
-    points.  The floats are those of a per-probe loop.
+    Exact: ``_grid.median_spacing`` at cap SPACING_PROBES, the median over
+    every point (every (n_pts // 2048)-th above 2048 points) of its distance
+    to its nearest point at a positive distance, inf if none has one; the
+    floats of a scan of all points per probe.
     """
-    pts = np.atleast_2d(points)
-    n_pts, dim = pts.shape
-    if n_pts < 2:
-        return math.inf
-    if n_pts <= cap:
-        mins = _grid.nearest_distinct(pts, pts)
-    else:
-        span = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-        cell = max(span / max(n_pts, 2) ** (1.0 / dim) * 2.0, 1e-12)
-        probes = pts[_spacing_probes(n_pts, cap)]
-        grid = _grid.nearest(pts, probes, cell)
-        mins = _grid.nearest_distinct(probes, pts) if grid is None else grid[0]
-    mins = mins[np.isfinite(mins)]
-    return float(np.median(mins)) if len(mins) else math.inf
-
-
-def _spacing_probes(n_pts, cap=2048):
-    """The points whose nearest-neighbour distances ``sample_spacing`` takes."""
-    return np.arange(0, n_pts, max(1, n_pts // cap))
+    return _grid.median_spacing(np.atleast_2d(points), SPACING_PROBES)[0]
 
 
 def density_ratio(v: DiscreteVarifold, x, radii, spacing=None):

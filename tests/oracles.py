@@ -18,18 +18,17 @@ reduction: ``boundary_matrix_oracle`` fills a uint8 matrix cube by cube,
 dense columns of the chain's support; ``gf2_solve`` and ``gf2_nullspace``
 run the library's column reduction (``solver._Reduction``) on a dense
 matrix, so that it can be compared with them.  ``facets_oracle`` builds the facet
-rows from ``DyadicCube.facets()`` objects, ``sample_spacing_oracle`` hashes
-points into a dict of buckets and loops over the probes, and
-``audit_minimizer_oracle`` is the audit as one Python step per audit point:
-it measures the distance from the point to every sample once for the
-ratios, once for the plane fit and once for the tilt, fits one plane with
-its own ``svd`` and takes one ``eigvalsh`` per sample, where the library
-measures blocks of points against their grid candidates, sums masses as
-rows of equal count, stacks the fits of equal size and takes one
-``eigvalsh`` per fit and distinct axis frame.
+rows from ``DyadicCube.facets()`` objects, ``median_spacing_oracle`` (and
+``sample_spacing_oracle``, the same at cap 2048) measures every probe
+against every sample, and ``audit_minimizer_oracle`` is the audit as one
+Python step per audit point: it measures the distance from the point to
+every sample once for the ratios, once for the plane fit and once for the
+tilt, fits one plane with its own ``svd`` and takes one ``eigvalsh`` per
+sample, where the library measures blocks of points against their grid
+candidates, sums masses as rows of equal count, stacks the fits of equal
+size and takes one ``eigvalsh`` per fit and distinct axis frame.
 ``direction_search_oracle`` counts each candidate plane's cells with its own
-``np.unique(axis=0)``, and ``native_resolution_oracle`` measures the
-distances from every probe sample to a 1024-sample block at once.
+``np.unique(axis=0)``.
 The candidate-Jacobian chain's factors are kept as they were before they
 skipped work whose bytes are known: ``profile_eval_oracle`` indexes the
 intervals with a (C, S, K) compare-and-sum and three ``take_along_axis``
@@ -43,16 +42,19 @@ every lateral cutoff of every stage on every (centre, point) row;
 ``math.cos`` and ``math.sin``, and its ``displacement`` is the purge's
 pair loop; ``gauge_grad_oracle`` is each body's gauge gradient computed
 apart from its gauge.
-``native_resolution_oracle``, ``sample_spacing_oracle`` and
-``audit_minimizer_oracle`` are also the references for the one grid
-neighbour search (``_grid.neighbours`` and its nearest-sample reduction
-``_grid.nearest``) that all three library routines now share: none of
-them uses a grid beyond the spacing's own buckets, and the audit and
-resolution oracles scan every sample.  ``cluster_balls_oracle`` is the
-purge's clustering before ``_grid.cell_clusters``: a dict of tuple cells,
-a union-find over the tuples and the balls in the sorted order of their
-roots.  The
-cube-layer oracles are the pairwise scans the ``CubeIndex`` replaced: one
+``median_spacing_oracle`` and ``audit_minimizer_oracle`` are also the
+references for the one grid neighbour search (``_grid.neighbours`` and its
+nearest-sample reduction ``_grid.nearest``) that the library's median
+spacing and audit share: neither uses a grid, and both scan every sample.
+``clearance_oracle``, ``freeze_distance_oracle``,
+``coverage_fraction_oracle`` and ``boundary_minima_oracle`` are the four
+nearest-sample minima that ``_grid.nearest_all`` replaced, each in its own
+blocks.  ``coset_enumeration_oracle`` is ``exhaustive_oracle``'s coset
+enumeration in binary order, one XOR per set bit of each combination.
+``cluster_balls_oracle`` is the purge's clustering before
+``_grid.cell_clusters``: a dict of tuple cells, a union-find over the
+tuples and the balls in the sorted order of their roots.  The cube-layer
+oracles are the pairwise scans the ``CubeIndex`` replaced: one
 row scan per cube for touching pairs, admissibility and ``delta_touching``,
 a Python loop over candidate cubes per facet sub-cell, one closed-box test
 per cube for point location, and ``intersects`` for neighbours, which
@@ -94,7 +96,7 @@ import math
 import numpy as np
 
 from gmtkit._profiles import smoothstep, smoothstep_d, smoothstep_i
-from gmtkit import deform
+from gmtkit import _grid, deform
 from gmtkit.cubemaps import (
     BallBody,
     Box,
@@ -114,6 +116,7 @@ from gmtkit.deform import (
 from gmtkit.grassmann import Plane, projector_distance
 from gmtkit.cubical import BallSet, BoxUnion, CubeFamily, CubicalComplex, DyadicCube, PuncturedPlane
 from gmtkit.solver import (
+    AUDIT_BLOCK,
     Chain2,
     GridComplex,
     InfeasibleError,
@@ -649,46 +652,53 @@ def spans_oracle(chain, problem):
     return True
 
 
+def coset_enumeration_oracle(problem):
+    """``exhaustive_oracle``'s enumeration of initial + ker(boundary) in
+    binary order, each chain built from the initial bits with one XOR per
+    set bit of its combination; (chain, value) of the least (value, cell
+    count, bits) among the chains that span."""
+    weights = problem.cell_weights()
+    start = initial_chain(problem)
+    kernel = [_to_bits(v, problem.complex.count(problem.m)).astype(bool)
+              for v in problem.complex.reduction(problem.m).kernel]
+    best = None
+    for combo in range(2 ** len(kernel)):
+        bits = start.bits.copy()
+        for j in range(len(kernel)):
+            if combo >> j & 1:
+                bits ^= kernel[j]
+        chain = Chain2(problem.complex, problem.m, bits)
+        if len(problem.generators) > 1 and not spans(chain, problem):
+            continue
+        key = (chain.value(weights), chain.count(), _chain_key(bits))
+        if best is None or key < best[0]:
+            best = (key, chain)
+    return best[1], best[0][0]
+
+
 def facets_oracle(cx, k):
     """The facet rows of a GridComplex from ``DyadicCube.facets()`` objects."""
     rows = [sorted(cx.index[f][1] for f in cube.facets()) for cube in cx.cells[k]]
     return np.array(rows, dtype=np.intp).reshape(cx.count(k), 2 * k)
 
 
-def sample_spacing_oracle(points, cap=2048):
-    """Median nearest-neighbour distance, with a dict of hash buckets and a
-    loop over the probes above ``cap`` points."""
-    pts = np.atleast_2d(points)
-    n_pts, dim = pts.shape
-    if n_pts < 2:
-        return math.inf
-    if n_pts <= cap:
-        mins = np.full(n_pts, np.inf)
-        for start in range(0, n_pts, 1024):
-            block = pts[start : start + 1024]
-            d = np.linalg.norm(pts[:, None, :] - block[None, :, :], axis=2)
-            d[d == 0.0] = np.inf
-            mins = np.minimum(mins, d.min(axis=1))
-        return float(np.median(mins[np.isfinite(mins)]))
-    span = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-    cell = max(span / max(n_pts, 2) ** (1.0 / dim) * 2.0, 1e-12)
-    buckets = {}
-    keys = np.floor(pts / cell).astype(np.int64)
-    for i, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(i)
-    probe_idx = np.arange(0, n_pts, max(1, n_pts // cap))
-    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
-    mins = []
-    for i in probe_idx:
-        key = tuple(keys[i])
-        cand = []
-        for off in offsets:
-            cand.extend(buckets.get(tuple(np.add(key, off)), []))
-        d = np.linalg.norm(pts[cand] - pts[i], axis=1)
-        d = d[d > 0.0]
-        if len(d):
-            mins.append(d.min())
-    return float(np.median(mins)) if mins else math.inf
+def median_spacing_oracle(points, cap):
+    """The median distance from each probe of ``_grid.median_spacing`` (every
+    (N // cap)-th sample, all of them up to ``cap``) to its nearest distinct
+    sample, every probe against 256 samples at a time (inf when none has one)."""
+    probes = points[:: max(1, len(points) // cap)]
+    mins = np.full(len(probes), np.inf)
+    for start in range(0, len(points), 256):
+        d = np.linalg.norm(probes[:, None, :] - points[None, start : start + 256, :], axis=2)
+        d[d == 0.0] = np.inf
+        mins = np.minimum(mins, d.min(axis=1))
+    finite = mins[np.isfinite(mins)]
+    return float(np.median(finite)) if len(finite) else math.inf
+
+
+def sample_spacing_oracle(points):
+    """``varifold.sample_spacing``: the exact median spacing at cap 2048."""
+    return median_spacing_oracle(np.atleast_2d(points), 2048)
 
 
 def density_ratio_oracle(v, x, radii, spacing):
@@ -931,19 +941,49 @@ def plane_span(*vectors):
     return Plane(np.column_stack([np.asarray(v, dtype=float) for v in vectors]))
 
 
-def native_resolution_oracle(points):
-    """Median nearest-neighbour distance, all probes against one 1024-sample
-    block at a time (nan when no sample has a distinct neighbour)."""
-    npts = len(points)
-    sub = points if npts <= 4096 else points[:: npts // 4096]
-    mins = np.full(len(sub), np.inf)
-    for start in range(0, npts, 1024):
-        block = points[start : start + 1024]
-        d2 = np.linalg.norm(sub[:, None, :] - block[None, :, :], axis=2)
-        d2[d2 == 0.0] = np.inf
-        mins = np.minimum(mins, d2.min(axis=1))
-    finite = mins[np.isfinite(mins)]
-    return float(np.median(finite)) if len(finite) else math.nan
+# ---------------------------------------------------------------------------
+# the nearest-sample minima as each site took them before _grid.nearest_all
+
+
+def clearance_oracle(centres, support):
+    """``select_center``'s off-support clearances: chunks of about
+    deform.CANDIDATE_ROWS (centre, sample) pairs, one norm and min each."""
+    step = max(1, deform.CANDIDATE_ROWS // len(support))
+    return np.concatenate([np.min(np.linalg.norm(support - centres[c:c + step, None], axis=2), axis=1)
+                           for c in range(0, len(centres), step)])
+
+
+def freeze_distance_oracle(center, point_sets):
+    """``deform_one_cube``'s distance from the centre to the samples: one norm
+    and min per nonempty set, inf when every set is empty."""
+    support_pts = [p for p in point_sets if len(p)]
+    if support_pts:
+        return float(min(np.min(np.linalg.norm(p - center, axis=1)) for p in support_pts))
+    return np.inf
+
+
+def coverage_fraction_oracle(cube, points):
+    """``deform._coverage_fraction`` with the whole (5^k, P, n) difference."""
+    axes = list(cube.axes)
+    lo, hi = cube.bounds()
+    ticks = [(np.arange(5) + 0.5) / 5 * (hi[a] - lo[a]) + lo[a] for a in axes]
+    mesh = np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    probes = np.broadcast_to(cube.center(), (len(mesh), cube.ambient_dim)).copy()
+    probes[:, axes] = mesh
+    if len(points) == 0:
+        return 0.0
+    d = np.linalg.norm(probes[:, None, :] - points[None, :, :], axis=2)
+    return float(np.mean(d.min(axis=1) <= cube.side / 5))
+
+
+def boundary_minima_oracle(xs, bpts):
+    """The audit's distance from each point to the boundary cell centres, in
+    blocks of about solver.AUDIT_BLOCK pairs (callers guard empty sets)."""
+    out = np.empty(len(xs))
+    step = max(1, AUDIT_BLOCK // len(bpts))
+    for start in range(0, len(xs), step):
+        out[start:start + step] = _grid.pair_norms(bpts - xs[start:start + step, None]).min(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

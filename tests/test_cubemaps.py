@@ -1,15 +1,14 @@
 import itertools
 import logging
 import math
-import re
 
 import numpy as np
 import pytest
 
 from conftest import dist_to_cube_boundary, norm_map, rank_one_map
-from gmtkit import _grid, cubemaps
+from gmtkit import _grid, cubemaps, deform
 from gmtkit._profiles import (collar_alpha, plateau_step, profile_eval, profile_rows, retraction_profile, smoothstep,
-                              smoothstep_d, smoothstep_pair)
+                              smoothstep_d, smoothstep_i, smoothstep_pair)
 from gmtkit.cubemaps import (
     BallBody,
     Box,
@@ -32,7 +31,6 @@ from gmtkit.cubemaps import (
 from gmtkit.cubemaps import (
     _cluster_balls,
     _direction_search,
-    _native_resolution,
     _punctured_factors,
     _punctured_jacobian_rows,
     _recenter,
@@ -42,20 +40,25 @@ from gmtkit.cubical import DyadicCube
 from gmtkit.deform import deform_one_cube
 from gmtkit.grassmann import Plane, build_rotation
 from gmtkit.sampling import four_corner_cantor, sample_disc
+from gmtkit.solver import AUDIT_BLOCK
 from gmtkit.varifold import DiscreteVarifold, blowup_map, sample_spacing
 from oracles import (
     PlaneRotationOracle,
     SmoothPiecewiseLinearOracle,
+    boundary_minima_oracle,
     boundary_point,
+    clearance_oracle,
     cluster_balls_oracle,
     collar_alpha_full,
     collar_alpha_oracle,
+    coverage_fraction_oracle,
     direction_search_oracle,
     face_contains,
+    freeze_distance_oracle,
     gauge,
     gauge_and_grad,
     gauge_grad_oracle,
-    native_resolution_oracle,
+    median_spacing_oracle,
     plateau_step_oracle,
     profile_eval_oracle,
     recenter_oracle,
@@ -648,9 +651,9 @@ class TestDirectionSearchOracle:
     def test_native_resolution(self, count, dim, rng):
         pts = rng.uniform(-1.0, 1.0, (count, dim))
         pts = np.vstack([pts, pts[: max(1, count // 10)]])  # duplicates measure nothing
-        got, want = _native_resolution(pts), native_resolution_oracle(pts)
+        got, want = _grid.median_spacing(pts, 4096)[0], median_spacing_oracle(pts, 4096)
         assert np.array([got]).tobytes() == np.array([want]).tobytes()
-        assert math.isnan(got) == (count == 1)
+        assert (got == math.inf) == (count == 1)
 
     @pytest.mark.parametrize("case", ["n2", "n3_m1", "n3_m2"])
     def test_map_matches_oracle_bytes(self, case, monkeypatch, rng):
@@ -665,7 +668,7 @@ class TestDirectionSearchOracle:
         probes = np.vstack([pts, rng.uniform(-0.2, 1.2, (2000, n))])
         rho = unrect_perturbation(pts, f, region, 0.8, m, cluster_gap=0.2, seed=4, **kw)
         monkeypatch.setattr(cubemaps, "_direction_search", direction_search_oracle)
-        monkeypatch.setattr(cubemaps, "_native_resolution", native_resolution_oracle)
+        monkeypatch.setattr(_grid, "median_spacing", lambda pts, cap: (median_spacing_oracle(pts, cap), 0, 0, 0))
         monkeypatch.setattr(cubemaps, "build_rotation", lambda s, t: PlaneRotationOracle(build_rotation(s, t)))
         want = unrect_perturbation(pts, f, region, 0.8, m, cluster_gap=0.2, seed=4, **kw)
         assert rho.meta["balls"] and rho.meta == want.meta
@@ -694,6 +697,16 @@ class TestDirectionSearchOracle:
             assert ball["own_estimate"] == own * cell
             assert ball["threshold_estimate"] == 0.4 * own * cell
             assert ball["projected_estimate"] <= ball["threshold_estimate"]
+
+    def test_resolution_debug_line(self, caplog):
+        pts, _ = four_corner_cantor(4, angle=0.01)
+        with caplog.at_level(logging.DEBUG, logger="gmtkit.cubemaps"):
+            rho = unrect_perturbation(pts, rank_one_map(), Box([-0.8] * 2, [1.8] * 2), 0.8, 1, cluster_gap=0.2)
+        spacing, probes, measured, fallback = _grid.median_spacing(pts, 4096)
+        assert rho.meta["resolution"] == spacing
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("native resolution")]
+        assert lines == [f"native resolution: {measured} pairs measured of {probes * len(pts)}, "
+                         f"{fallback} fallback probes"]
 
 
 def _grid_hard_case(case, rng):
@@ -726,30 +739,29 @@ GRID_HARD_CASES = ["far_point", "all_duplicates", "exactly_h", "span_2_40", "n1"
 
 
 class TestGridNeighbours:
-    """``_grid.neighbours`` and its two nearest-sample users against the
-    all-pairs oracles, byte for byte."""
+    """``_grid.neighbours`` and the median spacing it serves, at the purge's
+    cap and at ``sample_spacing``'s, against the all-pairs oracle, byte for
+    byte."""
 
     @pytest.mark.parametrize("case", GRID_HARD_CASES)
-    def test_resolution_and_spacing_match_the_oracles(self, case, rng, caplog):
+    def test_resolution_and_spacing_match_the_oracles(self, case, rng):
         pts = _grid_hard_case(case, rng)
-        with caplog.at_level(logging.DEBUG, logger="gmtkit.cubemaps"):
-            got = _native_resolution(pts)
-        want = native_resolution_oracle(pts)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        for cap in (4096, 2048):  # the purge's resolution and sample_spacing
+            got, probes, measured, fallback = _grid.median_spacing(pts, cap)
+            assert np.float64(got).tobytes() == np.float64(median_spacing_oracle(pts, cap)).tobytes()
+            total = probes * len(pts)
+            assert probes == (len(pts) if len(pts) <= cap else len(pts[:: len(pts) // cap]))
+            if case in ("far_point", "span_2_40", "n1", "n4_curve", "subsampled"):
+                assert measured < total // 2  # the grid ran
+            if case == "far_point":
+                assert fallback >= 1 and got < 2.0
+            if case == "all_duplicates":
+                assert got == math.inf and fallback == probes
+            if case == "exactly_h":
+                assert got == 1.0 and fallback == probes
         spacing = sample_spacing(pts)
         assert np.float64(spacing).tobytes() == np.float64(sample_spacing_oracle(pts)).tobytes()
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "gmtkit.cubemaps"]
-        measured, total, fallback = map(int, re.findall(r"\d+", line))
-        probes = len(pts) if len(pts) <= 4096 else len(pts[:: len(pts) // 4096])
-        assert total == probes * len(pts)
-        if case in ("far_point", "span_2_40", "n1", "n4_curve", "subsampled"):
-            assert measured < total // 2  # the grid ran
-        if case == "far_point":
-            assert fallback >= 1 and got < 2.0
-        if case == "all_duplicates":
-            assert math.isnan(got) and spacing == math.inf and fallback == probes
-        if case == "exactly_h":
-            assert got == spacing == 1.0 and fallback == probes
+        assert spacing == got
 
     def test_candidates_are_the_neighbour_cells(self, rng):
         for n, cell in ((1, 0.05), (2, 0.1), (3, 0.3), (4, 0.45)):
@@ -801,7 +813,7 @@ class TestGridNeighbours:
     def test_pair_norms_equal_the_norm(self, n, rng):
         # magnitudes 1e-300 to 1e300 (squares that underflow and overflow),
         # subnormals, signed zeros, infinities and nan, as pair rows and as
-        # the (probes, samples, n) block of nearest_distinct
+        # the (probes, samples, n) block of nearest_all
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320, 1e-310, 1.0, -1e300])
         x = 10.0 ** rng.uniform(-300.0, 300.0, (3000, n)) * rng.choice([-1.0, 1.0], (3000, n))
         spot = rng.random((3000, n)) < 0.15
@@ -822,15 +834,12 @@ class TestGridNeighbours:
         assert _grid.neighbours(pts, np.array([[np.nan, 0.0]]), 0.1) is None
 
     @staticmethod
-    def _fallback_probes(caplog, pts):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="gmtkit.cubemaps"):
-            got = _native_resolution(pts)
-        assert np.float64(got).tobytes() == np.float64(native_resolution_oracle(pts)).tobytes()
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "gmtkit.cubemaps"]
-        return int(re.findall(r"\d+", line)[-1])
+    def _fallback_probes(pts):
+        got, _, _, fallback = _grid.median_spacing(pts, 4096)
+        assert np.float64(got).tobytes() == np.float64(median_spacing_oracle(pts, 4096)).tobytes()
+        return fallback
 
-    def test_margin_one_ulp_either_side(self, rng, caplog):
+    def test_margin_one_ulp_either_side(self, rng):
         # 1024 samples spanning 1 make h = 1/16; the probe q = (0, 8.5 h) has
         # margin 5/8 h, and its one sample within 2h lies 1 ulp inside or
         # outside it, along the first axis (so the distance is exact)
@@ -843,15 +852,15 @@ class TestGridNeighbours:
         for d in (np.nextafter(margin, 0.0), np.nextafter(margin, 1.0)):
             pts = np.vstack([cloud, q, [d, q[1]]])
             assert np.linalg.norm(pts[-1] - q) == d
-            counts.append(self._fallback_probes(caplog, pts))
+            counts.append(self._fallback_probes(pts))
         assert counts[1] == counts[0] + 1  # only q's grid minimum stops being final
 
-    def test_margin_leaves_fewer_fallback_probes(self, rng, caplog):
+    def test_margin_leaves_fewer_fallback_probes(self, rng):
         pts = rng.random((4096, 2))
         h = 2.0 / 4096**0.5
         mins, _ = _grid.nearest(pts, pts, h)
         half_cell = int(np.count_nonzero(~(mins < h / 2.0)))
-        assert self._fallback_probes(caplog, pts) < half_cell // 4
+        assert self._fallback_probes(pts) < half_cell // 4
 
 
 def _cantor(depth, angle=0.01):
@@ -888,6 +897,54 @@ CLUSTER_CASES = {
     "n6_sparse": lambda rng: (rng.random((700, 6)) * 1e6, 1e-3, None),
     "ring_around_blob": lambda rng: (_ring_around_blob(rng), 0.2, None),
 }
+
+
+class TestNearestAll:
+    """``_grid.nearest_all`` with zero distances counted against the four
+    scans it replaced, byte for byte: select_center's clearances, the freeze
+    radius's distance, the cleanup's coverage and the audit's boundary test."""
+
+    @staticmethod
+    def _case(n, rng):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        pts = rng.standard_normal((240, n)) * scale
+        pts = np.vstack([pts, pts[::5]])  # duplicate samples
+        centres = np.vstack([rng.standard_normal((50, n)) * scale, pts[::29]])  # the last 10 on samples
+        return pts, centres
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_replaced_forms(self, n, rng, monkeypatch):
+        pts, centres = self._case(n, rng)
+        for rows in (1, 7, 500, deform.CANDIDATE_ROWS):
+            monkeypatch.setattr(deform, "CANDIDATE_ROWS", rows)
+            got = _grid.nearest_all(centres, pts, distinct=False, block=deform.CANDIDATE_ROWS)
+            assert got.tobytes() == clearance_oracle(centres, pts).tobytes()
+            assert np.all(got[-10:] == 0.0) and np.all(got[:-10] > 0.0)  # a centre on a sample is clearance 0
+        got = _grid.nearest_all(centres, pts, distinct=False, block=AUDIT_BLOCK)
+        assert got.tobytes() == boundary_minima_oracle(centres, pts).tobytes()
+        sets = [pts[:100], pts[:0], pts[100:]]
+        for c in centres[::7]:
+            want = freeze_distance_oracle(c, sets)
+            got = min((float(_grid.nearest_all(c[None], p, distinct=False)[0]) for p in sets), default=np.inf)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        for k in range(1, min(n, 3) + 1):
+            cube = DyadicCube(0, (0,) * n, tuple(range(k)), n)
+            near = rng.uniform(-0.2, 1.2, (300, n)) * np.where(np.arange(n) < k, 1.0, 0.1)
+            for sample in (near, near[:3], near[:0]):
+                assert deform._coverage_fraction(cube, sample) == coverage_fraction_oracle(cube, sample)
+
+    def test_blocks_and_empty_sets(self, rng):
+        pts, centres = self._case(3, rng)
+        want = clearance_oracle(centres, pts)
+        for block in (1, 2, 241, 1 << 20):
+            assert _grid.nearest_all(centres, pts, distinct=False, block=block).tobytes() == want.tobytes()
+        assert np.all(_grid.nearest_all(centres, pts[:0], distinct=False) == np.inf)
+        assert np.all(_grid.nearest_all(centres, pts[:0], distinct=True) == np.inf)
+        assert _grid.nearest_all(centres[:0], pts, distinct=False).shape == (0,)
+        assert freeze_distance_oracle(centres[0], [pts[:0]]) == np.inf
+        # with zero distances left out, a duplicated sample meets its twin no more
+        distinct = _grid.nearest_all(pts, pts, distinct=True)
+        assert np.all(distinct > 0.0) and np.all(_grid.nearest_all(pts, pts, distinct=False) == 0.0)
 
 
 class TestClusterBalls:
@@ -1284,6 +1341,22 @@ def _identical(x, y):
             and _same_bytes(x, y))
 
 
+_TABLE = profile_rows([[0.2, 0.5]], [[0.0, 1.0, 0.0]], [0.0], [0.0])
+# each profile's outputs at t; profile_eval's value only (its derivative is the
+# slope of the last interval, where a NaN compares as above every knot)
+NAN_PROFILES = {
+    "smoothstep": lambda t: (smoothstep(t),),
+    "smoothstep_d": lambda t: (smoothstep_d(t),),
+    "smoothstep_i": lambda t: (smoothstep_i(t),),
+    "smoothstep_pair": lambda t: smoothstep_pair(t, True),
+    "plateau_step": lambda t: plateau_step(0.0, 1.0)(t, True),
+    "plateau_step_capped": lambda t: plateau_step(0.25, 0.875, max_slope=2.0)(t, True),
+    "retraction_profile": lambda t: retraction_profile(0.3)(t, True),
+    "collar_alpha": lambda t: collar_alpha(1.5)(t, True),
+    "profile_eval": lambda t: profile_eval(np.atleast_1d(t)[None], *_TABLE)[:1],
+}
+
+
 class TestProfiles:
     """Each profile is one function (t, derivative=False) -> (value,
     derivative or None) that gives the bytes of the closure pair it replaced."""
@@ -1300,6 +1373,12 @@ class TestProfiles:
             only, none = profile(x)
             assert _identical(value, ref_value(x)) and _identical(derivative, ref_derivative(x))
             assert _identical(only, value) and none is None
+
+    @pytest.mark.parametrize("name", sorted(NAN_PROFILES))
+    def test_nan_stays_nan(self, name):
+        for t in (np.array([np.nan, 0.4, 1.2]), np.float64(np.nan)):
+            for out in NAN_PROFILES[name](t):
+                assert np.isnan(np.ravel(out)[0]) and np.isfinite(np.ravel(out)[1:]).all()
 
 
 def _edges(points):

@@ -138,6 +138,63 @@ def test_only_pair_norms_takes_grid_norms():
 
 
 
+# top-level functions outside _grid that take a minimum over distances of
+# point differences, each with the reason it is not a nearest-sample distance
+NEAREST_MINIMUM_ALLOWED = {
+    ("cubemaps.py", "unrect_perturbation"): "the nearest-ball lookup needs each point's ball index, not a distance",
+    ("cli.py", "cmd_deform"): "the skeleton check measures each image point to the skeleton's cubes, not to samples",
+}
+MINIMUM_CALLS = {"min", "amin", "minimum", "argmin", "nanmin", "nanargmin"}
+
+
+def _is_difference_norm(node):
+    """A ``np.linalg.norm`` or ``_grid.pair_norms`` call on a difference."""
+    return (isinstance(node, ast.Call) and re.search(r"(^|\.)(linalg\.norm|pair_norms)$", ast.unparse(node.func))
+            and bool(node.args) and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Sub))
+
+
+def _nearest_minima(stmt):
+    """Lines of ``stmt`` whose min, np.min, np.minimum or argmin (call or
+    method) takes a norm of a difference, directly or through a name that
+    an assignment in ``stmt`` binds to one."""
+    bound = {t.id for node in ast.walk(stmt) if isinstance(node, ast.Assign) and _is_difference_norm(node.value)
+             for t in node.targets if isinstance(t, ast.Name)}
+    lines = set()
+    for node in ast.walk(stmt):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name not in MINIMUM_CALLS:
+            continue
+        operands = [*node.args, *([func.value] if isinstance(func, ast.Attribute) else [])]
+        if any(_is_difference_norm(sub) or (isinstance(sub, ast.Name) and sub.id in bound)
+               for op in operands for sub in ast.walk(op)):
+            lines.add(node.lineno)
+    return lines
+
+
+def test_only_the_grid_module_takes_nearest_sample_minima():
+    """No module in ``src/`` but ``_grid`` takes the least distance from a
+    point to a set of samples by hand: every such minimum is
+    ``_grid.nearest_all`` (all pairs, in blocks) or ``_grid.median_spacing``."""
+    found = [f"{path.name}:{line} in {getattr(stmt, 'name', '<module>')}"
+             for path in sorted(SRC.glob("*.py")) if path.stem != "_grid"
+             for stmt in ast.parse(path.read_text()).body
+             if (path.name, getattr(stmt, "name", None)) not in NEAREST_MINIMUM_ALLOWED
+             for line in sorted(_nearest_minima(stmt))]
+    assert not found, found
+
+
+def test_the_nearest_minimum_scan_sees_each_allowed_site():
+    """Each allowed site still takes such a minimum, so the allowlist names
+    only sites the scan finds."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    for file, func in NEAREST_MINIMUM_ALLOWED:
+        (stmt,) = [s for s in trees[file].body if getattr(s, "name", None) == func]
+        assert _nearest_minima(stmt), (file, func)
+
+
 def test_no_comprehension_takes_one_norm_per_row():
     """No comprehension in ``src/`` calls ``np.linalg.norm`` without ``axis``:
     a norm per row is one call (``axis``, or ``_grid.row_dots`` where the

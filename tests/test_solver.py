@@ -16,6 +16,7 @@ from oracles import (
     boundary_matrix_oracle,
     cell_weights_oracle,
     chain_to_varifold_oracle,
+    coset_enumeration_oracle,
     facets_oracle,
     gf2_nullspace,
     gf2_nullspace_oracle,
@@ -45,6 +46,7 @@ from gmtkit.varifold import (
     AreaIntegrand,
     Integrand,
     RiemannianWeightIntegrand,
+    TableIntegrand,
     TiltPenaltyIntegrand,
     pullback_integrand,
 )
@@ -219,6 +221,24 @@ class TestOracle:
         chain, value = exhaustive_oracle(p)
         assert value == 0.0 and chain.count() == 0
 
+    def test_branch_and_bound_keeps_a_spanning_incumbent(self):
+        # the descent flips the walled stacked squares into the cheap tube
+        # between them, which does not span; the search starts from the
+        # initial chain instead and finds the enumeration's minimum
+        p = walled_squares_problem()
+        assert len(p.complex.reduction(2).kernel) == 8
+        for budget_dim in (0, 18):
+            chain, value = exhaustive_oracle(p, budget_dim=budget_dim)
+            assert value == 103.0 and spans(chain, p)
+
+    @pytest.mark.parametrize("make", [lambda: square_problem(1), lambda: stacked_squares_problem(),
+                                      lambda: walled_squares_problem()], ids=["square", "stacked", "walled"])
+    def test_gray_code_order_matches_the_binary_loop(self, make):
+        p = make()
+        chain, value = exhaustive_oracle(p)
+        want_chain, want_value = coset_enumeration_oracle(p)
+        assert value == want_value and np.array_equal(chain.bits, want_chain.bits)
+
 
 class TestScalingCovariance:
     def test_half_scale_pullback(self):
@@ -321,6 +341,17 @@ def stacked_squares_problem():
     z0, cells0 = square_cycle(cx, z=0)
     z1, cells1 = square_cycle(cx, z=2)
     return SpanningProblem(cx, 2, cells0 + cells1, [z0, z1], AreaIntegrand())
+
+
+def walled_squares_problem():
+    """The stacked squares under a table integrand 100 times dearer on the
+    planes z = 0 and z = 1 that hold them than elsewhere."""
+    cx = GridComplex(3, (2, 2, 2), 1)
+    z0, cells0 = square_cycle(cx, z=0)
+    z1, cells1 = square_cycle(cx, z=2)
+    table = np.ones((5, 5, 5))
+    table[:, :, 0] = table[:, :, 4] = 100.0
+    return SpanningProblem(cx, 2, cells0 + cells1, [z0, z1], TableIntegrand([0, 0, 0], [0.25] * 3, table))
 
 
 def random_gf2_cases(rng):

@@ -589,7 +589,8 @@ class TestCsvRoundtrip:
 
 
 class TestSampleSpacingOracle:
-    """The hashed path (above the 2048-point cap) against the dict-bucket loop."""
+    """The grid path of the spacing (its probes every (n // 2048)-th point
+    above 2048) against every probe measured against all points."""
 
     def assert_same(self, pts):
         got, want = sample_spacing(pts), sample_spacing_oracle(pts)
@@ -615,9 +616,10 @@ class TestSampleSpacingOracle:
         cluster = rng.random((3000, 3)) * 1e-3
         far = np.array([[5.0, 5.0, 5.0], [-5.0, 2.0, 0.0]])
         self.assert_same(np.vstack([cluster, far]))
-        # only duplicates and isolated points: no probe has a positive distance
+        # duplicates and isolated points: every duplicate's nearest distinct
+        # point is the nearer far point, sqrt(29) away, outside its 3^3 cells
         lonely = np.vstack([np.zeros((2100, 3)), far])
-        assert self.assert_same(lonely) == math.inf
+        assert self.assert_same(lonely) == math.sqrt(29.0)
         assert self.assert_same(np.zeros((2100, 2))) == math.inf
 
     @pytest.mark.parametrize("count", [2, 100, 3000])
