@@ -112,6 +112,7 @@ def profile_eval(t, knots, slopes, deltas, knot_vals, derivative=False):
     the derivative None unless asked for.  A corner correction is computed
     only on the points inside that corner's blend window; everywhere else
     every point goes through the same float operations, whatever C and S are.
+    A NaN in ``t`` gives a NaN value and derivative.
     """
     count, nknots = knots.shape
     idx = np.zeros(t.shape, dtype=np.intp)  # searchsorted: the knots below t
@@ -123,6 +124,8 @@ def profile_eval(t, knots, slopes, deltas, knot_vals, derivative=False):
     below += np.arange(0, count * nknots, nknots)[:, None]
     out = knot_vals.take(below) + slope * (t - knots.take(below))
     der = slope if derivative else None
+    if derivative:  # a NaN counts as above every knot, so it took the last slope
+        der[np.isnan(t)] = np.nan
     ds = slopes[:, 1:] - slopes[:, :-1]
     for j in range(knots.shape[1]):
         u = (t - knots[:, j, None]) / deltas[:, j, None]

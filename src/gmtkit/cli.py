@@ -227,7 +227,7 @@ INPUTS = {
         "n": Rule("int", 3, (">=", 2)),
         "integrand": Rule("integrand", {"kind": "area"}),
         "plane_axes": Rule("int", [0, 1], (">=", 0), shape=(None,)),
-        "m": Rule("int", 2),
+        "m": Rule("int", 2, (">=", 1), ("<=", 2)),
         "x": Rule("float", [0.0, 0.0, 0.0], shape=("n",)),
         "sup_grid": Rule("int", 256, (">=", 1)),
     },

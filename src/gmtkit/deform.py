@@ -110,105 +110,90 @@ def _restrict_near_cube(v: DiscreteVarifold, cube: DyadicCube, normal_tol):
     return mask
 
 
+def _scaled_eps(cube: DyadicCube, eps):
+    """eps / sqrt(2) in the in-plane coordinates of ``_inplane_coordinates``,
+    capped below a quarter: the puncture scale of the cube's projections."""
+    return min(2.0 * (eps / math.sqrt(2.0)) / cube.side, 0.2499)
+
+
 def _candidate_singular_values(cand_r, u, eps):
-    """Per candidate centre, the singular values of its punctured projection's
-    Jacobian at the points u; candidates are evaluated in chunks of about
-    CANDIDATE_ROWS rows (candidates x points), and each chunk's SVDs run once
-    per distinct recentred row."""
+    """Per chunk of about CANDIDATE_ROWS rows (candidates x points), the
+    (c, S, k) singular values of its c candidate centres' punctured projection
+    Jacobians at the points u; the chunks' c add up to len(cand_r), and each
+    chunk's SVDs run once per distinct recentred row."""
     step = max(1, CANDIDATE_ROWS // len(u))
     distinct = 0
     for c in range(0, len(cand_r), step):
         jac, inverse = _punctured_jacobian_rows(cand_r[c:c + step], u, eps)
         distinct += len(jac)
-        yield from np.linalg.svd(jac, compute_uv=False)[inverse]
+        yield np.linalg.svd(jac, compute_uv=False)[inverse]
     logger.debug("select_center: %d candidate rows, %d distinct", len(cand_r) * len(u), distinct)
 
 
 def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack=0.5):
-    """A good projection centre in the middle half of the cube.
+    """A good projection centre in the middle half of the cube, among
+    ``budget`` (at least 1) drawn candidates.
 
-    For measure dimensions below dim(cube): randomized search that evaluates
-    all ``budget`` candidates and keeps, among those whose sampled
+    For measure dimensions below dim(cube): of the candidates whose sampled
     derivative integrals obey the averaged bound
-    l * Gamma(k, m_i) * mu_i(K) * (1 + slack), the one with the least
-    sampled mass growth.  For dimensions equal to dim(cube): the first
-    candidate farthest from the support, which must be clear of it.  The
-    samples counted are those in the closed cube within eps of its plane.
-    Deterministic given the generator state.  ``budget`` (at least 1) is
-    the number of candidates drawn.
+    l * Gamma(k, m_i) * mu_i(K) * (1 + slack), the first with the least
+    sampled mass growth, scored as arrays in the frame and at the scale of
+    the stage map.  For dimensions equal to dim(cube): the first candidate
+    farthest from the support, which must be clear of it.  The samples
+    counted are those in the closed cube within eps of its plane.
+    Deterministic given the generator state.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     rng = np.random.default_rng(0) if rng is None else rng
     k = cube.dim
-    iota = eps / math.sqrt(2.0)
-    eps_r = 2.0 * iota / cube.side
-    active = []
-    for v in measures:
-        mask = _restrict_near_cube(v, cube, eps)
-        if np.any(mask) and v.weights[mask].sum() > 0:
-            active.append((v, mask))
+    masks = [(v, _restrict_near_cube(v, cube, eps)) for v in measures]
+    active = [(v, mask) for v, mask in masks if np.any(mask) and v.weights[mask].sum() > 0]
     if not active:
         return cube.center(), {"branch": "empty", "candidates_tried": 0}
     dims = sorted({v.dim for v, _ in active})
-    if dims[-1] < k:
-        total = len(active)
-        # evaluate the whole candidate budget: among the candidates meeting
-        # the averaged derivative bound (the averaging argument guarantees a
-        # positive fraction do), keep the one with the smallest sampled mass-growth
-        # factor; any passing candidate is legitimate, the best one tightens
-        # and stabilizes the empirical transport constants
-        cand_r = rng.uniform(-0.5, 0.5, (budget, k))
-        u = np.vstack([_inplane_coordinates(cube, v.points[mask])[0] for v, mask in active])
-        rows = np.cumsum([0] + [np.count_nonzero(mask) for _, mask in active])
-        best_pass = None
-        best_any = None
-        for i, sv_i in enumerate(_candidate_singular_values(cand_r, u, min(eps_r, 0.2499))):
-            ok = True
-            growth = 0.0
-            ratios = []
-            for (v, mask), lo, hi in zip(active, rows[:-1], rows[1:]):
-                sv = sv_i[lo:hi]
-                w = v.weights[mask]
-                wsum = np.sum(w)
-                ratio = float(np.sum(w * sv[:, 0] ** v.dim) / wsum)
-                jm = np.prod(sv[:, : v.dim], axis=1)
-                growth = max(growth, float(np.sum(w * jm) / wsum))
-                bound = total * center_bound_constant(k, v.dim) * (1.0 + slack)
-                ratios.append((ratio, bound))
-                if ratio > bound:
-                    ok = False
-            if best_any is None or ratios[0][0] < best_any[1][0][0]:
-                best_any = (cand_r[i], ratios)
-            if ok and (best_pass is None or growth < best_pass[0]):
-                best_pass = (growth, i, ratios)
-        if best_pass is not None:
-            growth, i, ratios = best_pass
-            a = cube.center()
-            a[list(cube.axes)] += cand_r[i] * cube.side / 2.0
-            return a, {
-                "branch": "averaged",
-                "candidates_tried": budget,
-                "growth_estimate": growth,
-                "ratios": [r for r, _ in ratios],
-                "bounds": [b for _, b in ratios],
-            }
-        raise CenterSearchError(
-            f"no centre met the derivative bound in {budget} tries for {cube}; "
-            f"best ratios {best_any[1]}"
-        )
-    if dims[0] < k:
+    if dims[0] < k <= dims[-1]:
         raise CenterSearchError("mixed measure dimensions at one cube are unsupported")
-    # all dimensions equal dim(cube): pick a candidate far from the support
-    support = np.vstack([v.points[mask] for v, mask in active])
+    cand_r = rng.uniform(-0.5, 0.5, (budget, k))
     centres = np.repeat(cube.center()[None], budget, axis=0)
-    centres[:, list(cube.axes)] += rng.uniform(-0.5, 0.5, (budget, k)) * cube.side / 2.0
-    clearance = _grid.nearest_all(centres, support, distinct=False, block=CANDIDATE_ROWS)
-    best = int(np.argmax(clearance))  # the first of the farthest, as drawn
-    best_d = float(clearance[best])
-    if not best_d > cube.side * 1e-6:  # NaN clearances fail too
-        raise CenterSearchError(f"no candidate clear of the support in {cube}")
-    return centres[best], {"branch": "off-support", "clearance": best_d, "candidates_tried": budget}
+    centres[:, list(cube.axes)] += cand_r * cube.side / 2.0
+    if dims[-1] >= k:
+        # all dimensions equal dim(cube): pick a candidate far from the support
+        support = np.vstack([v.points[mask] for v, mask in active])
+        clearance = _grid.nearest_all(centres, support, distinct=False, block=CANDIDATE_ROWS)
+        best = int(np.argmax(clearance))  # the first of the farthest, as drawn
+        if not clearance[best] > cube.side * 1e-6:  # NaN clearances fail too
+            raise CenterSearchError(f"no candidate clear of the support in {cube}")
+        return centres[best], {"branch": "off-support", "clearance": float(clearance[best]),
+                               "candidates_tried": budget}
+    # the averaging argument guarantees a positive fraction of the candidates pass;
+    # any is legitimate, the least growth tightens the empirical transport constants
+    u = np.vstack([_inplane_coordinates(cube, v.points[mask])[0] for v, mask in active])
+    rows = np.cumsum([0] + [np.count_nonzero(mask) for _, mask in active])
+    bounds = [len(active) * center_bound_constant(k, v.dim) * (1.0 + slack) for v, _ in active]
+    ratios = np.empty((budget, len(active)))
+    growth = np.zeros(budget)
+    start = 0
+    for sv in _candidate_singular_values(cand_r, u, _scaled_eps(cube, eps)):
+        chunk = slice(start, start + len(sv))
+        start += len(sv)
+        for j, ((v, mask), lo, hi) in enumerate(zip(active, rows[:-1], rows[1:])):
+            w = v.weights[mask]
+            wsum = np.sum(w)
+            ratios[chunk, j] = np.sum(w * sv[:, lo:hi, 0] ** v.dim, axis=1) / wsum
+            jm = np.sum(w * np.prod(sv[:, lo:hi, : v.dim], axis=2), axis=1) / wsum
+            growth[chunk] = np.where(jm > growth[chunk], jm, growth[chunk])  # max(): a NaN jm never wins
+    passing = np.flatnonzero(~np.any(ratios > bounds, axis=1))
+    if len(passing):
+        i = passing[np.argmin(growth[passing])]
+        return centres[i], {"branch": "averaged", "candidates_tried": budget, "growth_estimate": float(growth[i]),
+                            "ratios": ratios[i].tolist(), "bounds": bounds}
+    # the first of the least first ratios: a NaN never replaces a number, nor is a leading NaN replaced
+    i = 0 if np.isnan(ratios[0, 0]) else int(np.nanargmin(ratios[:, 0]))
+    raise CenterSearchError(
+        f"no centre met the derivative bound in {budget} tries for {cube}; "
+        f"best ratios {list(zip(ratios[i].tolist(), bounds))}"
+    )
 
 
 def _check_cube_eps(cube: DyadicCube, eps):
@@ -246,12 +231,8 @@ def _cube_map(cube: DyadicCube, center, eps, freeze_radius, selection):
     center = np.asarray(center, dtype=float)
     iota = eps / math.sqrt(2.0)
     d = freeze_radius
-    eps_r = min(2.0 * iota / cube.side, 0.2499)
-    axes = list(cube.axes)
-    others = [j for j in range(n) if j not in cube.axes]
-    c = cube.center()
-    a_r = (center[axes] - c[axes]) * (2.0 / cube.side)
-    phi_r = punctured_cube_projection(a_r, eps_r)
+    a_r, _, axes, others = _inplane_coordinates(cube, center[None])
+    phi_r = punctured_cube_projection(a_r[0], _scaled_eps(cube, eps))
     a_plane = center[axes]
     blend = plateau_step(0.25, 0.875, max_slope=2.0)
 
@@ -259,10 +240,9 @@ def _cube_map(cube: DyadicCube, center, eps, freeze_radius, selection):
         npts = len(x)
         val = x.copy()
         out = np.broadcast_to(np.eye(n), (npts, n, n)).copy() if jac else None
-        u = (x[:, axes] - c[axes]) * (2.0 / cube.side)
+        u, z, _, _ = _inplane_coordinates(cube, x)
         a3, a3d = blend(np.linalg.norm(x[:, axes] - a_plane, axis=1) / d, jac)
         if others:
-            z = x[:, others] - c[others]
             cut, cutd = blend(np.linalg.norm(z, axis=1) / iota, jac)
             cut = 1.0 - cut
         else:
@@ -429,18 +409,25 @@ class DeformationPlan:
 
     @staticmethod
     def from_json(text):
-        """The plan ``to_json`` wrote.  Each stage's cube, a centre of n finite
-        numbers, eps and freeze_radius finite and > 0, and kind "descent" or
-        "cleanup"; descent_count an integer in [0, number of stages].  A plan
-        that breaks these raises ValueError naming the stage and the rule."""
+        """The plan ``to_json`` wrote.  m an integer >= 0, seed an integer,
+        eps a finite number > 0, constants (when present) a JSON object and
+        descent_count an integer in [0, number of stages]; each stage's cube,
+        a centre of n finite numbers, eps and freeze_radius finite and > 0,
+        and kind "descent" or "cleanup".  A plan that breaks these raises
+        ValueError naming the field or the stage and the rule."""
         data = json.loads(text)
-        count = data["descent_count"]
+        count, m, seed, constants = data["descent_count"], data["m"], data["seed"], data.get("constants", {})
         if type(count) is not int or not 0 <= count <= len(data["stages"]):
             raise ValueError(f"descent_count must be an integer in [0, {len(data['stages'])}], "
                              f"got {reprlib.repr(count)}")
-        plan = DeformationPlan(
-            m=data["m"], eps=data["eps"], seed=data["seed"], descent_count=count, constants=data.get("constants", {}),
-        )
+        if type(m) is not int or m < 0:
+            raise ValueError(f"m must be an integer >= 0, got {reprlib.repr(m)}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {reprlib.repr(seed)}")
+        if not isinstance(constants, dict):
+            raise ValueError(f"constants must be a JSON object, got {reprlib.repr(constants)}")
+        _checked_floats(data["eps"], "eps", "a finite number > 0", lambda a: a.ndim == 0 and a > 0)
+        plan = DeformationPlan(m=m, eps=data["eps"], seed=seed, descent_count=count, constants=constants)
         for i, sd in enumerate(data["stages"]):
             cube = DyadicCube.from_dict(sd["cube"])
             center = _checked_floats(sd["center"], f"stage {i} center", f"{cube.ambient_dim} finite numbers",
@@ -590,8 +577,7 @@ def image_mass_bound(g: SmoothMap, v: DiscreteVarifold, region, resolution=None)
 
 
 def purge_unrectifiable(s_r: DiscreteVarifold, s_u: DiscreteVarifold, bounds, eps, *,
-                        seed=0, min_level=6, direction_budget=720,
-                        cluster_gap=None, resolution=None):
+                        seed=0, min_level=6, cluster_gap=None):
     """Deform onto the skeleton, then kill the unrectifiable part.
 
     ``bounds`` is the (lo, hi) box of the open working region G.  The
@@ -610,11 +596,7 @@ def purge_unrectifiable(s_r: DiscreteVarifold, s_u: DiscreteVarifold, bounds, ep
         return g1, {"plan": plan, "rho": None}
     margin = 2.0 * family.max_side()
     inner_box = Box(lo + margin, hi - margin)
-    rho = unrect_perturbation(
-        s_u.points, g1, inner_box, eps, m,
-        seed=seed, direction_budget=direction_budget, cluster_gap=cluster_gap,
-        resolution=resolution,
-    )
+    rho = unrect_perturbation(s_u.points, g1, inner_box, eps, m, seed=seed, cluster_gap=cluster_gap)
     g_total = SmoothMap.compose(g1, rho)
     g_total.name = "purge"
     report = {

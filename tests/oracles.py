@@ -478,8 +478,8 @@ def candidate_singular_values_oracle(cand_r, u, eps):
     row of each chunk of about deform.CANDIDATE_ROWS rows."""
     step = max(1, deform.CANDIDATE_ROWS // len(u))
     for c in range(0, len(cand_r), step):
-        yield from np.linalg.svd(punctured_jacobians_oracle(cand_r[c:c + step], u, eps),
-                                 compute_uv=False)
+        yield np.linalg.svd(punctured_jacobians_oracle(cand_r[c:c + step], u, eps),
+                            compute_uv=False)
 
 
 def select_center_oracle(cube, measures, eps, *, rng=None, budget=64, slack=0.5):
@@ -1753,6 +1753,8 @@ def profile_eval_oracle(t, knots, slopes, deltas, knot_vals, derivative=False):
     below = np.maximum(idx - 1, 0)
     out = np.take_along_axis(knot_vals, below, axis=1) + slope * (t - np.take_along_axis(knots, below, axis=1))
     der = slope if derivative else None
+    if derivative:  # a NaN t has a NaN derivative
+        der[np.isnan(t)] = np.nan
     ds = slopes[:, 1:] - slopes[:, :-1]
     for j in range(knots.shape[1]):
         u = (t - knots[:, j, None]) / deltas[:, j, None]

@@ -402,6 +402,16 @@ class TestEllipticityCommand:
         assert report["counterexample"] is None
         assert report["min_margin"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("config", [{"plane_axes": [0], "m": 1},
+                                        {"n": 2, "plane_axes": [0], "m": 1, "x": [0.0, 0.0]}])
+    def test_area_probe_of_a_line(self, tmp_path, config):
+        # the m = 1 probe disc: a segment of the line
+        (tmp_path / "probe.json").write_text(json.dumps(config))
+        assert run_cli(["--out", tmp_path / "out", "--config", tmp_path / "probe.json", "probe-ellipticity"]) == 0
+        report = json.loads((tmp_path / "out" / "ellipticity_report.json").read_text())
+        assert report["counterexample"] is None
+        assert report["margins"] and all(c["margin"] == pytest.approx(1.0, abs=1e-9) for c in report["margins"])
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["retract", "project", "probe-ellipticity"])
@@ -468,6 +478,10 @@ def _bad_input_files(tmp):
              "center": [0.1, 0.1, 0.1], "eps": 0.05, "freeze_radius": 0.0, "kind": "descent"}
     (tmp / "plan_level_fraction.json").write_text(json.dumps(
         {"m": 2, "eps": 0.05, "seed": 0, "descent_count": 1, "stages": [stage]}))
+    for name, header in BAD_PLAN_HEADERS.items():
+        (tmp / f"plan_{name}.json").write_text(json.dumps(
+            dict({"m": 2, "eps": 0.05, "seed": 0, "descent_count": 1, "stages": [PLAN_STAGE]}, **header)))
+    (tmp / "probe_m_three.json").write_text(json.dumps({"n": 4, "plane_axes": [0, 1, 2], "m": 3, "x": [0, 0, 0, 0]}))
     for name, text in BAD_SET_FILES.items():
         (tmp / f"set_{name}.csv").write_text(text)
     for name, line in BAD_PLANE_PAIRS.items():
@@ -518,6 +532,9 @@ BAD_PLAN_STAGES = {
     "descent_count_fraction": ({}, 0.5),
     "eps_text": ({"eps": "0.05"}, 1),
 }
+# replay plans whose header breaks the rule to_json writes it under
+BAD_PLAN_HEADERS = {"m_text": {"m": "x"}, "eps_null": {"eps": None}, "seed_list": {"seed": [1]},
+                    "constants_list": {"constants": [1]}}
 
 
 BAD_INPUTS = {
@@ -583,6 +600,7 @@ BAD_INPUTS = {
     "probe_m_not_the_plane_dimension": ({"GMTKIT_M": "5"}, ["probe-ellipticity"]),
     "probe_x_of_wrong_length": ({"GMTKIT_X": "[0]"}, ["probe-ellipticity"]),
     "probe_sup_grid_negative": ({"GMTKIT_SUP_GRID": "-1"}, ["probe-ellipticity"]),
+    "probe_m_three": ({}, ["--config", "probe_m_three.json", "probe-ellipticity"]),
     "slice_t_not_a_number": ({}, ["slice", "disc.csv", "--t", "abc", "--bin", "0.05"]),
     "slice_bin_zero": ({}, ["slice", "disc.csv", "--t", "0.5", "--bin", "0"]),
     "slice_map_not_a_coordinate": ({}, ["slice", "disc.csv", "--map", "coord:x", "--t", "0.5", "--bin", "0.05"]),
@@ -607,6 +625,10 @@ BAD_INPUTS = {
     "minimize_boundary_cell_level_fraction": ({}, ["minimize", "boundary_level_fraction.json"]),
     "minimize_generator_corner_bool": ({}, ["minimize", "generator_corner_bool.json"]),
     "replay_cube_level_fraction": ({}, ["deform", "disc.csv", "--replay", "plan_level_fraction.json"]),
+    "replay_m_text": ({}, ["deform", "disc.csv", "--replay", "plan_m_text.json"]),
+    "replay_eps_null": ({}, ["deform", "disc.csv", "--replay", "plan_eps_null.json"]),
+    "replay_seed_list": ({}, ["deform", "disc.csv", "--replay", "plan_seed_list.json"]),
+    "replay_constants_list": ({}, ["deform", "disc.csv", "--replay", "plan_constants_list.json"]),
     "audit_chain_m_fraction": ({}, ["audit", "chain_m_fraction.json"]),
     # a number in JSON input must be a JSON number: numpy would read "0.05" as
     # 0.05 and true as 1, and a text that is not JSON stays text

@@ -1342,8 +1342,7 @@ def _identical(x, y):
 
 
 _TABLE = profile_rows([[0.2, 0.5]], [[0.0, 1.0, 0.0]], [0.0], [0.0])
-# each profile's outputs at t; profile_eval's value only (its derivative is the
-# slope of the last interval, where a NaN compares as above every knot)
+# each profile's outputs at t
 NAN_PROFILES = {
     "smoothstep": lambda t: (smoothstep(t),),
     "smoothstep_d": lambda t: (smoothstep_d(t),),
@@ -1353,7 +1352,7 @@ NAN_PROFILES = {
     "plateau_step_capped": lambda t: plateau_step(0.25, 0.875, max_slope=2.0)(t, True),
     "retraction_profile": lambda t: retraction_profile(0.3)(t, True),
     "collar_alpha": lambda t: collar_alpha(1.5)(t, True),
-    "profile_eval": lambda t: profile_eval(np.atleast_1d(t)[None], *_TABLE)[:1],
+    "profile_eval": lambda t: profile_eval(np.atleast_1d(t)[None], *_TABLE, derivative=True),
 }
 
 

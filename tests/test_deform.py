@@ -178,6 +178,15 @@ class TestSelectCenterOracle:
         _assert_same_choice(SQUARE, [_segment([0.1, 0.2, 0.0], [0.9, 0.7, 0.0], 250)], 0.1,
                             lambda: FixedDraws([[0.0, 0.3], [0.0, 0.0], [-0.2, 0.0]]), budget=3)
 
+    def test_tied_candidates(self):
+        # the winner drawn again last: the first copy wins, as in the loop
+        draws = np.random.default_rng(13).uniform(-0.5, 0.5, (5, 3))
+        a, info = select_center(CUBE3, [_disc(400)], 0.2, rng=FixedDraws(draws), budget=5)
+        first = int(np.flatnonzero(np.all(CUBE3.center() + draws * CUBE3.side / 2.0 == a, axis=1))[0])
+        tied = np.vstack([draws, draws[first]])
+        tied_info = _assert_same_choice(CUBE3, [_disc(400)], 0.2, lambda: FixedDraws(tied), budget=6)
+        assert tied_info["growth_estimate"] == info["growth_estimate"]
+
     def test_failure_message(self):
         with pytest.raises(CenterSearchError) as new:
             select_center(CUBE3, [_disc(300)], 0.2, rng=np.random.default_rng(9), budget=5,
@@ -267,6 +276,9 @@ class TestCandidateRowDedup:
 # by more than CHUNK_PEAK_MARGIN
 CHUNK_PEAKS = {2: 2_412_483, 3: 4_199_243}
 CHUNK_PEAK_MARGIN = 200_000
+# tracemalloc peak (bytes) of one whole select_center call on that k = 3
+# input, measured with the per-candidate scoring loop (numpy 2.4.6)
+SEARCH_PEAK = 4_219_950
 
 
 class TestCandidateChunkPeak:
@@ -288,6 +300,24 @@ class TestCandidateChunkPeak:
         finally:
             tracemalloc.stop()
         assert peak <= CHUNK_PEAKS[k] + CHUNK_PEAK_MARGIN, peak
+
+    def test_traced_peak_of_one_search(self):
+        # the whole select_center call on the same input at k = 3: scoring the
+        # chunk as arrays may not grow the live set past the per-candidate loop
+        rng = np.random.default_rng(7)
+        u = rng.uniform(-0.6, 0.6, (680, 3))
+        cand = rng.uniform(-0.5, 0.5, (deform.CANDIDATE_ROWS // len(u), 3))
+        v = DiscreteVarifold.flat(0.5 + u / 2.0, H, np.full(len(u), 1.0 / len(u)))
+        eps = 0.000566 / np.sqrt(2.0)
+        _, info = select_center(CUBE3, [v], eps, rng=FixedDraws(cand), budget=len(cand))
+        assert info["branch"] == "averaged"
+        tracemalloc.start()
+        try:
+            select_center(CUBE3, [v], eps, rng=FixedDraws(cand), budget=len(cand))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= SEARCH_PEAK + CHUNK_PEAK_MARGIN, peak
 
 
 class TestDeformOneCube:
