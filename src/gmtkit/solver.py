@@ -207,10 +207,62 @@ class GridComplex:
         return self._facets[k]
 
     def reduction(self, k):
-        """The column reduction of the boundary operator on k-cells (cached)."""
+        """The column reduction of the boundary operator on k-cells (cached):
+        ``exhaustive_oracle``'s kernel basis."""
         if k not in self._reductions:
             self._reductions[k] = _Reduction(self.facets(k).tolist())
         return self._reductions[k]
+
+    def filling(self, m, z):
+        """The m-chain c with boundary z, for an (m-1)-cycle z of the box
+        (entries taken mod 2), as a bool vector over the m-cells: the prism
+        sweep c = sum_j P_j pi_{j-1} ... pi_0 z (Kaczynski, Mischaikow and
+        Mrozek, *Computational Homology*, 2004).
+
+        pi_j moves each cell onto x_j = origin_j and drops the cells that
+        have axis j; P_j sweeps each cell that lacks axis j down to
+        x_j = origin_j, the run of cells with axes A + {j} in between.  Over
+        GF(2), dP_j + P_j d = id + pi_j, so the sweeps fill all of a cycle
+        but what the last projection leaves at the origin vertex: nothing
+        in dimension >= 1, the parity of a 0-cycle.  An odd 0-cycle bounds
+        nothing: InfeasibleError.
+
+        P_j writes only the cells S_j whose lowest axis is j and whose
+        corner has x_i = origin_i for i < j, and no nonzero chain on S has
+        boundary 0: in its lowest j, the S_j cell with the largest x_j
+        keeps its upper j-facet.  So the boundary maps the chains on S one
+        to one onto all boundaries, and |S| is the rank.  A cell outside S,
+        with x_i > origin_i for some i below its axes, is the sum of the
+        other facets of the (m+1)-cell it bounds from below along i, all
+        with earlier keys, so it is no pivot.  Hence S is the pivot columns
+        of ``reduction(m)``, and c is its ``solve(z)``, bit for bit.
+        """
+        corners, rank = self.decode(m - 1, np.flatnonzero(np.asarray(z, dtype=np.uint8) % 2))
+        lower, upper = (list(itertools.combinations(range(self.n), k)) for k in (m - 1, m))
+        free = self._masks(m - 1) == 0
+        hits = []
+        for j, start in enumerate(self.origin):
+            keep = free[rank, j]
+            corners, rank = corners[keep], rank[keep]
+            # P_j: each cell's run of (A + {j})-cells from x_j = origin_j up to its own x_j
+            length = corners[:, j] - start
+            cell = np.repeat(np.arange(len(corners)), length)
+            run = corners[cell]
+            run[:, j] = start + np.arange(len(cell)) - (np.cumsum(length) - length)[cell]
+            lift = np.array([upper.index(tuple(sorted(a + (j,)))) if j not in a else -1 for a in lower])
+            hits.append(self._find(m, run, lift[rank[cell]]))
+            # pi_j: onto x_j = origin_j, where equal cells cancel in pairs
+            corners[:, j] = start
+            _, first, count = np.unique(self._keys(corners, m - 1, rank), return_index=True, return_counts=True)
+            corners, rank = corners[first[count % 2 == 1]], rank[first[count % 2 == 1]]
+        if len(corners):
+            raise InfeasibleError("a generator is not a boundary in the full grid")
+        return np.bincount(np.concatenate(hits), minlength=self.count(m)) % 2 == 1
+
+    def kernel_dim(self, k):
+        """dim ker of the boundary on k-cells, k >= 1: the box is acyclic
+        above dimension 0, so it is sum_{i>k} (-1)^(i-k-1) count(i)."""
+        return sum((-1) ** (i - k - 1) * self.count(i) for i in range(k + 1, self.n + 1))
 
     def boundary(self, k, bits):
         """The mod-2 boundary, over the (k-1)-cells, of the k-cells selected by bits."""
@@ -324,15 +376,12 @@ def spans(chain: Chain2, problem: SpanningProblem, counts=None) -> bool:
 
 
 def initial_chain(problem: SpanningProblem) -> Chain2:
-    """Union of per-generator elimination solutions of the boundary system."""
-    reduction = problem.complex.reduction(problem.m)
-    union = 0
+    """Union of the generators' prism fillings (``GridComplex.filling``),
+    each the leftmost-basis solution of the boundary system."""
+    union = np.zeros(problem.complex.count(problem.m), dtype=bool)
     for z in problem.generators:
-        x = reduction.solve(_to_int(z))
-        if x is None:
-            raise InfeasibleError("a generator is not a boundary in the full grid")
-        union |= x
-    return Chain2(problem.complex, problem.m, _to_bits(union, problem.complex.count(problem.m)))
+        union |= problem.complex.filling(problem.m, z)
+    return Chain2(problem.complex, problem.m, union)
 
 
 @dataclass
@@ -448,8 +497,9 @@ def minimize(problem: SpanningProblem, seed=0, restarts=3, steps=4000):
 
 def _projection_lower_bound(problem: SpanningProblem, weights):
     """Certified lower bound: project onto each m-subset of axes; the unique
-    filling of the projected generator forces one cell per stack, each
-    costing at least the cheapest cell of its stack."""
+    filling of the projected generator (its prism filling, since an m-box
+    has no m-cycles) forces one cell per stack, each costing at least the
+    cheapest cell of its stack."""
     cx = problem.complex
     n, m = cx.n, problem.m
     best = 0.0
@@ -457,7 +507,6 @@ def _projection_lower_bound(problem: SpanningProblem, weights):
     faces = list(itertools.combinations(range(n), m - 1))  # the axes of the (m-1)-cells, by rank
     for r, axes in enumerate(itertools.combinations(range(n), m)):
         proj = GridComplex(m, [cx.shape[a] for a in axes], cx.level, origin=[cx.origin[a] for a in axes])
-        reduction = proj.reduction(m)
         # the cheapest cell of each stack: the m-cells with these axes over one projected m-cell
         mine = rank == r
         stack = np.full(proj.count(m), math.inf)
@@ -470,11 +519,11 @@ def _projection_lower_bound(problem: SpanningProblem, weights):
             keep = prank[zr] >= 0
             pz = np.bincount(proj._find(m - 1, zc[keep][:, list(axes)], prank[zr[keep]]),
                              minlength=proj.count(m - 1)) % 2
-            x = reduction.solve(_to_int(pz))
-            if not x:
+            x = proj.filling(m, pz)
+            if not x.any():
                 continue
             # no stack is empty; the forced cells' minima are summed in order
-            best = max(best, float(np.cumsum(stack[np.flatnonzero(_to_bits(x, proj.count(m)))])[-1]))
+            best = max(best, float(np.cumsum(stack[x])[-1]))
     return best
 
 
@@ -493,11 +542,11 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
     if not problem.generators:
         return Chain2(problem.complex, problem.m), 0.0
     start = initial_chain(problem)
-    kernel = problem.complex.reduction(problem.m).kernel
-    dim = len(kernel)
+    dim = problem.complex.kernel_dim(problem.m)
     single = len(problem.generators) == 1
     if dim <= budget_dim:
-        kernel = [_to_bits(v, problem.complex.count(problem.m)).astype(bool) for v in kernel]
+        kernel = [_to_bits(v, problem.complex.count(problem.m)).astype(bool)
+                  for v in problem.complex.reduction(problem.m).kernel]
         best = None
         bits = start.bits.copy()
         for step in range(2**dim):  # Gray-code order: one kernel vector per step

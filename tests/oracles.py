@@ -50,7 +50,10 @@ spacing and audit share: neither uses a grid, and both scan every sample.
 ``coverage_fraction_oracle`` and ``boundary_minima_oracle`` are the four
 nearest-sample minima that ``_grid.nearest_all`` replaced, each in its own
 blocks.  ``coset_enumeration_oracle`` is ``exhaustive_oracle``'s coset
-enumeration in binary order, one XOR per set bit of each combination.
+enumeration in binary order, one XOR per set bit of each combination, from
+``initial_chain_oracle``: ``initial_chain`` before the prism filling, the
+union of per-generator solutions on the column reduction of the whole
+boundary operator.
 ``cluster_balls_oracle`` is the purge's clustering before
 ``_grid.cell_clusters``: a dict of tuple cells, a union-find over the
 tuples and the balls in the sorted order of their roots.  The cube-layer
@@ -652,13 +655,25 @@ def spans_oracle(chain, problem):
     return True
 
 
+def initial_chain_oracle(problem: SpanningProblem) -> Chain2:
+    """Union of per-generator elimination solutions of the boundary system."""
+    reduction = problem.complex.reduction(problem.m)
+    union = 0
+    for z in problem.generators:
+        x = reduction.solve(_to_int(z))
+        if x is None:
+            raise InfeasibleError("a generator is not a boundary in the full grid")
+        union |= x
+    return Chain2(problem.complex, problem.m, _to_bits(union, problem.complex.count(problem.m)))
+
+
 def coset_enumeration_oracle(problem):
     """``exhaustive_oracle``'s enumeration of initial + ker(boundary) in
     binary order, each chain built from the initial bits with one XOR per
     set bit of its combination; (chain, value) of the least (value, cell
     count, bits) among the chains that span."""
     weights = problem.cell_weights()
-    start = initial_chain(problem)
+    start = initial_chain_oracle(problem)
     kernel = [_to_bits(v, problem.complex.count(problem.m)).astype(bool)
               for v in problem.complex.reduction(problem.m).kernel]
     best = None

@@ -360,6 +360,24 @@ class TestMinimizeCommand:
         prob.write_text(json.dumps(square_problem_dict(1, 2)))
         assert run_cli(["--out", tmp_path / "out", "minimize", prob]) == 4
 
+    @pytest.mark.parametrize("vertices, rc", [([[0, 0]], 4), ([[0, 0], [2, 1]], 0)], ids=["odd", "even"])
+    def test_zero_cycle_parity_decides_exit_4(self, vertices, rc, tmp_path):
+        # a 0-cycle bounds in the grid exactly when it has an even number of vertices
+        gen = [{"level": 0, "corner": v, "axes": [], "n": 2} for v in vertices]
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({"n": 2, "cells": [2, 2], "level": 0, "m": 1, "boundary_cells": gen,
+                                    "generators": [gen], "integrand": {"kind": "area"},
+                                    "options": {"restarts": 1, "steps": 100, "oracle_check": True}}))
+        src = str(Path(gmtkit.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("GMTKIT_")}
+        proc = subprocess.run([sys.executable, "-m", "gmtkit.cli", "--out", str(tmp_path / "out"), "minimize", str(prob)],
+                              cwd=tmp_path, env=dict(env, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == rc, proc.stderr
+        if rc:
+            assert proc.stderr == "infeasible: a generator is not a boundary in the full grid\n"
+        else:
+            assert json.loads((tmp_path / "out" / "solution.json").read_text())["oracle_match"]
+
     def test_stage_failure_exit_3(self, tmp_path, monkeypatch):
         from gmtkit.deform import StageError
 

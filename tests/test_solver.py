@@ -22,6 +22,7 @@ from oracles import (
     gf2_nullspace_oracle,
     gf2_solve,
     gf2_solve_oracle,
+    initial_chain_oracle,
     minimize_oracle,
     projection_lower_bound_oracle,
     spans_oracle,
@@ -33,6 +34,7 @@ from gmtkit.solver import (
     _projection_lower_bound,
     Chain2,
     GridComplex,
+    InfeasibleError,
     OracleBudgetError,
     SpanningProblem,
     audit_minimizer,
@@ -51,6 +53,7 @@ from gmtkit.varifold import (
     pullback_integrand,
 )
 from gmtkit.cubemaps import SmoothMap
+from gmtkit import solver
 
 
 def square_problem(level, integrand=None, options=None):
@@ -968,3 +971,90 @@ class TestMoveTables:
                 cand[col] ^= True
                 assert bool(bits[moves[j, 0]]) == (_chain_key(cand) < _chain_key(bits))
 
+
+# ---------------------------------------------------------------------------
+# the prism filling against the column reduction it replaced
+
+
+def _random_boxes(rng):
+    """(complex, m) for random boxes: n = 1-5, every m, shapes 1-3, origins -2..1, levels 0-2."""
+    for n in range(1, 6):
+        for _ in range(4):
+            cx = GridComplex(n, rng.integers(1, 4, n).tolist(), int(rng.integers(0, 3)), rng.integers(-2, 2, n).tolist())
+            for m in range(1, n + 1):
+                yield cx, m
+
+
+def _sweep_cells(cx, m):
+    """The m-cells whose lowest axis j has the corner on x_i = origin_i for every i < j."""
+    corners, rank = cx.decode(m)
+    lowest = np.array([axes[0] for axes in itertools.combinations(range(cx.n), m)])[rank]
+    below = np.arange(cx.n) < lowest[:, None]
+    return np.flatnonzero(~((corners != cx.origin) & below).any(axis=1))
+
+
+class TestPrismFilling:
+    def test_filling_is_the_leftmost_solution(self, rng):
+        cases = 0
+        for cx, m in _random_boxes(rng):
+            red = cx.reduction(m)
+            assert _sweep_cells(cx, m).tolist() == sorted(c.bit_length() - 1 for _, c in red.pivots.values())
+            # boundaries of random chains, with entries taken mod 2
+            zs = [cx.boundary(m, rng.random(cx.count(m)) < d) + 2 * rng.integers(0, 2, cx.count(m - 1)).astype(np.uint8)
+                  for d in (0.1, 0.4, 0.7)]
+            for gens in ([zs[0]], zs):
+                support = np.flatnonzero(np.any(gens, axis=0))
+                p = SpanningProblem(cx, m, cx.cubes(m - 1, support), gens, AreaIntegrand())
+                for z in gens:
+                    assert np.array_equal(cx.boundary(m, cx.filling(m, z)), z % 2)
+                got, want = initial_chain(p), initial_chain_oracle(p)
+                assert got.bits.tobytes() == want.bits.tobytes()
+                cases += 1
+        assert cases == 2 * 4 * 15
+
+    def test_odd_zero_cycle_is_infeasible(self, rng):
+        for cx, m in _random_boxes(rng):
+            if m > 1:
+                continue
+            vertices = rng.choice(cx.count(0), 1 + 2 * int(rng.integers(0, (cx.count(0) - 1) // 2 + 1)), replace=False)
+            z = np.bincount(vertices, minlength=cx.count(0)).astype(np.uint8)
+            p = SpanningProblem(cx, 1, cx.cubes(0, vertices), [z], AreaIntegrand())
+            for fill in (initial_chain, initial_chain_oracle):
+                with pytest.raises(InfeasibleError, match="^a generator is not a boundary in the full grid$"):
+                    fill(p)
+
+    def test_kernel_dim_is_the_reduction_kernel_length(self, rng):
+        for cx, m in _random_boxes(rng):
+            assert cx.kernel_dim(m) == len(cx.reduction(m).kernel)
+
+
+class TestReductionFootprint:
+    def test_initial_chain_keeps_no_reduction(self):
+        p = l_problem(16)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            chain = initial_chain(p)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * 2**20 and chain.count()
+
+    def test_filling_paths_build_no_reduction(self, monkeypatch):
+        def refuse(columns):
+            raise AssertionError("a _Reduction was built")
+
+        monkeypatch.setattr(solver, "_Reduction", refuse)
+        for case in ("square_half", "square_quarter", "l8", "l12_wavy", "l16", "l8_far", "l16_far"):
+            p = KEY_PROBLEMS[case]()
+            initial_chain(p)
+            _projection_lower_bound(p, p.cell_weights())
+
+    def test_oracle_reduces_only_within_its_budget(self, monkeypatch):
+        p = KEY_PROBLEMS["square_half"]()
+        dim = p.complex.kernel_dim(2)
+        with monkeypatch.context() as patch:
+            patch.setattr(GridComplex, "reduction", lambda self, k: pytest.fail("reduction built over budget"))
+            _, value = exhaustive_oracle(p, budget_dim=dim - 1)
+        assert value == 1.0 and not p.complex._reductions
+        assert exhaustive_oracle(p, budget_dim=dim)[1] == 1.0 and 2 in p.complex._reductions
