@@ -184,6 +184,11 @@ def _arguments(args, table, n=None):
     return _checked(table, raw, n, "argument")
 
 
+# |level| of a problem or audit grid: a grid of at most MAX_GRID_CELLS cells
+# has n <= 13, so side^n and the audit's sample weights (side / subdivision)^m
+# stay normal doubles (subdivision below 2^46)
+MAX_GRID_LEVEL = 32
+
 INPUTS = {
     "rotate": {"tau": Rule("float", [0.25, 0.5, 1.0], shape=(None,))},
     "retract": {"n": Rule("int", 2, (">=", 1)), "eps": Rule("float", 0.1, (">", 0), ("<", 1)),
@@ -220,7 +225,8 @@ INPUTS = {
                  "oracle_check": Rule("bool", False), "oracle_budget_dim": Rule("int", 18, (">=", 0))},
     "audit": {
         "n": Rule("int", 3, (">=", 1)), "cells": Rule("int", [4, 4, 4], (">=", 1), shape=("n",)),
-        "level": Rule("int", 2), "origin": Rule("int", [0, 0, 0], shape=("n",)),
+        "level": Rule("int", 2, (">=", -MAX_GRID_LEVEL), ("<=", MAX_GRID_LEVEL)),
+        "origin": Rule("int", [0, 0, 0], shape=("n",)),
         "integrand": Rule("integrand", {"kind": "area"}), "subdivision": Rule("int", 8, (">=", 1)),
     },
     "probe-ellipticity": {
@@ -594,7 +600,10 @@ def cmd_audit(args):
     out = _out_dir(args)
     data = _read_json(args.chain, "chain")
     cfg = _config(args, INPUTS["audit"], n=lambda cfg: cfg["n"])
-    cx = GridComplex(cfg["n"], cfg["cells"], cfg["level"], cfg["origin"])
+    try:
+        cx = GridComplex(cfg["n"], cfg["cells"], cfg["level"], cfg["origin"])
+    except ValueError as exc:  # a grid beyond MAX_GRID_CELLS
+        raise InputError(str(exc)) from exc
     m = _checked({"m": PROBLEM["m"]}, {"m": data.get("m")}, what="chain")["m"]
     try:
         bits = np.zeros(cx.count(m), dtype=bool)

@@ -9,10 +9,12 @@ boundaries of (m+1)-cells, re-checking spanning at every acceptance.
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,14 +100,71 @@ def _to_bits(x, size):
 # the grid complex
 
 
+MAX_GRID_CELLS = 1 << 22  # cells of all dimensions a GridComplex may have
+
+
+@functools.cache
+def _axes_ranks(n, k):
+    """axes -> rank in ``itertools.combinations(range(n), k)``."""
+    return {axes: r for r, axes in enumerate(itertools.combinations(range(n), k))}
+
+
+class _CellList(collections.abc.Sequence):
+    """The k-cells of a grid as DyadicCubes, in key order: ``[i]`` decodes
+    one row; the first full pass (iteration or ``==``) decodes every row
+    once and keeps the list."""
+
+    def __init__(self, cx, k):
+        self._cx, self._k, self._kept = cx, k, None
+
+    def _cubes(self):
+        if self._kept is None:
+            self._kept = self._cx.cubes(self._k)
+        return self._kept
+
+    def __len__(self):
+        return self._cx.count(self._k)
+
+    def __getitem__(self, i):
+        if self._kept is not None:
+            return self._kept[i]
+        return self._cx.cubes(self._k, i) if isinstance(i, slice) else self._cx.cubes(self._k, [i])[0]
+
+    def __iter__(self):
+        return iter(self._cubes())
+
+    def __eq__(self, other):
+        return self._cubes() == other
+
+
+class _CellIndex(collections.abc.Mapping):
+    """cube -> (k, row in cells[k]), looked up from the cube's key by
+    ``GridComplex.rows``; iterates the cells in key order."""
+
+    def __init__(self, cx):
+        self._cx = cx
+
+    def __getitem__(self, cube):
+        k = len(cube.axes) if isinstance(cube, DyadicCube) else 0
+        return k, int(self._cx.rows(k, [cube])[0])
+
+    def __len__(self):
+        return sum(map(self._cx.count, range(self._cx.n + 1)))
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._cx.cells.values())
+
+
 class GridComplex:
     """The full cubical complex of a uniform grid of cells.
 
     ``shape`` counts top cells per axis; cells live at refinement ``level``
     starting at the integer ``origin`` (units of the cell side).  The sorted
     integer keys ``_cell_keys[k]`` are the only per-cell storage: the solver
-    decodes corners and axes from them, and the cube objects ``cells`` and
-    their ``index`` are built on first use.
+    decodes corners and axes from them, and ``cells`` and ``index`` are
+    views that decode or look up one cell at a time.  A grid has
+    prod(2 s_j + 1) cells of all dimensions; ValueError beyond
+    MAX_GRID_CELLS, before any array is made.
     """
 
     def __init__(self, n, shape, level, origin=None):
@@ -115,6 +174,10 @@ class GridComplex:
         self.origin = tuple(0 for _ in range(n)) if origin is None else tuple(origin)
         if len(self.shape) != n or len(self.origin) != n:
             raise ValueError("shape/origin must have length n")
+        total = math.prod(2 * s + 1 for s in self.shape)
+        if total > MAX_GRID_CELLS:
+            raise ValueError(f"a grid of {list(self.shape)} cells has {total} cells of all dimensions, "
+                             f"more than MAX_GRID_CELLS = {MAX_GRID_CELLS}")
         self._cell_keys = {k: np.sort(np.concatenate([self._keys(c, k, r) for r, _, c in self._groups(k)]))
                            for k in range(n + 1)}
         self._facets = {}
@@ -129,8 +192,9 @@ class GridComplex:
 
     @functools.cached_property
     def cells(self):
-        """k -> the k-cells as DyadicCubes, in key order."""
-        return {k: self.cubes(k) for k in range(self.n + 1)}
+        """k -> the k-cells as DyadicCubes, in key order: a view that decodes
+        them from their keys (``_CellList``)."""
+        return {k: _CellList(self, k) for k in range(self.n + 1)}
 
     def cubes(self, k, rows=slice(None)):
         """The k-cells at ``rows`` as DyadicCubes, decoded from their keys."""
@@ -140,8 +204,9 @@ class GridComplex:
 
     @functools.cached_property
     def index(self):
-        """cube -> (k, row in cells[k])."""
-        return {cube: (k, i) for k, cubes in self.cells.items() for i, cube in enumerate(cubes)}
+        """cube -> (k, row in cells[k]): a view that finds each cube's key
+        (``_CellIndex``); KeyError for anything that is not a cell."""
+        return _CellIndex(self)
 
     def _groups(self, k):
         """(rank, axes, corners) for each axis set of the k-cells, one corner per row."""
@@ -175,19 +240,25 @@ class GridComplex:
         corners, rank = self.decode(k, rows)
         return (2 * corners + self._masks(k)[rank]) / 2.0 * self.side
 
+    def _key(self, k, cube):
+        """The key of ``cube`` among the k-cells, by the ``_keys`` formula in
+        Python ints; KeyError when it is not a k-cell of the grid."""
+        rank = _axes_ranks(self.n, k).get(cube.axes) if isinstance(cube, DyadicCube) else None
+        if rank is not None and (cube.level, cube.ambient_dim) == (self.level, self.n):
+            code = 0
+            for j, (c, start, size) in enumerate(zip(cube.corner, self.origin, self.shape)):
+                if not (isinstance(c, numbers.Integral) and start <= c <= start + size - (j in cube.axes)):
+                    break
+                code = code * (size + 1) + c - start
+            else:
+                return code * math.comb(self.n, k) + rank
+        raise KeyError(f"{cube} is not a {k}-cell of the grid")
+
     def rows(self, k, cubes):
         """Each cube's row in ``cells[k]``, from its key; KeyError names the
         first cube that is not a k-cell of the grid."""
-        cubes = list(cubes)
-        ranks = {(self.level, axes, self.n): r for r, axes in enumerate(itertools.combinations(range(self.n), k))}
-        rank = np.array([ranks.get((c.level, c.axes, c.ambient_dim), -1) for c in cubes], dtype=np.int64)
-        corners = np.array([c.corner if c.ambient_dim == self.n else self.origin for c in cubes],
-                           dtype=np.int64).reshape(len(cubes), self.n)
-        top = corners + self._masks(k)[rank]
-        bad = (rank < 0) | ((corners < self.origin) | (top > np.add(self.origin, self.shape))).any(axis=1)
-        if bad.any():
-            raise KeyError(f"{cubes[int(np.argmax(bad))]} is not a {k}-cell of the grid")
-        return self._find(k, corners, rank)
+        keys = np.array([self._key(k, c) for c in cubes], dtype=np.int64)
+        return np.searchsorted(self._cell_keys[k], keys)
 
     def facets(self, k):
         """The (count(k), 2k) facet indices of each k-cell, rows ascending (cached):

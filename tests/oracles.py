@@ -691,6 +691,12 @@ def coset_enumeration_oracle(problem):
     return best[1], best[0][0]
 
 
+def grid_index_oracle(cx):
+    """cube -> (k, row in cells[k]) of a GridComplex, as the dict of every
+    cell that ``GridComplex.index`` built before it read the cell keys."""
+    return {cube: (k, i) for k, cubes in cx.cells.items() for i, cube in enumerate(cubes)}
+
+
 def facets_oracle(cx, k):
     """The facet rows of a GridComplex from ``DyadicCube.facets()`` objects."""
     rows = [sorted(cx.index[f][1] for f in cube.facets()) for cube in cx.cells[k]]

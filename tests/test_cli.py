@@ -321,6 +321,24 @@ class TestMinimizeCommand:
         assert (tmp_path / "out" / "solution.obj").read_text().startswith("v ")
         assert (tmp_path / "out" / "audit_report.json").exists()
 
+    @pytest.mark.parametrize("level", [-cli.MAX_GRID_LEVEL, cli.MAX_GRID_LEVEL])
+    def test_levels_at_the_ends_of_the_range(self, level, tmp_path, monkeypatch):
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps(square_problem_dict(level, 1, options={"restarts": 1, "steps": 50,
+                                                                         "oracle_check": True})))
+        assert run_cli(["--out", tmp_path / "out", "minimize", prob]) == 0
+        sol = json.loads((tmp_path / "out" / "solution.json").read_text())
+        assert sol["value"] == 2.0 ** (-2 * level) and sol["oracle_match"] is True
+        monkeypatch.setenv("GMTKIT_LEVEL", str(level))
+        monkeypatch.setenv("GMTKIT_CELLS", "[1, 1, 1]")
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(sol["chain"]))
+        assert run_cli(["--out", tmp_path / "audit", "audit", chain]) == 0
+        for out in ("out", "audit"):
+            report = json.loads((tmp_path / out / "audit_report.json").read_text())
+            ratios = [r[1] for e in report["entries"] for r in e["ratios"]]
+            assert ratios and all(0 < r < math.inf for r in ratios)
+
     def test_empty_generators_value_zero(self, tmp_path):
         data = square_problem_dict(1, 2)
         data["generators"] = []
@@ -481,8 +499,13 @@ def _bad_input_files(tmp):
     (tmp / "integrand_5.json").write_text(json.dumps(square_problem_dict(1, 2, integrand=5)))
     (tmp / "steps_negative.json").write_text(json.dumps(square_problem_dict(1, 2, options={"steps": -5})))
     for name, key, value in (("level_fraction", "level", 1.7), ("m_fraction", "m", 1.5),
-                             ("cells_of_wrong_length", "cells", [2, 2])):
+                             ("cells_of_wrong_length", "cells", [2, 2]), ("grid_over_cap", "cells", [512] * 3)):
         (tmp / f"{name}.json").write_text(json.dumps(dict(square_problem_dict(1, 2), **{key: value})))
+    # levels outside [-32, 32]: from 538 up the audit's r^m underflowed to 0, from -1022 down the side overflowed
+    for level in (538, 1100, -1100):
+        (tmp / f"level_{level}.json").write_text(json.dumps(square_problem_dict(level, 1)))
+        cells = [{"level": level, "corner": [0, 0, 0], "axes": [0, 1], "n": 3}]
+        (tmp / f"chain_level_{level}.json").write_text(json.dumps({"m": 2, "level": level, "cells": cells}))
     # cube dicts that int() truncated, or whose bool corner entry passed as 1
     for name, key, value in (("level_fraction", "level", 2.7), ("n_fraction", "n", 3.9)):
         cells = [dict(square[0], **{key: value})] + square[1:]
@@ -658,6 +681,13 @@ BAD_INPUTS = {
         ["probe-ellipticity"]),
     "probe_tilt_reference_axes_bools": (
         {"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty", "reference_axes": [true, false]}'}, ["probe-ellipticity"]),
+    # 1025^3 and 3^40 cells, above MAX_GRID_CELLS, counted before any grid is made
+    "minimize_grid_over_cell_cap": ({}, ["minimize", "grid_over_cap.json"]),
+    "audit_grid_over_cell_cap": ({"GMTKIT_N": "40", "GMTKIT_CELLS": json.dumps([1] * 40),
+                                  "GMTKIT_ORIGIN": json.dumps([0] * 40)}, ["audit", "chain.json"]),
+    # levels outside [-MAX_GRID_LEVEL, MAX_GRID_LEVEL]
+    "minimize_level_538": ({}, ["minimize", "level_538.json"]),
+    "audit_level_1100": ({"GMTKIT_LEVEL": "1100"}, ["audit", "chain_level_1100.json"]),
     "whitney_min_level_62": ({"GMTKIT_MIN_LEVEL": "62"}, ["whitney"]),
     "whitney_min_level_64": ({"GMTKIT_MIN_LEVEL": "64"}, ["whitney"]),
     "whitney_bbox_flat": ({"GMTKIT_BBOX": "[[0, -1], [0, 1]]"}, ["whitney"]),
@@ -697,6 +727,8 @@ IN_PROCESS_BAD_INPUTS = {
     "deform_grid_cells_of_wrong_length": ({"GMTKIT_GRID_CELLS": "[2, 2]"}, ["deform", "disc.csv"]),
     "deform_grid_origin_of_wrong_length": ({"GMTKIT_GRID_ORIGIN": "[0]"}, ["deform", "disc.csv"]),
     "minimize_steps_negative": ({}, ["minimize", "steps_negative.json"]),
+    "minimize_level_minus_1100": ({}, ["minimize", "level_-1100.json"]),
+    "audit_level_minus_1100": ({"GMTKIT_LEVEL": "-1100"}, ["audit", "chain_level_-1100.json"]),
 }
 
 

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import json
 import logging
+import math
 import signal
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from oracles import (
     gf2_nullspace_oracle,
     gf2_solve,
     gf2_solve_oracle,
+    grid_index_oracle,
     initial_chain_oracle,
     minimize_oracle,
     projection_lower_bound_oracle,
@@ -886,6 +888,89 @@ class TestCellKeys:
             expected = [c for c, b in zip(cx.cells[chain.m], chain.bits) if b]
             assert cells == expected and payload["cells"] == [c.to_dict() for c in expected]
             assert obj == cubes_to_obj(expected, chain.m)
+
+
+# ---------------------------------------------------------------------------
+# the cell and index views over the keys against the dict of every cube
+
+
+def _count_decoded_rows(monkeypatch):
+    """The row count of each ``GridComplex.cubes`` call from here on."""
+    decoded, cubes = [], GridComplex.cubes
+
+    def counted(self, k, rows=slice(None)):
+        decoded.append(len(self._cell_keys[k][rows]))
+        return cubes(self, k, rows)
+
+    monkeypatch.setattr(GridComplex, "cubes", counted)
+    return decoded
+
+
+class TestCellViews:
+    @pytest.mark.parametrize("n, shape, origin", GRIDS)
+    def test_index_and_rows_equal_the_dict(self, n, shape, origin):
+        cx = GridComplex(n, shape, 1, origin)
+        want = grid_index_oracle(GridComplex(n, shape, 1, origin))
+        assert len(cx.index) == len(want) == math.prod(2 * s + 1 for s in shape)
+        for cube, (k, i) in want.items():
+            assert cube in cx.index and cx.index[cube] == (k, i)
+        for k in range(n + 1):
+            cubes = [c for c, (j, _) in want.items() if j == k]
+            assert cx.rows(k, cubes).tolist() == list(range(len(cubes)))
+        assert list(cx.index) == list(want) and cx.index == want
+
+    def test_index_refuses_what_is_not_a_cell(self):
+        cx = GridComplex(3, (2, 3, 2), 1, origin=(1, 0, -1))
+        assert cx.index[DyadicCube(1, (3, 3, 0), (2,), 3)] == (1, cx.count(1) - 1)
+        outside = [
+            DyadicCube(2, (1, 0, -1), (0,), 3),  # another level
+            DyadicCube(1, (1, 0), (0,), 2),  # another ambient dimension
+            DyadicCube(1, (0, 0, -1), (), 3),  # a corner below the box
+            DyadicCube(1, (1, 4, -1), (), 3),  # a corner above it
+            DyadicCube(1, (3, 0, -1), (0,), 3),  # a free axis that leaves the box
+            DyadicCube(1, (1, 3, 0), (1, 2), 3),
+            DyadicCube(1, (1, 0, -1), (5,), 3),  # an axis of no cell
+            DyadicCube(1, (1.5, 0, -1), (), 3),  # a corner off the lattice
+            "a string", (1, 0, -1), None,  # no cube at all
+        ]
+        for thing in outside:
+            assert thing not in cx.index
+            with pytest.raises(KeyError, match="is not a .*cell of the grid"):
+                cx.index[thing]
+
+    def test_cells_decode_a_row_or_all_rows_once(self, monkeypatch):
+        cx = GridComplex(3, (3, 2, 2), 1, origin=(1, 0, -1))
+        want = cx.cubes(1)
+        decoded = _count_decoded_rows(monkeypatch)
+        cells = cx.cells[1]
+        assert len(cells) == len(want) and (cells[3], cells[-1]) == (want[3], want[-1])
+        assert cells[2:5] == want[2:5] and decoded == [1, 1, 3]
+        with pytest.raises(IndexError):
+            cells[len(want)]
+        assert cells == want and list(cells) == want and [c for c in cells] == want
+        assert cells[4] is cells[4] and cells.index(want[5]) == 5
+        assert decoded == [1, 1, 3, len(want)]  # one full decode, then the kept list
+
+    def test_l16_build_keeps_no_cube_objects(self, monkeypatch):
+        decoded = _count_decoded_rows(monkeypatch)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            p = l_problem(16)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # the index dict of all 35 937 cubes kept 10.7 MB
+        assert kept < 2 * 2**20
+        assert decoded == [1] * len(p.boundary_cells)  # one row per boundary edge
+
+    def test_grid_beyond_the_cap_is_refused_before_any_array(self, monkeypatch):
+        monkeypatch.setattr(GridComplex, "_groups", lambda self, k: pytest.fail("grid allocated"))
+        # 2 s + 1 cells per axis: one axis of 2^21 cells has 2^22 + 1
+        for n, shape in ((3, (512,) * 3), (40, (1,) * 40), (1, (2**21,))):
+            with pytest.raises(ValueError, match="more than MAX_GRID_CELLS"):
+                GridComplex(n, shape, 0)
+        assert solver.MAX_GRID_CELLS == 2**22
 
 
 # ---------------------------------------------------------------------------
