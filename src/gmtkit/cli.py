@@ -186,7 +186,7 @@ def _arguments(args, table, n=None):
 
 # |level| of a problem or audit grid: a grid of at most MAX_GRID_CELLS cells
 # has n <= 13, so side^n and the audit's sample weights (side / subdivision)^m
-# stay normal doubles (subdivision below 2^46)
+# stay normal doubles (subdivision below 2^46); deform grids take the same range
 MAX_GRID_LEVEL = 32
 
 INPUTS = {
@@ -216,7 +216,8 @@ INPUTS = {
     "deform": {
         "grid_origin": Rule("int", [0, 0, 0], shape=("n",)),
         "grid_cells": Rule("int", [4, 4, 4], (">=", 1), shape=("n",)),
-        "grid_level": Rule("int", 0), "m": Rule("int", 2, (">=", 0)), "eps": Rule("float", 0.05, (">", 0)),
+        "grid_level": Rule("int", 0, (">=", -MAX_GRID_LEVEL), ("<=", MAX_GRID_LEVEL)),
+        "m": Rule("int", 2, (">=", 0)), "eps": Rule("float", 0.05, (">", 0)),
         "budget": Rule("int", 64, (">=", 1)), "coverage_threshold": Rule("float", 0.98),
     },
     "slice": {"map": Rule("choice", "norm", choices=("norm", "coord:")), "t": Rule("float"),
@@ -422,7 +423,7 @@ def cmd_whitney(args):
             raise InputError(f"{what} must have lo < hi on every axis, got lo {lo.tolist()} and hi {hi.tolist()}")
     try:
         fam = whitney_family(_open_set_from_config(cfg), (bbox[0], bbox[1]), cfg["min_level"])
-    except ValueError as exc:  # a box face grid beyond MAX_FACE_CELLS, or cube bounds beyond 2^53
+    except ValueError as exc:  # a box slot grid beyond MAX_FACE_CELLS cells, or cube bounds beyond 2^53
         raise InputError(str(exc)) from exc
     if len(fam) == 0:
         _write_json(out / "whitney_summary.json", {"cubes": 0, "meta": fam.meta})

@@ -236,12 +236,12 @@ class CubeFamily:
     def max_side(self):
         return max(c.side for c in self.cubes)
 
-    def admissibility_violations(self, check_boundary=False):
+    def admissibility_violations(self):
         """List of violations of the admissibility conditions.
 
         Touching pairs (i, j) with i < j in list order, each cube's
         interior overlaps before its size-ratio violations.  The
-        boundary-coverage condition is opt-in: finite truncations of
+        boundary-coverage condition is not checked: finite truncations of
         Whitney families are uncovered along their outer frontier by
         construction, and the complex machinery only needs the first two
         conditions plus dyadic rigidity.
@@ -251,35 +251,11 @@ class CubeFamily:
         overlap = np.all(np.minimum(idx.hi[i], idx.hi[j]) > np.maximum(idx.lo[i], idx.lo[j]), axis=1)
         bad = np.nonzero(overlap | (np.abs(idx.levels[i] - idx.levels[j]) > 1))[0]
         bad = bad[np.lexsort((j[bad], ~overlap[bad], i[bad]))]
-        out = [("interior-overlap" if overlap[p] else "size-ratio", self.cubes[i[p]], self.cubes[j[p]])
-               for p in bad]
-        if check_boundary:
-            out += [("boundary-uncovered", self.cubes[a], self.cubes[a].facets()[f])
-                    for a, f in self._uncovered_facets()]
-        return out
+        return [("interior-overlap" if overlap[p] else "size-ratio", self.cubes[i[p]], self.cubes[j[p]])
+                for p in bad]
 
-    def _uncovered_facets(self):
-        """(cube, facet number) pairs, ascending, of the facets with a sub-cell
-        one level below the finest whose midpoint no other cube holds."""
-        n, idx = self.ambient_dim, self.index
-        out = []
-        for level in np.unique(idx.levels):
-            members = np.nonzero(idx.levels == level)[0]
-            f = 1 << (idx.finest + 1 - int(level))
-            # doubled sub-cell midpoints of the facets of the level's cube at the origin
-            mids = np.array([list(itertools.product(*[range(1, 2 * f, 2) if j in facet.axes else [2 * f * c]
-                                                      for j, c in enumerate(facet.corner)]))
-                             for facet in DyadicCube(int(level), (0,) * n, tuple(range(n)), n).facets()])
-            pts = (idx.lo[members] << 2)[:, None, None] + mids
-            r, c = idx.locate(pts.reshape(-1, n) * 2.0 ** -(idx.finest + 2))
-            covered = np.zeros(pts.shape[:3], dtype=bool)
-            covered.flat[r[c != members[r // covered[0].size]]] = True
-            a, k = np.nonzero(~covered.all(axis=2))
-            out += zip(members[a].tolist(), k.tolist())
-        return sorted(out)
-
-    def admissible(self, check_boundary=False):
-        return not self.admissibility_violations(check_boundary)
+    def admissible(self):
+        return not self.admissibility_violations()
 
     def contains_point(self, x):
         """Whether each point lies in a closed cube of the family."""
@@ -300,38 +276,58 @@ class CubeFamily:
 # ---------------------------------------------------------------------------
 # open sets for Whitney decompositions: contains, dist_inf_complement and meets on arrays
 
-MAX_FACE_CELLS = 1 << 22  # cells of the face grid a BoxUnion may build
+MAX_FACE_CELLS = 1 << 22  # cells of the slot grid a BoxUnion may build
 
 
 class BoxUnion:
     """Open set given as a finite union of open boxes.
 
-    The box faces cut space into a grid (each axis at its distinct face
-    coordinates, with -inf and inf at the ends).  A point's distance is its
-    sup-distance to the closed cells no box covers, one subtraction
-    x_j - face_j.  ValueError beyond MAX_FACE_CELLS cells.
+    Each axis is cut at its k distinct face coordinates into 2k + 1 slots:
+    slot 2i + 1 is face i and slot 2i the open interval below it.  A slot
+    cell is covered when an open box holds it, so a face that two boxes
+    share, and no third holds, is complement.  ``contains`` and ``meets``
+    read a summed-area table of the covered cells.  A point's distance is
+    its sup-distance to the closed uncovered cells that touch a covered one,
+    each value one subtraction x_j - face_j.  ValueError beyond
+    MAX_FACE_CELLS slot cells; at the cap the build holds the covered cells
+    as bool (4 MiB) and keeps the table as int32 (about 16 MiB).  ``boxes``
+    is the record of what was given.
     """
 
     def __init__(self, boxes):
         self.boxes = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)) for lo, hi in boxes]
-        faces = [np.unique(c) for c in np.array(self.boxes).transpose(2, 0, 1).reshape(-1, 2 * len(self.boxes))]
-        cells = math.prod(len(f) + 1 for f in faces)
+        self._faces = [np.unique(c) for c in np.array(self.boxes).transpose(2, 0, 1).reshape(-1, 2 * len(self.boxes))]
+        cells = math.prod(2 * len(f) + 1 for f in self._faces)
         if cells > MAX_FACE_CELLS:
-            raise ValueError(f"the box faces cut space into {cells} cells, more than {MAX_FACE_CELLS}")
-        covered = np.zeros([len(f) + 1 for f in faces], dtype=bool)
-        for lo, hi in self.boxes:  # cell k of an axis spans [edges[k], edges[k + 1]]
-            covered[tuple(slice(f.searchsorted(a) + 1, f.searchsorted(b) + 1) for f, a, b in zip(faces, lo, hi))] = True
-        edges, free = [np.concatenate([[-np.inf], f, [np.inf]]) for f in faces], np.nonzero(~covered)
-        self._lo, self._hi = (np.column_stack([e[k + s] for e, k in zip(edges, free)]) for s in (0, 1))
+            raise ValueError(f"the box faces cut space into {cells} slot cells, more than {MAX_FACE_CELLS}")
+        covered = np.zeros([2 * len(f) + 1 for f in self._faces], dtype=bool)
+        for lo, hi in self.boxes:  # the open interval from face a to face b is slots 2a + 2 to 2b
+            covered[tuple(slice(2 * f.searchsorted(a) + 2, 2 * f.searchsorted(b) + 1)
+                          for f, a, b in zip(self._faces, lo, hi))] = True
+        # _table[s] counts the covered cells below slot s on every axis
+        self._table = np.zeros([s + 1 for s in covered.shape], dtype=np.int32)
+        self._table[(slice(1, None),) * covered.ndim] = covered
+        near = covered  # the cells within one slot of a covered cell on every axis
+        for axis in range(covered.ndim):
+            np.cumsum(self._table, axis=axis, out=self._table)
+            pad = np.pad(np.moveaxis(near, axis, 0), [(1, 1)] + [(0, 0)] * (covered.ndim - 1))
+            near = np.moveaxis(pad[:-2] | pad[1:-1] | pad[2:], 0, axis)
+        # slot s spans the closed interval [edges[(s + 1) // 2], edges[s // 2 + 1]]
+        edges, free = [np.concatenate([[-np.inf], f, [np.inf]]) for f in self._faces], np.nonzero(near & ~covered)
+        self._lo, self._hi = (np.column_stack([e[(s + 1 - t) // 2 + t] for e, s in zip(edges, free)]) for t in (0, 1))
+
+    def _slots(self, x):
+        """Each coordinate's slot on its axis: the faces below it plus the faces at or below it."""
+        return [f.searchsorted(c, "left") + f.searchsorted(c, "right") for f, c in zip(self._faces, x.T)]
 
     def contains(self, x):
         return self.meets(x, x)
 
     def dist_inf_complement(self, x):
-        """Each point's sup-norm distance to the uncovered cells, 0 outside the union."""
+        """Each point's sup-norm distance to the uncovered slot cells, 0 outside the union."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         d, rows = np.zeros(len(x)), np.nonzero(self.contains(x))[0]
-        cols = min(len(self._lo), _grid.PAIR_BLOCK)  # cell 0 of every axis is uncovered
+        cols = min(len(self._lo), _grid.PAIR_BLOCK) or 1  # none only when no cell, so no point, is covered
         step = _grid.PAIR_BLOCK // cols
         for i in range(0, len(rows), step):
             block, best = rows[i : i + step], np.inf
@@ -342,12 +338,12 @@ class BoxUnion:
         return d
 
     def meets(self, lo, hi):
-        """Whether each closed box [lo, hi] (a point if lo = hi) meets an open box."""
-        lo, hi = np.atleast_2d(np.asarray(lo, dtype=float)), np.atleast_2d(np.asarray(hi, dtype=float))
-        ok = np.zeros(len(lo), dtype=bool)
-        for blo, bhi in self.boxes:
-            ok |= np.all((lo < bhi) & (hi > blo), axis=1)
-        return ok
+        """Whether each closed box [lo, hi] (a point if lo = hi) meets an open box: whether
+        it holds a covered slot cell, by inclusion-exclusion over 2^n table entries."""
+        first = self._slots(np.atleast_2d(np.asarray(lo, dtype=float)))
+        stop = [s + 1 for s in self._slots(np.atleast_2d(np.asarray(hi, dtype=float)))]
+        return sum((-1) ** (len(c) - sum(c)) * self._table[tuple((stop if k else first)[j] for j, k in enumerate(c))]
+                   for c in itertools.product((0, 1), repeat=len(first))) > 0
 
 
 class BallSet:
@@ -400,11 +396,12 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
     parent fails the same test; top-level cubes are emitted on the first
     condition alone (truncation recorded in the family metadata).  Cubes that
     fail it are refined when they meet the set, and dropped with a count
-    below ``min_level``.  A cube's distance is the least over its corners
-    (exact when the set's is: dist_inf is 1-Lipschitz in sup-norm and, for
-    BoxUnion-type sets, least at a corner), one call per level on its
-    distinct corner points.  ValueError when a bound at the finest level
-    would reach 2^53.
+    below ``min_level``.  A cube's distance is the least over its corners,
+    one call per level on its distinct corner points; where it exceeds half
+    a side it is exact, as each set gives the true sup-norm distance to its
+    complement, which is 1-Lipschitz (a BoxUnion counts a face that two
+    boxes share as complement).  ValueError when a bound at the finest
+    level would reach 2^53.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bbox)
     n = len(lo)

@@ -509,9 +509,9 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
     rng = np.random.default_rng(seed)
     candidates = [c for k in range(complex_.ambient_dim, m, -1) for c in complex_.skeleton(k)]
     inside = family.interior_contains(np.array([c.center() for c in candidates]))
-    # order: dimension descending, then side descending within a dimension
-    stage_cubes = sorted((c for c, t in zip(candidates, inside) if t),
-                         key=lambda c: (-c.dim, c.level, c.corner, c.axes))
+    # order: dimension descending, then side descending within a dimension (each
+    # skeleton is in DyadicCube order)
+    stage_cubes = [c for c, t in zip(candidates, inside) if t]
     plan = DeformationPlan(m=m, eps=eps, seed=seed)
     plan.constants["delta_touching"] = delta_touch
     plan.constants["eps_stage"] = eps_stage
@@ -530,7 +530,7 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
     if sets and all(v.dim == m for v in sets):
         support = np.vstack([v.points for v in current])
         cleanup = []
-        m_cubes = sorted(complex_.skeleton(m), key=lambda q: (q.level, q.corner, q.axes))
+        m_cubes = complex_.skeleton(m)
         m_touch = family.interior_contains(np.array([c.center() for c in m_cubes])) if m_cubes else []
         for cube, touch in zip(m_cubes, m_touch):
             if not touch:

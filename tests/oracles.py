@@ -63,12 +63,16 @@ a Python loop over candidate cubes per facet sub-cell, one closed-box test
 per cube for point location, and ``intersects`` for neighbours, which
 lives here with the other cube predicates no library routine calls:
 ``scaled_bounds``, ``interiors_overlap`` and ``is_face_of``.
+``boundary_admissibility_violations`` adds the boundary-coverage condition,
+which no library caller checks, to ``CubeFamily.admissibility_violations``
+by ``CubeIndex`` point location (``_uncovered_facets``).
 ``whitney_family_oracle`` is the queue of cube objects the integer levels
 replaced, each cube's corners measured on their own (``_cube_dist_inf``)
 and each cube refined on its own ``meets_oracle`` test;
 ``dist_inf_complement_oracle`` is the open sets' point-by-point distance
-before the array forms (for boxes, the recursive cover test and the
-bisection over face offsets), and ``cubical_complex_oracle`` the set of
+before the array forms (for boxes, the recursive cover test of open boxes,
+in which a face two boxes share is complement, and the bisection over face
+offsets), and ``cubical_complex_oracle`` the set of
 canonical ``DyadicCube.faces`` objects with a set lookup of each face's
 children; ``children``, ``parent`` and ``canonical`` are the cube methods
 they called.  ``varifold_to_csv_oracle`` and ``varifold_from_csv_oracle``
@@ -1089,6 +1093,36 @@ def admissibility_violations_oracle(family, check_boundary=False):
     return out
 
 
+def _uncovered_facets(family):
+    """(cube, facet number) pairs, ascending, of the facets with a sub-cell
+    one level below the finest whose midpoint no other cube holds."""
+    n, idx = family.ambient_dim, family.index
+    out = []
+    for level in np.unique(idx.levels):
+        members = np.nonzero(idx.levels == level)[0]
+        f = 1 << (idx.finest + 1 - int(level))
+        # doubled sub-cell midpoints of the facets of the level's cube at the origin
+        mids = np.array([list(itertools.product(*[range(1, 2 * f, 2) if j in facet.axes else [2 * f * c]
+                                                  for j, c in enumerate(facet.corner)]))
+                         for facet in DyadicCube(int(level), (0,) * n, tuple(range(n)), n).facets()])
+        pts = (idx.lo[members] << 2)[:, None, None] + mids
+        r, c = idx.locate(pts.reshape(-1, n) * 2.0 ** -(idx.finest + 2))
+        covered = np.zeros(pts.shape[:3], dtype=bool)
+        covered.flat[r[c != members[r // covered[0].size]]] = True
+        a, k = np.nonzero(~covered.all(axis=2))
+        out += zip(members[a].tolist(), k.tolist())
+    return sorted(out)
+
+
+def boundary_admissibility_violations(family):
+    """``family.admissibility_violations()`` and then the boundary-coverage
+    condition: one "boundary-uncovered" row per facet ``_uncovered_facets``
+    finds by ``CubeIndex`` point location (the library checks only the
+    first two conditions)."""
+    return family.admissibility_violations() + [("boundary-uncovered", family.cubes[a], family.cubes[a].facets()[f])
+                                                for a, f in _uncovered_facets(family)]
+
+
 def _facet_covered_oracle(facet, candidates, level):
     """Whether every sub-cell of the facet (at the given level) lies in some
     candidate cube.  Exact integer midpoint test."""
@@ -1202,19 +1236,27 @@ def _corners(lo, hi):
 
 
 def _box_covered(lo, hi, boxes):
-    """Whether the union of the closed boxes covers the closed box [lo, hi]
-    (lists of floats), splitting it at the first face of an overlapping box
-    that cuts it."""
+    """Whether the union of the open boxes covers the open box (lo, hi)
+    (lists of floats; an axis with lo = hi is the one coordinate lo),
+    splitting it at the first face of an overlapping box that cuts it.  A cut
+    leaves two open halves and the face between them, which must be covered
+    too: a face that two boxes share is not."""
+    def holds(a, b, blo, bhi):
+        return blo < a < bhi if a == b else blo <= a and b <= bhi
+
+    def overlaps(a, b, blo, bhi):
+        return blo < a < bhi if a == b else min(b, bhi) > max(a, blo)
+
     for blo, bhi in boxes:
-        if all(a >= b for a, b in zip(lo, blo)) and all(a <= b for a, b in zip(hi, bhi)):
+        if all(map(holds, lo, hi, blo, bhi)):
             return True
     for blo, bhi in boxes:
-        if all(min(h, bh) > max(l, bl) for l, h, bl, bh in zip(lo, hi, blo, bhi)):
+        if all(map(overlaps, lo, hi, blo, bhi)):
             for j in range(len(lo)):
                 for cut in (blo[j], bhi[j]):
                     if lo[j] < cut < hi[j]:
-                        return (_box_covered(lo, hi[:j] + [cut] + hi[j + 1:], boxes)
-                                and _box_covered(lo[:j] + [cut] + lo[j + 1:], hi, boxes))
+                        return all(_box_covered(lo[:j] + [a] + lo[j + 1:], hi[:j] + [b] + hi[j + 1:], boxes)
+                                   for a, b in ((lo[j], cut), (cut, cut), (cut, hi[j])))
             # b fully spans the target in every axis it cuts
             return True
     return False
@@ -1226,8 +1268,9 @@ def dist_inf_complement_oracle(open_set, x):
     point by point.
 
     For boxes, the distance is one of the face offsets |x_j - face_j|, and
-    r -> [x - r, x + r] covered is monotone: a binary search over the sorted
-    offsets with the recursive cover test.  The boxes are taken relative to
+    r -> (x - r, x + r) covered by the open boxes is monotone: a binary
+    search over the sorted offsets with the recursive cover test, in which a
+    face that two boxes share is complement.  The boxes are taken relative to
     x, so each comparison is between the offsets themselves; on dyadic faces
     and points that is the arithmetic of the absolute coordinates.
     """

@@ -688,11 +688,13 @@ BAD_INPUTS = {
     # levels outside [-MAX_GRID_LEVEL, MAX_GRID_LEVEL]
     "minimize_level_538": ({}, ["minimize", "level_538.json"]),
     "audit_level_1100": ({"GMTKIT_LEVEL": "1100"}, ["audit", "chain_level_1100.json"]),
+    "deform_grid_level_minus_1100": ({"GMTKIT_GRID_LEVEL": "-1100"}, ["deform", "disc.csv"]),
+    "deform_grid_level_1100": ({"GMTKIT_GRID_LEVEL": "1100"}, ["deform", "disc.csv"]),
     "whitney_min_level_62": ({"GMTKIT_MIN_LEVEL": "62"}, ["whitney"]),
     "whitney_min_level_64": ({"GMTKIT_MIN_LEVEL": "64"}, ["whitney"]),
     "whitney_bbox_flat": ({"GMTKIT_BBOX": "[[0, -1], [0, 1]]"}, ["whitney"]),
     "whitney_box_lo_above_hi": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BOXES": "[[[0, 0], [1, -1]]]"}, ["whitney"]),
-    # 81 boxes with distinct faces: 163^3 face-grid cells, above 2^22, counted before any grid is made
+    # 81 boxes with distinct faces: 325^3 slot cells, above 2^22, counted before any grid is made
     "whitney_boxes_over_face_cap": ({"GMTKIT_OPEN_SET": '"boxes"', "GMTKIT_BBOX": "[[0, 0, 0], [1, 1, 1]]",
                                      "GMTKIT_BOXES": json.dumps([[[i] * 3, [1000 + i] * 3] for i in range(81)])},
                                     ["whitney"]),

@@ -19,6 +19,7 @@ from gmtkit.deform import _max_touching
 from oracles import (
     _cube_dist_inf,
     admissibility_violations_oracle,
+    boundary_admissibility_violations,
     canonical,
     children,
     contains_point_oracle,
@@ -126,7 +127,7 @@ class TestAdmissibility:
 
     def test_boundary_coverage_strict_mode(self):
         fam = unit_grid(3, 3)
-        violations = fam.admissibility_violations(check_boundary=True)
+        violations = boundary_admissibility_violations(fam)
         # outer frontier facets are uncovered; inner facets are fine
         assert all(v[0] == "boundary-uncovered" for v in violations)
         inner_facets = {v[2] for v in violations}
@@ -389,7 +390,7 @@ class TestCubeIndexOracle:
     def test_violations(self, family):
         assert family.admissibility_violations() == admissibility_violations_oracle(family)
         if len(family) <= 300:  # the boundary oracle scans every pair in Python
-            assert (family.admissibility_violations(check_boundary=True)
+            assert (boundary_admissibility_violations(family)
                     == admissibility_violations_oracle(family, check_boundary=True))
 
     def test_delta_touching(self, built):
@@ -412,7 +413,7 @@ class TestCubeIndexOracle:
         kinds = {v[0] for v in fam.admissibility_violations()}
         assert kinds == {"interior-overlap", "size-ratio"}
         assert fam.admissibility_violations() == admissibility_violations_oracle(fam)
-        assert (fam.admissibility_violations(check_boundary=True)
+        assert (boundary_admissibility_violations(fam)
                 == admissibility_violations_oracle(fam, check_boundary=True))
         assert fam.index.touching.tolist() == [list(p) for p in touching_pairs_oracle(fam.cubes)]
         pts = _probe_points(fam, np.random.default_rng(seed))
@@ -421,7 +422,7 @@ class TestCubeIndexOracle:
 
     def test_empty_family(self):
         fam = CubeFamily([])
-        assert fam.admissibility_violations(check_boundary=True) == []
+        assert boundary_admissibility_violations(fam) == []
         assert not fam.contains_point(np.zeros((3, 2))).any()
         assert not fam.interior_contains(np.zeros((3, 2))).any()
 
@@ -583,11 +584,77 @@ class TestOpenSetRows:
         assert u.dist_inf_complement(x).tolist() == np.minimum(x - 0.1, 0.9 - x).min(axis=1).tolist()
 
     def test_face_grid_cap(self):
-        # 81 boxes with distinct faces cut each axis into 163 cells: counted, not built
+        # 81 boxes with distinct faces cut each axis into 325 slots: counted, not built
         boxes = [([i] * 3, [1000 + i] * 3) for i in range(81)]
-        assert 163**3 > cubical.MAX_FACE_CELLS
-        with pytest.raises(ValueError, match=f"{163**3} cells"):
+        assert 325**3 > cubical.MAX_FACE_CELLS
+        with pytest.raises(ValueError, match=f"{325**3} slot cells"):
             BoxUnion(boxes)
+
+    def test_shared_face_is_complement(self):
+        u = BoxUnion([([-4, -4], [0.3, 4]), ([0.3, -4], [4, 4])])
+        assert u.contains([[0.3, 0.0], [0.31, 0.1]]).tolist() == [False, True]
+        assert u.dist_inf_complement([[0.31, 0.1]]).tolist() == [dist_inf_complement_oracle(u, [0.31, 0.1])]
+        assert dist_inf_complement_oracle(u, [0.31, 0.1]) == 0.31 - 0.3
+        fam = whitney_family(u, ([-1, -1], [1, 1]), 2)
+        assert len(fam) and not any(c.bounds()[0][0] < 0.3 < c.bounds()[1][0] for c in fam)
+
+
+def _abutting_boxes(seed, n):
+    """A box cut at random non-dyadic coordinates into abutting boxes, and one
+    more box that holds part of their shared faces."""
+    rng = np.random.default_rng(seed)
+    cuts = [np.sort(np.concatenate([[-1.5, 1.5], rng.uniform(-1.5, 1.5, 2)])) for _ in range(n)]
+    boxes = [(np.array([c[i] for c, i in zip(cuts, k)]), np.array([c[i + 1] for c, i in zip(cuts, k)]))
+             for k in itertools.product(range(3), repeat=n)]
+    return boxes + [(np.full(n, -0.4), rng.uniform(0.0, 0.4, n))]
+
+
+class TestLipschitz:
+    """|d(x) - d(y)| <= |x - y|_inf on seeded pairs, which the least-corner
+    rule of ``whitney_family`` relies on."""
+
+    @staticmethod
+    def _check(u, x, y):
+        gap = np.abs(u.dist_inf_complement(x) - u.dist_inf_complement(y))
+        assert (gap <= np.max(np.abs(x - y), axis=1) + 1e-12).all()
+
+    @staticmethod
+    def _pairs(rng, count, reach, faces):
+        """Uniform points, half of them with one coordinate moved onto a face
+        (``faces[j]`` lists axis j's), each with a point at most 0.3 away."""
+        n = len(faces)
+        x = rng.uniform(-reach, reach, (2 * count, n))
+        axis = rng.integers(0, n, count)
+        x[np.arange(count), axis] = [rng.choice(faces[j]) for j in axis]
+        return x, x + rng.uniform(-1, 1, (2 * count, 1)) * rng.uniform(0, 0.3, (2 * count, n))
+
+    @staticmethod
+    def _faces(u):
+        return [np.unique([b[j] for box in u.boxes for b in box]) for j in range(len(u.boxes[0][0]))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_box_unions_with_shared_faces(self, n, rng):
+        unions = [BoxUnion(_abutting_boxes(seed, n)) for seed in range(3)]
+        if n > 1:
+            unions += list(_box_unions(n))
+        for u in unions:
+            self._check(u, *self._pairs(rng, 300, 2.0, self._faces(u)))
+
+    def test_ball_family_union(self, rng):
+        # every face that two cubes of the 3-D ball family share is complement
+        fam = whitney_family(BallSet([0.0, 0.0, 0.0], 1.0), ([-1, -1, -1], [1, 1, 1]), 4)
+        u = BoxUnion([c.bounds() for c in fam])
+        assert len(u.boxes) == 5584
+        x, y = np.array([[0.0, 0.0, 0.0]]), np.array([[0.01, 0.02, 0.03]])
+        assert u.dist_inf_complement(np.vstack([x, y])).tolist() == [0.0, 0.01]
+        self._check(u, x, y)
+        self._check(u, *self._pairs(rng, 150, 1.0, self._faces(u)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_ball_and_puncture(self, n, rng):
+        centre = rng.uniform(-1, 1, n)
+        for u in (BallSet(centre, float(rng.uniform(0.5, 2))), PuncturedPlane(centre)):
+            self._check(u, *self._pairs(rng, 300, 3.0, [np.append(np.arange(-16, 17) / 16.0, c) for c in centre]))
 
 
 class TestCubeBounds:

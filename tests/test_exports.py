@@ -220,6 +220,21 @@ def test_only_grassmann_builds_sampled_planes_one_by_one():
     assert not found, found
 
 
+def test_box_union_queries_take_no_step_per_box():
+    """No loop or comprehension in ``BoxUnion.contains``, ``meets`` or
+    ``dist_inf_complement`` iterates over ``boxes``: the three read the slot
+    grid built with the set, so their cost does not grow with the box count."""
+    tree = ast.parse((SRC / "cubical.py").read_text())
+    queries = [fn for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "BoxUnion"
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and fn.name in ("contains", "meets", "dist_inf_complement")]
+    assert len(queries) == 3
+    found = [f"cubical.py:{node.iter.lineno} {fn.name} iterates over {ast.unparse(node.iter)}"
+             for fn in queries for node in ast.walk(fn) if isinstance(node, (ast.For, ast.comprehension))
+             if any(getattr(sub, "id", getattr(sub, "attr", None)) == "boxes" for sub in ast.walk(node.iter))]
+    assert not found, found
+
+
 # public methods kept though no code in src/ or perfbench/ calls them, each with its reason
 UNCALLED_METHODS = {
     "DeformationPlan.homotopy": "the deformation theorem's homotopy f(t, x) through the stage maps",
