@@ -223,7 +223,7 @@ INPUTS = {
     "slice": {"map": Rule("choice", "norm", choices=("norm", "coord:")), "t": Rule("float"),
               "bin": Rule("float", None, (">", 0))},
     "minimize": {"restarts": Rule("int", 3, (">=", 1)), "steps": Rule("int", 4000, (">=", 0)),
-                 "oracle_check": Rule("bool", False), "oracle_budget_dim": Rule("int", 18, (">=", 0))},
+                 "oracle_check": Rule("bool", False), "oracle_budget_dim": Rule("int", 18, (">=", 0), ("<=", 20))},
     "audit": {
         "n": Rule("int", 3, (">=", 1)), "cells": Rule("int", [4, 4, 4], (">=", 1), shape=("n",)),
         "level": Rule("int", 2, (">=", -MAX_GRID_LEVEL), ("<=", MAX_GRID_LEVEL)),

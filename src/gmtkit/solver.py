@@ -54,7 +54,8 @@ class _Reduction:
     it vanishes (Edelsbrunner, Letscher and Zomorodian 2002).  Survivors,
     keyed by pivot with the combination of original columns that produced
     them, are the greedy leftmost basis; ``kernel`` holds the combinations
-    of the vanished columns, in column order.
+    of the vanished columns, in column order (the tests' GF(2) oracles
+    read it; ``spans`` needs only ``solve``).
     """
 
     def __init__(self, columns):
@@ -88,12 +89,6 @@ def _to_int(bits):
     """A GF(2) vector (entries taken mod 2) as a Python-int bitset."""
     packed = np.packbits(np.asarray(bits, dtype=np.uint8) % 2, bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
-
-
-def _to_bits(x, size):
-    """The first ``size`` bits of the bitset x as a uint8 vector."""
-    raw = np.frombuffer(x.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=size, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +176,6 @@ class GridComplex:
         self._cell_keys = {k: np.sort(np.concatenate([self._keys(c, k, r) for r, _, c in self._groups(k)]))
                            for k in range(n + 1)}
         self._facets = {}
-        self._reductions = {}
 
     @property
     def side(self):
@@ -277,12 +271,13 @@ class GridComplex:
             self._facets[k] = rows
         return self._facets[k]
 
-    def reduction(self, k):
-        """The column reduction of the boundary operator on k-cells (cached):
-        ``exhaustive_oracle``'s kernel basis."""
-        if k not in self._reductions:
-            self._reductions[k] = _Reduction(self.facets(k).tolist())
-        return self._reductions[k]
+    def sweep_cells(self, k):
+        """The rows of the k-cells the prism sweep writes (``filling``), k >= 1:
+        those whose lowest axis j has its corner on x_i = origin_i for every i < j."""
+        corners, rank = self.decode(k)
+        lowest = np.array([axes[0] for axes in itertools.combinations(range(self.n), k)])[rank]
+        below = np.arange(self.n) < lowest[:, None]
+        return np.flatnonzero(~((corners != self.origin) & below).any(axis=1))
 
     def filling(self, m, z):
         """The m-chain c with boundary z, for an (m-1)-cycle z of the box
@@ -299,14 +294,16 @@ class GridComplex:
         nothing: InfeasibleError.
 
         P_j writes only the cells S_j whose lowest axis is j and whose
-        corner has x_i = origin_i for i < j, and no nonzero chain on S has
-        boundary 0: in its lowest j, the S_j cell with the largest x_j
-        keeps its upper j-facet.  So the boundary maps the chains on S one
-        to one onto all boundaries, and |S| is the rank.  A cell outside S,
-        with x_i > origin_i for some i below its axes, is the sum of the
-        other facets of the (m+1)-cell it bounds from below along i, all
-        with earlier keys, so it is no pivot.  Hence S is the pivot columns
-        of ``reduction(m)``, and c is its ``solve(z)``, bit for bit.
+        corner has x_i = origin_i for i < j (S = ``sweep_cells(m)``), and
+        no nonzero chain on S has boundary 0: in its lowest j, the S_j cell
+        with the largest x_j keeps its upper j-facet.  So the boundary maps
+        the chains on S one to one onto all boundaries, and |S| is the
+        rank.  A cell outside S, with x_i > origin_i for some i below its
+        axes, is the sum of the other facets of the (m+1)-cell it bounds
+        from below along i, all with earlier keys, so it is no pivot.
+        Hence S is the pivot columns of the leftmost column reduction of
+        the boundary on the m-cells (``boundary_reduction_oracle`` in
+        ``tests/oracles.py``), and c is its ``solve(z)``, bit for bit.
         """
         corners, rank = self.decode(m - 1, np.flatnonzero(np.asarray(z, dtype=np.uint8) % 2))
         lower, upper = (list(itertools.combinations(range(self.n), k)) for k in (m - 1, m))
@@ -602,37 +599,42 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
     """Independent global minimum over the reachable chain coset.
 
     Enumerates initial + ker(boundary) in Gray-code order when the kernel
-    dimension fits the budget, keeping the least (value, cell count, bits);
-    otherwise tries a projection certificate (descent incumbent matching a
-    certified lower bound) and falls back to branch and bound over the
-    (m+1)-cell generators, erroring out at the node budget.  With several
+    dimension fits the budget, one XOR per step, keeping the least (value,
+    cell count, bits): a total order, so the basis does not change the
+    answer.  The basis is the boundaries of the (m+1)-cells
+    ``sweep_cells(m + 1)``, which are independent (``GridComplex.filling``)
+    and, the box being acyclic, ``kernel_dim(m)`` in number.  Otherwise
+    tries a projection certificate (descent incumbent matching a certified
+    lower bound) and falls back to branch and bound over the (m+1)-cell
+    generators, bounded by the weight of the chain's cells that no later
+    move touches, erroring out at the node budget.  With several
     generators the incumbent is the initial chain when the descent, which
     does not check spanning, leaves a chain that does not span.
     """
     weights = problem.cell_weights()
+    cx, m = problem.complex, problem.m
     if not problem.generators:
-        return Chain2(problem.complex, problem.m), 0.0
+        return Chain2(cx, m), 0.0
     start = initial_chain(problem)
-    dim = problem.complex.kernel_dim(problem.m)
+    dim = cx.kernel_dim(m)
     single = len(problem.generators) == 1
     if dim <= budget_dim:
-        kernel = [_to_bits(v, problem.complex.count(problem.m)).astype(bool)
-                  for v in problem.complex.reduction(problem.m).kernel]
+        basis = np.zeros((dim, cx.count(m)), dtype=bool)
+        if dim:
+            basis[np.arange(dim)[:, None], cx.facets(m + 1)[cx.sweep_cells(m + 1)]] = True
+        walk = Chain2(cx, m, start.bits)  # its bits take one basis vector per step
         best = None
-        bits = start.bits.copy()
-        for step in range(2**dim):  # Gray-code order: one kernel vector per step
+        for step in range(2**dim):  # Gray-code order
             if step:
-                bits ^= kernel[(step & -step).bit_length() - 1]
-            chain = Chain2(problem.complex, problem.m, bits)
-            if not single and not spans(chain, problem):
+                walk.bits ^= basis[(step & -step).bit_length() - 1]
+            if not single and not spans(walk, problem):
                 continue
-            val = chain.value(weights)
-            key = (val, chain.count(), _chain_key(bits))
+            key = (walk.value(weights), walk.count(), _chain_key(walk.bits))
             if best is None or key < best[0]:
-                best = (key, chain)
-        return best[1], best[0][0]
+                best = (key, walk.bits.copy())
+        return Chain2(cx, m, best[1]), best[0][0]
     # descent incumbent
-    moves = problem.complex.facets(problem.m + 1)
+    moves = cx.facets(m + 1)
     bits = start.bits.copy()
     value = start.value(weights)
     improved = True
@@ -644,26 +646,22 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
                 bits[col] ^= True
                 value += delta
                 improved = True
-    if not (single or spans(Chain2(problem.complex, problem.m, bits), problem)):
+    if not (single or spans(Chain2(cx, m, bits), problem)):
         bits, value = start.bits.copy(), start.value(weights)  # the incumbent must span
     lb = _projection_lower_bound(problem, weights)
     if single and value <= lb + 1e-9:
-        return Chain2(problem.complex, problem.m, bits), value
+        return Chain2(cx, m, bits), value
     # branch and bound over (m+1)-cell flips with a frozen-cell bound
     n_moves = len(moves)
-    touching = [[] for _ in range(problem.complex.count(problem.m))]
-    for j, col in enumerate(moves):
-        for c in col:
-            touching[c].append(j)
+    last = np.full(cx.count(m), -1)  # the last move that touches each m-cell
+    np.maximum.at(last, moves, np.arange(n_moves)[:, None])
     best_bits, best_val = bits.copy(), value
     nodes = 0
 
     def frozen_bound(cur_bits, depth):
-        val = 0.0
-        for c in np.nonzero(cur_bits)[0]:
-            if all(j < depth for j in touching[c]):
-                val += weights[c]
-        return val
+        # the chain's cells no move from depth on touches, summed in cell order
+        frozen = weights[cur_bits & (last < depth)]
+        return float(np.cumsum(frozen)[-1]) if len(frozen) else 0.0
 
     def dfs(depth, cur_bits, cur_val):
         nonlocal best_bits, best_val, nodes
@@ -674,8 +672,7 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
             )
         if depth == n_moves:
             if cur_val < best_val - 1e-12:
-                chain = Chain2(problem.complex, problem.m, cur_bits)
-                if single or spans(chain, problem):
+                if single or spans(Chain2(cx, m, cur_bits), problem):
                     best_bits, best_val = cur_bits.copy(), cur_val
             return
         if frozen_bound(cur_bits, depth) >= best_val - 1e-12:
@@ -692,7 +689,7 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
                 dfs(depth + 1, nb, cur_val + delta)
 
     dfs(0, bits, value)
-    return Chain2(problem.complex, problem.m, best_bits), best_val
+    return Chain2(cx, m, best_bits), best_val
 
 
 # ---------------------------------------------------------------------------

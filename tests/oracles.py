@@ -17,7 +17,8 @@ reduction: ``boundary_matrix_oracle`` fills a uint8 matrix cube by cube,
 ``gf2_rref_oracle`` row-reduces it, and ``spans_oracle`` eliminates on the
 dense columns of the chain's support; ``gf2_solve`` and ``gf2_nullspace``
 run the library's column reduction (``solver._Reduction``) on a dense
-matrix, so that it can be compared with them.  ``facets_oracle`` builds the facet
+matrix, so that it can be compared with them, and ``_to_bits`` reads a
+reduction's bitsets back as vectors.  ``facets_oracle`` builds the facet
 rows from ``DyadicCube.facets()`` objects, ``median_spacing_oracle`` (and
 ``sample_spacing_oracle``, the same at cap 2048) measures every probe
 against every sample, and ``audit_minimizer_oracle`` is the audit as one
@@ -53,7 +54,12 @@ blocks.  ``coset_enumeration_oracle`` is ``exhaustive_oracle``'s coset
 enumeration in binary order, one XOR per set bit of each combination, from
 ``initial_chain_oracle``: ``initial_chain`` before the prism filling, the
 union of per-generator solutions on the column reduction of the whole
-boundary operator.
+boundary operator, ``boundary_reduction_oracle``, which the library no
+longer builds.  ``exhaustive_oracle_reference`` is ``exhaustive_oracle``
+as it was before it read its kernel basis from the prism sweep: its Gray
+code walks that reduction's kernel and builds a ``Chain2`` per step, and
+its branch and bound keeps per-cell lists of touching moves and sums its
+frozen bound one cell at a time.
 ``cluster_balls_oracle`` is the purge's clustering before
 ``_grid.cell_clusters``: a dict of tuple cells, a union-find over the
 tuples and the balls in the sorted order of their roots.  The cube-layer
@@ -128,10 +134,11 @@ from gmtkit.solver import (
     GridComplex,
     InfeasibleError,
     MinimizeResult,
+    OracleBudgetError,
     SpanningProblem,
     _chain_key,
+    _projection_lower_bound,
     _Reduction,
-    _to_bits,
     _to_int,
     initial_chain,
     spans,
@@ -628,6 +635,18 @@ def gf2_nullspace_oracle(a):
     return basis
 
 
+def _to_bits(x, size):
+    """The first ``size`` bits of the bitset x as a uint8 vector."""
+    raw = np.frombuffer(x.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
+
+
+def boundary_reduction_oracle(cx, k):
+    """The leftmost column reduction (``solver._Reduction``) of the whole
+    boundary operator on the k-cells of a GridComplex."""
+    return _Reduction(cx.facets(k).tolist())
+
+
 def _dense_reduction(a):
     return _Reduction(np.flatnonzero(col).tolist() for col in a.T % 2)
 
@@ -661,7 +680,7 @@ def spans_oracle(chain, problem):
 
 def initial_chain_oracle(problem: SpanningProblem) -> Chain2:
     """Union of per-generator elimination solutions of the boundary system."""
-    reduction = problem.complex.reduction(problem.m)
+    reduction = boundary_reduction_oracle(problem.complex, problem.m)
     union = 0
     for z in problem.generators:
         x = reduction.solve(_to_int(z))
@@ -679,7 +698,7 @@ def coset_enumeration_oracle(problem):
     weights = problem.cell_weights()
     start = initial_chain_oracle(problem)
     kernel = [_to_bits(v, problem.complex.count(problem.m)).astype(bool)
-              for v in problem.complex.reduction(problem.m).kernel]
+              for v in boundary_reduction_oracle(problem.complex, problem.m).kernel]
     best = None
     for combo in range(2 ** len(kernel)):
         bits = start.bits.copy()
@@ -693,6 +712,107 @@ def coset_enumeration_oracle(problem):
         if best is None or key < best[0]:
             best = (key, chain)
     return best[1], best[0][0]
+
+
+def exhaustive_oracle_reference(problem: SpanningProblem, budget_dim=18, node_budget=500_000):
+    """``solver.exhaustive_oracle`` before it read its kernel basis from the
+    prism sweep: the Gray code walks the kernel of the column reduction of
+    the whole boundary operator and builds a ``Chain2`` per step, and the
+    branch and bound keeps each m-cell's list of touching moves and sums
+    its frozen bound one cell at a time.
+
+    Enumerates initial + ker(boundary) in Gray-code order when the kernel
+    dimension fits the budget, keeping the least (value, cell count, bits);
+    otherwise tries a projection certificate (descent incumbent matching a
+    certified lower bound) and falls back to branch and bound over the
+    (m+1)-cell generators, erroring out at the node budget.  With several
+    generators the incumbent is the initial chain when the descent, which
+    does not check spanning, leaves a chain that does not span.
+    """
+    weights = problem.cell_weights()
+    if not problem.generators:
+        return Chain2(problem.complex, problem.m), 0.0
+    start = initial_chain(problem)
+    dim = problem.complex.kernel_dim(problem.m)
+    single = len(problem.generators) == 1
+    if dim <= budget_dim:
+        kernel = [_to_bits(v, problem.complex.count(problem.m)).astype(bool)
+                  for v in boundary_reduction_oracle(problem.complex, problem.m).kernel]
+        best = None
+        bits = start.bits.copy()
+        for step in range(2**dim):  # Gray-code order: one kernel vector per step
+            if step:
+                bits ^= kernel[(step & -step).bit_length() - 1]
+            chain = Chain2(problem.complex, problem.m, bits)
+            if not single and not spans(chain, problem):
+                continue
+            val = chain.value(weights)
+            key = (val, chain.count(), _chain_key(bits))
+            if best is None or key < best[0]:
+                best = (key, chain)
+        return best[1], best[0][0]
+    # descent incumbent
+    moves = problem.complex.facets(problem.m + 1)
+    bits = start.bits.copy()
+    value = start.value(weights)
+    improved = True
+    while improved:
+        improved = False
+        for col in moves:
+            delta = float(np.sum(weights[col] * (1.0 - 2.0 * bits[col])))
+            if delta < -1e-12:
+                bits[col] ^= True
+                value += delta
+                improved = True
+    if not (single or spans(Chain2(problem.complex, problem.m, bits), problem)):
+        bits, value = start.bits.copy(), start.value(weights)  # the incumbent must span
+    lb = _projection_lower_bound(problem, weights)
+    if single and value <= lb + 1e-9:
+        return Chain2(problem.complex, problem.m, bits), value
+    # branch and bound over (m+1)-cell flips with a frozen-cell bound
+    n_moves = len(moves)
+    touching = [[] for _ in range(problem.complex.count(problem.m))]
+    for j, col in enumerate(moves):
+        for c in col:
+            touching[c].append(j)
+    best_bits, best_val = bits.copy(), value
+    nodes = 0
+
+    def frozen_bound(cur_bits, depth):
+        val = 0.0
+        for c in np.nonzero(cur_bits)[0]:
+            if all(j < depth for j in touching[c]):
+                val += weights[c]
+        return val
+
+    def dfs(depth, cur_bits, cur_val):
+        nonlocal best_bits, best_val, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise OracleBudgetError(
+                f"oracle budget exceeded: kernel dim {dim}, {nodes} nodes"
+            )
+        if depth == n_moves:
+            if cur_val < best_val - 1e-12:
+                chain = Chain2(problem.complex, problem.m, cur_bits)
+                if single or spans(chain, problem):
+                    best_bits, best_val = cur_bits.copy(), cur_val
+            return
+        if frozen_bound(cur_bits, depth) >= best_val - 1e-12:
+            return
+        col = moves[depth]
+        delta = float(np.sum(weights[col] * (1.0 - 2.0 * cur_bits[col])))
+        order = (0, 1) if delta >= 0 else (1, 0)
+        for pick in order:
+            if pick == 0:
+                dfs(depth + 1, cur_bits, cur_val)
+            else:
+                nb = cur_bits.copy()
+                nb[col] ^= True
+                dfs(depth + 1, nb, cur_val + delta)
+
+    dfs(0, bits, value)
+    return Chain2(problem.complex, problem.m, best_bits), best_val
 
 
 def grid_index_oracle(cx):
@@ -1492,7 +1612,7 @@ def projection_lower_bound_oracle(problem, weights):
     for axes in itertools.combinations(range(n), m):
         proj_shape = tuple(cx.shape[a] for a in axes)
         proj = GridComplex(m, proj_shape, cx.level, origin=tuple(cx.origin[a] for a in axes))
-        reduction = proj.reduction(m)
+        reduction = boundary_reduction_oracle(proj, m)
         for z in problem.generators:
             pz = np.zeros(proj.count(m - 1), dtype=np.uint8)
             for i in np.nonzero(np.asarray(z, dtype=np.uint8))[0]:

@@ -490,6 +490,8 @@ def _bad_input_files(tmp):
          "integrand": {"kind": "area"}}))
     for name, restarts in (("restarts", "many"), ("no_restarts", 0)):
         (tmp / f"{name}.json").write_text(json.dumps(square_problem_dict(1, 2, options={"restarts": restarts})))
+    (tmp / "oracle_budget_over_cap.json").write_text(json.dumps(
+        square_problem_dict(1, 2, options={"oracle_check": True, "oracle_budget_dim": 64})))
     low, high = _square_edges(1, 2, z=0), _square_edges(1, 2, z=2)
     (tmp / "stacked.json").write_text(json.dumps(dict(
         square_problem_dict(1, 2), boundary_cells=low + high, generators=[low, high],
@@ -613,6 +615,8 @@ BAD_INPUTS = {
     "minimize_m_equals_n": ({}, ["minimize", "planar.json"]),
     "minimize_restarts_not_an_integer": ({}, ["minimize", "restarts.json"]),
     "minimize_no_restarts": ({}, ["minimize", "no_restarts.json"]),
+    # 2^64 Gray-code steps: refused before the minimizer or the oracle starts
+    "minimize_oracle_budget_over_cap": ({}, ["minimize", "oracle_budget_over_cap.json"]),
     "retract_n_zero": ({"GMTKIT_N": "0"}, ["retract"]),
     "retract_probes_negative": ({"GMTKIT_PROBES": "-1"}, ["retract"]),
     "retract_eps_negative": ({"GMTKIT_EPS": "-1"}, ["retract"]),

@@ -123,6 +123,24 @@ def test_only_the_profile_module_assembles_profiles():
     assert not found, found
 
 
+def test_only_spans_builds_a_reduction():
+    """In ``src/`` only ``solver.spans`` builds a ``_Reduction``, over the
+    support columns of one chain: the fillings, the oracle's kernel basis
+    and the projection certificate all come from the prism sweep."""
+    allowed, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == ("solver", "spans")
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "_Reduction":
+                    (allowed if id(node) in inside else found).append(f"{path.name}:{node.lineno}")
+    assert len(allowed) == 1 and not found, found
+
+
 def test_only_pair_norms_takes_grid_norms():
     """In ``gmtkit._grid`` only ``pair_norms`` calls ``np.linalg.norm``, so
     every pair distance of the nearest-sample searches is one function's,

@@ -15,12 +15,15 @@ from conftest import square_cycle
 from oracles import (
     audit_minimizer_oracle,
     boundary_matrix_oracle,
+    boundary_reduction_oracle,
     cell_weights_oracle,
     chain_to_varifold_oracle,
     coset_enumeration_oracle,
+    exhaustive_oracle_reference,
     facets_oracle,
     gf2_nullspace,
     gf2_nullspace_oracle,
+    gf2_rref_oracle,
     gf2_solve,
     gf2_solve_oracle,
     grid_index_oracle,
@@ -231,7 +234,7 @@ class TestOracle:
         # between them, which does not span; the search starts from the
         # initial chain instead and finds the enumeration's minimum
         p = walled_squares_problem()
-        assert len(p.complex.reduction(2).kernel) == 8
+        assert p.complex.kernel_dim(2) == len(boundary_reduction_oracle(p.complex, 2).kernel) == 8
         for budget_dim in (0, 18):
             chain, value = exhaustive_oracle(p, budget_dim=budget_dim)
             assert value == 103.0 and spans(chain, p)
@@ -243,6 +246,53 @@ class TestOracle:
         chain, value = exhaustive_oracle(p)
         want_chain, want_value = coset_enumeration_oracle(p)
         assert value == want_value and np.array_equal(chain.bits, want_chain.bits)
+
+
+def _random_oracle_problems(rng):
+    """Spanning problems on random boxes: n = 2-4, every m, one or two
+    generators (boundaries of random m-chains), area and table integrands."""
+    for n in range(2, 5):
+        for _ in range(4):
+            shape, origin = rng.integers(1, 3, n).tolist(), rng.integers(-1, 2, n).tolist()
+            cx = GridComplex(n, shape, 1, origin)
+            for m in range(1, n + 1):
+                gens = [cx.boundary(m, rng.random(cx.count(m)) < rng.choice((0.05, 0.3)))
+                        for _ in range(int(rng.integers(1, 3)))]
+                if rng.random() < 0.5:
+                    integrand = AreaIntegrand()
+                else:
+                    values = 1.0 + rng.random([s + 1 for s in shape])
+                    integrand = TableIntegrand(np.multiply(origin, cx.side), [cx.side] * n, values)
+                support = np.flatnonzero(np.any(gens, axis=0))
+                yield SpanningProblem(cx, m, cx.cubes(m - 1, support), gens, integrand)
+
+
+def _oracle_outcome(oracle, p, budget_dim, node_budget):
+    try:
+        chain, value = oracle(p, budget_dim=budget_dim, node_budget=node_budget)
+    except OracleBudgetError as exc:
+        return "over budget", str(exc)
+    return chain.bits.tobytes(), value
+
+
+class TestOracleReference:
+    def test_matches_the_reduction_kernel_oracle(self, rng):
+        # the sweep-cell basis against the reduction kernel, on all three paths
+        paths = Counter()
+        for p in _random_oracle_problems(rng):
+            for budget_dim in (0, 3, 18):
+                want = _oracle_outcome(exhaustive_oracle_reference, p, budget_dim, 300)
+                assert _oracle_outcome(exhaustive_oracle, p, budget_dim, 300) == want
+                if p.complex.kernel_dim(p.m) <= budget_dim:
+                    paths["enumerated"] += 1
+                elif want[0] == "over budget":
+                    paths["over budget"] += 1
+                else:  # a search of no nodes stops only the branch and bound
+                    searched = _oracle_outcome(exhaustive_oracle_reference, p, budget_dim, 0)[0] == "over budget"
+                    paths["searched" if searched else "certified"] += 1
+        print(f"exhaustive_oracle outcomes by path: {dict(paths)}")
+        assert sum(paths.values()) == 3 * 4 * (2 + 3 + 4)
+        assert set(paths) == {"enumerated", "certified", "searched", "over budget"}, paths
 
 
 class TestScalingCovariance:
@@ -435,7 +485,7 @@ class TestGf2Oracle:
 
     def test_kernel_basis_is_reduction_kernel(self):
         p = square_problem(1)
-        red = p.complex.reduction(2)
+        red = boundary_reduction_oracle(p.complex, 2)
         dense = gf2_nullspace_oracle(boundary_matrix_oracle(p.complex, 2))
         assert len(red.kernel) == dense.shape[1]
         for j, v in enumerate(red.kernel):
@@ -1070,20 +1120,12 @@ def _random_boxes(rng):
                 yield cx, m
 
 
-def _sweep_cells(cx, m):
-    """The m-cells whose lowest axis j has the corner on x_i = origin_i for every i < j."""
-    corners, rank = cx.decode(m)
-    lowest = np.array([axes[0] for axes in itertools.combinations(range(cx.n), m)])[rank]
-    below = np.arange(cx.n) < lowest[:, None]
-    return np.flatnonzero(~((corners != cx.origin) & below).any(axis=1))
-
-
 class TestPrismFilling:
     def test_filling_is_the_leftmost_solution(self, rng):
         cases = 0
         for cx, m in _random_boxes(rng):
-            red = cx.reduction(m)
-            assert _sweep_cells(cx, m).tolist() == sorted(c.bit_length() - 1 for _, c in red.pivots.values())
+            red = boundary_reduction_oracle(cx, m)
+            assert cx.sweep_cells(m).tolist() == sorted(c.bit_length() - 1 for _, c in red.pivots.values())
             # boundaries of random chains, with entries taken mod 2
             zs = [cx.boundary(m, rng.random(cx.count(m)) < d) + 2 * rng.integers(0, 2, cx.count(m - 1)).astype(np.uint8)
                   for d in (0.1, 0.4, 0.7)]
@@ -1110,7 +1152,19 @@ class TestPrismFilling:
 
     def test_kernel_dim_is_the_reduction_kernel_length(self, rng):
         for cx, m in _random_boxes(rng):
-            assert cx.kernel_dim(m) == len(cx.reduction(m).kernel)
+            assert cx.kernel_dim(m) == len(boundary_reduction_oracle(cx, m).kernel)
+
+    def test_sweep_boundaries_are_a_kernel_basis(self, rng):
+        # exhaustive_oracle's basis: the boundaries of sweep_cells(m + 1),
+        # independent, in ker d_m and kernel_dim(m) in number
+        for cx, m in _random_boxes(rng):
+            if m == cx.n:
+                assert cx.kernel_dim(m) == 0
+                continue
+            basis = boundary_matrix_oracle(cx, m + 1)[:, cx.sweep_cells(m + 1)]
+            assert basis.shape[1] == cx.kernel_dim(m)
+            assert len(gf2_rref_oracle(basis)[1]) == basis.shape[1]
+            assert not (boundary_matrix_oracle(cx, m).astype(np.int64) @ basis % 2).any()
 
 
 class TestReductionFootprint:
@@ -1135,11 +1189,17 @@ class TestReductionFootprint:
             initial_chain(p)
             _projection_lower_bound(p, p.cell_weights())
 
-    def test_oracle_reduces_only_within_its_budget(self, monkeypatch):
-        p = KEY_PROBLEMS["square_half"]()
-        dim = p.complex.kernel_dim(2)
-        with monkeypatch.context() as patch:
-            patch.setattr(GridComplex, "reduction", lambda self, k: pytest.fail("reduction built over budget"))
-            _, value = exhaustive_oracle(p, budget_dim=dim - 1)
-        assert value == 1.0 and not p.complex._reductions
-        assert exhaustive_oracle(p, budget_dim=dim)[1] == 1.0 and 2 in p.complex._reductions
+    def test_oracle_builds_no_reduction_on_one_generator(self, monkeypatch):
+        def refuse(columns):
+            raise AssertionError("a _Reduction was built")
+
+        monkeypatch.setattr(solver, "_Reduction", refuse)
+        # kernel dims 8, 64 and 16: the enumeration at budget 18 but for the
+        # quarter square, the projection certificate or the branch and bound at 0
+        for case in ("square_half", "square_quarter", "n4_m3"):
+            p = KEY_PROBLEMS[case]()
+            for budget_dim in (0, 18):
+                try:
+                    exhaustive_oracle(p, budget_dim=budget_dim, node_budget=2000)
+                except OracleBudgetError:
+                    pass
