@@ -228,7 +228,7 @@ INPUTS = {
         "n": Rule("int", 3, (">=", 1)), "cells": Rule("int", [4, 4, 4], (">=", 1), shape=("n",)),
         "level": Rule("int", 2, (">=", -MAX_GRID_LEVEL), ("<=", MAX_GRID_LEVEL)),
         "origin": Rule("int", [0, 0, 0], shape=("n",)),
-        "integrand": Rule("integrand", {"kind": "area"}), "subdivision": Rule("int", 8, (">=", 1)),
+        "subdivision": Rule("int", 8, (">=", 1)),
     },
     "probe-ellipticity": {
         "n": Rule("int", 3, (">=", 2)),
@@ -612,7 +612,7 @@ def cmd_audit(args):
     except (KeyError, TypeError, ValueError) as exc:  # a missing key raises KeyError
         raise InputError(f"invalid chain {args.chain}: {type(exc).__name__} {exc}") from exc
     chain = Chain2(cx, m, bits)
-    report = audit_minimizer(chain, cfg["integrand"], subdivision=cfg["subdivision"])
+    report = audit_minimizer(chain, None, subdivision=cfg["subdivision"])
     _write_audit(out, report, cx.n)
     return EXIT_OK
 

@@ -322,9 +322,6 @@ class DeformationPlan:
     seed: int = 0
     constants: dict = field(default_factory=dict)
 
-    def g_stages(self):
-        return self.stages[: self.descent_count]
-
     def compose_stages(self, count=None):
         """The composite of the first ``count`` stage maps (all when None), or
         None when that takes no stage."""
@@ -332,12 +329,6 @@ class DeformationPlan:
         if not maps:
             return None
         return SmoothMap.compose(*reversed(maps))
-
-    def apply_stages(self, points, count=None):
-        cur = np.atleast_2d(np.asarray(points, dtype=float))
-        for s in self.stages[: len(self.stages) if count is None else count]:
-            cur = s.map.value(cur)
-        return cur
 
     def homotopy(self, t, points):
         """f(t, x): the time interpolation through the stage maps.
@@ -351,7 +342,7 @@ class DeformationPlan:
             return pts.copy()
         tau = min(t, 1.0) * n_stages
         j = min(int(math.floor(tau)), n_stages - 1)
-        cur = self.apply_stages(pts, j)
+        cur = self.compose_stages(j).value(pts) if j else pts
         w = float(smoothstep(tau - j))
         nxt = self.stages[j].map.value(cur)
         return cur + w * (nxt - cur)
@@ -363,7 +354,7 @@ class DeformationPlan:
         Integrates |d_t f| ||D_x f_t||^m over time (five times per stage) and
         the sample measure, stage interval by stage interval.
         """
-        stages = self.g_stages()
+        stages = self.stages[: self.descent_count]
         n_stages = len(stages)
         if n_stages == 0 or len(v) == 0:
             return 0.0

@@ -392,7 +392,6 @@ class SpanningProblem:
             raise ValueError("m out of range")
         bset = np.zeros(self.complex.count(self.m - 1), dtype=bool)
         bset[self.complex.rows(self.m - 1, self.boundary_cells)] = True
-        self.boundary_mask = bset
         for z in self.generators:
             z = np.asarray(z, dtype=np.uint8)
             if np.any(z.astype(bool) & ~bset):
@@ -600,9 +599,10 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
 
     Enumerates initial + ker(boundary) in Gray-code order when the kernel
     dimension fits the budget, one XOR per step, keeping the least (value,
-    cell count, bits): a total order, so the basis does not change the
-    answer.  The basis is the boundaries of the (m+1)-cells
-    ``sweep_cells(m + 1)``, which are independent (``GridComplex.filling``)
+    cell count, bits) among the chains that span: a total order, so the
+    basis does not change the answer, and only a chain whose key beats the
+    incumbent is checked for spanning.  The basis is the boundaries of the
+    (m+1)-cells ``sweep_cells(m + 1)``, which are independent (``GridComplex.filling``)
     and, the box being acyclic, ``kernel_dim(m)`` in number.  Otherwise
     tries a projection certificate (descent incumbent matching a certified
     lower bound) and falls back to branch and bound over the (m+1)-cell
@@ -627,10 +627,8 @@ def exhaustive_oracle(problem: SpanningProblem, budget_dim=18, node_budget=500_0
         for step in range(2**dim):  # Gray-code order
             if step:
                 walk.bits ^= basis[(step & -step).bit_length() - 1]
-            if not single and not spans(walk, problem):
-                continue
             key = (walk.value(weights), walk.count(), _chain_key(walk.bits))
-            if best is None or key < best[0]:
+            if (best is None or key < best[0]) and (single or spans(walk, problem)):
                 best = (key, walk.bits.copy())
         return Chain2(cx, m, best[1]), best[0][0]
     # descent incumbent

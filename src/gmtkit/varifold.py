@@ -508,12 +508,12 @@ def psi_F(s_r: DiscreteVarifold, s_u: DiscreteVarifold, f: Integrand, sup_grid=5
     return total
 
 
-def _m_jacobians(jacs, frames):
-    """||Lambda_m D phi o P_T||: the m-Jacobian along each tangent frame."""
-    a = _grid.row_matmul(jacs, frames)
+def _image_planes(a):
+    """The area element sqrt(max(det a^T a, 0)) of each pushed frame in the
+    stack a (N, n, m), and its orthonormal image frame (N, n, m) from QR."""
     gram = np.einsum("nji,njk->nik", a, a)
-    det = np.linalg.det(gram)
-    return np.sqrt(np.maximum(det, 0.0)), a
+    area = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+    return area, np.linalg.qr(a)[0]
 
 
 def pullback_integrand(phi: SmoothMap, f: Integrand):
@@ -526,13 +526,11 @@ def pullback_integrand(phi: SmoothMap, f: Integrand):
 
         def evaluate(self, points, frames):
             img, jacs = phi.value_and_jacobian(points)
-            jm, a = _m_jacobians(jacs, frames)
+            area, img_frames = _image_planes(_grid.row_matmul(jacs, frames))
             out = np.zeros(len(points))
-            ok = jm > 1e-12
+            ok = area > 1e-12
             if np.any(ok):
-                img_frames, _ = np.linalg.qr(a[ok])
-                vals = f.evaluate(img[ok], img_frames)
-                out[ok] = vals * jm[ok]
+                out[ok] = f.evaluate(img[ok], img_frames[ok]) * area[ok]
             return out
 
     return _Pullback()
@@ -542,43 +540,39 @@ def pushforward(phi: SmoothMap, v: DiscreteVarifold, haar_draws=16, seed=0):
     """phi_# V: transport points, tangents, and weights by the m-Jacobian.
 
     Isotropic samples are routed through ``haar_draws`` (at least 1) Haar
-    draws; samples whose image plane degenerates keep zero weight and are
+    draws: copy k of them, at weight 1 / haar_draws, takes the k-th drawn
+    plane.  The tangent samples and these copies move in one evaluation of
+    phi; samples whose image plane degenerates keep zero weight and are
     dropped.
 
     Samples outside ``phi.support`` (where phi is the exact identity) pass
     through untouched: points, frames, weights and the isotropic flag.  The
-    result is then [outside samples, transported samples], in that order, and
-    a varifold lying wholly outside the support is returned as it is.
+    result is [outside samples, moved tangent samples, moved isotropic
+    copies], in that order, and a varifold lying wholly outside the support
+    is returned as it is.
     """
     inside = phi.inside_support(v.points)
-    if not inside.all():
-        if not inside.any():
-            return v
-        moved = pushforward(phi, v.restrict(inside), haar_draws, seed)
-        return DiscreteVarifold.concat([v.restrict(~inside), moved])
-    parts = []
-    tang = v.tangent_part()
-    if len(tang):
-        img, jacs = phi.value_and_jacobian(tang.points)
-        jm, a = _m_jacobians(jacs, tang.frames)
-        ok = jm > 1e-12
-        if np.any(ok):
-            frames, _ = np.linalg.qr(a[ok])
-            parts.append(DiscreteVarifold(img[ok], frames, tang.weights[ok] * jm[ok]))
-    iso = v.isotropic_part()
-    if len(iso):
+    if not inside.any():
+        return v
+    tang, iso = inside & ~v.isotropic, inside & v.isotropic
+    points, frames, weights = v.points[tang], v.frames[tang], v.weights[tang]
+    if iso.any():
         if haar_draws < 1:
             raise ValueError(f"isotropic samples need haar_draws >= 1, got {haar_draws}")
-        # haar_draws copies of the isotropic samples, copy k on the k-th draw
-        frames = _haar_frames(v.ambient_dim, v.dim, haar_draws, np.random.default_rng(seed))
-        parts.append(pushforward(phi, DiscreteVarifold(
-            np.tile(iso.points, (haar_draws, 1)), np.repeat(frames, len(iso), axis=0),
-            np.tile(iso.weights / haar_draws, haar_draws))))
-    if not parts:
-        return DiscreteVarifold(
-            np.zeros((0, phi.n_out)), np.zeros((0, phi.n_out, v.dim)), np.zeros(0)
-        )
-    return DiscreteVarifold.concat(parts)
+        haar = _haar_frames(v.ambient_dim, v.dim, haar_draws, np.random.default_rng(seed))
+        points = np.vstack([points, np.tile(v.points[iso], (haar_draws, 1))])
+        frames = np.concatenate([frames, np.repeat(haar, int(iso.sum()), axis=0)])
+        weights = np.concatenate([weights, np.tile(v.weights[iso] / haar_draws, haar_draws)])
+    img, jacs = phi.value_and_jacobian(points)
+    area, img_frames = _image_planes(_grid.row_matmul(jacs, frames))
+    ok = area > 1e-12
+    moved = DiscreteVarifold(img[ok], img_frames[ok], weights[ok] * area[ok])
+    if inside.all():
+        return moved
+    # free the moved rows' temporaries first: the outside copy and the
+    # result set the memory peak of a large set's transport
+    del tang, iso, points, frames, weights, img, jacs, area, img_frames, ok
+    return DiscreteVarifold.concat([v.restrict(~inside), moved])
 
 
 def slice_varifold(v: DiscreteVarifold, f: SmoothMap, t, bin_width):
@@ -749,9 +743,7 @@ def _graph_bump(t_plane: Plane, normal, height):
     pts = flat.points + u[:, None] * normal[None, :]
     a = np.broadcast_to(t_plane.frame, (len(pts), n, m)).copy()
     a += du[:, None, None] * normal[None, :, None] * local[:, None, :]
-    gram = np.einsum("nji,njk->nik", a, a)
-    area = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-    frames, _ = np.linalg.qr(a)
+    area, frames = _image_planes(a)
     return DiscreteVarifold(pts, frames, flat.weights * area)
 
 
@@ -779,10 +771,7 @@ def _cone_over_boundary(t_plane: Plane, normal, height):
         a = np.zeros((segs, levels, n, 2))
         a[:, :, :, 0] = (omega - apex)[:, None, :]
         a[:, :, :, 1] = s[None, :, None] * omega_d[:, None, :]
-        a = a.reshape(segs * levels, n, 2)
-        gram = np.einsum("nji,njk->nik", a, a)
-        area = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-        q, _ = np.linalg.qr(a)
+        area, q = _image_planes(a.reshape(segs * levels, n, 2))
         pts = pos.reshape(segs * levels, n)
         return DiscreteVarifold(pts, q, area * (2 * np.pi / segs) / levels)
     return DiscreteVarifold(np.vstack(pts), np.concatenate(frames, axis=0), np.concatenate(ws))

@@ -1,7 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gmtkit.cubemaps import SmoothMap
+
+
+def pytest_terminal_summary(terminalreporter):
+    """The line count of ``src/gmtkit/*.py`` (as ``wc -l`` counts), the size
+    the roadmap tracks, at the end of every run."""
+    src = Path(__file__).resolve().parent.parent / "src" / "gmtkit"
+    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    terminalreporter.write_line(f"src/gmtkit/*.py: {lines} lines")
 
 
 @pytest.fixture

@@ -91,7 +91,9 @@ bytes of a copied candidate chain.
 frame, a 1-D dot per pair of columns and ``np.linalg.norm`` per column;
 ``haar_sample_oracle``, ``grassmann_grid_oracle``, ``phi_F_oracle``,
 ``psi_F_oracle`` and ``pushforward_oracle`` draw one Haar plane at a time
-with it, as the library did before its frame arrays.
+with it, as the library did before its frame arrays;
+``pushforward_oracle`` also keeps the recursive split, in which the inside
+samples and the Haar copies each take their own evaluation of the map.
 The tests assert that the library returns the same bytes.
 
 The face, body and plane helpers that only tests call live here too, as
@@ -143,7 +145,7 @@ from gmtkit.solver import (
     initial_chain,
     spans,
 )
-from gmtkit.varifold import DiscreteVarifold, _m_jacobians
+from gmtkit.varifold import DiscreteVarifold
 from gmtkit.varifold import unit_ball_volume
 
 logger = logging.getLogger("oracles")
@@ -1880,6 +1882,14 @@ def psi_F_oracle(s_r, s_u, f, sup_grid=512, seed=0):
             sup = np.maximum(sup, f.evaluate(s_u.points, frames))
         total += float(np.sum(s_u.weights * sup))
     return total
+
+
+def _m_jacobians(jacs, frames):
+    """||Lambda_m D phi o P_T||: the m-Jacobian along each tangent frame."""
+    a = _grid.row_matmul(jacs, frames)
+    gram = np.einsum("nji,njk->nik", a, a)
+    det = np.linalg.det(gram)
+    return np.sqrt(np.maximum(det, 0.0)), a
 
 
 def pushforward_oracle(phi, v, haar_draws=16, seed=0):

@@ -483,6 +483,7 @@ def _bad_input_files(tmp):
     (tmp / "edge_cell.json").write_text(json.dumps({"m": 2, "level": 2, "cells": [edge]}))
     square = [{"level": 2, "corner": [i, j, 0], "axes": [0, 1], "n": 3} for i in range(4) for j in range(4)]
     (tmp / "chain.json").write_text(json.dumps({"m": 2, "level": 2, "cells": square}))
+    (tmp / "audit_integrand.json").write_text(json.dumps({"integrand": {"kind": "area"}}))
     (tmp / "chain_m_fraction.json").write_text(json.dumps({"m": 2.7, "level": 2, "cells": square}))
     ends = [{"level": 1, "corner": c, "axes": [0, 1], "n": 2} for c in ([0, 0], [1, 0])]
     (tmp / "planar.json").write_text(json.dumps(
@@ -711,10 +712,8 @@ BAD_INPUTS = {
 # through cli.main in-process
 IN_PROCESS_BAD_INPUTS = {
     "probe_integrand_not_a_dict": ({"GMTKIT_INTEGRAND": "5"}, ["probe-ellipticity"]),
-    "audit_integrand_not_a_dict": ({"GMTKIT_INTEGRAND": "5"}, ["audit", "chain.json"]),
     "minimize_integrand_not_a_dict": ({}, ["minimize", "integrand_5.json"]),
     "probe_integrand_kind_unknown": ({"GMTKIT_INTEGRAND": '{"kind": "bogus"}'}, ["probe-ellipticity"]),
-    "audit_integrand_kind_unknown": ({"GMTKIT_INTEGRAND": '{"kind": "bogus"}'}, ["audit", "chain.json"]),
     "probe_tilt_without_reference": ({"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty"}'}, ["probe-ellipticity"]),
     "probe_tilt_lam_not_a_number": (
         {"GMTKIT_INTEGRAND": '{"kind": "tilt_penalty", "reference_axes": [0, 1], "lam": "abc"}'},
@@ -735,6 +734,8 @@ IN_PROCESS_BAD_INPUTS = {
     "minimize_steps_negative": ({}, ["minimize", "steps_negative.json"]),
     "minimize_level_minus_1100": ({}, ["minimize", "level_-1100.json"]),
     "audit_level_minus_1100": ({"GMTKIT_LEVEL": "-1100"}, ["audit", "chain_level_-1100.json"]),
+    # the audit measures area and takes no integrand
+    "audit_integrand_key_unknown": ({}, ["--config", "audit_integrand.json", "audit", "chain.json"]),
 }
 
 
@@ -783,6 +784,11 @@ class TestBadInput:
         assert rc == 2, err
         assert len(err.splitlines()) == 1 and err.startswith("input error: ")
         assert not caught, [str(w.message) for w in caught]
+
+    def test_audit_refuses_an_integrand(self, tmp_path, monkeypatch, capsys):
+        _bad_input_files(tmp_path)
+        rc, err, _ = run_in_process(tmp_path, monkeypatch, capsys, *IN_PROCESS_BAD_INPUTS["audit_integrand_key_unknown"])
+        assert rc == 2 and "unknown config keys" in err and "integrand" in err
 
     def test_set_file_error_counts_blank_lines(self, tmp_path, monkeypatch, capsys):
         _bad_input_files(tmp_path)

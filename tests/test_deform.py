@@ -470,7 +470,7 @@ class TestDeformOntoSkeleton:
         plan, g1, f1 = deform_onto_skeleton(self.family, self.complex, [v], 2, 0.05, seed=1)
         pts = v.points
         done = []
-        for stage in plan.g_stages():
+        for stage in plan.stages[: plan.descent_count]:
             pts = stage.map.value(pts)
             done.append(stage.cube)
             for cube in done:
@@ -490,7 +490,12 @@ class TestDeformOntoSkeleton:
         v = disc_in_grid(count=1500)
         plan, g1, f1 = deform_onto_skeleton(self.family, self.complex, [v], 2, 0.05, seed=1)
         replay = DeformationPlan.from_json(plan.to_json())
-        assert np.array_equal(replay.apply_stages(v.points), plan.apply_stages(v.points))
+        searched, replayed = plan.compose_stages(), replay.compose_stages()
+        assert searched.value(v.points).tobytes() == replayed.value(v.points).tobytes()
+        ours, theirs = pushforward(searched, v), pushforward(replayed, v)
+        for attr in ("points", "frames", "weights"):
+            a, b = getattr(ours, attr), getattr(theirs, attr)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), attr
 
     def test_stage_error_reports_plan_index(self, monkeypatch):
         # the disc touches none of the first candidate cubes, so the failing

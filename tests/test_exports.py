@@ -77,6 +77,17 @@ def test_only_smoothmap_reads_the_raw_evaluation():
     assert not found, found
 
 
+def test_pushforward_moves_a_set_in_one_call():
+    """``varifold.pushforward`` does not call itself and makes one
+    ``value_and_jacobian`` call: the inside tangent samples and the Haar
+    copies of the inside isotropic ones move together."""
+    tree = ast.parse((SRC / "varifold.py").read_text())
+    (fn,) = [stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef) and stmt.name == "pushforward"]
+    calls = [ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    assert "pushforward" not in calls, calls
+    assert [c for c in calls if c.endswith("value_and_jacobian")] == ["phi.value_and_jacobian"], calls
+
+
 def test_only_grassmann_reads_rotation_angles():
     """No module in ``src/`` but ``grassmann`` reads a rotation's ``angles``:
     M(tau), M'(tau) and the displacement (M(tau) - I) v all come from

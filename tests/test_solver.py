@@ -247,6 +247,20 @@ class TestOracle:
         want_chain, want_value = coset_enumeration_oracle(p)
         assert value == want_value and np.array_equal(chain.bits, want_chain.bits)
 
+    def test_gray_walk_asks_spans_only_of_improving_chains(self, monkeypatch):
+        # two generators on a 2 x 2 x 1 box, m = 1: kernel dimension 16, so
+        # the walk visits 65 536 chains but asks spans only of those whose
+        # key beats the incumbent
+        rng = np.random.default_rng(0)
+        cx = GridComplex(3, (2, 2, 1), 1)
+        gens = [cx.boundary(1, rng.random(cx.count(1)) < 0.3) for _ in range(2)]
+        p = SpanningProblem(cx, 1, cx.cubes(0, np.flatnonzero(np.any(gens, axis=0))), gens, AreaIntegrand())
+        asked = []
+        monkeypatch.setattr(solver, "spans", lambda chain, problem: asked.append(0) or spans(chain, problem))
+        chain, value = exhaustive_oracle(p)
+        assert cx.kernel_dim(1) == 16 and 0 < len(asked) < 2**16 // 32
+        assert spans(chain, p) and value == chain.value(p.cell_weights())
+
 
 def _random_oracle_problems(rng):
     """Spanning problems on random boxes: n = 2-4, every m, one or two

@@ -10,6 +10,8 @@ from oracles import (phi_F_oracle, psi_F_oracle, pushforward_oracle, sample_spac
                      varifold_to_csv_oracle)
 from gmtkit import _grid, varifold
 from gmtkit.cubemaps import Ball, SmoothMap
+from gmtkit.cubical import DyadicCube
+from gmtkit.deform import deform_one_cube
 from gmtkit.grassmann import Plane, haar_sample
 from gmtkit.sampling import ring_sampled_disc, sample_disc, sample_segment
 from gmtkit.varifold import (
@@ -672,6 +674,43 @@ class TestHaarFrameArrays:
         for phi in (SmoothMap.affine(np.eye(n) + 0.3 * g.standard_normal((n, n)), g.standard_normal(n)), doubled):
             for draws in (1, 16):
                 assert same_bits(pushforward(phi, v, draws, seed=5), pushforward_oracle(phi, v, draws, seed=5))
+
+    @staticmethod
+    def _edge_maps(case):
+        """(map, set) pairs of one kind: a set wholly outside the map's
+        support, maps that degenerate every moved row, or a composite of two
+        deformation stage maps."""
+        tangent, iso = TestHaarFrameArrays._parts(3, 2, seed=7)
+        v = DiscreteVarifold.concat([tangent, iso])
+        if case == "outside":
+            return [(SmoothMap(3, 3, lambda x: 2.0 * x, lambda x: np.broadcast_to(2.0 * np.eye(3), (len(x), 3, 3)).copy(),
+                               support=Ball(np.full(3, 5.0), 0.5)), v)]
+        if case == "degenerate":
+            flatten = SmoothMap.affine(np.zeros((3, 3)))
+            squash = SmoothMap(3, 3, lambda x: np.zeros_like(x), lambda x: np.zeros((len(x), 3, 3)),
+                               support=Ball(np.zeros(3), 0.8))
+            return [(flatten, v), (squash, v),
+                    (SmoothMap.compose(blowup_map(norm_map(3), 0.5, 0.3), flatten), v)]
+        pts, w = sample_disc(0.6, 300, seed=1, center=[1.0, 0.5, 0.5])
+        disc = DiscreteVarifold.flat(np.vstack([pts, [[3.0, 3.0, 3.0]]]), H, np.append(w, 0.5))
+        cubes = [DyadicCube(0, (k, 0, 0), (0, 1, 2), 3) for k in (0, 1)]
+        stages = [deform_one_cube(cube, [disc], 0.2, rng=np.random.default_rng(0)) for cube in cubes]
+        mixed = DiscreteVarifold.concat([disc, DiscreteVarifold.isotropic_set(pts[::5] + 0.01, w[::5], 2)])
+        return [(SmoothMap.compose(*reversed(stages)), mixed.restrict(np.random.default_rng(2).permutation(len(mixed))))]
+
+    @pytest.mark.parametrize("case", ["outside", "degenerate", "composite"])
+    def test_pushforward_edge_cases(self, case):
+        for phi, v in self._edge_maps(case):
+            for draws in (1, 16):
+                got = pushforward(phi, v, draws, seed=5)
+                assert same_bits(got, pushforward_oracle(phi, v, draws, seed=5)), phi
+                if case == "outside":
+                    assert got is v
+                elif case == "degenerate":
+                    assert len(got) == int((~phi.inside_support(v.points)).sum())
+                    assert got.points.shape[1] == phi.n_out
+                else:
+                    assert 0 < phi.inside_support(v.points).sum() < len(v) and v.isotropic.any()
 
     def test_isotropic_pushforward_needs_a_draw(self):
         tangent, iso = self._parts(3, 2, seed=7)
