@@ -218,7 +218,7 @@ INPUTS = {
         "grid_cells": Rule("int", [4, 4, 4], (">=", 1), shape=("n",)),
         "grid_level": Rule("int", 0, (">=", -MAX_GRID_LEVEL), ("<=", MAX_GRID_LEVEL)),
         "m": Rule("int", 2, (">=", 0)), "eps": Rule("float", 0.05, (">", 0)),
-        "budget": Rule("int", 64, (">=", 1)), "coverage_threshold": Rule("float", 0.98),
+        "budget": Rule("int", 64, (">=", 1)), "coverage_threshold": Rule("float", 0.98, (">=", 0), ("<=", 1)),
     },
     "slice": {"map": Rule("choice", "norm", choices=("norm", "coord:")), "t": Rule("float"),
               "bin": Rule("float", None, (">", 0))},
@@ -479,9 +479,8 @@ def cmd_deform(args):
                  [*v.points.T, *img.T])
     constants = dict(plan.constants)
     if len(v):
-        skeleton = cx.skeleton(m)
         best = np.full(len(img), np.inf)
-        for c in skeleton:
+        for c in cx.skeleton(m):
             lo_b, hi_b = c.bounds()
             best = np.minimum(best, np.linalg.norm(img - np.clip(img, lo_b, hi_b), axis=1))
         tol = eps / 4.0

@@ -9,6 +9,7 @@ output such as centres and bounds.
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import itertools
 import json
@@ -123,7 +124,7 @@ class DyadicCube:
 
 
 class CubeIndex:
-    """Integer incidence index over a list of dyadic cubes of any dimensions.
+    """Integer incidence index over rows of dyadic cubes: level, corner and free-axis mask.
 
     ``lo`` and ``hi`` are the closed bounds in int64 units of the finest level.
     Cubes are bucketed by level and corner code (a 0-cube at the finest level):
@@ -131,13 +132,10 @@ class CubeIndex:
     corners per axis, so a query looks up 3^n codes per level and confirms them.
     """
 
-    def __init__(self, cubes):
-        self.cubes = list(cubes)
-        count, n = len(self.cubes), self.cubes[0].ambient_dim if self.cubes else 0
-        self.levels = np.array([c.level for c in self.cubes], dtype=np.int64)
-        self.finest = int(self.levels.max()) if self.cubes else 0
-        corner = np.array([c.corner for c in self.cubes], dtype=np.int64).reshape(count, n)
-        free = np.array([[j in c.axes for j in range(n)] for c in self.cubes], dtype=bool).reshape(count, n)
+    def __init__(self, levels, corners, free):
+        self.levels = np.asarray(levels, dtype=np.int64)
+        self.finest = int(self.levels.max()) if len(self.levels) else 0
+        corner, free = np.asarray(corners, dtype=np.int64), np.asarray(free, dtype=bool)
         reach = np.maximum(abs(corner + 0.0), abs(corner + free + 0.0))  # in units of each cube's level
         if not (reach < 2.0 ** (53 - self.finest + self.levels)[:, None]).all():  # beyond, int64 wraps, floats round
             raise ValueError(f"cube bounds at the finest level {self.finest} reach 2^53")
@@ -154,7 +152,6 @@ class CubeIndex:
             codes = _grid.cell_codes(key[members], origin, extent)
             order = np.argsort(codes, kind="stable")
             self._buckets.append((int(b), origin, extent, codes[order], members[order]))
-        self.position = {c: i for i, c in enumerate(self.cubes)}
 
     def _meeting(self, lo, hi, levels):
         """(row, cube) index pairs, unordered, of the closed boxes [lo, hi]
@@ -179,7 +176,7 @@ class CubeIndex:
 
     @functools.cached_property
     def touching(self):
-        """(P, 2) index pairs i < j of the cubes whose closed sets meet, rows ascending."""
+        """(P, 2) row pairs i < j of the cubes whose closed sets meet, pairs ascending."""
         i, j = self._meeting(self.lo, self.hi, self._bucket_level)
         # a pair within one bucket level is found from both ends
         keep = (self._bucket_level[j] < self._bucket_level[i]) | (i < j)
@@ -189,7 +186,7 @@ class CubeIndex:
     def locate(self, points):
         """(row, cube) index pairs, unordered, of the closed cubes holding each
         point; exact (NaN is held by none)."""
-        if not self.cubes:
+        if not len(self.levels):
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         t = pts * 2.0 ** self.finest
@@ -220,11 +217,17 @@ class CubeFamily:
         return iter(self.cubes)
 
     def __contains__(self, cube):
-        return cube in self.index.position
+        return cube in self.position
+
+    @functools.cached_property
+    def position(self):
+        """cube -> its row in ``cubes`` and in ``index``."""
+        return {c: i for i, c in enumerate(self.cubes)}
 
     @functools.cached_property
     def index(self):
-        return CubeIndex(self.cubes)
+        corners = np.array([c.corner for c in self.cubes], dtype=np.int64).reshape(len(self), self.ambient_dim)
+        return CubeIndex([c.level for c in self.cubes], corners, np.ones(corners.shape, dtype=bool))
 
     @property
     def ambient_dim(self):
@@ -439,32 +442,84 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
 # the cubical complex CX(F)
 
 
-class CubicalComplex:
-    """Faces of an admissible family, with touching faces subdivided so that
-    only the finest copies of overlapping same-dimension faces are kept.
-    ``by_dim`` maps each dimension k to its k-faces in ``DyadicCube`` order."""
+class _CellList(collections.abc.Sequence):
+    """The k-cells of a ``CubicalComplex`` or ``solver.GridComplex`` as DyadicCubes, in
+    row order: ``[i]`` decodes one row by the complex's ``cubes(k, rows)``; the first
+    full pass (iteration or ``==``) decodes all rows once and keeps them."""
 
-    def __init__(self, family, by_dim):
-        self.family = family
-        self.by_dim = by_dim
+    def __init__(self, cx, k):
+        self._cx, self._k, self._kept = cx, k, None
+
+    def _cubes(self):
+        if self._kept is None:
+            self._kept = self._cx.cubes(self._k)
+        return self._kept
+
+    def __len__(self):
+        return self._cx.count(self._k)
+
+    def __getitem__(self, i):
+        if self._kept is not None:
+            return self._kept[i]
+        return self._cx.cubes(self._k, i) if isinstance(i, slice) else self._cx.cubes(self._k, [i])[0]
+
+    def __iter__(self):
+        return iter(self._cubes())
+
+    def __eq__(self, other):
+        return self._cubes() == other
+
+
+class CubicalComplex:
+    """Faces of an admissible family, with touching faces subdivided so that only the finest copies
+    of overlapping same-dimension faces are kept.  ``rows`` maps each dimension k with faces to their
+    levels, corners and free-axis masks, in ``DyadicCube`` order; ``by_dim[k]`` decodes them."""
+
+    def __init__(self, family, rows):
+        self.family, self._rows = family, rows
 
     @property
     def ambient_dim(self):
         return self.family.ambient_dim
 
-    def all_cubes(self):
-        return [c for k in sorted(self.by_dim) for c in self.by_dim[k]]
+    def count(self, k):
+        return len(self._rows[k][0])
+
+    def _lists(self, k, rows=slice(None)):
+        """(levels, corners, axes) of the k-faces at ``rows`` as lists of Python ints."""
+        levels, corners, free = (a[rows] for a in self._rows[k])
+        return levels.tolist(), corners.tolist(), np.nonzero(free)[1].reshape(len(levels), k).tolist()
+
+    def cubes(self, k, rows=slice(None)):
+        """The k-faces at ``rows`` as DyadicCubes, decoded from their rows."""
+        n = self.ambient_dim
+        return [DyadicCube(lv, tuple(c), tuple(a), n) for lv, c, a in zip(*self._lists(k, rows))]
+
+    def centers(self, k, rows=slice(None)):
+        """The centres of the k-faces at ``rows``, in the floats of ``DyadicCube.center``."""
+        levels, corners, free = (a[rows] for a in self._rows[k])
+        return (2 * corners + free) / 2.0 * 2.0 ** -levels[:, None]
+
+    @property
+    def index(self):
+        """A new CubeIndex over every face, dimensions ascending (not kept: its touching pairs are large)."""
+        rows = [self._rows[k] for k in sorted(self._rows)]
+        return CubeIndex(*map(np.concatenate, zip(*rows))) if rows else self.family.index  # no faces: an empty family
+
+    @property
+    def by_dim(self):
+        return {k: _CellList(self, k) for k in sorted(self._rows)}
 
     def skeleton(self, k):
-        return list(self.by_dim.get(k, []))
+        return _CellList(self, k) if k in self._rows else []
 
     def __len__(self):
-        return sum(len(v) for v in self.by_dim.values())
+        return sum(map(self.count, self._rows))
 
     def to_json(self):
-        payload = {
-            str(k): [c.to_dict() for c in v] for k, v in sorted(self.by_dim.items())
-        }
+        n = int(self.ambient_dim)
+        payload = {str(k): [{"level": lv, "corner": c, "axes": a, "n": n} for lv, c, a in zip(*self._lists(k))]
+                   for k in sorted(self._rows)}
         return json.dumps({"ambient_dim": self.ambient_dim, "cubes": payload}, sort_keys=True)
 
     def skeleton_to_obj(self, k):
@@ -513,7 +568,7 @@ def cubical_complex(family: CubeFamily) -> CubicalComplex:
     family with half its side overlaps its relative interior (admissibility
     bounds the side ratio of touching cubes by 2, so only one finer level
     can compete).  The faces are integer (level, corner, fixed axes) rows, 3^n
-    per cube of the family's index; only the result becomes cube objects.
+    per cube of the family's index, and the complex keeps the rows it keeps.
     """
     violations = family.admissibility_violations()
     if violations:
@@ -526,7 +581,7 @@ def cubical_complex(family: CubeFamily) -> CubicalComplex:
     corner = ((idx.lo >> (idx.finest - idx.levels)[:, None])[:, None] + (pattern == 1)).reshape(len(level), n)
     fixed = np.tile(pattern != 2, (len(idx.levels), 1))
     dim = n - fixed.sum(axis=1)
-    by_dim = {}
+    faces = {}
     for k in np.unique(dim).tolist():
         lv, cn, fx = level[dim == k], corner[dim == k], fixed[dim == k]
         if k == 0:  # a vertex at its coarsest level, not below -30 (common refinements stay in int64)
@@ -544,8 +599,9 @@ def cubical_complex(family: CubeFamily) -> CubicalComplex:
             raise ValueError(f"the {k}-faces of one level spread too far for int64 keys")
         codes, first = np.unique(_grid.cell_codes(rows, 0 * radix, radix), return_index=True)
         rows, lv, cn = rows[first], lv[first], cn[first]
-        axes = np.nonzero(rows[:, 1 + n:] == 0)[1].reshape(len(rows), k)
+        free, keep = rows[:, 1 + n:] == 0, slice(None)
         if k:
+            axes = np.nonzero(free)[1].reshape(len(rows), k)
             # a finer face overlapping the relative interior of f shares f's
             # affine span, so it is one of f's 2^k children at the next level
             steps = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.int64) @ np.eye(n, dtype=int)[axes]
@@ -555,6 +611,5 @@ def cubical_complex(family: CubeFamily) -> CubicalComplex:
             kids[..., 1:1 + n] = (2 * cn - least[up])[:, None] + steps
             inside = (levels[up] == lv + 1)[:, None] & np.all((kids >= 0) & (kids < radix), axis=2)
             keep = ~(inside & np.isin(_grid.cell_codes(kids, 0 * radix, radix), codes)).any(axis=1)
-            lv, cn, axes = lv[keep], cn[keep], axes[keep]
-        by_dim[k] = [DyadicCube(*c, n) for c in zip(lv.tolist(), map(tuple, cn.tolist()), map(tuple, axes.tolist()))]
-    return CubicalComplex(family, by_dim)
+        faces[k] = lv[keep], cn[keep], free[keep]
+    return CubicalComplex(family, faces)

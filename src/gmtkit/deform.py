@@ -25,7 +25,7 @@ from .cubemaps import (
     punctured_cube_projection,
     unrect_perturbation,
 )
-from .cubical import BoxUnion, CubeFamily, CubeIndex, CubicalComplex, DyadicCube, cubical_complex, whitney_family
+from .cubical import BoxUnion, CubeFamily, CubicalComplex, DyadicCube, cubical_complex, whitney_family
 from .varifold import DiscreteVarifold, _checked_floats, covering_measure, pushforward, sample_spacing
 
 logger = logging.getLogger("gmtkit.deform")
@@ -436,8 +436,7 @@ class DeformationPlan:
 
 def _max_touching(complex_: CubicalComplex):
     """delta_touching: the most cells of the complex touching one cell, itself included."""
-    cells = complex_.all_cubes()
-    return int(np.bincount(CubeIndex(cells).touching.ravel(), minlength=len(cells)).max()) + 1
+    return int(np.bincount(complex_.index.touching.ravel(), minlength=len(complex_)).max()) + 1
 
 
 def _add_stage(plan, cube, kind, current, eps_stage, **search):
@@ -498,11 +497,10 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
     delta_touch = _max_touching(complex_)
     eps_stage = eps / delta_touch
     rng = np.random.default_rng(seed)
-    candidates = [c for k in range(complex_.ambient_dim, m, -1) for c in complex_.skeleton(k)]
-    inside = family.interior_contains(np.array([c.center() for c in candidates]))
-    # order: dimension descending, then side descending within a dimension (each
-    # skeleton is in DyadicCube order)
-    stage_cubes = [c for c, t in zip(candidates, inside) if t]
+    # the k-cells (k >= m) with centres in the family's interior, side descending; stages take k descending
+    interior = {k: complex_.cubes(k, np.flatnonzero(family.interior_contains(complex_.centers(k))))
+                for k in range(m, complex_.ambient_dim + 1)}
+    stage_cubes = [c for k in range(complex_.ambient_dim, m, -1) for c in interior[k]]
     plan = DeformationPlan(m=m, eps=eps, seed=seed)
     plan.constants["delta_touching"] = delta_touch
     plan.constants["eps_stage"] = eps_stage
@@ -521,11 +519,7 @@ def deform_onto_skeleton(family: CubeFamily, complex_: CubicalComplex, sets, m, 
     if sets and all(v.dim == m for v in sets):
         support = np.vstack([v.points for v in current])
         cleanup = []
-        m_cubes = complex_.skeleton(m)
-        m_touch = family.interior_contains(np.array([c.center() for c in m_cubes])) if m_cubes else []
-        for cube, touch in zip(m_cubes, m_touch):
-            if not touch:
-                continue
+        for cube in interior[m]:
             u, z, _, _ = _inplane_coordinates(cube, support)
             inside = np.all(np.abs(u) < 1.0 - 1e-9, axis=1)
             if z.shape[1]:

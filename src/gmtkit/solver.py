@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _grid
-from .cubical import DyadicCube
+from .cubical import DyadicCube, _CellList
 from .grassmann import Plane, _mgs
 from .varifold import SPACING_PROBES, DiscreteVarifold, unit_ball_volume
 
@@ -102,34 +102,6 @@ MAX_GRID_CELLS = 1 << 22  # cells of all dimensions a GridComplex may have
 def _axes_ranks(n, k):
     """axes -> rank in ``itertools.combinations(range(n), k)``."""
     return {axes: r for r, axes in enumerate(itertools.combinations(range(n), k))}
-
-
-class _CellList(collections.abc.Sequence):
-    """The k-cells of a grid as DyadicCubes, in key order: ``[i]`` decodes
-    one row; the first full pass (iteration or ``==``) decodes every row
-    once and keeps the list."""
-
-    def __init__(self, cx, k):
-        self._cx, self._k, self._kept = cx, k, None
-
-    def _cubes(self):
-        if self._kept is None:
-            self._kept = self._cx.cubes(self._k)
-        return self._kept
-
-    def __len__(self):
-        return self._cx.count(self._k)
-
-    def __getitem__(self, i):
-        if self._kept is not None:
-            return self._kept[i]
-        return self._cx.cubes(self._k, i) if isinstance(i, slice) else self._cx.cubes(self._k, [i])[0]
-
-    def __iter__(self):
-        return iter(self._cubes())
-
-    def __eq__(self, other):
-        return self._cubes() == other
 
 
 class _CellIndex(collections.abc.Mapping):

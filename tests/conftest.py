@@ -7,11 +7,12 @@ from gmtkit.cubemaps import SmoothMap
 
 
 def pytest_terminal_summary(terminalreporter):
-    """The line count of ``src/gmtkit/*.py`` (as ``wc -l`` counts), the size
-    the roadmap tracks, at the end of every run."""
-    src = Path(__file__).resolve().parent.parent / "src" / "gmtkit"
-    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
-    terminalreporter.write_line(f"src/gmtkit/*.py: {lines} lines")
+    """The line counts of ``src/gmtkit/*.py`` and ``tests/*.py`` (as ``wc -l``
+    counts), the sizes the roadmap tracks, at the end of every run."""
+    root = Path(__file__).resolve().parent.parent
+    for pattern in ("src/gmtkit/*.py", "tests/*.py"):
+        lines = sum(path.read_bytes().count(b"\n") for path in root.glob(pattern))
+        terminalreporter.write_line(f"{pattern}: {lines} lines")
 
 
 @pytest.fixture

@@ -80,8 +80,10 @@ before the array forms (for boxes, the recursive cover test of open boxes,
 in which a face two boxes share is complement, and the bisection over face
 offsets), and ``cubical_complex_oracle`` the set of
 canonical ``DyadicCube.faces`` objects with a set lookup of each face's
-children; ``children``, ``parent`` and ``canonical`` are the cube methods
-they called.  ``varifold_to_csv_oracle`` and ``varifold_from_csv_oracle``
+children, kept as lists of cube objects in a ``ComplexOracle`` that writes
+JSON from ``DyadicCube.to_dict``, as the complex did before its rows;
+``children``, ``parent`` and ``canonical`` are the cube methods they
+called.  ``varifold_to_csv_oracle`` and ``varifold_from_csv_oracle``
 are the set-file writer and reader before the table writer and the
 whole-array reader: one Python step per row, and no rule on what is read.
 ``minimize_oracle`` is the annealer before its per-move tables: each step
@@ -105,6 +107,7 @@ spanned by given vectors.
 
 import bisect
 import itertools
+import json
 import logging
 import math
 
@@ -129,7 +132,7 @@ from gmtkit.deform import (
     center_bound_constant,
 )
 from gmtkit.grassmann import Plane, projector_distance
-from gmtkit.cubical import BallSet, BoxUnion, CubeFamily, CubicalComplex, DyadicCube, PuncturedPlane
+from gmtkit.cubical import BallSet, BoxUnion, CubeFamily, DyadicCube, PuncturedPlane, cubes_to_obj
 from gmtkit.solver import (
     AUDIT_BLOCK,
     Chain2,
@@ -1306,7 +1309,7 @@ def neighbors_oracle(family, cube, rings):
 
 def max_touching_oracle(complex_):
     """``deform._max_touching``: each cell's touching count by a row scan."""
-    cubes = complex_.all_cubes()
+    cubes = [c for k in sorted(complex_.by_dim) for c in complex_.by_dim[k]]
     finest = max(c.level for c in cubes)
     lo = np.array([scaled_bounds(c, finest)[0] for c in cubes])
     hi = np.array([scaled_bounds(c, finest)[1] for c in cubes])
@@ -1469,6 +1472,21 @@ def whitney_family_oracle(open_set, bbox, min_level, top_level=None):
                                      "top_level": top_level, "min_level": min_level})
 
 
+class ComplexOracle:
+    """``cubical.CubicalComplex`` on lists of cube objects: ``by_dim`` maps each
+    dimension to its faces, JSON comes from ``DyadicCube.to_dict``."""
+
+    def __init__(self, family, by_dim):
+        self.family, self.by_dim = family, by_dim
+
+    def to_json(self):
+        payload = {str(k): [c.to_dict() for c in v] for k, v in sorted(self.by_dim.items())}
+        return json.dumps({"ambient_dim": self.family.ambient_dim, "cubes": payload}, sort_keys=True)
+
+    def skeleton_to_obj(self, k):
+        return cubes_to_obj(self.by_dim.get(k, []), k)
+
+
 def cubical_complex_oracle(family):
     """``cubical.cubical_complex`` from ``DyadicCube.faces`` objects, a set of
     canonical faces and a set lookup of each face's children."""
@@ -1486,7 +1504,7 @@ def cubical_complex_oracle(family):
         k: sorted(faces if k == 0 else {f for f in faces if not any(c in faces for c in children(f))})
         for k, faces in faces_by_dim.items()
     }
-    return CubicalComplex(family, by_dim)
+    return ComplexOracle(family, by_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -731,6 +731,8 @@ IN_PROCESS_BAD_INPUTS = {
     "deform_grid_cells_negative": ({"GMTKIT_GRID_CELLS": "[-1, 2, 2]"}, ["deform", "disc.csv"]),
     "deform_grid_cells_of_wrong_length": ({"GMTKIT_GRID_CELLS": "[2, 2]"}, ["deform", "disc.csv"]),
     "deform_grid_origin_of_wrong_length": ({"GMTKIT_GRID_ORIGIN": "[0]"}, ["deform", "disc.csv"]),
+    "deform_coverage_threshold_above_1": ({"GMTKIT_COVERAGE_THRESHOLD": "1.5"}, ["deform", "disc.csv"]),
+    "deform_coverage_threshold_negative": ({"GMTKIT_COVERAGE_THRESHOLD": "-0.1"}, ["deform", "disc.csv"]),
     "minimize_steps_negative": ({}, ["minimize", "steps_negative.json"]),
     "minimize_level_minus_1100": ({}, ["minimize", "level_-1100.json"]),
     "audit_level_minus_1100": ({"GMTKIT_LEVEL": "-1100"}, ["audit", "chain_level_-1100.json"]),

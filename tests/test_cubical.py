@@ -16,6 +16,7 @@ from gmtkit.cubical import (
     whitney_family,
 )
 from gmtkit.deform import _max_touching
+from gmtkit.solver import GridComplex
 from oracles import (
     _cube_dist_inf,
     admissibility_violations_oracle,
@@ -177,7 +178,7 @@ class TestCubicalComplex:
                 continue
             cx = cubical_complex(fam)
             assert all(faces == sorted(faces) for faces in cx.by_dim.values())
-            assert set(cx.all_cubes()) == brute_force_complex(fam)
+            assert {c for faces in cx.by_dim.values() for c in faces} == brute_force_complex(fam)
 
     @pytest.mark.parametrize(
         "open_set, bbox, min_level, top_level",
@@ -192,7 +193,7 @@ class TestCubicalComplex:
                                                             top_level):
         fam = whitney_family(open_set, bbox, min_level=min_level, top_level=top_level)
         assert len({c.level for c in fam}) > 1  # finer faces really compete
-        assert set(cubical_complex(fam).all_cubes()) == brute_force_complex(fam)
+        assert {c for faces in cubical_complex(fam).by_dim.values() for c in faces} == brute_force_complex(fam)
 
     def test_rejects_non_admissible_with_pair(self):
         a = DyadicCube(0, (0, 0), (0, 1), 2)
@@ -279,7 +280,7 @@ def neighbors(family, cube, rings):
         raise ValueError("cube is not a member of the family")
     i, j = family.index.touching.T
     near = np.zeros(len(family), dtype=bool)
-    near[family.index.position[cube]] = True
+    near[family.position[cube]] = True
     for _ in range(rings):
         ring = near.copy()
         ring[j[near[i]]] = True
@@ -384,8 +385,8 @@ class TestCubeIndexOracle:
     def test_touching_pairs(self, built):
         family, cx = built
         assert family.index.touching.tolist() == [list(p) for p in touching_pairs_oracle(family.cubes)]
-        cells = cx.all_cubes()
-        assert CubeIndex(cells).touching.tolist() == [list(p) for p in touching_pairs_oracle(cells)]
+        cells = [c for k in sorted(cx.by_dim) for c in cx.by_dim[k]]
+        assert cx.index.touching.tolist() == [list(p) for p in touching_pairs_oracle(cells)]
 
     def test_violations(self, family):
         assert family.admissibility_violations() == admissibility_violations_oracle(family)
@@ -468,13 +469,37 @@ class TestCubeRowsOracle:
         assert cx.to_json() == cx_expected.to_json()
         for k in range(len(args[1][0]) + 1):
             assert cx.skeleton_to_obj(k) == cx_expected.skeleton_to_obj(k)
+        for k, faces in cx_expected.by_dim.items():
+            assert cx.centers(k).tobytes() == np.array([c.center() for c in faces]).tobytes()
+            rows = np.arange(1, len(faces), 3)
+            assert cx.cubes(k, rows) == [faces[i] for i in rows]
+
+    @pytest.mark.parametrize("case", sorted(set(CUBE_ROW_FAMILIES) - {"empty"}))
+    def test_delta_touching(self, case):
+        cx = cubical_complex(whitney_family(*CUBE_ROW_FAMILIES[case]))
+        # the row scan takes seconds on far-puncture's 13 392 cells; 29 is its value there
+        assert _max_touching(cx) == (29 if case == "far-puncture" else max_touching_oracle(cx))
+
+    def test_complex_and_delta_touching_build_no_cubes(self, monkeypatch):
+        fam = whitney_family(*CUBE_ROW_FAMILIES["ball-3d"])
+        built, check = [], DyadicCube.__post_init__
+
+        def counting(cube):
+            built.append(cube)
+            check(cube)
+
+        monkeypatch.setattr(DyadicCube, "__post_init__", counting)
+        _max_touching(cubical_complex(fam))
+        assert len(built) == 0
 
     def test_grid_and_cube_soup_complexes(self, rng):
         grid = CubeFamily([DyadicCube(0, c, (0, 1, 2), 3) for c in np.ndindex(4, 4, 4)])
         assert all(faces == sorted(faces) for faces in cubical_complex(grid).by_dim.values())
+        assert type(cubical_complex(grid).skeleton(1)) is type(GridComplex(3, (4, 4, 4), 0).cells[1])
         assert cubical_complex(grid).to_json() == cubical_complex_oracle(grid).to_json()
         empty = CubeFamily([])
         assert cubical_complex(empty).to_json() == cubical_complex_oracle(empty).to_json()
+        assert cubical_complex(empty).index.touching.shape == (0, 2)
         with pytest.raises(ValueError, match="size-ratio"):
             cubical_complex(CubeFamily([DyadicCube(0, (0, 0), (0, 1), 2), DyadicCube(2, (4, 0), (0, 1), 2)]))
 
@@ -671,15 +696,15 @@ class TestCubeBounds:
 
     def test_cube_index_on_each_side(self):
         for corner in (2**53 - 2, -(2**53) + 1):
-            idx = CubeIndex([DyadicCube(0, (corner,), (0,), 1)])
+            idx = CubeIndex([0], [[corner]], [[True]])
             assert (idx.lo[0, 0], idx.hi[0, 0]) == (corner, corner + 1)
         for corner in (2**53 - 1, -(2**53)):
             with pytest.raises(ValueError, match="2\\^53"):
-                CubeIndex([DyadicCube(0, (corner,), (0,), 1)])
-        assert CubeIndex([DyadicCube(0, (1,), (0,), 1), DyadicCube(51, (0,), (0,), 1)]).hi.max() == 2**52
+                CubeIndex([0], [[corner]], [[True]])
+        assert CubeIndex([0, 51], [[1], [0]], [[True], [True]]).hi.max() == 2**52
         for finest in (52, 2000):
             with pytest.raises(ValueError, match="2\\^53"):
-                CubeIndex([DyadicCube(0, (1,), (0,), 1), DyadicCube(finest, (0,), (0,), 1)])
+                CubeIndex([0, finest], [[1], [0]], [[True], [True]])
 
     def test_complex_face_keys_on_each_side(self):
         for far, fits in ((2**20, True), (2**40, False)):
