@@ -1,7 +1,8 @@
 """Every grid decision of gmtkit: integer cell codes, the fixed-radius
 neighbour search (Bentley, Stanat and Williams, IPL 6, 1977) with its
 all-pairs fallback, the one blocked nearest-sample minimum, the one median
-spacing, distinct-cell counts and single-linkage cell clusters.
+spacing, the bitwise-distinct rows of an array, distinct-cell counts and
+single-linkage cell clusters.
 No routine takes a Python step per cell or per query."""
 
 from __future__ import annotations
@@ -243,6 +244,37 @@ def reach_cell(reach):
     searches, and a query that it clips (more than two cells outside the
     samples' range) lies more than one cell from every sample."""
     return reach / 0.625
+
+
+def _row_fingerprint(words):
+    """A 64-bit key per row of the uint64 array ``words`` (N, W): the wrapping
+    dot product with fixed odd constants of the words with their high halves
+    folded onto their low ones.  A product carries bits only upward, so
+    without the fold rows differing only in sign bits, (a, -b) and (-a, b),
+    would share a key.  Equal rows get equal keys; unequal rows rarely
+    collide, and a collision only costs speed, because ``distinct_rows``
+    merges rows after an exact compare."""
+    odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    folded = words >> np.uint64(32)
+    folded ^= words
+    return folded @ odd
+
+
+def distinct_rows(words):
+    """(keep, inverse): one row index per group of bitwise-equal rows of the
+    uint64 array ``words`` (N, W), and each row's group, so that
+    ``words[keep][inverse]`` is ``words``.  Rows are sorted by
+    ``_row_fingerprint`` and adjacent equal rows merged after an exact word
+    compare, so +0.0 and -0.0 stay apart and a fingerprint collision cannot
+    merge unequal rows; ``len(keep) == N`` when every row is distinct."""
+    order = np.argsort(_row_fingerprint(words))
+    words = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(words[1:] != words[:-1], axis=1)
+    del words
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
 
 
 def dense_ranks(keys):

@@ -321,10 +321,23 @@ def cmd_rotate(args):
 # retract / project
 
 
+# Jacobian doubles (probes x n^2) that retract or project may ask for: each
+# such array is at most 32 MB, and either command holds a few of them at once
+MAX_PROBE_ENTRIES = 1 << 22
+
+
+def _check_probe_work(probes, n):
+    """InputError unless probes x n^2 Jacobian doubles stay within MAX_PROBE_ENTRIES."""
+    if probes * n * n > MAX_PROBE_ENTRIES:
+        raise InputError(f"probes x n^2 must be at most MAX_PROBE_ENTRIES = {MAX_PROBE_ENTRIES} Jacobian "
+                         f"entries, got {probes} x {n}^2")
+
+
 def cmd_retract(args):
     out = _out_dir(args)
     cfg = _config(args, INPUTS["retract"])
     n, eps = cfg["n"], cfg["eps"]
+    _check_probe_work(cfg["probes"], n)
     rng = np.random.default_rng(args.seed)
     l = retraction_with_collar(n, eps)
     probes = rng.uniform(-1.0 - 2 * eps, 1.0 + 2 * eps, (cfg["probes"], n))
@@ -369,6 +382,7 @@ def _body_from_config(cfg):
 def cmd_project(args):
     out = _out_dir(args)
     cfg = _config(args, INPUTS["project"])
+    _check_probe_work(cfg["probes"], len(cfg["semi_axes"]) if cfg["body"] == "ellipsoid" else cfg["n"])
     body = _body_from_config(cfg)
     n = body.n
     rng = np.random.default_rng(args.seed)

@@ -757,15 +757,6 @@ def _check_punctured(a, eps):
         raise ValueError("centre must lie in the open cube")
 
 
-def _row_fingerprint(words):
-    """A 64-bit key per row of the uint64 array ``words`` (N, W): the wrapping
-    dot product with fixed odd constants.  Equal rows get equal keys; unequal
-    rows rarely collide, and a collision only costs speed, because callers
-    merge rows after an exact compare."""
-    odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return words @ odd
-
-
 def _punctured_jacobian_rows(centres, x, eps):
     """Jacobians of punctured_cube_projection(centres[c], eps) at the points x,
     one per distinct recentred row.
@@ -777,9 +768,8 @@ def _punctured_jacobian_rows(centres, x, eps):
     products after it are row-wise, so they run once per group of rows whose
     recentred value and Jacobian are bitwise equal, with the float
     operations of the single-centre map: each entry equals that map's
-    Jacobian at x[s] bit for bit.  Rows are sorted by ``_row_fingerprint``
-    and adjacent equal rows merged after an exact word compare, so +0.0 and
-    -0.0 stay apart and a fingerprint collision cannot merge unequal rows.
+    Jacobian at x[s] bit for bit.  The groups are ``_grid.distinct_rows``
+    of the recentred values and Jacobians.
     """
     _check_punctured(centres, eps)
     if not (np.abs(x) <= 1.0).all():  # NaN fails too
@@ -788,15 +778,7 @@ def _punctured_jacobian_rows(centres, x, eps):
     l, q, _ = _punctured_factors(n, eps)
     cur, jac = _recenter(centres, _recentering_profiles(centres), x)
     cur, jac = cur.reshape(-1, n), jac.reshape(-1, n, n)
-    words = np.hstack([cur, jac.reshape(-1, n * n)]).view(np.uint64)
-    order = np.argsort(_row_fingerprint(words))
-    words = words[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(words[1:] != words[:-1], axis=1)
-    del words
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    keep = order[first]
+    keep, inverse = _grid.distinct_rows(np.hstack([cur, jac.reshape(-1, n * n)]).view(np.uint64))
     cur, jq = q.value_and_jacobian(cur[keep])
     jac = _grid.row_matmul(jq, jac[keep])
     del jq  # freed before l.jacobian allocates its own temporaries

@@ -170,18 +170,30 @@ class CubeIndex:
                 count = np.searchsorted(codes, keys, "right") - start
                 r = np.repeat(rows[ok], count)
                 c = members[_grid.ranges(start, count)]
-                meet = np.all((hi[r] >= self.lo[c]) & (self.hi[c] >= lo[r]), axis=1)
+                meet = np.ones(len(r), dtype=bool)
+                for d in range(lo.shape[1]):  # one column at a time: no (pairs, n) gathers
+                    meet &= (hi[r, d] >= self.lo[c, d]) & (self.hi[c, d] >= lo[r, d])
                 found.append((r[meet], c[meet]))
         return tuple(np.concatenate(a) for a in zip(*found))
+
+    def _touching_ends(self):
+        """(i, j): the two rows of each pair of cubes whose closed sets meet,
+        each pair once, unordered."""
+        i, j = self._meeting(self.lo, self.hi, self._bucket_level)
+        # a pair within one bucket level is found from both ends
+        keep = (self._bucket_level[j] < self._bucket_level[i]) | (i < j)
+        return i[keep], j[keep]
 
     @functools.cached_property
     def touching(self):
         """(P, 2) row pairs i < j of the cubes whose closed sets meet, pairs ascending."""
-        i, j = self._meeting(self.lo, self.hi, self._bucket_level)
-        # a pair within one bucket level is found from both ends
-        keep = (self._bucket_level[j] < self._bucket_level[i]) | (i < j)
-        pairs = np.sort(np.column_stack([i[keep], j[keep]]), axis=1)
+        pairs = np.sort(np.column_stack(self._touching_ends()), axis=1)
         return pairs[np.lexsort(pairs.T[::-1])]
+
+    def touching_counts(self):
+        """The number of ``touching`` pairs holding each cube, counted from
+        the pairs' ends without sorting or keeping them."""
+        return sum(np.bincount(end, minlength=len(self.levels)) for end in self._touching_ends())
 
     def locate(self, points):
         """(row, cube) index pairs, unordered, of the closed cubes holding each

@@ -44,7 +44,7 @@ __all__ = [
     "center_bound_constant",
 ]
 
-# rows (candidates x samples) select_center evaluates together: each
+# rows (candidates x distinct samples) select_center evaluates together: each
 # (rows, k, k) temporary stays near 0.6 MB and the rows' (rows, k + k^2)
 # uint64 words near 0.8 MB.  Traced with tracemalloc, a chunk of 12 x 680
 # rows peaks at 4.2 MB at k = 3 and 2.3 MB at k = 2 when no two recentred
@@ -117,17 +117,22 @@ def _scaled_eps(cube: DyadicCube, eps):
 
 
 def _candidate_singular_values(cand_r, u, eps):
-    """Per chunk of about CANDIDATE_ROWS rows (candidates x points), the
-    (c, S, k) singular values of its c candidate centres' punctured projection
-    Jacobians at the points u; the chunks' c add up to len(cand_r), and each
-    chunk's SVDs run once per distinct recentred row."""
-    step = max(1, CANDIDATE_ROWS // len(u))
+    """Per chunk of about CANDIDATE_ROWS rows (candidates x distinct points),
+    the (c, S, k) singular values of its c candidate centres' punctured
+    projection Jacobians at the points u; the chunks' c add up to
+    len(cand_r).  Haar copies of a sample share its position, so the chain
+    runs once per bitwise-distinct row of u, and each chunk's SVDs once per
+    distinct recentred row; the values are gathered back to every row of u."""
+    keep, inverse = _grid.distinct_rows(u.view(np.uint64))
+    points = u if len(keep) == len(u) else u[keep]
+    step = max(1, CANDIDATE_ROWS // len(points))
     distinct = 0
     for c in range(0, len(cand_r), step):
-        jac, inverse = _punctured_jacobian_rows(cand_r[c:c + step], u, eps)
+        jac, rows = _punctured_jacobian_rows(cand_r[c:c + step], points, eps)
         distinct += len(jac)
-        yield np.linalg.svd(jac, compute_uv=False)[inverse]
-    logger.debug("select_center: %d candidate rows, %d distinct", len(cand_r) * len(u), distinct)
+        yield np.linalg.svd(jac, compute_uv=False)[rows if points is u else rows[:, inverse]]
+    logger.debug("select_center: %d sample positions, %d distinct; %d candidate rows, %d distinct",
+                 len(u), len(points), len(cand_r) * len(points), distinct)
 
 
 def select_center(cube: DyadicCube, measures, eps, *, rng=None, budget=64, slack=0.5):
@@ -436,7 +441,7 @@ class DeformationPlan:
 
 def _max_touching(complex_: CubicalComplex):
     """delta_touching: the most cells of the complex touching one cell, itself included."""
-    return int(np.bincount(complex_.index.touching.ravel(), minlength=len(complex_)).max()) + 1
+    return int(complex_.index.touching_counts().max()) + 1
 
 
 def _add_stage(plan, cube, kind, current, eps_stage, **search):

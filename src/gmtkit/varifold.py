@@ -542,8 +542,10 @@ def pushforward(phi: SmoothMap, v: DiscreteVarifold, haar_draws=16, seed=0):
     Isotropic samples are routed through ``haar_draws`` (at least 1) Haar
     draws: copy k of them, at weight 1 / haar_draws, takes the k-th drawn
     plane.  The tangent samples and these copies move in one evaluation of
-    phi; samples whose image plane degenerates keep zero weight and are
-    dropped.
+    phi at their bitwise-distinct positions: the copies of an isotropic
+    sample, here or from an earlier transport, share one, and phi's value
+    and Jacobian there are gathered back to every row.  Samples whose image
+    plane degenerates keep zero weight and are dropped.
 
     Samples outside ``phi.support`` (where phi is the exact identity) pass
     through untouched: points, frames, weights and the isotropic flag.  The
@@ -563,7 +565,12 @@ def pushforward(phi: SmoothMap, v: DiscreteVarifold, haar_draws=16, seed=0):
         points = np.vstack([points, np.tile(v.points[iso], (haar_draws, 1))])
         frames = np.concatenate([frames, np.repeat(haar, int(iso.sum()), axis=0)])
         weights = np.concatenate([weights, np.tile(v.weights[iso] / haar_draws, haar_draws)])
-    img, jacs = phi.value_and_jacobian(points)
+    keep, inverse = _grid.distinct_rows(points.view(np.uint64))
+    repeats = len(keep) < len(points)
+    img, jacs = phi.value_and_jacobian(points[keep] if repeats else points)
+    if repeats:  # Haar copies share positions, each evaluated once
+        img, jacs = img[inverse], jacs[inverse]
+    del keep, inverse
     area, img_frames = _image_planes(_grid.row_matmul(jacs, frames))
     ok = area > 1e-12
     moved = DiscreteVarifold(img[ok], img_frames[ok], weights[ok] * area[ok])

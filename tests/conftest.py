@@ -20,6 +20,14 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def same_bits(v, w):
+    """Whether two varifolds hold the same points, frames, weights and
+    isotropic flags, byte for byte, with the same dtypes and shapes."""
+    return all(getattr(v, a).dtype == getattr(w, a).dtype and getattr(v, a).shape == getattr(w, a).shape
+               and getattr(v, a).tobytes() == getattr(w, a).tobytes()
+               for a in ("points", "frames", "weights", "isotropic"))
+
+
 def norm_map(n=3):
     """rho(x) = |x| as a SmoothMap to R."""
 

@@ -122,6 +122,7 @@ from gmtkit.cubemaps import (
     SmoothMap,
     _check_punctured,
     _punctured_factors,
+    _punctured_jacobian_rows,
     _recentering_profiles,
     _recentering_rho,
 )
@@ -499,6 +500,17 @@ def candidate_singular_values_oracle(cand_r, u, eps):
     for c in range(0, len(cand_r), step):
         yield np.linalg.svd(punctured_jacobians_oracle(cand_r[c:c + step], u, eps),
                             compute_uv=False)
+
+
+def candidate_singular_values_rows_oracle(cand_r, u, eps):
+    """deform._candidate_singular_values before the position dedup: chunks
+    of about deform.CANDIDATE_ROWS rows counted over every row of u, Haar
+    copies included, each recentred by _punctured_jacobian_rows, which
+    merges equal recentred rows within the chunk."""
+    step = max(1, deform.CANDIDATE_ROWS // len(u))
+    for c in range(0, len(cand_r), step):
+        jac, inverse = _punctured_jacobian_rows(cand_r[c:c + step], u, eps)
+        yield np.linalg.svd(jac, compute_uv=False)[inverse]
 
 
 def select_center_oracle(cube, measures, eps, *, rng=None, budget=64, slack=0.5):

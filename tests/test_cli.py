@@ -274,7 +274,8 @@ class TestDeform:
         assert capsys.readouterr().err == ""
         assert run_cli(["--out", tmp_path / "b", "--seed", "5", "--log-level", "DEBUG", "deform", set_csv]) == 0
         err = capsys.readouterr().err
-        assert re.search(r"^DEBUG gmtkit\.deform: select_center: \d+ candidate rows, \d+ distinct$", err, re.M), err
+        assert re.search(r"^DEBUG gmtkit\.deform: select_center: \d+ sample positions, \d+ distinct; "
+                         r"\d+ candidate rows, \d+ distinct$", err, re.M), err
         assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
         assert not logging.getLogger("gmtkit").handlers  # the handler goes with the command
 
@@ -738,6 +739,10 @@ IN_PROCESS_BAD_INPUTS = {
     "audit_level_minus_1100": ({"GMTKIT_LEVEL": "-1100"}, ["audit", "chain_level_-1100.json"]),
     # the audit measures area and takes no integrand
     "audit_integrand_key_unknown": ({}, ["--config", "audit_integrand.json", "audit", "chain.json"]),
+    # probes x n^2 one past MAX_PROBE_ENTRIES = 2^22, refused before any probe is drawn
+    "retract_probes_over_cap": ({"GMTKIT_PROBES": str(2**20 + 1)}, ["retract"]),
+    "project_ellipsoid_probes_over_cap": ({"GMTKIT_BODY": '"ellipsoid"', "GMTKIT_SEMI_AXES": "[2, 1, 1]",
+                                           "GMTKIT_PROBES": str(2**22 // 9 + 1)}, ["project"]),
 }
 
 
@@ -786,6 +791,13 @@ class TestBadInput:
         assert rc == 2, err
         assert len(err.splitlines()) == 1 and err.startswith("input error: ")
         assert not caught, [str(w.message) for w in caught]
+
+    def test_probe_cap_counts_jacobian_entries(self):
+        cli._check_probe_work(cli.MAX_PROBE_ENTRIES // 9, 3)
+        cli._check_probe_work(1, 2048)
+        for probes, n in [(cli.MAX_PROBE_ENTRIES // 9 + 1, 3), (1, 2049), (2**53, 2**53)]:
+            with pytest.raises(cli.InputError, match="MAX_PROBE_ENTRIES"):
+                cli._check_probe_work(probes, n)
 
     def test_audit_refuses_an_integrand(self, tmp_path, monkeypatch, capsys):
         _bad_input_files(tmp_path)

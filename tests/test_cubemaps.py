@@ -1255,8 +1255,8 @@ class TestPuncturedRowDedup:
     @pytest.mark.parametrize("sign_blind", [False, True])
     def test_signed_zeros_stay_apart(self, sign_blind, monkeypatch):
         if sign_blind:  # rows differing only in signs share a key and sort together
-            keys = cubemaps._row_fingerprint
-            monkeypatch.setattr(cubemaps, "_row_fingerprint",
+            keys = _grid._row_fingerprint
+            monkeypatch.setattr(_grid, "_row_fingerprint",
                                 lambda words: keys(words & np.uint64(2**63 - 1)))
         # coordinate 1 is never recentred, so the sign of its zero survives
         centres = np.array([[0.2, 0.0], [-0.3, 0.0], [0.2, -0.0]])
@@ -1266,7 +1266,7 @@ class TestPuncturedRowDedup:
         assert np.all(inverse[:, 0] != inverse[:, 1]) and np.all(inverse[:, 2] != inverse[:, 3])
 
     def test_colliding_fingerprints_never_merge_unequal_rows(self, monkeypatch, rng):
-        monkeypatch.setattr(cubemaps, "_row_fingerprint",
+        monkeypatch.setattr(_grid, "_row_fingerprint",
                             lambda words: np.zeros(len(words), dtype=np.uint64))
         centres = rng.uniform(-0.5, 0.5, (5, 2))
         centres[0, 1] = 0.0

@@ -397,6 +397,11 @@ class TestCubeIndexOracle:
     def test_delta_touching(self, built):
         assert _max_touching(built[1]) == max_touching_oracle(built[1])
 
+    def test_touching_counts(self, built):
+        for idx in (built[0].index, built[1].index):
+            assert np.array_equal(idx.touching_counts(),
+                                  np.bincount(idx.touching.ravel(), minlength=len(idx.levels)))
+
     def test_point_location(self, family, rng):
         pts = _probe_points(family, rng)
         assert np.array_equal(family.contains_point(pts), contains_point_oracle(family, pts))

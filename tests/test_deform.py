@@ -1,11 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import skeleton_distance
+from conftest import same_bits, skeleton_distance
 from gmtkit import deform
-from gmtkit.cubemaps import Box, SmoothMap, _punctured_jacobian_rows
+from gmtkit.cubemaps import Box, SmoothMap, _punctured_jacobian_rows, punctured_cube_projection
 from gmtkit.cubical import CubeFamily, DyadicCube, cubical_complex
 from gmtkit.deform import (
     CenterSearchError,
@@ -20,7 +21,8 @@ from gmtkit.deform import (
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import four_corner_cantor, sample_disc, sample_segment
 from gmtkit.varifold import DiscreteVarifold, covering_measure, pushforward
-from oracles import candidate_singular_values_oracle, select_center_oracle
+from oracles import (candidate_singular_values_oracle, candidate_singular_values_rows_oracle, pushforward_oracle,
+                     select_center_oracle)
 
 H = Plane.axis(3, (0, 1))
 
@@ -266,8 +268,144 @@ class TestCandidateRowDedup:
         samples = sum(np.count_nonzero(deform._restrict_near_cube(v, SQUARE2, 0.1)) for v in measures)
         rows, distinct = np.sum(chunks, axis=0)
         assert info["branch"] == "averaged" and rows == 64 * samples
-        assert lines == [f"select_center: {rows} candidate rows, {distinct} distinct"]
+        assert lines == [f"select_center: {samples} sample positions, {samples} distinct; "
+                         f"{rows} candidate rows, {distinct} distinct"]
         assert distinct < rows / 2
+
+
+def _haar_copies(v):
+    """v with each isotropic sample turned into its 16 Haar copies at its own
+    position, as the purge's first transport leaves the unrectifiable part."""
+    return pushforward(SmoothMap.identity(v.ambient_dim), v)
+
+
+def _rows_path(patch):
+    """Run the centre search and the stage transport on every row of a set,
+    Haar copies included, as before the position dedup."""
+    patch.setattr(deform, "_candidate_singular_values", candidate_singular_values_rows_oracle)
+    patch.setattr(deform, "pushforward", pushforward_oracle)
+
+
+def _selections(plan):
+    return [stage.map.meta["selection"] for stage in plan.stages]
+
+
+class TestPositionDedup:
+    """select_center and the stage transport evaluate each bitwise-distinct
+    sample position once: the same choices, plans and sets as the path that
+    evaluates every row."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 3000])
+    def test_select_center_on_haar_copies(self, rows, monkeypatch):
+        if rows is not None:  # one candidate per chunk, or a few with a shorter last chunk
+            monkeypatch.setattr(deform, "CANDIDATE_ROWS", rows)
+        seg, cantor = _segment_and_cantor()
+        measures = [seg, _haar_copies(cantor)]
+        a, info = select_center(SQUARE2, measures, 0.1, rng=np.random.default_rng(12))
+        with monkeypatch.context() as patch:
+            _rows_path(patch)
+            a_ref, info_ref = select_center(SQUARE2, measures, 0.1, rng=np.random.default_rng(12))
+        assert a.tobytes() == a_ref.tobytes()
+        assert info == info_ref and info["branch"] == "averaged"
+
+    def test_debug_line_counts_positions(self, caplog):
+        seg, cantor = _segment_and_cantor()
+        measures = [seg, _haar_copies(cantor)]
+        with caplog.at_level("DEBUG", logger="gmtkit.deform"):
+            select_center(SQUARE2, measures, 0.1, rng=np.random.default_rng(12))
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "gmtkit.deform"]
+        u = np.vstack([deform._inplane_coordinates(SQUARE2, v.points[deform._restrict_near_cube(v, SQUARE2, 0.1)])[0]
+                       for v in measures])
+        distinct = len({row.tobytes() for row in u})
+        got = re.fullmatch(r"select_center: (\d+) sample positions, (\d+) distinct; "
+                           r"(\d+) candidate rows, (\d+) distinct", line)
+        assert got, line
+        assert [int(got[1]), int(got[2]), int(got[3])] == [len(u), distinct, 64 * distinct]
+        assert int(got[4]) <= 64 * distinct and 8 * distinct < len(u)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_purge_matches_rows_path(self, seed, monkeypatch):
+        # the purge_cantor benchmark's purge
+        cpts, cw = four_corner_cantor(5, angle=0.004)
+        s_u = DiscreteVarifold.isotropic_set(cpts, cw, 1)
+        seg_pts, seg_w = sample_segment([0.1, -0.25], [1.1, -0.25], 512)
+        s_r = DiscreteVarifold.flat(seg_pts, Plane.axis(2, (0,)), seg_w)
+        args, kw = (s_r, s_u, ([-1.0, -1.0], [2.0, 2.0]), 0.2), {"min_level": 3, "cluster_gap": 0.2, "seed": seed}
+        g, report = purge_unrectifiable(*args, **kw)
+        with monkeypatch.context() as patch:
+            _rows_path(patch)
+            g_ref, report_ref = purge_unrectifiable(*args, **kw)
+        plan, plan_ref = report["plan"], report_ref["plan"]
+        assert plan.to_json() == plan_ref.to_json()
+        assert _selections(plan) == _selections(plan_ref)
+        assert repr(report["rho"]) == repr(report_ref["rho"])
+        for v in (s_r, s_u):
+            assert g.value(v.points).tobytes() == g_ref.value(v.points).tobytes()
+            assert same_bits(pushforward(g, v), pushforward_oracle(g_ref, v))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_skeleton_plan_with_isotropic_rows(self, seed, monkeypatch):
+        family, complex_ = unit_grid_3d(2)
+        pts, w = sample_disc(0.7, 300, seed=seed, center=[1.0, 1.0, 1.05])
+        rng = np.random.default_rng(seed)
+        iso = DiscreteVarifold.isotropic_set(rng.uniform(0.2, 1.8, (60, 3)), rng.random(60) / 60, 2)
+        sets = [DiscreteVarifold.flat(pts, H, w), iso]
+        plan, _, f1 = deform_onto_skeleton(family, complex_, sets, 2, 0.05, seed=seed, budget=16)
+        with monkeypatch.context() as patch:
+            _rows_path(patch)
+            plan_ref, _, f1_ref = deform_onto_skeleton(family, complex_, sets, 2, 0.05, seed=seed, budget=16)
+        assert plan.to_json() == plan_ref.to_json() and len(plan.stages) > 1
+        assert _selections(plan) == _selections(plan_ref)
+        for v in (*sets, _haar_copies(iso)):
+            assert same_bits(pushforward(f1, v), pushforward_oracle(f1_ref, v))
+
+
+class TestStageMapRows:
+    """Each stage map gives a row the bytes that row gets alone, in a batch
+    with duplicated and permuted rows, signed zeros included: the property
+    that lets a batch be evaluated once per distinct position."""
+
+    @staticmethod
+    def _check(phi, pts, rng):
+        batch = np.vstack([pts, pts[::3], pts[:4]])[rng.permutation(len(pts) + len(pts[::3]) + 4)]
+        val, jac = phi.value_and_jacobian(batch)
+        only = phi.value(batch)
+        moved = 0
+        for x, v, j, o in zip(batch, val, jac, only):
+            v1, j1 = phi.value_and_jacobian(x[None])
+            assert v.tobytes() == v1[0].tobytes() == o.tobytes() and j.tobytes() == j1[0].tobytes(), x
+            moved += not np.array_equal(v, x)
+        assert moved > len(batch) // 4
+
+    @staticmethod
+    def _signed_zeros(pts, axes):
+        """pts with a copy of its first rows at +0.0 and at -0.0 on the given axes."""
+        plus, minus = pts[:6].copy(), pts[:6].copy()
+        plus[:, axes], minus[:, axes] = 0.0, -0.0
+        return np.vstack([pts, plus, minus])
+
+    def test_cube_map(self, rng):
+        # the square z = 0 of [0, 1]^3: a freeze ball, the cut-off in z and the edge x = 0
+        phi = deform._cube_map(SQUARE, [0.55, 0.4, 0.0], 0.2, 0.04, {})
+        pts = np.column_stack([rng.uniform(-0.1, 1.1, (60, 2)), rng.uniform(-0.15, 0.15, 60)])
+        pts[:3] = [0.55, 0.4, 0.0]
+        self._check(phi, self._signed_zeros(self._signed_zeros(pts, [2]), [0]), rng)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_punctured_cube_projection(self, n, rng):
+        phi = punctured_cube_projection(rng.uniform(-0.4, 0.4, n), 0.1)
+        pts = rng.uniform(-1.2, 1.2, (60, n))
+        self._check(phi, self._signed_zeros(self._signed_zeros(pts, [0]), list(range(1, n))), rng)
+
+    def test_composite_of_stages(self, rng):
+        family, complex_ = unit_grid_3d(2)
+        pts, w = sample_disc(0.7, 300, seed=4, center=[1.0, 1.0, 1.05])
+        plan, _, _ = deform_onto_skeleton(family, complex_, [DiscreteVarifold.flat(pts, H, w)], 2, 0.05,
+                                          seed=4, budget=16)
+        phi = plan.compose_stages()
+        assert len(plan.stages) > 1
+        probes = np.vstack([pts[::5], rng.uniform(0.0, 2.0, (20, 3))])
+        self._check(phi, self._signed_zeros(np.vstack([probes, [[1.0, 1.0, 1.0]]]), [0]), rng)
 
 
 # tracemalloc peaks (bytes) of one full chunk of _candidate_singular_values

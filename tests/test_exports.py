@@ -152,6 +152,22 @@ def test_only_spans_builds_a_reduction():
     assert len(allowed) == 1 and not found, found
 
 
+def test_only_distinct_rows_takes_row_fingerprints():
+    """Only ``_grid.distinct_rows`` calls ``_row_fingerprint``: the centre
+    search's positions and recentred rows and the transport's positions are
+    merged by one mechanism."""
+    allowed, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == ("_grid", "distinct_rows")
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_row_fingerprint":
+                (allowed if id(node) in inside else found).append(f"{path.name}:{node.lineno}")
+    assert len(allowed) == 1 and not found, found
+
+
 def test_only_pair_norms_takes_grid_norms():
     """In ``gmtkit._grid`` only ``pair_norms`` calls ``np.linalg.norm``, so
     every pair distance of the nearest-sample searches is one function's,

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import norm_map
+from conftest import norm_map, same_bits
 from oracles import (phi_F_oracle, psi_F_oracle, pushforward_oracle, sample_spacing_oracle, varifold_from_csv_oracle,
                      varifold_to_csv_oracle)
 from gmtkit import _grid, varifold
@@ -479,12 +479,6 @@ class TestEllipticityProbe:
         assert np.all(frozen.evaluate(pts, None) == 4.0)
 
 
-def same_bits(v, w):
-    return all(getattr(v, a).dtype == getattr(w, a).dtype and getattr(v, a).shape == getattr(w, a).shape
-               and getattr(v, a).tobytes() == getattr(w, a).tobytes()
-               for a in ("points", "frames", "weights", "isotropic"))
-
-
 def csv_sets(n, m, seed=0):
     """Tangent-only, isotropic-only, mixed and header-only varifolds in R^n
     with awkward doubles: -0.0, the smallest subnormal, the largest double,
@@ -711,6 +705,30 @@ class TestHaarFrameArrays:
                     assert got.points.shape[1] == phi.n_out
                 else:
                     assert 0 < phi.inside_support(v.points).sum() < len(v) and v.isotropic.any()
+
+    def test_repeated_positions_move_once(self):
+        # Haar copies from an earlier transport, fresh isotropic samples, a
+        # repeated tangent row and points differing only in a zero's sign
+        tangent, iso = self._parts(3, 2, seed=7)
+        tangent.points[:4] = [[0.0, 0.1, 0.2], [0.0, -0.3, 0.1], [-0.0, 0.1, 0.2], [-0.0, -0.3, 0.1]]
+        copies = pushforward(SmoothMap.identity(3), DiscreteVarifold.concat([tangent, iso]), seed=1)
+        v = DiscreteVarifold.concat([copies, iso, tangent.restrict(np.arange(6))])
+        v = v.restrict(np.random.default_rng(3).permutation(len(v)))
+        affine = SmoothMap.affine(np.eye(3) + 0.3 * np.random.default_rng(4).standard_normal((3, 3)))
+        calls = []
+
+        def evaluate(x, jac):
+            calls.append(x.copy())
+            return affine.value_and_jacobian(x) if jac else (affine.value(x), None)
+
+        phi = SmoothMap(3, 3, evaluate=evaluate, support=Ball(np.zeros(3), 0.8))
+        got = pushforward(phi, v, 16, seed=5)
+        (moved,) = calls
+        inside = v.points[phi.inside_support(v.points)]
+        positions = {row.tobytes() for row in inside}
+        assert len(moved) == len({row.tobytes() for row in moved}) == len(positions) < len(inside) / 4
+        assert {row.tobytes() for row in moved} == positions >= {row.tobytes() for row in tangent.points[:4]}
+        assert same_bits(got, pushforward_oracle(phi, v, 16, seed=5))
 
     def test_isotropic_pushforward_needs_a_draw(self):
         tangent, iso = self._parts(3, 2, seed=7)
