@@ -36,8 +36,8 @@ from .cubemaps import (
     cube_enclosure,
     retraction_with_collar,
 )
-from .cubical import (BallSet, BoxUnion, CubeFamily, DyadicCube, PuncturedPlane, cubes_to_obj, cubical_complex,
-                      whitney_family)
+from .cubical import (BallSet, BoxUnion, CubeFamily, DyadicCube, PuncturedPlane, _row_bounds, cubes_to_obj,
+                      cubical_complex, whitney_family)
 from .deform import DeformationPlan, StageError, deform_onto_skeleton
 from .grassmann import Plane, build_rotation, projector_distance
 from .solver import (
@@ -46,6 +46,7 @@ from .solver import (
     InfeasibleError,
     OracleBudgetError,
     SpanningProblem,
+    _check_grid_cells,
     audit_minimizer,
     exhaustive_oracle,
     minimize as solver_minimize,
@@ -463,6 +464,10 @@ def cmd_deform(args):
     v = _read_set(args.set)
     n = v.ambient_dim
     cfg = _config(args, INPUTS["deform"], n)
+    try:
+        _check_grid_cells(cfg["grid_cells"])
+    except ValueError as exc:
+        raise InputError(f"grid_cells: {exc}") from exc
     fam = CubeFamily([DyadicCube(cfg["grid_level"], tuple(o + c_i for o, c_i in zip(cfg["grid_origin"], c)),
                                  tuple(range(n)), n) for c in np.ndindex(*cfg["grid_cells"])])
     m, eps = cfg["m"], cfg["eps"]
@@ -472,6 +477,10 @@ def cmd_deform(args):
             plan = DeformationPlan.from_json(Path(args.replay).read_text())
         except (OSError, KeyError, TypeError, ValueError) as exc:  # a missing key raises KeyError
             raise InputError(f"cannot load plan {args.replay}: {type(exc).__name__} {exc}") from exc
+        for i, stage in enumerate(plan.stages):
+            if stage.cube.ambient_dim != n:
+                raise InputError(f"plan {args.replay}: stage {i} has a cube in R^{stage.cube.ambient_dim}, "
+                                 f"not in R^{n} of the set")
         f1 = plan.compose_stages() or SmoothMap.identity(n)
     else:
         try:
@@ -494,8 +503,7 @@ def cmd_deform(args):
     constants = dict(plan.constants)
     if len(v):
         best = np.full(len(img), np.inf)
-        for c in cx.skeleton(m):
-            lo_b, hi_b = c.bounds()
+        for lo_b, hi_b in zip(*_row_bounds(*cx.cell_rows(m))):
             best = np.minimum(best, np.linalg.norm(img - np.clip(img, lo_b, hi_b), axis=1))
         tol = eps / 4.0
         constants["skeleton_membership"] = {
@@ -590,11 +598,16 @@ def cmd_minimize(args):
         payload["oracle_match"] = bool(abs(oval - res.value) <= 1e-9)
     _write_json(out / "solution.json", payload)
     with open(out / "solution.obj", "w") as fh:
-        fh.write(cubes_to_obj(res.chain.cells(), res.chain.m))
+        fh.write(cubes_to_obj(problem.complex.cell_rows(res.chain.m, np.flatnonzero(res.chain.bits)), res.chain.m))
     if res.chain.count():
         report = audit_minimizer(res.chain, problem.integrand)
         _write_audit(out, report, problem.complex.n)
     return EXIT_OK
+
+
+# sample coordinates the audit command may build, chain cells x subdivision^m x n
+# doubles (128 MB), before the samples are made
+MAX_AUDIT_ENTRIES = 1 << 24
 
 
 def _write_audit(out, report, n):
@@ -625,6 +638,10 @@ def cmd_audit(args):
     except (KeyError, TypeError, ValueError) as exc:  # a missing key raises KeyError
         raise InputError(f"invalid chain {args.chain}: {type(exc).__name__} {exc}") from exc
     chain = Chain2(cx, m, bits)
+    entries = chain.count() * cfg["subdivision"] ** m * cx.n
+    if entries > MAX_AUDIT_ENTRIES:
+        raise InputError(f"chain cells x subdivision^m x n must be at most MAX_AUDIT_ENTRIES = {MAX_AUDIT_ENTRIES} "
+                         f"sample coordinates, got {chain.count()} x {cfg['subdivision']}^{m} x {cx.n}")
     report = audit_minimizer(chain, None, subdivision=cfg["subdivision"])
     _write_audit(out, report, cx.n)
     return EXIT_OK

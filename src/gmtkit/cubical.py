@@ -454,6 +454,33 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
 # the cubical complex CX(F)
 
 
+def _row_dicts(levels, corners, free):
+    """The ``DyadicCube.to_dict`` dicts of cell rows (levels, corners, free-axis masks) of one dimension."""
+    axes, n = np.nonzero(free)[1].reshape(len(levels), int(free[:1].sum())).tolist(), corners.shape[1]
+    return [{"level": lv, "corner": c, "axes": a, "n": n} for lv, c, a in zip(levels.tolist(), corners.tolist(), axes)]
+
+
+def _row_bounds(levels, corners, free):
+    """(lo, hi): the closed bounds of cell rows, in the floats of ``DyadicCube.bounds``."""
+    side = 2.0 ** -levels[:, None]
+    return corners * side, (corners + free) * side
+
+
+class _RowCells:
+    """A complex whose ``cell_rows(k, rows)`` gives its k-cells at ``rows`` as
+    (levels, corners, free-axis masks): its cubes and centres decode those rows."""
+
+    def cubes(self, k, rows=slice(None)):
+        """The k-cells at ``rows`` as DyadicCubes."""
+        return [DyadicCube(d["level"], tuple(d["corner"]), tuple(d["axes"]), d["n"])
+                for d in _row_dicts(*self.cell_rows(k, rows))]
+
+    def centers(self, k, rows=slice(None)):
+        """The centres of the k-cells at ``rows``, in the floats of ``DyadicCube.center``."""
+        levels, corners, free = self.cell_rows(k, rows)
+        return (2 * corners + free) / 2.0 * 2.0 ** -levels[:, None]
+
+
 class _CellList(collections.abc.Sequence):
     """The k-cells of a ``CubicalComplex`` or ``solver.GridComplex`` as DyadicCubes, in
     row order: ``[i]`` decodes one row by the complex's ``cubes(k, rows)``; the first
@@ -482,10 +509,10 @@ class _CellList(collections.abc.Sequence):
         return self._cubes() == other
 
 
-class CubicalComplex:
+class CubicalComplex(_RowCells):
     """Faces of an admissible family, with touching faces subdivided so that only the finest copies
-    of overlapping same-dimension faces are kept.  ``rows`` maps each dimension k with faces to their
-    levels, corners and free-axis masks, in ``DyadicCube`` order; ``by_dim[k]`` decodes them."""
+    of overlapping same-dimension faces are kept.  ``_rows`` maps each dimension k with faces to their
+    levels, corners and free-axis masks, in ``DyadicCube`` order, which ``cell_rows`` hands out."""
 
     def __init__(self, family, rows):
         self.family, self._rows = family, rows
@@ -497,20 +524,11 @@ class CubicalComplex:
     def count(self, k):
         return len(self._rows[k][0])
 
-    def _lists(self, k, rows=slice(None)):
-        """(levels, corners, axes) of the k-faces at ``rows`` as lists of Python ints."""
-        levels, corners, free = (a[rows] for a in self._rows[k])
-        return levels.tolist(), corners.tolist(), np.nonzero(free)[1].reshape(len(levels), k).tolist()
-
-    def cubes(self, k, rows=slice(None)):
-        """The k-faces at ``rows`` as DyadicCubes, decoded from their rows."""
+    def cell_rows(self, k, rows=slice(None)):
+        """(levels, corners, free-axis masks) of the k-faces at ``rows``; no rows when there are no k-faces."""
         n = self.ambient_dim
-        return [DyadicCube(lv, tuple(c), tuple(a), n) for lv, c, a in zip(*self._lists(k, rows))]
-
-    def centers(self, k, rows=slice(None)):
-        """The centres of the k-faces at ``rows``, in the floats of ``DyadicCube.center``."""
-        levels, corners, free = (a[rows] for a in self._rows[k])
-        return (2 * corners + free) / 2.0 * 2.0 ** -levels[:, None]
+        none = np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=bool)
+        return tuple(a[rows] for a in self._rows.get(k, none))
 
     @property
     def index(self):
@@ -529,48 +547,35 @@ class CubicalComplex:
         return sum(map(self.count, self._rows))
 
     def to_json(self):
-        n = int(self.ambient_dim)
-        payload = {str(k): [{"level": lv, "corner": c, "axes": a, "n": n} for lv, c, a in zip(*self._lists(k))]
-                   for k in sorted(self._rows)}
+        payload = {str(k): _row_dicts(*self.cell_rows(k)) for k in sorted(self._rows)}
         return json.dumps({"ambient_dim": self.ambient_dim, "cubes": payload}, sort_keys=True)
 
     def skeleton_to_obj(self, k):
-        return cubes_to_obj(self.skeleton(k), k)
+        return cubes_to_obj(self.cell_rows(k), k)
 
 
-def cubes_to_obj(cubes, k):
-    """OBJ export of k-cubes: vertices plus edges (k=1), quads (k=2) or, for
-    any other k, one point at each cube's lower corner."""
-    verts = {}
-    lines = []
-
-    def vid(p):
-        key = tuple(round(float(v), 12) for v in p)
-        if key not in verts:
-            verts[key] = len(verts) + 1
-        return verts[key]
-
-    elements = []
-    for c in cubes:
-        lo, hi = c.bounds()
-        if k == 1:
-            b = lo.copy()
-            b[c.axes[0]] = hi[c.axes[0]]
-            elements.append(("l", [vid(lo), vid(b)]))
-        elif k == 2:
-            ax, ay = c.axes
-            p = [lo.copy() for _ in range(4)]
-            p[1][ax] = p[2][ax] = hi[ax]
-            p[2][ay] = p[3][ay] = hi[ay]
-            elements.append(("f", [vid(q) for q in p]))
-        else:
-            elements.append(("p", [vid(lo)]))
-    for key in sorted(verts, key=verts.get):
-        pad = list(key) + [0.0] * (3 - len(key))
-        lines.append("v " + " ".join(repr(float(v)) for v in pad[:3]))
-    for tag, ids in elements:
-        lines.append(tag + " " + " ".join(str(i) for i in ids))
-    return "\n".join(lines) + "\n"
+def cubes_to_obj(rows, k):
+    """OBJ text of k-cells given as rows (levels, corners, free-axis masks): vertices, then edges
+    (k=1), quads (k=2) or, for any other k, each cell's lower corner as a point.  Vertices are
+    numbered by first use and keyed by Python's ``round(v, 12)`` of each coordinate under dict-key
+    equality (-0.0 is 0.0), and written as first met, padded with 0.0 or cut to three coordinates."""
+    levels, corners, free = rows
+    n = corners.shape[1]
+    # each cell's vertices in order, by which of its free axes are at their upper bound
+    raised = np.array({1: [[0], [1]], 2: [[0, 0], [1, 0], [1, 1], [0, 1]]}.get(k, [[0] * k]), dtype=np.int64)
+    steps = raised.reshape(len(raised), k) @ np.eye(n, dtype=np.int64)[np.nonzero(free)[1].reshape(len(levels), k)]
+    coords = ((corners[:, None] + steps) * 2.0 ** -levels[:, None, None]).reshape(len(levels) * len(raised), n)
+    # round each distinct coordinate once; number the distinct rounded rows by first use
+    values, at = np.unique(coords.view(np.uint64).ravel(), return_inverse=True)
+    rounded = np.array([round(v, 12) for v in values.view(np.float64).tolist()])[at].reshape(coords.shape)
+    _, first, inverse = np.unique((rounded + 0.0).view(np.uint64), axis=0, return_index=True, return_inverse=True)
+    number = np.argsort(np.argsort(first)) + 1
+    written = np.zeros((len(first), 3))
+    written[:, :min(n, 3)] = rounded[np.sort(first), :3]
+    ids = number[inverse.ravel()].reshape(len(levels), len(raised))
+    tag = {1: "l", 2: "f"}.get(k, "p")
+    return "".join([f"v {' '.join(map(repr, v))}\n" for v in written.tolist()]
+                   + [f"{tag} {' '.join(map(str, row))}\n" for row in ids.tolist()]) or "\n"
 
 
 def cubical_complex(family: CubeFamily) -> CubicalComplex:

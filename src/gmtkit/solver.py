@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _grid
-from .cubical import DyadicCube, _CellList
+from .cubical import DyadicCube, _CellList, _row_dicts, _RowCells
 from .grassmann import Plane, _mgs
 from .varifold import SPACING_PROBES, DiscreteVarifold, unit_ball_volume
 
@@ -98,6 +98,15 @@ def _to_int(bits):
 MAX_GRID_CELLS = 1 << 22  # cells of all dimensions a GridComplex may have
 
 
+def _check_grid_cells(shape):
+    """ValueError when a grid of ``shape`` top cells has more than
+    MAX_GRID_CELLS cells of all dimensions, prod(2 s_j + 1), in Python ints."""
+    total = math.prod(2 * s + 1 for s in shape)
+    if total > MAX_GRID_CELLS:
+        raise ValueError(f"a grid of {list(shape)} cells has {total} cells of all dimensions, "
+                         f"more than MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+
+
 @functools.cache
 def _axes_ranks(n, k):
     """axes -> rank in ``itertools.combinations(range(n), k)``."""
@@ -122,16 +131,16 @@ class _CellIndex(collections.abc.Mapping):
         return itertools.chain.from_iterable(self._cx.cells.values())
 
 
-class GridComplex:
+class GridComplex(_RowCells):
     """The full cubical complex of a uniform grid of cells.
 
     ``shape`` counts top cells per axis; cells live at refinement ``level``
     starting at the integer ``origin`` (units of the cell side).  The sorted
     integer keys ``_cell_keys[k]`` are the only per-cell storage: the solver
-    decodes corners and axes from them, and ``cells`` and ``index`` are
-    views that decode or look up one cell at a time.  A grid has
-    prod(2 s_j + 1) cells of all dimensions; ValueError beyond
-    MAX_GRID_CELLS, before any array is made.
+    decodes corners and axes from them, ``cell_rows`` hands the cells out as
+    rows, and ``cells`` and ``index`` are views that decode or look up one
+    cell at a time.  A grid has prod(2 s_j + 1) cells of all dimensions;
+    ValueError beyond MAX_GRID_CELLS, before any array is made.
     """
 
     def __init__(self, n, shape, level, origin=None):
@@ -141,10 +150,7 @@ class GridComplex:
         self.origin = tuple(0 for _ in range(n)) if origin is None else tuple(origin)
         if len(self.shape) != n or len(self.origin) != n:
             raise ValueError("shape/origin must have length n")
-        total = math.prod(2 * s + 1 for s in self.shape)
-        if total > MAX_GRID_CELLS:
-            raise ValueError(f"a grid of {list(self.shape)} cells has {total} cells of all dimensions, "
-                             f"more than MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+        _check_grid_cells(self.shape)
         self._cell_keys = {k: np.sort(np.concatenate([self._keys(c, k, r) for r, _, c in self._groups(k)]))
                            for k in range(n + 1)}
         self._facets = {}
@@ -161,12 +167,6 @@ class GridComplex:
         """k -> the k-cells as DyadicCubes, in key order: a view that decodes
         them from their keys (``_CellList``)."""
         return {k: _CellList(self, k) for k in range(self.n + 1)}
-
-    def cubes(self, k, rows=slice(None)):
-        """The k-cells at ``rows`` as DyadicCubes, decoded from their keys."""
-        corners, rank = self.decode(k, rows)
-        axes = list(itertools.combinations(range(self.n), k))
-        return [DyadicCube(self.level, c, axes[r], self.n) for c, r in zip(map(tuple, corners.tolist()), rank.tolist())]
 
     @functools.cached_property
     def index(self):
@@ -191,9 +191,9 @@ class GridComplex:
         return np.searchsorted(self._cell_keys[k], self._keys(corners, k, rank))
 
     def _masks(self, k):
-        """The 0/1 free-axis mask of each axes rank of the k-cells."""
+        """The free-axis mask of each axes rank of the k-cells."""
         return np.array([[j in axes for j in range(self.n)] for axes in itertools.combinations(range(self.n), k)],
-                        dtype=np.int64).reshape(-1, self.n)
+                        dtype=bool).reshape(-1, self.n)
 
     def decode(self, k, rows=slice(None)):
         """(corners, rank) of the k-cells at ``rows``, from their keys: the
@@ -201,10 +201,10 @@ class GridComplex:
         code, rank = np.divmod(self._cell_keys[k][rows], math.comb(self.n, k))
         return _grid.cell_corners(code, self.origin, np.add(self.shape, 1)), rank
 
-    def centers(self, k, rows=slice(None)):
-        """The centres of the k-cells at ``rows``, in the floats of ``DyadicCube.center``."""
+    def cell_rows(self, k, rows=slice(None)):
+        """(levels, corners, free-axis masks) of the k-cells at ``rows``, from their keys."""
         corners, rank = self.decode(k, rows)
-        return (2 * corners + self._masks(k)[rank]) / 2.0 * self.side
+        return np.full(len(corners), self.level), corners, self._masks(k)[rank]
 
     def _key(self, k, cube):
         """The key of ``cube`` among the k-cells, by the ``_keys`` formula in
@@ -279,7 +279,7 @@ class GridComplex:
         """
         corners, rank = self.decode(m - 1, np.flatnonzero(np.asarray(z, dtype=np.uint8) % 2))
         lower, upper = (list(itertools.combinations(range(self.n), k)) for k in (m - 1, m))
-        free = self._masks(m - 1) == 0
+        free = ~self._masks(m - 1)
         hits = []
         for j, start in enumerate(self.origin):
             keep = free[rank, j]
@@ -346,7 +346,7 @@ class Chain2:
         return {
             "m": self.m,
             "level": self.complex.level,
-            "cells": [c.to_dict() for c in self.cells()],
+            "cells": _row_dicts(*self.complex.cell_rows(self.m, np.flatnonzero(self.bits))),
         }
 
 

@@ -354,22 +354,30 @@ class DiscreteVarifold:
         _check_rows(lineno, text, bad, f"an isotropic row must have the token isotropic as field {n + 1}")
         tangent = _parse_rows(lineno[~iso], list(itertools.compress(text, ~iso)), n + n * m + 1)
         isotropic = _parse_rows(lineno[iso], list(itertools.compress(text, iso)), n + 2, token=n)
-        transposed = tangent[:, n:-1].reshape(len(tangent), m, n)  # each tangent row's frame, one column per row
-        points, weights, frames = np.zeros((len(text), n)), np.zeros(len(text)), np.zeros((len(text), n, m))
-        points[~iso], weights[~iso], frames[~iso] = tangent[:, :n], tangent[:, -1], transposed.transpose(0, 2, 1)
-        points[iso], weights[iso] = isotropic[:, :n], isotropic[:, -1]
-        _check_rows(lineno, text, ~(np.isfinite(points).all(axis=1) & np.isfinite(frames).all(axis=(1, 2))
-                                    & np.isfinite(weights)), "every number must be finite")
+        # the checks read the parsed rows while the text is alive; the set's arrays are built after it goes
+        bad[~iso], bad[iso] = ~np.isfinite(tangent).all(axis=1), ~np.isfinite(isotropic).all(axis=1)
+        _check_rows(lineno, text, bad, "every number must be finite")
+        weights = np.zeros(len(text))
+        weights[~iso], weights[iso] = tangent[:, -1], isotropic[:, -1]
         _check_rows(lineno, text, weights < 0, "every weight must be >= 0")
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge entry gives an inf on the diagonal
-            gram = transposed @ transposed.transpose(0, 2, 1)
-        gram.reshape(len(gram), m * m)[:, ::m + 1] -= 1.0  # F^T F - I
-        bad[~iso] = (np.abs(gram) > FRAME_TOL).any(axis=(1, 2))
+        transposed = tangent[:, n:-1].reshape(len(tangent), m, n)  # each tangent row's frame, one column per row
+        skew = np.zeros(len(tangent), dtype=bool)
+        for lo in range(0, len(tangent), TABLE_ROWS):  # F^T F - I, a block of rows at a time
+            with np.errstate(over="ignore", invalid="ignore"):  # a huge entry gives an inf on the diagonal
+                gram = transposed[lo:lo + TABLE_ROWS] @ transposed[lo:lo + TABLE_ROWS].transpose(0, 2, 1)
+            gram.reshape(len(gram), m * m)[:, ::m + 1] -= 1.0
+            skew[lo:lo + TABLE_ROWS] = (np.abs(gram) > FRAME_TOL).any(axis=(1, 2))
+        bad[~iso] = skew
         _check_rows(lineno, text, bad, f"the m frame columns of a tangent row must be orthonormal within {FRAME_TOL:g}")
+        del text
+        points, frames = np.zeros((len(iso), n)), np.zeros((len(iso), n, m))
+        points[~iso], frames[~iso] = tangent[:, :n], transposed.transpose(0, 2, 1)
+        points[iso] = isotropic[:, :n]
         return DiscreteVarifold(points, frames, weights, iso)
 
 
-# rows the table writer formats at a time: a batch's text stays near 1 MB
+# rows the table writer formats, and the set-file reader checks frames of, at a
+# time: a batch's text stays near 1 MB
 TABLE_ROWS = 4096
 # doubles the set-file reader may allocate for frames (128 MB): every row,
 # isotropic ones too, holds an n x m frame, though an isotropic row's text is

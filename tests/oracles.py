@@ -133,7 +133,7 @@ from gmtkit.deform import (
     center_bound_constant,
 )
 from gmtkit.grassmann import Plane, projector_distance
-from gmtkit.cubical import BallSet, BoxUnion, CubeFamily, DyadicCube, PuncturedPlane, cubes_to_obj
+from gmtkit.cubical import BallSet, BoxUnion, CubeFamily, DyadicCube, PuncturedPlane
 from gmtkit.solver import (
     AUDIT_BLOCK,
     Chain2,
@@ -1496,7 +1496,43 @@ class ComplexOracle:
         return json.dumps({"ambient_dim": self.family.ambient_dim, "cubes": payload}, sort_keys=True)
 
     def skeleton_to_obj(self, k):
-        return cubes_to_obj(self.by_dim.get(k, []), k)
+        return cubes_to_obj_oracle(self.by_dim.get(k, []), k)
+
+
+def cubes_to_obj_oracle(cubes, k):
+    """``cubical.cubes_to_obj`` as it was on lists of DyadicCubes, one dict
+    lookup per vertex: vertices plus edges (k=1), quads (k=2) or, for any
+    other k, one point at each cube's lower corner."""
+    verts = {}
+    lines = []
+
+    def vid(p):
+        key = tuple(round(float(v), 12) for v in p)
+        if key not in verts:
+            verts[key] = len(verts) + 1
+        return verts[key]
+
+    elements = []
+    for c in cubes:
+        lo, hi = c.bounds()
+        if k == 1:
+            b = lo.copy()
+            b[c.axes[0]] = hi[c.axes[0]]
+            elements.append(("l", [vid(lo), vid(b)]))
+        elif k == 2:
+            ax, ay = c.axes
+            p = [lo.copy() for _ in range(4)]
+            p[1][ax] = p[2][ax] = hi[ax]
+            p[2][ay] = p[3][ay] = hi[ay]
+            elements.append(("f", [vid(q) for q in p]))
+        else:
+            elements.append(("p", [vid(lo)]))
+    for key in sorted(verts, key=verts.get):
+        pad = list(key) + [0.0] * (3 - len(key))
+        lines.append("v " + " ".join(repr(float(v)) for v in pad[:3]))
+    for tag, ids in elements:
+        lines.append(tag + " " + " ".join(str(i) for i in ids))
+    return "\n".join(lines) + "\n"
 
 
 def cubical_complex_oracle(family):

@@ -15,6 +15,7 @@ import pytest
 
 import gmtkit
 from gmtkit import cli
+from gmtkit.cubical import CubeFamily, DyadicCube, cubical_complex
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import ring_sampled_disc, sample_disc
 from gmtkit.solver import exhaustive_oracle
@@ -286,6 +287,32 @@ class TestDeform:
         monkeypatch.setenv("GMTKIT_BUDGET", budget)
         assert run_cli(["--out", tmp_path / "out", "deform", set_csv]) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_skeleton_check_builds_no_cubes(self, tmp_path, monkeypatch):
+        """The skeleton check reads the m-skeleton's bounds from rows: replaying
+        a plan of no stages builds only the config family's 4^3 cubes, and
+        the distances are those of the 2-cells' ``DyadicCube.bounds``."""
+        set_csv, plan = tmp_path / "disc.csv", tmp_path / "plan.json"
+        self.make_set(set_csv)
+        plan.write_text(json.dumps({"m": 2, "eps": 0.05, "seed": 0, "descent_count": 0, "stages": []}))
+        built, check = [], DyadicCube.__post_init__
+
+        def counting(cube):
+            built.append(cube)
+            check(cube)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DyadicCube, "__post_init__", counting)
+            assert run_cli(["--out", tmp_path / "out", "deform", set_csv, "--replay", plan]) == 0
+        assert len(built) == 64
+        points = DiscreteVarifold.from_csv(set_csv).points
+        cx = cubical_complex(CubeFamily([DyadicCube(0, c, (0, 1, 2), 3) for c in np.ndindex(4, 4, 4)]))
+        best = np.full(len(points), np.inf)
+        for c in cx.skeleton(2):
+            lo, hi = c.bounds()
+            best = np.minimum(best, np.linalg.norm(points - np.clip(points, lo, hi), axis=1))
+        got = json.loads((tmp_path / "out" / "deform_constants.json").read_text())["skeleton_membership"]
+        assert (got["max_distance"], got["fraction_within"]) == (float(best.max()), float((best <= 0.05 / 4).mean()))
 
     def test_empty_set_identity_plan(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -576,6 +603,8 @@ BAD_PLAN_STAGES = {
     "descent_count_above_stages": ({}, 2),
     "descent_count_fraction": ({}, 0.5),
     "eps_text": ({"eps": "0.05"}, 1),
+    # a stage cube in R^2 replayed on the set in R^3 (its map took points in R^2 only)
+    "other_dimension": ({"cube": {"level": 0, "corner": [2, 2], "axes": [0, 1], "n": 2}, "center": [2.5, 2.5]}, 1),
 }
 # replay plans whose header breaks the rule to_json writes it under
 BAD_PLAN_HEADERS = {"m_text": {"m": "x"}, "eps_null": {"eps": None}, "seed_list": {"seed": [1]},
@@ -734,6 +763,10 @@ IN_PROCESS_BAD_INPUTS = {
     "deform_grid_origin_of_wrong_length": ({"GMTKIT_GRID_ORIGIN": "[0]"}, ["deform", "disc.csv"]),
     "deform_coverage_threshold_above_1": ({"GMTKIT_COVERAGE_THRESHOLD": "1.5"}, ["deform", "disc.csv"]),
     "deform_coverage_threshold_negative": ({"GMTKIT_COVERAGE_THRESHOLD": "-0.1"}, ["deform", "disc.csv"]),
+    # 4097^2 x 3 cells of all dimensions, above MAX_GRID_CELLS, counted before the family is built
+    "deform_grid_cells_over_cell_cap": ({"GMTKIT_GRID_CELLS": "[2048, 2048, 1]"}, ["deform", "disc.csv"]),
+    # 16 cells x (2^20)^2 x 3 sample coordinates, above MAX_AUDIT_ENTRIES, counted before any sample is made
+    "audit_subdivision_over_cap": ({"GMTKIT_SUBDIVISION": str(2**20)}, ["audit", "chain.json"]),
     "minimize_steps_negative": ({}, ["minimize", "steps_negative.json"]),
     "minimize_level_minus_1100": ({}, ["minimize", "level_-1100.json"]),
     "audit_level_minus_1100": ({"GMTKIT_LEVEL": "-1100"}, ["audit", "chain_level_-1100.json"]),

@@ -12,11 +12,12 @@ from gmtkit.cubical import (
     CubeIndex,
     DyadicCube,
     PuncturedPlane,
+    cubes_to_obj,
     cubical_complex,
     whitney_family,
 )
 from gmtkit.deform import _max_touching
-from gmtkit.solver import GridComplex
+from gmtkit.solver import Chain2, GridComplex
 from oracles import (
     _cube_dist_inf,
     admissibility_violations_oracle,
@@ -24,6 +25,7 @@ from oracles import (
     canonical,
     children,
     contains_point_oracle,
+    cubes_to_obj_oracle,
     cubical_complex_oracle,
     dist_inf_complement_oracle,
     interior_contains_oracle,
@@ -397,6 +399,14 @@ class TestCubeIndexOracle:
     def test_delta_touching(self, built):
         assert _max_touching(built[1]) == max_touching_oracle(built[1])
 
+    def test_exports_match_the_object_oracle(self, built):
+        family, cx = built
+        expected = cubical_complex_oracle(family)
+        assert cx.by_dim == expected.by_dim
+        assert cx.to_json() == expected.to_json()
+        for k in range(family.ambient_dim + 1):
+            assert cx.skeleton_to_obj(k) == expected.skeleton_to_obj(k)
+
     def test_touching_counts(self, built):
         for idx in (built[0].index, built[1].index):
             assert np.array_equal(idx.touching_counts(),
@@ -685,6 +695,56 @@ class TestLipschitz:
         centre = rng.uniform(-1, 1, n)
         for u in (BallSet(centre, float(rng.uniform(0.5, 2))), PuncturedPlane(centre)):
             self._check(u, *self._pairs(rng, 300, 3.0, [np.append(np.arange(-16, 17) / 16.0, c) for c in centre]))
+
+
+class TestRowExports:
+    """Cells leave both complexes as integer rows: the OBJ writer on rows
+    against the writer on cube objects it replaced (``cubes_to_obj_oracle``),
+    on the cases where its byte rules show."""
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (3, 2), (4, 3)])
+    def test_empty_chain(self, n, k):
+        rows = np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=bool)
+        assert cubes_to_obj(rows, k) == cubes_to_obj_oracle([], k) == "\n"
+
+    def test_level_50_edges_merge_at_the_origin(self):
+        # every end rounds to (+-0.0, +-0.0) at 12 digits: one vertex, written as first met
+        cubes = [DyadicCube(50, (-1, 0), (0,), 2), DyadicCube(50, (0, 0), (0,), 2), DyadicCube(50, (0, -1), (1,), 2)]
+        rows = np.full(3, 50), np.array([c.corner for c in cubes]), np.array([[1, 0], [1, 0], [0, 1]], dtype=bool)
+        expected = "v -0.0 0.0 0.0\nl 1 1\nl 1 1\nl 1 1\n"
+        assert cubes_to_obj(rows, 1) == cubes_to_obj_oracle(cubes, 1) == expected
+
+    @pytest.mark.parametrize("args", [
+        (PuncturedPlane([0.0, 0.0]), ([-1, -1], [1, 1]), 45),  # vertices below 1e-12 merge, -0.0 with 0.0
+        (BallSet([0.0] * 4, 1.0), ([-1] * 4, [1] * 4), 2),
+    ], ids=["punctured-45", "ball-4d"])
+    def test_named_complexes(self, args):
+        fam = whitney_family(*args)
+        cx, expected = cubical_complex(fam), cubical_complex_oracle(fam)
+        assert cx.by_dim == expected.by_dim and cx.to_json() == expected.to_json()
+        for k in range(fam.ambient_dim + 1):
+            assert cx.skeleton_to_obj(k) == expected.skeleton_to_obj(k)
+        if fam.meta["min_level"] == 45:
+            obj = cx.skeleton_to_obj(1)
+            assert "-0.0" in obj and obj.count("v ") < cx.count(0)
+
+    def test_exports_build_no_cubes(self, monkeypatch, rng):
+        cx = cubical_complex(whitney_family(*CUBE_ROW_FAMILIES["ball-3d"]))
+        grid = GridComplex(3, (3, 2, 2), 1, (-1, 0, 0))
+        chain = Chain2(grid, 2, rng.random(grid.count(2)) < 0.5)
+        built, check = [], DyadicCube.__post_init__
+
+        def counting(cube):
+            built.append(cube)
+            check(cube)
+
+        monkeypatch.setattr(DyadicCube, "__post_init__", counting)
+        for k in range(4):
+            cx.skeleton_to_obj(k)
+        cx.to_json()
+        chain.to_dict()
+        cubes_to_obj(grid.cell_rows(2, np.flatnonzero(chain.bits)), 2)
+        assert len(built) == 0
 
 
 class TestCubeBounds:

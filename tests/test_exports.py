@@ -117,6 +117,24 @@ def test_one_writer_formats_floats_for_files():
     assert not found, found
 
 
+def test_only_cubical_builds_cubes():
+    """``DyadicCube(...)`` is called in ``src/`` only inside ``cubical`` and in
+    ``cli.cmd_deform``'s family of config grid cubes: both complexes hand
+    their cells out as rows, and a cube object is made only by the one row
+    decoder in ``cubical`` or where a caller asks for one."""
+    deform_family, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == ("cli", "cmd_deform")
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (path.stem != "cubical" and isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "DyadicCube"):
+                (deform_family if id(node) in inside else found).append(f"{path.name}:{node.lineno}")
+    assert len(deform_family) == 1 and not found, found
+
+
 def test_only_the_profile_module_assembles_profiles():
     """No module in ``src/`` but ``_profiles`` calls ``smoothstep_i``: every
     profile value (the integral of a smoothstep blend) is assembled in one

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -573,6 +574,25 @@ class TestCsvRoundtrip:
         with pytest.raises(ValueError, match=re.escape("MAX_FRAME_ENTRIES = 16777216 frame entries")
                            + r".* got 17 \* 1024 \* 1024"):
             DiscreteVarifold.from_csv(tmp_path / "big.csv")
+
+    def test_traced_peak_of_a_read(self, tmp_path):
+        """The rules are checked on the parsed rows while the rows' text is
+        alive, and the set's arrays are built after the text is dropped:
+        20 000 tangent and 5 000 isotropic rows (2.2 MB of text, 2 MB of
+        arrays) peak at 6.33 MB traced, where building the arrays beside the
+        text peaked at 9.19 MB."""
+        pts, w = sample_disc(1.0, 20000, seed=4)
+        DiscreteVarifold.concat([DiscreteVarifold.flat(pts, Plane.axis(3, (0, 1)), w),
+                                 DiscreteVarifold.isotropic_set(pts[:5000], w[:5000], 2)]).to_csv(tmp_path / "set.csv")
+        DiscreteVarifold.from_csv(tmp_path / "set.csv")  # first-call allocations
+        tracemalloc.start()
+        try:
+            v = DiscreteVarifold.from_csv(tmp_path / "set.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(v) == 25000 and v.isotropic.sum() == 5000
+        assert peak <= 6_600_000, peak
 
     def test_frame_entries_up_to_the_cap_are_read(self, tmp_path, monkeypatch):
         monkeypatch.setattr(varifold, "MAX_FRAME_ENTRIES", 12)
