@@ -248,29 +248,39 @@ def reach_cell(reach):
 
 def _row_fingerprint(words):
     """A 64-bit key per row of the uint64 array ``words`` (N, W): the wrapping
-    dot product with fixed odd constants of the words with their high halves
-    folded onto their low ones.  A product carries bits only upward, so
-    without the fold rows differing only in sign bits, (a, -b) and (-a, b),
-    would share a key.  Equal rows get equal keys; unequal rows rarely
-    collide, and a collision only costs speed, because ``distinct_rows``
-    merges rows after an exact compare."""
-    odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    dot product of the words, high halves folded onto low ones, with one odd
+    constant per column from SplitMix64's mixing steps.  Without the fold,
+    (a, -b) and (-a, b) would share a key (a product carries bits only upward);
+    with constants in arithmetic progression, (a, b, c) and (a + 3, b - 1, c)
+    would.  Unequal rows can still share a key; ``distinct_rows`` splits them."""
+    odd = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        odd ^= odd >> np.uint64(shift)
+        odd *= np.uint64(factor)
+    odd |= np.uint64(1)
     folded = words >> np.uint64(32)
     folded ^= words
     return folded @ odd
 
 
 def distinct_rows(words):
-    """(keep, inverse): one row index per group of bitwise-equal rows of the
-    uint64 array ``words`` (N, W), and each row's group, so that
-    ``words[keep][inverse]`` is ``words``.  Rows are sorted by
-    ``_row_fingerprint`` and adjacent equal rows merged after an exact word
-    compare, so +0.0 and -0.0 stay apart and a fingerprint collision cannot
-    merge unequal rows; ``len(keep) == N`` when every row is distinct."""
-    order = np.argsort(_row_fingerprint(words))
-    words = words[order]
+    """(keep, inverse): one row index per distinct bit pattern of the rows of
+    the uint64 array ``words`` (N, W), in no set order, and each row's group,
+    so that ``words[keep][inverse]`` is ``words``.  The groups are exact
+    whatever the keys: rows are sorted by ``_row_fingerprint``, the rows of a
+    key that unequal rows share are lexsorted by their words, and adjacent
+    rows merge only when every word is equal, so +0.0 and -0.0 stay apart."""
+    key = _row_fingerprint(words)
+    order = np.argsort(key)
+    key, words = key[order], words[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = np.any(words[1:] != words[:-1], axis=1)
+    clash = first[1:] & (key[1:] == key[:-1])
+    if clash.any():
+        at = np.flatnonzero(np.isin(key, key[1:][clash]))
+        sub = np.lexsort(np.vstack([words[at].T[::-1], key[at]]))
+        order[at], words[at] = order[at][sub], words[at][sub]
+        first[1:] = np.any(words[1:] != words[:-1], axis=1)
     del words
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1

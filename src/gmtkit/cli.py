@@ -189,6 +189,8 @@ def _arguments(args, table, n=None):
 # has n <= 13, so side^n and the audit's sample weights (side / subdivision)^m
 # stay normal doubles (subdivision below 2^46); deform grids take the same range
 MAX_GRID_LEVEL = 32
+# Haar planes of probe-ellipticity's sup estimate, each one Python step per competitor
+MAX_SUP_GRID = 1 << 14
 
 INPUTS = {
     "rotate": {"tau": Rule("float", [0.25, 0.5, 1.0], shape=(None,))},
@@ -237,7 +239,7 @@ INPUTS = {
         "plane_axes": Rule("int", [0, 1], (">=", 0), shape=(None,)),
         "m": Rule("int", 2, (">=", 1), ("<=", 2)),
         "x": Rule("float", [0.0, 0.0, 0.0], shape=("n",)),
-        "sup_grid": Rule("int", 256, (">=", 1)),
+        "sup_grid": Rule("int", 256, (">=", 1), ("<=", MAX_SUP_GRID)),
     },
 }
 
@@ -438,7 +440,7 @@ def cmd_whitney(args):
             raise InputError(f"{what} must have lo < hi on every axis, got lo {lo.tolist()} and hi {hi.tolist()}")
     try:
         fam = whitney_family(_open_set_from_config(cfg), (bbox[0], bbox[1]), cfg["min_level"])
-    except ValueError as exc:  # a box slot grid beyond MAX_FACE_CELLS cells, or cube bounds beyond 2^53
+    except ValueError as exc:  # beyond MAX_FACE_CELLS or MAX_WHITNEY_ENTRIES, or bounds beyond 2^53
         raise InputError(str(exc)) from exc
     if len(fam) == 0:
         _write_json(out / "whitney_summary.json", {"cubes": 0, "meta": fam.meta})

@@ -404,6 +404,9 @@ class PuncturedPlane:
         return np.ones(len(np.atleast_2d(lo)), dtype=bool)
 
 
+MAX_WHITNEY_ENTRIES = 1 << 24  # corner coordinates (cubes x 2^n x n) of one level of whitney_family
+
+
 def whitney_family(open_set, bbox, min_level, top_level=None):
     """The Whitney family of an open set, truncated to a box and a finest level.
 
@@ -416,7 +419,8 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
     a side it is exact, as each set gives the true sup-norm distance to its
     complement, which is 1-Lipschitz (a BoxUnion counts a face that two
     boxes share as complement).  ValueError when a bound at the finest
-    level would reach 2^53.
+    level would reach 2^53, or before a level's cubes x 2^n corners x n
+    coordinates, counted in Python ints, would exceed MAX_WHITNEY_ENTRIES.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bbox)
     n = len(lo)
@@ -426,15 +430,24 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
     ilo, ihi = np.floor(lo / side + 1e-9), np.ceil(hi / side - 1e-9)
     if not np.abs([ilo, ihi]).max(initial=0.0) < 2.0 ** (53 - max(min_level - top_level, 0)):
         raise ValueError(f"the cube bounds of the box at level {max(min_level, top_level)} reach 2^53")
+
+    def check(cubes, level):
+        if (cubes << n) * n > MAX_WHITNEY_ENTRIES:
+            raise ValueError(f"level {level} has {cubes} cubes x 2^{n} corners x {n} coordinates, "
+                             f"more than MAX_WHITNEY_ENTRIES = {MAX_WHITNEY_ENTRIES}")
+
+    cells = np.maximum(ihi - ilo, 0)
+    check(max(math.prod(int(c) for c in cells.tolist()), 1), top_level)  # offsets alone are one cube's
     offsets = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64).reshape(-1, n)
 
     def dist(corners, level):
         """Each cube's least corner distance, one call on the distinct corner points."""
-        points, inverse = np.unique((corners[:, None] + offsets).reshape(-1, n), axis=0, return_inverse=True)
-        d = open_set.dist_inf_complement(points * 2.0 ** (-level))
+        points = (corners[:, None] + offsets).reshape(-1, n)
+        keep, inverse = _grid.distinct_rows(points.view(np.uint64))
+        d = open_set.dist_inf_complement(points[keep] * 2.0 ** (-level))
         return d[inverse.reshape(len(corners), len(offsets))].min(axis=1)
 
-    corners = np.indices(np.maximum(ihi - ilo, 0).astype(np.int64)).reshape(n, -1).T + ilo.astype(np.int64)
+    corners = np.indices(cells.astype(np.int64)).reshape(n, -1).T + ilo.astype(np.int64)
     emitted, waived_top = [], 0
     for level in range(top_level, max(top_level, min_level) + 1):
         side = 2.0 ** (-level)
@@ -445,6 +458,7 @@ def whitney_family(open_set, bbox, min_level, top_level=None):
         corners = corners[~ok]
         if level < min_level:  # refine the cubes that still meet the set
             meets = open_set.meets(corners * side, (corners + 1) * side)
+            check(int(np.count_nonzero(meets)) << n, level + 1)
             corners = (2 * corners[meets][:, None] + offsets).reshape(-1, n)
     return CubeFamily(emitted, meta={"truncated_below_min_level": len(corners), "top_level_parent_waivers": waived_top,
                                      "top_level": top_level, "min_level": min_level})
@@ -568,14 +582,16 @@ def cubes_to_obj(rows, k):
     # round each distinct coordinate once; number the distinct rounded rows by first use
     values, at = np.unique(coords.view(np.uint64).ravel(), return_inverse=True)
     rounded = np.array([round(v, 12) for v in values.view(np.float64).tolist()])[at].reshape(coords.shape)
-    _, first, inverse = np.unique((rounded + 0.0).view(np.uint64), axis=0, return_index=True, return_inverse=True)
+    keep, inverse = _grid.distinct_rows((rounded + 0.0).view(np.uint64))
+    first = np.full(len(keep), len(inverse))
+    np.minimum.at(first, inverse, np.arange(len(inverse)))  # each vertex's first use
     number = np.argsort(np.argsort(first)) + 1
     written = np.zeros((len(first), 3))
     written[:, :min(n, 3)] = rounded[np.sort(first), :3]
     ids = number[inverse.ravel()].reshape(len(levels), len(raised))
-    tag = {1: "l", 2: "f"}.get(k, "p")
-    return "".join([f"v {' '.join(map(repr, v))}\n" for v in written.tolist()]
-                   + [f"{tag} {' '.join(map(str, row))}\n" for row in ids.tolist()]) or "\n"
+    line = {1: "l", 2: "f"}.get(k, "p") + " %d" * len(raised) + "\n"
+    return "".join(["v %r %r %r\n" % tuple(v) for v in written.tolist()]
+                   + [line % tuple(row) for row in ids.tolist()]) or "\n"
 
 
 def cubical_complex(family: CubeFamily) -> CubicalComplex:

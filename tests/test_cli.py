@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gmtkit
-from gmtkit import cli
+from gmtkit import cli, cubical
 from gmtkit.cubical import CubeFamily, DyadicCube, cubical_complex
 from gmtkit.grassmann import Plane
 from gmtkit.sampling import ring_sampled_disc, sample_disc
@@ -776,6 +776,11 @@ IN_PROCESS_BAD_INPUTS = {
     "retract_probes_over_cap": ({"GMTKIT_PROBES": str(2**20 + 1)}, ["retract"]),
     "project_ellipsoid_probes_over_cap": ({"GMTKIT_BODY": '"ellipsoid"', "GMTKIT_SEMI_AXES": "[2, 1, 1]",
                                            "GMTKIT_PROBES": str(2**22 // 9 + 1)}, ["project"]),
+    # one Haar plane past MAX_SUP_GRID = 2^14
+    "probe_sup_grid_over_cap": ({"GMTKIT_SUP_GRID": str(2**14 + 1)}, ["probe-ellipticity"]),
+    # 2^24 top-level cubes x 2^24 corners x 24 coordinates, above MAX_WHITNEY_ENTRIES, counted before any array
+    "whitney_corner_points_over_cap": ({"GMTKIT_OPEN_SET": '"ball"', "GMTKIT_BBOX": json.dumps([[-1] * 24, [1] * 24]),
+                                        "GMTKIT_CENTER": json.dumps([0] * 24)}, ["whitney"]),
 }
 
 
@@ -831,6 +836,14 @@ class TestBadInput:
         for probes, n in [(cli.MAX_PROBE_ENTRIES // 9 + 1, 3), (1, 2049), (2**53, 2**53)]:
             with pytest.raises(cli.InputError, match="MAX_PROBE_ENTRIES"):
                 cli._check_probe_work(probes, n)
+
+    def test_whitney_refuses_a_level_over_the_entry_cap(self, tmp_path, monkeypatch, capsys):
+        """A disc at min_level 40 refines its rim until a level would pass
+        the cap, here lowered to 8192 corner coordinates."""
+        monkeypatch.setattr(cubical, "MAX_WHITNEY_ENTRIES", 8192)
+        env = {"GMTKIT_OPEN_SET": '"ball"', "GMTKIT_MIN_LEVEL": "40"}
+        rc, err, _ = run_in_process(tmp_path, monkeypatch, capsys, env, ["whitney"])
+        assert rc == 2 and len(err.splitlines()) == 1 and "more than MAX_WHITNEY_ENTRIES = 8192" in err
 
     def test_audit_refuses_an_integrand(self, tmp_path, monkeypatch, capsys):
         _bad_input_files(tmp_path)

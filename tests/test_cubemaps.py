@@ -36,7 +36,7 @@ from gmtkit.cubemaps import (
     _recenter,
     _recentering_profiles,
 )
-from gmtkit.cubical import DyadicCube
+from gmtkit.cubical import BallSet, DyadicCube, _row_bounds, cubical_complex, whitney_family
 from gmtkit.deform import deform_one_cube
 from gmtkit.grassmann import Plane, build_rotation
 from gmtkit.sampling import four_corner_cantor, sample_disc
@@ -963,6 +963,43 @@ class TestClusterBalls:
         if case == "ring_around_blob":
             assert len(got[0]) == 0 and len(got[3]) == len(points)
 
+    @pytest.mark.parametrize("case", [*sorted(CLUSTER_CASES), "blobs_n2", "blobs_n3"])
+    def test_grid_search_matches_all_pairs(self, case, monkeypatch, rng):
+        """The fixed-radius grid search for each centre's nearest other centre
+        gives the bytes of the all-pairs search it skips, on up to 4 000
+        random clusters of two to four samples."""
+        if case.startswith("blobs"):
+            n = int(case[-1])
+            centres = rng.random((4000, n)) * 4000 ** (1 / n)
+            points = np.repeat(centres, 4, axis=0) + rng.uniform(-0.05, 0.05, (16000, n))
+            points, gap, region = points[rng.random(16000) < 0.8], 0.1, None
+        else:
+            points, gap, region = CLUSTER_CASES[case](rng)
+        searched, nearest = [], _grid.nearest
+
+        def counting(*args, **kwargs):
+            searched.append(nearest(*args, **kwargs) is not None)
+            return nearest(*args, **kwargs)
+
+        monkeypatch.setattr(_grid, "nearest", counting)
+        got = _cluster_balls(points, gap, region)
+        monkeypatch.setattr(_grid, "nearest", lambda *args, **kwargs: None)
+        want = _cluster_balls(points, gap, region)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got[3] == want[3]
+        if case.startswith("blobs"):
+            assert searched == [True] and len(got[0]) > 3000
+
+    def test_grid_search_keeps_the_purge_meta(self, monkeypatch, rng):
+        cantor, _ = four_corner_cantor(3, angle=0.012)
+        pts = np.vstack([c + 0.02 * cantor for c in rng.uniform(-0.5, 1.5, (300, 2))])
+        args = (pts, rank_one_map(), Box([-0.8, -0.8], [1.8, 1.8]), 0.8, 1)
+        got = unrect_perturbation(*args, cluster_gap=0.02, direction_budget=8).meta
+        monkeypatch.setattr(_grid, "nearest", lambda *args, **kwargs: None)
+        want = unrect_perturbation(*args, cluster_gap=0.02, direction_budget=8).meta
+        assert repr(got) == repr(want) and len(got["balls"]) > 100
+
     def test_each_cluster_is_a_component(self, rng):
         points = rng.random((300, 2))
         label = _grid.cell_clusters(points, 0.05)
@@ -1278,6 +1315,74 @@ class TestPuncturedRowDedup:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_centre(self, n, rng):
         self._check(rng.uniform(-0.5, 0.5, (1, n)), _boundary_heavy_points(rng, 200, n))
+
+
+def _linear_key(words):
+    """The row key with constants (2i + 1) G in arithmetic progression, so
+    that (a, b, c) and (a + 3, b - 1, c) share one."""
+    odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    folded = words >> np.uint64(32)
+    folded ^= words
+    return folded @ odd
+
+
+_FINGERPRINT = _grid._row_fingerprint
+ROW_KEYS = {
+    "module": _FINGERPRINT,
+    "linear": _linear_key,
+    "constant": lambda words: np.zeros(len(words), dtype=np.uint64),
+    # rows differing only in signs share a key and sort together
+    "sign_blind": lambda words: _FINGERPRINT(words & np.uint64(2**63 - 1)),
+}
+
+
+class TestDistinctRowsExact:
+    """``_grid.distinct_rows`` gives one group per distinct bit pattern, and
+    only rows of that pattern, whatever the fingerprint: with the module's
+    key, a linear one, a constant one and one blind to signs."""
+
+    @pytest.fixture(params=sorted(ROW_KEYS), autouse=True)
+    def key(self, request, monkeypatch):
+        monkeypatch.setattr(_grid, "_row_fingerprint", ROW_KEYS[request.param])
+        return request.param
+
+    @staticmethod
+    def _check(words):
+        keep, inverse = _grid.distinct_rows(words)
+        assert inverse.shape == (len(words),) and np.array_equal(words[keep][inverse], words)
+        assert len(keep) == len({row.tobytes() for row in words})
+        return keep, inverse
+
+    def test_whitney_edge_end_points(self):
+        """The end points of the 1-skeleton of the 3-D ball's complex at
+        min_level 3: dyadic rows, 437 distinct among 2 208, on which the
+        linear key left copies of one row in several groups."""
+        cx = cubical_complex(whitney_family(BallSet([0.0] * 3, 1.0), ([-1] * 3, [1] * 3), 3))
+        words = np.vstack(_row_bounds(*cx.cell_rows(1))).view(np.uint64)
+        keep, _ = self._check(words)
+        assert len(words) == 2208 and len(keep) == 437
+
+    def test_rows_that_share_a_linear_key(self, rng):
+        a = rng.integers(0, 100, (50, 3))
+        # each a row's copies on both sides of its (a + 3, b - 1, c) row
+        words = np.stack([a, a + [3, -1, 0], a, a + [3, -1, 0], a], axis=1).reshape(-1, 3).view(np.uint64)
+        assert np.array_equal(_linear_key(words[0::5]), _linear_key(words[1::5]))
+        keep, inverse = self._check(words)
+        assert len(keep) <= 100 and np.array_equal(inverse[0::5], inverse[2::5])
+
+    @pytest.mark.parametrize("kind", ["int64", "dyadic"])
+    def test_many_small_rows(self, kind, rng):
+        rows = rng.integers(-4, 4, (3000, 3))
+        self._check((rows if kind == "int64" else rows / 8.0).view(np.uint64))
+
+    def test_signed_zeros_stay_apart(self):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 1.0], [-0.0, -0.0], [0.0, 0.0]])
+        keep, inverse = self._check(rows.view(np.uint64))
+        assert len(keep) == 6 and inverse[0] == inverse[4] and len(set(inverse[[0, 1, 2, 3, 5, 6]].tolist())) == 6
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 3), (0, 1), (1, 1), (40, 1)])
+    def test_empty_one_row_and_one_column(self, shape, rng):
+        self._check(rng.integers(0, 3, shape).astype(np.uint64))
 
 
 class TestEvaluationPath:

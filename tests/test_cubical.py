@@ -573,6 +573,46 @@ class TestCubeRowsOracle:
         assert cubical_complex(CubeFamily(fam.cubes)).to_json() == expected
 
 
+    def test_four_dimensional_ball(self):
+        """The 4-D unit ball at min_level 3: 560 cubes from 16-corner rows."""
+        args = (BallSet([0.0] * 4, 1.0), ([-1] * 4, [1] * 4), 3)
+        fam, expected = whitney_family(*args), whitney_family_oracle(*args)
+        assert len(fam) == 560 and fam.cubes == expected.cubes and repr(fam.meta) == repr(expected.meta)
+
+
+class TestWhitneyEntryCap:
+    """whitney_family refuses a level whose cubes x 2^n corners x n
+    coordinates exceed MAX_WHITNEY_ENTRIES before it builds that level."""
+
+    def test_refused_before_the_level_is_built(self, monkeypatch):
+        monkeypatch.setattr(cubical, "MAX_WHITNEY_ENTRIES", 8192)
+        ball, measured = BallSet([0.0, 0.0], 1.0), []
+
+        class Counting:
+            contains, meets = staticmethod(ball.contains), staticmethod(ball.meets)
+
+            @staticmethod
+            def dist_inf_complement(x):
+                measured.append(x.size)
+                return ball.dist_inf_complement(x)
+
+        with pytest.raises(ValueError, match="level 5 has 1392 cubes x 2\\^2 corners x 2 coordinates, more than MAX_"):
+            whitney_family(Counting(), ([-1, -1], [1, 1]), 40)
+        assert len(measured) == 7 and max(measured) <= 8192  # levels -1 to 4 and the top level's parents
+        whitney_family(ball, ([-1, -1], [1, 1]), 4)  # its levels stay under the cap
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_counts_beyond_int64(self, n):
+        """2^n top-level cubes of 2^n corners each, 2^80 at n = 40: counted in
+        Python ints and refused before any array is made."""
+        with pytest.raises(ValueError, match=rf"level -1 has {2**n} cubes x 2\^{n} corners x {n} coordinates"):
+            whitney_family(BallSet([0.0] * n, 1.0), ([-1] * n, [1] * n), 3)
+
+    def test_one_cube_of_too_many_corners(self):
+        with pytest.raises(ValueError, match=r"level 0 has 1 cubes x 2\^20 corners"):
+            whitney_family(BallSet([0.5] * 20, 1.0), ([0] * 20, [1] * 20), 3)
+
+
 def _box_unions(n):
     """Random dyadic box unions in R^n, each with a box nested in its first
     box and one touching its first box at a corner."""

@@ -186,6 +186,16 @@ def test_only_distinct_rows_takes_row_fingerprints():
     assert len(allowed) == 1 and not found, found
 
 
+def test_no_unique_rows_outside_distinct_rows():
+    """No ``np.unique`` call in ``src/`` passes ``axis``: which rows are
+    bitwise equal is decided only by ``_grid.distinct_rows``."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "unique"
+             and (len(node.args) > 4 or any(kw.arg == "axis" for kw in node.keywords))]
+    assert not found, found
+
+
 def test_only_pair_norms_takes_grid_norms():
     """In ``gmtkit._grid`` only ``pair_norms`` calls ``np.linalg.norm``, so
     every pair distance of the nearest-sample searches is one function's,
