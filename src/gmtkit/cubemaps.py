@@ -876,14 +876,10 @@ def _cluster_balls(points, gap, region):
 
     Each ball's inner core (half of the rotation happens inside it) contains
     its whole cluster; the outer radius is capped by the distance to the
-    nearest other centre (zero when centres coincide), and a ball whose
-    outer radius leaves the ``Box`` ``region`` (if not None) is dropped.
-    A centre caps a ball only when 0.48 near < 2.5 inner, within 5.21
-    inner radii, so a grid that lists every centre within 5.25 times the
-    largest inner radius (``_grid.nearest``) finds each one that matters,
-    with the floats of ``_grid.nearest_all``, which measures all pairs when
-    the grid declines; a centre with no candidate keeps 2.5 inner.
-    Returns (centers, r_out, r_in, uncovered_idx)."""
+    nearest other centre (``_grid.nearest_all``, in blocks; zero when
+    centres coincide), and a ball whose outer radius leaves the ``Box``
+    ``region`` (if not None) is dropped.  Returns (centers, r_out, r_in,
+    uncovered_idx)."""
     label = _grid.cell_clusters(points, gap)
     order = np.argsort(label, kind="stable")  # the samples of each ball, in index order
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
@@ -893,8 +889,7 @@ def _cluster_balls(points, gap, region):
     inner = np.sqrt(_grid.row_dots(diag, diag)) / 2.0 * 1.02 + 1e-12
     outer = 2.5 * inner
     if len(centers) > 1:
-        grid = _grid.nearest(centers, centers, _grid.reach_cell(5.25 * float(inner.max())), len(centers) ** 2)
-        near = _grid.nearest_all(centers, centers, distinct=True) if grid is None else grid[0]
+        near = _grid.nearest_all(centers, centers, distinct=True)
         same = _grid.distinct_rows((centers + 0.0).view(np.uint64))[1]
         near[np.bincount(same)[same] > 1] = 0.0  # a ball whose centre another shares is dropped
         outer = np.minimum(outer, 0.48 * near)

@@ -582,16 +582,15 @@ def cubes_to_obj(rows, k):
     # round each distinct coordinate once; number the distinct rounded rows by first use
     values, at = np.unique(coords.view(np.uint64).ravel(), return_inverse=True)
     rounded = np.array([round(v, 12) for v in values.view(np.float64).tolist()])[at].reshape(coords.shape)
-    keep, inverse = _grid.distinct_rows((rounded + 0.0).view(np.uint64))
-    first = np.full(len(keep), len(inverse))
-    np.minimum.at(first, inverse, np.arange(len(inverse)))  # each vertex's first use
+    inverse = _grid.distinct_rows((rounded + 0.0).view(np.uint64))[1]
+    first = np.unique(inverse, return_index=True)[1]  # each vertex's first use
     number = np.argsort(np.argsort(first)) + 1
     written = np.zeros((len(first), 3))
     written[:, :min(n, 3)] = rounded[np.sort(first), :3]
     ids = number[inverse.ravel()].reshape(len(levels), len(raised))
-    line = {1: "l", 2: "f"}.get(k, "p") + " %d" * len(raised) + "\n"
-    return "".join(["v %r %r %r\n" % tuple(v) for v in written.tolist()]
-                   + [line % tuple(row) for row in ids.tolist()]) or "\n"
+    tag = {1: "l", 2: "f"}.get(k, "p")
+    return "".join([f"v {' '.join(map(repr, v))}\n" for v in written.tolist()]
+                   + [f"{tag} {' '.join(map(str, row))}\n" for row in ids.tolist()]) or "\n"
 
 
 def cubical_complex(family: CubeFamily) -> CubicalComplex:

@@ -963,43 +963,6 @@ class TestClusterBalls:
         if case == "ring_around_blob":
             assert len(got[0]) == 0 and len(got[3]) == len(points)
 
-    @pytest.mark.parametrize("case", [*sorted(CLUSTER_CASES), "blobs_n2", "blobs_n3"])
-    def test_grid_search_matches_all_pairs(self, case, monkeypatch, rng):
-        """The fixed-radius grid search for each centre's nearest other centre
-        gives the bytes of the all-pairs search it skips, on up to 4 000
-        random clusters of two to four samples."""
-        if case.startswith("blobs"):
-            n = int(case[-1])
-            centres = rng.random((4000, n)) * 4000 ** (1 / n)
-            points = np.repeat(centres, 4, axis=0) + rng.uniform(-0.05, 0.05, (16000, n))
-            points, gap, region = points[rng.random(16000) < 0.8], 0.1, None
-        else:
-            points, gap, region = CLUSTER_CASES[case](rng)
-        searched, nearest = [], _grid.nearest
-
-        def counting(*args, **kwargs):
-            searched.append(nearest(*args, **kwargs) is not None)
-            return nearest(*args, **kwargs)
-
-        monkeypatch.setattr(_grid, "nearest", counting)
-        got = _cluster_balls(points, gap, region)
-        monkeypatch.setattr(_grid, "nearest", lambda *args, **kwargs: None)
-        want = _cluster_balls(points, gap, region)
-        for a, b in zip(got[:3], want[:3]):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert got[3] == want[3]
-        if case.startswith("blobs"):
-            assert searched == [True] and len(got[0]) > 3000
-
-    def test_grid_search_keeps_the_purge_meta(self, monkeypatch, rng):
-        cantor, _ = four_corner_cantor(3, angle=0.012)
-        pts = np.vstack([c + 0.02 * cantor for c in rng.uniform(-0.5, 1.5, (300, 2))])
-        args = (pts, rank_one_map(), Box([-0.8, -0.8], [1.8, 1.8]), 0.8, 1)
-        got = unrect_perturbation(*args, cluster_gap=0.02, direction_budget=8).meta
-        monkeypatch.setattr(_grid, "nearest", lambda *args, **kwargs: None)
-        want = unrect_perturbation(*args, cluster_gap=0.02, direction_budget=8).meta
-        assert repr(got) == repr(want) and len(got["balls"]) > 100
-
     def test_each_cluster_is_a_component(self, rng):
         points = rng.random((300, 2))
         label = _grid.cell_clusters(points, 0.05)
